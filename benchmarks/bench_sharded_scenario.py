@@ -55,17 +55,11 @@ def run_serial():
     return run_scenario(_config())
 
 
-def run_with_shards(shards: int, processes: bool = True,
-                    batch_wire: bool = True):
-    """The same scenario partitioned across ``shards`` worker shards.
-
-    ``batch_wire=False`` runs the per-envelope wire escape hatch — the
-    PR 4 format the wire-batching numbers are compared against.
-    """
+def run_with_shards(shards: int, processes: bool = True):
+    """The same scenario partitioned across ``shards`` worker shards."""
     from repro.net.shard import run_sharded
 
-    return run_sharded(_config(shards), processes=processes,
-                       batch_wire=batch_wire)
+    return run_sharded(_config(shards), processes=processes)
 
 
 def n_windows(shards: int = 2) -> int:
@@ -91,10 +85,3 @@ def bench_sharded_four_shards(benchmark):
     """Four worker shards with windowed cross-shard exchange."""
     result = measure(benchmark, run_with_shards, 4)
     assert result.sim.events_executed > 0
-
-
-def bench_sharded_two_shards_per_envelope(benchmark):
-    """Two shards on the per-envelope wire escape hatch (the PR 4 path):
-    the baseline the packed-buffer exchange is measured against."""
-    result = measure(benchmark, run_with_shards, 2, True, False)
-    assert result.net.stats.wire_envelopes > 0

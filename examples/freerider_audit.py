@@ -40,9 +40,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=21)
     args = parser.parse_args()
 
-    # The attack-catalog form of the classic freerider study: the mix
-    # replaces the deprecated freerider_* config triple (same placement,
-    # same node classes, bit-identical results).
+    # The classic freerider study is a single-attack mix from the catalog.
     param = 0.2 if args.mode == "nonserve" else 0.1
     config = ScenarioConfig(
         protocol="heap", n_nodes=args.nodes, duration=args.seconds,

@@ -23,8 +23,7 @@ including fork/spawn shard workers.
 from repro.adversary import attacks as _attacks  # noqa: F401  (registers catalog)
 from repro.adversary.metrics import (ATTACK_GRID_METRICS, attack_impact,
                                      spec_attack_impact)
-from repro.adversary.mix import (AttackMix, Placement, effective_adversary,
-                                 place_attackers)
+from repro.adversary.mix import AttackMix, Placement, place_attackers
 from repro.adversary.placement import PLACEMENT_POLICIES, place_ids
 from repro.adversary.registry import (ROLES, Attack, attack, attack_catalog,
                                       attack_names, get_attack, is_registered)
@@ -58,7 +57,6 @@ __all__ = [
     "attack_catalog",
     "attack_impact",
     "attack_names",
-    "effective_adversary",
     "get_attack",
     "is_registered",
     "place_attackers",

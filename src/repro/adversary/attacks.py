@@ -13,8 +13,8 @@ take the attack parameter as their eighth positional argument (after the
 honest constructor signature); the sampler-role attack subclasses
 :class:`~repro.membership.peer_sampling.PeerSamplingService`.
 
-* ``underclaim`` / ``nonserve`` are the original freerider pair, moved
-  here from ``repro.freeriders.nodes`` (which re-exports them);
+* ``underclaim`` / ``nonserve`` are the original freerider pair (the
+  paper's §5 incentive weakness);
 * ``spam`` floods proposals far beyond the fanout budget, congesting its
   own uplink and pulling requests toward a saturated server;
 * ``withhold`` receives everything but selectively never proposes,

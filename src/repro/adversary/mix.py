@@ -63,7 +63,7 @@ class AttackMix:
     def single(cls, name: str, fraction: float,
                param: Optional[float] = None,
                victim_policy: str = "random") -> "AttackMix":
-        """A one-attack mix (the shape the ``freerider_*`` shim builds)."""
+        """A one-attack mix (the §5 freerider study's shape)."""
         params = () if param is None else ((name, param),)
         return cls(attacks=((name, fraction),), params=params,
                    victim_policy=victim_policy)
@@ -214,21 +214,3 @@ def place_attackers(mix: AttackMix, *, seed: int, n_nodes: int,
         name = assign_rng.choices(names, weights)[0]
         placement[node_id] = (name, mix.param_for(name))
     return placement
-
-
-def effective_adversary(config) -> Optional[AttackMix]:
-    """The adversary a scenario actually runs, shim included.
-
-    ``config.adversary`` wins when set; otherwise the deprecated
-    ``freerider_fraction/mode/param`` triple is transparently lifted to
-    the equivalent single-attack mix (random placement — the historical
-    behaviour, bit for bit).  Returns None for an honest scenario.
-    """
-    adversary = getattr(config, "adversary", None)
-    if adversary is not None:
-        return adversary
-    fraction = getattr(config, "freerider_fraction", 0.0)
-    if fraction <= 0:
-        return None
-    return AttackMix.single(config.freerider_mode, fraction,
-                            config.freerider_param)

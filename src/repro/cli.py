@@ -14,50 +14,62 @@
     python -m repro status j0001
     python -m repro watch j0001
 
-``run`` executes one scenario and prints the headline metrics; ``sweep``
-runs a protocol×seed grid through the parallel experiment engine
-(``--jobs N`` fans it out over N worker processes — the aggregated output
-is byte-identical to ``--jobs 1``, only faster); the other subcommands
-regenerate a specific figure/table/ablation/extension and print the same
-rows the benches archive.  Figure/table/ablation grids honour ``--jobs``
-too (default: the ``REPRO_JOBS`` environment variable), and both those
-grids and ``sweep`` checkpoint each finished (scenario, seed) record to
-JSONL: ``--checkpoint PATH`` picks the file, ``--resume`` reloads
+Experiment parameters are declared once, as the fields of
+:class:`repro.experiments.specs.SweepSpec`; this module declares none of
+them.  ``sweep`` gets one flag per field (the field defaults are the
+flag defaults) and runs the protocol×seed grid through the parallel
+experiment engine (``--jobs N`` fans it out over N worker processes —
+the aggregated output is byte-identical to ``--jobs 1``, only faster).
+``run`` is the one-cell case of the same spec — ``--protocol`` and
+``--seed`` pick the cell — and prints the headline metrics of that
+single scenario.  ``submit`` carries the same flags with no defaults, so
+only what the user set travels and the service fills in the rest from
+the same table.  ``figure``/``table``/``ablation``/``extension``
+regenerate a registered artifact and print the same rows the benches
+archive; their parameters are :class:`~repro.experiments.specs.RenderSpec`.
+
+Execution flags — how to run, never what — are declared here, once, for
+``sweep`` and the figure/table/ablation grids alike: ``--jobs``
+(default for renders: the ``REPRO_JOBS`` environment variable),
+``--quiet``, and checkpointing of each finished (scenario, seed) record
+to JSONL: ``--checkpoint PATH`` picks the file, ``--resume`` reloads
 finished cells after a kill (with a default path derived from the
 command when ``--checkpoint`` is omitted).  ``--checkpoint-dir DIR``
 instead derives the file inside DIR and adds housekeeping: a
 fingerprint-mismatched (stale) checkpoint is garbage-collected rather
 than fatal, and the spent checkpoint is deleted after a successful run.
-``sweep --csv PATH`` exports every (scenario, seed) record as CSV for
-external plotting.  ``lint`` runs the determinism & shard-safety static
-analyzer (:mod:`repro.lint`) over the given paths — CI gates on a clean
-``src/repro``.  ``serve`` runs the experiment service control plane
-(:mod:`repro.service`): a resident HTTP/JSON job manager around the same
-engine, with live SSE progress; ``submit``/``status``/``watch`` are its
-thin clients.
+``--csv PATH`` exports every record (``sweep``) or rendered row as CSV
+for external plotting.  ``lint`` runs the determinism & shard-safety
+static analyzer (:mod:`repro.lint`) over the given paths — CI gates on a
+clean ``src/repro``.  ``serve`` runs the experiment service control
+plane (:mod:`repro.service`): a resident HTTP/JSON job manager around
+the same engine, with live SSE progress; ``submit``/``status``/``watch``
+are its thin clients.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import os
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.stats import mean
 from repro.experiments import run_scenario
 from repro.experiments import ablations as _ablations
 from repro.experiments import extensions as _extensions
 from repro.experiments import figures as _figures
 from repro.experiments import tables as _tables
-from repro.experiments.scales import Scale, _SCALES, current_scale
+from repro.experiments.scales import _SCALES, current_scale
+from repro.experiments.specs import (RenderSpec, SweepSpec, add_spec_arguments,
+                                     spec_params)
 from repro.metrics import (
     jitter_free_fraction_by_class,
     mean_lag_by_class,
     utilization_by_class,
 )
 from repro.metrics.lag import lag_cdf_jitter_free
-from repro.workloads import CatastrophicFailure, ScenarioConfig, distribution_by_name
 
 FIGURES: Dict[str, Callable] = {
     "fig1": _figures.fig1_unconstrained,
@@ -94,94 +106,33 @@ EXTENSIONS: Dict[str, Callable] = {
 }
 
 
-def _scale_from_args(args) -> Optional[Scale]:
-    if args.scale is None:
-        return current_scale()
-    return _SCALES[args.scale]
-
-
-def _adversary_from_args(args):
-    """The AttackMix the ``--attacks`` flags describe, or None.
-
-    Only syntax errors are reported here; semantic problems (unknown
-    attack names, out-of-range fractions, policy/membership conflicts)
-    flow into ``ScenarioConfig.validate``, which reports *all* of them
-    in one error.
-    """
-    if not getattr(args, "attacks", None):
-        return None
-    from repro.adversary import AttackMix
-
-    return AttackMix.parse(args.attacks,
-                           params_text=getattr(args, "attack_params", "") or "",
-                           victim_policy=args.victim_policy)
-
-
-def _fault_plan_from_args(args):
-    """The parsed :class:`FaultPlan` the ``--faults`` flag describes,
-    or None.  Raises ValueError on bad clause syntax."""
-    if not getattr(args, "faults", None):
-        return None
-    from repro.faults import FaultPlan
-
-    return FaultPlan.parse(args.faults)
-
-
-def _shard_supervision_from_args(args):
-    """Install the ``--barrier-timeout`` / ``--shard-restarts`` flags as
-    the process-wide shard supervision; returns the previous value so
-    callers can restore it (the CLI is normally one-shot, but tests call
-    :func:`main` repeatedly in one process)."""
+@contextlib.contextmanager
+def _shard_supervision(args):
+    """Install ``--barrier-timeout`` / ``--shard-restarts`` as the
+    process-wide shard supervision for the duration of a command (the
+    CLI is normally one-shot, but tests call :func:`main` repeatedly in
+    one process, so the previous value is restored)."""
     from repro.faults import ShardSupervision, set_default_shard_supervision
 
-    return set_default_shard_supervision(ShardSupervision(
+    previous = set_default_shard_supervision(ShardSupervision(
         restarts=args.shard_restarts,
         barrier_timeout=args.barrier_timeout))
+    try:
+        yield
+    finally:
+        set_default_shard_supervision(previous)
 
 
 def _cmd_run(args) -> int:
-    churn = None
-    if args.churn_fraction > 0:
-        churn = CatastrophicFailure(fraction=args.churn_fraction,
-                                    at_time=args.churn_time)
-    latency_rng = args.latency_rng
-    loss_rng = args.loss_rng
-    if args.shards > 1:
-        if latency_rng is None:
-            latency_rng = "per-pair"
-        if loss_rng is None:
-            loss_rng = "per-pair"
+    from repro.faults import ShardFailure
+
     try:
-        adversary = _adversary_from_args(args)
-        faults = _fault_plan_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    config = ScenarioConfig(
-        protocol=args.protocol,
-        n_nodes=args.nodes,
-        duration=args.seconds,
-        drain=args.drain,
-        seed=args.seed,
-        distribution=distribution_by_name(args.distribution),
-        loss_rate=args.loss,
-        membership=args.membership,
-        audit=args.audit,
-        capability_discovery=args.discovery,
-        adversary=adversary,
-        freerider_fraction=args.freerider_fraction,
-        freerider_mode=args.freerider_mode,
-        churn=churn,
-        latency_rng=latency_rng if latency_rng is not None else "shared",
-        loss_rng=loss_rng if loss_rng is not None else "shared",
-        latency_floor=args.latency_floor,
-        shards=args.shards,
-        faults=faults,
-    )
-    try:
-        config.validate()
-        if faults is not None and (faults.has_cell_faults
-                                   or faults.torn_checkpoint is not None):
+        spec = SweepSpec.from_params({
+            **spec_params(args), "protocols": [args.protocol],
+            "base_seed": args.seed, "num_seeds": 1})
+        (config,) = spec.configs()
+        plan = spec.fault_plan()
+        if plan is not None and plan.without_shard_faults() is not None:
             raise ValueError(
                 "crash-cell/stall-cell/torn-checkpoint faults target sweep "
                 "grid cells; `run` only takes shard faults "
@@ -189,18 +140,14 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from repro.faults import ShardFailure, set_default_shard_supervision
-
-    previous = _shard_supervision_from_args(args)
     try:
-        result = run_scenario(config)
+        with _shard_supervision(args):
+            result = run_scenario(config.with_(seed=args.seed))
     except ShardFailure as exc:
         print(f"error: {exc} (restart budget exhausted)", file=sys.stderr)
         return 1
-    finally:
-        set_default_shard_supervision(previous)
-    print(f"{args.protocol} | {args.nodes} nodes | {args.seconds:g}s stream | "
-          f"{args.distribution} | seed {args.seed}")
+    print(f"{args.protocol} | {spec.nodes} nodes | {spec.seconds:g}s stream | "
+          f"{spec.distribution} | seed {args.seed}")
     print(f"events: {result.sim.events_executed:,}")
     print("\njitter-free windows at 10s lag, by class:")
     for label, value in jitter_free_fraction_by_class(result, 10.0).items():
@@ -243,43 +190,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _sweep_spec_from_args(args):
-    """The sweep's declarative :class:`SweepSpec`.
-
-    The service control plane builds the identical value from an HTTP
-    request body, so ``repro sweep`` and a submitted ``sweep`` job run
-    the same experiment cell for cell.
-    """
-    from repro.experiments.specs import SweepSpec
-
-    return SweepSpec.from_params({
-        "protocols": args.protocols,
-        "nodes": args.nodes,
-        "seconds": args.seconds,
-        "drain": args.drain,
-        "distribution": args.distribution,
-        "loss": args.loss,
-        "seeds": args.seeds,
-        "base_seed": args.base_seed,
-        "num_seeds": args.num_seeds,
-        "audit": args.audit,
-        "attacks": args.attacks,
-        "attack_params": args.attack_params,
-        "victim_policy": args.victim_policy,
-        "shards": args.shards,
-        "latency_rng": args.latency_rng,
-        "loss_rng": args.loss_rng,
-        "latency_floor": args.latency_floor,
-        "faults": args.faults,
-    })
-
-
 def _cmd_sweep(args) -> int:
     from repro.experiments.parallel import (CheckpointError, ProgressEvent,
                                             run_grid)
 
     try:
-        spec = _sweep_spec_from_args(args)
+        spec = SweepSpec.from_params(spec_params(args))
         # Scenario-level problems (unknown attacks, shard/rng conflicts)
         # are all collected into one ValueError here.
         configs = spec.configs()
@@ -306,30 +222,24 @@ def _cmd_sweep(args) -> int:
                   f"{record.wall_time:.2f}s)",
                   file=sys.stderr, end="", flush=True)
 
-    checkpoint = _checkpoint_path(args, "sweep", args.distribution)
-    from repro.faults import (ShardFailure, SupervisionPolicy,
-                              set_default_shard_supervision)
+    checkpoint = _checkpoint_path(args, "sweep", spec.distribution)
+    from repro.faults import ShardFailure, SupervisionPolicy
 
     supervision = SupervisionPolicy(cell_retries=args.cell_retries)
-    previous = _shard_supervision_from_args(args)
     try:
-        grid = run_grid(configs, seeds, spec.metrics(), jobs=jobs,
-                        progress=progress,
-                        checkpoint=checkpoint, resume=args.resume,
-                        checkpoint_gc=_managed_checkpoint(args),
-                        faults=spec.fault_plan(), supervision=supervision)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # e.g. a fault plan the execution mode cannot host
+        with _shard_supervision(args):
+            grid = run_grid(configs, seeds, spec.metrics(), jobs=jobs,
+                            progress=progress,
+                            checkpoint=checkpoint, resume=args.resume,
+                            checkpoint_gc=_managed_checkpoint(args),
+                            faults=spec.fault_plan(), supervision=supervision)
+    except (CheckpointError, ValueError) as exc:
+        # ValueError: e.g. a fault plan the execution mode cannot host
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ShardFailure as exc:
         print(f"error: {exc} (restart budget exhausted)", file=sys.stderr)
         return 1
-    finally:
-        set_default_shard_supervision(previous)
     if grid.cell_retries:
         # Pinned phrasing: the CI chaos-smoke job greps for it.
         print(f"supervision: recovered {grid.cell_retries} lost cell "
@@ -387,11 +297,11 @@ def _checkpoint_path(args, command: str, name: str) -> Optional[str]:
     return None
 
 
-def _cmd_render(registry: Dict[str, Callable], command: str, name: str,
-                args) -> int:
+def _cmd_render(registry: Dict[str, Callable], command: str, args) -> int:
     from repro.experiments import gridrun
     from repro.experiments.parallel import CheckpointError
 
+    name = args.id
     try:
         fn = registry[name]
     except KeyError:
@@ -416,12 +326,10 @@ def _cmd_render(registry: Dict[str, Callable], command: str, name: str,
         progress=(None if getattr(args, "quiet", True)
                   else gridrun.stderr_progress))
     try:
-        result = fn(_scale_from_args(args))
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # e.g. an invalid scenario override reaching validation
+        result = fn(current_scale() if args.scale is None
+                    else _SCALES[args.scale])
+    except (CheckpointError, ValueError) as exc:
+        # ValueError: e.g. an invalid scenario override reaching validation
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -508,21 +416,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _submit_params(args) -> Dict[str, object]:
-    """Sweep/run parameters the user actually set (``None`` = defer to
-    the server's defaults — which are the ``sweep`` CLI defaults)."""
-    names = ("protocols", "nodes", "seconds", "drain", "distribution",
-             "loss", "seeds", "base_seed", "num_seeds", "attacks",
-             "attack_params", "victim_policy", "shards", "latency_rng",
-             "loss_rng", "latency_floor", "faults")
-    params: Dict[str, object] = {
-        name: getattr(args, name) for name in names
-        if getattr(args, name) is not None}
-    if args.audit:
-        params["audit"] = True
-    return params
-
-
 def _follow_job(client, job_id: str, quiet: bool = False) -> str:
     """Stream a job's events to stderr; returns its terminal state."""
     state = "unknown"
@@ -545,19 +438,15 @@ def _cmd_submit(args) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
     client = ServiceClient(args.url)
+    # Only what the user set travels; the server fills in the rest from
+    # the same spec table (whose defaults are the `sweep` CLI defaults).
     if args.kind in ("figure", "table", "ablation"):
         if not args.id:
             print(f"error: --kind {args.kind} needs --id", file=sys.stderr)
             return 2
-        params: Dict[str, object] = {"id": args.id}
-        if args.scale is not None:
-            params["scale"] = args.scale
-        if args.shards is not None:
-            params["shards"] = args.shards
-        if args.latency_floor is not None:
-            params["latency_floor"] = args.latency_floor
+        params = spec_params(args, RenderSpec)
     else:
-        params = _submit_params(args)
+        params = spec_params(args)
     try:
         resp = client.submit(args.kind, params)
         job = resp["job"]
@@ -639,59 +528,8 @@ def _cmd_watch(args) -> int:
         return 2
 
 
-def _add_attack_args(parser) -> None:
-    """Adversary knobs shared by ``run`` and ``sweep``."""
-    parser.add_argument("--attacks", default=None, metavar="NAME=FRAC,...",
-                        help="plant an attack mix: comma-separated "
-                             "name=fraction pairs (fractions of the "
-                             "receiver population; see `repro attacks "
-                             "--list` for the catalog)")
-    parser.add_argument("--attack-params", default=None,
-                        metavar="NAME=VALUE,...",
-                        help="override attack parameters (defaults come "
-                             "from the catalog)")
-    parser.add_argument("--victim-policy", default="random",
-                        help="where the attackers sit: random, "
-                             "high-degree, edge, or clustered")
-
-
-def _add_shard_args(parser) -> None:
-    """Sharded-execution knobs shared by ``run`` and ``sweep``."""
-    parser.add_argument("--shards", type=int, default=0,
-                        help="partition the node population across N "
-                             "worker shards (0/1 = in-process; N > 1 "
-                             "implies --latency-rng/--loss-rng per-pair "
-                             "and produces results identical to the "
-                             "*per-pair* serial run — not to the "
-                             "default shared-stream mode)")
-    parser.add_argument("--latency-rng", choices=("shared", "per-pair"),
-                        default=None,
-                        help="latency randomness mode: 'shared' (one "
-                             "stream in global send order, the default) "
-                             "or 'per-pair' (independent per-link "
-                             "streams, required for --shards > 1)")
-    parser.add_argument("--loss-rng", choices=("shared", "per-pair"),
-                        default=None,
-                        help="loss randomness mode: 'shared' (one "
-                             "stream in global send order, the default) "
-                             "or 'per-pair' (independent per-link "
-                             "Bernoulli trials, required for "
-                             "--shards > 1 with --loss > 0)")
-    parser.add_argument("--latency-floor", type=float, default=0.002,
-                        help="hard lower bound on pairwise latency, "
-                             "seconds; doubles as the sharded lookahead "
-                             "(default 0.002)")
-
-
-def _add_fault_args(parser, cell_retries: bool = False) -> None:
-    """Chaos-testing knobs shared by ``run`` and ``sweep``."""
-    parser.add_argument("--faults", default=None, metavar="CLAUSE,...",
-                        help="deterministic fault injection: comma-"
-                             "separated clauses (crash-cell=K[xN], "
-                             "stall-cell=K:SECS, shard-exit=S@W, "
-                             "shard-stall=S@W:SECS, drop-wire=S@W, "
-                             "torn-checkpoint=N); recovered runs are "
-                             "byte-identical to clean ones")
+def _add_supervision_args(parser, cell_retries: bool = False) -> None:
+    """How failures are handled — shared by ``run`` and ``sweep``."""
     parser.add_argument("--barrier-timeout", type=float, default=None,
                         metavar="SECS",
                         help="shard window-barrier deadline: a shard "
@@ -711,115 +549,79 @@ def _add_fault_args(parser, cell_retries: bool = False) -> None:
                                  "CellFailure (default 2)")
 
 
+def _add_execution_args(parser, jobs_default: Optional[int],
+                        csv_help: str) -> None:
+    """How a grid is executed — shared by ``sweep`` and the
+    figure/table/ablation grids (never part of a spec: output is
+    identical for any value)."""
+    parser.add_argument("--jobs", type=int, default=jobs_default,
+                        help="worker processes for the scenario grid "
+                             "(default: 1 for sweep, REPRO_JOBS or 1 for "
+                             "renders; output is identical for any value)")
+    parser.add_argument("--checkpoint", default=None,
+                        help="JSONL file recording each finished "
+                             "(scenario, seed) record")
+    parser.add_argument("--checkpoint-dir", default=None,
+                        help="directory for a derived checkpoint file, "
+                             "with housekeeping: stale or fingerprint-"
+                             "mismatched checkpoints are GC'd, spent ones "
+                             "deleted after a successful run")
+    parser.add_argument("--resume", action="store_true",
+                        help="reload finished cells from the checkpoint "
+                             "instead of recomputing")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress progress output on stderr")
+    parser.add_argument("--csv", default=None, metavar="PATH", help=csv_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="HEAP (Heterogeneous Gossip) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run one scenario")
+    def command(name: str, func: Callable, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    # `run` is the one-cell case of the sweep spec: its own flags pick
+    # the cell, everything else is the spec table.
+    run_parser = command("run", _cmd_run, help="run one scenario")
     run_parser.add_argument("--protocol", choices=("heap", "standard", "tree"),
                             default="heap")
-    run_parser.add_argument("--nodes", type=int, default=100)
-    run_parser.add_argument("--seconds", type=float, default=20.0)
-    run_parser.add_argument("--drain", type=float, default=40.0)
     run_parser.add_argument("--seed", type=int, default=1)
-    run_parser.add_argument("--distribution", default="ref-691")
-    run_parser.add_argument("--loss", type=float, default=0.0)
-    run_parser.add_argument("--membership", choices=("directory", "cyclon"),
-                            default="directory")
-    run_parser.add_argument("--audit", action="store_true")
-    run_parser.add_argument("--discovery", action="store_true",
-                            help="slow-start capability discovery")
-    run_parser.add_argument("--freerider-fraction", type=float, default=0.0)
-    run_parser.add_argument("--freerider-mode",
-                            choices=("underclaim", "nonserve"),
-                            default="underclaim")
-    run_parser.add_argument("--churn-fraction", type=float, default=0.0)
-    run_parser.add_argument("--churn-time", type=float, default=60.0)
-    _add_attack_args(run_parser)
-    _add_shard_args(run_parser)
-    _add_fault_args(run_parser)
+    add_spec_arguments(run_parser, exclude=("protocols", "seeds",
+                                            "base_seed", "num_seeds"))
+    _add_supervision_args(run_parser)
 
-    sweep_parser = sub.add_parser(
-        "sweep", help="run a protocol x seed grid (parallel with --jobs)")
-    sweep_parser.add_argument("--protocols", default="heap,standard",
-                              help="comma-separated protocol list")
-    sweep_parser.add_argument("--nodes", type=int, default=100)
-    sweep_parser.add_argument("--seconds", type=float, default=20.0)
-    sweep_parser.add_argument("--drain", type=float, default=40.0)
-    sweep_parser.add_argument("--distribution", default="ref-691")
-    sweep_parser.add_argument("--loss", type=float, default=0.0)
-    sweep_parser.add_argument("--seeds", default=None,
-                              help="explicit comma-separated seed list")
-    sweep_parser.add_argument("--base-seed", type=int, default=1)
-    sweep_parser.add_argument("--num-seeds", type=int, default=8)
-    sweep_parser.add_argument("--jobs", type=int, default=1,
-                              help="worker processes (1 = serial; results "
-                                   "are identical for any value)")
-    sweep_parser.add_argument("--quiet", action="store_true",
-                              help="suppress progress output on stderr")
-    sweep_parser.add_argument("--checkpoint", default=None,
-                              help="JSONL file recording each finished "
-                                   "(scenario, seed) record")
-    sweep_parser.add_argument("--checkpoint-dir", default=None,
-                              help="directory for a derived checkpoint "
-                                   "file, with housekeeping: stale or "
-                                   "fingerprint-mismatched checkpoints "
-                                   "are GC'd, spent ones deleted after "
-                                   "a successful run")
-    sweep_parser.add_argument("--resume", action="store_true",
-                              help="reload finished cells from the "
-                                   "checkpoint instead of recomputing")
-    sweep_parser.add_argument("--csv", default=None, metavar="PATH",
-                              help="export every (scenario, seed) record "
-                                   "as CSV for external plotting")
-    sweep_parser.add_argument("--audit", action="store_true",
-                              help="run the gossip-based freerider audit "
-                                   "on every node (enables conviction "
-                                   "columns in attack sweeps)")
-    _add_attack_args(sweep_parser)
-    _add_shard_args(sweep_parser)
-    _add_fault_args(sweep_parser, cell_retries=True)
+    sweep_parser = command(
+        "sweep", _cmd_sweep,
+        help="run a protocol x seed grid (parallel with --jobs)")
+    add_spec_arguments(sweep_parser)
+    _add_execution_args(sweep_parser, jobs_default=1,
+                        csv_help="export every (scenario, seed) record as "
+                                 "CSV for external plotting")
+    _add_supervision_args(sweep_parser, cell_retries=True)
 
-    for command, registry in (("figure", FIGURES), ("table", TABLES),
-                              ("ablation", ABLATIONS),
-                              ("extension", EXTENSIONS)):
-        p = sub.add_parser(command, help=f"regenerate a {command}")
+    for name, registry in (("figure", FIGURES), ("table", TABLES),
+                           ("ablation", ABLATIONS),
+                           ("extension", EXTENSIONS)):
+        p = command(name, functools.partial(_cmd_render, registry, name),
+                    help=f"regenerate a {name}")
         p.add_argument("id", help=f"one of: {', '.join(sorted(registry))}")
-        p.add_argument("--scale", choices=sorted(_SCALES), default=None)
-        if command == "extension":
+        if name == "extension":
             # Extensions run bespoke study loops, not the grid pipeline:
             # advertising grid flags they'd silently ignore would lie.
+            add_spec_arguments(p, RenderSpec,
+                               exclude=("id", "shards", "latency_floor"))
             continue
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the scenario grid "
-                            "(default: REPRO_JOBS or 1; output is "
-                            "identical for any value)")
-        p.add_argument("--checkpoint", default=None,
-                       help="JSONL checkpoint for the scenario grid")
-        p.add_argument("--checkpoint-dir", default=None,
-                       help="directory for a derived checkpoint file, "
-                            "with GC of stale/mismatched checkpoints")
-        p.add_argument("--resume", action="store_true",
-                       help="resume the grid from its checkpoint")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress progress output on stderr")
-        p.add_argument("--csv", default=None, metavar="PATH",
-                       help="export the rendered rows as CSV "
-                            "(mirrors sweep --csv)")
-        p.add_argument("--shards", type=int, default=0,
-                       help="run each scenario under the sharded "
-                            "execution model: per-pair latency and loss "
-                            "streams, partitioned across N worker "
-                            "shards when N > 1 (output is identical "
-                            "for any N >= 1)")
-        p.add_argument("--latency-floor", type=float, default=None,
-                       help="with --shards: override the scenarios' "
-                            "latency floor (= the shard lookahead; "
-                            "larger means fewer window barriers)")
+        add_spec_arguments(p, RenderSpec, exclude=("id",))
+        _add_execution_args(p, jobs_default=None,
+                            csv_help="export the rendered rows as CSV "
+                                     "(mirrors sweep --csv)")
 
-    attacks_parser = sub.add_parser(
-        "attacks", help="list the adversarial attack catalog")
+    attacks_parser = command("attacks", _cmd_attacks,
+                             help="list the adversarial attack catalog")
     attacks_parser.add_argument("--list", action="store_true",
                                 help="print the catalog (the default)")
     attacks_parser.add_argument("--verbose", action="store_true",
@@ -830,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "service serves at "
                                      "GET /v1/catalog/attacks")
 
-    serve_parser = sub.add_parser(
-        "serve", help="run the experiment service control plane")
+    serve_parser = command("serve", _cmd_serve,
+                           help="run the experiment service control plane")
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=8642,
                               help="listen port (0 = ephemeral; default "
@@ -866,17 +668,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-request access logs")
 
-    submit_parser = sub.add_parser(
-        "submit", help="submit a job to a running service")
+    submit_parser = command("submit", _cmd_submit,
+                            help="submit a job to a running service")
     submit_parser.add_argument("--url", default=_DEFAULT_SERVICE_URL)
     submit_parser.add_argument("--kind", default="sweep",
                                choices=("run", "sweep", "figure", "table",
                                         "ablation"))
-    submit_parser.add_argument("--id", default=None,
-                               help="artifact id for figure/table/ablation "
-                                    "kinds")
-    submit_parser.add_argument("--scale", choices=sorted(_SCALES),
-                               default=None)
     submit_parser.add_argument("--wait", action="store_true",
                                help="stream progress and print the final "
                                     "render (exactly the CLI's output for "
@@ -885,85 +682,36 @@ def build_parser() -> argparse.ArgumentParser:
                                help="with --wait: save the job's CSV "
                                     "artifact here")
     submit_parser.add_argument("--quiet", action="store_true")
-    # Sweep parameters: defaults stay None so the server (whose defaults
-    # are the `sweep` CLI defaults) fills in whatever the user omitted.
-    submit_parser.add_argument("--protocols", default=None)
-    submit_parser.add_argument("--nodes", type=int, default=None)
-    submit_parser.add_argument("--seconds", type=float, default=None)
-    submit_parser.add_argument("--drain", type=float, default=None)
-    submit_parser.add_argument("--distribution", default=None)
-    submit_parser.add_argument("--loss", type=float, default=None)
-    submit_parser.add_argument("--seeds", default=None)
-    submit_parser.add_argument("--base-seed", type=int, default=None)
-    submit_parser.add_argument("--num-seeds", type=int, default=None)
-    submit_parser.add_argument("--audit", action="store_true")
-    submit_parser.add_argument("--attacks", default=None,
-                               metavar="NAME=FRAC,...")
-    submit_parser.add_argument("--attack-params", default=None,
-                               metavar="NAME=VALUE,...")
-    submit_parser.add_argument("--victim-policy", default=None)
-    submit_parser.add_argument("--shards", type=int, default=None)
-    submit_parser.add_argument("--latency-rng",
-                               choices=("shared", "per-pair"), default=None)
-    submit_parser.add_argument("--loss-rng",
-                               choices=("shared", "per-pair"), default=None)
-    submit_parser.add_argument("--latency-floor", type=float, default=None)
-    submit_parser.add_argument("--faults", default=None,
-                               metavar="CLAUSE,...",
-                               help="deterministic fault injection "
-                                    "clauses (see `sweep --faults`)")
+    # Both spec tables with no defaults (--shards/--latency-floor exist
+    # in both; the sweep table's flags serve the render kinds too).
+    add_spec_arguments(submit_parser, defaults=False)
+    add_spec_arguments(submit_parser, RenderSpec, defaults=False,
+                       exclude=("shards", "latency_floor"))
 
-    status_parser = sub.add_parser(
-        "status", help="list service jobs, or show one job's status")
+    status_parser = command(
+        "status", _cmd_status,
+        help="list service jobs, or show one job's status")
     status_parser.add_argument("job_id", nargs="?", default=None)
     status_parser.add_argument("--url", default=_DEFAULT_SERVICE_URL)
     status_parser.add_argument("--csv", default=None, metavar="PATH",
                                help="fetch the job's CSV artifact to PATH")
 
-    watch_parser = sub.add_parser(
-        "watch", help="stream a job's live progress (SSE)")
+    watch_parser = command("watch", _cmd_watch,
+                           help="stream a job's live progress (SSE)")
     watch_parser.add_argument("job_id")
     watch_parser.add_argument("--url", default=_DEFAULT_SERVICE_URL)
 
-    lint_parser = sub.add_parser(
-        "lint", help="determinism & shard-safety static analyzer")
-    from repro.lint.cli import add_lint_arguments
-    add_lint_arguments(lint_parser)
+    from repro.lint.cli import add_lint_arguments, run_lint
+    add_lint_arguments(command(
+        "lint", run_lint, help="determinism & shard-safety static analyzer"))
 
-    sub.add_parser("list", help="list available experiment ids")
+    command("list", _cmd_list, help="list available experiment ids")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "figure":
-        return _cmd_render(FIGURES, "figure", args.id, args)
-    if args.command == "table":
-        return _cmd_render(TABLES, "table", args.id, args)
-    if args.command == "ablation":
-        return _cmd_render(ABLATIONS, "ablation", args.id, args)
-    if args.command == "extension":
-        return _cmd_render(EXTENSIONS, "extension", args.id, args)
-    if args.command == "attacks":
-        return _cmd_attacks(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "watch":
-        return _cmd_watch(args)
-    if args.command == "lint":
-        from repro.lint.cli import run_lint
-        return run_lint(args)
-    if args.command == "list":
-        return _cmd_list(args)
-    return 2  # pragma: no cover
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,9 +47,6 @@ def ext_freeriders(scale: Scale = None,
         for fraction in fractions:
             if fraction == 0.0 and mode == "underclaim":
                 continue  # identical to the nonserve fraction-0 row
-            # AttackMix.single is the deprecated freerider_* triple's
-            # exact replacement: same placement stream, same node
-            # classes, bit-identical results.
             adversary = (AttackMix.single(mode, fraction, param)
                          if fraction > 0 else None)
             config = scenario_at(scale, protocol="heap", distribution=REF_691,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.adversary.mix import Placement, effective_adversary, place_attackers
+from repro.adversary.mix import Placement, place_attackers
 from repro.adversary.registry import get_attack
 from repro.baselines.tree import StaticTreeNode, build_kary_tree
 from repro.core.discovery import CapabilityProber
@@ -141,20 +141,11 @@ class ExperimentResult:
 
 def _place_scenario_attackers(config: ScenarioConfig,
                               capacities: Sequence[float]) -> Placement:
-    """Which receivers misbehave, and how (empty for honest scenarios).
-
-    Goes through :func:`repro.adversary.mix.effective_adversary`, so the
-    deprecated ``freerider_*`` triple lands here too — as the equivalent
-    single-attack mix whose random placement reproduces the historical
-    ``freeriders``-stream selection bit for bit.
-    """
-    if config.protocol != "heap":
+    """Which receivers misbehave, and how (empty for honest scenarios)."""
+    if config.protocol != "heap" or config.adversary is None:
         return {}
-    mix = effective_adversary(config)
-    if mix is None:
-        return {}
-    return place_attackers(mix, seed=config.seed, n_nodes=config.n_nodes,
-                           capacities=capacities)
+    return place_attackers(config.adversary, seed=config.seed,
+                           n_nodes=config.n_nodes, capacities=capacities)
 
 
 def _collect_attacker_stats(nodes: List, samplers: Dict, attackers: Placement,

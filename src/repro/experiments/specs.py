@@ -1,13 +1,29 @@
 """Declarative experiment specs: one JSON-able value per workload.
 
-The CLI builds a :class:`SweepSpec` from argparse flags; the service
-control plane (:mod:`repro.service`) builds the *same* value from an
-HTTP request body.  Both execute through the same grid inputs —
+:class:`SweepSpec` is the *only* declaration of an experiment parameter.
+Each dataclass field carries its flag metadata (help text, metavar,
+choices) and its annotated type is its coercion rule, so every surface
+reads the same table:
+
+* :func:`add_spec_arguments` turns the fields into argparse flags — with
+  the field defaults for ``repro run``/``repro sweep``, with ``None``
+  defaults for ``repro submit`` (whatever the user omits, the server
+  fills in from this same table);
+* :func:`spec_params` reads the parsed flags back into a params mapping;
+* :meth:`SweepSpec.from_params` coerces that mapping — or an HTTP
+  request body — through each field's declared type and raises a
+  :class:`ValueError` naming the offending field.
+
+The CLI and the service control plane (:mod:`repro.service`) therefore
+build the *same* value and execute it through the same grid inputs —
 ``spec.configs()`` / ``spec.seed_list()`` / ``spec.metrics()`` — so a
 sweep submitted over HTTP is the same experiment, cell for cell and
 metric for metric, as ``python -m repro sweep ...``: identical records,
 identical aggregate render, identical CSV export (modulo the measured
-``wall_time_s`` column, which is flagged as a measurement).
+``wall_time_s`` column, which is flagged as a measurement).  ``repro
+run`` and the service's ``run`` kind are the one-cell case of the same
+spec.  :class:`RenderSpec` is the same mechanism for the
+figure/table/ablation parameters.
 
 The spec is also the *identity* of the workload: :meth:`fingerprint`
 hashes the normalized parameter mapping, which the service uses to key
@@ -17,77 +33,149 @@ crash resumes the same checkpoint file.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (Dict, List, Mapping, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
+from repro.experiments.scales import _SCALES
+from repro.workloads import CatastrophicFailure, distribution_by_name
 from repro.workloads.scenario import PROTOCOLS, ScenarioConfig
-from repro.workloads import distribution_by_name
+
+
+def _option(default, help: str, **flag):
+    """A spec field that is also a CLI flag and a request parameter;
+    ``flag`` is its argparse ``metavar=`` / ``choices=``, if any."""
+    return field(default=default, metadata={"help": help, **flag})
+
+
+@functools.lru_cache(maxsize=None)
+def _hints(spec) -> Dict[str, object]:
+    """Field name -> resolved annotation of a spec class (resolving the
+    string annotations is ~0.2 ms, and every service request asks)."""
+    return get_type_hints(spec)
+
+
+class _ParamSpec:
+    """What the spec dataclasses share: the JSON mapping in and out."""
+
+    @classmethod
+    def from_params(cls, params: Mapping, what: str = "sweep"):
+        """Build and sanity-check a spec from a JSON-ish mapping.
+
+        Unknown keys raise — a typoed parameter must not silently run
+        the default experiment — and every value is coerced through its
+        field's declared type (list-valued fields accept JSON lists or
+        the CLI's comma-separated strings), so a malformed value is a
+        :class:`ValueError` naming the field, never a stray
+        ``TypeError`` from deep inside the run.
+        """
+        hints = _hints(cls)
+        unknown = sorted(set(params) - set(hints))
+        if unknown:
+            raise ValueError(f"unknown {what} parameter(s): "
+                             f"{', '.join(unknown)}; known: "
+                             f"{', '.join(sorted(hints))}")
+        spec = cls(**{name: _coerce(name, hints[name], value)
+                      for name, value in params.items()})
+        spec.check()
+        return spec
+
+    def to_params(self) -> Dict[str, object]:
+        """The normalized JSON mapping (tuples as lists), suitable for a
+        request body and stable under a round trip through
+        :meth:`from_params`."""
+        out: Dict[str, object] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_ParamSpec):
     """A protocol × seed grid, as the ``sweep`` CLI defines it.
 
-    Field defaults mirror the CLI flag defaults exactly; anything that
-    changes a record's content lives here, while pure *execution* knobs
-    (worker count, checkpoint path, CSV destination) stay outside — two
+    Field defaults *are* the CLI flag defaults; anything that changes a
+    record's content lives here, while pure *execution* knobs (worker
+    count, checkpoint path, CSV destination) stay outside — two
     invocations that differ only in execution produce byte-identical
     results and share one fingerprint.
     """
 
-    protocols: Tuple[str, ...] = ("heap", "standard")
-    nodes: int = 100
-    seconds: float = 20.0
-    drain: float = 40.0
-    distribution: str = "ref-691"
-    loss: float = 0.0
-    #: Explicit seed list; None derives ``base_seed .. base_seed+num_seeds-1``.
-    seeds: Optional[Tuple[int, ...]] = None
-    base_seed: int = 1
-    num_seeds: int = 8
-    audit: bool = False
+    protocols: Tuple[str, ...] = _option(
+        ("heap", "standard"), "comma-separated protocol list")
+    nodes: int = _option(100, "population size, source included")
+    seconds: float = _option(20.0, "seconds of stream published")
+    drain: float = _option(
+        40.0, "extra simulated seconds after the source stops")
+    distribution: str = _option("ref-691", "capability distribution name")
+    loss: float = _option(0.0, "Bernoulli datagram loss rate")
+    #: None derives ``base_seed .. base_seed+num_seeds-1``.
+    seeds: Optional[Tuple[int, ...]] = _option(
+        None, "explicit comma-separated seed list")
+    base_seed: int = _option(1, "first seed of the derived seed range")
+    num_seeds: int = _option(8, "length of the derived seed range")
+    membership: str = _option(
+        "directory", "membership substrate: full directory or cyclon "
+                     "partial views", choices=("directory", "cyclon"))
+    discovery: bool = _option(False, "slow-start capability discovery")
+    churn_fraction: float = _option(
+        0.0, "crash this fraction of the nodes at --churn-time "
+             "(0 = no churn)")
+    churn_time: float = _option(
+        60.0, "simulated time of the catastrophic failure")
+    audit: bool = _option(
+        False, "run the gossip-based freerider audit on every node "
+               "(enables conviction columns in attack sweeps)")
     #: ``AttackMix.parse`` inputs (kept as the CLI's text form so the
-    #: spec stays a plain JSON value).
-    attacks: Optional[str] = None
-    attack_params: Optional[str] = None
-    victim_policy: str = "random"
-    shards: int = 0
+    #: spec stays a plain JSON value).  Only syntax errors surface at
+    #: parse time; unknown names, out-of-range fractions and
+    #: policy/membership conflicts flow into ``ScenarioConfig.validate``,
+    #: which reports all of them in one error.
+    attacks: Optional[str] = _option(
+        None, "plant an attack mix: comma-separated name=fraction pairs "
+              "(fractions of the receiver population; see `repro attacks "
+              "--list` for the catalog)", metavar="NAME=FRAC,...")
+    attack_params: Optional[str] = _option(
+        None, "override attack parameters (defaults come from the "
+              "catalog)", metavar="NAME=VALUE,...")
+    victim_policy: str = _option(
+        "random", "where the attackers sit: random, high-degree, edge, "
+                  "or clustered")
+    shards: int = _option(
+        0, "partition the node population across N worker shards (0/1 = "
+           "in-process; N > 1 implies --latency-rng/--loss-rng per-pair "
+           "and produces results identical to the *per-pair* serial run "
+           "— not to the default shared-stream mode)")
     #: None defers to the shard rule: "per-pair" when shards > 1,
-    #: "shared" otherwise (exactly the CLI's behaviour).
-    latency_rng: Optional[str] = None
-    loss_rng: Optional[str] = None
-    latency_floor: float = 0.002
+    #: "shared" otherwise.
+    latency_rng: Optional[str] = _option(
+        None, "latency randomness mode: 'shared' (one stream in global "
+              "send order, the default) or 'per-pair' (independent "
+              "per-link streams, required for --shards > 1)",
+        choices=("shared", "per-pair"))
+    loss_rng: Optional[str] = _option(
+        None, "loss randomness mode: 'shared' (one stream in global send "
+              "order, the default) or 'per-pair' (independent per-link "
+              "Bernoulli trials, required for --shards > 1 with "
+              "--loss > 0)", choices=("shared", "per-pair"))
+    latency_floor: float = _option(
+        0.002, "hard lower bound on pairwise latency, seconds; doubles "
+               "as the sharded lookahead")
     #: ``FaultPlan.parse`` input (chaos testing).  An *execution
     #: circumstance*, not an experiment parameter: recovered faulted
     #: runs are byte-identical to clean ones, so the field is excluded
     #: from :meth:`fingerprint` — a faulted resubmission finds the same
     #: managed checkpoint as the clean spec.
-    faults: Optional[str] = None
-
-    @classmethod
-    def from_params(cls, params: Mapping) -> "SweepSpec":
-        """Build and sanity-check a spec from a JSON-ish mapping.
-
-        Unknown keys raise — a typoed parameter must not silently run
-        the default experiment.  List-valued fields accept JSON lists or
-        the CLI's comma-separated strings.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ValueError(f"unknown sweep parameter(s): "
-                             f"{', '.join(unknown)}; known: "
-                             f"{', '.join(sorted(known))}")
-        kwargs = dict(params)
-        if "protocols" in kwargs:
-            kwargs["protocols"] = _names(kwargs["protocols"], "protocols")
-        if kwargs.get("seeds") is not None:
-            kwargs["seeds"] = _ints(kwargs["seeds"], "seeds")
-        spec = cls(**kwargs)
-        spec.check()
-        return spec
+    faults: Optional[str] = _option(
+        None, "deterministic fault injection: comma-separated clauses "
+              "(crash-cell=K[xN], stall-cell=K:SECS, shard-exit=S@W, "
+              "shard-stall=S@W:SECS, drop-wire=S@W, torn-checkpoint=N); "
+              "recovered runs are byte-identical to clean ones",
+        metavar="CLAUSE,...")
 
     def check(self) -> None:
         """Spec-level validation (scenario-level checks live in
@@ -105,18 +193,6 @@ class SweepSpec:
         if plan is not None and plan.has_shard_faults and self.shards <= 1:
             raise ValueError("shard fault injection (shard-exit/shard-stall/"
                              "drop-wire) needs --shards > 1")
-
-    def to_params(self) -> Dict[str, object]:
-        """The normalized JSON mapping (tuples as lists), suitable for a
-        request body and stable under a round trip through
-        :meth:`from_params`."""
-        out: Dict[str, object] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
 
     def fingerprint(self) -> str:
         """Stable identity of the workload (hex digest).
@@ -160,15 +236,11 @@ class SweepSpec:
         return FaultPlan.parse(self.faults)
 
     def configs(self) -> List[ScenarioConfig]:
-        """One validated ScenarioConfig per protocol — the exact configs
-        ``repro sweep`` builds from the equivalent flags."""
-        latency_rng = self.latency_rng
-        loss_rng = self.loss_rng
-        if self.shards > 1:
-            if latency_rng is None:
-                latency_rng = "per-pair"
-            if loss_rng is None:
-                loss_rng = "per-pair"
+        """One validated ScenarioConfig per protocol — the one builder
+        behind ``repro run``, ``repro sweep`` and the service's jobs."""
+        # Sharded execution needs order-independent draws: unless the
+        # user pinned a mode, shards > 1 selects the per-pair streams.
+        default_rng = "per-pair" if self.shards > 1 else "shared"
         adversary = self.adversary()
         plan = self.fault_plan()
         # Pool-level faults (crash-cell/stall-cell/torn-checkpoint) are
@@ -184,10 +256,16 @@ class SweepSpec:
             drain=self.drain,
             distribution=distribution_by_name(self.distribution),
             loss_rate=self.loss,
+            membership=self.membership,
+            capability_discovery=self.discovery,
+            # One churn object per config: it carries per-run state.
+            churn=(CatastrophicFailure(fraction=self.churn_fraction,
+                                       at_time=self.churn_time)
+                   if self.churn_fraction > 0 else None),
             adversary=adversary,
             audit=self.audit,
-            latency_rng=latency_rng if latency_rng is not None else "shared",
-            loss_rng=loss_rng if loss_rng is not None else "shared",
+            latency_rng=self.latency_rng or default_rng,
+            loss_rng=self.loss_rng or default_rng,
             latency_floor=self.latency_floor,
             shards=self.shards,
             faults=config_faults,
@@ -222,25 +300,113 @@ class SweepSpec:
         return len(self.protocols) * len(self.seed_list())
 
 
-def _names(value, what: str) -> Tuple[str, ...]:
-    """A tuple of names from a JSON list or a comma-separated string."""
-    if isinstance(value, str):
-        value = [p.strip() for p in value.split(",") if p.strip()]
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list or comma-separated string, "
-                         f"got {value!r}")
-    return tuple(str(v) for v in value)
+@dataclass(frozen=True)
+class RenderSpec(_ParamSpec):
+    """What regenerating a registered figure/table/ablation takes."""
+
+    id: str = _option("", "artifact id for figure/table/ablation kinds")
+    scale: Optional[str] = _option(
+        None, "experiment scale (default: REPRO_SCALE)",
+        choices=tuple(sorted(_SCALES)))
+    shards: int = _option(
+        0, "run each scenario under the sharded execution model: "
+           "per-pair latency and loss streams, partitioned across N "
+           "worker shards when N > 1 (output is identical for any "
+           "N >= 1)")
+    latency_floor: Optional[float] = _option(
+        None, "with --shards: override the scenarios' latency floor (= "
+              "the shard lookahead; larger means fewer window barriers)")
+
+    def check(self) -> None:
+        if self.scale is not None and self.scale not in _SCALES:
+            raise ValueError(f"unknown scale {self.scale!r}; known: "
+                             f"{', '.join(sorted(_SCALES))}")
 
 
-def _ints(value, what: str) -> Tuple[int, ...]:
-    """A tuple of ints from a JSON list or a comma-separated string."""
-    if isinstance(value, str):
-        value = [s.strip() for s in value.split(",") if s.strip()]
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{what} must be a list or comma-separated string, "
-                         f"got {value!r}")
+# ----------------------------------------------------------------------
+# the table's two argparse faces
+# ----------------------------------------------------------------------
+def add_spec_arguments(parser, spec=SweepSpec, defaults: bool = True,
+                       exclude: Tuple[str, ...] = ()) -> None:
+    """Add one ``--flag`` per field of ``spec`` to an argparse parser.
+
+    ``defaults=False`` leaves every flag at ``None`` (the ``submit``
+    shape: only what the user set travels, the server fills in the
+    rest from the same table).
+    """
+    hints = _hints(spec)
+    for f in fields(spec):
+        if f.name in exclude:
+            continue
+        kind = _value_type(hints[f.name])
+        options = dict(f.metadata, default=f.default if defaults else None)
+        if defaults and f.default not in (None, False):
+            shown = (",".join(f.default) if isinstance(f.default, tuple)
+                     else f.default)
+            options["help"] += f" (default {shown})"
+        if kind is bool:
+            options["action"] = "store_true"
+        elif kind in (int, float):
+            options["type"] = kind
+        parser.add_argument("--" + f.name.replace("_", "-"), **options)
+
+
+def spec_params(args, spec=SweepSpec) -> Dict[str, object]:
+    """The ``spec`` parameters set on a parsed namespace (``None`` =
+    not given: defer to the table's default)."""
+    values = vars(args)
+    return {f.name: values[f.name] for f in fields(spec)
+            if values.get(f.name) is not None}
+
+
+# ----------------------------------------------------------------------
+# coercion: a field's annotation is its rule
+# ----------------------------------------------------------------------
+def _value_type(hint):
+    """The annotation without its ``Optional[...]`` wrapper."""
+    if get_origin(hint) is Union:
+        return next(arg for arg in get_args(hint) if arg is not type(None))
+    return hint
+
+
+_EXPECTED = {int: "an integer", float: "a number", str: "a string",
+             bool: "a JSON boolean (true/false)"}
+
+
+def _scalar(kind, value):
+    """``value`` as ``kind``; raises TypeError/ValueError if it is not."""
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    if isinstance(value, bool):
+        raise TypeError(value)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
+
+
+def _coerce(name: str, hint, value):
+    """``value`` coerced to field ``name``'s declared type."""
+    kind = _value_type(hint)
+    if value is None and kind is not hint:
+        return None  # Optional[...] field left unset
+    listed = get_origin(kind) is tuple
+    if listed:
+        kind = get_args(kind)[0]
     try:
-        return tuple(int(v) for v in value)
+        if not listed:
+            return _scalar(kind, value)
+        # List-valued: a JSON list or the CLI's comma-separated string.
+        items = ([part.strip() for part in value.split(",") if part.strip()]
+                 if isinstance(value, str) else value)
+        if not isinstance(items, (list, tuple)):
+            raise TypeError(value)
+        return tuple(_scalar(kind, item) for item in items)
     except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a comma-separated integer list, "
+        expected = _EXPECTED[kind]
+        if listed:
+            expected = ("a list or comma-separated string, each item "
+                        + expected)
+        raise ValueError(f"{name} must be {expected}, "
                          f"got {value!r}") from None

@@ -1,4 +1,4 @@
-"""Supervision knobs: retry budgets, deadlines, heartbeat cadence.
+"""Supervision knobs: retry budgets and deadlines.
 
 Two policy shapes, one per process-supervision layer:
 
@@ -8,8 +8,8 @@ Two policy shapes, one per process-supervision layer:
   is presumed wedged and killed.
 * :class:`ShardSupervision` — governs the sharded scenario driver: how
   many times ``run_sharded`` restarts a failed scenario from scratch,
-  how long the coordinator waits at a window barrier before declaring a
-  silent shard dead, and how often workers heartbeat.
+  and how long the coordinator waits at a window barrier before
+  declaring a silent shard dead.
 
 ``ShardSupervision`` also has a process-wide default (see
 :func:`default_shard_supervision`), because sharded execution is
@@ -80,9 +80,6 @@ class ShardSupervision:
     #: process sentinels still catch dead shards instantly, so only a
     #: *wedged-but-alive* shard needs the timeout.
     barrier_timeout: Optional[float] = None
-    #: Seconds between worker heartbeat frames (liveness evidence for
-    #: barrier-timeout diagnostics).
-    heartbeat_interval: float = 0.5
 
     def violations(self) -> tuple:
         errors = []
@@ -90,8 +87,6 @@ class ShardSupervision:
             errors.append("restarts must be >= 0")
         if self.barrier_timeout is not None and self.barrier_timeout <= 0:
             errors.append("barrier_timeout must be positive")
-        if self.heartbeat_interval <= 0:
-            errors.append("heartbeat_interval must be positive")
         return tuple(errors)
 
 

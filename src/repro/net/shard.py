@@ -9,7 +9,7 @@ only the nodes it owns.  Delivery is where the partition becomes real: a
 :class:`ShardRouter` (the pluggable delivery router of
 :mod:`repro.net.router`) keeps owned-destination datagrams on the exact
 in-process path and serializes remote-destination datagrams into
-kind-id-tagged wire tuples collected in per-target-shard outboxes.
+kind-id-tagged header rows collected in per-target-shard outboxes.
 
 **Time synchronization** is conservative, with the latency model's lower
 bound as lookahead: a datagram sent at time *t* cannot arrive before
@@ -49,8 +49,8 @@ cross the partition), and each shard's harvest carries picklable
 detector snapshots so merged results compute convictions from the full
 population's evidence, not per-shard fragments.
 
-**Wire format.**  By default a whole window's outbox to one peer shard is
-*batched* into a single packed buffer::
+**Wire format.**  A whole window's outbox to one peer shard is *batched*
+into a single packed buffer::
 
     (WIRE_BATCH_TAG, n_rows,
      header_table,    # n_rows struct-packed rows of
@@ -69,18 +69,10 @@ is safe because payloads are immutable once sent (see
 :class:`repro.net.message.Payload`) and the pool holds them alive until
 the barrier packs the buffer.
 
-The pre-batching format — one wire tuple per envelope, its payload
-pickled per datagram::
-
-    (src, dst, kind_id, size_bytes, send_time, exit_time, arrival_time,
-     payload_blob)
-
-survives behind ``ShardRouter(batch_wire=False)`` as the escape hatch
-the parity tests and the byte-reduction benchmark compare against.
-Either way the interned integer kind id (PR 3's dispatch currency) is
-the routing tag; workers handshake their kind-id registries at startup
-so an id means the same payload class in every process, and both decode
-paths validate the tag against the unpickled payload.
+The interned integer kind id (PR 3's dispatch currency) is the routing
+tag; workers handshake their kind-id registries at startup so an id
+means the same payload class in every process, and the decoder
+validates the tag against the unpickled payload.
 
 What crosses the wire is accounted in the
 :class:`~repro.net.stats.NetworkStats` ``wire_*`` counters (buffers,
@@ -108,20 +100,13 @@ from repro.net.router import InprocRouter, POOL_CAP
 from repro.net.stats import NetworkStats
 from repro.workloads.scenario import ScenarioConfig
 
-#: A cross-shard envelope on the wire (escape-hatch format).
-WireEnvelope = Tuple[int, int, int, int, float, float, float, bytes]
-
-#: First element of a packed window buffer; distinguishes it from a
-#: per-envelope wire tuple, whose first element is a node id (>= 0).
+#: First element of a packed window buffer — the only thing
+#: :meth:`ShardRouter.inject` accepts.
 WIRE_BATCH_TAG = -1
 
-#: First element of a control wire tuple on the per-envelope escape
-#: hatch: (WIRE_CONTROL_TAG, event, node_id, origin_shard, event_time).
-WIRE_CONTROL_TAG = -2
-
-#: Ownership-level membership events.  On the batched path they ride the
-#: packed buffer's header table in the ``kind_id`` field — payload kind
-#: ids are non-negative, so a negative id marks the row as control, not
+#: Ownership-level membership events.  They ride the packed buffer's
+#: header table in the ``kind_id`` field — payload kind ids are
+#: non-negative, so a negative id marks the row as control, not
 #: datagram: (event, node_id, origin_shard, 0, _NO_PAYLOAD, event_time,
 #: 0.0, 0.0).
 EVENT_CRASH = -2
@@ -143,6 +128,10 @@ WireBatch = Tuple[int, int, bytes, bytes]
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
+#: Seconds between a shard worker's heartbeat frames (liveness evidence
+#: for barrier-timeout diagnostics; the deadline does not depend on it).
+HEARTBEAT_INTERVAL = 0.5
+
 
 def shard_of(node_id: int, shards: int) -> int:
     """The shard owning ``node_id`` (round-robin keeps capability classes
@@ -155,13 +144,6 @@ def partition(n_nodes: int, shards: int, shard_index: int) -> Set[int]:
     return set(range(shard_index, n_nodes, shards))
 
 
-def encode_envelope(envelope: Envelope, kind_id: int) -> WireEnvelope:
-    """Serialize an envelope for the cross-shard exchange."""
-    return (envelope.src, envelope.dst, kind_id, envelope.size_bytes,
-            envelope.send_time, envelope._exit_time, envelope.arrival_time,
-            pickle.dumps(envelope.payload, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 def _check_kind(payload, kind_id: int) -> None:
     """Validate an unpickled payload against its wire kind tag."""
     if payload.kind_id != kind_id:
@@ -169,15 +151,6 @@ def _check_kind(payload, kind_id: int) -> None:
             f"cross-shard kind mismatch: wire tag {kind_id} "
             f"({kind_name(kind_id)!r}) vs payload {payload.kind_id} "
             f"({payload.kind!r}) — worker kind registries diverged")
-
-
-def decode_envelope(wire: WireEnvelope) -> Envelope:
-    """Rebuild an envelope from its wire tuple, validating the kind tag."""
-    src, dst, kind_id, size, send_time, exit_time, arrival, blob = wire
-    payload = pickle.loads(blob)
-    _check_kind(payload, kind_id)
-    return Envelope.arrived(src, dst, payload, size, send_time, exit_time,
-                            arrival)
 
 
 def _decode_batch(batch: WireBatch, on_control=None) -> Iterator[Envelope]:
@@ -226,37 +199,30 @@ class ShardRouter(InprocRouter):
     already accounted by ``Network.send``, so a forwarded envelope costs
     the receiver shard exactly what a local delivery would.
 
-    With ``batch_wire=True`` (the default) a window's outbox to one peer
-    shard is packed into a single buffer — struct rows at route time,
-    one payload-pool pickle at the barrier, multicast payloads interned
-    by object identity (see the module docstring).  ``batch_wire=False``
-    is the pre-batching per-envelope escape hatch, kept for the parity
-    tests and the byte-reduction benchmark that quantify the batching
-    win; it pickles every payload per datagram.
+    A window's outbox to one peer shard is packed into a single buffer —
+    struct rows at route time, one payload-pool pickle at the barrier,
+    multicast payloads interned by object identity (see the module
+    docstring).
     """
 
-    __slots__ = ("owned", "shards", "shard_index", "batch_wire", "_outboxes",
-                 "_rows", "_pools", "_interned", "_refcounts", "_recycle",
-                 "_membership_seen", "_row_controls")
+    __slots__ = ("owned", "shards", "shard_index", "_rows", "_pools",
+                 "_interned", "_refcounts", "_recycle", "_membership_seen",
+                 "_row_controls")
 
-    def __init__(self, owned: Set[int], shards: int,
-                 batch_wire: bool = True):
+    def __init__(self, owned: Set[int], shards: int):
         super().__init__()
         self.owned = owned
         self.shards = shards
         #: This shard's index, recovered from the round-robin partition.
         self.shard_index = shard_of(min(owned), shards) if owned else 0
-        self.batch_wire = batch_wire
         #: Membership events this shard's *replica* produced:
         #: (event, node_id) -> event time.  Owner announcements arriving
         #: at a barrier are verified against this record.
         self._membership_seen: Dict[Tuple[int, int], float] = {}
-        #: Escape hatch: per-target-shard lists of per-envelope tuples.
-        self._outboxes: List[List[WireEnvelope]] = [[] for _ in range(shards)]
-        #: Batched path, all per target shard: packed header rows, the
-        #: distinct payloads in first-reference order, the identity
-        #: intern map id(payload) -> pool index (the pool's strong
-        #: reference pins the id until the barrier clears both), and the
+        #: All per target shard: packed header rows, the distinct
+        #: payloads in first-reference order, the identity intern map
+        #: id(payload) -> pool index (the pool's strong reference pins
+        #: the id until the barrier clears both), and the
         #: per-pool-entry reference counts feeding the before-interning
         #: byte counter.
         self._rows: List[List[bytes]] = [[] for _ in range(shards)]
@@ -280,34 +246,22 @@ class ShardRouter(InprocRouter):
             InprocRouter.route(self, envelope)
             return
         shard = dst % self.shards
-        if self.batch_wire:
-            payload = envelope.payload
-            interned = self._interned[shard]
-            key = id(payload)
-            ref = interned.get(key)
-            if ref is None:
-                pool = self._pools[shard]
-                ref = len(pool)
-                interned[key] = ref
-                pool.append(payload)
-                self._refcounts[shard].append(1)
-            else:
-                self._refcounts[shard][ref] += 1
-            self._rows[shard].append(_ROW.pack(
-                payload.kind_id, envelope.src, dst, envelope.size_bytes, ref,
-                envelope.send_time, envelope._exit_time,
-                envelope.arrival_time))
+        payload = envelope.payload
+        interned = self._interned[shard]
+        key = id(payload)
+        ref = interned.get(key)
+        if ref is None:
+            pool = self._pools[shard]
+            ref = len(pool)
+            interned[key] = ref
+            pool.append(payload)
+            self._refcounts[shard].append(1)
         else:
-            wire = encode_envelope(envelope, envelope.payload.kind_id)
-            stats = self._net.stats
-            stats.wire_buffers += 1
-            stats.wire_envelopes += 1
-            blob_len = len(wire[7])
-            stats.wire_payload_bytes_before += blob_len
-            stats.wire_payload_bytes += blob_len
-            # What IPC actually ships for this envelope: the whole tuple.
-            stats.wire_bytes += len(pickle.dumps(wire, protocol=_PICKLE))
-            self._outboxes[shard].append(wire)
+            self._refcounts[shard][ref] += 1
+        self._rows[shard].append(_ROW.pack(
+            payload.kind_id, envelope.src, dst, envelope.size_bytes, ref,
+            envelope.send_time, envelope._exit_time,
+            envelope.arrival_time))
         if self._net._pool is not None:
             self._recycle.append(envelope)
 
@@ -328,17 +282,10 @@ class ShardRouter(InprocRouter):
         for shard in range(self.shards):
             if shard == self.shard_index:
                 continue
-            if self.batch_wire:
-                self._rows[shard].append(_ROW.pack(
-                    event, node_id, self.shard_index, 0, _NO_PAYLOAD,
-                    event_time, 0.0, 0.0))
-                self._row_controls[shard] += 1
-            else:
-                wire = (WIRE_CONTROL_TAG, event, node_id, self.shard_index,
-                        event_time)
-                stats.wire_buffers += 1
-                stats.wire_bytes += len(pickle.dumps(wire, protocol=_PICKLE))
-                self._outboxes[shard].append(wire)
+            self._rows[shard].append(_ROW.pack(
+                event, node_id, self.shard_index, 0, _NO_PAYLOAD,
+                event_time, 0.0, 0.0))
+            self._row_controls[shard] += 1
             stats.wire_control_rows += 1
 
     def _check_membership(self, event: int, node_id: int, origin_shard: int,
@@ -356,8 +303,16 @@ class ShardRouter(InprocRouter):
             f"{self.shard_index}'s replica {local} — replicated churn "
             f"streams are out of sync")
 
-    def _pack_outboxes(self) -> List[List[WireBatch]]:
-        """Freeze the window's accumulated rows/pools into wire buffers."""
+    def take_outboxes(self) -> List[List[WireBatch]]:
+        """Drain and return the per-target-shard outboxes.
+
+        Called at a window barrier.  Freezes the window's accumulated
+        rows/pools into at most one packed buffer per target shard (this
+        is where the pool pickle and the wire counters are paid).
+        Envelopes serialized during the window are returned to the free
+        list here (no caller can hold them past their send event's
+        window under ``send``'s contract).
+        """
         dumps = pickle.dumps
         out: List[List[WireBatch]] = []
         for shard in range(self.shards):
@@ -373,7 +328,7 @@ class ShardRouter(InprocRouter):
             stats.wire_envelopes += len(rows) - self._row_controls[shard]
             stats.wire_bytes += len(header) + len(blob)
             stats.wire_payload_bytes += len(blob)
-            # What the per-envelope path would have shipped: every
+            # What a per-envelope wire format would ship: every
             # reference pickled individually.  Identical payloads pickle
             # to identical blobs, so refcount * individual size is exact.
             # Costs one extra dumps per *distinct* payload per window —
@@ -388,23 +343,6 @@ class ShardRouter(InprocRouter):
             self._interned[shard] = {}
             self._refcounts[shard] = []
             self._row_controls[shard] = 0
-        return out
-
-    def take_outboxes(self) -> List[list]:
-        """Drain and return the per-target-shard outboxes.
-
-        Called at a window barrier.  Batched mode returns at most one
-        packed buffer per target shard (this is where the pool pickle
-        and the wire counters are paid); the escape hatch returns the
-        per-envelope tuples.  Envelopes serialized during the window are
-        returned to the free list here (no caller can hold them past
-        their send event's window under ``send``'s contract).
-        """
-        if self.batch_wire:
-            out: List[list] = self._pack_outboxes()
-        else:
-            out = self._outboxes
-            self._outboxes = [[] for _ in range(self.shards)]
         pending = self._recycle
         if pending:
             pool = self._net._pool
@@ -420,23 +358,19 @@ class ShardRouter(InprocRouter):
 
         Called at a window barrier; the conservative lookahead
         guarantees every arrival time lies strictly beyond the shard's
-        current clock.  Accepts packed window buffers, per-envelope
-        tuples and control tuples alike (the tag distinguishes them), so
-        all wire formats — and mixtures, during a future migration —
-        decode through one entry point.  Membership control rows are
-        verified against this shard's replica, never re-applied (the
-        replica already applied the change — see the module docstring).
+        current clock.  Only packed window buffers are a wire format:
+        anything else raises ``ValueError`` (which a shard worker
+        reports, so the coordinator sees a ``ShardFailure``, not a
+        hang).  Membership control rows are verified against this
+        shard's replica, never re-applied (the replica already applied
+        the change — see the module docstring).
         """
         for wire in wires:
-            tag = wire[0]
-            if tag == WIRE_BATCH_TAG:
-                self.route_many(_decode_batch(wire, self._check_membership))
-            elif tag == WIRE_CONTROL_TAG:
-                _, event, node_id, origin_shard, event_time = wire
-                self._check_membership(event, node_id, origin_shard,
-                                       event_time)
-            else:
-                InprocRouter.route(self, decode_envelope(wire))
+            if wire[0] != WIRE_BATCH_TAG:
+                raise ValueError(
+                    f"corrupt cross-shard buffer: unknown wire tag "
+                    f"{wire[0]!r} (expected {WIRE_BATCH_TAG})")
+            self.route_many(_decode_batch(wire, self._check_membership))
 
 
 # ----------------------------------------------------------------------
@@ -447,14 +381,12 @@ class _ShardRun:
 
     __slots__ = ("shard_index", "owned", "router", "build")
 
-    def __init__(self, config: ScenarioConfig, shard_index: int,
-                 batch_wire: bool = True):
+    def __init__(self, config: ScenarioConfig, shard_index: int):
         from repro.experiments.runner import build_scenario
 
         self.shard_index = shard_index
         self.owned = partition(config.n_nodes, config.shards, shard_index)
-        self.router = ShardRouter(self.owned, config.shards,
-                                  batch_wire=batch_wire)
+        self.router = ShardRouter(self.owned, config.shards)
         self.build = build_scenario(config, owned=self.owned,
                                     router=self.router)
 
@@ -526,8 +458,7 @@ def window_count(config: ScenarioConfig, until: Optional[float] = None) -> int:
 # ----------------------------------------------------------------------
 # serial driver: the whole windowed protocol in one process
 # ----------------------------------------------------------------------
-def _run_serial_shards(config: ScenarioConfig, end: float,
-                       batch_wire: bool = True) -> List[dict]:
+def _run_serial_shards(config: ScenarioConfig, end: float) -> List[dict]:
     """Drive every shard in-process, round-robin per window.
 
     Functionally identical to the process driver (same windows, same
@@ -535,7 +466,7 @@ def _run_serial_shards(config: ScenarioConfig, end: float,
     pool workers (which may not fork children), and by tests that pin
     down the windowed algorithm itself.
     """
-    runs = [_ShardRun(config, i, batch_wire) for i in range(config.shards)]
+    runs = [_ShardRun(config, i) for i in range(config.shards)]
     lookahead = _lookahead(config)
     for t in _windows(end, lookahead):
         outboxes = [run.run_window(t) for run in runs]
@@ -567,8 +498,7 @@ class _WorkerLink:
             self.conn.send(message)
 
 
-def _heartbeat_loop(link: _WorkerLink, interval: float,
-                    stop: threading.Event) -> None:
+def _heartbeat_loop(link: _WorkerLink, stop: threading.Event) -> None:
     """Emit ``("hb",)`` frames until stopped or the pipe goes away.
 
     Heartbeats are liveness evidence only — the coordinator consumes
@@ -576,7 +506,7 @@ def _heartbeat_loop(link: _WorkerLink, interval: float,
     alive but slow (building a large scenario, running a long window)
     is distinguishable from one that is dead or wedged.
     """
-    while not stop.wait(interval):
+    while not stop.wait(HEARTBEAT_INTERVAL):
         try:
             link.send(("hb",))
         except (OSError, ValueError):  # pipe closed: worker is exiting
@@ -609,17 +539,16 @@ def _apply_shard_fault(faults, shard_index: int, window_index: int,
 
 
 def _shard_worker(conn, config: ScenarioConfig, shard_index: int,
-                  end: float, batch_wire: bool = True,
-                  heartbeat_interval: float = 0.5) -> None:
+                  end: float) -> None:
     """Worker entry point (module-level: importable under spawn)."""
     link = _WorkerLink(conn)
     stop = threading.Event()
     beat = threading.Thread(
-        target=_heartbeat_loop, args=(link, heartbeat_interval, stop),
+        target=_heartbeat_loop, args=(link, stop),
         name=f"repro-shard-{shard_index}-hb", daemon=True)
     faults = config.faults
     try:
-        run = _ShardRun(config, shard_index, batch_wire)
+        run = _ShardRun(config, shard_index)
         link.send(("hello", registered_kinds()))
         beat.start()
         lookahead = _lookahead(config)
@@ -664,7 +593,6 @@ def _check_kind_registries(hellos: Sequence[Tuple[str, ...]]) -> None:
 
 def _run_process_shards(config: ScenarioConfig, end: float,
                         start_method: Optional[str],
-                        batch_wire: bool = True,
                         supervision: Optional[ShardSupervision] = None,
                         ) -> List[dict]:
     """Spawn one worker per shard and relay their window exchanges.
@@ -758,9 +686,7 @@ def _run_process_shards(config: ScenarioConfig, end: float,
         for i in range(shards):
             parent, child = ctx.Pipe()
             worker = ctx.Process(
-                target=_shard_worker,
-                args=(child, config, i, end, batch_wire,
-                      supervision.heartbeat_interval),
+                target=_shard_worker, args=(child, config, i, end),
                 name=f"repro-shard-{i}")
             worker.start()
             child.close()
@@ -925,7 +851,6 @@ def merge_harvests(config: ScenarioConfig, harvests: List[dict]):
 def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
                 start_method: Optional[str] = None,
                 processes: Optional[bool] = None,
-                batch_wire: bool = True,
                 supervision: Optional[ShardSupervision] = None):
     """Run one scenario partitioned across ``config.shards`` shards.
 
@@ -937,9 +862,7 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     workers, which may not spawn children, or on single-CPU hosts where
     extra processes can only add overhead).  ``start_method`` pins the
     multiprocessing start method (tests use ``"spawn"`` to prove the
-    workers' builds are import-clean).  ``batch_wire=False`` selects the
-    per-envelope wire escape hatch (parity tests and the byte-reduction
-    benchmark only; summaries are byte-identical either way).
+    workers' builds are import-clean).
 
     ``supervision`` (default: the process-wide
     :func:`~repro.faults.policy.default_shard_supervision`) bounds how
@@ -972,14 +895,13 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
             raise ValueError(
                 "shard fault injection needs the worker-process driver; "
                 "the in-process serial driver has no workers to kill")
-        harvests = _run_serial_shards(config, end, batch_wire)
+        harvests = _run_serial_shards(config, end)
         return merge_harvests(config, harvests)
     attempt = 0
     run_config = config
     while True:
         try:
             harvests = _run_process_shards(run_config, end, start_method,
-                                           batch_wire,
                                            supervision=supervision)
             break
         except ShardFailure as failure:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import ProgressEvent, run_grid
 from repro.experiments.scales import _SCALES, cached_run
-from repro.experiments.specs import SweepSpec
+from repro.experiments.specs import RenderSpec, SweepSpec
 from repro.metrics.export import write_grid_csv, write_result_csv
 
 #: Everything a job can be asked to do.  ``run`` is a one-cell sweep;
@@ -113,27 +113,12 @@ class JobSpec:
         return spec
 
     def _render_normalized(self) -> Dict[str, object]:
-        known = {"id", "scale", "shards", "latency_floor"}
-        unknown = sorted(set(self.params) - known)
-        if unknown:
-            raise ValueError(f"unknown {self.kind} parameter(s): "
-                             f"{', '.join(unknown)}; known: "
-                             f"{', '.join(sorted(known))}")
-        artifact = self.params.get("id")
+        params = RenderSpec.from_params(self.params, self.kind).to_params()
         registry = _render_registry(self.kind)
-        if artifact not in registry:
-            raise ValueError(f"unknown {self.kind} id {artifact!r}; known: "
-                             f"{', '.join(sorted(registry))}")
-        scale = self.params.get("scale")
-        if scale is not None and scale not in _SCALES:
-            raise ValueError(f"unknown scale {scale!r}; known: "
-                             f"{', '.join(sorted(_SCALES))}")
-        return {
-            "id": artifact,
-            "scale": scale,
-            "shards": int(self.params.get("shards", 0) or 0),
-            "latency_floor": self.params.get("latency_floor"),
-        }
+        if params["id"] not in registry:
+            raise ValueError(f"unknown {self.kind} id {params['id']!r}; "
+                             f"known: {', '.join(sorted(registry))}")
+        return params
 
     def fingerprint(self) -> str:
         """Stable workload identity: keys the managed checkpoint, so a
@@ -528,7 +513,7 @@ class JobManager:
             gridrun.configure(
                 jobs=self.grid_jobs,
                 checkpoint=job.checkpoint, resume=True, checkpoint_gc=True,
-                shards=params["shards"] or 0,
+                shards=params["shards"],
                 latency_floor=params["latency_floor"],
                 progress=self._progress_sink(job))
             try:

@@ -104,23 +104,8 @@ class ScenarioConfig:
 
     #: The scenario's adversary: a weighted attack mix plus a victim
     #: placement policy (see :class:`repro.adversary.mix.AttackMix`).
-    #: None means an honest population — unless the deprecated
-    #: ``freerider_*`` triple below is set, which the runner transparently
-    #: lifts to the equivalent single-attack mix.
+    #: None means an honest population.
     adversary: Optional["AttackMix"] = None
-
-    #: DEPRECATED (PR 8): fraction of receivers that freeride.  Kept as a
-    #: back-compat shim over ``adversary`` — equivalent to
-    #: ``AttackMix.single(freerider_mode, freerider_fraction,
-    #: freerider_param)`` bit for bit.  Setting both is a config error.
-    freerider_fraction: float = 0.0
-    #: DEPRECATED (PR 8): "underclaim" — advertise freerider_param *
-    #: capability to the aggregation protocol; "nonserve" — answer only
-    #: freerider_param of received requests.
-    freerider_mode: str = "underclaim"
-    #: DEPRECATED (PR 8): claim factor (underclaim) or serve probability
-    #: (nonserve).
-    freerider_param: float = 0.1
     #: Run the gossip-based freerider audit on every node.
     audit: bool = False
 
@@ -182,14 +167,6 @@ class ScenarioConfig:
             errors.append(f"unknown membership {self.membership!r}")
         if self.cyclon_view_size < 2:
             errors.append("cyclon view size must be >= 2")
-        if not 0.0 <= self.freerider_fraction < 1.0:
-            errors.append("freerider fraction must be in [0, 1)")
-        if self.freerider_mode not in ("underclaim", "nonserve"):
-            errors.append(f"unknown freerider mode {self.freerider_mode!r}")
-        if not 0.0 < self.freerider_param <= 1.0:
-            errors.append("freerider param must be in (0, 1]")
-        if self.freerider_fraction > 0 and self.protocol != "heap":
-            errors.append("freeriders are modelled for the heap protocol")
         errors.extend(self._adversary_violations())
         if self.discovery_initial_bps <= 0:
             errors.append("discovery initial capability must be positive")
@@ -234,11 +211,6 @@ class ScenarioConfig:
         if self.adversary is None:
             return []
         errors = list(self.adversary.violations())
-        if self.freerider_fraction > 0:
-            errors.append(
-                "set either adversary or the deprecated freerider_* "
-                "fields, not both (freerider_* is the back-compat shim "
-                "for a single-attack mix)")
         if self.protocol != "heap":
             errors.append("attacks are modelled for the heap protocol")
         required = self.adversary.required_membership()
@@ -297,9 +269,8 @@ def scenario_key(config: ScenarioConfig) -> str:
             continue
         value = getattr(config, field_.name)
         if field_.name == "adversary":
-            # Honest scenarios skip the field entirely so every key
-            # minted before the adversary engine existed stays valid
-            # (cached summaries, JSONL checkpoints).
+            # Honest scenarios skip the field entirely: their keys do
+            # not depend on the adversary engine's representation.
             if value is None:
                 continue
             value = value.key()

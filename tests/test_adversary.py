@@ -9,8 +9,9 @@ Covers the PR 8 contracts:
 * placement policies are deterministic, topology-aware, and — via a
   hypothesis property — a pure function of (seed, population, capability
   topology);
-* the deprecated ``freerider_*`` fields remain a bit-compatible shim
-  over ``adversary`` (identical placement, identical run results);
+* single-attack random placement stays on the pinned ``freeriders``
+  stream (every freerider-study value recorded before the attack
+  catalog existed still reproduces);
 * ``ScenarioConfig.validate`` reports *all* violations in one
   ``ValueError``;
 * attack implementations actually misbehave (counters move, advertised
@@ -26,11 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import (AttackMix, attack, attack_catalog, attack_names,
-                             attack_impact, effective_adversary, get_attack,
-                             is_registered, place_attackers, place_ids)
+                             attack_impact, get_attack, is_registered,
+                             place_attackers, place_ids)
 from repro.adversary.mix import Placement  # noqa: F401  (public alias)
 from repro.experiments.runner import run_scenario
-from repro.metrics.summary import standard_bundle, summarize
 from repro.sim.rng import derive_seed
 from repro.workloads.distributions import REF_691
 from repro.workloads.scenario import ScenarioConfig, scenario_key
@@ -41,10 +41,6 @@ def quick_config(**overrides) -> ScenarioConfig:
                 seed=7, distribution=REF_691)
     base.update(overrides)
     return ScenarioConfig(**base)
-
-
-def blob(result) -> str:
-    return json.dumps(summarize(result, standard_bundle()), sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +224,7 @@ class TestPlacementPurity:
     @given(seed=st.integers(0, 10_000), caps=capability_pools)
     def test_single_attack_mix_matches_legacy_stream(self, seed, caps):
         """Single-attack random placement reproduces the historical
-        ``freeriders``-stream selection bit for bit (the shim contract)."""
+        ``freeriders``-stream selection bit for bit."""
         n_nodes = len(caps) + 1
         receivers = list(range(1, n_nodes))
         count = round(0.2 * len(receivers))
@@ -242,46 +238,14 @@ class TestPlacementPurity:
 
 
 # ----------------------------------------------------------------------
-# the freerider_* back-compat shim
+# scenario identity
 # ----------------------------------------------------------------------
-class TestFreeriderShim:
-    def test_effective_adversary_lifts_the_triple(self):
-        config = quick_config(freerider_fraction=0.2,
-                              freerider_mode="nonserve",
-                              freerider_param=0.3)
-        assert (effective_adversary(config)
-                == AttackMix.single("nonserve", 0.2, 0.3))
-        assert effective_adversary(quick_config()) is None
-
-    def test_explicit_adversary_wins(self):
-        mix = AttackMix.single("spam", 0.1)
-        assert effective_adversary(quick_config(adversary=mix)) is mix
-
-    def test_shim_runs_bit_identical_to_explicit_mix(self):
-        legacy = run_scenario(quick_config(freerider_fraction=0.2,
-                                           freerider_mode="underclaim",
-                                           freerider_param=0.1))
-        explicit = run_scenario(quick_config(
-            adversary=AttackMix.single("underclaim", 0.2, 0.1)))
-        assert blob(legacy) == blob(explicit)
-        assert legacy.freerider_ids == explicit.freerider_ids
-        assert legacy.attackers == explicit.attackers
-
+class TestScenarioKey:
     def test_scenario_key_unchanged_for_honest_configs(self):
         key = scenario_key(quick_config())
-        assert "adversary" not in key  # pre-PR-8 keys stay valid
+        assert "adversary" not in key  # honest keys never name the field
         assert "adversary" in scenario_key(
             quick_config(adversary=AttackMix.single("spam", 0.1)))
-
-    def test_shim_and_mix_share_no_scenario_key(self):
-        # The shim triple and the explicit mix run identically but are
-        # distinct config values; their cache keys must not collide
-        # silently in either direction with the honest config.
-        honest = scenario_key(quick_config())
-        shim = scenario_key(quick_config(freerider_fraction=0.2))
-        mix = scenario_key(quick_config(
-            adversary=AttackMix.single("underclaim", 0.2)))
-        assert len({honest, shim, mix}) == 3
 
 
 # ----------------------------------------------------------------------
@@ -307,12 +271,6 @@ class TestValidateAllViolations:
         message = str(excinfo.value)
         assert "duration must be positive" in message
         assert "unknown attack 'no-such'" in message
-
-    def test_adversary_and_shim_together_rejected(self):
-        config = quick_config(freerider_fraction=0.2,
-                              adversary=AttackMix.single("spam", 0.1))
-        with pytest.raises(ValueError, match="not both"):
-            config.validate()
 
     def test_sampler_attack_needs_cyclon(self):
         config = quick_config(

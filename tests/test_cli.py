@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import ABLATIONS, EXTENSIONS, FIGURES, TABLES, build_parser, main
+from repro.experiments.specs import SweepSpec
+
+SPEC_FIELDS = [f.name for f in dataclasses.fields(SweepSpec)]
 
 
 class TestParser:
@@ -14,6 +19,29 @@ class TestParser:
         args = build_parser().parse_args(["run"])
         assert args.protocol == "heap"
         assert args.distribution == "ref-691"
+
+    @pytest.mark.parametrize("name", SPEC_FIELDS)
+    def test_every_spec_field_is_a_sweep_and_submit_flag(self, name, capsys):
+        """One table: each SweepSpec field is a `sweep` flag defaulting
+        to the field default and a `submit` flag defaulting to None."""
+        flag = "--" + name.replace("_", "-")
+        for command in ("sweep", "submit"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert flag in capsys.readouterr().out
+        default = getattr(SweepSpec(), name)
+        assert getattr(build_parser().parse_args(["sweep"]), name) == default
+        assert getattr(build_parser().parse_args(["submit"]), name) is None
+
+    def test_spec_round_trips_through_its_params(self):
+        spec = SweepSpec.from_params({
+            "protocols": "heap", "seeds": "3,5", "membership": "cyclon",
+            "discovery": True, "churn_fraction": 0.2, "churn_time": 4,
+            "attacks": "poisoned-view=0.05", "shards": 2,
+            "latency_rng": "per-pair", "faults": "shard-exit=1@3"})
+        assert SweepSpec.from_params(spec.to_params()) == spec
+        assert set(spec.to_params()) == set(SPEC_FIELDS)
+        assert SweepSpec.from_params(SweepSpec().to_params()) == SweepSpec()
 
     def test_registries_cover_all_paper_artifacts(self):
         assert set(FIGURES) == {"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
@@ -50,8 +78,7 @@ class TestCommands:
 
     def test_run_with_freeriders_reports_detection(self, capsys):
         code = main(["run", "--nodes", "30", "--seconds", "5", "--drain", "12",
-                     "--freerider-fraction", "0.2",
-                     "--freerider-mode", "nonserve", "--audit"])
+                     "--attacks", "nonserve=0.2", "--audit"])
         assert code == 0
         out = capsys.readouterr().out
         assert "freeriders:" in out
@@ -61,6 +88,38 @@ class TestCommands:
         code = main(["run", "--nodes", "25", "--seconds", "8", "--drain", "15",
                      "--churn-fraction", "0.2", "--churn-time", "4"])
         assert code == 0
+
+    def test_run_is_the_one_cell_case_of_the_service_run_job(
+            self, capsys, monkeypatch):
+        """`repro run` and a service `run` job build their scenario from
+        the same spec table: equal scenario identity, equal run."""
+        from repro import cli
+        from repro.experiments.parallel import run_grid
+        from repro.service.jobs import JobSpec
+        from repro.workloads.scenario import scenario_key
+
+        ran = []
+        run_scenario = cli.run_scenario
+
+        def recording(config):
+            ran.append(config)
+            return run_scenario(config)
+
+        monkeypatch.setattr(cli, "run_scenario", recording)
+        assert main(["run", "--nodes", "25", "--seconds", "4", "--drain", "8",
+                     "--seed", "5", "--membership", "cyclon", "--discovery",
+                     "--churn-fraction", "0.2", "--churn-time", "3",
+                     "--loss", "0.02"]) == 0
+        (cli_config,) = ran
+        spec = JobSpec("run", {
+            "protocols": ["heap"], "nodes": 25, "seconds": 4, "drain": 8,
+            "base_seed": 5, "membership": "cyclon", "discovery": True,
+            "churn_fraction": 0.2, "churn_time": 3, "loss": 0.02}).sweep_spec()
+        (job_config,) = spec.configs()
+        assert scenario_key(job_config.with_(seed=5)) == scenario_key(cli_config)
+        grid = run_grid([job_config], spec.seed_list(), spec.metrics())
+        events = f"events: {grid.records[0].events_executed:,}"
+        assert events in capsys.readouterr().out
 
     def test_run_tree_protocol(self, capsys):
         code = main(["run", "--protocol", "tree", "--nodes", "25",

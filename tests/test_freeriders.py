@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro import ScenarioConfig, run_scenario
+from repro.adversary import AttackMix
+from repro.adversary.attacks import NonServingNode, UnderclaimingNode
 from repro.core.config import GossipConfig
 from repro.core.messages import Request
 from repro.freeriders.analysis import (
@@ -14,7 +16,6 @@ from repro.freeriders.analysis import (
     honest_vs_freerider_contribution,
 )
 from repro.freeriders.detection import AuditReport, FreeriderDetector, PeerScore
-from repro.freeriders.nodes import NonServingNode, UnderclaimingNode
 from repro.membership.directory import MembershipDirectory
 from repro.net.network import Network
 from repro.sim.engine import Simulator
@@ -146,8 +147,8 @@ class TestEndToEnd:
     @pytest.fixture(scope="class")
     def nonserve_result(self):
         return run_scenario(ScenarioConfig(
-            protocol="heap", freerider_fraction=0.2, freerider_mode="nonserve",
-            freerider_param=0.2, audit=True, **FAST))
+            protocol="heap", adversary=AttackMix.single("nonserve", 0.2, 0.2),
+            audit=True, **FAST))
 
     def test_freeriders_planted(self, nonserve_result):
         assert len(nonserve_result.freerider_ids) == round(0.2 * 44)
@@ -169,9 +170,8 @@ class TestEndToEnd:
 
     def test_underclaimers_evade_ratio_audit(self):
         result = run_scenario(ScenarioConfig(
-            protocol="heap", freerider_fraction=0.2,
-            freerider_mode="underclaim", freerider_param=0.1, audit=True,
-            **FAST))
+            protocol="heap", adversary=AttackMix.single("underclaim", 0.2, 0.1),
+            audit=True, **FAST))
         convicted = convictions(result)
         accuracy = detection_accuracy(result, convicted)
         # Consistent liars: the answered/asked audit cannot see them...
@@ -187,7 +187,9 @@ class TestEndToEnd:
 
     def test_freeriders_rejected_for_standard_protocol(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(protocol="standard", freerider_fraction=0.1).validate()
+            ScenarioConfig(
+                protocol="standard",
+                adversary=AttackMix.single("underclaim", 0.1)).validate()
 
     def test_contribution_index_zero_for_empty_node(self):
         result = run_scenario(ScenarioConfig(protocol="heap", **FAST))

@@ -23,7 +23,7 @@ from repro.net.latency import ConstantLatency, PerPairLatency
 from repro.net.message import UDP_IP_HEADER_BYTES, Envelope, intern_kind
 from repro.net.network import Network
 from repro.net.router import InprocRouter, Router
-from repro.net.shard import ShardRouter, decode_envelope, encode_envelope
+from repro.net.shard import WIRE_BATCH_TAG, ShardRouter, _decode_batch
 from repro.net.stats import NetworkStats
 from repro.sim.engine import Simulator
 
@@ -303,9 +303,8 @@ class TestShardRouterLocalParts:
     """ShardRouter mechanics that do not need a full sharded run."""
 
     def test_remote_destination_lands_in_target_outbox(self):
-        # Escape hatch: the pre-batching per-envelope wire tuples.
         sim = Simulator()
-        router = ShardRouter(owned={0, 2}, shards=2, batch_wire=False)
+        router = ShardRouter(owned={0, 2}, shards=2)
         net = Network(sim, latency=ConstantLatency(0.01), router=router)
         net.attach(0, Sink(), 1e9)
         remote_sink = Sink()
@@ -316,16 +315,14 @@ class TestShardRouterLocalParts:
         outboxes = router.take_outboxes()
         assert len(outboxes[1]) == 1 and outboxes[0] == []
         assert router.take_outboxes() == [[], []]  # drained
-        src, dst, kind_id, size, *_ = outboxes[1][0]
-        assert (src, dst) == (0, 1)
-        assert kind_id == FakePayload("remote").kind_id
-        assert size == 50 + UDP_IP_HEADER_BYTES
+        (envelope,) = _decode_batch(outboxes[1][0])
+        assert (envelope.src, envelope.dst) == (0, 1)
+        assert envelope.payload.kind_id == FakePayload("remote").kind_id
+        assert envelope.size_bytes == 50 + UDP_IP_HEADER_BYTES
 
     def test_remote_destination_lands_in_packed_buffer(self):
-        # Default: the window's outbox to a peer shard is one packed
-        # buffer (tagged tuple), not per-envelope tuples.
-        from repro.net.shard import WIRE_BATCH_TAG
-
+        # The window's outbox to a peer shard is one packed buffer
+        # (tagged tuple), however many envelopes it carries.
         sim = Simulator()
         router = ShardRouter(owned={0, 2}, shards=2)
         net = Network(sim, latency=ConstantLatency(0.01), router=router)
@@ -345,27 +342,25 @@ class TestShardRouterLocalParts:
         assert net.stats.wire_envelopes == 2
         assert net.stats.wire_bytes == len(header) + len(blob)
 
+    def _wire(self, envelope):
+        """``envelope`` as shard 0 ships it to shard 1."""
+        router = ShardRouter(owned={0}, shards=2)
+        Network(Simulator(), latency=ConstantLatency(0.01), router=router)
+        router.route(envelope)
+        return router.take_outboxes()[1]
+
     def test_wire_round_trip_preserves_envelope(self):
         payload = FakePayload(kind="wire", size=64)
-        envelope = Envelope(3, 4, payload, 92, 1.0, 1.25)
+        envelope = Envelope(0, 1, payload, 92, 1.0, 1.25)
         envelope._exit_time = 1.1
-        wire = encode_envelope(envelope, payload.kind_id)
-        decoded = decode_envelope(wire)
-        assert (decoded.src, decoded.dst) == (3, 4)
+        (decoded,) = _decode_batch(self._wire(envelope)[0])
+        assert (decoded.src, decoded.dst) == (0, 1)
         assert decoded.size_bytes == 92
         assert decoded.send_time == 1.0
         assert decoded.arrival_time == 1.25
         assert decoded._exit_time == 1.1
         assert decoded.payload.kind == "wire"
         assert decoded.payload.kind_id == payload.kind_id
-
-    def test_wire_kind_mismatch_raises(self):
-        payload = FakePayload(kind="wire-a")
-        other = FakePayload(kind="wire-b")
-        envelope = Envelope(0, 1, payload, 92, 0.0, 0.1)
-        wire = encode_envelope(envelope, other.kind_id)
-        with pytest.raises(ValueError, match="kind mismatch"):
-            decode_envelope(wire)
 
     def test_injected_envelopes_deliver_locally(self):
         sim = Simulator()
@@ -374,8 +369,7 @@ class TestShardRouterLocalParts:
         sink = Sink()
         net.attach(1, sink, 1e9)
         payload = FakePayload(kind="inject", size=30)
-        envelope = Envelope(0, 1, payload, 58, 0.0, 0.2)
-        router.inject([encode_envelope(envelope, payload.kind_id)])
+        router.inject(self._wire(Envelope(0, 1, payload, 58, 0.0, 0.2)))
         sim.run()
         assert len(sink.received) == 1
         assert sink.received[0].arrival_time == 0.2

@@ -89,6 +89,20 @@ class TestSubmitPollResult:
         # Measured values live in their own clearly-flagged block.
         assert set(result["timing"]) == {"wall_time", "jobs"}
 
+    def test_sampler_attack_sweep_matches_submit_wait(self, service, capsys):
+        """`membership` is part of the one spec table, so the
+        poisoned-view attack (cyclon only) is reachable from `sweep`,
+        `submit` and HTTP alike — and all render the same bytes."""
+        flags = ["--protocols", "heap", "--membership", "cyclon",
+                 "--attacks", "poisoned-view=0.05", "--nodes", "20",
+                 "--seconds", "2", "--drain", "4", "--num-seeds", "1",
+                 "--quiet"]
+        assert main(["sweep"] + flags) == 0
+        swept = capsys.readouterr().out
+        assert "attack_delivery_delta" in swept  # the attacked columns
+        assert main(["submit", "--url", service.url, "--wait"] + flags) == 0
+        assert capsys.readouterr().out == swept
+
     def test_render_job_matches_cli(self, client, capsys):
         job_id = client.submit("table", {"id": "table1"})["job"]["id"]
         job = client.wait(job_id, timeout=300)
@@ -231,6 +245,24 @@ class TestErrorPaths:
             with pytest.raises(ServiceError) as exc:
                 client.submit(kind, params)
             assert exc.value.status == 400, (kind, params)
+
+    @pytest.mark.parametrize("kind, params, field", [
+        ("sweep", {"nodes": "abc"}, "nodes"),
+        ("sweep", {"loss": "x"}, "loss"),
+        ("sweep", {"num_seeds": 2.5}, "num_seeds"),
+        ("sweep", {"audit": "no"}, "audit"),  # not run with the audit on
+        ("run", {"frobnicate": 1}, "frobnicate"),
+        ("figure", {"id": "fig5", "shards": "two"}, "shards"),
+    ])
+    def test_malformed_params_answer_400_naming_the_field(
+            self, service, kind, params, field):
+        from repro.service.api import handle_request
+
+        body = json.dumps({"kind": kind, "params": params}).encode("utf-8")
+        response = handle_request(service.manager, "POST", "/v1/jobs", body)
+        assert response.status == 400
+        assert field in json.loads(response.body)["error"]
+        assert service.manager.jobs() == []
 
     def test_health_endpoint(self, client):
         health = client.health()

@@ -79,8 +79,8 @@ def base_config(**overrides) -> ScenarioConfig:
 LEGACY_FAMILIES = {
     "churn": dict(churn=CatastrophicFailure(fraction=0.25, at_time=3.0)),
     "loss": dict(loss_rate=0.05, loss_rng="per-pair"),
-    "audit": dict(audit=True, freerider_fraction=0.2,
-                  freerider_mode="nonserve", freerider_param=0.1),
+    "audit": dict(audit=True,
+                  adversary=AttackMix.single("nonserve", 0.2, 0.1)),
 }
 
 #: PR 8's adversarial families: a weighted node-attack mix with
@@ -136,9 +136,9 @@ def test_family_summaries_byte_identical(family, shards, driver, serial):
 def test_all_families_combined_shard_cleanly(serial):
     """Churn + loss + audit in one scenario: the features compose.
 
-    The legacy families only: the audit family's ``freerider_*`` shim
-    and an ``adversary`` mix deliberately refuse to combine (validated),
-    so the attack families have their own composition test below.
+    The legacy families only: a scenario carries one ``adversary`` mix
+    and the audit family already sets it, so the attack families have
+    their own composition test below.
     """
     combined = {}
     for overrides in LEGACY_FAMILIES.values():
@@ -187,10 +187,9 @@ class TestChurnSharding:
         assert (merged.receiver_ids(include_crashed=True)
                 == baseline.receiver_ids(include_crashed=True))
 
-    @pytest.mark.parametrize("batch_wire", (True, False))
-    def test_owner_announces_each_crash_to_every_peer(self, batch_wire):
+    def test_owner_announces_each_crash_to_every_peer(self):
         config = base_config(shards=3, **FAMILIES["churn"])
-        merged = run_sharded(config, processes=False, batch_wire=batch_wire)
+        merged = run_sharded(config, processes=False)
         victims = len(merged.crash_times)
         assert victims > 0
         # One control row per victim per peer shard, counted at the
@@ -277,14 +276,9 @@ class TestAttackSharding:
 
 
 # ----------------------------------------------------------------------
-# loss: the per-pair model under both wire formats
+# loss: the per-pair model
 # ----------------------------------------------------------------------
 class TestLossSharding:
-    def test_escape_hatch_wire_format_matches_serial(self, serial):
-        config = base_config(shards=2, **FAMILIES["loss"])
-        merged = run_sharded(config, processes=False, batch_wire=False)
-        assert summary_blob(merged) == summary_blob(serial("loss"))
-
     def test_loss_counters_match_serial(self, serial):
         merged = run_family_sharded("loss", 2, "serial-driver")
         baseline = serial("loss")

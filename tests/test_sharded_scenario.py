@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.adversary import AttackMix
 from repro.experiments.runner import run_scenario
 from repro.metrics.summary import standard_bundle, summarize
 from repro.net.shard import (ShardRouter, merge_harvests, partition,
@@ -140,8 +141,9 @@ class TestShardingRules:
         ).validate()
 
     def test_audit_accepted(self):
-        sharded_config(shards=2, audit=True, freerider_fraction=0.1,
-                       freerider_mode="nonserve").validate()
+        sharded_config(
+            shards=2, audit=True,
+            adversary=AttackMix.single("nonserve", 0.1, 0.1)).validate()
 
     def test_shared_loss_rejected_per_pair_accepted(self):
         # The shared loss model consumes one stream in global send order,

@@ -1,13 +1,13 @@
 """Cross-shard wire batching: packing, interning, parity and counters.
 
 The contract under test: batching a window's cross-shard outbox into one
-packed buffer per peer shard is a pure *wire encoding* change — the
-sharded run's metric summaries stay byte-identical to the per-envelope
-escape hatch (``ShardRouter(batch_wire=False)``, the PR 4 format kept
-for exactly this comparison) and therefore to the serial run — while the
-serialized bytes drop, because multicast payloads are interned (one blob
-per peer shard, not one per destination) and header fields travel as
-struct rows instead of pickled tuples.
+packed buffer per peer shard is a pure *wire encoding* — the sharded
+run's metric summaries stay byte-identical to the serial run — while the
+serialized bytes stay below what the deleted PR 4 per-envelope format
+shipped (its byte counts are frozen below as constants), because
+multicast payloads are interned (one blob per peer shard, not one per
+destination) and header fields travel as struct rows instead of pickled
+tuples.
 """
 
 import json
@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from repro.net.latency import ConstantLatency
 from repro.net.message import Envelope, intern_kind
 from repro.net.network import Network
+from repro.net.router import InprocRouter
 from repro.net.shard import (EVENT_CRASH, EVENT_JOIN, WIRE_BATCH_TAG,
-                             WIRE_CONTROL_TAG, ShardRouter, _decode_batch,
-                             encode_envelope, run_sharded, window_count)
+                             ShardRouter, _decode_batch, run_sharded,
+                             window_count)
 from repro.net.stats import NetworkStats
 from repro.sim.engine import Simulator
 from repro.workloads.distributions import REF_691
@@ -66,42 +67,36 @@ def summary_blob(result) -> str:
 # ----------------------------------------------------------------------
 # parity: batching is invisible to the results
 # ----------------------------------------------------------------------
+#: What the deleted per-envelope wire format shipped for
+#: ``sharded_config(shards=2)``: one wire unit per envelope, the whole
+#: pickled tuple per unit (measured at a9ff8a0, Python 3.11).
+PER_ENVELOPE_UNITS = 8_315
+PER_ENVELOPE_WIRE_BYTES = 1_736_470
+PER_ENVELOPE_PAYLOAD_BYTES = 1_289_605
+
+
 class TestBatchingParity:
-    def test_batched_matches_escape_hatch_and_serial(self):
+    def test_batched_matches_serial(self):
         from repro.experiments.runner import run_scenario
 
         config = sharded_config()
         serial = summary_blob(run_scenario(config))
-        sharded = config.with_(shards=2)
-        batched = run_sharded(sharded, processes=False)
-        escape = run_sharded(sharded, processes=False, batch_wire=False)
+        batched = run_sharded(config.with_(shards=2), processes=False)
         assert summary_blob(batched) == serial
-        assert summary_blob(escape) == serial
-
-    def test_batched_process_workers_match_escape_hatch(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("needs fork workers")
-        config = sharded_config(n_nodes=50, shards=2)
-        batched = run_sharded(config, processes=True)
-        escape = run_sharded(config, processes=True, batch_wire=False)
-        assert summary_blob(batched) == summary_blob(escape)
 
     def test_batching_reduces_serialized_bytes(self):
-        """The point of the PR: fewer bytes cross the shard boundary."""
-        config = sharded_config(shards=2)
-        batched = run_sharded(config, processes=False)
-        escape = run_sharded(config, processes=False, batch_wire=False)
-        b, e = batched.net.stats, escape.net.stats
-        assert b.wire_envelopes == e.wire_envelopes  # same traffic ...
-        assert b.wire_buffers < e.wire_buffers       # ... fewer units
-        assert 0 < b.wire_bytes < e.wire_bytes       # ... fewer bytes
-        # Interning bites: the batched payload bytes beat per-envelope
-        # pickling, which by construction cannot dedup anything.
-        assert b.wire_payload_bytes < b.wire_payload_bytes_before
-        assert b.wire_payload_bytes_before == e.wire_payload_bytes_before
-        assert e.wire_payload_bytes == e.wire_payload_bytes_before
+        """The point of batching: fewer bytes cross the shard boundary
+        than one pickled tuple per envelope would ship."""
+        stats = run_sharded(sharded_config(shards=2),
+                            processes=False).net.stats
+        assert stats.wire_envelopes == PER_ENVELOPE_UNITS  # same traffic
+        assert stats.wire_buffers < PER_ENVELOPE_UNITS     # ... fewer units
+        assert 0 < stats.wire_bytes < PER_ENVELOPE_WIRE_BYTES  # fewer bytes
+        # Interning bites: the pooled payload bytes beat per-envelope
+        # pickling, which by construction cannot dedup anything — and the
+        # before-interning counter still measures exactly that.
+        assert stats.wire_payload_bytes < stats.wire_payload_bytes_before
+        assert stats.wire_payload_bytes_before == PER_ENVELOPE_PAYLOAD_BYTES
 
     def test_wire_counters_survive_the_harvest_merge(self):
         config = sharded_config(shards=3)
@@ -192,76 +187,89 @@ class TestMulticastInterning:
 
 
 # ----------------------------------------------------------------------
-# decode: batches deliver exactly like per-envelope wires
+# decode: batches deliver exactly like envelopes routed one by one
 # ----------------------------------------------------------------------
 class TestBatchInjectEquivalence:
-    def _sender_outbox(self, batch_wire):
-        """Route a mixed-arrival burst at shard 1 and take the outbox."""
-        sim = Simulator()
-        router = ShardRouter(owned={0}, shards=2, batch_wire=batch_wire)
-        net = Network(sim, latency=ConstantLatency(0.01), router=router)
-        net.attach(0, Sink(), 1e9)
+    def _burst(self):
+        """A mixed-arrival burst from node 0 to shard 1's node 1."""
         small = FakePayload(kind="wb-small", size=40)
         big = FakePayload(kind="wb-big", size=400)
-        for payload, arrival in ((small, 0.2), (small, 0.2), (big, 0.3),
-                                 (small, 0.2), (big, 0.3)):
-            envelope = Envelope(0, 1, payload, payload.wire_size() + 28,
-                                0.1, arrival)
+        return [Envelope(0, 1, payload, payload.wire_size() + 28, 0.1,
+                         arrival)
+                for payload, arrival in ((small, 0.2), (small, 0.2),
+                                         (big, 0.3), (small, 0.2),
+                                         (big, 0.3))]
+
+    def _sender_outbox(self):
+        """Route the burst at shard 1 and take the outbox."""
+        sim = Simulator()
+        router = ShardRouter(owned={0}, shards=2)
+        net = Network(sim, latency=ConstantLatency(0.01), router=router)
+        net.attach(0, Sink(), 1e9)
+        for envelope in self._burst():
             router.route(envelope)
         return router.take_outboxes()[1]
 
-    def _deliver(self, wires):
+    def _deliver(self, receive):
+        """Run shard 1 after ``receive(router)`` handed it the traffic."""
         sim = Simulator()
         router = ShardRouter(owned={1}, shards=2)
         net = Network(sim, latency=ConstantLatency(0.01), router=router)
         sink = Sink()
         net.attach(1, sink, 1e9)
-        router.inject(wires)
+        receive(router)
         sim.run()
         order = [(e.payload.kind, e.arrival_time, e.size_bytes)
                  for e in sink.received]
         return order, sim.events_executed, net.stats
 
     def test_batch_and_per_envelope_wires_deliver_identically(self):
+        wires = self._sender_outbox()
         batched_order, batched_events, batched_stats = self._deliver(
-            self._sender_outbox(batch_wire=True))
-        escape_order, escape_events, escape_stats = self._deliver(
-            self._sender_outbox(batch_wire=False))
-        assert batched_order == escape_order
+            lambda router: router.inject(wires))
+        # The reference: every envelope handed to the in-process
+        # ``route()`` individually, as a per-envelope exchange would.
+        single_order, single_events, single_stats = self._deliver(
+            lambda router: [InprocRouter.route(router, envelope)
+                            for envelope in self._burst()])
+        assert batched_order == single_order
         assert len(batched_order) == 5
         # route_many groups same-arrival rows into the same arrival
         # buckets route() would have used: same event count, same
         # receiver-side accounting.
-        assert batched_events == escape_events == 2
-        assert batched_stats.delivered == escape_stats.delivered == 5
+        assert batched_events == single_events == 2
+        assert batched_stats.delivered == single_stats.delivered == 5
         assert (batched_stats.received_bytes_by_kind
-                == escape_stats.received_bytes_by_kind)
+                == single_stats.received_bytes_by_kind)
 
     def test_corrupt_header_length_raises(self):
-        (tag, n_rows, header, blob), = self._sender_outbox(batch_wire=True)
+        (tag, n_rows, header, blob), = self._sender_outbox()
         with pytest.raises(ValueError, match="corrupt"):
-            self._deliver([(tag, n_rows + 1, header, blob)])
+            self._deliver(lambda router: router.inject(
+                [(tag, n_rows + 1, header, blob)]))
 
     def test_kind_mismatch_in_batch_raises(self):
         import struct
 
         from repro.net.shard import _ROW
 
-        (tag, n_rows, header, blob), = self._sender_outbox(batch_wire=True)
+        (tag, n_rows, header, blob), = self._sender_outbox()
         row = list(_ROW.unpack(header[:_ROW.size]))
         row[0] = intern_kind("wb-wrong-kind", register=True)
         tampered = _ROW.pack(*row) + header[_ROW.size:]
         with pytest.raises(ValueError, match="kind mismatch"):
-            self._deliver([(tag, n_rows, tampered, blob)])
+            self._deliver(lambda router: router.inject(
+                [(tag, n_rows, tampered, blob)]))
 
-    def test_inject_accepts_mixed_wire_formats(self):
-        payload = FakePayload(kind="wb-mixed", size=24)
-        envelope = Envelope(0, 1, payload, 52, 0.0, 0.4)
-        single = encode_envelope(envelope, payload.kind_id)
-        order, events, stats = self._deliver(
-            self._sender_outbox(batch_wire=True) + [single])
-        assert len(order) == 6
-        assert order[-1] == ("wb-mixed", 0.4, 52)
+    def test_inject_rejects_anything_but_packed_buffers(self):
+        """Packed buffers are the only wire format: a per-envelope tuple
+        (first element a node id) is a corrupt wire, not a second path."""
+        payload = FakePayload(kind="wb-single", size=24)
+        single = (0, 1, payload.kind_id, 52, 0.0, 0.0, 0.4,
+                  pickle.dumps(payload))
+        with pytest.raises(ValueError, match="unknown wire tag 0"):
+            self._deliver(lambda router: router.inject(
+                self._sender_outbox() + [single]))
 
 
 # ----------------------------------------------------------------------
@@ -336,36 +344,22 @@ class TestPackedBufferRoundTrip:
                 id(envelope.payload))
         assert all(len(ids) == 1 for ids in by_kind.values())
 
-    @settings(max_examples=25, deadline=None)
-    @given(items=st.lists(_control_items, max_size=20))
-    def test_escape_hatch_ships_verbatim_control_tuples(self, items):
-        sim = Simulator()
-        router = ShardRouter(owned=set(range(0, 20, 2)), shards=2,
-                             batch_wire=False)
-        Network(sim, latency=ConstantLatency(0.01), router=router)
-        for _, event, node_id, event_time in items:
-            router.on_membership_event(event, node_id, event_time)
-        assert router.take_outboxes()[1] \
-            == [(WIRE_CONTROL_TAG, event, node_id, 0, event_time)
-                for _, event, node_id, event_time in items]
-
 
 # ----------------------------------------------------------------------
 # membership control rows: owner-emitted, replica-verified
 # ----------------------------------------------------------------------
 class TestMembershipControlRows:
-    def _router(self, owned, batch_wire=True):
+    def _router(self, owned):
         sim = Simulator()
-        router = ShardRouter(owned=owned, shards=2, batch_wire=batch_wire)
+        router = ShardRouter(owned=owned, shards=2)
         net = Network(sim, latency=ConstantLatency(0.01), router=router)
         for node in owned:
             net.attach(node, Sink(), 1e9)
         return router, net
 
-    @pytest.mark.parametrize("batch_wire", (True, False))
-    def test_replica_agreement_verifies_silently(self, batch_wire):
-        sender, _ = self._router({0, 2}, batch_wire)
-        receiver, _ = self._router({1, 3}, batch_wire)
+    def test_replica_agreement_verifies_silently(self):
+        sender, _ = self._router({0, 2})
+        receiver, _ = self._router({1, 3})
         sender.on_membership_event(EVENT_CRASH, 0, 1.5)
         wires = sender.take_outboxes()[1]
         assert len(wires) == 1
@@ -373,10 +367,9 @@ class TestMembershipControlRows:
         receiver.on_membership_event(EVENT_CRASH, 0, 1.5)
         receiver.inject(wires)  # no divergence -> no error
 
-    @pytest.mark.parametrize("batch_wire", (True, False))
-    def test_missing_replica_event_raises(self, batch_wire):
-        sender, _ = self._router({0, 2}, batch_wire)
-        receiver, _ = self._router({1, 3}, batch_wire)
+    def test_missing_replica_event_raises(self):
+        sender, _ = self._router({0, 2})
+        receiver, _ = self._router({1, 3})
         sender.on_membership_event(EVENT_CRASH, 2, 0.75)
         wires = sender.take_outboxes()[1]
         with pytest.raises(RuntimeError, match="membership divergence"):
@@ -413,18 +406,3 @@ class TestMembershipControlRows:
         (wire,), = [sender.take_outboxes()[1]]
         with pytest.raises(ValueError, match="control handler"):
             list(_decode_batch(wire))
-
-
-class TestEscapeHatchStats:
-    def test_per_envelope_wire_bytes_count_whole_tuples(self):
-        sim = Simulator()
-        router = ShardRouter(owned={0}, shards=2, batch_wire=False)
-        net = Network(sim, latency=ConstantLatency(0.01), router=router)
-        net.attach(0, Sink(), 1e9)
-        net.attach(1, Sink(), 1e9)
-        net.send(0, 1, FakePayload(kind="wb-tuple", size=30))
-        sim.run()
-        wire = router.take_outboxes()[1][0]
-        expected = len(pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL))
-        assert net.stats.wire_bytes == expected
-        assert net.stats.wire_buffers == net.stats.wire_envelopes == 1
