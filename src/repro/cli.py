@@ -639,10 +639,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="listen port (0 = ephemeral; default "
                                    "8642)")
     serve_parser.add_argument("--jobs", type=int, default=1,
-                              help="executor threads (concurrent jobs)")
+                              help="executor processes (concurrent jobs)")
     serve_parser.add_argument("--grid-jobs", type=int, default=1,
                               help="worker processes per grid job (1 = "
-                                   "serial, which keeps the shared "
+                                   "serial, which keeps the executor's "
                                    "result cache warm)")
     serve_parser.add_argument("--queue-size", type=int, default=16,
                               help="bounded submission queue (full = "
@@ -663,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SECS",
                               help="watchdog: a running job that makes "
                                    "no progress for SECS is failed and "
-                                   "its executor slot freed (default: "
-                                   "no watchdog)")
+                                   "its executor process killed and "
+                                   "replaced (default: no watchdog)")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-request access logs")
 

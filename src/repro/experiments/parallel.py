@@ -63,6 +63,7 @@ from repro.faults.failures import (CellFailure, TornCheckpointInjected,
 from repro.faults.inject import apply_cell_fault
 from repro.faults.policy import SupervisionPolicy
 from repro.faults.pool import SupervisedPool
+from repro.faults.supervise import default_start_method
 from repro.metrics.export import append_jsonl, read_jsonl
 from repro.metrics.summary import MetricSpec, summarize
 from repro.workloads.scenario import ScenarioConfig, scenario_key
@@ -302,20 +303,10 @@ def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
     return index, record
 
 
-def _execute(payload) -> Tuple[int, RunRecord]:
-    """Pool entry point.  Module-level so it pickles to worker processes."""
+def _execute(payload, _emit) -> Tuple[int, RunRecord]:
+    """Pool entry point (a ``task_worker`` runner that emits no progress
+    frames).  Module-level so it pickles to worker processes."""
     return _run_cell(payload)
-
-
-def _default_start_method() -> str:
-    """Prefer fork (milliseconds per worker) where the platform has it;
-    fall back to spawn.  Every code path is spawn-safe — tasks, metrics
-    and summary specs travel as pickles either way — so the choice only
-    affects pool startup cost, which dominates small grids."""
-    import multiprocessing
-
-    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
 
 
 def _available_cpus() -> int:
@@ -625,7 +616,7 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
         else:
             import multiprocessing
 
-            method = start_method or _default_start_method()
+            method = start_method or default_start_method()
             if method == "spawn":
                 _check_spawn_importable(metric_items, specs_by_scenario)
             ctx = multiprocessing.get_context(method)

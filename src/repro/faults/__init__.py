@@ -1,12 +1,23 @@
-"""Deterministic fault-injection plane and supervision primitives.
+"""Deterministic fault-injection plane and the supervision primitive.
 
 This package is the chaos-engineering seam for the reproduction: a
 :class:`~repro.faults.plan.FaultPlan` describes *which* failures to
 inject (worker crashes at a grid cell, shard-worker exits at a window
 barrier, slow-worker stalls, torn checkpoint writes, corrupted shard
-wire buffers), and the supervision layers in ``repro.experiments``,
-``repro.net.shard`` and ``repro.service`` turn every one of those
-failures into a bounded, observable, retried-or-degraded outcome.
+wire buffers), and supervision turns every one of those failures into
+a bounded, observable, retried-or-degraded outcome.
+
+Supervision is one mechanism with three clients.  The mechanism is
+:class:`~repro.faults.supervise.Supervisor`: child processes over
+duplex pipes and one ``wait`` that says whether a child sent a frame,
+exited (with its exit code) or overran its deadline — nothing else in
+the tree touches a process sentinel.  The clients are the grid pool
+(:mod:`repro.faults.pool`: a lost cell costs a retry), the shard
+coordinator (``repro.net.shard``: a lost shard costs a scenario
+restart) and the service's job executors (``repro.service.jobs``: a
+wedged or cancelled job costs its executor child, which is killed and
+replaced); the budgets and back-offs they apply live in
+:mod:`repro.faults.policy`.
 
 Two invariants anchor the design:
 
@@ -20,7 +31,7 @@ Two invariants anchor the design:
   ``tests/test_faults.py`` pins this.
 
 Unlike ``repro.sim``/``repro.net``, this package legitimately deals in
-wall-clock time (backoff, heartbeats, watchdog deadlines).  All of it
+wall-clock time (backoff, barrier and watchdog deadlines).  All of it
 flows through :mod:`repro.faults.clock` so deterministic packages can
 import the seam without tripping the D101 lint rule.
 """
@@ -34,6 +45,7 @@ from repro.faults.policy import (
     set_default_shard_supervision,
 )
 from repro.faults.pool import SupervisedPool, WorkerTaskError
+from repro.faults.supervise import Supervisor
 
 __all__ = [
     "CellFailure",
@@ -42,6 +54,7 @@ __all__ = [
     "ShardSupervision",
     "SupervisedPool",
     "SupervisionPolicy",
+    "Supervisor",
     "TornCheckpointInjected",
     "WorkerTaskError",
     "default_shard_supervision",

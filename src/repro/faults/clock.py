@@ -4,7 +4,7 @@ Deterministic packages (``repro.net``, ``repro.sim``, ...) may not call
 ``time.time``/``time.monotonic`` directly — the D101 lint rule rejects
 it, because wall-clock reads are how nondeterminism sneaks into
 simulation results.  Supervision, however, is *about* wall-clock time:
-barrier deadlines, heartbeat intervals, retry backoff.
+barrier deadlines, watchdog deadlines, retry backoff.
 
 This module is the sanctioned seam between the two worlds.  Supervision
 code calls :func:`monotonic`/:func:`sleep` here; the values never feed
@@ -19,7 +19,7 @@ __all__ = ["monotonic", "sleep"]
 
 
 def monotonic() -> float:
-    """A monotonic wall-clock reading, for deadlines and heartbeats."""
+    """A monotonic wall-clock reading, for deadlines and backoff."""
 
     return time.monotonic()
 

@@ -1,15 +1,21 @@
-"""Supervision knobs: retry budgets and deadlines.
+"""Supervision policy: retry budgets, deadlines and back-offs.
 
-Two policy shapes, one per process-supervision layer:
+:mod:`repro.faults.supervise` is the one *mechanism* — it waits on
+child processes and says whether one spoke, died or fell silent.  This
+module is the only place the *policy* lives: what each of the three
+clients does about it, and every back-off that is ever computed.
 
-* :class:`SupervisionPolicy` — governs the grid worker pool: how many
-  times a lost cell is retried, how the backoff between attempts grows,
-  and (optionally) how long a single attempt may run before the worker
-  is presumed wedged and killed.
-* :class:`ShardSupervision` — governs the sharded scenario driver: how
-  many times ``run_sharded`` restarts a failed scenario from scratch,
-  and how long the coordinator waits at a window barrier before
-  declaring a silent shard dead.
+* :class:`SupervisionPolicy` — the grid worker pool: how many times a
+  lost cell is retried, how the backoff between attempts grows, and
+  (optionally) how long a single attempt may run before the worker is
+  presumed wedged and killed.
+* :class:`ShardSupervision` — the sharded scenario driver: how many
+  times ``run_sharded`` restarts a failed scenario from scratch, and
+  how long the coordinator waits at a window barrier before declaring
+  a silent shard wedged.
+* :func:`quarantine_backoff` — the service: how long a crash-looping
+  spec is refused (its other knobs, ``job_timeout`` and
+  ``quarantine_after``, are ``JobManager`` parameters).
 
 ``ShardSupervision`` also has a process-wide default (see
 :func:`default_shard_supervision`), because sharded execution is
@@ -26,6 +32,7 @@ __all__ = [
     "ShardSupervision",
     "SupervisionPolicy",
     "default_shard_supervision",
+    "quarantine_backoff",
     "set_default_shard_supervision",
 ]
 
@@ -66,6 +73,13 @@ class SupervisionPolicy:
         return min(self.backoff_cap, self.backoff_base * (2 ** (failed_attempts - 1)))
 
 
+def quarantine_backoff(base: float, excess_failures: int) -> float:
+    """Seconds the service refuses a crash-looping spec: ``base`` at the
+    quarantine threshold, doubling with every failure past it."""
+
+    return base * 2.0 ** excess_failures
+
+
 @dataclass(frozen=True)
 class ShardSupervision:
     """Restart budget and barrier deadline for sharded scenarios."""
@@ -74,10 +88,10 @@ class ShardSupervision:
     #: strip injected faults (the failure already happened); results
     #: stay byte-identical because scenarios are deterministic.
     restarts: int = 1
-    #: Seconds the coordinator waits at a window barrier with no
-    #: message, heartbeat, or death from a shard before raising
-    #: ShardFailure("barrier timeout").  ``None`` disables the deadline:
-    #: process sentinels still catch dead shards instantly, so only a
+    #: Seconds, armed afresh at each window barrier, the coordinator
+    #: waits for a shard's frame before raising ShardFailure("missed
+    #: the barrier deadline").  ``None`` disables the deadline: process
+    #: sentinels still catch dead shards instantly, so only a
     #: *wedged-but-alive* shard needs the timeout.
     barrier_timeout: Optional[float] = None
 

@@ -2,14 +2,13 @@
 
 ``multiprocessing.Pool`` silently loses a task when its worker dies —
 ``imap_unordered`` just never yields the result, and the sweep hangs or
-aborts.  This pool replaces it with explicit per-worker pipes plus
-process sentinels, so the coordinator can *attribute* a death to the
-task it was running and recover:
+aborts.  This pool is a client of the one
+:class:`~repro.faults.supervise.Supervisor`, which tells it whether a
+busy worker replied, died or overran its deadline; what that *costs* is
+decided here, from :class:`~repro.faults.policy.SupervisionPolicy`:
 
-* each worker runs a module-level loop (spawn-importable, S201-clean)
-  over its own duplex pipe — one task in flight per worker;
-* the coordinator waits on ``connection.wait`` over busy pipes *and*
-  process sentinels: a sentinel firing without a result is a crash;
+* each worker runs :func:`~repro.faults.supervise.task_worker` over its
+  own duplex pipe — one task in flight per worker;
 * a crashed/timed-out cell is retried on a fresh worker with capped
   exponential backoff, up to ``SupervisionPolicy.cell_retries``;
 * a cell that keeps dying is yielded as a ``("failed", ...)`` outcome
@@ -23,14 +22,12 @@ shipped to the worker and applied there (the coordinator never pickles
 closures — only plan tuples).
 """
 
-import time
-import traceback
 from collections import deque
-from multiprocessing import connection as _mpconn
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.faults.inject import apply_cell_fault
+from repro.faults import clock
 from repro.faults.policy import SupervisionPolicy
+from repro.faults.supervise import Child, Supervisor, task_worker
 
 __all__ = ["SupervisedPool", "WorkerTaskError"]
 
@@ -39,57 +36,12 @@ class WorkerTaskError(RuntimeError):
     """A task raised inside its worker (carries the worker traceback)."""
 
 
-def _pool_worker(conn, runner) -> None:
-    """Worker loop: recv task → apply injected fault → run → send.
-
-    Module-level so both fork and spawn contexts can target it, and so
-    the S201 rule sees a plain importable callable entering the pool.
-    """
-
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message[0] != "task":  # ("stop",)
-            return
-        _tag, payload, fault = message
-        apply_cell_fault(fault)
-        try:
-            result = runner(payload)
-        except BaseException:
-            reply = ("err", traceback.format_exc())
-        else:
-            reply = ("ok", result)
-        try:
-            conn.send(reply)
-        except (OSError, ValueError):
-            return
-
-
-class _Worker:
-    """One pool slot: a process, its pipe, and the task it holds."""
-
-    __slots__ = ("process", "conn", "key", "payload", "deadline")
-
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-        self.key: Optional[int] = None
-        self.payload = None
-        self.deadline: Optional[float] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.key is not None
-
-
 class SupervisedPool:
     """Crash-supervised task fan-out over a fixed-size worker fleet."""
 
     def __init__(self, ctx, workers: int, runner: Callable, policy=None) -> None:
-        self._ctx = ctx
         self._size = max(1, workers)
+        #: ``runner(payload, emit)`` — see ``task_worker``.
         self._runner = runner
         self.policy = policy if policy is not None else SupervisionPolicy()
         errors = self.policy.violations()
@@ -98,12 +50,8 @@ class SupervisedPool:
         #: Retry attempts scheduled after crashes/timeouts (recovery
         #: evidence for parity tests and the CLI supervision summary).
         self.retries = 0
-        self.crashes = 0
-        self.timeouts = 0
-        self._spawned = 0
-        self._workers: List[_Worker] = []
-
-    # -- lifecycle ------------------------------------------------------
+        self._supervisor = Supervisor(ctx, target=task_worker,
+                                      name="repro-grid-worker", daemon=True)
 
     def __enter__(self) -> "SupervisedPool":
         return self
@@ -112,55 +60,10 @@ class SupervisedPool:
         self.close()
         return False
 
-    def _spawn(self) -> _Worker:
-        parent, child = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_pool_worker,
-            args=(child, self._runner),
-            name=f"repro-grid-worker-{self._spawned}",
-        )
-        process.daemon = True
-        self._spawned += 1
-        process.start()
-        child.close()
-        worker = _Worker(process, parent)
-        self._workers.append(worker)
-        return worker
-
-    def _discard(self, worker: _Worker, kill: bool = False) -> None:
-        self._workers.remove(worker)
-        if kill and worker.process.is_alive():
-            worker.process.terminate()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.process.join(timeout=5)
-
     def close(self) -> None:
-        """Stop idle workers, kill busy/wedged ones, reap everything."""
+        """Kill and reap every worker, idle or busy."""
 
-        for worker in list(self._workers):
-            if worker.busy:
-                if worker.process.is_alive():
-                    worker.process.terminate()
-            else:
-                try:
-                    worker.conn.send(("stop",))
-                except (OSError, ValueError):
-                    pass
-        for worker in list(self._workers):
-            worker.process.join(timeout=5)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5)
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-        self._workers = []
-
-    # -- supervision core ----------------------------------------------
+        self._supervisor.close()
 
     def run(
         self,
@@ -180,112 +83,60 @@ class SupervisedPool:
         outstanding = len(queue)
         deferred: List[Tuple[float, int, object]] = []  # (ready_at, key, payload)
         attempts: Dict[int, int] = {}
-        policy = self.policy
-        while len(self._workers) < min(self._size, outstanding):
-            self._spawn()
+        busy: Dict[Child, Tuple[int, object]] = {}  # worker -> (key, payload)
+        supervisor, policy = self._supervisor, self.policy
+        idle = [supervisor.spawn(self._runner)
+                for _ in range(min(self._size, outstanding))]
 
         while outstanding:
-            now = time.monotonic()
-            if deferred:
-                ready = [entry for entry in deferred if entry[0] <= now]
-                if ready:
-                    deferred = [entry for entry in deferred if entry[0] > now]
-                    queue.extend((key, payload) for _at, key, payload in ready)
+            now = clock.monotonic()
+            queue.extend((key, payload) for ready_at, key, payload in deferred
+                         if ready_at <= now)
+            deferred = [entry for entry in deferred if entry[0] > now]
 
-            idle = [worker for worker in self._workers if not worker.busy]
             while queue and idle:
                 key, payload = queue.popleft()
                 worker = idle.pop()
                 fault = fault_for(key, attempts.get(key, 0)) if fault_for else None
                 try:
-                    worker.conn.send(("task", payload, fault))
+                    worker.conn.send((payload, fault))
                 except (OSError, ValueError):
                     # Died while idle: replace the slot, requeue the task.
-                    self._discard(worker, kill=True)
-                    idle.append(self._spawn())
+                    supervisor.discard(worker, kill=True)
+                    idle.append(supervisor.spawn(self._runner))
                     queue.appendleft((key, payload))
                     continue
-                worker.key = key
-                worker.payload = payload
-                worker.deadline = (
-                    now + policy.cell_timeout if policy.cell_timeout is not None else None
-                )
+                busy[worker] = (key, payload)
+                worker.arm(policy.cell_timeout)
 
-            busy = [worker for worker in self._workers if worker.busy]
-            if not busy:
-                if queue:
-                    continue
-                # Nothing running, nothing dispatchable: sleep until the
-                # earliest backoff expires.
-                wake = min(entry[0] for entry in deferred)
-                time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-
-            timeout = None
-            if deferred:
-                timeout = max(0.0, min(entry[0] for entry in deferred) - now)
-            deadlines = [worker.deadline for worker in busy if worker.deadline is not None]
-            if deadlines:
-                until_deadline = max(0.0, min(deadlines) - now)
-                timeout = until_deadline if timeout is None else min(timeout, until_deadline)
-
-            waitables = [worker.conn for worker in busy]
-            waitables.extend(worker.process.sentinel for worker in busy)
-            ready_set = set(_mpconn.wait(waitables, timeout))
-            now = time.monotonic()
-
-            for worker in busy:
-                outcome = None
-                if worker.conn in ready_set:
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        outcome = self._lost(worker, attempts, deferred, "crash")
-                    else:
-                        key = worker.key
-                        worker.key = worker.payload = worker.deadline = None
-                        if message[0] == "ok":
-                            outstanding -= 1
-                            yield ("ok", key, message[1])
-                            continue
-                        raise WorkerTaskError(
-                            f"grid cell {key} raised in its worker:\n{message[1]}"
-                        )
-                elif worker.process.sentinel in ready_set:
-                    outcome = self._lost(worker, attempts, deferred, "crash")
-                elif worker.deadline is not None and now >= worker.deadline:
-                    outcome = self._lost(worker, attempts, deferred, "timeout", kill=True)
-                if outcome is not None:
+            # Wake for a busy worker's event, or (all the wait there is
+            # when every live cell is backing off) the earliest retry.
+            until_retry = (max(0.0, min(entry[0] for entry in deferred) - now)
+                           if deferred else None)
+            for worker, event, value in supervisor.wait(list(busy), until_retry):
+                key, payload = busy.pop(worker)
+                if event == "message":
+                    idle.append(worker)
+                    if value[0] == "ok":
+                        outstanding -= 1
+                        yield ("ok", key, value[1])
+                        continue
+                    raise WorkerTaskError(
+                        f"grid cell {key} raised in its worker:\n{value[1]}"
+                    )
+                supervisor.discard(worker, kill=True)
+                idle.append(supervisor.spawn(self._runner))
+                failed = attempts.get(key, 0) + 1
+                attempts[key] = failed
+                if event == "exited":
+                    kind, message = "crash", f"worker exited with code {value}"
+                else:
+                    kind = "timeout"
+                    message = f"no result within {policy.cell_timeout:g}s"
+                if failed > policy.cell_retries:
                     outstanding -= 1
-                    yield outcome
-
-    def _lost(
-        self,
-        worker: _Worker,
-        attempts: Dict[int, object],
-        deferred: List[tuple],
-        kind: str,
-        kill: bool = False,
-    ):
-        """Handle a dead/wedged worker: retry its cell or fail it."""
-
-        key, payload = worker.key, worker.payload
-        exitcode = worker.process.exitcode
-        self._discard(worker, kill=kill)
-        if len(self._workers) < self._size:
-            self._spawn()
-        if kind == "crash":
-            self.crashes += 1
-        else:
-            self.timeouts += 1
-        failed = attempts.get(key, 0) + 1
-        attempts[key] = failed
-        if failed > self.policy.cell_retries:
-            if kind == "crash":
-                message = f"worker exited with code {exitcode}"
-            else:
-                message = f"no result within {self.policy.cell_timeout:g}s"
-            return ("failed", key, kind, failed, message)
-        self.retries += 1
-        deferred.append((time.monotonic() + self.policy.backoff(failed), key, payload))
-        return None
+                    yield ("failed", key, kind, failed, message)
+                else:
+                    self.retries += 1
+                    deferred.append(
+                        (clock.monotonic() + policy.backoff(failed), key, payload))

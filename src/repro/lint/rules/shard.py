@@ -25,6 +25,8 @@ _SINK_METHODS = {"submit", "apply_async", "map", "map_async", "imap",
 #: Constructors whose keyword arguments cross the process boundary.
 _SINK_CONSTRUCTOR_KEYWORDS = {
     "Process": ("target",),
+    # repro.faults.supervise: the only place Process(target=...) is built.
+    "Supervisor": ("target",),
     "Pool": ("initializer",),
     "ProcessPoolExecutor": ("initializer",),
 }

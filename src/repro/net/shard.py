@@ -87,7 +87,6 @@ import os
 import pickle
 import struct
 import sys
-import threading
 import traceback
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -95,6 +94,7 @@ from repro.faults import clock
 from repro.faults.failures import ShardFailure
 from repro.faults.inject import SHARD_EXIT_CODE
 from repro.faults.policy import ShardSupervision, default_shard_supervision
+from repro.faults.supervise import Supervisor, default_start_method
 from repro.net.message import Envelope, kind_name, registered_kinds
 from repro.net.router import InprocRouter, POOL_CAP
 from repro.net.stats import NetworkStats
@@ -127,10 +127,6 @@ _ROW = struct.Struct("<iiiiiddd")
 WireBatch = Tuple[int, int, bytes, bytes]
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
-
-#: Seconds between a shard worker's heartbeat frames (liveness evidence
-#: for barrier-timeout diagnostics; the deadline does not depend on it).
-HEARTBEAT_INTERVAL = 0.5
 
 
 def shard_of(node_id: int, shards: int) -> int:
@@ -479,40 +475,6 @@ def _run_serial_shards(config: ScenarioConfig, end: float) -> List[dict]:
 # ----------------------------------------------------------------------
 # process driver: one worker process per shard, coordinator as message hub
 # ----------------------------------------------------------------------
-class _WorkerLink:
-    """A shard worker's pipe end, safe to send on from two threads.
-
-    ``Connection.send`` is not thread-safe, and the worker writes from
-    both its main loop (windows, done, error) and its heartbeat thread —
-    a lock serializes the frames so they can never interleave.
-    """
-
-    __slots__ = ("conn", "lock")
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self.lock = threading.Lock()
-
-    def send(self, message) -> None:
-        with self.lock:
-            self.conn.send(message)
-
-
-def _heartbeat_loop(link: _WorkerLink, stop: threading.Event) -> None:
-    """Emit ``("hb",)`` frames until stopped or the pipe goes away.
-
-    Heartbeats are liveness evidence only — the coordinator consumes
-    them without advancing the barrier protocol — so a shard that is
-    alive but slow (building a large scenario, running a long window)
-    is distinguishable from one that is dead or wedged.
-    """
-    while not stop.wait(HEARTBEAT_INTERVAL):
-        try:
-            link.send(("hb",))
-        except (OSError, ValueError):  # pipe closed: worker is exiting
-            return
-
-
 def _apply_shard_fault(faults, shard_index: int, window_index: int,
                        outboxes: List[list], shards: int) -> None:
     """Apply any injected shard fault due at this (shard, window).
@@ -541,35 +503,28 @@ def _apply_shard_fault(faults, shard_index: int, window_index: int,
 def _shard_worker(conn, config: ScenarioConfig, shard_index: int,
                   end: float) -> None:
     """Worker entry point (module-level: importable under spawn)."""
-    link = _WorkerLink(conn)
-    stop = threading.Event()
-    beat = threading.Thread(
-        target=_heartbeat_loop, args=(link, stop),
-        name=f"repro-shard-{shard_index}-hb", daemon=True)
     faults = config.faults
     try:
         run = _ShardRun(config, shard_index)
-        link.send(("hello", registered_kinds()))
-        beat.start()
+        conn.send(("hello", registered_kinds()))
         lookahead = _lookahead(config)
         for window_index, t in enumerate(_windows(end, lookahead)):
             outboxes = run.run_window(t)
             if faults is not None:
                 _apply_shard_fault(faults, shard_index, window_index,
                                    outboxes, config.shards)
-            link.send(("window", t, outboxes))
+            conn.send(("window", t, outboxes))
             tag, inbound = conn.recv()
             if tag != "deliver":  # pragma: no cover - protocol error
                 raise RuntimeError(f"unexpected coordinator message {tag!r}")
             run.router.inject(inbound)
-        link.send(("done", run.harvest()))
+        conn.send(("done", run.harvest()))
     except Exception:
         try:
-            link.send(("error", traceback.format_exc()))
+            conn.send(("error", traceback.format_exc()))
         except (OSError, ValueError):  # pragma: no cover - pipe gone
             pass
     finally:
-        stop.set()
         conn.close()
 
 
@@ -597,147 +552,87 @@ def _run_process_shards(config: ScenarioConfig, end: float,
                         ) -> List[dict]:
     """Spawn one worker per shard and relay their window exchanges.
 
-    The gather at each barrier is *supervised*: the coordinator waits on
-    every silent shard's pipe **and** its process sentinel, so a worker
-    that dies mid-window surfaces immediately as a structured
+    The gather at each barrier is *supervised*
+    (:class:`~repro.faults.supervise.Supervisor`): a worker that dies
+    mid-window surfaces at once as a structured
     :class:`~repro.faults.failures.ShardFailure` (which shard, which
     window, last barrier reached) instead of deadlocking the barrier
-    forever.  Workers heartbeat between frames; with
-    ``supervision.barrier_timeout`` set, a shard that is alive but
-    wedged trips the deadline and fails with its heartbeat age in the
-    diagnostic.
+    forever, and with ``supervision.barrier_timeout`` set, a shard that
+    is alive but wedged trips the deadline armed at each barrier.
     """
     import multiprocessing
-    from multiprocessing import connection as mpconn
 
     if supervision is None:
         supervision = default_shard_supervision()
-    if start_method is None:
-        start_method = ("fork" if "fork"
-                        in multiprocessing.get_all_start_methods()
-                        else "spawn")
-    ctx = multiprocessing.get_context(start_method)
+    ctx = multiprocessing.get_context(start_method or default_start_method())
     shards = config.shards
-    conns = []
-    workers = []
-    harvests: List[Optional[dict]] = [None] * shards
-    last_heartbeat = [clock.monotonic()] * shards
-    last_barrier = [-1] * shards
-
-    def _fail(message: str) -> None:
-        for worker in workers:
-            worker.terminate()
-        raise RuntimeError(message)
-
-    def _die(failure: ShardFailure) -> None:
-        # Reap the survivors before raising: a stalled worker would
-        # otherwise hold the join in the finally block for its full
-        # sleep, and an injected-crash run would leak live processes.
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-        raise failure
-
-    def _recv(i: int, window_index: int):
-        """One frame from shard ``i``; heartbeats return None."""
-        try:
-            msg = conns[i].recv()
-        except (EOFError, OSError):
-            workers[i].join(timeout=1.0)
-            _die(ShardFailure(
-                i, window_index, last_barrier[i], "exited",
-                f"worker exit code {workers[i].exitcode}"))
-        last_heartbeat[i] = clock.monotonic()
-        if msg[0] == "hb":
-            return None
-        if msg[0] == "error":
-            _die(ShardFailure(i, window_index, last_barrier[i], "failed",
-                              msg[1]))
-        return msg
+    supervisor = Supervisor(ctx, target=_shard_worker, name="repro-shard",
+                            daemon=False)
+    last_barrier = -1
 
     def _gather(window_index: int) -> List[tuple]:
-        """One protocol message per shard, supervised (see above)."""
-        msgs: List[Optional[tuple]] = [None] * shards
-        deadline = (clock.monotonic() + supervision.barrier_timeout
-                    if supervision.barrier_timeout is not None else None)
-        while True:
-            for i in range(shards):
-                while msgs[i] is None and conns[i].poll(0):
-                    msgs[i] = _recv(i, window_index)
-            waiting = [i for i in range(shards) if msgs[i] is None]
-            if not waiting:
-                return msgs  # type: ignore[return-value]
-            waitables = [conns[i] for i in waiting]
-            waitables.extend(workers[i].sentinel for i in waiting)
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.0, deadline - clock.monotonic())
-            if mpconn.wait(waitables, timeout):
-                continue
-            silent = waiting[0]
-            age = clock.monotonic() - last_heartbeat[silent]
-            _die(ShardFailure(
-                silent, window_index, last_barrier[silent],
-                "missed the barrier deadline",
-                f"no message within {supervision.barrier_timeout:g}s "
-                f"(last heartbeat {age:.1f}s ago)"))
+        """Wait until every shard has sent its frame for this barrier."""
+        frames = {}  # worker -> its frame
+        for worker in workers:
+            worker.arm(supervision.barrier_timeout)
+        while len(frames) < shards:
+            silent = [worker for worker in workers if worker not in frames]
+            for worker, event, value in supervisor.wait(silent):
+                if event == "message" and value[0] != "error":
+                    frames[worker] = value
+                    continue
+                if event == "message":
+                    reason, detail = "failed", value[1]
+                elif event == "exited":
+                    reason, detail = "exited", f"worker exit code {value}"
+                else:
+                    reason = "missed the barrier deadline"
+                    detail = (f"no message within "
+                              f"{supervision.barrier_timeout:g}s")
+                raise ShardFailure(workers.index(worker), window_index,
+                                   last_barrier, reason, detail)
+        return [frames[worker] for worker in workers]
 
     try:
-        for i in range(shards):
-            parent, child = ctx.Pipe()
-            worker = ctx.Process(
-                target=_shard_worker, args=(child, config, i, end),
-                name=f"repro-shard-{i}")
-            worker.start()
-            child.close()
-            conns.append(parent)
-            workers.append(worker)
-
+        workers = [supervisor.spawn(config, i, end) for i in range(shards)]
         hellos = _gather(-1)
         if {msg[0] for msg in hellos} != {"hello"}:  # pragma: no cover
-            _fail(f"shards desynchronized before the first window: "
-                  f"{[msg[0] for msg in hellos]}")
+            raise RuntimeError(
+                f"shards desynchronized before the first window: "
+                f"{[msg[0] for msg in hellos]}")
         _check_kind_registries([msg[1] for msg in hellos])
         window_index = 0
-        while any(h is None for h in harvests):
+        while True:
             msgs = _gather(window_index)
             tags = {msg[0] for msg in msgs}
-            if tags == {"window"}:
-                for i in range(shards):
-                    last_barrier[i] = window_index
-                # Deterministic relay: every target receives the union
-                # of outboxes in shard order, each preserving its
-                # sender's event order — the same order the serial
-                # driver injects in.
-                inbound: List[list] = [[] for _ in range(shards)]
-                for _, _, outboxes in msgs:
-                    for target in range(shards):
-                        inbound[target].extend(outboxes[target])
+            if tags == {"done"}:
+                return [msg[1] for msg in msgs]
+            if tags != {"window"}:  # pragma: no cover - lockstep violation
+                raise RuntimeError(
+                    f"shards desynchronized: saw message tags {tags}")
+            last_barrier = window_index
+            # Deterministic relay: every target receives the union of
+            # outboxes in shard order, each preserving its sender's
+            # event order — the same order the serial driver injects in.
+            inbound: List[list] = [[] for _ in range(shards)]
+            for _, _, outboxes in msgs:
                 for target in range(shards):
-                    try:
-                        conns[target].send(("deliver", inbound[target]))
-                    except (OSError, ValueError):
-                        workers[target].join(timeout=1.0)
-                        _die(ShardFailure(
-                            target, window_index, last_barrier[target],
-                            "exited",
-                            f"pipe closed during delivery (worker exit "
-                            f"code {workers[target].exitcode})"))
-                window_index += 1
-            elif tags == {"done"}:
-                for i, msg in enumerate(msgs):
-                    harvests[i] = msg[1]
-            else:  # pragma: no cover - lockstep violation
-                _fail(f"shards desynchronized: saw message tags {tags}")
+                    inbound[target].extend(outboxes[target])
+            for target, worker in enumerate(workers):
+                try:
+                    worker.conn.send(("deliver", inbound[target]))
+                except (OSError, ValueError):
+                    code = supervisor.discard(worker)
+                    raise ShardFailure(
+                        target, window_index, last_barrier, "exited",
+                        f"pipe closed during delivery (worker exit "
+                        f"code {code})") from None
+            window_index += 1
     finally:
-        for conn in conns:
-            conn.close()
-        for worker in workers:
-            worker.join(timeout=30)
-            if worker.is_alive():  # pragma: no cover - hung worker
-                worker.terminate()
-                worker.join()
-    return harvests  # type: ignore[return-value]
+        # Reap before returning or raising: a stalled survivor would
+        # otherwise outlive the failure, and an injected-crash run
+        # would leak live processes.
+        supervisor.close()
 
 
 # ----------------------------------------------------------------------

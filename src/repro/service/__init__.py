@@ -2,11 +2,12 @@
 
 A long-running, stdlib-only broker around the experiment engine, in the
 grid-middleware mold: clients *submit* jobs over HTTP/JSON, a resident
-:class:`JobManager` schedules them onto executor threads driving the
-same ``run_grid`` pipeline the CLI uses, and results/artifacts are
-served back — with live progress streamed as Server-Sent Events.  The
-point of residency is warmth: all jobs share one process-wide summary
-cache, one scenario-result cache and one managed checkpoint directory,
+:class:`JobManager` schedules them onto executor slots — each a
+persistent supervised child process driving the same ``run_grid``
+pipeline the CLI uses — and results/artifacts are served back, with
+live progress streamed as Server-Sent Events.  The point of residency
+is warmth: an executor's jobs share its summary cache and
+scenario-result cache, and all share one managed checkpoint directory,
 so overlapping grids from different clients are cache hits, and a
 cancelled or crashed job resubmitted with the same spec resumes from
 its checkpoint instead of starting over.
@@ -14,7 +15,7 @@ its checkpoint instead of starting over.
 Layering (engine and serving kept separate, FReD-style):
 
 * :mod:`~repro.service.jobs` — job specs, states and the executor
-  threads (no HTTP anywhere);
+  slots (no HTTP anywhere);
 * :mod:`~repro.service.api` — pure request -> response dispatch (no
   sockets, unit-testable);
 * :mod:`~repro.service.http` — the ``ThreadingHTTPServer`` shell and

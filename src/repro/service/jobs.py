@@ -1,10 +1,15 @@
 """Async job manager: the engine half of the service control plane.
 
 A :class:`JobManager` owns a bounded submission queue, N executor
-threads, and the process-wide warm state every job shares — the
-scenario-result cache (``cached_run``), the grid summary cache
-(:mod:`repro.experiments.gridrun`) and a managed checkpoint directory.
-Jobs move ``queued -> running -> done | failed | cancelled``.
+slots and a managed checkpoint directory.  Each slot is a thread that
+drives one *persistent* supervised child process
+(:class:`~repro.faults.supervise.Supervisor`) — the job runs in the
+child, so the warm state jobs share (the scenario-result cache
+``cached_run``, the grid summary cache of
+:mod:`repro.experiments.gridrun`) lives there and survives from job to
+job, while a job that must stop *can be stopped*: the child is killed
+and replaced.  Jobs move ``queued -> running -> done | failed |
+cancelled``.
 
 Durability comes from the checkpoint layer, not from any service-side
 database: every grid-backed job binds to a JSONL checkpoint keyed by
@@ -14,16 +19,17 @@ the spent checkpoint is garbage-collected; on cancel/crash it stays —
 so resubmitting the *same spec* resumes from the finished cells (the
 fingerprinted checkpoint *is* the durable job record).
 
-Cancellation is cooperative at cell granularity: the executor checks
-the job's cancel flag in the grid's progress callback, so a cancel
-lands at the next finished cell (everything already checkpointed
-survives for the resume).
+Cancellation and the ``job_timeout`` watchdog both *kill*: the job's
+child dies at once, wherever it is, and the slot gets a fresh one.
+Every cell finished before that is already checkpointed (a tail torn by
+the kill is repaired on the next read), so the same spec resumes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import queue
 import threading
@@ -34,6 +40,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.experiments.parallel import ProgressEvent, run_grid
 from repro.experiments.scales import _SCALES, cached_run
 from repro.experiments.specs import RenderSpec, SweepSpec
+from repro.faults.policy import quarantine_backoff
+from repro.faults.supervise import (Child, Supervisor, default_start_method,
+                                    task_worker)
 from repro.metrics.export import write_grid_csv, write_result_csv
 
 #: Everything a job can be asked to do.  ``run`` is a one-cell sweep;
@@ -49,10 +58,6 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 
 class QueueFullError(RuntimeError):
     """The bounded submission queue is at capacity (HTTP 503)."""
-
-
-class JobCancelled(Exception):
-    """Raised inside the executor to unwind a cancelled grid run."""
 
 
 class SpecQuarantined(RuntimeError):
@@ -168,13 +173,8 @@ class Job:
         self.checkpoint = checkpoint
         #: CSV artifact path, written on completion.
         self.csv_path = csv_path
-        self.cancel_event = threading.Event()
-        #: Monotonic timestamp of the last observable progress (event
-        #: append); the watchdog fails running jobs that stop moving.
-        self.last_activity = time.monotonic()
-        #: The executor thread currently running this job (watchdog
-        #: bookkeeping: a wedged job's thread is abandoned + replaced).
-        self.executor_thread: Optional[threading.Thread] = None
+        #: The executor child running this job (what a cancel kills).
+        self.child: Optional[Child] = None
         #: Monotonic structured event log: progress ticks + state changes
         #: (what the SSE endpoint replays and follows).
         self.events: List[Dict[str, object]] = []
@@ -212,7 +212,7 @@ class Job:
 
 
 class JobManager:
-    """Bounded job queue + executor threads over the shared engine."""
+    """Bounded job queue + executor slots over the shared engine."""
 
     def __init__(self, checkpoint_dir: str = ".repro-service",
                  executors: int = 1, queue_size: int = 16,
@@ -226,9 +226,11 @@ class JobManager:
         self.artifact_dir = os.path.join(checkpoint_dir, "artifacts")
         os.makedirs(self.artifact_dir, exist_ok=True)
         #: Evict terminal jobs (and their event buffers + CSV artifacts,
-        #: never their checkpoints) this many seconds after they finish.
+        #: never their checkpoints) this many seconds after they finish
+        #: (swept every ``watchdog_interval`` seconds).
         self.job_ttl = job_ttl
-        #: Fail-and-free a running job with no progress for this long.
+        #: Fail a running job — and kill its executor child — after this
+        #: long without a progress frame.
         self.job_timeout = job_timeout
         self.quarantine_after = max(1, quarantine_after)
         self.quarantine_base = quarantine_base
@@ -240,11 +242,8 @@ class JobManager:
         self._evicted: Dict[str, str] = {}
         #: fingerprint -> [consecutive failures, monotonic last failure].
         self._failure_ledger: Dict[str, List[float]] = {}
-        #: Executor threads the watchdog wrote off as wedged; they exit
-        #: at their next loop turn instead of taking new jobs.
-        self._abandoned: set = set()
-        #: Grid worker processes per job (1 = in-thread serial, which is
-        #: what keeps the scenario-result cache warm).
+        #: Grid worker processes per job (1 = serial inside the executor
+        #: child, which is what keeps its scenario-result cache warm).
         self.grid_jobs = max(1, grid_jobs)
         #: Serial sweep cells run through ``cached_run`` so overlapping
         #: grids from later jobs reuse full results.  Costs memory
@@ -259,20 +258,24 @@ class JobManager:
         self._order: List[str] = []
         self._next_id = 1
         self._stopping = False
+        # Non-daemonic children: a job may start its own grid or shard
+        # workers.  They are forked here, before this manager starts
+        # its first thread.
+        self._supervisor = Supervisor(
+            multiprocessing.get_context(default_start_method()),
+            target=task_worker, name="repro-job-executor", daemon=False)
         self._threads = [
             threading.Thread(target=self._worker, daemon=True,
-                             name=f"repro-job-executor-{i}")
+                             name=f"repro-job-executor-{i}",
+                             args=(self._supervisor.spawn(_run_job),))
             for i in range(max(1, executors))
         ]
         for thread in self._threads:
             thread.start()
-        self._watchdog_thread: Optional[threading.Thread] = None
-        if job_ttl is not None or job_timeout is not None:
-            self._watchdog_thread = threading.Thread(
-                target=self._watchdog, daemon=True,
-                name="repro-job-watchdog",
-                args=(max(0.05, watchdog_interval),))
-            self._watchdog_thread.start()
+        if job_ttl is not None:
+            threading.Thread(target=self._evict_loop, daemon=True,
+                             name="repro-job-evictor",
+                             args=(max(0.05, watchdog_interval),)).start()
 
     # ------------------------------------------------------------------
     # public API (called from HTTP threads)
@@ -339,16 +342,17 @@ class JobManager:
             return counts
 
     def cancel(self, job_id: str) -> Job:
-        """Request cancellation.  Queued jobs cancel immediately; running
-        jobs cancel at the next finished cell (their checkpoint stays on
-        disk, so the same spec resumes later)."""
+        """Cancel now.  A queued job never starts; a running job's
+        executor child is killed wherever it is (its checkpoint stays on
+        disk, so the same spec resumes later) and the slot respawns."""
         with self._lock:
             job = self.get(job_id)
-            if job.state == "queued":
-                job.cancel_event.set()
+            if job.state in ("queued", "running"):
+                child = job.child
                 self._finish(job, "cancelled")
-            elif job.state == "running":
-                job.cancel_event.set()
+                if child is not None:
+                    # Its executor thread wakes on the exit and replaces it.
+                    self._supervisor.kill(child)
             return job
 
     def eviction_reason(self, job_id: str) -> Optional[str]:
@@ -384,41 +388,24 @@ class JobManager:
         with self._lock:
             self._stopping = True
             if cancel_running:
-                for job in self._jobs.values():
-                    if job.state in ("queued", "running"):
-                        job.cancel_event.set()
+                for job in list(self._jobs.values()):
+                    self.cancel(job.id)
         for _ in self._threads:
             try:
                 self._queue.put_nowait(None)
             except queue.Full:  # executors will still see _stopping
                 break
-        with self._lock:
-            abandoned = set(self._abandoned)
         for thread in self._threads:
-            if thread in abandoned:
-                continue  # wedged; daemon thread, dies with the process
             thread.join(timeout=10.0)
+        self._supervisor.close()
 
     # ------------------------------------------------------------------
     # executor side
     # ------------------------------------------------------------------
-    def _worker(self) -> None:
-        me = threading.current_thread()
+    def _worker(self, child: Child) -> None:
+        """One executor slot: take a job, drive it in ``child``, repeat."""
         while True:
             job = self._queue.get()
-            with self._lock:
-                if me in self._abandoned:
-                    # The watchdog wrote this thread off as wedged and
-                    # spawned a replacement; hand any claimed job back
-                    # and bow out.
-                    self._abandoned.discard(me)
-                    if job is not None and job.state == "queued":
-                        try:
-                            self._queue.put_nowait(job)
-                        except queue.Full:
-                            job.error = "executor lost during hand-off"
-                            self._finish(job, "failed")
-                    return
             if job is None:
                 return
             with self._lock:
@@ -429,147 +416,80 @@ class JobManager:
                     continue
                 job.state = "running"
                 job.started_at = time.time()
-                job.last_activity = time.monotonic()
-                job.executor_thread = me
+                job.child = child
                 self._append_event(job, {"type": "state", "state": "running"})
-            try:
-                result = self._execute(job)
-            except JobCancelled:
-                with self._lock:
-                    if job.state not in TERMINAL_STATES:
-                        self._finish(job, "cancelled")
-            except Exception as exc:  # noqa: BLE001 - job isolation barrier
-                with self._lock:
-                    if job.state not in TERMINAL_STATES:
-                        job.error = f"{type(exc).__name__}: {exc}"
-                        self._finish(job, "failed")
-            else:
-                with self._lock:
-                    # The watchdog may have already failed a wedged job;
-                    # a late result must not resurrect it.
-                    if job.state not in TERMINAL_STATES:
-                        job.result = result
-                        self._finish(job, "done")
+            if self._drive(job, child):
+                continue
+            # The child is dead, wedged or killed: staff the slot anew.
+            self._supervisor.discard(child, kill=True)
             with self._lock:
-                job.executor_thread = None
-                if me in self._abandoned:
-                    self._abandoned.discard(me)
+                if self._stopping:
                     return
+            child = self._supervisor.spawn(_run_job)
 
-    def _execute(self, job: Job) -> Dict[str, object]:
-        if job.spec.kind in ("run", "sweep"):
-            return self._execute_grid(job)
-        return self._execute_render(job)
-
-    def _progress_sink(self, job: Job):
-        """The coordinator-local progress callback for ``job``'s grid.
-
-        Doubles as the cancellation point: raising here unwinds
-        ``run_grid`` after the in-flight cell was checkpointed."""
-        def progress(event: ProgressEvent) -> None:
-            if job.cancel_event.is_set():
-                raise JobCancelled(job.id)
+    def _drive(self, job: Job, child: Child) -> bool:
+        """Run ``job`` in ``child`` to a terminal state; False when the
+        child must be replaced (it died, overran ``job_timeout``, or was
+        killed by :meth:`cancel`)."""
+        task = (job.spec.kind, job.spec.params, job.checkpoint, job.csv_path,
+                self.grid_jobs, self.cache_results)
+        try:
+            child.conn.send((task, None))
+        except (OSError, ValueError):
+            pass  # died while idle: the wait below reports the exit
+        child.arm(self.job_timeout)
+        while True:
+            events = self._supervisor.wait([child])
             with self._lock:
-                job.cells_done = event.done
-                job.cells_total = event.total
-                if event.restored:
-                    job.cells_restored += 1
-                else:
-                    job.cells_executed += 1
-                    job.events_per_sec = event.events_per_sec
-                for name, value in event.record.wire.items():
-                    job.wire[name] = job.wire.get(name, 0) + value
-                self._append_event(job, {"type": "progress",
-                                         **event.to_jsonable()})
-        return progress
+                if job.state != "running":  # cancelled (and child killed)
+                    return False
+                for _child, event, value in events:
+                    if event == "message" and value[0] == "progress":
+                        self._progress(job, value[1])
+                        child.arm(self.job_timeout)
+                        continue
+                    if event == "message" and value[0] == "ok":
+                        job.result = value[1]
+                        self._finish(job, "done")
+                        return True
+                    if event == "message":  # ("err", traceback text)
+                        job.error = value[1].strip().splitlines()[-1]
+                    elif event == "deadline":
+                        self.watchdog_timeouts += 1
+                        job.error = (f"watchdog: no progress for "
+                                     f"{self.job_timeout:g}s")
+                    else:
+                        job.error = f"executor exited with code {value}"
+                    self._finish(job, "failed")
+                    # A job that *raised* leaves its child fit for the
+                    # next one; a dead or wedged child is replaced.
+                    return event == "message"
 
-    def _execute_grid(self, job: Job) -> Dict[str, object]:
-        spec = job.spec.sweep_spec()
-        jobs = self.grid_jobs
-        if spec.shards > 1:
-            jobs = 1  # sharded cells own their worker processes
-        grid = run_grid(
-            spec.configs(), spec.seed_list(), spec.metrics(),
-            jobs=jobs,
-            progress=self._progress_sink(job),
-            checkpoint=job.checkpoint, resume=True, checkpoint_gc=True,
-            run_fn=cached_run if self.cache_results else None,
-            faults=spec.fault_plan(),
-        )
-        write_grid_csv(job.csv_path, grid)
-        return grid_result_jsonable(job.spec.kind, grid)
-
-    def _execute_render(self, job: Job) -> Dict[str, object]:
-        from repro.experiments import gridrun
-
-        params = job.spec.normalized()
-        registry = _render_registry(job.spec.kind)
-        fn = registry[params["id"]]
-        scale = _SCALES[params["scale"]] if params["scale"] else None
-        with _RENDER_LOCK:
-            # gridrun options are process-global; renders serialize so
-            # two figure jobs can't interleave configure() calls.
-            saved = vars(gridrun.current_options()).copy()
-            gridrun.configure(
-                jobs=self.grid_jobs,
-                checkpoint=job.checkpoint, resume=True, checkpoint_gc=True,
-                shards=params["shards"],
-                latency_floor=params["latency_floor"],
-                progress=self._progress_sink(job))
-            try:
-                rendered = fn(scale)
-            finally:
-                gridrun.configure(**saved)
-        write_result_csv(job.csv_path, rendered)
-        return {
-            "kind": job.spec.kind,
-            "id": params["id"],
-            "scale": params["scale"],
-            "render": rendered.render(),
-            "headers": list(rendered.headers),
-            "rows": [list(row) for row in rendered.rows],
-        }
+    def _progress(self, job: Job, frame: Dict[str, object]) -> None:
+        """Fold one finished cell (``ProgressEvent.to_jsonable()``, sent
+        by the executor child) into ``job`` (lock held)."""
+        job.cells_done = frame["done"]
+        job.cells_total = frame["total"]
+        if frame["restored"]:
+            job.cells_restored += 1
+        else:
+            job.cells_executed += 1
+            job.events_per_sec = frame["events_per_sec"]
+        for name, value in frame["wire"].items():
+            job.wire[name] = job.wire.get(name, 0) + value
+        self._append_event(job, {"type": "progress", **frame})
 
     # ------------------------------------------------------------------
-    # supervision: watchdog, TTL eviction, spec quarantine
+    # supervision: TTL eviction, spec quarantine
     # ------------------------------------------------------------------
-    def _watchdog(self, interval: float) -> None:
-        """Background sweep: fail wedged jobs, evict expired ones."""
+    def _evict_loop(self, interval: float) -> None:
+        """Background sweep: evict expired terminal jobs."""
         while True:
             time.sleep(interval)
             with self._lock:
                 if self._stopping:
                     return
-                if self.job_timeout is not None:
-                    self._sweep_wedged()
-                if self.job_ttl is not None:
-                    self._sweep_expired()
-
-    def _sweep_wedged(self) -> None:
-        """Fail running jobs with no progress for ``job_timeout`` and
-        free their executor slots (lock held)."""
-        now = time.monotonic()
-        for job in list(self._jobs.values()):
-            if job.state != "running":
-                continue
-            if now - job.last_activity <= self.job_timeout:
-                continue
-            self.watchdog_timeouts += 1
-            job.error = (f"watchdog: no progress for "
-                         f"{self.job_timeout:g}s")
-            job.cancel_event.set()
-            self._finish(job, "failed")
-            thread = job.executor_thread
-            if thread is not None and thread.is_alive():
-                # The thread is wedged inside the job; write it off and
-                # staff a replacement so throughput recovers even if it
-                # never comes back.
-                self._abandoned.add(thread)
-                replacement = threading.Thread(
-                    target=self._worker, daemon=True,
-                    name=f"{thread.name}-replacement")
-                self._threads.append(replacement)
-                replacement.start()
+                self._sweep_expired()
 
     def _sweep_expired(self) -> None:
         """Evict terminal jobs past their TTL (lock held).  Event
@@ -599,8 +519,8 @@ class JobManager:
         if entry is None or entry[0] < self.quarantine_after:
             return
         failures, last_failure = int(entry[0]), entry[1]
-        backoff = self.quarantine_base * (
-            2.0 ** (failures - self.quarantine_after))
+        backoff = quarantine_backoff(self.quarantine_base,
+                                     failures - self.quarantine_after)
         remaining = backoff - (time.monotonic() - last_failure)
         if remaining > 0:
             raise SpecQuarantined(fingerprint, remaining, failures)
@@ -613,12 +533,12 @@ class JobManager:
         event["job"] = job.id
         event["seq"] = len(job.events)
         job.events.append(event)
-        job.last_activity = time.monotonic()
         self.condition.notify_all()
 
     def _finish(self, job: Job, state: str) -> None:
         job.state = state
         job.finished_at = time.time()
+        job.child = None
         if state == "failed":
             entry = self._failure_ledger.setdefault(job.fingerprint,
                                                     [0, 0.0])
@@ -630,8 +550,48 @@ class JobManager:
                                  "error": job.error})
 
 
-#: Figure/table/ablation renders mutate process-global gridrun options.
-_RENDER_LOCK = threading.Lock()
+def _run_job(task, emit) -> Dict[str, object]:
+    """Executor-child entry point (a ``task_worker`` runner): one job,
+    start to result JSON, one progress frame per finished cell.
+
+    The child runs one job at a time, so the process-global ``gridrun``
+    options a render job sets are its own."""
+    kind, params, checkpoint, csv_path, grid_jobs, cache_results = task
+    spec = JobSpec(kind, params)
+
+    def progress(event: ProgressEvent) -> None:
+        emit(event.to_jsonable())
+
+    if kind in ("run", "sweep"):
+        sweep = spec.sweep_spec()
+        grid = run_grid(
+            sweep.configs(), sweep.seed_list(), sweep.metrics(),
+            jobs=grid_jobs, progress=progress,
+            checkpoint=checkpoint, resume=True, checkpoint_gc=True,
+            run_fn=cached_run if cache_results else None,
+            faults=sweep.fault_plan(),
+        )
+        write_grid_csv(csv_path, grid)
+        return grid_result_jsonable(kind, grid)
+
+    from repro.experiments import gridrun
+
+    params = spec.normalized()
+    scale = _SCALES[params["scale"]] if params["scale"] else None
+    gridrun.configure(
+        jobs=grid_jobs, checkpoint=checkpoint, resume=True,
+        checkpoint_gc=True, shards=params["shards"],
+        latency_floor=params["latency_floor"], progress=progress)
+    rendered = _render_registry(kind)[params["id"]](scale)
+    write_result_csv(csv_path, rendered)
+    return {
+        "kind": kind,
+        "id": params["id"],
+        "scale": params["scale"],
+        "render": rendered.render(),
+        "headers": list(rendered.headers),
+        "rows": [list(row) for row in rendered.rows],
+    }
 
 
 def grid_result_jsonable(kind: str, grid) -> Dict[str, object]:

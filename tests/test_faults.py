@@ -17,6 +17,8 @@ checkpoint) are rejected loudly instead of silently not firing.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.faults import (
     TornCheckpointInjected,
     clock,
 )
+from repro.faults.supervise import Supervisor
 from repro.metrics.export import read_jsonl
 from repro.metrics.lag import spec_lag_delivery
 from repro.metrics.summary import standard_bundle, summarize
@@ -182,6 +185,68 @@ class TestFaultIdentity:
 
 
 # ----------------------------------------------------------------------
+# The primitive all three supervised layers wait through
+# ----------------------------------------------------------------------
+def toy_child(conn, behaviour: str) -> None:
+    """Module-level (spawn-importable) child for the primitive tests."""
+    if behaviour == "exit-7":
+        os._exit(7)
+    if behaviour == "sleep":
+        clock.sleep(60)
+    conn.send(("hello", behaviour))
+    try:
+        conn.recv()  # park until the supervisor lets go
+    except EOFError:
+        pass
+
+
+class TestSupervisor:
+    @pytest.fixture(params=["fork", "spawn"])
+    def supervisor(self, request):
+        supervisor = Supervisor(multiprocessing.get_context(request.param),
+                                target=toy_child, name="toy", daemon=True)
+        yield supervisor
+        supervisor.close()
+        assert supervisor.children == []
+
+    def test_frame_arrives_as_message(self, supervisor):
+        child = supervisor.spawn("talk")
+        assert supervisor.wait([child]) == [
+            (child, "message", ("hello", "talk"))]
+        # Silent since, no deadline armed: a bounded wait reports nothing.
+        assert supervisor.wait([child], timeout=0.05) == []
+
+    def test_exit_arrives_with_its_code(self, supervisor):
+        child = supervisor.spawn("exit-7")
+        assert supervisor.wait([child]) == [(child, "exited", 7)]
+        assert supervisor.discard(child) == 7
+
+    def test_silence_trips_the_deadline_and_kill_reaps(self, supervisor):
+        quiet, chatty = supervisor.spawn("sleep"), supervisor.spawn("talk")
+        assert supervisor.wait([quiet, chatty]) == [
+            (chatty, "message", ("hello", "talk"))]
+        quiet.arm(0.2)
+        started = clock.monotonic()
+        assert supervisor.wait([quiet, chatty]) == [(quiet, "deadline", None)]
+        assert 0.2 <= clock.monotonic() - started < 5.0
+        assert supervisor.discard(quiet, kill=True) < 0  # died by signal
+        assert not quiet.process.is_alive()
+        assert supervisor.children == [chatty]
+
+    def test_orphan_sees_eof_and_leaves_by_itself(self, supervisor):
+        """Closing the supervisor's end is enough (a forked child must
+        not keep its inherited copy of that end open): no kill, exit 0."""
+        child = supervisor.spawn("talk")
+        supervisor.wait([child])
+        assert supervisor.discard(child) == 0
+
+    def test_close_leaves_no_live_child(self, supervisor):
+        children = [supervisor.spawn("sleep"), supervisor.spawn("talk")]
+        supervisor.close()
+        assert not any(child.process.is_alive() for child in children)
+
+
+# ----------------------------------------------------------------------
 # Grid cells: worker crashes, stalls, quarantine
 # ----------------------------------------------------------------------
 class TestCellCrashSupervision:
@@ -226,6 +291,8 @@ class TestCellCrashSupervision:
         assert failure.kind == "crash"
         assert failure.index == 1
         assert failure.attempts == 2  # 1 first try + 1 retry, all killed
+        # The exit code is read after the worker is reaped: never "None".
+        assert failure.message == "worker exited with code 23"
         assert faulted.records[1] is None
         assert sum(r is not None for r in faulted.records) == 3
         # Degraded-result contract: every other cell matches the clean run.
@@ -234,6 +301,14 @@ class TestCellCrashSupervision:
         assert faulted.determinism_keys() == expected
         assert "failed cells (1):" in faulted.render()
         assert failure.render() in faulted.render()
+
+    def test_poison_cell_reports_its_exit_code_under_spawn(self):
+        faulted = self._faulted(
+            "crash-cell=2x9", "spawn",
+            supervision=SupervisionPolicy(cell_retries=0))
+        (failure,) = faulted.failures
+        assert (failure.index, failure.kind) == (2, "crash")
+        assert failure.message == "worker exited with code 23"
 
     def test_stall_trips_cell_timeout_then_recovers(self, clean):
         faulted = self._faulted(

@@ -251,6 +251,20 @@ def test_wall_clock_seeded_into_engine_copy_is_caught(tmp_path):
     assert findings[0].text == "return time.time()"
 
 
+def test_supervisor_target_is_a_process_boundary_sink(tmp_path):
+    """``Process(target=...)`` is built only inside faults/supervise.py,
+    so S201 must see what enters through ``Supervisor(target=...)``."""
+    flagged = ("from repro.faults.supervise import Supervisor\n"
+               "def start(ctx):\n"
+               "    return Supervisor(ctx, target=lambda conn: None,\n"
+               "                      name='w', daemon=True)\n")
+    findings = _lint_source(tmp_path, flagged, "S201")
+    assert [f.rule for f in findings] == ["S201"]
+    assert "Supervisor(target=...)" in findings[0].message
+    clean = flagged.replace("lambda conn: None", "module_level_worker")
+    assert _lint_source(tmp_path, clean, "S201") == []
+
+
 def test_module_name_prefers_src_repro():
     assert module_name_for("src/repro/net/message.py") == \
         "repro.net.message"

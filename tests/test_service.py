@@ -4,13 +4,16 @@ The contract under test: a job submitted over HTTP is the *same
 experiment* as the equivalent CLI invocation — identical result render,
 identical CSV artifact (the measured ``wall_time_s`` column excepted) —
 and the service adds job semantics on top: monotonic SSE progress,
-cooperative cancel, and resume-from-checkpoint when the same spec is
-resubmitted.  Every test binds an ephemeral port (``port=0``) so the
+cancel (which kills the job's executor process), and
+resume-from-checkpoint when the same spec is resubmitted.  Every test binds an ephemeral port (``port=0``) so the
 suite is hermetic.
 """
 
 import json
+import multiprocessing
 import os
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -18,6 +21,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.experiments.scales import clear_cache
 from repro.service import ExperimentService, JobManager
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import JobSpec, QueueFullError, SpecQuarantined
@@ -141,9 +145,9 @@ class TestCancelResume:
     def test_cancel_then_resubmit_resumes_from_checkpoint(self, client,
                                                           tmp_path, capsys):
         job_id = client.submit("sweep", RESUME)["job"]["id"]
-        # Cancel as soon as the first cell lands; the executor notices at
-        # the next finished cell, so at least one — but not all — cells
-        # are checkpointed.
+        # Cancel as soon as the first cell lands: the job's executor
+        # process is killed mid-grid, so at least one — but not all —
+        # cells are checkpointed.
         for event in client.events(job_id):
             if event["type"] == "progress":
                 client.cancel(job_id)
@@ -372,6 +376,81 @@ class TestSupervision:
             healthy, created = manager.submit("sweep", SWEEP)
             assert created
             self._wait_state(healthy, ("done",), timeout=60.0)
+        finally:
+            manager.shutdown(cancel_running=True)
+
+    @staticmethod
+    def _still_executing(pids) -> bool:
+        """Is anything still running a job: one of the child processes
+        in ``pids``, or an executor thread inside the grid engine?"""
+        if pids & {child.pid for child in multiprocessing.active_children()}:
+            return True
+        executors = {thread.ident for thread in threading.enumerate()
+                     if thread.name.startswith("repro-job-executor")}
+        engine = os.path.join("experiments", "parallel.py")
+        for ident, frame in sys._current_frames().items():
+            while ident in executors and frame is not None:
+                if frame.f_code.co_filename.endswith(engine):
+                    return True
+                frame = frame.f_back
+        return False
+
+    def test_watchdog_failed_job_stops_executing(self, tmp_path):
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=1, job_timeout=0.6,
+                             watchdog_interval=0.1)
+        try:
+            wedged, _ = manager.submit(
+                "sweep", dict(SWEEP, faults="stall-cell=0:30"))
+            self._wait_state(wedged, ("running", "failed"))
+            children = {child.pid
+                        for child in multiprocessing.active_children()}
+            self._wait_state(wedged, ("failed",))
+            # Failed means stopped: not still sleeping out its 30 s stall
+            # (and appending to the checkpoint a resubmission reopens).
+            deadline = time.monotonic() + 2.0
+            while self._still_executing(children):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            started = time.monotonic()
+            manager.shutdown(cancel_running=True)
+            assert time.monotonic() - started < 5.0
+
+    def test_cancel_kills_a_running_job_mid_cell(self, tmp_path):
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=1)
+        try:
+            stalled, _ = manager.submit(
+                "sweep", dict(SWEEP, num_seeds=1, faults="stall-cell=0:30"))
+            self._wait_state(stalled, ("running",))
+            manager.cancel(stalled.id)
+            # Not "at the next finished cell" — that is 30 s away.
+            self._wait_state(stalled, ("cancelled",), timeout=2.0)
+            # The slot is staffed again: the next job runs at once.
+            healthy, _ = manager.submit("sweep", SWEEP)
+            self._wait_state(healthy, ("done",), timeout=20.0)
+        finally:
+            manager.shutdown(cancel_running=True)
+
+    def test_render_jobs_run_side_by_side(self, tmp_path):
+        """Two executors make progress on two render jobs at the same
+        time — no process-wide render lock serialises them."""
+        clear_cache()  # executor children fork from this process
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=2)
+        try:
+            a, _ = manager.submit("table", {"id": "table3",
+                                            "scale": "quick"})
+            b, _ = manager.submit("figure", {"id": "fig2",
+                                             "scale": "quick"})
+            deadline = time.monotonic() + 120.0
+            while not (a.state == b.state == "running"
+                       and a.cells_done >= 1 and b.cells_done >= 1):
+                assert a.state in ("queued", "running"), (a.state, a.error)
+                assert b.state in ("queued", "running"), (b.state, b.error)
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
         finally:
             manager.shutdown(cancel_running=True)
 
