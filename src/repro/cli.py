@@ -25,16 +25,19 @@ the aggregated output is byte-identical to ``--jobs 1``, only faster).
 single scenario.  ``submit`` carries the same flags with no defaults, so
 only what the user set travels and the service fills in the rest from
 the same table.  ``figure``/``table``/``ablation``/``extension``
-regenerate a registered artifact and print the same rows the benches
-archive; their parameters are :class:`~repro.experiments.specs.RenderSpec`.
+regenerate an artifact registered in :mod:`repro.experiments.artifacts`
+and print the same rows the benches archive; their parameters are
+:class:`~repro.experiments.specs.RenderSpec`.
 
 Execution flags — how to run, never what — are declared here, once, for
-``sweep`` and the figure/table/ablation grids alike: ``--jobs``
-(default for renders: the ``REPRO_JOBS`` environment variable),
-``--quiet``, and checkpointing of each finished (scenario, seed) record
-to JSONL: ``--checkpoint PATH`` picks the file, ``--resume`` reloads
-finished cells after a kill (with a default path derived from the
-command when ``--checkpoint`` is omitted).  ``--checkpoint-dir DIR``
+``sweep`` and the figure/table/ablation grids alike, and reach the
+engine as keyword arguments of that one call (:func:`_execution`):
+``--jobs`` (default for renders: the ``REPRO_JOBS`` environment
+variable; composes with ``--shards M`` into up to N x M shard
+processes), ``--quiet``, and checkpointing of each finished (scenario,
+seed) record to JSONL: ``--checkpoint PATH`` picks the file,
+``--resume`` reloads finished cells after a kill (with a default path
+derived from the command when ``--checkpoint`` is omitted).  ``--checkpoint-dir DIR``
 instead derives the file inside DIR and adds housekeeping: a
 fingerprint-mismatched (stale) checkpoint is garbage-collected rather
 than fatal, and the spent checkpoint is deleted after a successful run.
@@ -57,10 +60,8 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.experiments import run_scenario
-from repro.experiments import ablations as _ablations
-from repro.experiments import extensions as _extensions
-from repro.experiments import figures as _figures
-from repro.experiments import tables as _tables
+from repro.experiments.artifacts import KINDS, artifact_ids, render
+from repro.experiments.parallel import ProgressEvent
 from repro.experiments.scales import _SCALES, current_scale
 from repro.experiments.specs import (RenderSpec, SweepSpec, add_spec_arguments,
                                      spec_params)
@@ -70,40 +71,6 @@ from repro.metrics import (
     utilization_by_class,
 )
 from repro.metrics.lag import lag_cdf_jitter_free
-
-FIGURES: Dict[str, Callable] = {
-    "fig1": _figures.fig1_unconstrained,
-    "fig2": _figures.fig2_fanout_sweep,
-    "fig3": _figures.fig3_heap_dist1,
-    "fig4": _figures.fig4_bandwidth_usage,
-    "fig5": _figures.fig5_quality_ref691,
-    "fig6": _figures.fig6_quality_classes,
-    "fig7": _figures.fig7_jitter_cdf,
-    "fig8": _figures.fig8_lag_by_class,
-    "fig9": _figures.fig9_lag_cdf,
-    "fig10a": lambda scale=None: _figures.fig10_churn(scale, fraction=0.2),
-    "fig10b": lambda scale=None: _figures.fig10_churn(scale, fraction=0.5),
-}
-
-TABLES: Dict[str, Callable] = {
-    "table1": lambda scale=None: _tables.table1_distributions(),
-    "table2": _tables.table2_jittered_delivery,
-    "table3": _tables.table3_jitter_free_nodes,
-}
-
-ABLATIONS: Dict[str, Callable] = {
-    "aggregation": _ablations.ablation_aggregation,
-    "retransmission": _ablations.ablation_retransmission,
-    "source-bias": _ablations.ablation_source_bias,
-    "fanout-cap": _ablations.ablation_fanout_cap,
-}
-
-EXTENSIONS: Dict[str, Callable] = {
-    "freeriders": _extensions.ext_freeriders,
-    "membership": _extensions.ext_membership,
-    "discovery": _extensions.ext_capability_discovery,
-    "size-estimation": lambda scale=None: _extensions.ext_size_estimation(),
-}
 
 
 @contextlib.contextmanager
@@ -190,51 +157,38 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _stderr_progress(event: ProgressEvent) -> None:
+    """The one progress line, for ``sweep`` and renders alike."""
+    record = event.record
+    print(f"\r[{event.done}/{event.total}] {record.scenario_name} "
+          f"seed={record.seed} "
+          f"({record.events_executed:,} events, {record.wall_time:.2f}s)",
+          file=sys.stderr, end="" if event.done < event.total else "\n",
+          flush=True)
+
+
+def _execution(args, command: str, name: str) -> Dict[str, object]:
+    """The execution flags (:func:`_add_execution_args`) as the keywords
+    ``run_grid`` and ``grid_summaries`` share."""
+    return dict(jobs=args.jobs,
+                checkpoint=_checkpoint_path(args, command, name),
+                resume=args.resume,
+                checkpoint_gc=_managed_checkpoint(args),
+                progress=None if args.quiet else _stderr_progress)
+
+
 def _cmd_sweep(args) -> int:
-    from repro.experiments.parallel import (CheckpointError, ProgressEvent,
-                                            run_grid)
-
-    try:
-        spec = SweepSpec.from_params(spec_params(args))
-        # Scenario-level problems (unknown attacks, shard/rng conflicts)
-        # are all collected into one ValueError here.
-        configs = spec.configs()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    seeds = spec.seed_list()
-    jobs = args.jobs
-    if spec.shards > 1 and jobs > 1:
-        # A sharded cell spawns its own worker processes; running it
-        # inside a (daemonic) pool worker would silently fall back to
-        # the in-process shard driver.  Grid- and intra-scenario
-        # parallelism don't compose yet — prefer the explicit request.
-        print("note: --shards > 1 runs cells serially (--jobs ignored)",
-              file=sys.stderr)
-        jobs = 1
-
-    def progress(event: ProgressEvent) -> None:
-        if not args.quiet:
-            record = event.record
-            print(f"\r[{event.done}/{event.total}] {record.scenario_name} "
-                  f"seed={record.seed} "
-                  f"({record.events_executed:,} events, "
-                  f"{record.wall_time:.2f}s)",
-                  file=sys.stderr, end="", flush=True)
-
-    checkpoint = _checkpoint_path(args, "sweep", spec.distribution)
     from repro.faults import ShardFailure, SupervisionPolicy
 
-    supervision = SupervisionPolicy(cell_retries=args.cell_retries)
     try:
+        # Spec, scenario, checkpoint and fault-plan problems are all
+        # ValueErrors, each collected into one message.
+        spec = SweepSpec.from_params(spec_params(args))
         with _shard_supervision(args):
-            grid = run_grid(configs, seeds, spec.metrics(), jobs=jobs,
-                            progress=progress,
-                            checkpoint=checkpoint, resume=args.resume,
-                            checkpoint_gc=_managed_checkpoint(args),
-                            faults=spec.fault_plan(), supervision=supervision)
-    except (CheckpointError, ValueError) as exc:
-        # ValueError: e.g. a fault plan the execution mode cannot host
+            grid = spec.run(
+                supervision=SupervisionPolicy(cell_retries=args.cell_retries),
+                **_execution(args, "sweep", spec.distribution))
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ShardFailure as exc:
@@ -248,10 +202,9 @@ def _cmd_sweep(args) -> int:
         print(f"supervision: quarantined {len(grid.failures)} cell(s) "
               f"after exhausting retries", file=sys.stderr)
     if not args.quiet:
-        print(file=sys.stderr)
-        print(f"grid of {len(configs)} scenario(s) x {len(seeds)} seed(s) "
-              f"with --jobs {jobs}: {grid.wall_time:.2f}s wall",
-              file=sys.stderr)
+        print(f"grid of {len(grid.configs)} scenario(s) x "
+              f"{len(grid.seeds)} seed(s) with --jobs {args.jobs}: "
+              f"{grid.wall_time:.2f}s wall", file=sys.stderr)
     if args.csv:
         from repro.metrics.export import write_grid_csv
 
@@ -268,8 +221,7 @@ def _managed_checkpoint(args) -> bool:
     """Housekeeping applies only to checkpoints *derived* from
     ``--checkpoint-dir`` — never to a file the user named explicitly
     with ``--checkpoint``, which must keep the fail-loud semantics."""
-    return (bool(getattr(args, "checkpoint_dir", None))
-            and not getattr(args, "checkpoint", None))
+    return bool(args.checkpoint_dir) and not args.checkpoint
 
 
 def _checkpoint_path(args, command: str, name: str) -> Optional[str]:
@@ -288,7 +240,7 @@ def _checkpoint_path(args, command: str, name: str) -> Optional[str]:
     if args.checkpoint:
         return args.checkpoint
     scale = getattr(args, "scale", None) or current_scale().name
-    if getattr(args, "checkpoint_dir", None):
+    if args.checkpoint_dir:
         return os.path.join(args.checkpoint_dir,
                             f"{command}-{name}-{scale}.jsonl")
     if args.resume:
@@ -297,59 +249,34 @@ def _checkpoint_path(args, command: str, name: str) -> Optional[str]:
     return None
 
 
-def _cmd_render(registry: Dict[str, Callable], command: str, args) -> int:
-    from repro.experiments import gridrun
-    from repro.experiments.parallel import CheckpointError
-
-    name = args.id
+def _cmd_render(kind: str, args) -> int:
+    grid = {}
+    if kind != "extension":  # extensions carry no grid flags
+        grid = dict(_execution(args, kind, args.id), shards=args.shards,
+                    latency_floor=args.latency_floor)
     try:
-        fn = registry[name]
-    except KeyError:
-        print(f"unknown id {name!r}; known: {', '.join(sorted(registry))}",
-              file=sys.stderr)
-        return 2
-    saved = vars(gridrun.current_options()).copy()
-    jobs = getattr(args, "jobs", None)
-    shards = getattr(args, "shards", 0) or 0
-    if shards > 1 and (jobs or gridrun.default_jobs()) > 1:
-        print("note: --shards > 1 runs cells serially (--jobs ignored)",
-              file=sys.stderr)
-        jobs = 1
-    gridrun.configure(
-        jobs=jobs if jobs is not None else gridrun.default_jobs(),
-        checkpoint=(_checkpoint_path(args, command, name)
-                    if hasattr(args, "checkpoint") else None),
-        resume=getattr(args, "resume", False),
-        checkpoint_gc=_managed_checkpoint(args),
-        shards=shards,
-        latency_floor=getattr(args, "latency_floor", None),
-        progress=(None if getattr(args, "quiet", True)
-                  else gridrun.stderr_progress))
-    try:
-        result = fn(current_scale() if args.scale is None
-                    else _SCALES[args.scale])
-    except (CheckpointError, ValueError) as exc:
-        # ValueError: e.g. an invalid scenario override reaching validation
+        # ValueError: unknown id or scale, a checkpoint of another grid,
+        # an invalid scenario override reaching validation
+        result = render(kind, args.id,
+                        current_scale() if args.scale is None
+                        else _SCALES[args.scale], **grid)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        gridrun.configure(**saved)
     csv_path = getattr(args, "csv", None)
     if csv_path:
         from repro.metrics.export import write_result_csv
 
         rows = write_result_csv(csv_path, result)
-        if not getattr(args, "quiet", True):
+        if not args.quiet:
             print(f"wrote {rows} row(s) to {csv_path}", file=sys.stderr)
     print(result.render())
     return 0
 
 
 def _cmd_list(args) -> int:
-    print("figures:    " + " ".join(sorted(FIGURES)))
-    print("tables:     " + " ".join(sorted(TABLES)))
-    print("ablations:  " + " ".join(sorted(ABLATIONS)))
-    print("extensions: " + " ".join(sorted(EXTENSIONS)))
+    for kind in KINDS:
+        print(f"{kind + 's:':<12}" + " ".join(artifact_ids(kind)))
     print("scales:     " + " ".join(sorted(_SCALES)))
     return 0
 
@@ -603,12 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "CSV for external plotting")
     _add_supervision_args(sweep_parser, cell_retries=True)
 
-    for name, registry in (("figure", FIGURES), ("table", TABLES),
-                           ("ablation", ABLATIONS),
-                           ("extension", EXTENSIONS)):
-        p = command(name, functools.partial(_cmd_render, registry, name),
+    for name in KINDS:
+        p = command(name, functools.partial(_cmd_render, name),
                     help=f"regenerate a {name}")
-        p.add_argument("id", help=f"one of: {', '.join(sorted(registry))}")
+        p.add_argument("id", help=f"one of: {', '.join(artifact_ids(name))}")
         if name == "extension":
             # Extensions run bespoke study loops, not the grid pipeline:
             # advertising grid flags they'd silently ignore would lie.

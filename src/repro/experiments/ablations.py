@@ -11,7 +11,8 @@ The paper's Section 5 names the levers this module explores:
   wealthy nodes to the rank of temporary superpeers").
 
 Each ablation submits its whole parameter grid through
-:func:`repro.experiments.gridrun.grid_summaries` in one call; the
+:func:`repro.experiments.gridrun.grid_summaries` in one call (with the
+caller's ``**grid`` execution keywords); the
 module-level summary functions below run *inside* the workers (they are
 picklable and reduce a result to a few JSON-able scalars).
 """
@@ -80,7 +81,8 @@ SPEC_RICH_FANOUT = MetricSpec("ablation_rich_fanout", rich_fanout_summary)
 
 def ablation_aggregation(scale: Scale = None,
                          fanouts: Sequence[int] = (1, 3, 7),
-                         fresh_counts: Sequence[int] = (3, 10)) -> TableResult:
+                         fresh_counts: Sequence[int] = (3, 10),
+                         **grid) -> TableResult:
     """Aggregation fanout / freshness vs estimate error and stream lag."""
     scale = scale or current_scale()
     points = [(fanout, fresh) for fanout in fanouts for fresh in fresh_counts]
@@ -92,7 +94,8 @@ def ablation_aggregation(scale: Scale = None,
             aggregation_fresh_count=fresh))
         cells.append((config, (SPEC_AGGREGATION,)))
     rows = []
-    for (fanout, fresh), summary in zip(points, grid_summaries(cells)):
+    for (fanout, fresh), summary in zip(points,
+                                        grid_summaries(cells, **grid)):
         values = summary[SPEC_AGGREGATION.name]
         rows.append([f"fanout={fanout}", f"fresh={fresh}",
                      format_percent(100.0 * values["estimate_error"]),
@@ -107,7 +110,8 @@ def ablation_aggregation(scale: Scale = None,
 
 
 def ablation_retransmission(scale: Scale = None,
-                            loss_rates: Sequence[float] = (0.0, 0.01, 0.03)) -> TableResult:
+                            loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
+                            **grid) -> TableResult:
     """Retransmission on/off across datagram loss rates."""
     scale = scale or current_scale()
     points = [(loss, retransmission) for loss in loss_rates
@@ -120,7 +124,8 @@ def ablation_retransmission(scale: Scale = None,
             config.gossip, retransmission=retransmission))
         cells.append((config, (SPEC_DELIVERY_LAG,)))
     rows = []
-    for (loss, retransmission), summary in zip(points, grid_summaries(cells)):
+    for (loss, retransmission), summary in zip(
+            points, grid_summaries(cells, **grid)):
         values = summary[SPEC_DELIVERY_LAG.name]
         rows.append([f"loss={loss:.0%}",
                      "on" if retransmission else "off",
@@ -135,7 +140,8 @@ def ablation_retransmission(scale: Scale = None,
 
 
 def ablation_source_bias(scale: Scale = None,
-                         biases: Sequence[float] = (0.0, 1.0, 2.0)) -> TableResult:
+                         biases: Sequence[float] = (0.0, 1.0, 2.0),
+                         **grid) -> TableResult:
     """Bias the source's first-hop selection towards rich nodes (§5)."""
     scale = scale or current_scale()
     spec = spec_lag_jitter_free()
@@ -143,7 +149,7 @@ def ablation_source_bias(scale: Scale = None,
                           source_bias=bias), (spec,))
              for bias in biases]
     rows = []
-    for bias, summary in zip(biases, grid_summaries(cells)):
+    for bias, summary in zip(biases, grid_summaries(cells, **grid)):
         values = summary[spec.name]
         lags = sorted(values)
         median = lags[len(lags) // 2]
@@ -157,7 +163,8 @@ def ablation_source_bias(scale: Scale = None,
 
 
 def ablation_fanout_cap(scale: Scale = None,
-                        caps: Sequence[float] = (0.0, 10.0, 14.0, 21.0)) -> TableResult:
+                        caps: Sequence[float] = (0.0, 10.0, 14.0, 21.0),
+                        **grid) -> TableResult:
     """Cap the adapted fanout (superpeer-risk knob; 0 = uncapped)."""
     scale = scale or current_scale()
     cells = []
@@ -167,7 +174,7 @@ def ablation_fanout_cap(scale: Scale = None,
             config.gossip, max_fanout=cap))
         cells.append((config, (SPEC_RICH_FANOUT,)))
     rows = []
-    for cap, summary in zip(caps, grid_summaries(cells)):
+    for cap, summary in zip(caps, grid_summaries(cells, **grid)):
         values = summary[SPEC_RICH_FANOUT.name]
         rich = values["rich_fanout"]
         rows.append(["uncapped" if cap == 0 else f"cap={cap:g}",

@@ -5,11 +5,13 @@ figure of the paper's evaluation and returns a result object whose
 ``render()`` produces the same rows/series the figure plots, as an ASCII
 table.  Benches call these; examples reuse the cheaper ones.
 
-Every figure submits its scenario cells through
-:func:`repro.experiments.gridrun.grid_summaries` in **one** grid call:
+Every figure is ``figN(scale, **grid)`` and submits its scenario cells
+through :func:`repro.experiments.gridrun.grid_summaries` in **one** grid
+call, forwarding ``grid`` — the caller's execution keywords (``jobs=``,
+``checkpoint=``, ``shards=``, ...; declared there, once) — untouched:
 workers reduce their receiver logs to exactly the values the figure
 needs (``MetricSpec`` summaries), the grid engine fans cells out over
-``--jobs N`` processes (byte-identical to serial), already-computed
+``jobs=N`` processes (byte-identical to serial), already-computed
 cells come from the process-wide caches, and checkpointed runs resume
 after a kill.
 
@@ -75,11 +77,11 @@ def _lag_headers() -> List[str]:
 # ----------------------------------------------------------------------
 # Figure 1 — unconstrained uplinks, standard gossip, fanout 7
 # ----------------------------------------------------------------------
-def fig1_unconstrained(scale: Scale = None) -> FigureResult:
+def fig1_unconstrained(scale: Scale = None, **grid) -> FigureResult:
     scale = scale or current_scale()
     config = scenario_at(scale, protocol="standard", distribution=UNCONSTRAINED)
     spec = spec_lag_delivery(0.99)
-    (summary,) = grid_summaries([(config, (spec,))])
+    (summary,) = grid_summaries([(config, (spec,))], **grid)
     cdf = Cdf(summary[spec.name])
     rows = [cdf_row("standard f=7, unconstrained, 99% delivery", cdf, LAG_GRID)]
     percentiles = {q: cdf.percentile(q) for q in (0.5, 0.75, 0.9)}
@@ -94,7 +96,8 @@ def fig1_unconstrained(scale: Scale = None) -> FigureResult:
 # ----------------------------------------------------------------------
 def fig2_fanout_sweep(scale: Scale = None,
                       fanouts_dist1: Sequence[float] = (7, 15, 20, 25, 30),
-                      fanouts_dist2: Sequence[float] = (7, 15, 20)) -> FigureResult:
+                      fanouts_dist2: Sequence[float] = (7, 15, 20),
+                      **grid) -> FigureResult:
     # Eight runs: default to the reduced sweep population unless the
     # caller pins a scale explicitly.
     if scale is None:
@@ -111,7 +114,7 @@ def fig2_fanout_sweep(scale: Scale = None,
             labels.append(f"f={int(fanout)} {'dist1' if dist is MS_691 else 'dist2'}")
     rows = []
     cdfs: Dict[str, Cdf] = {}
-    for label, summary in zip(labels, grid_summaries(cells)):
+    for label, summary in zip(labels, grid_summaries(cells, **grid)):
         cdf = Cdf(summary[spec.name])
         cdfs[label] = cdf
         rows.append(cdf_row(label, cdf, LAG_GRID))
@@ -124,13 +127,13 @@ def fig2_fanout_sweep(scale: Scale = None,
 # ----------------------------------------------------------------------
 # Figure 3 — HEAP on dist1
 # ----------------------------------------------------------------------
-def fig3_heap_dist1(scale: Scale = None) -> FigureResult:
+def fig3_heap_dist1(scale: Scale = None, **grid) -> FigureResult:
     scale = scale or current_scale()
     spec = spec_lag_delivery(0.99)
     heap, std = grid_summaries([
         (scenario_at(scale, protocol="heap", distribution=MS_691), (spec,)),
         (scenario_at(scale, protocol="standard", distribution=MS_691), (spec,)),
-    ])
+    ], **grid)
     cdf = Cdf(heap[spec.name])
     std_cdf = Cdf(std[spec.name])
     rows = [cdf_row("HEAP avg f=7, dist1, 99% delivery", cdf, LAG_GRID),
@@ -144,7 +147,7 @@ def fig3_heap_dist1(scale: Scale = None) -> FigureResult:
 # ----------------------------------------------------------------------
 # Figure 4 — bandwidth usage by class
 # ----------------------------------------------------------------------
-def fig4_bandwidth_usage(scale: Scale = None) -> FigureResult:
+def fig4_bandwidth_usage(scale: Scale = None, **grid) -> FigureResult:
     scale = scale or current_scale()
     spec = spec_utilization_by_class()
     panels = [(dist, sub, protocol)
@@ -154,7 +157,8 @@ def fig4_bandwidth_usage(scale: Scale = None) -> FigureResult:
              for dist, sub, protocol in panels]
     rows = []
     usage: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for (dist, sub, protocol), summary in zip(panels, grid_summaries(cells)):
+    for (dist, sub, protocol), summary in zip(
+            panels, grid_summaries(cells, **grid)):
         util = summary[spec.name]
         usage[(sub, protocol)] = util
         for label, value in util.items():
@@ -188,10 +192,11 @@ def _quality_rows(dist, summaries, spec):
     return rows, data
 
 
-def fig5_quality_ref691(scale: Scale = None, lag: float = 10.0) -> FigureResult:
+def fig5_quality_ref691(scale: Scale = None, lag: float = 10.0,
+                        **grid) -> FigureResult:
     scale = scale or current_scale()
     cells, spec = _quality_cells(REF_691, scale, lag)
-    rows, data = _quality_rows(REF_691, grid_summaries(cells), spec)
+    rows, data = _quality_rows(REF_691, grid_summaries(cells, **grid), spec)
     return FigureResult(
         "Fig 5", f"jitter-free percentage of the stream by class (ref-691, "
         f"{lag:.0f}s lag)", rows,
@@ -199,11 +204,12 @@ def fig5_quality_ref691(scale: Scale = None, lag: float = 10.0) -> FigureResult:
         extra={"data": data})
 
 
-def fig6_quality_classes(scale: Scale = None, lag: float = 10.0) -> FigureResult:
+def fig6_quality_classes(scale: Scale = None, lag: float = 10.0,
+                         **grid) -> FigureResult:
     scale = scale or current_scale()
     cells_a, spec = _quality_cells(MS_691, scale, lag)
     cells_b, _ = _quality_cells(REF_724, scale, lag)
-    summaries = grid_summaries(cells_a + cells_b)
+    summaries = grid_summaries(cells_a + cells_b, **grid)
     rows_a, data_a = _quality_rows(MS_691, summaries[:2], spec)
     rows_b, data_b = _quality_rows(REF_724, summaries[2:], spec)
     return FigureResult(
@@ -216,7 +222,8 @@ def fig6_quality_classes(scale: Scale = None, lag: float = 10.0) -> FigureResult
 # ----------------------------------------------------------------------
 # Figure 7 — CDF of experienced jitter (ref-691)
 # ----------------------------------------------------------------------
-def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0) -> FigureResult:
+def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0,
+                    **grid) -> FigureResult:
     scale = scale or current_scale()
     lag_spec = spec_jitter_values(lag)
     offline_spec = spec_jitter_values(OFFLINE)
@@ -225,7 +232,8 @@ def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0) -> FigureResult:
              for protocol in ("standard", "heap")]
     rows = []
     cdfs = {}
-    for protocol, summary in zip(("standard", "heap"), grid_summaries(cells)):
+    for protocol, summary in zip(("standard", "heap"),
+                                 grid_summaries(cells, **grid)):
         for mode, spec in ((f"{lag:.0f}s lag", lag_spec),
                            ("offline", offline_spec)):
             cdf = Cdf(summary[spec.name])
@@ -241,7 +249,7 @@ def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0) -> FigureResult:
 # ----------------------------------------------------------------------
 # Figure 8 — average lag for a jitter-free stream by class
 # ----------------------------------------------------------------------
-def fig8_lag_by_class(scale: Scale = None) -> FigureResult:
+def fig8_lag_by_class(scale: Scale = None, **grid) -> FigureResult:
     scale = scale or current_scale()
     spec = spec_mean_lag_by_class()
     panels = [(dist, sub, protocol)
@@ -251,7 +259,8 @@ def fig8_lag_by_class(scale: Scale = None) -> FigureResult:
              for dist, sub, protocol in panels]
     rows = []
     data = {}
-    for (dist, sub, protocol), summary in zip(panels, grid_summaries(cells)):
+    for (dist, sub, protocol), summary in zip(
+            panels, grid_summaries(cells, **grid)):
         means = summary[spec.name]
         data[(sub, protocol)] = means
         for label, value in means.items():
@@ -266,7 +275,7 @@ def fig8_lag_by_class(scale: Scale = None) -> FigureResult:
 # ----------------------------------------------------------------------
 # Figure 9 — lag CDFs, no-jitter and max-1%-jitter
 # ----------------------------------------------------------------------
-def fig9_lag_cdf(scale: Scale = None) -> FigureResult:
+def fig9_lag_cdf(scale: Scale = None, **grid) -> FigureResult:
     scale = scale or current_scale()
     free_spec = spec_lag_jitter_free()
     jitter_spec = spec_lag_max_jitter(0.01)
@@ -278,7 +287,8 @@ def fig9_lag_cdf(scale: Scale = None) -> FigureResult:
              for dist, sub, protocol in panels]
     rows = []
     cdfs = {}
-    for (dist, sub, protocol), summary in zip(panels, grid_summaries(cells)):
+    for (dist, sub, protocol), summary in zip(
+            panels, grid_summaries(cells, **grid)):
         for mode, spec in (("no jitter", free_spec),
                            ("max 1% jitter", jitter_spec)):
             cdf = Cdf(summary[spec.name])
@@ -294,7 +304,7 @@ def fig9_lag_cdf(scale: Scale = None) -> FigureResult:
 # Figure 10 — catastrophic failures
 # ----------------------------------------------------------------------
 def fig10_churn(scale: Scale = None, fraction: float = 0.2,
-                failure_time: float = None) -> FigureResult:
+                failure_time: float = None, **grid) -> FigureResult:
     """One churn panel (10a: fraction=0.2, 10b: fraction=0.5).
 
     The failure fires at 1/3 of the stream (t=60 s of 180 s in the paper),
@@ -322,7 +332,7 @@ def fig10_churn(scale: Scale = None, fraction: float = 0.2,
             scale, protocol=protocol, distribution=REF_691, duration=duration,
             churn=CatastrophicFailure(fraction=fraction, at_time=at_time))
         cells.append((config, tuple(specs)))
-    by_protocol = dict(zip(specs_by_protocol, grid_summaries(cells)))
+    by_protocol = dict(zip(specs_by_protocol, grid_summaries(cells, **grid)))
 
     rows = []
     series_by_label = {}

@@ -9,13 +9,14 @@ scenario cells through.  It adds three things on top of
   process, by the serial path, or derived from an already-cached full
   ``ExperimentResult``.  A figure that re-requests a cell another figure
   already paid for reuses the summary instead of recomputing it;
-* **process-wide execution options** — ``configure(jobs=..., ...)`` sets
-  the worker count / checkpoint / resume behaviour once (the CLI and the
-  benchmark harness do this from ``--jobs`` / ``REPRO_JOBS``), so the
-  ~18 figure/table entry points keep their simple ``fn(scale)``
-  signatures;
-* **resumable execution** — with a checkpoint configured, the grid's
-  records append to JSONL as they land and a killed run resumes from the
+* **the figure layer's execution keywords** — :func:`grid_summaries`'
+  keyword list is the one declaration of *how* a figure grid runs
+  (workers, checkpointing, progress, the sharded model).  Every entry
+  point is ``fn(scale, **grid)`` and forwards ``grid`` here untouched,
+  so a caller's ``fig5(scale, jobs=4, checkpoint=path)`` reaches the
+  engine as an argument, never as ambient state;
+* **resumable execution** — given ``checkpoint=``, the grid's records
+  append to JSONL as they land and a killed run resumes from the
   finished cells (each entry point makes exactly one grid call, so one
   artifact maps to one checkpoint file).
 
@@ -28,12 +29,9 @@ an intervening kill/resume.
 from __future__ import annotations
 
 import os
-import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import (ProgressCallback, ProgressEvent,
-                                        run_grid)
+from repro.experiments.parallel import ProgressCallback, run_grid
 from repro.experiments.scales import cached_result, cached_run
 from repro.metrics.summary import MetricSpec, standard_bundle
 from repro.workloads.scenario import ScenarioConfig, scenario_key
@@ -50,69 +48,6 @@ def default_jobs() -> int:
         return 1
 
 
-@dataclass
-class GridOptions:
-    """Process-wide defaults for figure/table grid execution."""
-
-    #: None -> ``REPRO_JOBS`` (or 1).
-    jobs: Optional[int] = None
-    #: JSONL checkpoint path for the next grid call (CLI ``--checkpoint``).
-    checkpoint: Optional[str] = None
-    #: Reload finished cells from the checkpoint (CLI ``--resume``).
-    resume: bool = False
-    #: Pin the pool start method (also forces the pool on 1-CPU hosts —
-    #: the parity tests rely on that).
-    start_method: Optional[str] = None
-    #: Per-record progress callback (the CLI prints to stderr).
-    progress: Optional[ProgressCallback] = None
-    #: Housekeep managed checkpoints (CLI ``--checkpoint-dir``): GC
-    #: stale/mismatched files on resume, delete spent ones on success.
-    checkpoint_gc: bool = False
-    #: Compute the predeclared standard spec bundle
-    #: (:func:`repro.metrics.summary.standard_bundle`) alongside the
-    #: requested specs whenever a cell runs, so later figures reuse
-    #: cached summaries instead of re-running the cell at ``--jobs N``.
-    bundle: bool = True
-    #: Run every cell's scenario under the sharded execution model (CLI
-    #: ``--shards N``): configs are switched to the order-independent
-    #: ``latency_rng="per-pair"`` / ``loss_rng="per-pair"`` modes and,
-    #: for N > 1, partitioned across N shard workers.  0 leaves cells
-    #: untouched.  Summaries are
-    #: identical for any N >= 1 of the same artifact — N only picks the
-    #: intra-scenario parallelism — but differ from the default
-    #: shared-stream mode, so sharded runs cache/checkpoint under their
-    #: own scenario keys.
-    shards: int = 0
-    #: Override each cell's ``latency_floor`` when the sharded model is
-    #: on (CLI ``--latency-floor``).  The floor doubles as the shard
-    #: lookahead, so raising it cuts window barriers; None keeps each
-    #: scenario's own value.
-    latency_floor: Optional[float] = None
-    #: Deterministic fault plan (``repro.faults.FaultPlan``) injected
-    #: into the next grid call (CLI ``--faults``; chaos testing).
-    faults: Optional[object] = None
-    #: Pool supervision policy (``repro.faults.SupervisionPolicy``):
-    #: cell retry budget, backoff, per-attempt timeout.  None uses the
-    #: policy defaults.
-    supervision: Optional[object] = None
-
-
-_OPTIONS = GridOptions()
-
-
-def configure(**overrides) -> GridOptions:
-    """Update the process-wide grid options; unknown names raise."""
-    for name, value in overrides.items():
-        if not hasattr(_OPTIONS, name):
-            raise TypeError(f"unknown grid option {name!r}")
-        setattr(_OPTIONS, name, value)
-    return _OPTIONS
-
-
-def current_options() -> GridOptions:
-    return _OPTIONS
-
-
 #: (scenario key, spec name) -> computed summary value.
 _SUMMARY_CACHE: Dict[Tuple[str, str], object] = {}
 
@@ -121,28 +56,15 @@ def clear_summary_cache() -> None:
     _SUMMARY_CACHE.clear()
 
 
-def summary_cache_size() -> int:
-    return len(_SUMMARY_CACHE)
-
-
-def stderr_progress(event: ProgressEvent) -> None:
-    """A ready-made progress printer (the CLI's default for figures)."""
-    record = event.record
-    print(f"\r[{event.done}/{event.total}] {record.scenario_name} "
-          f"seed={record.seed} "
-          f"({record.events_executed:,} events, {record.wall_time:.2f}s)",
-          file=sys.stderr, end="" if event.done < event.total else "\n",
-          flush=True)
-
-
 def grid_summaries(cells: Sequence[Cell], *,
                    jobs: Optional[int] = None,
-                   checkpoint: Optional[str] = None,
-                   resume: Optional[bool] = None,
                    start_method: Optional[str] = None,
+                   checkpoint: Optional[str] = None,
+                   resume: bool = False,
+                   checkpoint_gc: bool = False,
                    progress: Optional[ProgressCallback] = None,
-                   bundle: Optional[bool] = None,
-                   shards: Optional[int] = None,
+                   shards: int = 0,
+                   latency_floor: Optional[float] = None,
                    ) -> List[Dict[str, object]]:
     """Compute every cell's summaries; one name->value dict per cell,
     in cell order.
@@ -152,13 +74,25 @@ def grid_summaries(cells: Sequence[Cell], *,
     consulted first: a summary computed earlier (even by a different
     figure) is reused, and a scenario whose full result is still in
     ``cached_run``'s cache yields missing summaries without a re-run.
-    Keyword arguments override the :func:`configure` defaults for this
-    call only.
+
+    The keywords say how to run, never what: ``jobs`` (None resolves
+    ``REPRO_JOBS``), ``start_method``, ``checkpoint``, ``resume``,
+    ``checkpoint_gc`` and ``progress`` are :func:`run_grid`'s.
+    ``shards=N`` runs every cell under the sharded execution model:
+    configs are switched to the order-independent
+    ``latency_rng="per-pair"`` / ``loss_rng="per-pair"`` modes and, for
+    N > 1, partitioned across N shard workers (0 leaves cells
+    untouched).  Summaries are identical for any N >= 1 of the same
+    artifact — N only picks the intra-scenario parallelism — but differ
+    from the default shared-stream mode, so sharded runs cache and
+    checkpoint under their own scenario keys.  ``latency_floor``
+    overrides each cell's floor when ``shards`` is on: the floor doubles
+    as the shard lookahead, so raising it cuts window barriers.
 
     Any cell that actually *runs* additionally computes the predeclared
-    standard spec bundle (unless ``bundle=False``): the full summary set
-    of the protocol×distribution figure matrix.  Workers ship summaries,
-    not results, so without this a second figure at ``--jobs N`` would
+    standard spec bundle: the full summary set of the
+    protocol×distribution figure matrix.  Workers ship summaries, not
+    results, so without this a second figure at ``--jobs N`` would
     re-run every shared scenario just to reduce it differently; with it,
     the second figure is a pure cache hit.
 
@@ -169,26 +103,16 @@ def grid_summaries(cells: Sequence[Cell], *,
     results through ``cached_run``, and finished cells restore from the
     checkpoint itself.
     """
-    opts = _OPTIONS
-    jobs = jobs if jobs is not None else (
-        opts.jobs if opts.jobs is not None else default_jobs())
-    checkpoint = checkpoint if checkpoint is not None else opts.checkpoint
-    resume = resume if resume is not None else opts.resume
-    start_method = start_method if start_method is not None else opts.start_method
-    progress = progress if progress is not None else opts.progress
-    bundle = bundle if bundle is not None else opts.bundle
-    bundle_specs = standard_bundle() if bundle else ()
-    shards = shards if shards is not None else opts.shards
+    if jobs is None:
+        jobs = default_jobs()
+    bundle_specs = standard_bundle()
     if shards:
-        # Sharded execution model: per-pair latency and loss streams
-        # (the order-independent modes sharding requires) and, for
-        # N > 1, intra-scenario partitioning.  Applied before
-        # deduplication so cache keys, checkpoints and runs all agree
-        # on the scenario.
+        # Applied before deduplication so cache keys, checkpoints and
+        # runs all agree on the scenario.
         overrides = {"shards": shards, "latency_rng": "per-pair",
                      "loss_rng": "per-pair"}
-        if opts.latency_floor is not None:
-            overrides["latency_floor"] = opts.latency_floor
+        if latency_floor is not None:
+            overrides["latency_floor"] = latency_floor
         cells = [(config.with_(**overrides), specs)
                  for config, specs in cells]
 
@@ -205,37 +129,29 @@ def grid_summaries(cells: Sequence[Cell], *,
             merged.setdefault(spec.name, spec)
 
     # Decide what actually has to run.
-    def with_bundle(specs: Dict[str, MetricSpec],
-                    key: str) -> Tuple[MetricSpec, ...]:
-        """The specs a running cell computes: requested + the standard
-        bundle (uncached entries only on the cache path; checkpointed
-        grids include the whole bundle so the fingerprint stays a pure
-        function of the cells)."""
-        extra = {spec.name: spec for spec in bundle_specs
-                 if spec.name not in specs
-                 and (checkpoint is not None
-                      or (key, spec.name) not in _SUMMARY_CACHE)}
-        return tuple(specs.values()) + tuple(extra.values())
-
     to_run: List[Tuple[str, ScenarioConfig, Tuple[MetricSpec, ...]]] = []
-    for key, (config, merged) in unique.items():
+    for key, (config, wanted) in unique.items():
         if checkpoint is None:
-            missing = {name: spec for name, spec in merged.items()
-                       if (key, name) not in _SUMMARY_CACHE}
-            if not missing:
+            wanted = {name: spec for name, spec in wanted.items()
+                      if (key, name) not in _SUMMARY_CACHE}
+            if not wanted:
                 continue
             result = cached_result(config)
             if result is not None:
                 # The full result is already in-process: reducing it here
                 # is far cheaper than resubmitting the scenario.
-                for name, spec in missing.items():
+                for name, spec in wanted.items():
                     _SUMMARY_CACHE[(key, name)] = spec.fn(result)
                 continue
-            to_run.append((key, config, with_bundle(missing, key)))
-        else:
-            # Checkpointed grids always cover every unique scenario so
-            # their fingerprint is a pure function of the cells.
-            to_run.append((key, config, with_bundle(merged, key)))
+        # A cell that runs also computes the standard bundle: only its
+        # uncached entries on the cache path, all of it under a
+        # checkpoint — a checkpointed grid covers every unique scenario
+        # in full, so its fingerprint is a pure function of the cells.
+        extra = [spec for spec in bundle_specs
+                 if spec.name not in wanted
+                 and (checkpoint is not None
+                      or (key, spec.name) not in _SUMMARY_CACHE)]
+        to_run.append((key, config, tuple(wanted.values()) + tuple(extra)))
 
     if to_run:
         grid = run_grid([config for _, config, _ in to_run],
@@ -243,9 +159,7 @@ def grid_summaries(cells: Sequence[Cell], *,
                         progress=progress, start_method=start_method,
                         summaries=[specs for _, _, specs in to_run],
                         checkpoint=checkpoint, resume=resume,
-                        checkpoint_gc=opts.checkpoint_gc,
-                        run_fn=cached_run,
-                        faults=opts.faults, supervision=opts.supervision)
+                        checkpoint_gc=checkpoint_gc, run_fn=cached_run)
         for (key, _, _), record in zip(to_run, grid.records):
             if record is None:  # quarantined by fault supervision
                 continue

@@ -1,22 +1,21 @@
 """Multi-seed experiment aggregation.
 
 Single-run numbers from a randomized protocol carry run-to-run noise;
-a credible comparison reports mean and dispersion across seeds.  This
-module runs one scenario under several seeds and aggregates arbitrary
-scalar metrics.  The execution itself is delegated to
-:mod:`repro.experiments.parallel` — pass ``jobs=N`` to fan the seeds out
-over worker processes; the aggregates are bit-identical either way.
+a credible comparison reports mean and dispersion across seeds.
+:class:`AggregatedMetric` is that report for one scalar metric —
+:meth:`repro.experiments.parallel.GridResult.aggregated_for` builds one
+per metric from a scenario's seed records — and the ``metric_*``
+functions below are the ready-made (picklable) scalars a grid can ask
+for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List
 
 from repro.analysis.stats import mean, stdev
-from repro.experiments.parallel import run_grid
-from repro.experiments.runner import ExperimentResult, run_scenario
-from repro.workloads.scenario import ScenarioConfig
+from repro.experiments.runner import ExperimentResult
 
 #: A metric maps a finished run to one scalar.
 Metric = Callable[[ExperimentResult], float]
@@ -50,32 +49,6 @@ class AggregatedMetric:
     def summary(self) -> str:
         return (f"{self.name}: {self.mean:.3f} +- {self.stdev:.3f} "
                 f"[{self.min:.3f}, {self.max:.3f}] over {len(self.values)} seeds")
-
-
-def run_seeds(config: ScenarioConfig, metrics: Dict[str, Metric],
-              seeds: Sequence[int],
-              jobs: int = 1,
-              checkpoint: Optional[str] = None,
-              resume: bool = False) -> Dict[str, AggregatedMetric]:
-    """Run ``config`` once per seed and aggregate each metric.
-
-    ``jobs`` > 1 runs the seeds on a worker-process pool (metrics must
-    then be picklable, i.e. module-level functions); the aggregated
-    values are identical to a serial run, only faster.  ``checkpoint``
-    persists each seed's record to JSONL as it finishes and
-    ``resume=True`` reloads finished seeds after a kill.
-
-    The churn object (if any) carries per-run state, so scenarios with
-    churn are rejected here — use :func:`repro.experiments.parallel.run_grid`
-    directly for multi-seed churn studies (it copies the config per run).
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if config.churn is not None:
-        raise ValueError("multi-seed runs do not support shared churn state")
-    grid = run_grid(config, seeds, metrics, jobs=jobs,
-                    checkpoint=checkpoint, resume=resume)
-    return grid.aggregated_for(0)
 
 
 # ----------------------------------------------------------------------

@@ -43,9 +43,16 @@ or from the command line::
         --checkpoint sweep.jsonl --resume
 
 Metrics and summary specs must be picklable (module-level functions, or
-``functools.partial`` over them) when a pool is used.  Progress is
+``functools.partial`` over them) when workers are used.  Progress is
 reported through an optional callback as tasks finish (restored
 checkpoint records report first, in grid order).
+
+The workers are a :class:`~repro.faults.pool.SupervisedPool`: a worker
+that dies or overruns its deadline costs its cell a retry on a fresh
+worker, never the sweep.  They are ordinary processes, so a cell whose
+scenario is itself sharded (``config.shards > 1``) starts its shard
+workers from inside its grid worker — ``jobs=N`` over ``shards=M``
+cells runs up to N x M shard processes, with the same bytes out.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple)
 
+from repro.experiments.multi_seed import AggregatedMetric
 from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.faults.failures import (CellFailure, TornCheckpointInjected,
                                    render_failures)
@@ -241,7 +249,6 @@ class GridResult:
 
     def aggregated_for(self, scenario_index: int):
         """Per-metric aggregation for one scenario: name -> AggregatedMetric."""
-        from repro.experiments.multi_seed import AggregatedMetric
         records = [r for r in self.records_for(scenario_index) if r is not None]
         return {name: AggregatedMetric(name, [r.metrics[name] for r in records])
                 for name in self.metric_names}
@@ -322,10 +329,10 @@ def _check_spawn_importable(metric_items, specs_by_scenario) -> None:
 
     A function defined in ``__main__`` (a script or REPL) pickles by
     reference in the parent but fails to *unpickle* in a spawn worker,
-    whose ``__main__`` is a different module.  Left unchecked that kills
-    the worker during task ``get()``; the pool respawns it, the task is
-    never completed and ``imap_unordered`` waits forever — a silent
-    deadlock instead of an error.  Fail loudly up front instead.
+    whose ``__main__`` is a different module.  The worker dies reading
+    its task, so the pool would retry the cell until its budget is
+    spent and report a quarantined "crash" for what is a caller error.
+    Fail loudly up front instead.
     """
     import functools
 
@@ -448,15 +455,15 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     ``seeds=None`` runs each config under its own embedded ``config.seed``
     (an N×1 grid — what the figure pipeline uses).  ``jobs`` <= 1 runs
     serially in-process; larger values fan the grid out over a
-    ``multiprocessing`` pool — except on a single-CPU host, where the
-    pool could only add overhead (~9 % measured) and is bypassed unless
-    ``start_method`` is given explicitly (tests use that to force the
-    pool path).  ``summaries`` requests in-worker
-    :class:`~repro.metrics.summary.MetricSpec` reductions: either one
-    sequence applied to every scenario, or one sequence *per* scenario.
-    Cells whose scenario is *sharded* (``config.shards > 1``) run
-    serially regardless of ``jobs`` — each such cell fans out its own
-    shard worker processes, which a daemonic pool worker may not spawn.
+    :class:`~repro.faults.pool.SupervisedPool` of worker processes —
+    except on a single-CPU host, where workers could only add overhead
+    (~9 % measured) and are bypassed unless ``start_method`` is given
+    explicitly (tests use that to force the pool path).  A cell whose
+    scenario is *sharded* (``config.shards > 1``) starts its own shard
+    workers wherever it runs, a grid worker included.  ``summaries``
+    requests in-worker :class:`~repro.metrics.summary.MetricSpec`
+    reductions: either one sequence applied to every scenario, or one
+    sequence *per* scenario.
     ``checkpoint`` appends each finished record to a JSONL file;
     ``resume=True`` reloads finished cells from it (validated by grid
     fingerprint) so only the remainder runs.  ``checkpoint_gc=True``
@@ -530,17 +537,15 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
                                        specs_by_scenario)
         restored: Dict[int, RunRecord] = {}
         if resume and os.path.exists(checkpoint):
-            if checkpoint_gc:
-                try:
-                    restored = _load_checkpoint(checkpoint, fingerprint, total)
-                except CheckpointError as exc:
-                    import sys
-
-                    print(f"checkpoint-gc: discarding stale checkpoint "
-                          f"{checkpoint} ({exc})", file=sys.stderr)
-                    restored = {}
-            else:
+            try:
                 restored = _load_checkpoint(checkpoint, fingerprint, total)
+            except CheckpointError as exc:
+                if not checkpoint_gc:
+                    raise
+                import sys
+
+                print(f"checkpoint-gc: discarding stale checkpoint "
+                      f"{checkpoint} ({exc})", file=sys.stderr)
         parent = os.path.dirname(checkpoint)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -584,19 +589,15 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
 
     # A pool on a 1-CPU host is pure overhead; run in-process unless the
     # caller pinned a start method (the parity tests do, to force the
-    # pool path regardless of host).  Sharded cells (config.shards > 1)
-    # spawn their own worker processes, which daemonic pool workers may
-    # not — grid- and intra-scenario parallelism don't compose, so the
-    # explicit shard request wins and the grid runs serially.
-    sharded_cells = any(p[4].shards > 1 for p in pending)
+    # pool path regardless of host).
     crash_faults = faults is not None and faults.has_pool_faults
-    serial = (jobs <= 1 or len(pending) <= 1 or sharded_cells
+    serial = (jobs <= 1 or len(pending) <= 1
               or (start_method is None and not crash_faults
                   and _available_cpus() <= 1))
     if crash_faults and serial:
         raise ValueError(
             "worker-crash fault injection needs a worker pool: pass "
-            "jobs > 1 on an unsharded grid with 2+ pending cells")
+            "jobs > 1 on a grid with 2+ pending cells")
     try:
         if serial:
             for payload in pending:
@@ -621,10 +622,10 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
                 _check_spawn_importable(metric_items, specs_by_scenario)
             ctx = multiprocessing.get_context(method)
             workers = min(jobs, len(pending))
-            policy = supervision if supervision is not None else SupervisionPolicy()
             payload_by_index = {p[0]: p for p in pending}
             fault_for = faults.cell_fault if faults is not None else None
-            with SupervisedPool(ctx, workers, _execute, policy=policy) as pool:
+            with SupervisedPool(ctx, workers, _execute,
+                                policy=supervision) as pool:
                 for outcome in pool.run([(p[0], p) for p in pending],
                                         fault_for=fault_for):
                     if outcome[0] == "ok":

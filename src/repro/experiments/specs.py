@@ -15,8 +15,9 @@ reads the same table:
   :class:`ValueError` naming the offending field.
 
 The CLI and the service control plane (:mod:`repro.service`) therefore
-build the *same* value and execute it through the same grid inputs —
-``spec.configs()`` / ``spec.seed_list()`` / ``spec.metrics()`` — so a
+build the *same* value and execute it through the same call —
+:meth:`SweepSpec.run`, i.e. ``run_grid`` over ``spec.configs()`` /
+``spec.seed_list()`` / ``spec.metrics()`` — so a
 sweep submitted over HTTP is the same experiment, cell for cell and
 metric for metric, as ``python -m repro sweep ...``: identical records,
 identical aggregate render, identical CSV export (modulo the measured
@@ -298,6 +299,17 @@ class SweepSpec(_ParamSpec):
 
     def cell_count(self) -> int:
         return len(self.protocols) * len(self.seed_list())
+
+    def run(self, **execution):
+        """Run the grid this spec describes — the one executor behind
+        ``repro sweep`` and the service's ``run``/``sweep`` jobs.
+        ``execution`` is :func:`~repro.experiments.parallel.run_grid`'s
+        how-to-run keywords (``jobs``, ``checkpoint``, ``progress``, ...);
+        returns its :class:`~repro.experiments.parallel.GridResult`."""
+        from repro.experiments.parallel import run_grid
+
+        return run_grid(self.configs(), self.seed_list(), self.metrics(),
+                        faults=self.fault_plan(), **execution)
 
 
 @dataclass(frozen=True)

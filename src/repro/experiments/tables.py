@@ -1,9 +1,10 @@
 """Per-table experiment definitions (Tables 1-3 of the paper).
 
 Tables 2 and 3 submit their scenario cells through the parallel grid
-pipeline (:func:`repro.experiments.gridrun.grid_summaries`) — one grid
-call per table, in-worker per-class reductions, byte-identical for any
-``--jobs`` value, resumable from a JSONL checkpoint.
+pipeline (:func:`repro.experiments.gridrun.grid_summaries`, which gets
+the caller's ``**grid`` execution keywords) — one grid call per table,
+in-worker per-class reductions, byte-identical for any ``jobs`` value,
+resumable from a JSONL checkpoint.
 """
 
 from __future__ import annotations
@@ -69,14 +70,14 @@ def _table_cells(scale: Scale, spec_for):
     return cells, specs
 
 
-def table2_jittered_delivery(scale: Scale = None) -> TableResult:
+def table2_jittered_delivery(scale: Scale = None, **grid) -> TableResult:
     """Table 2: average delivery rate inside windows that cannot be decoded."""
     scale = scale or current_scale()
     cells, specs = _table_cells(scale, spec_mean_jittered_delivery_by_class)
     rows = []
     data = {}
     for (dist, protocol), spec, summary in zip(_TABLE_MATRIX, specs,
-                                               grid_summaries(cells)):
+                                               grid_summaries(cells, **grid)):
         ratios = summary[spec.name]
         data[(dist.name, protocol)] = ratios
         for label, value in ratios.items():
@@ -88,14 +89,14 @@ def table2_jittered_delivery(scale: Scale = None) -> TableResult:
         extra={"data": data})
 
 
-def table3_jitter_free_nodes(scale: Scale = None) -> TableResult:
+def table3_jitter_free_nodes(scale: Scale = None, **grid) -> TableResult:
     """Table 3: % of nodes receiving a fully jitter-free stream, by class."""
     scale = scale or current_scale()
     cells, specs = _table_cells(scale, spec_jitter_free_pct_by_class)
     rows = []
     data = {}
     for (dist, protocol), spec, summary in zip(_TABLE_MATRIX, specs,
-                                               grid_summaries(cells)):
+                                               grid_summaries(cells, **grid)):
         lag = TABLE_LAGS[dist.name]
         percentages = summary[spec.name]
         data[(dist.name, protocol)] = percentages

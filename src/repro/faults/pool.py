@@ -51,7 +51,7 @@ class SupervisedPool:
         #: evidence for parity tests and the CLI supervision summary).
         self.retries = 0
         self._supervisor = Supervisor(ctx, target=task_worker,
-                                      name="repro-grid-worker", daemon=True)
+                                      name="repro-grid-worker")
 
     def __enter__(self) -> "SupervisedPool":
         return self

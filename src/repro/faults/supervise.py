@@ -134,13 +134,18 @@ def _kill_all(children: List[Child]) -> None:
 
 
 class Supervisor:
-    """Spawns ``target(conn, *args)`` children and waits on them."""
+    """Spawns ``target(conn, *args)`` children and waits on them.
 
-    def __init__(self, ctx, target: Callable, name: str, daemon: bool) -> None:
+    Children are ordinary (never daemonic) processes, so a child may
+    supervise children of its own — a grid worker running a sharded
+    cell, a service executor running a grid — and reaping them is this
+    class's job, not the interpreter's.
+    """
+
+    def __init__(self, ctx, target: Callable, name: str) -> None:
         self._ctx = ctx
         self._target = target
         self._name = name
-        self._daemon = daemon
         self._spawned = 0
         #: Every child spawned and not yet discarded.
         self.children: List[Child] = []
@@ -156,7 +161,7 @@ class Supervisor:
         process = self._ctx.Process(
             target=_child_main,
             args=(parent_end, child_end, self._target, args),
-            name=f"{self._name}-{self._spawned}", daemon=self._daemon)
+            name=f"{self._name}-{self._spawned}")
         self._spawned += 1
         process.start()
         child_end.close()

@@ -458,9 +458,8 @@ def _run_serial_shards(config: ScenarioConfig, end: float) -> List[dict]:
     """Drive every shard in-process, round-robin per window.
 
     Functionally identical to the process driver (same windows, same
-    exchange order), without IPC: used on 1-CPU hosts, inside daemonic
-    pool workers (which may not fork children), and by tests that pin
-    down the windowed algorithm itself.
+    exchange order), without IPC: used on 1-CPU hosts and by tests that
+    pin down the windowed algorithm itself.
     """
     runs = [_ShardRun(config, i) for i in range(config.shards)]
     lookahead = _lookahead(config)
@@ -566,8 +565,7 @@ def _run_process_shards(config: ScenarioConfig, end: float,
         supervision = default_shard_supervision()
     ctx = multiprocessing.get_context(start_method or default_start_method())
     shards = config.shards
-    supervisor = Supervisor(ctx, target=_shard_worker, name="repro-shard",
-                            daemon=False)
+    supervisor = Supervisor(ctx, target=_shard_worker, name="repro-shard")
     last_barrier = -1
 
     def _gather(window_index: int) -> List[tuple]:
@@ -752,12 +750,13 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     Returns a merged ``ExperimentResult`` whose metric summaries are
     byte-identical to the serial run of the same scenario.
 
-    ``processes=None`` picks worker processes when the platform allows
-    (and falls back to the in-process serial driver inside daemonic
-    workers, which may not spawn children, or on single-CPU hosts where
-    extra processes can only add overhead).  ``start_method`` pins the
-    multiprocessing start method (tests use ``"spawn"`` to prove the
-    workers' builds are import-clean).
+    ``processes=None`` picks worker processes — also inside a grid
+    worker or a service executor, so ``--jobs N --shards M`` runs up to
+    N x M shard processes — except on single-CPU hosts, where extra
+    processes can only add overhead and the in-process serial driver
+    runs instead.  ``start_method`` pins the multiprocessing start
+    method (tests use ``"spawn"`` to prove the workers' builds are
+    import-clean).
 
     ``supervision`` (default: the process-wide
     :func:`~repro.faults.policy.default_shard_supervision`) bounds how
@@ -777,14 +776,10 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     shard_faults = faults is not None and faults.has_shard_faults
     end = until if until is not None else config.end_time
     if processes is None:
-        import multiprocessing
-
         from repro.experiments.parallel import _available_cpus
 
-        daemon = multiprocessing.current_process().daemon
-        processes = not daemon and (_available_cpus() > 1
-                                    or start_method is not None
-                                    or shard_faults)
+        processes = (_available_cpus() > 1 or start_method is not None
+                     or shard_faults)
     if not processes:
         if shard_faults:
             raise ValueError(

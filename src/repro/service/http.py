@@ -23,8 +23,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from repro.service.api import ApiResponse, SseStream, handle_request
+from repro.service.api import (ApiResponse, SseStream, error_response,
+                               handle_request)
 from repro.service.jobs import Job, JobManager, TERMINAL_STATES
+
+#: Largest request body the server will buffer (job specs are a few
+#: hundred bytes; anything near this is not one).
+MAX_BODY_BYTES = 1 << 20
 
 #: Comment frame sent while a followed job is idle, so dead client
 #: connections surface as write errors instead of leaking threads.
@@ -48,9 +53,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._handle("POST")
 
     def _handle(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body: Optional[bytes] = self.rfile.read(length) if length else None
-        outcome = handle_request(self.server.manager, method, self.path, body)
+        outcome = self._read_and_dispatch(method)
         try:
             if isinstance(outcome, SseStream):
                 self._stream_events(outcome.job)
@@ -63,6 +66,26 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # let it surface as a thread-killing traceback.
             if isinstance(outcome, SseStream):
                 self.server.manager.note_sse_disconnect()
+
+    def _read_and_dispatch(self, method: str):
+        """Read the body ``Content-Length`` announces and dispatch the
+        request; a length that is no count of bytes, or too many, is
+        answered without reading anything."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            return error_response(
+                400, f"Content-Length must be a non-negative integer, "
+                     f"got {declared!r}")
+        if length > MAX_BODY_BYTES:
+            return error_response(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
+        body: Optional[bytes] = self.rfile.read(length) if length else None
+        return handle_request(self.server.manager, method, self.path, body)
 
     def _send(self, response: ApiResponse) -> None:
         self.send_response(response.status)

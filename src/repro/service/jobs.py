@@ -37,7 +37,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import ProgressEvent, run_grid
+from repro.experiments.artifacts import artifact, render
+from repro.experiments.parallel import ProgressEvent
 from repro.experiments.scales import _SCALES, cached_run
 from repro.experiments.specs import RenderSpec, SweepSpec
 from repro.faults.policy import quarantine_backoff
@@ -98,7 +99,9 @@ class JobSpec:
             spec.configs()  # full scenario validation, collected errors
             return spec.to_params()
         if self.kind in ("figure", "table", "ablation"):
-            return self._render_normalized()
+            params = RenderSpec.from_params(self.params, self.kind).to_params()
+            artifact(self.kind, params["id"])  # ValueError on an unknown id
+            return params
         raise ValueError(f"unknown job kind {self.kind!r}; "
                          f"known: {', '.join(JOB_KINDS)}")
 
@@ -117,14 +120,6 @@ class JobSpec:
                              f"as kind 'sweep'")
         return spec
 
-    def _render_normalized(self) -> Dict[str, object]:
-        params = RenderSpec.from_params(self.params, self.kind).to_params()
-        registry = _render_registry(self.kind)
-        if params["id"] not in registry:
-            raise ValueError(f"unknown {self.kind} id {params['id']!r}; "
-                             f"known: {', '.join(sorted(registry))}")
-        return params
-
     def fingerprint(self) -> str:
         """Stable workload identity: keys the managed checkpoint, so a
         resubmitted spec resumes where its predecessor stopped.
@@ -141,15 +136,6 @@ class JobSpec:
 
     def to_jsonable(self) -> Dict[str, object]:
         return {"kind": self.kind, "params": self.normalized()}
-
-
-def _render_registry(kind: str) -> Dict[str, object]:
-    """The CLI's artifact registry for a render kind (imported lazily:
-    the CLI imports this package for its ``serve`` verb)."""
-    from repro import cli
-
-    return {"figure": cli.FIGURES, "table": cli.TABLES,
-            "ablation": cli.ABLATIONS}[kind]
 
 
 class Job:
@@ -216,7 +202,7 @@ class JobManager:
 
     def __init__(self, checkpoint_dir: str = ".repro-service",
                  executors: int = 1, queue_size: int = 16,
-                 grid_jobs: int = 1, cache_results: bool = True,
+                 grid_jobs: int = 1,
                  job_ttl: Optional[float] = None,
                  job_timeout: Optional[float] = None,
                  watchdog_interval: float = 0.25,
@@ -243,12 +229,9 @@ class JobManager:
         #: fingerprint -> [consecutive failures, monotonic last failure].
         self._failure_ledger: Dict[str, List[float]] = {}
         #: Grid worker processes per job (1 = serial inside the executor
-        #: child, which is what keeps its scenario-result cache warm).
+        #: child, whose cells run through ``cached_run`` so overlapping
+        #: grids from later jobs reuse full results).
         self.grid_jobs = max(1, grid_jobs)
-        #: Serial sweep cells run through ``cached_run`` so overlapping
-        #: grids from later jobs reuse full results.  Costs memory
-        #: proportional to distinct scenarios; disable for huge grids.
-        self.cache_results = cache_results
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(
             maxsize=max(1, queue_size))
         self._lock = threading.RLock()
@@ -258,12 +241,12 @@ class JobManager:
         self._order: List[str] = []
         self._next_id = 1
         self._stopping = False
-        # Non-daemonic children: a job may start its own grid or shard
-        # workers.  They are forked here, before this manager starts
-        # its first thread.
+        # A job may start its own grid or shard workers.  The executor
+        # children are forked here, before this manager starts its
+        # first thread.
         self._supervisor = Supervisor(
             multiprocessing.get_context(default_start_method()),
-            target=task_worker, name="repro-job-executor", daemon=False)
+            target=task_worker, name="repro-job-executor")
         self._threads = [
             threading.Thread(target=self._worker, daemon=True,
                              name=f"repro-job-executor-{i}",
@@ -432,7 +415,7 @@ class JobManager:
         child must be replaced (it died, overran ``job_timeout``, or was
         killed by :meth:`cancel`)."""
         task = (job.spec.kind, job.spec.params, job.checkpoint, job.csv_path,
-                self.grid_jobs, self.cache_results)
+                self.grid_jobs)
         try:
             child.conn.send((task, None))
         except (OSError, ValueError):
@@ -552,37 +535,26 @@ class JobManager:
 
 def _run_job(task, emit) -> Dict[str, object]:
     """Executor-child entry point (a ``task_worker`` runner): one job,
-    start to result JSON, one progress frame per finished cell.
-
-    The child runs one job at a time, so the process-global ``gridrun``
-    options a render job sets are its own."""
-    kind, params, checkpoint, csv_path, grid_jobs, cache_results = task
+    start to result JSON, one progress frame per finished cell."""
+    kind, params, checkpoint, csv_path, grid_jobs = task
     spec = JobSpec(kind, params)
 
     def progress(event: ProgressEvent) -> None:
         emit(event.to_jsonable())
 
+    # How every job runs: the manager's worker count over the job's
+    # managed checkpoint (the keywords run_grid and grid_summaries share).
+    execution = dict(jobs=grid_jobs, progress=progress, checkpoint=checkpoint,
+                     resume=True, checkpoint_gc=True)
     if kind in ("run", "sweep"):
-        sweep = spec.sweep_spec()
-        grid = run_grid(
-            sweep.configs(), sweep.seed_list(), sweep.metrics(),
-            jobs=grid_jobs, progress=progress,
-            checkpoint=checkpoint, resume=True, checkpoint_gc=True,
-            run_fn=cached_run if cache_results else None,
-            faults=sweep.fault_plan(),
-        )
+        grid = spec.sweep_spec().run(run_fn=cached_run, **execution)
         write_grid_csv(csv_path, grid)
         return grid_result_jsonable(kind, grid)
 
-    from repro.experiments import gridrun
-
     params = spec.normalized()
     scale = _SCALES[params["scale"]] if params["scale"] else None
-    gridrun.configure(
-        jobs=grid_jobs, checkpoint=checkpoint, resume=True,
-        checkpoint_gc=True, shards=params["shards"],
-        latency_floor=params["latency_floor"], progress=progress)
-    rendered = _render_registry(kind)[params["id"]](scale)
+    rendered = render(kind, params["id"], scale, shards=params["shards"],
+                      latency_floor=params["latency_floor"], **execution)
     write_result_csv(csv_path, rendered)
     return {
         "kind": kind,

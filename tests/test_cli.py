@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.cli import ABLATIONS, EXTENSIONS, FIGURES, TABLES, build_parser, main
+from repro.cli import build_parser, main
+from repro.experiments.artifacts import artifact_ids
 from repro.experiments.specs import SweepSpec
 
 SPEC_FIELDS = [f.name for f in dataclasses.fields(SweepSpec)]
@@ -44,11 +45,12 @@ class TestParser:
         assert SweepSpec.from_params(SweepSpec().to_params()) == SweepSpec()
 
     def test_registries_cover_all_paper_artifacts(self):
-        assert set(FIGURES) == {"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-                                "fig7", "fig8", "fig9", "fig10a", "fig10b"}
-        assert set(TABLES) == {"table1", "table2", "table3"}
-        assert len(ABLATIONS) == 4
-        assert len(EXTENSIONS) == 4
+        assert set(artifact_ids("figure")) == {
+            "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+            "fig9", "fig10a", "fig10b"}
+        assert artifact_ids("table") == ["table1", "table2", "table3"]
+        assert len(artifact_ids("ablation")) == 4
+        assert len(artifact_ids("extension")) == 4
 
 
 class TestCommands:
@@ -66,7 +68,7 @@ class TestCommands:
 
     def test_unknown_id(self, capsys):
         assert main(["figure", "fig99"]) == 2
-        assert "unknown id" in capsys.readouterr().err
+        assert "unknown figure id 'fig99'" in capsys.readouterr().err
 
     def test_run_small_scenario(self, capsys):
         code = main(["run", "--nodes", "25", "--seconds", "5",
@@ -153,13 +155,33 @@ class TestGridFlags:
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_render_restores_grid_options(self, tmp_path, capsys):
-        from repro.experiments.gridrun import current_options
+    def test_render_calls_do_not_share_execution_options(
+            self, tmp_path, capsys, monkeypatch):
+        """Execution flags reach the grid as arguments of *that* call: a
+        second render in the same process sees none of the first's."""
+        from repro.experiments import gridrun
+        from repro.experiments.scales import clear_cache
 
-        before = vars(current_options()).copy()
-        assert main(["table", "table1", "--jobs", "3", "--quiet",
-                     "--checkpoint", str(tmp_path / "t.jsonl")]) == 0
-        assert vars(current_options()) == before
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        seen = []
+        run_grid = gridrun.run_grid
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["jobs"], kwargs["checkpoint"],
+                         kwargs["resume"]))
+            return run_grid(*args, **kwargs)
+
+        monkeypatch.setattr(gridrun, "run_grid", recording)
+        path = str(tmp_path / "fig5.jsonl")
+        argv = ["figure", "fig5", "--scale", "quick", "--quiet"]
+        clear_cache()
+        assert main(argv + ["--jobs", "2", "--checkpoint", path,
+                            "--resume"]) == 0
+        first = capsys.readouterr().out
+        clear_cache()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert seen == [(2, path, True), (1, None, False)]
 
 
 class TestSweepCsv:

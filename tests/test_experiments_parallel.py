@@ -16,10 +16,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import mean
 from repro.experiments import parallel
-from repro.experiments.multi_seed import (
-    metric_offline_delivery,
-    run_seeds,
-)
+from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import RunRecord, run_grid
 from repro.experiments.runner import run_scenario
 from repro.metrics.lag import spec_lag_delivery, spec_mean_lag_by_class
@@ -126,7 +123,7 @@ class TestChurnIsolation:
     def test_churn_state_does_not_leak_between_cells(self):
         # The CatastrophicFailure object records its victims; the engine
         # must hand every cell a fresh copy so seeds can't contaminate
-        # each other (the historical reason run_seeds rejected churn).
+        # each other.
         churn = CatastrophicFailure(fraction=0.3, at_time=3.0)
         config = tiny_config(duration=4.0, drain=4.0, churn=churn)
         grid = run_grid(config, seeds=[1, 2, 3], metrics=METRICS)
@@ -134,36 +131,32 @@ class TestChurnIsolation:
         repeat = run_grid(config, seeds=[1, 2, 3], metrics=METRICS)
         assert grid.determinism_keys() == repeat.determinism_keys()
 
-    def test_run_seeds_still_rejects_shared_churn(self):
-        config = tiny_config(churn=CatastrophicFailure(fraction=0.3,
-                                                       at_time=3.0))
-        with pytest.raises(ValueError):
-            run_seeds(config, METRICS, seeds=[1, 2])
-
 
 class TestRunSeedsCompat:
+    """One config over several seeds: ``aggregated_for(0)`` of its grid."""
+
     def test_run_seeds_jobs_equivalence(self):
         config = tiny_config()
-        serial = run_seeds(config, METRICS, seeds=[1, 2, 3])
-        parallel = run_seeds(config, METRICS, seeds=[1, 2, 3], jobs=2)
+        serial = run_grid(config, [1, 2, 3], METRICS).aggregated_for(0)
+        parallel = run_grid(config, [1, 2, 3], METRICS,
+                            jobs=2).aggregated_for(0)
         for name in METRICS:
             assert serial[name].values == parallel[name].values
 
     def test_run_seeds_matches_direct_runs(self):
         config = tiny_config()
-        aggregated = run_seeds(config, {"delivery": metric_offline_delivery},
-                               seeds=[4, 5])
+        aggregated = run_grid(config, [4, 5],
+                              {"delivery": metric_offline_delivery}
+                              ).aggregated_for(0)
         direct = [metric_offline_delivery(run_scenario(config.with_(seed=s)))
                   for s in (4, 5)]
         assert aggregated["delivery"].values == direct
         assert aggregated["delivery"].mean == mean(direct)
 
     def test_lambda_metrics_still_work_serially(self):
-        # Serial execution must not require picklable metrics (the
-        # pre-parallel API allowed closures).
-        config = tiny_config()
-        aggregated = run_seeds(
-            config, {"half": lambda result: 0.5}, seeds=[1, 2])
+        # Serial execution must not require picklable metrics.
+        aggregated = run_grid(tiny_config(), [1, 2],
+                              {"half": lambda result: 0.5}).aggregated_for(0)
         assert aggregated["half"].values == [0.5, 0.5]
 
 

@@ -12,8 +12,8 @@ from repro.experiments.multi_seed import (
     metric_jitter_free_fraction,
     metric_mean_jitter_free_lag,
     metric_offline_delivery,
-    run_seeds,
 )
+from repro.experiments.parallel import run_grid
 from repro.metrics.export import (
     lag_grid_rows,
     write_cdf_csv,
@@ -21,7 +21,7 @@ from repro.metrics.export import (
     write_rows_csv,
     write_series_csv,
 )
-from repro.workloads import REF_691, CatastrophicFailure
+from repro.workloads import REF_691
 
 
 class TestCsvExport:
@@ -79,11 +79,11 @@ class TestRunSeeds:
     def aggregated(self):
         config = ScenarioConfig(protocol="heap", distribution=REF_691,
                                 n_nodes=25, duration=5.0, drain=12.0)
-        return run_seeds(config, {
+        return run_grid(config, (1, 2, 3), {
             "lag": metric_mean_jitter_free_lag,
             "delivery": metric_offline_delivery,
             "quality": metric_jitter_free_fraction(10.0),
-        }, seeds=(1, 2, 3))
+        }).aggregated_for(0)
 
     def test_all_metrics_aggregated(self, aggregated):
         assert set(aggregated) == {"lag", "delivery", "quality"}
@@ -100,9 +100,4 @@ class TestRunSeeds:
 
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError):
-            run_seeds(ScenarioConfig(), {}, seeds=())
-
-    def test_rejects_churn(self):
-        config = ScenarioConfig(churn=CatastrophicFailure(0.2, at_time=5.0))
-        with pytest.raises(ValueError):
-            run_seeds(config, {}, seeds=(1,))
+            run_grid(ScenarioConfig(), (), {})

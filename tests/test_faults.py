@@ -204,7 +204,7 @@ class TestSupervisor:
     @pytest.fixture(params=["fork", "spawn"])
     def supervisor(self, request):
         supervisor = Supervisor(multiprocessing.get_context(request.param),
-                                target=toy_child, name="toy", daemon=True)
+                                target=toy_child, name="toy")
         yield supervisor
         supervisor.close()
         assert supervisor.children == []
@@ -323,6 +323,39 @@ class TestCellCrashSupervision:
         with pytest.raises(ValueError, match="worker pool"):
             run_grid(GRID_CONFIGS, seeds=GRID_SEEDS, metrics=METRICS,
                      faults=FaultPlan.parse("crash-cell=1"))
+
+
+class TestShardedGridInPool:
+    """Grid and shard parallelism nest: ``jobs=2`` over ``shards=2``
+    cells starts shard workers from inside the grid workers and still
+    equals the serial, unsharded oracle byte for byte — also when a
+    grid worker is killed and its sharded cell retried."""
+
+    CONFIGS = (sharded_config(name="heap"),
+               sharded_config(name="standard", protocol="standard"))
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        return run_grid(self.CONFIGS, seeds=GRID_SEEDS, metrics=METRICS,
+                        summaries=SPECS)
+
+    @pytest.mark.parametrize("faults", (None, "crash-cell=1"))
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_matches_the_serial_unsharded_oracle(self, oracle, start_method,
+                                                 faults):
+        grid = run_grid([config.with_(shards=2) for config in self.CONFIGS],
+                        seeds=GRID_SEEDS, metrics=METRICS, summaries=SPECS,
+                        jobs=2, start_method=start_method, supervision=FAST,
+                        faults=faults and FaultPlan.parse(faults))
+        assert grid.render() == oracle.render()
+        assert grid.determinism_keys() == oracle.determinism_keys()
+        assert grid.summary_keys() == oracle.summary_keys()
+        # Every cell really crossed shard boundaries ...
+        assert all(record.wire["buffers"] > 0 for record in grid.records)
+        assert (grid.cell_retries > 0) == (faults is not None)
+        assert grid.failures == ()
+        # ... and nothing it started is still around.
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

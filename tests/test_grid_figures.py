@@ -16,10 +16,10 @@ import json
 
 import pytest
 
-from repro.experiments import gridrun, scales
+from repro.experiments import scales
 from repro.experiments.ablations import ablation_source_bias
 from repro.experiments.figures import fig4_bandwidth_usage, fig5_quality_ref691, fig7_jitter_cdf
-from repro.experiments.gridrun import GridOptions, configure, grid_summaries
+from repro.experiments.gridrun import grid_summaries
 from repro.experiments.scales import Scale, clear_cache, scenario_at
 from repro.experiments.tables import table3_jitter_free_nodes
 from repro.metrics.export import write_result_csv
@@ -31,12 +31,9 @@ TINY = Scale("tiny", 20, 4.0, 10.0)
 
 
 @pytest.fixture(autouse=True)
-def fresh_state(monkeypatch):
-    """Every test starts with empty caches and default grid options."""
+def fresh_state():
+    """Every test starts with empty caches."""
     clear_cache()
-    defaults = GridOptions()
-    for name in vars(defaults):
-        monkeypatch.setattr(gridrun._OPTIONS, name, getattr(defaults, name))
     yield
     clear_cache()
 
@@ -70,8 +67,7 @@ class TestSerialParallelParity:
         write_result_csv(str(serial_csv), serial_fig)
 
         clear_cache()
-        configure(jobs=4, start_method="fork")
-        parallel_fig = fig5_quality_ref691(TINY)
+        parallel_fig = fig5_quality_ref691(TINY, jobs=4, start_method="fork")
         parallel_csv = tmp_path / "parallel.csv"
         write_result_csv(str(parallel_csv), parallel_fig)
 
@@ -81,15 +77,15 @@ class TestSerialParallelParity:
     def test_table_render_byte_identical(self):
         serial = table3_jitter_free_nodes(TINY).render()
         clear_cache()
-        configure(jobs=2, start_method="fork")
-        parallel = table3_jitter_free_nodes(TINY).render()
+        parallel = table3_jitter_free_nodes(TINY, jobs=2,
+                                            start_method="fork").render()
         assert serial == parallel
 
     def test_ablation_render_byte_identical(self):
         serial = ablation_source_bias(TINY, biases=(0.0, 1.0)).render()
         clear_cache()
-        configure(jobs=2, start_method="fork")
-        parallel = ablation_source_bias(TINY, biases=(0.0, 1.0)).render()
+        parallel = ablation_source_bias(TINY, biases=(0.0, 1.0), jobs=2,
+                                        start_method="fork").render()
         assert serial == parallel
 
 
@@ -134,23 +130,6 @@ class TestSummaryCoherence:
         assert len(executed) == 2  # no re-run: the bundle pre-computed it
         assert all(other_spec.name in summary for summary in summaries)
 
-    def test_bundle_off_requires_rerun_for_new_specs(self):
-        """Control for the test above: without the bundle, a different
-        reduction of a worker-computed scenario re-runs the cell."""
-        from repro.metrics.bandwidth import spec_utilization_by_class
-
-        configs = [scenario_at(TINY, protocol=p, distribution=REF_691)
-                   for p in ("heap", "standard")]
-        executed = []
-        progress = lambda event: executed.append(event.record)  # noqa: E731
-        grid_summaries([(c, (spec_lag_delivery(0.99),)) for c in configs],
-                       jobs=2, start_method="fork", progress=progress,
-                       bundle=False)
-        grid_summaries([(c, (spec_utilization_by_class(),)) for c in configs],
-                       jobs=2, start_method="fork", progress=progress,
-                       bundle=False)
-        assert len(executed) == 4
-
     def test_summary_cache_survives_without_full_results(self, monkeypatch):
         spec = spec_jitter_free_fraction_by_class(10.0)
         cells = [(scenario_at(TINY, protocol="heap",
@@ -169,9 +148,8 @@ class TestSummaryCoherence:
 class TestFigureCheckpointResume:
     def test_interrupted_figure_resumes_from_checkpoint(self, tmp_path,
                                                         monkeypatch):
-        path = str(tmp_path / "fig4.jsonl")
-        configure(checkpoint=path, resume=True)
-        reference = fig4_bandwidth_usage(TINY)
+        grid = dict(checkpoint=str(tmp_path / "fig4.jsonl"), resume=True)
+        reference = fig4_bandwidth_usage(TINY, **grid)
         lines = (tmp_path / "fig4.jsonl").read_text().splitlines()
         assert len(lines) == 1 + 4  # header + one record per scenario
 
@@ -180,7 +158,7 @@ class TestFigureCheckpointResume:
         (tmp_path / "fig4.jsonl").write_text("\n".join(lines[:3]) + "\n")
         clear_cache()
         calls = _count_runs(monkeypatch)
-        resumed = fig4_bandwidth_usage(TINY)
+        resumed = fig4_bandwidth_usage(TINY, **grid)
         assert len(calls) == 2  # only the missing cells ran
         assert resumed.render() == reference.render()
 
@@ -188,9 +166,8 @@ class TestFigureCheckpointResume:
         # The same figure twice with cold caches must accept its own
         # checkpoint (the grid fingerprint is a pure function of the
         # cells, not of what an earlier process had cached).
-        path = str(tmp_path / "fig5.jsonl")
-        configure(checkpoint=path, resume=True)
-        first = fig5_quality_ref691(TINY)
+        grid = dict(checkpoint=str(tmp_path / "fig5.jsonl"), resume=True)
+        first = fig5_quality_ref691(TINY, **grid)
         clear_cache()
-        again = fig5_quality_ref691(TINY)
+        again = fig5_quality_ref691(TINY, **grid)
         assert first.render() == again.render()

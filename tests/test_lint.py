@@ -257,7 +257,7 @@ def test_supervisor_target_is_a_process_boundary_sink(tmp_path):
     flagged = ("from repro.faults.supervise import Supervisor\n"
                "def start(ctx):\n"
                "    return Supervisor(ctx, target=lambda conn: None,\n"
-               "                      name='w', daemon=True)\n")
+               "                      name='w')\n")
     findings = _lint_source(tmp_path, flagged, "S201")
     assert [f.rule for f in findings] == ["S201"]
     assert "Supervisor(target=...)" in findings[0].message

@@ -268,6 +268,28 @@ class TestErrorPaths:
         assert field in json.loads(response.body)["error"]
         assert service.manager.jobs() == []
 
+    @pytest.mark.parametrize("declared, status", [
+        ("abc", 400),       # used to raise out of the handler
+        ("-5", 400),        # used to block in rfile.read(-5)
+        ("2000000", 413),   # nothing bounded the buffered body
+    ])
+    def test_bad_content_length_is_a_structured_error(self, service,
+                                                      declared, status):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=10.0)
+        try:
+            conn.putrequest("POST", "/v1/jobs")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders()  # no body: the header alone is answered
+            response = conn.getresponse()
+            assert response.status == status
+            assert declared in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert service.manager.jobs() == []
+
     def test_health_endpoint(self, client):
         health = client.health()
         assert health["status"] == "ok"
@@ -303,6 +325,29 @@ class TestJobSpec:
             JobSpec("frobnicate", {}).normalized()
         with pytest.raises(ValueError, match="unknown figure id"):
             JobSpec("figure", {"id": "nope"}).normalized()
+
+
+class TestLayering:
+    def test_a_figure_job_never_imports_the_cli(self, tmp_path):
+        """The engine does not depend on its front end: validating and
+        running a render job leaves ``repro.cli`` unimported."""
+        import subprocess
+
+        import repro
+
+        task = ("figure", {"id": "fig5", "scale": "quick"},
+                str(tmp_path / "job.jsonl"), str(tmp_path / "job.csv"), 1)
+        code = ("import sys\n"
+                "import repro.service\n"
+                "from repro.service.jobs import JobSpec, _run_job\n"
+                f"task = {task!r}\n"
+                "JobSpec(*task[:2]).fingerprint()\n"
+                "assert 'Fig 5' in _run_job(task, lambda frame: None)"
+                "['render']\n"
+                "assert 'repro.cli' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestQueueBounds:
