@@ -52,6 +52,13 @@ TRACKED = [
     # reduction of the packed window exchange vs the per-envelope path.
     (("sharding", "wire_batching", "bytes_reduction"),
      "wire batching bytes reduction"),
+    (("per_pair", "latency_fresh_link_calls_per_sec"),
+     "per-pair latency fresh links/s"),
+    (("per_pair", "loss_fresh_link_calls_per_sec"),
+     "per-pair loss fresh links/s"),
+    # Deterministic (tracemalloc): links retained per MiB of model state.
+    (("per_pair", "latency_links_per_mib"), "per-pair latency links/MiB"),
+    (("per_pair", "loss_links_per_mib"), "per-pair loss links/MiB"),
     (("attacks", "honest_events_per_sec"), "attack-bench honest events/s"),
     (("attacks", "spam_events_per_sec"), "attack-bench 10%-spam events/s"),
 ]

@@ -20,12 +20,13 @@ import sys
 import time
 
 
-#: Serialized bytes the deleted per-envelope wire format (one pickled
-#: tuple per datagram) shipped for the 2-shard bench scenario of
-#: ``bench_sharded_scenario.py``; frozen from the committed
-#: ``BENCH_throughput.json`` of a9ff8a0 (Python 3.11) so
-#: ``bytes_reduction`` keeps its reference.
-PER_ENVELOPE_WIRE_BYTES = 21_120_051
+#: Serialized bytes per envelope the deleted per-envelope wire format
+#: (one pickled tuple per datagram) cost on the 2-shard bench scenario of
+#: ``bench_sharded_scenario.py``: 21,120,051 bytes over 100,961
+#: envelopes in the committed ``BENCH_throughput.json`` of a9ff8a0
+#: (Python 3.11).  A rate, so ``bytes_reduction`` keeps its reference
+#: when the scenario's traffic moves.
+PER_ENVELOPE_WIRE_BYTES = 209.2
 
 
 def _best_of(fn, repeats: int = 5) -> float:
@@ -133,8 +134,9 @@ def bench_sharding():
     peer shard, multicast payloads interned), in serialized bytes per
     window and events/s.  The byte numbers come from the ``NetworkStats``
     wire counters, so they are deterministic — unlike the wall-clock
-    numbers around them — and ``bytes_reduction`` compares them against
-    the frozen byte count of the deleted per-envelope wire format.
+    numbers around them — and ``bytes_reduction`` compares their bytes
+    per envelope against the frozen rate of the deleted per-envelope
+    wire format.
     """
     from bench_sharded_scenario import (n_windows, run_serial,
                                         run_with_shards, summary_blob)
@@ -168,6 +170,8 @@ def bench_sharding():
     batched_wall = time.perf_counter() - started
     identical = identical and summary_blob(rebatched) == serial_summaries
     windows = n_windows()
+    batched_per_envelope = (batched_stats.wire_bytes
+                            / batched_stats.wire_envelopes)
     section["wire_batching"] = {
         "shards": 2,
         "windows": windows,
@@ -180,11 +184,51 @@ def bench_sharding():
         "payload_bytes_before_interning":
             batched_stats.wire_payload_bytes_before,
         "payload_bytes_after_interning": batched_stats.wire_payload_bytes,
-        "per_envelope_wire_bytes": PER_ENVELOPE_WIRE_BYTES,
+        "batched_bytes_per_envelope": round(batched_per_envelope, 1),
+        "per_envelope_format_bytes_per_envelope": PER_ENVELOPE_WIRE_BYTES,
         "bytes_reduction": round(PER_ENVELOPE_WIRE_BYTES
-                                 / batched_stats.wire_bytes, 2),
+                                 / batched_per_envelope, 2),
     }
     section["summaries_byte_identical"] = identical
+    return section
+
+
+def bench_per_pair():
+    """Per-link cost of the per-pair models on links they see first.
+
+    At 1k nodes nearly every send opens a new directed link, so what a
+    *fresh* link costs — seeding its stream, drawing once, and what stays
+    allocated afterwards — is what the 1k-node rows above pay per
+    datagram.  Calls/s is best-of-three wall clock; bytes per link is
+    ``tracemalloc`` growth over the same calls, which is deterministic.
+    ``links_per_mib`` is its higher-is-better form for the trend gate.
+    """
+    import tracemalloc
+
+    from repro.net.latency import PerPairLatency
+    from repro.net.loss import PerPairLoss
+
+    # Both directions of some pairs and one of others, as a run has.
+    links = [(src, dst) for src in range(0, 1000, 50)
+             for dst in range(1000) if src != dst]
+
+    def serve_each_link_once(call):
+        for src, dst in links:
+            call(src, dst)
+
+    section = {"links": len(links)}
+    for name, build in (
+            ("latency", lambda: PerPairLatency(17).sample),
+            ("loss", lambda: PerPairLoss(17, 0.03).is_lost)):
+        wall = _best_of(lambda: serve_each_link_once(build()), repeats=3)
+        tracemalloc.start()
+        call = build()  # the bound method keeps its model alive
+        serve_each_link_once(call)
+        per_link = tracemalloc.get_traced_memory()[0] / len(links)
+        tracemalloc.stop()
+        section[f"{name}_fresh_link_calls_per_sec"] = round(len(links) / wall)
+        section[f"{name}_bytes_per_link"] = round(per_link, 1)
+        section[f"{name}_links_per_mib"] = round(2 ** 20 / per_link)
     return section
 
 
@@ -292,6 +336,7 @@ def main(argv=None) -> int:
         "scenario": bench_scenario(),
         "sweep": bench_sweep(args.jobs),
         "sharding": bench_sharding(),
+        "per_pair": bench_per_pair(),
         "attacks": bench_attacks(),
         "source": source_size(),
     }

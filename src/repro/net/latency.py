@@ -16,6 +16,8 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, Tuple
 
+from repro.sim.rng import derive_seed, link_stream, splitmix64
+
 
 class LatencyModel(ABC):
     """Samples one-way network delay (seconds) for a (src, dst) pair."""
@@ -113,6 +115,13 @@ class LogNormalLatency(LatencyModel):
         return self.floor
 
 
+def _check_pairwise(median_base: float, jitter: float) -> None:
+    if median_base <= 0:
+        raise ValueError(f"median must be positive, got {median_base!r}")
+    if jitter < 0:
+        raise ValueError(f"negative jitter {jitter!r}")
+
+
 class PairwiseLatency(LatencyModel):
     """Stable per-pair base latency plus per-message jitter.
 
@@ -127,6 +136,7 @@ class PairwiseLatency(LatencyModel):
 
     def __init__(self, rng: random.Random, median_base: float = 0.05,
                  sigma: float = 0.6, jitter: float = 0.01, floor: float = 0.002):
+        _check_pairwise(median_base, jitter)
         self._rng = rng
         self.median_base = median_base
         self.sigma = sigma
@@ -169,14 +179,24 @@ class PerPairLatency(LatencyModel):
 
     Statistically the same shape as :class:`PairwiseLatency` — a stable
     lognormal base per unordered pair plus uniform per-message jitter —
-    but every random value is drawn from a stream derived purely from
-    the model seed and the pair identity:
+    but every random value comes from a counter-based stream
+    (:func:`repro.sim.rng.link_stream` / :func:`~repro.sim.rng.splitmix64`)
+    that belongs to one link and is a pure function of the model seed and
+    the link identity:
 
-    * the base delay of pair ``{a, b}`` comes from a dedicated generator
-      seeded by ``(seed, "base", a, b)``;
-    * the k-th message on the *directed* link ``src -> dst`` draws its
-      jitter from a dedicated generator seeded by
-      ``(seed, "jitter", src, dst)``.
+    * the base delay of pair ``{a, b}`` is the first two draws of the
+      stream ``("base", a, b)``, turned into a normal deviate by
+      Box–Muller (rejection-free, so always exactly two draws) and
+      memoised;
+    * the k-th message on the *directed* link ``src -> dst`` takes its
+      jitter from the k-th draw of the stream ``("jitter", src, dst)``.
+
+    A stream's state is one 64-bit ``int`` in a dict (under 200 bytes a
+    link, keys and the memoised base included) and a draw is one
+    SplitMix64 step: under a microsecond on a known link, about four on a
+    link's first send, which also seeds the stream and usually draws the
+    pair's base.  A 1000-node run opens a new link on almost every send,
+    so that first-send cost is what the model costs there.
 
     :class:`PairwiseLatency` consumes one shared stream in global send
     order, which couples every node's arrivals to the total order of
@@ -188,49 +208,55 @@ class PerPairLatency(LatencyModel):
     "per-pair"``).
     """
 
-    __slots__ = ("_seed", "median_base", "sigma", "jitter", "floor", "_mu",
-                 "_bases", "_jitter_rngs")
+    __slots__ = ("median_base", "sigma", "jitter", "floor", "_mu", "_bases",
+                 "_base_key", "_jitter_key", "_jitter_states")
 
     def __init__(self, seed: int, median_base: float = 0.05,
                  sigma: float = 0.6, jitter: float = 0.01, floor: float = 0.002):
-        if median_base <= 0:
-            raise ValueError(f"median must be positive, got {median_base!r}")
-        self._seed = seed
+        _check_pairwise(median_base, jitter)
         self.median_base = median_base
         self.sigma = sigma
         self.jitter = jitter
         self.floor = floor
         self._mu = math.log(median_base)
         self._bases: Dict[Tuple[int, int], float] = {}
-        #: Directed-pair jitter streams, created lazily on first send.
-        self._jitter_rngs: Dict[Tuple[int, int], random.Random] = {}
+        self._base_key = derive_seed(seed, "base")
+        self._jitter_key = derive_seed(seed, "jitter")
+        #: Directed-link jitter stream states, created on first send.
+        self._jitter_states: Dict[Tuple[int, int], int] = {}
 
-    def _derive(self, *parts) -> int:
-        from repro.sim.rng import derive_seed
-
-        return derive_seed(self._seed, ":".join(str(p) for p in parts))
+    def _draw_base(self, pair: Tuple[int, int]) -> float:
+        state, u1 = splitmix64(link_stream(self._base_key, *pair))
+        _, u2 = splitmix64(state)
+        # Box-Muller; 1 - u1 is in (0, 1], so the log is finite.
+        normal = (math.sqrt(-2.0 * math.log(1.0 - u1))
+                  * math.cos(2.0 * math.pi * u2))
+        value = max(self.floor, math.exp(self._mu + self.sigma * normal))
+        self._bases[pair] = value
+        return value
 
     def base(self, src: int, dst: int) -> float:
         """The stable base latency for the unordered pair {src, dst}."""
-        key = (src, dst) if src <= dst else (dst, src)
-        value = self._bases.get(key)
-        if value is None:
-            rng = random.Random(self._derive("base", key[0], key[1]))
-            value = max(self.floor, rng.lognormvariate(self._mu, self.sigma))
-            self._bases[key] = value
-        return value
+        pair = (src, dst) if src <= dst else (dst, src)
+        value = self._bases.get(pair)
+        return self._draw_base(pair) if value is None else value
 
     def sample(self, src: int, dst: int) -> float:
-        if self.jitter > 0:
-            key = (src, dst)
-            rng = self._jitter_rngs.get(key)
-            if rng is None:
-                rng = random.Random(self._derive("jitter", src, dst))
-                self._jitter_rngs[key] = rng
-            jitter = self.jitter * rng.random()
-        else:
-            jitter = 0.0
-        return self.base(src, dst) + jitter
+        # Runs once per datagram, mostly on a link's first use at 1k
+        # nodes: base() is inlined and the link tuple doubles as the pair
+        # key, so an src <= dst link retains one tuple, not two.
+        link = (src, dst)
+        pair = link if src <= dst else (dst, src)
+        base = self._bases.get(pair)
+        if base is None:
+            base = self._draw_base(pair)
+        if self.jitter <= 0:
+            return base
+        state = self._jitter_states.get(link)
+        if state is None:
+            state = link_stream(self._jitter_key, src, dst)
+        self._jitter_states[link], u = splitmix64(state)
+        return base + self.jitter * u
 
     def mean(self) -> float:
         return math.exp(self._mu + self.sigma ** 2 / 2) + self.jitter / 2

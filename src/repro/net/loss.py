@@ -16,6 +16,8 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, Tuple
 
+from repro.sim.rng import derive_seed, link_stream, splitmix64
+
 
 class LossModel(ABC):
     """Decides, per datagram, whether the network drops it."""
@@ -63,9 +65,12 @@ class PerPairLoss(LossModel):
 
     Statistically identical to :class:`BernoulliLoss` — every datagram is
     dropped independently with probability ``rate`` — but the k-th
-    datagram on the *directed* link ``src -> dst`` draws its trial from a
-    dedicated generator seeded by ``(seed, src, dst)``, never from a
-    stream shared across links.
+    datagram on the *directed* link ``src -> dst`` decides its trial by
+    the k-th draw of that link's own counter-based stream
+    (:func:`repro.sim.rng.link_stream` under ``(seed, "loss")``), never
+    from a stream shared across links.  A link costs one 64-bit ``int``
+    of state and a draw is one SplitMix64 step — about a microsecond,
+    a link's first datagram (which seeds the stream) included.
 
     :class:`BernoulliLoss` consumes one shared stream in global send
     order, which couples every link's drop decisions to the total order
@@ -77,25 +82,23 @@ class PerPairLoss(LossModel):
     requires (``ScenarioConfig.loss_rng == "per-pair"``).
     """
 
-    __slots__ = ("_seed", "rate", "_rngs")
+    __slots__ = ("rate", "_key", "_states")
 
     def __init__(self, seed: int, rate: float):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"loss rate must be in [0, 1], got {rate!r}")
-        self._seed = seed
         self.rate = rate
-        #: Directed-link trial streams, created lazily on first send.
-        self._rngs: Dict[Tuple[int, int], random.Random] = {}
+        self._key = derive_seed(seed, "loss")
+        #: Directed-link trial stream states, created on first send.
+        self._states: Dict[Tuple[int, int], int] = {}
 
     def is_lost(self, src: int, dst: int) -> bool:
         key = (src, dst)
-        rng = self._rngs.get(key)
-        if rng is None:
-            from repro.sim.rng import derive_seed
-
-            rng = random.Random(derive_seed(self._seed, f"{src}->{dst}"))
-            self._rngs[key] = rng
-        return rng.random() < self.rate
+        state = self._states.get(key)
+        if state is None:
+            state = link_stream(self._key, src, dst)
+        self._states[key], u = splitmix64(state)
+        return u < self.rate
 
 
 class GilbertElliottLoss(LossModel):

@@ -6,13 +6,27 @@ draws from its own named stream derived from one master seed.  This keeps
 experiments bit-for-bit reproducible *and* lets one vary a single source
 of randomness (e.g. reshuffle peer selection) while holding the others
 fixed — which the ablation benches rely on.
+
+Two kinds of stream live here:
+
+* **named streams** (:class:`RngRegistry`): a handful per experiment, each
+  a :class:`random.Random` (2.5 KB of Mersenne Twister state) seeded
+  through :func:`derive_seed`;
+* **link streams** (:func:`link_stream` / :func:`splitmix64`): one per
+  network link, potentially millions, so a stream's whole state is one
+  64-bit integer the caller keeps in a dict.  The per-pair latency and
+  loss models draw from these.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict
+from typing import Dict, Tuple
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: SplitMix64's state increment: 2**64 / golden ratio, rounded to odd.
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -23,6 +37,43 @@ def derive_seed(master_seed: int, name: str) -> int:
     """
     digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function (Stafford's variant 13): a bijection
+    on 64-bit integers in which every input bit flips every output bit
+    with probability ~1/2."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def link_stream(key: int, src: int, dst: int) -> int:
+    """Initial state of the stream of link ``(src, dst)`` under ``key``.
+
+    It is output number ``src * 2**32 + dst`` of the SplitMix64 generator
+    seeded with ``key``: cheap arithmetic (no hashing, no allocation
+    beyond the integer itself), distinct for distinct links with node ids
+    in ``[0, 2**32)``, and as unrelated between adjacent ids as
+    consecutive outputs of that generator are.  ``key`` should come from
+    :func:`derive_seed`, one per purpose, so two models (or the base and
+    jitter streams of one model) never share a link's stream.
+    """
+    return _mix64(key + ((src << 32) + dst) * GOLDEN_GAMMA & _MASK64)
+
+
+def splitmix64(state: int) -> Tuple[int, float]:
+    """One draw from a link stream: ``(next state, uniform in [0, 1))``.
+
+    A SplitMix64 step — add the golden gamma, mix, keep the top 53 bits.
+    The generator is counter-based: the k-th draw of a stream is a pure
+    function of its initial state and k, whatever other streams did in
+    between, which is what makes per-link draws independent of global
+    event order.  The caller stores the returned state (one ``int``) as
+    the stream.
+    """
+    state = state + GOLDEN_GAMMA & _MASK64
+    return state, (_mix64(state) >> 11) * 2.0 ** -53
 
 
 class RngRegistry:

@@ -23,6 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Protocols the runner knows how to build.
 PROTOCOLS = ("standard", "heap", "tree")
 
+#: Version of the per-link stream derivation behind ``latency_rng`` /
+#: ``loss_rng`` ``"per-pair"`` (the SplitMix64 link streams of
+#: :mod:`repro.sim.rng`).  Part of :func:`scenario_key` for per-pair
+#: scenarios: bump it whenever their draws would change.
+PER_PAIR_STREAMS = 2
+
 
 @dataclass
 class ScenarioConfig:
@@ -170,6 +176,10 @@ class ScenarioConfig:
         errors.extend(self._adversary_violations())
         if self.discovery_initial_bps <= 0:
             errors.append("discovery initial capability must be positive")
+        if self.latency_median <= 0:
+            errors.append("latency median must be positive")
+        if self.latency_jitter < 0:
+            errors.append("latency jitter must be >= 0")
         if self.latency_floor < 0:
             errors.append("latency floor must be >= 0")
         if self.latency_rng not in ("shared", "per-pair"):
@@ -279,4 +289,10 @@ def scenario_key(config: ScenarioConfig) -> str:
         elif field_.name == "churn":
             value = value.key() if value is not None else None
         parts.append((field_.name, repr(value)))
+    if "per-pair" in (config.latency_rng, config.loss_rng):
+        # Which derivation the per-link streams use is part of what a
+        # per-pair run *is*: bumping it strands checkpoints and cached
+        # results computed under the previous one instead of resuming
+        # them into a mixed grid.  Shared-mode keys never carry it.
+        parts.append(("per_pair_streams", repr(PER_PAIR_STREAMS)))
     return repr(parts)

@@ -8,6 +8,7 @@ differ.  The checkpoint tests add the resume contract: a killed grid
 restarts from its JSONL records without recomputing finished cells.
 """
 
+import os
 import pickle
 
 import pytest
@@ -319,6 +320,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="different grid"):
             run_grid(tiny_config(), seeds=[1, 2, 3], metrics=METRICS,
                      checkpoint=path, resume=True)
+
+    @pytest.mark.parametrize("mode", ["per-pair", "shared"])
+    def test_checkpoint_of_another_stream_derivation(self, tmp_path, capsys,
+                                                     monkeypatch, mode):
+        """A per-pair checkpoint written under another per-link stream
+        derivation is stale — a loud mismatch under an explicit
+        checkpoint, discarded under a managed one (``checkpoint_gc``, how
+        ``--checkpoint-dir`` and the service's ``job-<fp>.jsonl`` run) —
+        and never resumed into a grid of mixed derivations.  A shared-mode
+        checkpoint does not know the derivation exists and resumes."""
+        import repro.workloads.scenario as scenario
+
+        path = str(tmp_path / "job-0123456789abcdef.jsonl")
+        config = tiny_config(latency_rng=mode)
+        with monkeypatch.context() as older:
+            older.setattr(scenario, "PER_PAIR_STREAMS", 1)
+            run_grid(config, seeds=[1, 2], metrics=METRICS, checkpoint=path)
+        calls = _counting_run_scenario(monkeypatch)
+        if mode == "shared":
+            run_grid(config, seeds=[1, 2], metrics=METRICS, checkpoint=path,
+                     resume=True)
+            assert calls == []
+            return
+        with pytest.raises(ValueError, match="different grid"):
+            run_grid(config, seeds=[1, 2], metrics=METRICS, checkpoint=path,
+                     resume=True)
+        assert calls == []
+        run_grid(config, seeds=[1, 2], metrics=METRICS, checkpoint=path,
+                 resume=True, checkpoint_gc=True)
+        assert calls == [1, 2]  # nothing restored: both cells re-ran
+        assert "discarding stale checkpoint" in capsys.readouterr().err
+        assert not os.path.exists(path)  # spent after the rerun
 
     def test_checkpoint_without_resume_starts_fresh(self, tmp_path):
         path = str(tmp_path / "grid.jsonl")

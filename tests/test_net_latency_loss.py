@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import math
 import random
+import statistics
+import tracemalloc
 
 import pytest
 
@@ -10,9 +13,11 @@ from repro.net.latency import (
     ConstantLatency,
     LogNormalLatency,
     PairwiseLatency,
+    PerPairLatency,
     UniformLatency,
 )
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss, PerPairLoss
+from repro.sim.rng import GOLDEN_GAMMA, link_stream, splitmix64
 
 
 class TestLatencyModels:
@@ -67,6 +72,225 @@ class TestLatencyModels:
         samples = [model.sample(1, 2) for _ in range(100)]
         assert all(base <= s <= base + 0.02 for s in samples)
         assert len(set(samples)) > 1
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: PairwiseLatency(random.Random(1), **kw),
+        lambda **kw: PerPairLatency(1, **kw),
+    ], ids=["shared", "per-pair"])
+    def test_pairwise_models_validate_alike(self, build):
+        with pytest.raises(ValueError, match="median"):
+            build(median_base=0.0)
+        with pytest.raises(ValueError, match="jitter"):
+            build(jitter=-0.01)
+        assert build(jitter=0.0).sample(1, 2) == build(jitter=0.0).base(1, 2)
+
+
+# ----------------------------------------------------------------------
+# helpers for the per-link stream tests
+# ----------------------------------------------------------------------
+def _chi_square_uniform(values, buckets=20):
+    counts = [0] * buckets
+    for value in values:
+        counts[int(value * buckets)] += 1
+    expected = len(values) / buckets
+    return sum((count - expected) ** 2 / expected for count in counts)
+
+
+#: 99.9th percentile of chi-square with 19 degrees of freedom.
+CHI_SQUARE_19_DOF = 43.82
+
+
+def _max_lagged_correlation(xs, ys, lags=range(-3, 4)):
+    """Largest |Pearson r| between xs and ys shifted by a few positions —
+    two counter streams that overlapped would show as r = 1 at a lag."""
+    worst = 0.0
+    for lag in lags:
+        a = xs[max(lag, 0):len(xs) + min(lag, 0)]
+        b = ys[max(-lag, 0):len(ys) + min(-lag, 0)]
+        worst = max(worst, abs(statistics.correlation(a, b)))
+    return worst
+
+
+def _retained_bytes_per_link(build, links):
+    """tracemalloc growth per link while the model behind ``build()``'s
+    bound method serves each of ``links`` once; returns (bytes per link,
+    the model)."""
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call = build()
+        for src, dst in links:
+            call(src, dst)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started_here:
+            tracemalloc.stop()
+    return grown / len(links), call.__self__
+
+
+def _holds_generator(model):
+    """Does any slot of ``model`` hold (or map to) a random.Random?"""
+    for name in type(model).__slots__:
+        value = getattr(model, name)
+        values = list(value.values()) if isinstance(value, dict) else [value]
+        if any(isinstance(v, random.Random) for v in values):
+            return True
+    return False
+
+
+#: Every directed link of a 101-node clique (10,100 of them); the ids sit
+#: beyond CPython's small-int cache and exist before tracing starts, as a
+#: simulation's node ids do.
+CLIQUE_LINKS = [(a, b) for a in range(300, 401) for b in range(300, 401)
+                if a != b]
+
+
+#: ``PerPairLatency(2024)`` over TestPerPairLatency.LINKS, then the first
+#: two links again; ``PerPairLoss(2024, 0.5)``: 16 trials on each of
+#: (0, 1), (1, 0), (7, 3).
+PINNED_LATENCY = [0.08623987537082323, 0.08936899553162055,
+                  0.07500785154052497, 0.031913775952223056,
+                  0.032564894648326265, 0.08756530144785123,
+                  0.08442234709325179]
+PINNED_LOSS = "110110101011010110000010011111100001010011100110"
+
+
+class TestLinkStreams:
+    """The counter-based generator under the per-pair models."""
+
+    def test_is_splitmix64(self):
+        # First outputs of the reference SplitMix64 seeded with 0.
+        reference = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                     0x06C45D188009454F]
+        state = 0
+        for k, output in enumerate(reference, start=1):
+            state, u = splitmix64(state)
+            assert state == k * GOLDEN_GAMMA % 2 ** 64
+            assert u == (output >> 11) / 2 ** 53
+
+    def test_state_is_one_bounded_int(self):
+        state = link_stream(2 ** 64 - 1, 999, 998)
+        for _ in range(1000):
+            state, u = splitmix64(state)
+            assert type(state) is int and 0 <= state < 2 ** 64
+            assert 0.0 <= u < 1.0
+
+    def test_link_states_are_distinct_and_keyed(self):
+        states = {link_stream(17, a, b) for a in range(60) for b in range(60)}
+        assert len(states) == 3600
+        assert link_stream(17, 1, 2) != link_stream(18, 1, 2)
+        assert link_stream(17, 1, 2) != link_stream(17, 2, 1)
+
+
+class TestPerPairLatency:
+    """The order-independent latency model sharded execution relies on."""
+
+    LINKS = [(0, 1), (1, 0), (0, 2), (7, 3), (3, 7)]
+
+    def test_interleaving_and_creation_order_change_nothing(self):
+        forward = PerPairLatency(21)
+        expected = {link: [forward.sample(*link) for _ in range(40)]
+                    for link in self.LINKS}
+        permuted = PerPairLatency(21)
+        for link in reversed(self.LINKS):  # bases drawn in another order
+            permuted.base(*link)
+        replayed = {link: [] for link in self.LINKS}
+        order = random.Random(4)
+        pending = [link for link in self.LINKS for _ in range(40)]
+        order.shuffle(pending)  # an arbitrary global interleaving
+        for link in pending:
+            replayed[link].append(permuted.sample(*link))
+        assert replayed == expected
+
+    def test_kth_draw_does_not_depend_on_other_links(self):
+        alone = PerPairLatency(22)
+        kth = [alone.sample(5, 6) for _ in range(10)][9]
+        busy = PerPairLatency(22)
+        for k in range(9):
+            busy.sample(5, 6)
+            for other in range(10, 60):
+                busy.sample(other, 6)
+        assert busy.sample(5, 6) == kth
+
+    def test_base_is_symmetric_jitter_is_directed(self):
+        model = PerPairLatency(23, jitter=0.01)
+        assert model.base(1, 2) == model.base(2, 1)
+        there = [model.sample(1, 2) for _ in range(20)]
+        back = [model.sample(2, 1) for _ in range(20)]
+        assert there != back
+        base = model.base(1, 2)
+        assert all(base <= s < base + 0.01 for s in there + back)
+
+    @pytest.mark.parametrize("draws", ["one-link", "first-of-each-link"])
+    def test_jitter_is_uniform(self, draws):
+        """Both along one link's stream and across the first draws of
+        many links — at 1k nodes nearly every draw is a link's first."""
+        model = PerPairLatency(24, jitter=1.0, floor=0.0)
+        if draws == "one-link":
+            base = model.base(0, 1)
+            us = [model.sample(0, 1) - base for _ in range(20_000)]
+        else:
+            us = [model.sample(a, b) - model.base(a, b)
+                  for a in range(100) for b in range(1000, 1200)]
+        assert len(us) == 20_000 and all(0.0 <= u < 1.0 for u in us)
+        assert statistics.fmean(us) == pytest.approx(0.5, abs=0.0075)
+        assert statistics.pvariance(us) == pytest.approx(1 / 12, abs=0.003)
+        assert _chi_square_uniform(us) < CHI_SQUARE_19_DOF
+
+    def test_base_is_lognormal(self):
+        model = PerPairLatency(25, median_base=0.05, sigma=0.6, floor=1e-9)
+        logs = [math.log(model.base(a, b))
+                for a in range(50) for b in range(1000, 1100)]
+        assert len(logs) == 5000
+        assert math.exp(statistics.median(logs)) == pytest.approx(0.05,
+                                                                  rel=0.04)
+        assert statistics.pstdev(logs) == pytest.approx(0.6, abs=0.025)
+        # Symmetric in log space: the tails are as heavy on both sides.
+        mu = math.log(0.05)
+        beyond = sum(abs(x - mu) > 2 * 0.6 for x in logs) / len(logs)
+        assert beyond == pytest.approx(0.0455, abs=0.01)
+
+    def test_floor_clamps_the_base(self):
+        model = PerPairLatency(26, median_base=0.05, floor=0.04, jitter=0.0)
+        bases = [model.sample(0, b) for b in range(1, 400)]
+        assert min(bases) == 0.04
+        assert 0.2 < sum(b == 0.04 for b in bases) / len(bases) < 0.5
+        assert model.lower_bound() == 0.04
+
+    def test_adjacent_links_are_uncorrelated(self):
+        model = PerPairLatency(27, jitter=1.0, floor=0.0)
+
+        def stream(a, b, n=10_000):
+            base = model.base(a, b)
+            return [model.sample(a, b) - base for _ in range(n)]
+
+        here = stream(40, 41)
+        for neighbour in ((40, 42), (41, 41), (41, 40)):
+            assert _max_lagged_correlation(here, stream(*neighbour)) < 0.05
+
+    def test_adjacent_pairs_have_unrelated_bases(self):
+        model = PerPairLatency(28, floor=0.0)
+        row = [math.log(model.base(9, b)) for b in range(10, 4010)]
+        assert abs(statistics.correlation(row[:-1], row[1:])) < 0.05
+
+    def test_first_values_are_pinned(self):
+        """The derivation is part of every per-pair scenario's identity
+        (``scenario_key``'s ``per_pair_streams``): moving these values
+        needs that version bumped, never a silent change."""
+        model = PerPairLatency(2024)
+        drawn = [model.sample(*link) for link in self.LINKS + self.LINKS[:2]]
+        assert drawn == pytest.approx(PINNED_LATENCY, rel=1e-12)
+
+    def test_fresh_links_retain_one_int_each(self):
+        per_link, model = _retained_bytes_per_link(
+            lambda: PerPairLatency(29).sample, CLIQUE_LINKS)
+        assert per_link < 200
+        assert not _holds_generator(model)
+        assert all(type(state) is int
+                   for state in model._jitter_states.values())
+        assert len(model._jitter_states) == len(CLIQUE_LINKS)
 
 
 class TestLossModels:
@@ -139,10 +363,58 @@ class TestPerPairLoss:
         assert a != b  # direction matters: (0,1) and (1,0) are distinct
         assert a != c
 
+    def test_creation_order_does_not_change_decisions(self):
+        links = [(0, 1), (0, 2), (3, 1), (2, 0)]
+        forward = PerPairLoss(seed=11, rate=0.3)
+        first = {link: forward.is_lost(*link) for link in links}
+        backward = PerPairLoss(seed=11, rate=0.3)
+        assert {link: backward.is_lost(*link)
+                for link in reversed(links)} == first
+
     def test_rate_statistical(self):
+        """Within three sigma, along one link's stream and across the
+        first trials of many links."""
         model = PerPairLoss(seed=13, rate=0.2)
-        losses = sum(model.is_lost(0, 1) for _ in range(5000))
-        assert 800 < losses < 1200
+        sigma = math.sqrt(0.2 * 0.8 / 20_000)
+        for trials in ([model.is_lost(0, 1) for _ in range(20_000)],
+                       [model.is_lost(a, b)
+                        for a in range(100) for b in range(1000, 1200)]):
+            assert sum(trials) / 20_000 == pytest.approx(0.2, abs=3 * sigma)
+
+    def test_adjacent_links_are_uncorrelated(self):
+        model = PerPairLoss(seed=14, rate=0.5)
+
+        def stream(a, b):
+            return [float(model.is_lost(a, b)) for _ in range(10_000)]
+
+        here = stream(40, 41)
+        for neighbour in ((40, 42), (41, 41), (41, 40)):
+            assert _max_lagged_correlation(here, stream(*neighbour)) < 0.05
+
+    def test_latency_and_loss_streams_of_a_link_differ(self):
+        """One seed for both models must not make a link's jitter predict
+        its drops (the runner derives two seeds; direct callers may not)."""
+        latency = PerPairLatency(15, jitter=1.0, floor=0.0)
+        loss = PerPairLoss(seed=15, rate=0.5)
+        base = latency.base(0, 1)
+        jitter = [latency.sample(0, 1) - base for _ in range(10_000)]
+        drops = [float(loss.is_lost(0, 1)) for _ in range(10_000)]
+        assert [u < 0.5 for u in jitter] != [d == 1.0 for d in drops]
+        assert _max_lagged_correlation(jitter, drops) < 0.05
+
+    def test_first_values_are_pinned(self):
+        model = PerPairLoss(seed=2024, rate=0.5)
+        bits = "".join(str(int(model.is_lost(*link)))
+                       for link in [(0, 1), (1, 0), (7, 3)]
+                       for _ in range(16))
+        assert bits == PINNED_LOSS
+
+    def test_fresh_links_retain_one_int_each(self):
+        per_link, model = _retained_bytes_per_link(
+            lambda: PerPairLoss(seed=16, rate=0.03).is_lost, CLIQUE_LINKS)
+        assert per_link < 200
+        assert not _holds_generator(model)
+        assert all(type(state) is int for state in model._states.values())
 
     def test_rate_zero_and_one(self):
         assert not any(PerPairLoss(seed=1, rate=0.0).is_lost(0, 1)

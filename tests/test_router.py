@@ -385,6 +385,40 @@ class TestShardRouterLocalParts:
         assert seq_a == seq_b
         assert a.lower_bound() == a.floor > 0
 
+    def test_per_pair_models_make_arrivals_order_independent(self):
+        """Through a real Network: every link's arrival times and drops
+        are the same whatever the global send order was, as long as each
+        sender's own sequence is — what lets a shard see only its own
+        senders and still match the serial run."""
+        from repro.net.loss import PerPairLoss
+
+        per_sender = {src: [(src, dst) for dst in range(4) if dst != src] * 6
+                      for src in range(4)}
+
+        def arrivals(order):
+            sim = Simulator()
+            net = Network(sim, latency=PerPairLatency(31),
+                          loss=PerPairLoss(32, 0.3))
+            sinks = {node: Sink() for node in range(4)}
+            for node, sink in sinks.items():
+                net.attach(node, sink, 1e9)
+            payload = FakePayload(kind="per-pair", size=10)
+            for src, dst in order:
+                net.send(src, dst, payload)
+            sim.run()
+            seen = {}
+            for dst, sink in sinks.items():
+                for envelope in sink.received:
+                    seen.setdefault((envelope.src, dst), []).append(
+                        envelope.arrival_time)
+            return seen, net.stats.lost
+
+        sender_major = [link for src in range(4) for link in per_sender[src]]
+        round_robin = [per_sender[src][k] for k in range(18)
+                       for src in reversed(range(4))]
+        assert arrivals(sender_major) == arrivals(round_robin)
+        assert 0 < arrivals(sender_major)[1] < len(sender_major)
+
     def test_shared_pairwise_latency_is_order_dependent(self):
         from repro.net.latency import PairwiseLatency
 

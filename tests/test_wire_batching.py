@@ -67,12 +67,15 @@ def summary_blob(result) -> str:
 # ----------------------------------------------------------------------
 # parity: batching is invisible to the results
 # ----------------------------------------------------------------------
-#: What the deleted per-envelope wire format shipped for
-#: ``sharded_config(shards=2)``: one wire unit per envelope, the whole
-#: pickled tuple per unit (measured at a9ff8a0, Python 3.11).
-PER_ENVELOPE_UNITS = 8_315
-PER_ENVELOPE_WIRE_BYTES = 1_736_470
-PER_ENVELOPE_PAYLOAD_BYTES = 1_289_605
+#: What the deleted per-envelope wire format cost on
+#: ``sharded_config(shards=2)``, in bytes per envelope: one wire unit per
+#: envelope, the whole pickled tuple per unit.  Measured at a9ff8a0
+#: (Python 3.11) as 1,736,470 wire and 1,289,605 payload bytes over
+#: 8,315 envelopes; kept as rates so a change to the scenario's random
+#: draws (which moves the traffic a little) needs no re-measurement of a
+#: format that no longer exists.
+PER_ENVELOPE_WIRE_BYTES = 208.8
+PER_ENVELOPE_PAYLOAD_BYTES = 155.1
 
 
 class TestBatchingParity:
@@ -89,14 +92,15 @@ class TestBatchingParity:
         than one pickled tuple per envelope would ship."""
         stats = run_sharded(sharded_config(shards=2),
                             processes=False).net.stats
-        assert stats.wire_envelopes == PER_ENVELOPE_UNITS  # same traffic
-        assert stats.wire_buffers < PER_ENVELOPE_UNITS     # ... fewer units
-        assert 0 < stats.wire_bytes < PER_ENVELOPE_WIRE_BYTES  # fewer bytes
+        envelopes = stats.wire_envelopes
+        assert 0 < stats.wire_buffers < envelopes  # fewer wire units
+        assert 0 < stats.wire_bytes / envelopes < PER_ENVELOPE_WIRE_BYTES
         # Interning bites: the pooled payload bytes beat per-envelope
         # pickling, which by construction cannot dedup anything — and the
         # before-interning counter still measures exactly that.
         assert stats.wire_payload_bytes < stats.wire_payload_bytes_before
-        assert stats.wire_payload_bytes_before == PER_ENVELOPE_PAYLOAD_BYTES
+        assert stats.wire_payload_bytes_before / envelopes == pytest.approx(
+            PER_ENVELOPE_PAYLOAD_BYTES, rel=0.01)
 
     def test_wire_counters_survive_the_harvest_merge(self):
         config = sharded_config(shards=3)

@@ -101,6 +101,9 @@ class TestScenarioConfig:
         {"degraded_fraction": 1.5},
         {"degraded_factor": 0.0},
         {"source_bias": -1.0},
+        {"latency_median": 0.0},
+        {"latency_median": 0.0, "latency_rng": "per-pair"},
+        {"latency_jitter": -0.01},
     ])
     def test_invalid_configs(self, overrides):
         with pytest.raises(ValueError):
@@ -125,3 +128,32 @@ class TestScenarioConfig:
         per_pair = shared.with_(loss_rng="per-pair")
         assert scenario_key(shared) != scenario_key(per_pair)
         assert "loss_rng" in scenario_key(shared)
+
+    def test_latency_violations_are_reported_not_raised_from_the_build(self):
+        config = ScenarioConfig(latency_median=-1.0, latency_jitter=-1.0)
+        assert [v for v in config.violations() if "latency" in v] == [
+            "latency median must be positive", "latency jitter must be >= 0"]
+        from repro.experiments.runner import build_scenario
+
+        with pytest.raises(ValueError, match="latency median"):
+            build_scenario(config)
+
+    def test_scenario_key_versions_the_per_pair_streams_only(self, monkeypatch):
+        """The per-link stream derivation is identity for per-pair
+        scenarios — a checkpoint computed under another derivation must
+        not be resumed — and is absent from shared-mode keys, which
+        therefore survive a derivation change byte for byte."""
+        import repro.workloads.scenario as scenario
+
+        shared = ScenarioConfig(loss_rate=0.1)
+        per_pair = [shared.with_(latency_rng="per-pair"),
+                    shared.with_(loss_rng="per-pair"),
+                    shared.with_(latency_rng="per-pair", loss_rng="per-pair")]
+        tag = f"('per_pair_streams', '{scenario.PER_PAIR_STREAMS}')"
+        assert "per_pair_streams" not in scenario.scenario_key(shared)
+        assert all(tag in scenario.scenario_key(c) for c in per_pair)
+        before = [scenario.scenario_key(c) for c in [shared] + per_pair]
+        monkeypatch.setattr(scenario, "PER_PAIR_STREAMS", 1)
+        after = [scenario.scenario_key(c) for c in [shared] + per_pair]
+        assert after[0] == before[0]
+        assert all(a != b for a, b in zip(after[1:], before[1:]))
