@@ -59,6 +59,9 @@ TRACKED = [
     # Deterministic (tracemalloc): links retained per MiB of model state.
     (("per_pair", "latency_links_per_mib"), "per-pair latency links/MiB"),
     (("per_pair", "loss_links_per_mib"), "per-pair loss links/MiB"),
+    (("population", "nodes_built_per_sec_4k"), "4k-node build nodes/s"),
+    # Deterministic (tracemalloc): nodes built per MiB the build retains.
+    (("population", "nodes_per_mib_4k"), "4k-node build nodes/MiB"),
     (("attacks", "honest_events_per_sec"), "attack-bench honest events/s"),
     (("attacks", "spam_events_per_sec"), "attack-bench 10%-spam events/s"),
 ]

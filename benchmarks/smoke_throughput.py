@@ -232,6 +232,40 @@ def bench_per_pair():
     return section
 
 
+def bench_population():
+    """What a population costs to *build*, apart from running it.
+
+    ``build_scenario`` is timed on its own (best of three) and its
+    retained memory is ``tracemalloc`` growth over one build, at 1k and
+    4k nodes: both must grow with N, not N² — every directory view reads
+    one shared roster, so a doubling of the population doubles the build.
+    ``nodes_per_mib`` is the higher-is-better form of bytes per node for
+    the trend gate; the run itself is the ``sharding`` section's business.
+    """
+    import tracemalloc
+
+    from repro.experiments.runner import build_scenario
+    from repro.workloads.distributions import REF_691
+    from repro.workloads.scenario import ScenarioConfig
+
+    section = {}
+    for label, n_nodes in (("1k", 1000), ("4k", 4000)):
+        config = ScenarioConfig(protocol="heap", n_nodes=n_nodes,
+                                duration=0.2, drain=0.3, distribution=REF_691,
+                                latency_rng="per-pair")
+        wall = _best_of(lambda: build_scenario(config), repeats=3)
+        tracemalloc.start()
+        build = build_scenario(config)  # held, so its memory is counted
+        per_node = tracemalloc.get_traced_memory()[0] / n_nodes
+        tracemalloc.stop()
+        del build
+        section[f"build_seconds_{label}"] = round(wall, 4)
+        section[f"nodes_built_per_sec_{label}"] = round(n_nodes / wall)
+        section[f"bytes_per_node_{label}"] = round(per_node)
+        section[f"nodes_per_mib_{label}"] = round(2 ** 20 / per_node, 1)
+    return section
+
+
 def bench_attacks():
     """Honest vs 10%-spam scenario throughput, with attack shard parity.
 
@@ -337,6 +371,7 @@ def main(argv=None) -> int:
         "sweep": bench_sweep(args.jobs),
         "sharding": bench_sharding(),
         "per_pair": bench_per_pair(),
+        "population": bench_population(),
         "attacks": bench_attacks(),
         "source": source_size(),
     }

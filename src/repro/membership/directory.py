@@ -6,14 +6,32 @@ every survivor learns about it after an individually sampled delay
 (uniform in ``[0, 2 * mean_detection_delay]``, so the *average* matches
 the paper's "surviving nodes learn about the failure an average of 10 s
 after it happened").
+
+Population state is O(N): the directory keeps **one**
+:class:`~repro.membership.view.Roster` — every id ever registered, in
+ascending order whatever the registration order — and issues views *onto*
+it.  A view holds a private member set only once it differs from the
+roster (see :mod:`repro.membership.view` for the divergence contract and
+the sampling identity that makes the representation unobservable):
+
+* ``register`` is one ``insort`` plus one ``add`` per already diverged
+  view, not one ``add`` per view;
+* a node registered after a crash is seeded from the *alive* set, as it
+  always was — its view diverges at birth by forgetting the dead — while
+  unnotified survivors keep seeing the dead node until their own
+  notification fires;
+* a crash notification is the first divergence of the survivor it reaches,
+  so after a failure private sets exist only where the news has arrived.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
+from functools import partial
 from typing import Dict, Iterable, List, Set
 
-from repro.membership.view import LocalView
+from repro.membership.view import LocalView, Roster
 from repro.sim.engine import Simulator
 
 
@@ -28,6 +46,7 @@ class MembershipDirectory:
         self._rng = rng
         self.mean_detection_delay = mean_detection_delay
         self._alive: Set[int] = set()
+        self._roster = Roster()
         self._views: Dict[int, LocalView] = {}
 
     # ------------------------------------------------------------------
@@ -39,11 +58,18 @@ class MembershipDirectory:
         cheap to advertise through the join protocol)."""
         if node_id in self._views:
             raise ValueError(f"node {node_id} already registered")
-        view = LocalView(node_id, self._alive)
+        roster = self._roster
+        insort(roster.ids, node_id)
+        for diverged_view in roster.diverged:
+            diverged_view.add(node_id)
+        view = LocalView(node_id, roster=roster)
         self._views[node_id] = view
-        for other_view in self._views.values():
-            other_view.add(node_id)
         self._alive.add(node_id)
+        if len(self._alive) != len(roster.ids):
+            # Somebody has crashed: a joiner knows the alive, not the dead.
+            for other_id in roster.ids:
+                if other_id not in self._alive:
+                    view.remove(other_id)
         return view
 
     def register_all(self, node_ids: Iterable[int]) -> None:
@@ -77,8 +103,9 @@ class MembershipDirectory:
             if self.mean_detection_delay == 0:
                 view.remove(node_id)
             else:
+                # Never cancelled, so no handle: the fire-and-forget path.
                 delay = self._rng.uniform(0.0, 2.0 * self.mean_detection_delay)
-                self._sim.schedule(delay, lambda v=view, n=node_id: v.remove(n))
+                self._sim.post(delay, partial(view.remove, node_id))
 
     def crash_many(self, node_ids: Iterable[int]) -> None:
         for node_id in list(node_ids):

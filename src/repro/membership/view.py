@@ -1,9 +1,63 @@
-"""A node's local membership view with uniform random sampling."""
+"""A node's local membership view with uniform random sampling.
+
+A :class:`LocalView` has one of two representations behind one surface
+(``add``, ``remove``, ``in``, ``len``, ``members``, ``sample``):
+
+* **private** — its own ``set`` of ids plus a lazily sorted list of the
+  same.  This is what ``LocalView(owner, members)`` builds: Cyclon's
+  partial views, tests, anything not issued by a directory.
+* **shared** — owner + a reference to the :class:`Roster` of the
+  :class:`~repro.membership.directory.MembershipDirectory` that issued
+  it, and nothing else.  Under full membership every view is "everyone
+  registered, minus me", so N views cost O(N) together instead of N
+  private sets of N−1 ids; a registration is one ``insort`` into the
+  roster and every shared view sees it.
+
+A shared view **diverges** — copies the roster into a private set, once,
+and enlists itself in ``roster.diverged`` so that the directory keeps
+telling it about joins — at its first real difference from the roster: a
+``remove`` of a present id (a crash notification) or an ``add`` of an
+unregistered one.  No-op mutations do not diverge it.  It never converges
+back.
+
+**Sampling identity.**  Both representations draw from the same candidate
+order (ascending ids, owner excluded) with the same RNG consumption, so
+which one a view is in is unobservable — golden traces and digests cannot
+tell.  The shared path relies on ``rng.sample(range(n), k)`` consuming
+``rng`` exactly as ``rng.sample(candidates, k)`` does for ``len(candidates)
+== n`` and returning the *indices* of the elements the latter returns
+(``random.sample`` only ever looks at ``len`` and positions); index ``j``
+is ``roster[j]`` below the owner's position and ``roster[j + 1]`` from it
+on.  ``tests/test_membership_view.py`` pins that identity on both sides
+of ``random.sample``'s pool/set switch.
+"""
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Set
+
+
+def _find(ids: List[int], node_id: int) -> int:
+    """Index of ``node_id`` in the ascending ``ids``; ``len(ids)`` if absent."""
+    at = bisect_left(ids, node_id)
+    return at if at < len(ids) and ids[at] == node_id else len(ids)
+
+
+class Roster:
+    """The sorted ids a directory has registered, shared by its views.
+
+    ``ids`` only grows and stays ascending; ``diverged`` lists the views
+    that left the roster for a private set and therefore have to be told
+    about later registrations one by one.
+    """
+
+    __slots__ = ("ids", "diverged")
+
+    def __init__(self) -> None:
+        self.ids: List[int] = []
+        self.diverged: List["LocalView"] = []
 
 
 class LocalView:
@@ -14,33 +68,71 @@ class LocalView:
     ("return f uniformly random nodes").
     """
 
-    __slots__ = ("owner", "_members", "_members_list", "_dirty")
+    __slots__ = ("owner", "_roster", "_members", "_members_list", "_dirty")
 
-    def __init__(self, owner: int, members: Optional[Iterable[int]] = None):
+    def __init__(self, owner: int, members: Optional[Iterable[int]] = None,
+                 *, roster: Optional[Roster] = None):
+        if roster is not None and members is not None:
+            raise ValueError("a view is seeded from members or a roster, not both")
         self.owner = owner
-        self._members: Set[int] = set(members) if members is not None else set()
-        self._members.discard(owner)
+        # Shared while _roster is set; _members is the private set otherwise.
+        self._roster = roster
+        self._members: Optional[Set[int]] = None
         self._members_list: List[int] = []
         self._dirty = True
+        if roster is None:
+            self._members = set(members) if members is not None else set()
+            self._members.discard(owner)
+
+    def _on_roster(self, node_id: int) -> bool:
+        ids = self._roster.ids
+        return _find(ids, node_id) < len(ids)
+
+    def _diverge(self) -> Set[int]:
+        members = self._members = self.members()
+        self._roster.diverged.append(self)
+        self._roster = None
+        return members
 
     def add(self, node_id: int) -> None:
-        if node_id != self.owner and node_id not in self._members:
-            self._members.add(node_id)
+        if node_id == self.owner:
+            return
+        members = self._members
+        if members is None:
+            if self._on_roster(node_id):
+                return
+            members = self._diverge()
+        if node_id not in members:
+            members.add(node_id)
             self._dirty = True
 
     def remove(self, node_id: int) -> None:
-        if node_id in self._members:
-            self._members.remove(node_id)
+        members = self._members
+        if members is None:
+            if node_id == self.owner or not self._on_roster(node_id):
+                return
+            members = self._diverge()
+        if node_id in members:
+            members.remove(node_id)
             self._dirty = True
 
     def __contains__(self, node_id: int) -> bool:
+        if self._members is None:
+            return node_id != self.owner and self._on_roster(node_id)
         return node_id in self._members
 
     def __len__(self) -> int:
+        if self._members is None:
+            ids = self._roster.ids
+            return len(ids) - (_find(ids, self.owner) < len(ids))
         return len(self._members)
 
     def members(self) -> Set[int]:
         """A copy of the current member set."""
+        if self._members is None:
+            members = set(self._roster.ids)
+            members.discard(self.owner)
+            return members
         return set(self._members)
 
     def _as_list(self) -> List[int]:
@@ -59,9 +151,22 @@ class LocalView:
         """
         if k <= 0:
             return []
-        candidates = self._as_list()
-        if exclude:
-            candidates = [m for m in candidates if m not in exclude]
+        if self._members is None:
+            ids = self._roster.ids
+            if not exclude:
+                at = _find(ids, self.owner)
+                n = len(ids) - (at < len(ids))
+                if k >= n:
+                    return ids[:at] + ids[at + 1:]
+                # See "Sampling identity" in the module docstring.
+                return [ids[j] if j < at else ids[j + 1]
+                        for j in rng.sample(range(n), k)]
+            owner = self.owner
+            candidates = [m for m in ids if m != owner and m not in exclude]
+        else:
+            candidates = self._as_list()
+            if exclude:
+                candidates = [m for m in candidates if m not in exclude]
         if k >= len(candidates):
             return list(candidates)
         return rng.sample(candidates, k)

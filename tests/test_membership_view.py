@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.membership.selector import CapabilityBiasedSelector, UniformSelector
-from repro.membership.view import LocalView
+from repro.membership.view import LocalView, Roster
 
 
 class TestLocalView:
@@ -73,6 +73,81 @@ class TestLocalView:
                 counts[member] += 1
         # Each of 20 members expected 400 times; allow generous slack.
         assert all(280 < c < 520 for c in counts.values())
+
+
+# n on both sides of random.sample's pool/set switch: n <= 21 copies the
+# population for k <= 5, n <= 85 for k = 7, n <= 277 for k = 40.
+@pytest.mark.parametrize("n,k", [(5, 3), (21, 5), (22, 5), (85, 7), (86, 7),
+                                 (277, 40), (278, 40), (1000, 7), (4000, 7)])
+def test_sampling_a_range_yields_the_indices_sampling_a_list_picks(n, k):
+    """The identity the roster-backed ``LocalView.sample`` relies on.  If
+    a CPython release changes ``random.sample`` this fails here, by name,
+    rather than as a golden-trace diff."""
+    population = [1000 + 3 * i for i in range(n)]
+    by_index, by_element = random.Random(n * k), random.Random(n * k)
+    assert ([population[j] for j in by_index.sample(range(n), k)]
+            == by_element.sample(population, k))
+    assert by_index.getstate() == by_element.getstate()
+
+
+class TestSharedView:
+    """A view onto a :class:`Roster` (what a directory issues)."""
+
+    def roster(self, ids):
+        roster = Roster()
+        roster.ids.extend(sorted(ids))
+        return roster
+
+    def test_reads_the_roster_minus_the_owner(self):
+        roster = self.roster([2, 4, 6, 8])
+        view = LocalView(4, roster=roster)
+        assert len(view) == 3 and 4 not in view and 6 in view and 5 not in view
+        assert view.members() == {2, 6, 8}
+        roster.ids.append(10)
+        assert 10 in view and len(view) == 4
+
+    def test_members_and_roster_together_are_rejected(self):
+        with pytest.raises(ValueError):
+            LocalView(1, [2, 3], roster=self.roster([1, 2, 3]))
+
+    def test_owner_off_the_roster_hides_nothing(self):
+        view = LocalView(5, roster=self.roster([2, 4, 6]))
+        assert len(view) == 3
+        assert view.sample(3, random.Random(1)) == [2, 4, 6]
+        private = LocalView(5, [2, 4, 6])
+        assert view.sample(2, random.Random(1)) == private.sample(2, random.Random(1))
+
+    def test_noop_mutations_do_not_diverge(self):
+        roster = self.roster(range(10))
+        view = LocalView(3, roster=roster)
+        view.add(3)
+        view.add(7)
+        view.remove(3)
+        view.remove(42)
+        assert roster.diverged == [] and view._members is None
+
+    def test_first_real_mutation_diverges_once(self):
+        roster = self.roster(range(10))
+        removed, added = LocalView(3, roster=roster), LocalView(4, roster=roster)
+        removed.remove(7)
+        added.add(42)
+        assert roster.diverged == [removed, added]
+        assert removed.members() == set(range(10)) - {3, 7}
+        assert added.members() == (set(range(10)) | {42}) - {4}
+        removed.remove(8)
+        assert roster.diverged == [removed, added]
+        roster.ids.append(11)  # a diverged view no longer reads the roster
+        assert 11 not in removed and 11 in LocalView(5, roster=roster)
+
+    @pytest.mark.parametrize("owner", [300, 317, 399])
+    @pytest.mark.parametrize("k", [1, 5, 7, 40, 98, 99, 150])
+    def test_samples_like_a_private_view(self, owner, k):
+        ids = range(300, 400)
+        shared, private = LocalView(owner, roster=self.roster(ids)), LocalView(owner, ids)
+        for exclude in (None, {301, 350, owner}):
+            r1, r2 = random.Random(k), random.Random(k)
+            assert shared.sample(k, r1, exclude) == private.sample(k, r2, exclude)
+            assert r1.getstate() == r2.getstate()
 
 
 class TestUniformSelector:
