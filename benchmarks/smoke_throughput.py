@@ -155,9 +155,10 @@ def bench_sharding():
         started = time.perf_counter()
         result = run_with_shards(shards)
         wall = time.perf_counter() - started
-        # Events/s is normalized to the *serial* event count: a sharded
-        # run executes the same deliveries but different bucket events,
-        # so the serial count is the comparable work measure.
+        # Events/s uses the serial event count.  This scenario has no
+        # churn, so the shards' counts sum to exactly that (every event
+        # runs on one shard); only replicated churn adds events, once
+        # per extra replica.
         section[f"shards_{shards}_events_per_sec"] = round(events / wall)
         section[f"shards_{shards}_speedup"] = round(serial_wall / wall, 2)
         identical = identical and summary_blob(result) == serial_summaries

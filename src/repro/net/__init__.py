@@ -13,9 +13,9 @@ depends on:
   together, applies the three models in order (queue -> loss -> latency)
   and records traffic statistics per node and per message kind;
 * pluggable **delivery routers** (:mod:`repro.net.router`): the default
-  in-process router with batched arrival buckets, and the sharded
-  router (:mod:`repro.net.shard`) that partitions one large scenario
-  across worker processes.
+  in-process router (each envelope is its own arrival event), and the
+  sharded router (:mod:`repro.net.shard`) that partitions one large
+  scenario across worker processes.
 """
 
 from repro.net.bandwidth import UplinkQueue

@@ -27,14 +27,12 @@ the caller passes ``register=True`` (tests, ad-hoc tooling) — a lookup
 that silently registered could be reached on one side of a fork/spawn
 boundary only, skewing kind-id tables between shard workers.
 
-:class:`Envelope` doubles as a schedulable delivery event: ``__call__``
-hands it back to its network fabric.  The default delivery router
-batches same-timestamp envelopes behind a single arrival-bucket event
-(see :mod:`repro.net.router`), but direct callers can still post an
-envelope on the simulator's fire-and-forget path themselves — no
-closure, no event-handle allocation — and the fabric recycles delivered
-envelopes through a free list when the caller opts in (see
-``Network(reuse_envelopes=True)``).
+:class:`Envelope` is its own delivery event: the router posts the
+envelope on the simulator's fire-and-forget path at its arrival time
+(see :mod:`repro.net.router`) and ``__call__`` hands it back to its
+network fabric — no closure, no event-handle allocation, one event per
+datagram — and the fabric recycles delivered envelopes through a free
+list when the caller opts in (see ``Network(reuse_envelopes=True)``).
 """
 
 from __future__ import annotations
@@ -148,8 +146,9 @@ class Envelope:
         self.size_bytes = size_bytes
         self.send_time = send_time
         self.arrival_time = arrival_time
-        # Delivery plumbing, filled in by Network.send for envelopes that
-        # ride the simulator's fire-and-forget path.
+        # Delivery plumbing: the fabric is stamped by the router that
+        # schedules the envelope, the uplink exit time by whoever timed
+        # it (Network.send, or ``arrived`` on the wire-decode path).
         self._net = None
         self._exit_time = 0.0
 
@@ -170,7 +169,7 @@ class Envelope:
 
     def __call__(self) -> None:
         """Arrival event: hand the envelope back to its network fabric."""
-        self._net._deliver(self, self._exit_time)
+        self._net._deliver(self)
 
     @property
     def transit_time(self) -> float:

@@ -31,10 +31,11 @@ and endpoints without a table, fall back to ``on_message``.
 
 Delivery itself is delegated to a pluggable :class:`~repro.net.router.Router`
 (default: :class:`~repro.net.router.InprocRouter`): the send pipeline
-hands every surviving datagram to ``router.route``, and the router
-schedules arrival, drains same-timestamp arrival buckets through one
-``deliver_bucket`` call (receiver-side stats accumulate per kind group,
-not per envelope), and applies crash/dispatch/recycling semantics.  The
+hands every surviving datagram to ``router.route``, which posts the
+envelope itself on the simulator's calendar queue at its arrival time;
+when the engine fires it, the envelope hands itself to the router's
+``deliver``, which applies the crash checks, receive-side stats,
+dispatch and recycling — one event, one ``deliver`` per datagram.  The
 sharded execution engine (:mod:`repro.net.shard`) swaps in a router that
 forwards remote-shard destinations across process boundaries — and
 because ``send_many`` hands the *same* payload object to every
@@ -81,7 +82,7 @@ class Network:
 
     __slots__ = ("_sim", "latency", "loss", "stats", "_endpoints",
                  "_uplinks", "_crash_time", "_delivery", "on_deliver",
-                 "_pool", "router", "_route")
+                 "_pool", "router", "_route", "_deliver")
 
     def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None,
                  loss: Optional[LossModel] = None,
@@ -108,6 +109,9 @@ class Network:
         self.router: Router = router if router is not None else InprocRouter()
         self.router.bind(self)
         self._route = self.router.route
+        # What a fired envelope calls: ``deliver``, under the name the
+        # ledger's tracer wraps (see the alias in InprocRouter).
+        self._deliver = self.router.deliver_bucket
 
     # ------------------------------------------------------------------
     # membership of the fabric
@@ -125,7 +129,7 @@ class Network:
         self._endpoints[node_id] = endpoint
         uplink = UplinkQueue(upload_capacity_bps, max_delay=max_queue_delay)
         self._uplinks[node_id] = uplink
-        # Pre-create the per-node counters so send/_deliver can index
+        # Pre-create the per-node counters so send/deliver can index
         # stats.per_node without an existence check per datagram.
         node_stats = self.stats.node(node_id)
         table_fn = getattr(endpoint, "dispatch_table", None)
@@ -202,7 +206,6 @@ class Network:
             envelope.arrival_time = arrival
         else:
             envelope = Envelope(src, dst, payload, size, now, arrival)
-            envelope._net = self
         envelope._exit_time = exit_time
         self._route(envelope)
         return envelope
@@ -256,7 +259,6 @@ class Network:
                 envelope.arrival_time = arrival
             else:
                 envelope = Envelope(src, dst, payload, size, now, arrival)
-                envelope._net = self
             envelope._exit_time = exit_time
             route(envelope)
         stats = self.stats
@@ -278,14 +280,3 @@ class Network:
         if lost:
             stats.lost += lost
         return wired
-
-    def _deliver(self, envelope: Envelope, exit_time: float) -> None:
-        """Compatibility shim: deliver one envelope immediately.
-
-        Historical direct-delivery entry point (still the target of
-        ``Envelope.__call__`` for callers that schedule envelopes as
-        events themselves); the actual semantics live in the router's
-        ``deliver_bucket``.
-        """
-        envelope._exit_time = exit_time
-        self.router.deliver_bucket((envelope,))

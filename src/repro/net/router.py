@@ -1,25 +1,20 @@
 """The delivery routing layer of the network fabric.
 
-PR 3 made the *send* side of the protocol↔network API batched and
-table-driven; this module does the same to the *delivery* side by making
-it a first-class, pluggable object.  A :class:`Router` owns everything
-that happens between "the datagram left the wire pipeline" and "an
-endpoint handler ran":
+A :class:`Router` owns everything that happens between "the datagram
+left the wire pipeline" and "an endpoint handler ran":
 
-* **arrival scheduling** — placing the envelope in the event loop at its
-  arrival time;
-* **arrival-time bucketing** — envelopes sharing one exact arrival
-  timestamp drain through a single :meth:`Router.deliver_bucket` call,
-  so receiver-side :class:`~repro.net.stats.NetworkStats` accumulate
-  once per kind group of a bucket instead of once per envelope;
-* **delivery semantics** — crash checks, kind-id dispatch-table lookup,
-  the ``on_deliver`` observer, and envelope recycling.
+* **arrival scheduling** — the envelope itself is the calendar entry:
+  ``route`` posts it on the simulator's fire-and-forget path at its
+  arrival time, and the engine's (time, enqueue order) guarantee is the
+  delivery order, ties included;
+* **delivery semantics** — one ``deliver`` call per datagram: crash
+  checks, per-node and per-kind receive counters, the ``on_deliver``
+  observer, kind-id dispatch-table lookup, and envelope recycling.
 
 Two implementations ship:
 
 * :class:`InprocRouter` (the default) delivers within the owning
-  process and reproduces the historical ``Network._deliver`` behaviour
-  bit-for-bit: same arrival times, same handler order, same stats.
+  process.
 * :class:`~repro.net.shard.ShardRouter` partitions the node population
   across shards: envelopes for locally-owned destinations take exactly
   the in-process path, envelopes for remote destinations are serialized
@@ -36,7 +31,7 @@ execution deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.net.message import Envelope
 
@@ -64,46 +59,13 @@ class Router(Protocol):
         """
         ...
 
-    def deliver_bucket(self, envelopes: List[Envelope]) -> None:
-        """Deliver one arrival bucket (envelopes sharing a timestamp),
-        in order, with receiver stats accumulated per kind group."""
+    def deliver(self, envelope: Envelope) -> None:
+        """Deliver one envelope whose arrival time has come."""
         ...
 
 
-class _ArrivalBucket:
-    """One pending arrival timestamp: the event-loop entry that drains
-    every envelope routed to that instant through ``deliver_bucket``.
-
-    The bucket object *is* the scheduled event (mirroring how envelopes
-    themselves used to be), so coalescing costs one small object per
-    distinct arrival timestamp instead of one event per datagram.
-    """
-
-    __slots__ = ("router", "envelopes")
-
-    def __init__(self, router: "InprocRouter", envelope: Envelope):
-        self.router = router
-        self.envelopes = [envelope]
-
-    def __call__(self) -> None:
-        self.router.deliver_bucket(self.envelopes)
-
-
 class InprocRouter:
-    """Default router: in-process delivery with arrival-time bucketing.
-
-    Scheduling piggybacks on the simulator's calendar-queue buckets: when
-    an envelope's arrival timestamp already ends with this router's
-    arrival bucket, the envelope joins it; otherwise a fresh bucket is
-    posted on the fire-and-forget path.  Same-timestamp deliveries
-    therefore drain through one ``deliver_bucket`` call — receiver-side
-    stats accumulate once per kind group — while distinct timestamps pay
-    exactly one event each, as before.
-
-    Ordering note: an envelope only joins an existing bucket when no
-    other event was enqueued at that timestamp in between, so the
-    historical (time, enqueue order) total order is preserved.
-    """
+    """Default router: in-process delivery, one event per datagram."""
 
     __slots__ = ("_net", "_sim")
 
@@ -119,126 +81,64 @@ class InprocRouter:
         self._sim = net._sim
 
     def route(self, envelope: Envelope) -> None:
-        """Schedule ``envelope`` for delivery at its arrival time.
+        """Post ``envelope`` on the calendar queue at its arrival time.
 
-        Peeks at the engine's pending buckets (``Simulator._buckets``,
-        whose docstring names this dependency): the run loop pops a
-        bucket before draining it, so a bucket reachable there is
-        entirely in the future and appending to its tail arrival bucket
-        is always sound.
+        Stamps the fabric on it first, so hand-built and wire-decoded
+        envelopes find their way back like ``Network.send``'s own.
         """
-        sim = self._sim
-        arrival = envelope.arrival_time
-        bucket = sim._buckets.get(arrival)
-        if bucket is not None:
-            last = bucket[-1]
-            if last.__class__ is _ArrivalBucket and last.router is self:
-                # Coalesce: no event was enqueued at this timestamp since
-                # the bucket formed, so appending preserves total order.
-                last.envelopes.append(envelope)
-                return
-        sim.post_at(arrival, _ArrivalBucket(self, envelope))
+        envelope._net = self._net
+        self._sim.post_at(envelope.arrival_time, envelope)
 
-    def route_many(self, envelopes: Iterable[Envelope]) -> None:
-        """Schedule a run of envelopes, exploiting their arrival order.
-
-        Semantically identical to calling :meth:`route` once per
-        envelope, but built for decoded cross-shard wire buffers, whose
-        rows arrive grouped: consecutive envelopes sharing one arrival
-        timestamp join the open arrival bucket directly — no per-envelope
-        pending-bucket lookup, no per-envelope event — so a same-window
-        burst pays one scheduling step per *distinct* arrival time.
-
-        Sound because nothing else is enqueued between two iterations of
-        this loop: an appended envelope lands exactly where a ``route``
-        call would have put it.
-        """
-        sim = self._sim
-        buckets = sim._buckets
-        post_at = sim.post_at
-        open_arrival = None
-        open_list: List[Envelope] = []
-        for envelope in envelopes:
-            arrival = envelope.arrival_time
-            if arrival == open_arrival:
-                open_list.append(envelope)
-                continue
-            bucket = buckets.get(arrival)
-            if bucket is not None:
-                last = bucket[-1]
-                if last.__class__ is _ArrivalBucket and last.router is self:
-                    last.envelopes.append(envelope)
-                    open_arrival = arrival
-                    open_list = last.envelopes
-                    continue
-            arrival_bucket = _ArrivalBucket(self, envelope)
-            post_at(arrival, arrival_bucket)
-            open_arrival = arrival
-            open_list = arrival_bucket.envelopes
-
-    def deliver_bucket(self, envelopes: Iterable[Envelope]) -> None:
-        """Deliver every envelope of one arrival bucket, in order.
-
-        Receiver-side global stats land as one bulk accumulation per
-        kind group (``NetworkStats.add_received``) instead of one update
-        per envelope; per-node counters are inherently per-envelope.
-        """
+    def deliver(self, envelope: Envelope) -> None:
+        """Hand ``envelope`` to its destination, or drop it if either
+        end died in the meantime."""
         net = self._net
-        crash_time = net._crash_time
-        delivery = net._delivery
         stats = net.stats
+        crash_time = net._crash_time
+        if crash_time:
+            src_crash = crash_time.get(envelope.src)
+            if src_crash is not None and envelope._exit_time > src_crash:
+                # Still queued in the sender's dead process.
+                stats.dropped_dead += 1
+                return
+            if envelope.dst in crash_time:
+                stats.dropped_dead += 1
+                return
+        entry = net._delivery.get(envelope.dst)
+        if entry is None:
+            stats.dropped_dead += 1
+            return
+        endpoint, node_stats, table, _ = entry
+        size = envelope.size_bytes
+        node_stats.bytes_down += size
+        node_stats.datagrams_down += 1
+        kind_id = envelope.payload.kind_id
+        stats.delivered += 1
+        stats.bytes_received += size
+        by_kind = stats._recv_bytes_by_kind
+        if kind_id >= len(by_kind):
+            stats.kind_slot(kind_id)
+        by_kind[kind_id] += size
+        stats._recv_count_by_kind[kind_id] += 1
         on_deliver = net.on_deliver
-        pool = net._pool if on_deliver is None else None
-        dropped = 0
-        # Per-kind receive accumulator.  Buckets are overwhelmingly
-        # single-kind (often single-envelope), so track one open group
-        # and flush on kind change instead of building a dict.
-        acc_kind = -1
-        acc_count = 0
-        acc_bytes = 0
-        add_received = stats.add_received
-        for envelope in envelopes:
-            if crash_time:
-                src_crash = crash_time.get(envelope.src)
-                if src_crash is not None and envelope._exit_time > src_crash:
-                    # Still queued in the sender's dead process.
-                    dropped += 1
-                    continue
-                if envelope.dst in crash_time:
-                    dropped += 1
-                    continue
-            entry = delivery.get(envelope.dst)
-            if entry is None:
-                dropped += 1
-                continue
-            endpoint, node_stats, table, _ = entry
-            size = envelope.size_bytes
-            node_stats.bytes_down += size
-            node_stats.datagrams_down += 1
-            kind_id = envelope.payload.kind_id
-            if kind_id != acc_kind:
-                if acc_count:
-                    add_received(acc_kind, acc_count, acc_bytes)
-                acc_kind = kind_id
-                acc_count = 1
-                acc_bytes = size
-            else:
-                acc_count += 1
-                acc_bytes += size
-            if on_deliver is not None:
-                on_deliver(envelope)
-            if table is not None:
-                handler = table.get(kind_id)
-                if handler is not None:
-                    handler(envelope)
-                else:
-                    endpoint.on_message(envelope)
+        if on_deliver is not None:
+            on_deliver(envelope)
+        if table is not None:
+            handler = table.get(kind_id)
+            if handler is not None:
+                handler(envelope)
             else:
                 endpoint.on_message(envelope)
-            # Observer may retain the envelope: never recycle then.
-            if pool is not None and len(pool) < POOL_CAP:
-                pool.append(envelope)
-        if acc_count:
-            add_received(acc_kind, acc_count, acc_bytes)
-        if dropped:
-            stats.dropped_dead += dropped
+        else:
+            endpoint.on_message(envelope)
+        # Observer may retain the envelope: never recycle then.
+        pool = net._pool
+        if pool is not None and on_deliver is None and len(pool) < POOL_CAP:
+            pool.append(envelope)
+
+    #: ``ledger/trace.py`` and ``ledger/test_ledger.py`` resolve the
+    #: delivery entry point under this name, so the fabric binds its
+    #: hot-path reference through it (a traced run then attributes
+    #: ``net.router.deliver_self_s``).  Goes once the ledger is
+    #: retargeted to ``deliver`` (next ``[benchmark]`` PR).
+    deliver_bucket = deliver

@@ -154,9 +154,8 @@ def _decode_batch(batch: WireBatch, on_control=None) -> Iterator[Envelope]:
 
     One ``pickle.loads`` rebuilds the payload pool; every header row then
     costs a struct unpack plus one envelope construction — no per-row
-    pickling, no per-row scheduling (the caller feeds this straight into
-    :meth:`~repro.net.router.InprocRouter.route_many`, which groups
-    same-arrival rows into one arrival bucket).
+    pickling.  Scheduling is the caller's (:meth:`ShardRouter.inject`
+    routes each envelope as it is yielded).
 
     Control rows (negative ``kind_id``) are not envelopes: they are
     handed to ``on_control(event, node_id, origin_shard, event_time)``
@@ -188,8 +187,8 @@ def _decode_batch(batch: WireBatch, on_control=None) -> Iterator[Envelope]:
 class ShardRouter(InprocRouter):
     """Delivery router for one shard of a partitioned population.
 
-    Owned destinations take the inherited in-process path (arrival
-    bucketing, batched receiver stats — identical semantics to a serial
+    Owned destinations take the inherited in-process path (one event
+    and one ``deliver`` per datagram — identical semantics to a serial
     run).  Remote destinations accumulate in per-target-shard outboxes
     exchanged at the next window barrier; the sending side's stats were
     already accounted by ``Network.send``, so a forwarded envelope costs
@@ -366,7 +365,9 @@ class ShardRouter(InprocRouter):
                 raise ValueError(
                     f"corrupt cross-shard buffer: unknown wire tag "
                     f"{wire[0]!r} (expected {WIRE_BATCH_TAG})")
-            self.route_many(_decode_batch(wire, self._check_membership))
+            for envelope in _decode_batch(wire, self._check_membership):
+                # Decoded rows are owned here by construction.
+                InprocRouter.route(self, envelope)
 
 
 # ----------------------------------------------------------------------
@@ -686,9 +687,12 @@ def merge_harvests(config: ScenarioConfig, harvests: List[dict]):
     ownership; traffic stats are commutative sums; crash times are
     replicated state, verified equal across shards here (a mismatch
     means the replicated churn streams diverged — fail loudly rather
-    than pick one).  ``events_executed`` is the sum over shards — a
-    sharded run executes the same deliveries but different bucket events,
-    so it is an activity measure, not a determinism key.
+    than pick one).  ``events_executed`` is the sum over shards.  Every
+    non-replicated event (a delivery, an owned node's timer) runs on
+    exactly one shard, so for a churn-free scenario the sum equals the
+    serial run's count; *replicated churn* (crashes and their detection
+    notifications, applied on every shard) adds its events once per
+    extra replica.
     """
     from repro.experiments.runner import ExperimentResult
 

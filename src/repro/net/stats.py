@@ -12,12 +12,12 @@ The string names survive only at the reporting boundary: the
 ``bytes_by_kind`` / ``count_by_kind`` views translate ids back to display
 names.
 
-Both directions are counted: the send paths accumulate per envelope (the
-loss/queue pipeline forks per destination anyway), while the delivery
-side accumulates per *arrival bucket* — the router hands every kind group
-of a same-timestamp bucket to :meth:`NetworkStats.add_received` as one
-bulk accumulation instead of one update per envelope.  Sharded runs merge
-per-worker instances with :meth:`NetworkStats.merge_from`.
+Both directions are counted by the code that moves the datagram, inline
+on its hot path: ``Network.send`` per datagram, ``Network.send_many`` as
+one accumulation per fan-out, and the router's ``deliver`` per delivered
+datagram (``delivered``, ``bytes_received``, the ``_recv_*_by_kind``
+lists, the receiver's per-node counters).  Sharded runs merge per-worker
+instances with :meth:`NetworkStats.merge_from`.
 
 **Cross-shard wire counters.**  Sharded execution additionally accounts
 what actually crosses a process boundary, so the cost of the window
@@ -102,10 +102,10 @@ class NetworkStats:
     def kind_slot(self, kind_id: int) -> int:
         """Ensure the per-kind lists cover ``kind_id``; returns it.
 
-        The send fast path indexes the lists directly and only calls this
-        when the index is out of range (a kind registered after this
-        stats object was built — possible in tests, never in a scenario
-        run where all protocol modules import first).
+        The send and delivery fast paths index the lists directly and
+        only call this when the index is out of range (a kind registered
+        after this stats object was built — possible in tests, never in
+        a scenario run where all protocol modules import first).
         """
         grow = kind_id + 1 - len(self._bytes_by_kind)
         if grow > 0:
@@ -116,22 +116,6 @@ class NetworkStats:
             self._recv_bytes_by_kind.extend([0] * grow)
             self._recv_count_by_kind.extend([0] * grow)
         return kind_id
-
-    def add_received(self, kind_id: int, count: int, total_bytes: int) -> None:
-        """Account ``count`` delivered datagrams of one kind, totalling
-        ``total_bytes``, as a single bulk accumulation.
-
-        This is the receive-side twin of the batched send accounting:
-        the router calls it once per kind group of an arrival bucket, so
-        a bucket of n same-kind deliveries costs one update, not n.  The
-        result is defined to equal n single-datagram accumulations.
-        """
-        self.delivered += count
-        self.bytes_received += total_bytes
-        slot = (kind_id if kind_id < len(self._recv_bytes_by_kind)
-                else self.kind_slot(kind_id))
-        self._recv_bytes_by_kind[slot] += total_bytes
-        self._recv_count_by_kind[slot] += count
 
     @property
     def bytes_by_kind(self) -> Dict[str, int]:

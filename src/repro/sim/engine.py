@@ -121,11 +121,9 @@ class Simulator:
         self._cancels = 0
         #: Buckets: exact timestamp -> FIFO list of entries.  An entry is
         #: either an EventHandle or a bare callable (post_at fast path).
-        #: Invariant relied on by repro.net.router.InprocRouter.route
-        #: (which appends envelopes to the tail entry of a pending
-        #: bucket): a bucket is popped from this dict *before* the run
-        #: loop drains it, so any list reachable here is still entirely
-        #: in the future — keep that true when changing the run loop.
+        #: Private to this module: a bucket is popped from this dict
+        #: *before* the run loop drains it, so a callback scheduling at
+        #: the current time starts a fresh bucket behind the active one.
         self._buckets: Dict[float, list] = {}
         #: Heap of distinct timestamps; each pushed once per bucket.
         self._theap: List[float] = []

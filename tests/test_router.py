@@ -3,21 +3,20 @@
 Both delivery routers — the default :class:`InprocRouter` and a
 :class:`ShardRouter` that owns the whole population (sharding degenerated
 to one shard) — must implement identical delivery semantics: arrival
-times, crash handling, dispatch-table routing, observer hooks, stats and
-envelope recycling.  The suite runs every behavioural test against both.
+times, arrival order, crash handling, dispatch-table routing, observer
+hooks, stats and envelope recycling.  The suite runs every behavioural
+test against both.
 
-On top of conformance, this file pins the two behaviours the router
-redesign added:
-
-* same-timestamp arrivals drain through one ``deliver_bucket`` call
-  (one event, receiver stats accumulated per kind group);
-* ``NetworkStats.add_received`` bulk accumulation is equivalent to n
-  single accumulations (the receive-side stats satellite).
+The arrival contract: the envelope is the event.  Every routed datagram
+is one calendar entry, delivered (or dropped dead) by one ``deliver``
+call, in the engine's (arrival time, enqueue order) — ties included.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.latency import ConstantLatency, PerPairLatency
 from repro.net.message import UDP_IP_HEADER_BYTES, Envelope, intern_kind
@@ -169,80 +168,79 @@ class TestRouterConformance:
                 == 1372 + UDP_IP_HEADER_BYTES)
 
 
-class TestArrivalBucketing:
-    """The batched-delivery behaviour of the redesigned delivery side."""
+class Recorder:
+    """Endpoint appending ``(name, envelope tag)`` to a shared log."""
 
-    def _bulk_net(self, latency=0.05):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(latency))
-        net.attach(0, Sink(), 1e12)
-        sinks = [Sink() for _ in range(8)]
-        for i, sink in enumerate(sinks):
-            net.attach(1 + i, sink, 1e12)
-        return sim, net, sinks
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
 
-    def test_same_timestamp_bucket_is_one_event(self):
-        # At (practically) infinite uplink capacity the per-destination
-        # exit times stay distinct but minuscule; use send_many at t=0 so
-        # every arrival shares... exit times differ per datagram, so ties
-        # need equal sizes from *different senders* instead.
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.05))
-        sinks = {i: Sink() for i in (10, 11)}
-        net.attach(0, Sink(), 8e6)
-        net.attach(1, Sink(), 8e6)
-        for i, sink in sinks.items():
-            net.attach(i, sink, 8e6)
-        payload = FakePayload(kind="bulk", size=972)  # same size, same exit
-        net.send(0, 10, payload)
-        net.send(1, 11, payload)
+    def on_message(self, envelope):
+        self.log.append((self.name, getattr(envelope.payload, "tag", None)))
+
+
+def tie_net(router_factory, receivers, log):
+    """Senders 0-3 with equal uplinks under a constant latency: the k-th
+    equal-size datagram of every sender arrives at the same instant."""
+    sim, net = make_net(router_factory)
+    for sender in range(4):
+        net.attach(sender, Sink(), 8e6)
+    for node, name in receivers.items():
+        net.attach(node, Recorder(name, log), 8e6)
+    return sim, net
+
+
+@pytest.mark.parametrize("router_factory", ROUTERS)
+class TestArrivalOrder:
+    """One event per datagram, in (arrival time, enqueue order)."""
+
+    def test_same_timestamp_arrivals_deliver_in_send_order(
+            self, router_factory):
+        log = []
+        sim, net = tie_net(router_factory, {10: "a", 11: "b", 12: "c"}, log)
+        payload = FakePayload(kind="tie", size=972)  # same size, same exit
+        sent = [net.send(src, dst, payload)
+                for src, dst in ((2, 12), (0, 10), (1, 11), (3, 10))]
+        assert len({envelope.arrival_time for envelope in sent}) == 1
         sim.run()
-        # Both arrivals at exactly 0.001 + 0.05 -> one coalesced bucket.
-        assert sim.events_executed == 1
-        assert all(len(s.received) == 1 for s in sinks.values())
-        assert net.stats.delivered == 2
-        assert net.stats.received_count_by_kind["bulk"] == 2
+        assert [name for name, _ in log] == ["c", "a", "b", "a"]
 
-    def test_interleaved_event_prevents_unsound_coalescing(self):
-        # An event scheduled between two same-timestamp routes must keep
-        # its enqueue position: the second arrival starts a new bucket.
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.05))
-        order = []
-
-        class Recorder:
-            def __init__(self, name):
-                self.name = name
-
-            def on_message(self, envelope):
-                order.append(self.name)
-
-        net.attach(0, Sink(), 8e6)
-        net.attach(1, Sink(), 8e6)
-        net.attach(10, Recorder("a"), 8e6)
-        net.attach(11, Recorder("b"), 8e6)
+    def test_interleaved_event_keeps_its_place(self, router_factory):
+        # An event scheduled between two same-timestamp routes runs
+        # between the two deliveries.
+        log = []
+        sim, net = tie_net(router_factory, {10: "a", 11: "b"}, log)
         payload = FakePayload(kind="tick", size=972)
         first = net.send(0, 10, payload)            # arrival t*
-        sim.post_at(first.arrival_time, lambda: order.append("timer"))
+        sim.post_at(first.arrival_time, lambda: log.append(("timer", None)))
         net.send(1, 11, payload)                    # same arrival t*
         sim.run()
-        assert order == ["a", "timer", "b"]
-        assert sim.events_executed == 3  # two buckets plus the timer
+        assert [name for name, _ in log] == ["a", "timer", "b"]
+        assert sim.events_executed == 3
 
-    def test_bucket_stats_equal_singleton_deliveries(self):
-        def totals(batched):
-            sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05))
-            senders = range(4)
-            for i in senders:
-                net.attach(i, Sink(), 8e6)
+    def test_one_event_per_datagram(self, router_factory):
+        log = []
+        sim, net = tie_net(router_factory, {10: "a", 11: "b"}, log)
+        payload = FakePayload(kind="bulk", size=972)
+        for src in range(4):                        # four tied arrivals,
+            net.send(src, 10 + src % 2, payload)    # two per receiver
+        net.send(0, 10, payload)                    # and one on its own
+        sim.post_at(0.01, lambda: net.crash(11))    # before any arrival
+        sim.run()
+        stats = net.stats
+        assert (stats.delivered, stats.dropped_dead) == (3, 2)
+        assert sim.events_executed == stats.delivered + stats.dropped_dead + 1
+
+    def test_tied_and_untied_arrivals_count_the_same(self, router_factory):
+        def totals(tied):
+            sim, net = tie_net(router_factory, {}, [])
             sink = Sink()
             net.attach(9, sink, 8e6)
             payload = FakePayload(kind="eq", size=972)
-            for i in senders:
-                net.send(i, 9, payload)
-                if not batched:
-                    # Distinct enqueue times -> distinct arrival buckets.
+            for src in range(4):
+                net.send(src, 9, payload)
+                if not tied:
+                    # Distinct enqueue times -> distinct arrival times.
                     sim.run()
             sim.run()
             stats = net.stats
@@ -250,45 +248,123 @@ class TestArrivalBucketing:
                     dict(stats.received_count_by_kind),
                     dict(stats.received_bytes_by_kind),
                     stats.per_node[9].bytes_down,
-                    len(sink.received))
+                    len(sink.received), sim.events_executed)
 
-        assert totals(batched=True) == totals(batched=False)
+        assert totals(tied=True) == totals(tied=False)
+
+    #: ("send", src, dst, kind, size) | ("timer", slot) — a timer ties
+    #: with the ``slot``-th earlier send's arrival (or fires at 0.0505).
+    _ops = st.lists(st.one_of(
+        st.tuples(st.just("send"), st.integers(0, 3), st.integers(10, 13),
+                  st.sampled_from(("mix-a", "mix-b")),
+                  st.sampled_from((472, 972))),
+        st.tuples(st.just("timer"), st.integers(0, 30))), max_size=30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=_ops, victim=st.sampled_from((0, 1, 10, 11)),
+           crash_slot=st.integers(0, 30), crash_first=st.booleans())
+    def test_random_mix_matches_sorted_reference(
+            self, router_factory, ops, victim, crash_slot, crash_first):
+        """Tied sends, interleaved ``post_at``s and a mid-run crash
+        against the plain reference: sort by (arrival, enqueue index),
+        then apply the crash rules entry by entry."""
+        log = []
+        sim, net = tie_net(router_factory,
+                           {node: node for node in range(10, 14)}, log)
+        entries = []        # (time, enqueue index, what, detail)
+        arrivals = []
+
+        def tie_time(slot):
+            return arrivals[slot % len(arrivals)] if arrivals else 0.0505
+
+        def post(time, what, detail, callback):
+            entries.append((time, len(entries), what, detail))
+            sim.post_at(time, callback)
+
+        def crash():
+            net.crash(victim)
+            log.append(("crash", victim))
+
+        def post_crash():
+            post(tie_time(crash_slot), "crash", victim, crash)
+
+        if crash_first:
+            post_crash()
+        for tag, op in enumerate(ops):
+            if op[0] == "timer":
+                post(tie_time(op[1]), "timer", tag,
+                     lambda tag=tag: log.append(("timer", tag)))
+                continue
+            _, src, dst, kind, size = op
+            payload = FakePayload(kind=kind, size=size)
+            payload.tag = tag
+            envelope = net.send(src, dst, payload)
+            entries.append((envelope.arrival_time, len(entries), "send",
+                            (src, dst, tag, kind, envelope.size_bytes,
+                             envelope._exit_time)))
+            arrivals.append(envelope.arrival_time)
+        if not crash_first:
+            post_crash()
+        sim.run()
+
+        expected, crashed_at = [], None
+        delivered = dropped = 0
+        by_kind, bytes_down = {}, {}
+        for time, _, what, detail in sorted(entries, key=lambda e: e[:2]):
+            if what == "crash":
+                crashed_at = time
+                expected.append(("crash", detail))
+            elif what == "timer":
+                expected.append(("timer", detail))
+            else:
+                src, dst, tag, kind, size, exit_time = detail
+                if crashed_at is not None and (
+                        dst == victim
+                        or (src == victim and exit_time > crashed_at)):
+                    dropped += 1
+                    continue
+                delivered += 1
+                by_kind[kind] = by_kind.get(kind, 0) + 1
+                bytes_down[dst] = bytes_down.get(dst, 0) + size
+                expected.append((dst, tag))
+        assert log == expected
+        stats = net.stats
+        assert (stats.delivered, stats.dropped_dead) == (delivered, dropped)
+        assert dict(stats.received_count_by_kind) == by_kind
+        assert stats.bytes_received == sum(bytes_down.values())
+        assert {node: stats.per_node[node].bytes_down
+                for node in range(10, 14)
+                if stats.per_node[node].bytes_down} == bytes_down
+        assert sim.events_executed == len(entries)
 
 
-class TestAddReceived:
-    """Satellite: the bulk receive accumulator is defined to equal n
-    single accumulations."""
+class TestReceiveStats:
+    """Receive-side accounting outside the per-router conformance."""
 
-    def test_bulk_equals_n_singles(self):
-        kind_a = intern_kind("recv-a", register=True)
-        kind_b = intern_kind("recv-b", register=True)
-        bulk = NetworkStats()
-        singles = NetworkStats()
-        bulk.add_received(kind_a, 7, 7 * 131)
-        bulk.add_received(kind_b, 3, 3 * 40)
-        for _ in range(7):
-            singles.add_received(kind_a, 1, 131)
-        for _ in range(3):
-            singles.add_received(kind_b, 1, 40)
-        assert bulk.delivered == singles.delivered == 10
-        assert bulk.bytes_received == singles.bytes_received
-        assert bulk.received_count_by_kind == singles.received_count_by_kind
-        assert bulk.received_bytes_by_kind == singles.received_bytes_by_kind
-
-    def test_add_received_grows_late_registered_kinds(self):
-        stats = NetworkStats()
-        late = intern_kind("recv-late", register=True)
-        stats.add_received(late, 2, 100)
-        assert stats.received_count_by_kind == {"recv-late": 2}
+    def test_late_registered_kind_is_counted_on_delivery(self):
+        sim, net = make_net(_inproc)
+        net.attach(1, Sink(), 1e9)
+        net.attach(2, Sink(), 1e9)
+        # Registered after the fabric sized its per-kind lists.
+        net.send(1, 2, FakePayload(kind="recv-late", size=22))
+        net.send(1, 2, FakePayload(kind="recv-late", size=22))
+        sim.run()
+        assert net.stats.received_count_by_kind == {"recv-late": 2}
+        assert net.stats.received_bytes_by_kind == {
+            "recv-late": 2 * (22 + UDP_IP_HEADER_BYTES)}
 
     def test_merge_from_sums_both_directions(self):
         kind = intern_kind("recv-merge", register=True)
         a, b = NetworkStats(), NetworkStats()
-        a.add_received(kind, 2, 200)
+        for stats, delivered in ((a, 2), (b, 3)):
+            stats.kind_slot(kind)
+            stats.delivered = delivered
+            stats.bytes_received = 100 * delivered
+            stats._recv_count_by_kind[kind] = delivered
+            stats._recv_bytes_by_kind[kind] = 100 * delivered
         a.sent = 5
         a.bytes_sent = 500
         a.node(1).bytes_up = 500
-        b.add_received(kind, 3, 300)
         b.sent = 1
         b.bytes_sent = 100
         b.node(1).bytes_down = 300
@@ -296,6 +372,7 @@ class TestAddReceived:
         assert a.sent == 6 and a.bytes_sent == 600
         assert a.delivered == 5 and a.bytes_received == 500
         assert a.received_count_by_kind == {"recv-merge": 5}
+        assert a.received_bytes_by_kind == {"recv-merge": 500}
         assert a.node(1).bytes_up == 500 and a.node(1).bytes_down == 300
 
 

@@ -173,6 +173,44 @@ def test_interval_churn_matches_serial(serial):
 
 
 # ----------------------------------------------------------------------
+# event counts: every non-replicated event runs on exactly one shard
+# ----------------------------------------------------------------------
+#: Churn-free scenarios: each event is a delivery or an owned node's
+#: timer, so the shards' ``events_executed`` sum to the serial count.
+CHURN_FREE = {
+    "plain": {},
+    "audit": dict(audit=True),
+    "cyclon-loss": dict(membership="cyclon", loss_rate=0.03,
+                        loss_rng="per-pair"),
+}
+
+
+def events_executed(overrides: dict, shards: int) -> int:
+    config = base_config(shards=shards, **overrides)
+    result = (run_sharded(config, processes=False) if shards > 1
+              else run_scenario(config))
+    return result.sim.events_executed
+
+
+@pytest.mark.parametrize("family", sorted(CHURN_FREE))
+def test_churn_free_event_count_equals_serial(family):
+    overrides = CHURN_FREE[family]
+    serial_count = events_executed(overrides, 1)
+    assert events_executed(overrides, 2) == serial_count
+    assert events_executed(overrides, 4) == serial_count
+
+
+def test_replicated_churn_is_the_only_event_surplus():
+    """Crashes and their detection notifications run on every replica:
+    the same surplus once per extra shard, nothing else."""
+    overrides = FAMILIES["churn"]
+    serial_count = events_executed(overrides, 1)
+    surplus = events_executed(overrides, 2) - serial_count
+    assert surplus > 0
+    assert events_executed(overrides, 4) - serial_count == 3 * surplus
+
+
+# ----------------------------------------------------------------------
 # churn: replicated membership, verified over the wire
 # ----------------------------------------------------------------------
 class TestChurnSharding:

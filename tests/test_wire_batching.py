@@ -231,20 +231,28 @@ class TestBatchInjectEquivalence:
         wires = self._sender_outbox()
         batched_order, batched_events, batched_stats = self._deliver(
             lambda router: router.inject(wires))
-        # The reference: every envelope handed to the in-process
-        # ``route()`` individually, as a per-envelope exchange would.
+        # The reference: every (hand-built) envelope handed to the
+        # in-process ``route()`` individually, as a per-envelope
+        # exchange would.
         single_order, single_events, single_stats = self._deliver(
             lambda router: [InprocRouter.route(router, envelope)
                             for envelope in self._burst()])
+        # Decoded and hand-built envelopes alike reach the handler (the
+        # router stamps its fabric on whatever it schedules), in
+        # (arrival, row order): the 0.2 s rows first, then the 0.3 s.
         assert batched_order == single_order
-        assert len(batched_order) == 5
-        # route_many groups same-arrival rows into the same arrival
-        # buckets route() would have used: same event count, same
-        # receiver-side accounting.
-        assert batched_events == single_events == 2
+        assert [kind for kind, _, _ in batched_order] == [
+            "wb-small", "wb-small", "wb-small", "wb-big", "wb-big"]
+        # One event per decoded row, however many share an arrival.
+        assert batched_events == single_events == 5
         assert batched_stats.delivered == single_stats.delivered == 5
+        assert batched_stats.bytes_received == single_stats.bytes_received
+        assert (batched_stats.received_count_by_kind
+                == single_stats.received_count_by_kind)
         assert (batched_stats.received_bytes_by_kind
                 == single_stats.received_bytes_by_kind)
+        assert (batched_stats.per_node[1].bytes_down
+                == single_stats.per_node[1].bytes_down)
 
     def test_corrupt_header_length_raises(self):
         (tag, n_rows, header, blob), = self._sender_outbox()
