@@ -62,6 +62,9 @@ TRACKED = [
     (("population", "nodes_built_per_sec_4k"), "4k-node build nodes/s"),
     # Deterministic (tracemalloc): nodes built per MiB the build retains.
     (("population", "nodes_per_mib_4k"), "4k-node build nodes/MiB"),
+    # Peak RSS of ten consecutive 1k-node cells in one process, inverted:
+    # it falls when finished cells' object graphs pile up uncollected.
+    (("gc", "cell_processes_per_gib"), "10-cell worker processes/GiB"),
     (("attacks", "honest_events_per_sec"), "attack-bench honest events/s"),
     (("attacks", "spam_events_per_sec"), "attack-bench 10%-spam events/s"),
 ]

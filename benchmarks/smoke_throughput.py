@@ -267,6 +267,104 @@ def bench_population():
     return section
 
 
+def _swarm_config(seed: int = 17):
+    """1k nodes, half a simulated second: the ledger's ``swarm-1k`` shape."""
+    from repro.workloads.distributions import REF_691
+    from repro.workloads.scenario import ScenarioConfig
+
+    return ScenarioConfig(protocol="heap", n_nodes=1000, duration=0.2,
+                          drain=0.3, distribution=REF_691, seed=seed,
+                          latency_rng="per-pair", latency_floor=0.04)
+
+
+def _own_peak_rss_mib() -> float:
+    """High-water mark of this process's own address space.  ``VmHWM``
+    starts over at exec; ``ru_maxrss`` does not — a child reports at
+    least what the process it was forked from held at that moment."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def ten_cells_child() -> None:
+    """Body of ``bench_gc``'s child process: ten 1k-node cells through
+    the grid engine's ``_run_cell``, one after the other, then this
+    process's own high-water mark."""
+    from repro.experiments.parallel import _run_cell
+
+    started = time.perf_counter()
+    events = 0
+    for seed in range(1, 11):
+        config = _swarm_config(seed)
+        _, record = _run_cell((0, 0, config.name, 0, config, (), ()))
+        events += record.events_executed
+    wall = time.perf_counter() - started
+    print(json.dumps({"events": events, "wall_seconds": wall,
+                      "peak_rss_mib": _own_peak_rss_mib()}))
+
+
+def bench_gc():
+    """What the cyclic collector does during a run, and what cells leave.
+
+    ``Simulator.run`` pauses the collector (a running simulation drops
+    no reference cycles, so every pass would walk the heap and free
+    nothing) and ``_run_cell`` collects a finished cell's object graph
+    where it dies.  Two exact counts hold the first half — collector
+    passes started during one 1k-node ``sim.run`` and unreachable
+    objects found right after it, both expected 0 — and the peak RSS of
+    ten consecutive 1k-node cells in one fresh child process holds the
+    second: without the per-cell collection the graphs pile up.
+    ``cell_processes_per_gib`` is that peak's higher-is-better form for
+    the trend gate (how many such grid workers a GiB holds).
+    """
+    import gc
+    import subprocess
+
+    from repro.experiments.runner import build_scenario
+
+    config = _swarm_config()
+    gc.collect()  # earlier sections' dropped results are not this run's
+    build = build_scenario(config)
+    passes = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(on_gc)
+    try:
+        build.sim.run(until=config.end_time)
+    finally:
+        gc.callbacks.remove(on_gc)
+    unreachable = gc.collect()  # the build is still held: only garbage counts
+    events = build.sim.events_executed
+    del build
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import smoke_throughput; smoke_throughput.ten_cells_child()"],
+        env=env, check=True, stdout=subprocess.PIPE, text=True)
+    cells = json.loads(child.stdout)
+    return {
+        "n_nodes": config.n_nodes,
+        "events": events,
+        "collector_passes_during_run": len(passes),
+        "unreachable_after_run": unreachable,
+        "ten_cells_events": cells["events"],
+        "ten_cells_wall_seconds": round(cells["wall_seconds"], 3),
+        "ten_cells_peak_rss_mib": round(cells["peak_rss_mib"], 1),
+        "cell_processes_per_gib": round(1024 / cells["peak_rss_mib"], 1),
+    }
+
+
 def bench_attacks():
     """Honest vs 10%-spam scenario throughput, with attack shard parity.
 
@@ -373,6 +471,7 @@ def main(argv=None) -> int:
         "sharding": bench_sharding(),
         "per_pair": bench_per_pair(),
         "population": bench_population(),
+        "gc": bench_gc(),
         "attacks": bench_attacks(),
         "source": source_size(),
     }

@@ -8,6 +8,13 @@ upload capability as the mean over their (TTL-bounded) sample table.
 
 The estimate feeds HEAP's fanout adaptation; its accuracy/latency
 trade-off is explored by ``benchmarks/bench_ablation_aggregation.py``.
+
+The sample table is columnar: two dicts, ``node -> capability`` and
+``node -> timestamp``, holding the same keys in the same insertion order
+(every write stores into both, every eviction deletes from both).  A
+round sorts by timestamp and a merge compares timestamps, so neither
+touches the capabilities until the freshest few are picked, and an
+accepted sample costs two float stores instead of a fresh tuple.
 """
 
 from __future__ import annotations
@@ -25,11 +32,6 @@ from repro.sim.timers import PeriodicTimer
 _HEADER_BYTES = 8
 #: Bytes per serialized sample (node id, capability, age).
 _SAMPLE_BYTES = 12
-
-
-def _sample_ts(item):
-    """Sort key for ``freshest``: the sample timestamp."""
-    return item[1][1]
 
 
 class AggregationMessage:
@@ -55,8 +57,8 @@ class CapabilityAggregator:
     """One node's capability-aggregation agent."""
 
     __slots__ = ("_sim", "_net", "node_id", "_capability", "_view", "_rng",
-                 "fresh_count", "fanout", "sample_ttl", "_samples",
-                 "_oldest_ts", "messages_sent", "messages_received", "_timer")
+                 "fresh_count", "fanout", "sample_ttl", "_caps", "_ts",
+                 "_oldest_ts", "_timer")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  capability: Callable[[], float], view: LocalView,
@@ -72,14 +74,14 @@ class CapabilityAggregator:
         self.fresh_count = fresh_count
         self.fanout = fanout
         self.sample_ttl = sample_ttl
-        #: node_id -> (capability_bps, sample_timestamp)
-        self._samples: Dict[int, Tuple[float, float]] = {}
+        #: node_id -> capability_bps and node_id -> sample_timestamp: one
+        #: table in two columns (same keys, same insertion order).
+        self._caps: Dict[int, float] = {}
+        self._ts: Dict[int, float] = {}
         #: Lower bound on the oldest foreign sample timestamp; lets
         #: _evict_stale skip the table scan when nothing can be stale
         #: (the common case while every peer keeps gossiping).
         self._oldest_ts = float("inf")
-        self.messages_sent = 0
-        self.messages_received = 0
         self._timer = PeriodicTimer(sim, period, self._gossip)
 
     # ------------------------------------------------------------------
@@ -97,7 +99,8 @@ class CapabilityAggregator:
     # sample table
     # ------------------------------------------------------------------
     def _refresh_own_sample(self) -> None:
-        self._samples[self.node_id] = (self._capability(), self._sim.now)
+        self._caps[self.node_id] = self._capability()
+        self._ts[self.node_id] = self._sim.now
 
     def _evict_stale(self) -> None:
         if self.sample_ttl <= 0:
@@ -105,36 +108,45 @@ class CapabilityAggregator:
         cutoff = self._sim.now - self.sample_ttl
         if self._oldest_ts >= cutoff:
             return  # even the oldest known sample is still fresh
-        stale = [node for node, (_, ts) in self._samples.items()
-                 if ts < cutoff and node != self.node_id]
-        for node in stale:
-            del self._samples[node]
         own = self.node_id
+        caps = self._caps
+        timestamps = self._ts
+        stale = [node for node, ts in timestamps.items()
+                 if ts < cutoff and node != own]
+        for node in stale:
+            del caps[node]
+            del timestamps[node]
         self._oldest_ts = min(
-            (ts for node, (_, ts) in self._samples.items() if node != own),
+            (ts for node, ts in timestamps.items() if node != own),
             default=float("inf"))
 
     def freshest(self, count: int) -> List[Tuple[int, float, float]]:
         """The ``count`` freshest samples as (node, capability, timestamp).
 
-        ``reverse=True`` with a positive key keeps the exact tie order of
-        the historical ``key=-timestamp`` ascending sort (both are stable
-        on insertion order), so traces are unchanged.
+        Newest first; samples with equal timestamps keep the order in
+        which their nodes first entered the table (``sorted`` is stable,
+        ``reverse=True`` included, and a dict iterates in insertion
+        order) — the tie order the golden traces pin.  The key is the
+        timestamp column's own C-level ``__getitem__``.
         """
-        ordered = sorted(self._samples.items(), key=_sample_ts, reverse=True)
-        return [(node, cap, ts) for node, (cap, ts) in ordered[:count]]
+        caps = self._caps
+        timestamps = self._ts
+        ordered = sorted(timestamps, key=timestamps.__getitem__, reverse=True)
+        return [(node, caps[node], timestamps[node])
+                for node in ordered[:count]]
 
     def sample_count(self) -> int:
-        return len(self._samples)
+        return len(self._ts)
 
     # ------------------------------------------------------------------
     # the estimate
     # ------------------------------------------------------------------
     def average_estimate(self) -> float:
         """Mean capability over the current sample table (always >= own)."""
-        if not self._samples:
+        caps = self._caps
+        if not caps:
             return self._capability()
-        return sum(cap for cap, _ in self._samples.values()) / len(self._samples)
+        return sum(caps.values()) / len(caps)
 
     def relative_capability(self) -> float:
         """This node's capability over the estimated average: HEAP's b_p/b."""
@@ -154,19 +166,19 @@ class CapabilityAggregator:
             return
         fresh = self.freshest(self.fresh_count)
         self._net.send_many(self.node_id, partners, AggregationMessage(fresh))
-        self.messages_sent += len(partners)
 
     def on_message(self, src: int, message: AggregationMessage) -> None:
-        self.messages_received += 1
-        samples = self._samples
+        caps = self._caps
+        timestamps = self._ts
         own = self.node_id
         oldest = self._oldest_ts
         for node, capability, timestamp in message.samples:
             if node == own:
                 continue  # nobody knows our capability better than we do
-            existing = samples.get(node)
-            if existing is None or timestamp > existing[1]:
-                samples[node] = (capability, timestamp)
+            existing = timestamps.get(node)
+            if existing is None or timestamp > existing:
+                caps[node] = capability
+                timestamps[node] = timestamp
                 if timestamp < oldest:
                     oldest = timestamp
         self._oldest_ts = oldest

@@ -57,6 +57,7 @@ cells runs up to N x M shard processes, with the same bytes out.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
@@ -288,24 +289,41 @@ class GridResult:
 
 
 def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
-    """Run one grid cell with a pluggable scenario runner."""
+    """Run one grid cell with a pluggable scenario runner.
+
+    A finished scenario is one big reference cycle (nodes <-> fabric <->
+    engine), so dropping the result frees nothing until the cyclic
+    collector gets to it — and ``Simulator.run`` pauses that collector,
+    so the next cell's run would be over before a pass came due.  With
+    the default runner nobody else holds the result, so its graph dies
+    here and is collected here: one pass per cell, where its garbage is.
+    A caller-supplied ``run_fn`` (``cached_run``) keeps results on
+    purpose; a full pass over its growing cache would free nothing.
+    """
     (index, scenario_index, scenario_name, seed_index, config,
      metric_items, specs) = payload
     started = time.perf_counter()
     result = run_fn(config)
     values = {name: metric(result) for name, metric in metric_items}
     summaries = summarize(result, specs)
+    events_executed = result.sim.events_executed
+    sim_end_time = result.sim.now
+    wire = result.net.stats.wire_summary()
+    if run_fn is run_scenario:
+        del result
+        gc.collect()
     record = RunRecord(
         scenario_index=scenario_index,
         scenario_name=scenario_name,
         seed_index=seed_index,
         seed=config.seed,
         metrics=values,
-        events_executed=result.sim.events_executed,
-        sim_end_time=result.sim.now,
+        events_executed=events_executed,
+        sim_end_time=sim_end_time,
+        # The collection is part of what the cell costs.
         wall_time=time.perf_counter() - started,
         summaries=summaries,
-        wire=result.net.stats.wire_summary(),
+        wire=wire,
     )
     return index, record
 

@@ -28,8 +28,14 @@ tell.  The shared path relies on ``rng.sample(range(n), k)`` consuming
 == n`` and returning the *indices* of the elements the latter returns
 (``random.sample`` only ever looks at ``len`` and positions); index ``j``
 is ``roster[j]`` below the owner's position and ``roster[j + 1]`` from it
-on.  ``tests/test_membership_view.py`` pins that identity on both sides
-of ``random.sample``'s pool/set switch.
+on.  ``k == 1`` — every aggregation round, ``aggregation_fanout = 1``
+being the paper's value — skips ``random.sample`` altogether: on either
+side of its pool/set switch a sample of one is ``population[j]`` for a
+single ``j = _randbelow(n)``, which is what ``rng.randrange(n)`` draws,
+so the element and the RNG state afterwards are the same without the
+``Sequence`` check, the result list and the selection set.
+``tests/test_membership_view.py`` pins both identities on both sides of
+the switch.
 """
 
 from __future__ import annotations
@@ -159,6 +165,9 @@ class LocalView:
                 if k >= n:
                     return ids[:at] + ids[at + 1:]
                 # See "Sampling identity" in the module docstring.
+                if k == 1:
+                    j = rng.randrange(n)
+                    return [ids[j] if j < at else ids[j + 1]]
                 return [ids[j] if j < at else ids[j + 1]
                         for j in rng.sample(range(n), k)]
             owner = self.owner
@@ -169,4 +178,6 @@ class LocalView:
                 candidates = [m for m in candidates if m not in exclude]
         if k >= len(candidates):
             return list(candidates)
+        if k == 1:
+            return [candidates[rng.randrange(len(candidates))]]
         return rng.sample(candidates, k)

@@ -25,6 +25,7 @@ is O(1) instead of a heap scan.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from heapq import heappush as _heappush
 from math import inf
@@ -241,16 +242,37 @@ class Simulator:
         If an event callback raises, the exception propagates; the events
         that shared the failing event's timestamp and had not yet run are
         discarded along with it (the simulator itself stays usable).
+
+        The cyclic garbage collector is paused while the loop runs and
+        handed back the way the caller had it on every way out (return,
+        raising callback, ``max_events`` stop).  A run allocates tens of
+        thousands of short-lived containers — handles, envelopes, sample
+        lists — which trip the collector's allocation thresholds a few
+        hundred times, and every pass walks the whole heap to free
+        nothing: what a run drops is never part of a reference cycle, so
+        reference counting alone reclaims it
+        (``tests/test_experiments_runner.py`` pins that a full collection
+        after a run finds no garbage).  The one cyclic structure is a
+        *finished* scenario's object graph (nodes <-> fabric <-> engine),
+        which dies outside ``run``;
+        ``experiments/parallel.py::_run_cell`` collects it there.  The
+        collector's switch is process-global, which is safe because a
+        process runs one simulation at a time, on one thread (the
+        service's executors are child processes).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             if max_events is None:
                 return self._run_fast(until)
             return self._run_counted(until, max_events)
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
 
     def _run_fast(self, until: Optional[float]) -> float:
         """Unbounded run loop (no max_events bookkeeping per event)."""

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggregation import AggregationMessage, CapabilityAggregator
 from repro.membership.directory import MembershipDirectory
@@ -84,12 +86,13 @@ def test_freshest_returns_newest_first_and_caps_count():
     net = Network(sim)
     agg = CapabilityAggregator(sim, net, 0, capability=lambda: 100.0,
                                view=None, rng=random.Random(1), fresh_count=3)
-    agg._samples[1] = (200.0, 5.0)
-    agg._samples[2] = (300.0, 9.0)
-    agg._samples[3] = (400.0, 1.0)
-    agg._samples[0] = (100.0, 10.0)
-    fresh = agg.freshest(3)
-    assert [node for node, _, _ in fresh] == [0, 2, 1]
+    agg.on_message(9, AggregationMessage([(1, 200.0, 5.0), (2, 300.0, 9.0),
+                                          (3, 400.0, 1.0)]))
+    sim.run(until=10.0)
+    agg.start(phase=1.0)  # own sample, stamped now: the freshest of all
+    assert agg.sample_count() == 4
+    assert agg.freshest(3) == [(0, 100.0, 10.0), (2, 300.0, 9.0),
+                               (1, 200.0, 5.0)]
 
 
 def test_merge_keeps_freshest_sample():
@@ -99,9 +102,11 @@ def test_merge_keeps_freshest_sample():
                                view=None, rng=random.Random(1))
     agg.on_message(1, AggregationMessage([(5, 500.0, 2.0)]))
     agg.on_message(2, AggregationMessage([(5, 999.0, 1.0)]))  # staler
-    assert agg._samples[5] == (500.0, 2.0)
+    assert agg.freshest(10) == [(5, 500.0, 2.0)]
+    assert agg.average_estimate() == 500.0
     agg.on_message(3, AggregationMessage([(5, 700.0, 3.0)]))  # fresher
-    assert agg._samples[5] == (700.0, 3.0)
+    assert agg.freshest(10) == [(5, 700.0, 3.0)]
+    assert agg.average_estimate() == 700.0
 
 
 def test_own_sample_never_overwritten_by_gossip():
@@ -109,9 +114,10 @@ def test_own_sample_never_overwritten_by_gossip():
     net = Network(sim)
     agg = CapabilityAggregator(sim, net, 0, capability=lambda: 100.0,
                                view=None, rng=random.Random(1))
-    agg._refresh_own_sample()
+    agg.start(phase=1.0)
     agg.on_message(1, AggregationMessage([(0, 99999.0, 100.0)]))
-    assert agg._samples[0][0] == 100.0
+    assert agg.freshest(10) == [(0, 100.0, 0.0)]
+    assert agg.average_estimate() == 100.0
 
 
 def test_stale_samples_evicted():
@@ -167,3 +173,120 @@ def test_estimate_tracks_capability_change():
     sim.run(until=8.0)
     after = aggregators[1].average_estimate()
     assert after > before * 1.5
+
+
+# ----------------------------------------------------------------------
+# The columnar table: same behaviour as one (capability, timestamp) tuple
+# per node
+# ----------------------------------------------------------------------
+class _RefAggregator:
+    """``CapabilityAggregator``'s sample table as it was before it became
+    two dicts: ``node -> (capability, timestamp)``, sorted through a
+    Python-level key, summed through a generator.  The reference the
+    columnar table must be indistinguishable from."""
+
+    def __init__(self, sim, node_id, capability, sample_ttl):
+        self._sim = sim
+        self.node_id = node_id
+        self._capability = capability
+        self.sample_ttl = sample_ttl
+        self._samples = {}
+        self._oldest_ts = float("inf")
+
+    def _refresh_own_sample(self):
+        self._samples[self.node_id] = (self._capability(), self._sim.now)
+
+    def _evict_stale(self):
+        if self.sample_ttl <= 0:
+            return
+        cutoff = self._sim.now - self.sample_ttl
+        if self._oldest_ts >= cutoff:
+            return
+        stale = [node for node, (_, ts) in self._samples.items()
+                 if ts < cutoff and node != self.node_id]
+        for node in stale:
+            del self._samples[node]
+        own = self.node_id
+        self._oldest_ts = min(
+            (ts for node, (_, ts) in self._samples.items() if node != own),
+            default=float("inf"))
+
+    def freshest(self, count):
+        ordered = sorted(self._samples.items(), key=lambda item: item[1][1],
+                         reverse=True)
+        return [(node, cap, ts) for node, (cap, ts) in ordered[:count]]
+
+    def sample_count(self):
+        return len(self._samples)
+
+    def average_estimate(self):
+        if not self._samples:
+            return self._capability()
+        return sum(cap for cap, _ in self._samples.values()) / len(self._samples)
+
+    def on_message(self, src, message):
+        samples = self._samples
+        own = self.node_id
+        oldest = self._oldest_ts
+        for node, capability, timestamp in message.samples:
+            if node == own:
+                continue
+            existing = samples.get(node)
+            if existing is None or timestamp > existing[1]:
+                samples[node] = (capability, timestamp)
+                if timestamp < oldest:
+                    oldest = timestamp
+        self._oldest_ts = oldest
+        self._evict_stale()
+
+
+_OWN = 3
+#: Few nodes, few distinct timestamps and capabilities that do not sum
+#: exactly: ties, staler/fresher updates of a known node, own-id samples
+#: and float-summation order all come up constantly.
+_SAMPLE = st.tuples(st.integers(0, 7),
+                    st.sampled_from([0.1, 0.7, 512.3, 1000.0 / 3.0, 3e6 + 0.1]),
+                    st.integers(0, 12).map(lambda tick: tick * 0.5))
+_STEPS = st.one_of(
+    st.tuples(st.just("message"), st.lists(_SAMPLE, max_size=6)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 1.5, 4.0])),
+    st.tuples(st.just("refresh"), st.none()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sample_ttl=st.sampled_from([2.0, 3.5, 10.0, 0.0]),
+       steps=st.lists(_STEPS, max_size=30))
+def test_columnar_table_matches_the_tuple_table_reference(sample_ttl, steps):
+    """Any interleaving of ``on_message`` batches (tied timestamps, own-id
+    samples, staler and fresher updates), clock advances past
+    ``sample_ttl`` (evictions, then re-insertion at the table's end) and
+    own-sample refreshes: identical ``freshest(k)`` with its order,
+    bit-equal ``average_estimate()``, same ``sample_count()`` and the
+    same eviction bound."""
+    sims = (Simulator(), Simulator())
+    new = CapabilityAggregator(sims[0], Network(sims[0]), _OWN,
+                               capability=lambda: 691.7, view=None,
+                               rng=random.Random(1), sample_ttl=sample_ttl)
+    ref = _RefAggregator(sims[1], _OWN, lambda: 691.7, sample_ttl)
+
+    def check():
+        for count in (1, 3, 10, 100):
+            assert new.freshest(count) == ref.freshest(count)
+        assert new.average_estimate().hex() == ref.average_estimate().hex()
+        assert new.sample_count() == ref.sample_count()
+        assert new._oldest_ts == ref._oldest_ts
+
+    check()
+    for step, arg in steps:
+        if step == "message":
+            for agg in (new, ref):
+                agg.on_message(0, AggregationMessage(list(arg)))
+        elif step == "advance":
+            for sim in sims:
+                sim.run(until=sim.now + arg)
+        else:
+            for agg in (new, ref):
+                agg._refresh_own_sample()
+                agg._evict_stale()
+        check()

@@ -8,8 +8,10 @@ differ.  The checkpoint tests add the resume contract: a killed grid
 restarts from its JSONL records without recomputing finished cells.
 """
 
+import gc
 import os
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from repro.experiments import parallel
 from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import RunRecord, run_grid
 from repro.experiments.runner import run_scenario
+from repro.experiments.scales import cached_run, clear_cache
 from repro.metrics.lag import spec_lag_delivery, spec_mean_lag_by_class
 from repro.workloads.churn import CatastrophicFailure
 from repro.workloads.distributions import REF_691
@@ -260,6 +263,61 @@ class TestSingleCpuBypass:
                         jobs=2, start_method="fork")
         serial = run_grid(tiny_config(), seeds=[1, 2], metrics=METRICS)
         assert grid.determinism_keys() == serial.determinism_keys()
+
+
+class TestCellsDoNotAccumulate:
+    """A finished cell's object graph is one reference cycle and
+    ``Simulator.run`` pauses the collector, so ``_run_cell`` collects the
+    graph where it dies — unless the runner retains the result, when a
+    full pass per cell over a growing cache would free nothing."""
+
+    @staticmethod
+    def payload(seed, n_nodes=300):
+        config = ScenarioConfig(n_nodes=n_nodes, duration=0.2, drain=0.3,
+                                distribution=REF_691, seed=seed)
+        return (0, 0, config.name, 0, config, tuple(METRICS.items()), ())
+
+    def test_the_graph_is_gone_when_the_cell_returns(self):
+        gc.collect()
+        _, record = parallel._run_cell(self.payload(1))
+        assert gc.collect() == 0
+        assert record.events_executed > 0
+
+    def test_consecutive_cells_keep_memory_flat(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = []
+            for seed in range(1, 6):
+                parallel._run_cell(self.payload(seed))
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        # One 300-node graph is ~6 MB; from the second cell on (caches
+        # warm) nothing may stay behind.
+        assert max(held[1:]) - held[1] < 256 * 1024
+
+    def test_a_retained_result_is_not_collected_over(self):
+        passes = []
+
+        def on_gc(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        clear_cache()
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        # Collector off: every pass seen is one somebody asked for.
+        gc.disable()
+        try:
+            parallel._run_cell(self.payload(1, n_nodes=30), cached_run)
+            assert passes == []
+            parallel._run_cell(self.payload(1, n_nodes=30))
+            assert passes == [2]
+        finally:
+            gc.enable()
+            gc.callbacks.remove(on_gc)
+            clear_cache()
 
 
 def _counting_run_scenario(monkeypatch):

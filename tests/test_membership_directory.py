@@ -268,6 +268,7 @@ class _Twin:
             assert new.members() == ref.members()
             assert [i in new for i in self.ID_SPACE] == [i in ref for i in self.ID_SPACE]
             self.sample(owner, 3, owner, None)
+            self.sample(owner, 1, owner, None)
 
 
 def is_shared(view):
@@ -328,6 +329,28 @@ def test_roster_is_sorted_whatever_the_registration_order():
     for k in (1, 5, 7, 30):
         twin.sample(ids[0], k, seed=k, exclude=None)
         twin.sample(ids[-1], k, seed=k, exclude={ids[3], ids[4]})
+
+
+@pytest.mark.parametrize("n", [2, 21, 22, 1000])
+def test_sample_of_one_matches_the_reference(n):
+    """``k == 1`` takes one ``randrange`` where the reference calls
+    ``rng.sample(candidates, 1)``: same element, same RNG state, on a
+    shared view, on one a crash made private, and with ``exclude`` — on
+    both sides of ``random.sample``'s pool/set switch (n = 21 | 22)."""
+    twin = _Twin(mean_delay=0.0)
+    for node_id in range(500, 500 + n + 1):
+        twin.register(node_id)
+    owners = (500, 500 + n // 2, 500 + n)
+    for crashed in (False, True):
+        if crashed:
+            twin.register(9999)
+            twin.crash(9999)  # zero delay: every survivor diverges
+        for owner in owners:
+            assert is_shared(twin.new.view_of(owner)) is not crashed
+            assert len(twin.new.view_of(owner)) == n
+            for seed in range(8):
+                twin.sample(owner, 1, seed, None)
+                twin.sample(owner, 1, seed, {501, 500 + n})
 
 
 def test_late_joiner_is_seeded_from_alive_while_survivors_still_see_the_dead():

@@ -90,6 +90,39 @@ def test_sampling_a_range_yields_the_indices_sampling_a_list_picks(n, k):
     assert by_index.getstate() == by_element.getstate()
 
 
+@pytest.mark.parametrize("n", [2, 21, 22, 1000])
+def test_one_draw_picks_what_a_sample_of_one_picks(n):
+    """The ``k == 1`` identity: ``randrange(n)`` is the one ``_randbelow(n)``
+    that ``sample(population, 1)`` makes on either side of the switch."""
+    population = [1000 + 3 * i for i in range(n)]
+    for seed in range(20):
+        by_draw, by_sample = random.Random(seed), random.Random(seed)
+        assert ([population[by_draw.randrange(n)]]
+                == by_sample.sample(population, 1))
+        assert by_draw.getstate() == by_sample.getstate()
+
+
+@pytest.mark.parametrize("n", [2, 21, 22, 1000])
+@pytest.mark.parametrize("exclude", [None, {1003}, {1000, 1006}])
+def test_sample_of_one_is_random_sample_of_one(n, exclude):
+    """``view.sample(1, rng)`` — shared or private, filtered or not —
+    returns the element ``rng.sample(candidates, 1)`` returns and leaves
+    ``rng`` in the same state."""
+    ids = [1000 + 3 * i for i in range(n + 1)]
+    for owner in (ids[0], ids[n // 2], ids[-1]):
+        candidates = [m for m in ids
+                      if m != owner and not (exclude and m in exclude)]
+        roster = Roster()
+        roster.ids.extend(ids)
+        for view in (LocalView(owner, roster=roster), LocalView(owner, ids)):
+            for seed in range(10):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                want = (list(candidates) if len(candidates) <= 1
+                        else want_rng.sample(candidates, 1))
+                assert view.sample(1, got_rng, exclude) == want
+                assert got_rng.getstate() == want_rng.getstate()
+
+
 class TestSharedView:
     """A view onto a :class:`Roster` (what a directory issues)."""
 

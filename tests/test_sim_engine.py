@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -458,3 +460,79 @@ def test_exception_during_counted_resume_does_not_replay_events():
     # counted as executed ("a" and "b" are).
     assert sim.events_executed == 2
     assert sim.pending_count >= 0
+
+
+class TestCollectorPause:
+    """``run`` pauses the cyclic collector and hands it back as it was."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_on(self):
+        was = gc.isenabled()
+        gc.enable()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_paused_inside_a_callback_and_restored_on_return(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.post(2.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_when_a_callback_raises(self):
+        sim = Simulator()
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_paused_and_restored_on_the_max_events_path(self):
+        sim = Simulator()
+        seen = []
+        for _ in range(3):
+            sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run(max_events=2)
+        assert seen == [False, False] and gc.isenabled()
+        sim.run(until=5.0, max_events=10)
+        assert seen == [False] * 3 and gc.isenabled()
+
+    def test_a_refused_nested_run_does_not_resume_the_collector(self):
+        sim = Simulator()
+        seen = []
+
+        def nested():
+            with pytest.raises(SimulationError):
+                sim.run()
+            seen.append(gc.isenabled())
+
+        sim.schedule(1.0, nested)
+        sim.schedule(2.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_a_caller_who_disabled_it_gets_it_back_disabled(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        gc.disable()
+        sim.run()
+        assert not gc.isenabled()
+        sim.schedule(1.0, lambda: None)
+        sim.run(max_events=1)
+        assert not gc.isenabled()
+
+    def test_stepping_leaves_it_enabled(self):
+        sim = Simulator()
+        seen = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: seen.append(gc.isenabled()))
+        while sim.step():
+            assert gc.isenabled()
+        assert seen == [False] * 3
+        assert gc.isenabled()
