@@ -43,7 +43,7 @@ class Sink:
 
 def _build(fanout):
     sim = Simulator()
-    net = Network(sim, latency=ConstantLatency(0.01), reuse_envelopes=True)
+    net = Network(sim, latency=ConstantLatency(0.01))
     for node_id in range(fanout + 1):
         net.attach(node_id, Sink(), 1e9)
     return sim, net, list(range(1, fanout + 1))

@@ -41,8 +41,9 @@ import sys
 #: carries them — a brand-new metric must never trip the gate on its
 #: first run against a reference that predates it.
 TRACKED = [
-    (("engine", "post_events_per_sec"), "engine post() events/s"),
-    (("engine", "schedule_events_per_sec"), "engine schedule() events/s"),
+    (("engine", "phased_post_events_per_sec"), "engine post() events/s"),
+    (("engine", "phased_schedule_events_per_sec"),
+     "engine schedule() events/s"),
     (("fanout", "send_many_events_per_sec"), "fanout send_many events/s"),
     (("scenario", "events_per_sec"), "scenario events/s"),
     (("sharding", "serial_events_per_sec"), "1k-node scenario events/s"),

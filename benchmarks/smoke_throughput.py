@@ -38,44 +38,22 @@ def _best_of(fn, repeats: int = 5) -> float:
     return best
 
 
-def bench_engine(events: int = 10_000):
-    """The bare event loop: 100 chains of 100 self-scheduling events."""
-    from repro.sim.engine import Simulator
+def bench_engine():
+    """The bare event loop: 100 phased chains of 100 self-scheduling
+    events (``bench_simulator_throughput.run_phased_chains``)."""
+    from bench_simulator_throughput import run_phased_chains
 
-    chains = 100
-    depth = events // chains
+    total = 100 * 100
 
-    def run_schedule():
-        sim = Simulator()
+    def run(enqueue):
+        assert run_phased_chains(enqueue) == total
 
-        def chain(remaining):
-            if remaining > 0:
-                sim.schedule(0.001, lambda: chain(remaining - 1))
-
-        for _ in range(chains):
-            chain(depth)
-        sim.run()
-        assert sim.events_executed == chains * depth
-
-    def run_post():
-        sim = Simulator()
-
-        def chain(remaining):
-            if remaining > 0:
-                sim.post(0.001, lambda: chain(remaining - 1))
-
-        for _ in range(chains):
-            chain(depth)
-        sim.run()
-        assert sim.events_executed == chains * depth
-
-    total = chains * depth
-    schedule_s = _best_of(run_schedule)
-    post_s = _best_of(run_post)
+    schedule_s = _best_of(lambda: run("schedule"))
+    post_s = _best_of(lambda: run("post"))
     return {
         "events": total,
-        "schedule_events_per_sec": round(total / schedule_s),
-        "post_events_per_sec": round(total / post_s),
+        "phased_schedule_events_per_sec": round(total / schedule_s),
+        "phased_post_events_per_sec": round(total / post_s),
     }
 
 

@@ -285,10 +285,7 @@ def build_scenario(config: ScenarioConfig, *,
                            config.loss_rate)
     else:
         loss = BernoulliLoss(registry.stream("loss"), config.loss_rate)
-    # Envelope recycling is safe here: every endpoint the runner builds
-    # drops the envelope when on_message returns.
-    net = Network(sim, latency=latency, loss=loss, reuse_envelopes=True,
-                  router=router)
+    net = Network(sim, latency=latency, loss=loss, router=router)
 
     directory = MembershipDirectory(sim, registry.stream("detection"),
                                     mean_detection_delay=config.mean_detection_delay)

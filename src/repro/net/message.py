@@ -31,8 +31,8 @@ boundary only, skewing kind-id tables between shard workers.
 envelope on the simulator's fire-and-forget path at its arrival time
 (see :mod:`repro.net.router`) and ``__call__`` hands it back to its
 network fabric — no closure, no event-handle allocation, one event per
-datagram — and the fabric recycles delivered envelopes through a free
-list when the caller opts in (see ``Network(reuse_envelopes=True)``).
+datagram.  Envelopes are plain objects, never reused: a receiver may
+keep the one it is handed.
 """
 
 from __future__ import annotations

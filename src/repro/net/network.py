@@ -32,10 +32,10 @@ and endpoints without a table, fall back to ``on_message``.
 Delivery itself is delegated to a pluggable :class:`~repro.net.router.Router`
 (default: :class:`~repro.net.router.InprocRouter`): the send pipeline
 hands every surviving datagram to ``router.route``, which posts the
-envelope itself on the simulator's calendar queue at its arrival time;
+envelope itself on the simulator's event queue at its arrival time;
 when the engine fires it, the envelope hands itself to the router's
-``deliver``, which applies the crash checks, receive-side stats,
-dispatch and recycling — one event, one ``deliver`` per datagram.  The
+``deliver``, which applies the crash checks, receive-side stats and
+dispatch — one event, one ``deliver`` per datagram.  The
 sharded execution engine (:mod:`repro.net.shard`) swaps in a router that
 forwards remote-shard destinations across process boundaries — and
 because ``send_many`` hands the *same* payload object to every
@@ -43,11 +43,8 @@ per-destination envelope, that router can intern multicast payloads by
 identity and ship one blob per peer shard per window instead of one per
 remote destination.
 
-With ``reuse_envelopes=True`` delivered envelopes are recycled
-through a free list — only safe when no endpoint or caller retains
-envelopes past the handler callback, which holds for every protocol in
-this package; the experiment runner opts in, direct users of the fabric
-(and the tests) keep the allocate-per-datagram default.
+Every datagram gets a fresh :class:`~repro.net.message.Envelope`;
+endpoints and observers may keep the envelopes they are handed.
 """
 
 from __future__ import annotations
@@ -82,11 +79,10 @@ class Network:
 
     __slots__ = ("_sim", "latency", "loss", "stats", "_endpoints",
                  "_uplinks", "_crash_time", "_delivery", "on_deliver",
-                 "_pool", "router", "_route", "_deliver")
+                 "router", "_route", "_deliver")
 
     def __init__(self, sim: Simulator, latency: Optional[LatencyModel] = None,
                  loss: Optional[LossModel] = None,
-                 reuse_envelopes: bool = False,
                  router: Optional[Router] = None):
         self._sim = sim
         self.latency = latency if latency is not None else ConstantLatency(0.05)
@@ -100,11 +96,7 @@ class Network:
         #: dict lookup.
         self._delivery: Dict[int, tuple] = {}
         #: Optional observer invoked for every delivered envelope.
-        #: While set, envelope recycling is suspended (the observer may
-        #: retain envelopes).
         self.on_deliver: Optional[Callable[[Envelope], None]] = None
-        #: Free list of delivered envelopes, or None when reuse is off.
-        self._pool: Optional[list] = [] if reuse_envelopes else None
         #: The delivery router.  Bound here, aliased for the hot path.
         self.router: Router = router if router is not None else InprocRouter()
         self.router.bind(self)
@@ -163,11 +155,7 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, payload: Payload) -> Optional[Envelope]:
         """Send one datagram.  Returns the envelope, or None if it was
-        dropped before reaching the wire (dead sender / queue cap).
-
-        With ``reuse_envelopes=True`` the returned envelope is only valid
-        until it is delivered — don't retain it.
-        """
+        dropped before reaching the wire (dead sender / queue cap)."""
         entry = self._delivery.get(src)
         if entry is None or (self._crash_time and src in self._crash_time):
             return None
@@ -195,17 +183,7 @@ class Network:
             stats.lost += 1
             return None
         arrival = exit_time + self.latency.sample(src, dst)
-        pool = self._pool
-        if pool:
-            envelope = pool.pop()
-            envelope.src = src
-            envelope.dst = dst
-            envelope.payload = payload
-            envelope.size_bytes = size
-            envelope.send_time = now
-            envelope.arrival_time = arrival
-        else:
-            envelope = Envelope(src, dst, payload, size, now, arrival)
+        envelope = Envelope(src, dst, payload, size, now, arrival)
         envelope._exit_time = exit_time
         self._route(envelope)
         return envelope
@@ -232,7 +210,6 @@ class Network:
         loss_active = loss.active
         is_lost = loss.is_lost
         latency_sample = self.latency.sample
-        pool = self._pool
         route = self._route
         wired = 0
         lost = 0
@@ -249,16 +226,7 @@ class Network:
                 lost += 1
                 continue
             arrival = exit_time + latency_sample(src, dst)
-            if pool:
-                envelope = pool.pop()
-                envelope.src = src
-                envelope.dst = dst
-                envelope.payload = payload
-                envelope.size_bytes = size
-                envelope.send_time = now
-                envelope.arrival_time = arrival
-            else:
-                envelope = Envelope(src, dst, payload, size, now, arrival)
+            envelope = Envelope(src, dst, payload, size, now, arrival)
             envelope._exit_time = exit_time
             route(envelope)
         stats = self.stats

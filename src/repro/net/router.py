@@ -3,13 +3,13 @@
 A :class:`Router` owns everything that happens between "the datagram
 left the wire pipeline" and "an endpoint handler ran":
 
-* **arrival scheduling** — the envelope itself is the calendar entry:
+* **arrival scheduling** — the envelope itself is the queue entry:
   ``route`` posts it on the simulator's fire-and-forget path at its
   arrival time, and the engine's (time, enqueue order) guarantee is the
   delivery order, ties included;
 * **delivery semantics** — one ``deliver`` call per datagram: crash
   checks, per-node and per-kind receive counters, the ``on_deliver``
-  observer, kind-id dispatch-table lookup, and envelope recycling.
+  observer, and kind-id dispatch-table lookup.
 
 Two implementations ship:
 
@@ -37,9 +37,6 @@ from repro.net.message import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
-
-#: Upper bound on the envelope free list (reuse_envelopes=True).
-POOL_CAP = 512
 
 
 @runtime_checkable
@@ -81,7 +78,7 @@ class InprocRouter:
         self._sim = net._sim
 
     def route(self, envelope: Envelope) -> None:
-        """Post ``envelope`` on the calendar queue at its arrival time.
+        """Post ``envelope`` on the event queue at its arrival time.
 
         Stamps the fabric on it first, so hand-built and wire-decoded
         envelopes find their way back like ``Network.send``'s own.
@@ -131,10 +128,6 @@ class InprocRouter:
                 endpoint.on_message(envelope)
         else:
             endpoint.on_message(envelope)
-        # Observer may retain the envelope: never recycle then.
-        pool = net._pool
-        if pool is not None and on_deliver is None and len(pool) < POOL_CAP:
-            pool.append(envelope)
 
     #: ``ledger/trace.py`` and ``ledger/test_ledger.py`` resolve the
     #: delivery entry point under this name, so the fabric binds its

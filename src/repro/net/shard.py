@@ -96,7 +96,7 @@ from repro.faults.inject import SHARD_EXIT_CODE
 from repro.faults.policy import ShardSupervision, default_shard_supervision
 from repro.faults.supervise import Supervisor, default_start_method
 from repro.net.message import Envelope, kind_name, registered_kinds
-from repro.net.router import InprocRouter, POOL_CAP
+from repro.net.router import InprocRouter
 from repro.net.stats import NetworkStats
 from repro.workloads.scenario import ScenarioConfig
 
@@ -201,7 +201,7 @@ class ShardRouter(InprocRouter):
     """
 
     __slots__ = ("owned", "shards", "shard_index", "_rows", "_pools",
-                 "_interned", "_refcounts", "_recycle", "_membership_seen",
+                 "_interned", "_refcounts", "_membership_seen",
                  "_row_controls")
 
     def __init__(self, owned: Set[int], shards: int):
@@ -228,12 +228,6 @@ class ShardRouter(InprocRouter):
         #: (they ride the header table but are not envelopes, so the
         #: wire_envelopes counter must not include them).
         self._row_controls: List[int] = [0] * shards
-        #: Remote-destination envelopes awaiting recycling: they never
-        #: come back through a local delivery, so without this the free
-        #: list would drain.  Recycled at the window barrier, which
-        #: honours ``Network.send``'s contract that the returned
-        #: envelope stays readable until delivery could have happened.
-        self._recycle: List[Envelope] = []
 
     def route(self, envelope: Envelope) -> None:
         dst = envelope.dst
@@ -257,8 +251,6 @@ class ShardRouter(InprocRouter):
             payload.kind_id, envelope.src, dst, envelope.size_bytes, ref,
             envelope.send_time, envelope._exit_time,
             envelope.arrival_time))
-        if self._net._pool is not None:
-            self._recycle.append(envelope)
 
     def on_membership_event(self, event: int, node_id: int,
                             event_time: float) -> None:
@@ -304,9 +296,6 @@ class ShardRouter(InprocRouter):
         Called at a window barrier.  Freezes the window's accumulated
         rows/pools into at most one packed buffer per target shard (this
         is where the pool pickle and the wire counters are paid).
-        Envelopes serialized during the window are returned to the free
-        list here (no caller can hold them past their send event's
-        window under ``send``'s contract).
         """
         dumps = pickle.dumps
         out: List[List[WireBatch]] = []
@@ -338,14 +327,6 @@ class ShardRouter(InprocRouter):
             self._interned[shard] = {}
             self._refcounts[shard] = []
             self._row_controls[shard] = 0
-        pending = self._recycle
-        if pending:
-            pool = self._net._pool
-            if pool is not None:
-                room = POOL_CAP - len(pool)
-                if room > 0:
-                    pool.extend(pending[:room])
-            self._recycle = []
         return out
 
     def inject(self, wires: Iterable) -> None:

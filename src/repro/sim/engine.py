@@ -1,12 +1,12 @@
 """Deterministic discrete-event simulator core.
 
-The :class:`Simulator` keeps a *bucketed calendar queue*: events sharing
-one exact timestamp live in a single FIFO bucket, and a small binary heap
-orders the distinct timestamps.  Scheduling into an existing bucket is a
-dict lookup plus a list append (no heap sift), which makes the dominant
-workloads — synchronized gossip periods, retransmission deadlines, batched
-datagram deliveries — much cheaper than a per-event binary heap while
-keeping the exact same total order: (time, scheduling order).
+The :class:`Simulator` keeps one binary heap of ``(time, seq, entry)``
+tuples.  ``seq`` is the simulator's enqueue counter, so events execute in
+(time, scheduling order): same-time events keep the order they were
+scheduled in, whichever API enqueued them.  Ties are rare in practice —
+HEAP nodes gossip on independently phased timers over continuous-latency
+links, and 0 of 624,665 enqueues shared a timestamp across every
+measured scenario — so the heap carries no per-timestamp grouping.
 
 Two scheduling APIs share the queue:
 
@@ -17,19 +17,20 @@ Two scheduling APIs share the queue:
   delivery path uses it — deliveries are never cancelled, so paying for a
   handle per datagram was pure overhead.
 
-Cancellation is lazy (the handle is marked dead and skipped when its
-bucket drains), keeping both operations O(1) amortized.  The number of
-live events is tracked by counters, so :attr:`Simulator.pending_count`
-is O(1) instead of a heap scan.
+Cancellation is lazy (the handle is marked dead and skipped when it
+reaches the top of the heap).  A counter of cancelled entries still in
+the heap makes :attr:`Simulator.pending_count` O(1) instead of a heap
+scan.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
+from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 from math import inf
-from typing import Any, Callable, Dict, List, Optional
+from sys import maxsize
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -101,38 +102,31 @@ class Simulator:
     state must happen inside event callbacks (or before :meth:`run` is
     called), which gives run-to-completion semantics per event.
 
-    Ordering guarantee: events execute in (time, scheduling order) — the
-    same total order as a (time, sequence-number) heap — regardless of
-    whether they were enqueued via :meth:`schedule_at` or :meth:`post_at`.
+    Ordering guarantee: events execute in (time, scheduling order),
+    whether they were enqueued via :meth:`schedule_at` or
+    :meth:`post_at`.
 
-    Counter granularity: :attr:`events_executed` (and therefore
-    :attr:`pending_count`) is updated when :meth:`run` returns, not after
-    every callback, so reads *from inside an event callback* may lag by
-    the events executed so far in the current ``run()`` call.
+    Counter granularity: :attr:`events_executed` is updated when
+    :meth:`run` returns, not after every callback, so reads *from inside
+    an event callback* may lag by the events executed so far in the
+    current ``run()`` call.  :attr:`pending_count` is exact at any time.
     """
 
-    __slots__ = ("_now", "_seq", "_cancels", "_buckets", "_theap",
-                 "_events_executed", "_running", "_active", "_active_idx")
+    __slots__ = ("_now", "_seq", "_cancels", "_heap", "_events_executed",
+                 "_running")
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Total entries ever enqueued; doubles as the sequence counter.
+        #: Enqueue counter: the heap's tie-breaker, so same-time events
+        #: run in scheduling order.
         self._seq = 0
-        #: Cancellations of still-pending events (see pending_count).
+        #: Cancelled handles still in the heap (see pending_count).
         self._cancels = 0
-        #: Buckets: exact timestamp -> FIFO list of entries.  An entry is
-        #: either an EventHandle or a bare callable (post_at fast path).
-        #: Private to this module: a bucket is popped from this dict
-        #: *before* the run loop drains it, so a callback scheduling at
-        #: the current time starts a fresh bucket behind the active one.
-        self._buckets: Dict[float, list] = {}
-        #: Heap of distinct timestamps; each pushed once per bucket.
-        self._theap: List[float] = []
+        #: ``(time, seq, entry)`` tuples.  An entry is either an
+        #: EventHandle or a bare callable (post_at fast path).
+        self._heap: List[tuple] = []
         self._events_executed = 0
         self._running = False
-        # Partially drained bucket left behind by a max_events stop.
-        self._active: Optional[list] = None
-        self._active_idx = 0
 
     # ------------------------------------------------------------------
     # time
@@ -150,7 +144,7 @@ class Simulator:
     @property
     def pending_count(self) -> int:
         """Number of live (non-cancelled, non-fired) events.  O(1)."""
-        return self._seq - self._cancels - self._events_executed
+        return len(self._heap) - self._cancels
 
     # ------------------------------------------------------------------
     # scheduling
@@ -161,35 +155,24 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, already at t={self._now:.6f}"
             )
-        self._seq += 1
+        seq = self._seq + 1
+        self._seq = seq
         handle = _new_handle(EventHandle)
         handle._sim = self
         handle.callback = callback
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [handle]
-            _heappush(self._theap, time)
-        else:
-            bucket.append(handle)
+        _heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        time = self._now + delay
-        self._seq += 1
+        seq = self._seq + 1
+        self._seq = seq
         handle = _new_handle(EventHandle)
         handle._sim = self
         handle.callback = callback
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [handle]
-            _heappush(self._theap, time)
-        else:
-            bucket.append(handle)
+        _heappush(self._heap, (self._now + delay, seq, handle))
         return handle
 
     def call_soon(self, callback: Callable[[], Any]) -> EventHandle:
@@ -207,14 +190,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, already at t={self._now:.6f}"
             )
-        self._seq += 1
-        buckets = self._buckets
-        bucket = buckets.get(time)
-        if bucket is None:
-            buckets[time] = [callback]
-            _heappush(self._theap, time)
-        else:
-            bucket.append(callback)
+        seq = self._seq + 1
+        self._seq = seq
+        _heappush(self._heap, (time, seq, callback))
 
     def post(self, delay: float, callback: Callable[[], Any]) -> None:
         """Relative-delay variant of :meth:`post_at`."""
@@ -237,11 +215,13 @@ class Simulator:
 
         Returns the simulated time when the run stopped.  When stopping at
         ``until``, the clock is advanced to exactly ``until`` so subsequent
-        scheduling is relative to the requested horizon.
+        scheduling is relative to the requested horizon; a ``max_events``
+        stop leaves the clock at the last executed event.
 
-        If an event callback raises, the exception propagates; the events
-        that shared the failing event's timestamp and had not yet run are
-        discarded along with it (the simulator itself stays usable).
+        If an event callback raises, the exception propagates.  The
+        raising event is consumed (and not counted in
+        :attr:`events_executed`); every other event stays queued, its
+        same-time peers included, and the next ``run()`` picks them up.
 
         The cyclic garbage collector is paused while the loop runs and
         handed back the way the caller had it on every way out (return,
@@ -265,62 +245,28 @@ class Simulator:
         self._running = True
         collecting = gc.isenabled()
         gc.disable()
-        try:
-            if max_events is None:
-                return self._run_fast(until)
-            return self._run_counted(until, max_events)
-        finally:
-            self._running = False
-            if collecting:
-                gc.enable()
-
-    def _run_fast(self, until: Optional[float]) -> float:
-        """Unbounded run loop (no max_events bookkeeping per event)."""
-        theap = self._theap
-        buckets = self._buckets
-        heappop = heapq.heappop
+        heap = self._heap
+        heappop = _heappop
         HANDLE = EventHandle
         limit = inf if until is None else until
+        budget = maxsize if max_events is None else max_events
         executed = 0
         try:
-            active = self._active
-            if active is not None:
-                # Resume a bucket a previous max_events stop left behind.
-                # Its timestamp is self._now already; honor the horizon.
-                if self._now > limit:
-                    return self._now
-                idx = self._active_idx
-                self._active = None
-                n = len(active)
-                while idx < n:
-                    obj = active[idx]
-                    idx += 1
-                    if obj.__class__ is HANDLE:
-                        cb = obj.callback
-                        if cb is None:
-                            continue
-                        obj.callback = None
-                        cb()
-                    else:
-                        obj()
-                    executed += 1
-            while theap:
-                t = theap[0]
-                if t > limit:
-                    break
-                heappop(theap)
-                active = buckets.pop(t)
+            while heap and heap[0][0] <= limit:
+                t, _, obj = heappop(heap)
                 self._now = t
-                for obj in active:
-                    if obj.__class__ is HANDLE:
-                        cb = obj.callback
-                        if cb is None:
-                            continue
-                        obj.callback = None
-                        cb()
-                    else:
-                        obj()
-                    executed += 1
+                if obj.__class__ is HANDLE:
+                    cb = obj.callback
+                    if cb is None:
+                        self._cancels -= 1
+                        continue
+                    obj.callback = None
+                    cb()
+                else:
+                    obj()
+                executed += 1
+                if executed >= budget:
+                    return t
             if until is not None and self._now < until:
                 # The horizon was reached (or the queue drained below it):
                 # advance the clock so a subsequent run(until=...) call
@@ -329,67 +275,9 @@ class Simulator:
             return self._now
         finally:
             self._events_executed += executed
-
-    def _run_counted(self, until: Optional[float], max_events: int) -> float:
-        """Run loop honoring a max_events budget (rare path)."""
-        theap = self._theap
-        buckets = self._buckets
-        heappop = heapq.heappop
-        HANDLE = EventHandle
-        limit = inf if until is None else until
-        executed = 0
-        stopped_on_max = False
-        try:
-            active = self._active
-            idx = self._active_idx
-            if active is not None:
-                if self._now > limit:
-                    return self._now
-                # Adopt the bucket before draining it: if a callback
-                # raises, its remainder is discarded (same contract as
-                # _run_fast) instead of being left behind to re-execute.
-                self._active = None
-            while True:
-                if active is None:
-                    if not theap:
-                        break
-                    t = theap[0]
-                    if t > limit:
-                        break
-                    heappop(theap)
-                    active = buckets.pop(t)
-                    idx = 0
-                    self._now = t
-                n = len(active)
-                while idx < n:
-                    obj = active[idx]
-                    idx += 1
-                    if obj.__class__ is HANDLE:
-                        cb = obj.callback
-                        if cb is None:
-                            continue
-                        obj.callback = None
-                        cb()
-                    else:
-                        obj()
-                    executed += 1
-                    if executed >= max_events:
-                        stopped_on_max = True
-                        break
-                if stopped_on_max:
-                    break
-                active = None
-            if stopped_on_max and idx < len(active):
-                # Remember the partially drained bucket for the next call.
-                self._active = active
-                self._active_idx = idx
-            else:
-                self._active = None
-            if until is not None and not stopped_on_max and self._now < until:
-                self._now = until
-            return self._now
-        finally:
-            self._events_executed += executed
+            self._running = False
+            if collecting:
+                gc.enable()
 
     def drain(self, limit: int = 10_000_000) -> int:
         """Run until no events remain; guards against runaway loops.

@@ -5,14 +5,12 @@ These mirror the timers used in the paper's pseudo-code:
 ``RetTimer(retPeriod, ...)`` all map onto :class:`PeriodicTimer` or
 :class:`OneShotTimer`.
 
-Timer scheduling rides the engine's bucketed calendar queue: timers that
-fire at the same exact timestamp (synchronized periods, shared
-retransmission deadlines) coalesce into one bucket and cost a list
-append instead of a heap sift, while firing order stays exactly
-(deadline, arming order).  Fire-and-forget deadlines that are never
-cancelled — retransmission expiries, datagram deliveries — should use
-``Simulator.post``/``post_at`` directly and skip the handle allocation;
-the classes here keep handles because they support ``cancel``/``stop``.
+Timers are ordinary entries in the engine's event heap, so they fire in
+exactly (deadline, arming order), ties included.  Fire-and-forget
+deadlines that are never cancelled — retransmission expiries, datagram
+deliveries — should use ``Simulator.post``/``post_at`` directly and skip
+the handle allocation; the classes here keep handles because they
+support ``cancel``/``stop``.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir,
 def _report(post=2_000_000, schedule=1_500_000, scenario=150_000,
             fanout=700_000):
     return {
-        "engine": {"post_events_per_sec": post,
-                   "schedule_events_per_sec": schedule},
+        "engine": {"phased_post_events_per_sec": post,
+                   "phased_schedule_events_per_sec": schedule},
         "fanout": {"send_many_events_per_sec": fanout},
         "scenario": {"events_per_sec": scenario},
     }

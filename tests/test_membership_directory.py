@@ -394,7 +394,7 @@ def test_zero_detection_delay_diverges_survivors_at_once():
 def test_crash_notifications_allocate_no_event_handle():
     sim, directory = make_directory(n=30)
     directory.crash(3)
-    entries = [entry for bucket in sim._buckets.values() for entry in bucket]
+    entries = [entry for _, _, entry in sim._heap]
     assert len(entries) == 29
     assert not any(isinstance(entry, EventHandle) for entry in entries)
 

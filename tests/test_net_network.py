@@ -216,33 +216,31 @@ class TestSendMany:
                 {n: (s.bytes_up, s.bytes_down, s.datagrams_up,
                      s.datagrams_down) for n, s in stats.per_node.items()})
 
-    def _build(self, n, seed, reuse=False):
+    def _build(self, n, seed):
         """A fabric with per-destination RNG consumption in both the loss
         and latency models, so any deviation from caller-order draws shows."""
         from repro.net.latency import PairwiseLatency
 
         sim = Simulator()
         net = Network(sim, latency=PairwiseLatency(random.Random(seed)),
-                      loss=BernoulliLoss(random.Random(seed + 1), 0.2),
-                      reuse_envelopes=reuse)
+                      loss=BernoulliLoss(random.Random(seed + 1), 0.2))
         sinks = [Sink() for _ in range(n)]
         for i, sink in enumerate(sinks):
             net.attach(i, sink, 1e6)
         return sim, net, sinks
 
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_bit_identical_to_send_loop(self, reuse):
+    def test_bit_identical_to_send_loop(self):
         """send_many == a per-destination send loop: same RNG draws, same
         arrivals, same stats — the golden-trace contract in miniature."""
         dsts = [3, 1, 4, 2, 1]  # duplicates and non-monotonic order on purpose
         payload = FakePayload(kind="fan", size=300)
 
-        sim_a, net_a, sinks_a = self._build(5, seed=7, reuse=reuse)
+        sim_a, net_a, sinks_a = self._build(5, seed=7)
         for dst in dsts:
             net_a.send(0, dst, payload)
         sim_a.run()
 
-        sim_b, net_b, sinks_b = self._build(5, seed=7, reuse=reuse)
+        sim_b, net_b, sinks_b = self._build(5, seed=7)
         wired = net_b.send_many(0, dsts, payload)
         sim_b.run()
 
@@ -321,89 +319,19 @@ class TestSendMany:
             assert sink.received[0].payload is payload
 
 
-# ----------------------------------------------------------------------
-# envelope recycling (reuse_envelopes=True, the experiment-runner mode)
-# ----------------------------------------------------------------------
-class TestEnvelopePooling:
-    def _pooled_net(self, latency=0.0):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(latency),
-                      reuse_envelopes=True)
-        return sim, net
+def test_delivered_envelope_carries_what_was_sent():
+    sim, net = make_net(latency=0.05)
+    kinds = []
 
-    def test_delivery_behaves_identically_with_pooling(self):
-        sim, net = self._pooled_net(latency=0.05)
-        kinds = []
+    class Reader:
+        def on_message(self, envelope):
+            kinds.append((envelope.payload.kind, envelope.src,
+                          envelope.dst, envelope.size_bytes))
 
-        class Reader:
-            def on_message(self, envelope):
-                kinds.append((envelope.payload.kind, envelope.src,
-                              envelope.dst, envelope.size_bytes))
-
-        net.attach(1, Reader(), 1e9)
-        net.attach(2, Reader(), 1e9)
-        for i in range(5):
-            net.send(1, 2, FakePayload(kind=f"k{i}", size=100 + i))
-        sim.run()
-        assert kinds == [(f"k{i}", 1, 2, 128 + i + UDP_IP_HEADER_BYTES - 28)
-                         for i in range(5)]
-
-    def test_envelope_objects_are_recycled(self):
-        sim, net = self._pooled_net()
-        seen = []
-
-        class Reader:
-            def on_message(self, envelope):
-                seen.append(id(envelope))
-
-        net.attach(1, Reader(), 1e9)
-        net.attach(2, Reader(), 1e9)
-        net.send(1, 2, FakePayload())
-        sim.run()
-        net.send(1, 2, FakePayload())
-        sim.run()
-        assert len(seen) == 2
-        assert seen[0] == seen[1]  # the freed envelope was reused
-
-    def test_no_recycling_without_opt_in(self):
-        sim, net = make_net(latency=0.0)
-        sink = Sink()
-        net.attach(1, Sink(), 1e9)
-        net.attach(2, sink, 1e9)
-        net.send(1, 2, FakePayload())
-        sim.run()
-        first = sink.received[0]
-        net.send(1, 2, FakePayload())
-        sim.run()
-        # Default mode: retained envelopes stay valid forever.
-        assert sink.received[0] is first
-        assert first is not sink.received[1]
-
-    def test_on_deliver_observer_suspends_recycling(self):
-        sim, net = self._pooled_net()
-        retained = []
-        net.on_deliver = retained.append
-        net.attach(1, Sink(), 1e9)
-        net.attach(2, Sink(), 1e9)
-        net.send(1, 2, FakePayload(kind="a"))
-        sim.run()
-        net.send(1, 2, FakePayload(kind="b"))
-        sim.run()
-        assert [env.payload.kind for env in retained] == ["a", "b"]
-        assert retained[0] is not retained[1]
-
-    def test_stats_identical_with_and_without_pooling(self):
-        def traffic(reuse):
-            sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.01),
-                          reuse_envelopes=reuse)
-            net.attach(1, Sink(), 1e6)
-            net.attach(2, Sink(), 1e6)
-            for _ in range(20):
-                net.send(1, 2, FakePayload(kind="serve", size=500))
-            sim.run()
-            stats = net.stats
-            return (stats.sent, stats.delivered, stats.bytes_sent,
-                    dict(stats.bytes_by_kind), stats.node(2).bytes_down)
-
-        assert traffic(False) == traffic(True)
+    net.attach(1, Reader(), 1e9)
+    net.attach(2, Reader(), 1e9)
+    for i in range(5):
+        net.send(1, 2, FakePayload(kind=f"k{i}", size=100 + i))
+    sim.run()
+    assert kinds == [(f"k{i}", 1, 2, 100 + i + UDP_IP_HEADER_BYTES)
+                     for i in range(5)]

@@ -4,11 +4,10 @@ Both delivery routers — the default :class:`InprocRouter` and a
 :class:`ShardRouter` that owns the whole population (sharding degenerated
 to one shard) — must implement identical delivery semantics: arrival
 times, arrival order, crash handling, dispatch-table routing, observer
-hooks, stats and envelope recycling.  The suite runs every behavioural
-test against both.
+hooks and stats.  The suite runs every behavioural test against both.
 
 The arrival contract: the envelope is the event.  Every routed datagram
-is one calendar entry, delivered (or dropped dead) by one ``deliver``
+is one queue entry, delivered (or dropped dead) by one ``deliver``
 call, in the engine's (arrival time, enqueue order) — ties included.
 """
 
@@ -59,10 +58,10 @@ ROUTERS = [pytest.param(_inproc, id="inproc"),
            pytest.param(_single_shard, id="shard-local")]
 
 
-def make_net(router_factory, latency=0.05, reuse=False):
+def make_net(router_factory, latency=0.05):
     sim = Simulator()
     net = Network(sim, latency=ConstantLatency(latency),
-                  reuse_envelopes=reuse, router=router_factory())
+                  router=router_factory())
     return sim, net
 
 
@@ -136,22 +135,6 @@ class TestRouterConformance:
         net.send(1, 2, FakePayload(kind="x"))
         sim.run()
         assert seen == ["x"]
-
-    def test_envelope_recycled_after_delivery(self, router_factory):
-        sim, net = make_net(router_factory, reuse=True)
-        seen = []
-
-        class Reader:
-            def on_message(self, envelope):
-                seen.append(id(envelope))
-
-        net.attach(1, Reader(), 1e9)
-        net.attach(2, Reader(), 1e9)
-        net.send(1, 2, FakePayload())
-        sim.run()
-        net.send(1, 2, FakePayload())
-        sim.run()
-        assert len(seen) == 2 and seen[0] == seen[1]
 
     def test_receive_stats_mirror_send_stats(self, router_factory):
         sim, net = make_net(router_factory)

@@ -3,6 +3,8 @@
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -313,7 +315,7 @@ class TestCancelAndClockEdges:
             sim.schedule(2.0, lambda label=label: order.append(label))
         sim.run(max_events=1)
         assert order == ["a"]
-        # The interrupted bucket sits at t=2.0, beyond this horizon:
+        # The remaining t=2.0 event sits beyond this horizon:
         sim.run(until=1.0)
         assert order == ["a"]
         sim.run(until=2.0)
@@ -352,7 +354,7 @@ class TestPostAt:
 
 
 # ----------------------------------------------------------------------
-# bucket-queue vs reference-heap ordering equivalence
+# engine vs reference-heap ordering equivalence
 # ----------------------------------------------------------------------
 class ReferenceHeapScheduler:
     """The seed's (time, sequence-number) binary heap, kept as an oracle."""
@@ -435,9 +437,10 @@ def test_bucket_queue_matches_reference_heap_with_nested_scheduling():
 
 
 def test_exception_during_counted_resume_does_not_replay_events():
-    # Regression: a callback raising while run() drains a bucket resumed
-    # from a max_events stop must discard the bucket's remainder — not
-    # leave it behind to re-execute fired events and corrupt accounting.
+    # Regression: a callback raising during a run resumed after a
+    # max_events stop must not re-execute events that already fired or
+    # corrupt accounting.  The raising event is consumed; its same-time
+    # peer "d" stays queued for the next run().
     sim = Simulator()
     order = []
 
@@ -453,13 +456,146 @@ def test_exception_during_counted_resume_does_not_replay_events():
     assert order == ["a"]
     with pytest.raises(RuntimeError):
         sim.run(max_events=10)
-    # "d" is discarded with the failing bucket; nothing replays.
-    sim.run()
     assert order == ["a", "b", "c"]
+    # Nothing replays; "d" runs on the next call.
+    sim.run()
+    assert order == ["a", "b", "c", "d"]
     # As in the original heap engine, a callback that raises is not
-    # counted as executed ("a" and "b" are).
-    assert sim.events_executed == 2
-    assert sim.pending_count >= 0
+    # counted as executed ("a", "b" and "d" are).
+    assert sim.events_executed == 3
+    assert sim.pending_count == 0
+
+
+def test_pending_count_is_exact_after_a_raising_callback():
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.post(1.0, lambda: fired.append("a"))
+    sim.post(1.0, boom)
+    sim.post(1.0, lambda: fired.append("c"))
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.pending_count == 1
+    sim.run()
+    assert fired == ["a", "c"]
+    assert sim.pending_count == 0
+
+
+class _Boom(Exception):
+    pass
+
+
+class ReferenceModel(ReferenceHeapScheduler):
+    """The oracle heap plus the rest of the engine's observable contract:
+    lazy cancel, ``run(until=, max_events=)``, the executed/pending
+    counters, and a raising callback consuming only its own event."""
+
+    def __init__(self):
+        super().__init__()
+        self.live = set()  # seqs of queued, uncancelled events
+        self.events_executed = 0
+
+    def schedule_at(self, time, callback):
+        seq = self._seq
+        super().schedule_at(time, callback)
+        self.live.add(seq)
+        return seq
+
+    def cancel(self, seq):
+        self.live.discard(seq)
+
+    @property
+    def pending_count(self):
+        return len(self.live)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while self._heap and (until is None or self._heap[0][0] <= until):
+            time, seq, callback = self._heapq.heappop(self._heap)
+            self.now = time
+            if seq not in self.live:
+                continue
+            self.live.discard(seq)
+            callback()
+            self.events_executed += 1
+            executed += 1
+            if max_events is not None and executed >= max_events:
+                return self.now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+
+def _model_event(target, log, label, nested, raises):
+    def fire():
+        log.append((label, target.now))
+        if nested:
+            target.schedule_at(
+                target.now, lambda: log.append((label + "+", target.now)))
+        if raises:
+            raise _Boom(label)
+    return fire
+
+
+def _raised(run):
+    try:
+        run()
+    except _Boom:
+        return True
+    return False
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["schedule", "post"]), _DELAYS,
+              st.booleans(), st.integers(0, 7)),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+    st.tuples(st.just("max_events"), st.integers(1, 4)),
+    st.tuples(st.just("run")),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_OPS)
+def test_engine_matches_reference_model_under_random_interleavings(ops):
+    sim, model = Simulator(), ReferenceModel()
+    got, expected = [], []
+    handles = []  # (engine handle, model seq) of every schedule() call
+    for i, op in enumerate(ops):
+        kind = op[0]
+        if kind in ("schedule", "post"):
+            _, delay, nested, roll = op
+            raises = roll == 0  # one event in eight raises
+            label = f"e{i}"
+            fire = _model_event(sim, got, label, nested, raises)
+            ref_fire = _model_event(model, expected, label, nested, raises)
+            seq = model.schedule_at(model.now + delay, ref_fire)
+            if kind == "schedule":
+                handles.append((sim.schedule(delay, fire), seq))
+            else:
+                sim.post(delay, fire)
+        elif kind == "cancel":
+            if handles:
+                handle, seq = handles[op[1] % len(handles)]
+                handle.cancel()
+                model.cancel(seq)
+        else:
+            if kind == "until":
+                kwargs = {"until": sim.now + op[1]}
+            elif kind == "max_events":
+                kwargs = {"max_events": op[1]}
+            else:
+                kwargs = {}
+            assert (_raised(lambda: sim.run(**kwargs))
+                    == _raised(lambda: model.run(**kwargs)))
+        assert got == expected
+        assert sim.now == model.now
+        assert sim.events_executed == model.events_executed
+        assert sim.pending_count == model.pending_count
 
 
 class TestCollectorPause:
