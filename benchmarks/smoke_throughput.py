@@ -104,8 +104,8 @@ def bench_sharding():
     shard count must produce byte-identical metric summaries.  Speedup
     is bounded by the host — on a 1-CPU runner the window barriers and
     worker processes can only cost, and the section records that
-    honestly (the trend gate tracks the serial events/s, which is
-    host-comparable; the per-shard-count numbers are the trajectory).
+    honestly.  The trend gate tracks none of it: sharding is a
+    byte-parity-tested capability, not a speed path.
 
     The ``wire_batching`` subsection measures the cross-shard data plane
     at 2 shards: the packed-buffer exchange (one buffer per window per
@@ -276,12 +276,14 @@ def ten_cells_child() -> None:
     the grid engine's ``_run_cell``, one after the other, then this
     process's own high-water mark."""
     from repro.experiments.parallel import _run_cell
+    from repro.faults import default_shard_supervision
 
     started = time.perf_counter()
     events = 0
     for seed in range(1, 11):
         config = _swarm_config(seed)
-        _, record = _run_cell((0, 0, config.name, 0, config, (), ()))
+        _, record = _run_cell((0, 0, config.name, 0, config, (), (),
+                               default_shard_supervision()))
         events += record.events_executed
     wall = time.perf_counter() - started
     print(json.dumps({"events": events, "wall_seconds": wall,

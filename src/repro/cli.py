@@ -53,7 +53,6 @@ are its thin clients.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -73,21 +72,16 @@ from repro.metrics import (
 from repro.metrics.lag import lag_cdf_jitter_free
 
 
-@contextlib.contextmanager
 def _shard_supervision(args):
     """Install ``--barrier-timeout`` / ``--shard-restarts`` as the
     process-wide shard supervision for the duration of a command (the
     CLI is normally one-shot, but tests call :func:`main` repeatedly in
     one process, so the previous value is restored)."""
-    from repro.faults import ShardSupervision, set_default_shard_supervision
+    from repro.faults import ShardSupervision, using_shard_supervision
 
-    previous = set_default_shard_supervision(ShardSupervision(
+    return using_shard_supervision(ShardSupervision(
         restarts=args.shard_restarts,
         barrier_timeout=args.barrier_timeout))
-    try:
-        yield
-    finally:
-        set_default_shard_supervision(previous)
 
 
 def _cmd_run(args) -> int:

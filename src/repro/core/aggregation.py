@@ -9,17 +9,19 @@ upload capability as the mean over their (TTL-bounded) sample table.
 The estimate feeds HEAP's fanout adaptation; its accuracy/latency
 trade-off is explored by ``benchmarks/bench_ablation_aggregation.py``.
 
-The sample table is columnar: two dicts, ``node -> capability`` and
-``node -> timestamp``, holding the same keys in the same insertion order
-(every write stores into both, every eviction deletes from both).  A
-round sorts by timestamp and a merge compares timestamps, so neither
-touches the capabilities until the freshest few are picked, and an
-accepted sample costs two float stores instead of a fresh tuple.
+The sample table is one dict, ``node -> (node, capability, timestamp)``,
+whose values are the very tuples the messages carry: an accepted sample
+is stored as the object that arrived, a round's own refresh makes the one
+new tuple, and ``freshest`` hands the stored tuples on unchanged.  So a
+merge is one store, and a round sorts and slices the table without
+building a sample — one tuple can sit in many nodes' tables and many
+messages at once, which is safe because tuples are immutable.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.membership.view import LocalView
@@ -33,6 +35,11 @@ _HEADER_BYTES = 8
 #: Bytes per serialized sample (node id, capability, age).
 _SAMPLE_BYTES = 12
 
+#: One sample: (node_id, capability_bps, sample_timestamp).
+Sample = Tuple[int, float, float]
+_capability_of = itemgetter(1)
+_timestamp_of = itemgetter(2)
+
 
 class AggregationMessage:
     """[Aggregation, fresh] — a batch of capability samples."""
@@ -41,7 +48,7 @@ class AggregationMessage:
     kind_id = register_kind("aggregation")
     __slots__ = ("samples", "_wire_size")
 
-    def __init__(self, samples: List[Tuple[int, float, float]]):
+    def __init__(self, samples: List[Sample]):
         #: list of (node_id, capability_bps, sample_timestamp)
         self.samples = samples
         self._wire_size = _HEADER_BYTES + _SAMPLE_BYTES * len(samples)
@@ -57,8 +64,8 @@ class CapabilityAggregator:
     """One node's capability-aggregation agent."""
 
     __slots__ = ("_sim", "_net", "node_id", "_capability", "_view", "_rng",
-                 "fresh_count", "fanout", "sample_ttl", "_caps", "_ts",
-                 "_oldest_ts", "_timer")
+                 "fresh_count", "fanout", "sample_ttl", "_table", "_oldest_ts",
+                 "_timer")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  capability: Callable[[], float], view: LocalView,
@@ -74,10 +81,9 @@ class CapabilityAggregator:
         self.fresh_count = fresh_count
         self.fanout = fanout
         self.sample_ttl = sample_ttl
-        #: node_id -> capability_bps and node_id -> sample_timestamp: one
-        #: table in two columns (same keys, same insertion order).
-        self._caps: Dict[int, float] = {}
-        self._ts: Dict[int, float] = {}
+        #: node_id -> that node's freshest known sample, as the tuple
+        #: that carried it.
+        self._table: Dict[int, Sample] = {}
         #: Lower bound on the oldest foreign sample timestamp; lets
         #: _evict_stale skip the table scan when nothing can be stale
         #: (the common case while every peer keeps gossiping).
@@ -99,8 +105,8 @@ class CapabilityAggregator:
     # sample table
     # ------------------------------------------------------------------
     def _refresh_own_sample(self) -> None:
-        self._caps[self.node_id] = self._capability()
-        self._ts[self.node_id] = self._sim.now
+        own = self.node_id
+        self._table[own] = (own, self._capability(), self._sim.now)
 
     def _evict_stale(self) -> None:
         if self.sample_ttl <= 0:
@@ -109,44 +115,39 @@ class CapabilityAggregator:
         if self._oldest_ts >= cutoff:
             return  # even the oldest known sample is still fresh
         own = self.node_id
-        caps = self._caps
-        timestamps = self._ts
-        stale = [node for node, ts in timestamps.items()
-                 if ts < cutoff and node != own]
+        table = self._table
+        stale = [node for node, sample in table.items()
+                 if sample[2] < cutoff and node != own]
         for node in stale:
-            del caps[node]
-            del timestamps[node]
+            del table[node]
         self._oldest_ts = min(
-            (ts for node, ts in timestamps.items() if node != own),
+            (sample[2] for node, sample in table.items() if node != own),
             default=float("inf"))
 
-    def freshest(self, count: int) -> List[Tuple[int, float, float]]:
+    def freshest(self, count: int) -> List[Sample]:
         """The ``count`` freshest samples as (node, capability, timestamp).
 
         Newest first; samples with equal timestamps keep the order in
         which their nodes first entered the table (``sorted`` is stable,
         ``reverse=True`` included, and a dict iterates in insertion
-        order) — the tie order the golden traces pin.  The key is the
-        timestamp column's own C-level ``__getitem__``.
+        order) — the tie order the golden traces pin.  The entries are
+        the table's own tuples, not copies.
         """
-        caps = self._caps
-        timestamps = self._ts
-        ordered = sorted(timestamps, key=timestamps.__getitem__, reverse=True)
-        return [(node, caps[node], timestamps[node])
-                for node in ordered[:count]]
+        return sorted(self._table.values(), key=_timestamp_of,
+                      reverse=True)[:count]
 
     def sample_count(self) -> int:
-        return len(self._ts)
+        return len(self._table)
 
     # ------------------------------------------------------------------
     # the estimate
     # ------------------------------------------------------------------
     def average_estimate(self) -> float:
         """Mean capability over the current sample table (always >= own)."""
-        caps = self._caps
-        if not caps:
+        table = self._table
+        if not table:
             return self._capability()
-        return sum(caps.values()) / len(caps)
+        return sum(map(_capability_of, table.values())) / len(table)
 
     def relative_capability(self) -> float:
         """This node's capability over the estimated average: HEAP's b_p/b."""
@@ -168,17 +169,16 @@ class CapabilityAggregator:
         self._net.send_many(self.node_id, partners, AggregationMessage(fresh))
 
     def on_message(self, src: int, message: AggregationMessage) -> None:
-        caps = self._caps
-        timestamps = self._ts
+        table = self._table
         own = self.node_id
         oldest = self._oldest_ts
-        for node, capability, timestamp in message.samples:
+        for sample in message.samples:
+            node, _, timestamp = sample
             if node == own:
                 continue  # nobody knows our capability better than we do
-            existing = timestamps.get(node)
-            if existing is None or timestamp > existing:
-                caps[node] = capability
-                timestamps[node] = timestamp
+            existing = table.get(node)
+            if existing is None or timestamp > existing[2]:
+                table[node] = sample
                 if timestamp < oldest:
                     oldest = timestamp
         self._oldest_ts = oldest

@@ -52,7 +52,10 @@ that dies or overruns its deadline costs its cell a retry on a fresh
 worker, never the sweep.  They are ordinary processes, so a cell whose
 scenario is itself sharded (``config.shards > 1``) starts its shard
 workers from inside its grid worker — ``jobs=N`` over ``shards=M``
-cells runs up to N x M shard processes, with the same bytes out.
+cells runs up to N x M shard processes, with the same bytes out — and
+supervises them with the caller's
+:func:`~repro.faults.policy.default_shard_supervision`, which travels
+with each cell, whatever the start method.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.faults.failures import (CellFailure, TornCheckpointInjected,
                                    render_failures)
 from repro.faults.inject import apply_cell_fault
-from repro.faults.policy import SupervisionPolicy
+from repro.faults.policy import (SupervisionPolicy, default_shard_supervision,
+                                 using_shard_supervision)
 from repro.faults.pool import SupervisedPool
 from repro.faults.supervise import default_start_method
 from repro.metrics.export import append_jsonl, read_jsonl
@@ -299,13 +303,19 @@ def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
     here and is collected here: one pass per cell, where its garbage is.
     A caller-supplied ``run_fn`` (``cached_run``) keeps results on
     purpose; a full pass over its growing cache would free nothing.
+
+    The cell runs under the shard supervision ``run_grid``'s caller had
+    (the payload's last field), so a sharded cell in a ``spawn`` worker
+    — which starts from the module default, not from a copy of the
+    caller — still gets ``--barrier-timeout`` / ``--shard-restarts``.
     """
     (index, scenario_index, scenario_name, seed_index, config,
-     metric_items, specs) = payload
+     metric_items, specs, shard_supervision) = payload
     started = time.perf_counter()
-    result = run_fn(config)
-    values = {name: metric(result) for name, metric in metric_items}
-    summaries = summarize(result, specs)
+    with using_shard_supervision(shard_supervision):
+        result = run_fn(config)
+        values = {name: metric(result) for name, metric in metric_items}
+        summaries = summarize(result, specs)
     events_executed = result.sim.events_executed
     sim_end_time = result.sim.now
     wire = result.net.stats.wire_summary()
@@ -527,18 +537,20 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     metric_items = tuple(metrics.items())
     metric_names = [name for name, _ in metric_items]
     specs_by_scenario = _specs_per_scenario(summaries, len(configs))
+    shard_supervision = default_shard_supervision()
 
     payloads = []
     for scenario_index, config in enumerate(configs):
         specs = specs_by_scenario[scenario_index]
         if seeds is None:
             payloads.append((len(payloads), scenario_index, config.name, 0,
-                             config, metric_items, specs))
+                             config, metric_items, specs, shard_supervision))
         else:
             for seed_index, seed in enumerate(seeds):
                 payloads.append((
                     len(payloads), scenario_index, config.name, seed_index,
                     config.with_(seed=seed), metric_items, specs,
+                    shard_supervision,
                 ))
 
     total = len(payloads)

@@ -43,6 +43,7 @@ from repro.faults.policy import (
     SupervisionPolicy,
     default_shard_supervision,
     set_default_shard_supervision,
+    using_shard_supervision,
 )
 from repro.faults.pool import SupervisedPool, WorkerTaskError
 from repro.faults.supervise import Supervisor
@@ -59,4 +60,5 @@ __all__ = [
     "WorkerTaskError",
     "default_shard_supervision",
     "set_default_shard_supervision",
+    "using_shard_supervision",
 ]

@@ -25,8 +25,9 @@ through every scenario entry point would churn the whole API for a
 knob that is almost always global anyway (set once by the CLI).
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "ShardSupervision",
@@ -34,6 +35,7 @@ __all__ = [
     "default_shard_supervision",
     "quarantine_backoff",
     "set_default_shard_supervision",
+    "using_shard_supervision",
 ]
 
 
@@ -123,3 +125,16 @@ def set_default_shard_supervision(supervision: ShardSupervision) -> ShardSupervi
     previous = _DEFAULT_SHARD_SUPERVISION
     _DEFAULT_SHARD_SUPERVISION = supervision
     return previous
+
+
+@contextmanager
+def using_shard_supervision(supervision: ShardSupervision) -> Iterator[None]:
+    """Make ``supervision`` the process-wide default for a block, then
+    restore the previous one.  A grid cell runs under the supervision
+    its caller had, whichever process it lands in."""
+
+    previous = set_default_shard_supervision(supervision)
+    try:
+        yield
+    finally:
+        set_default_shard_supervision(previous)

@@ -16,7 +16,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Dict, Tuple
 
-from repro.sim.rng import derive_seed, link_stream, splitmix64
+from repro.sim.rng import derive_seed, link_draw, stream_head
 
 
 class LatencyModel(ABC):
@@ -179,24 +179,26 @@ class PerPairLatency(LatencyModel):
 
     Statistically the same shape as :class:`PairwiseLatency` — a stable
     lognormal base per unordered pair plus uniform per-message jitter —
-    but every random value comes from a counter-based stream
-    (:func:`repro.sim.rng.link_stream` / :func:`~repro.sim.rng.splitmix64`)
-    that belongs to one link and is a pure function of the model seed and
-    the link identity:
+    but every random value comes from a counter-based link stream
+    (:mod:`repro.sim.rng`) that belongs to one link and is a pure
+    function of the model seed and the link identity.  Links are named by
+    their integer id ``(src << 32) + dst``:
 
-    * the base delay of pair ``{a, b}`` is the first two draws of the
-      stream ``("base", a, b)``, turned into a normal deviate by
-      Box–Muller (rejection-free, so always exactly two draws) and
-      memoised;
+    * the base delay of pair ``{a, b}``, ``a <= b``, is the first two
+      draws of link ``(a << 32) + b``'s stream under the ``"base"`` key
+      (:func:`~repro.sim.rng.stream_head`), turned into a normal deviate
+      by Box–Muller (rejection-free, so always exactly two draws) and
+      memoised under that id;
     * the k-th message on the *directed* link ``src -> dst`` takes its
-      jitter from the k-th draw of the stream ``("jitter", src, dst)``.
+      jitter from the k-th draw of that link's stream under the
+      ``"jitter"`` key (:func:`~repro.sim.rng.link_draw`).
 
-    A stream's state is one 64-bit ``int`` in a dict (under 200 bytes a
-    link, keys and the memoised base included) and a draw is one
-    SplitMix64 step: under a microsecond on a known link, about four on a
-    link's first send, which also seeds the stream and usually draws the
-    pair's base.  A 1000-node run opens a new link on almost every send,
-    so that first-send cost is what the model costs there.
+    A stream's state is one 64-bit ``int`` in a dict keyed by an ``int``
+    (under 200 bytes a link, the memoised base included) and every draw
+    is one call: about a microsecond on a known link, two on a link's
+    first send, which also seeds the stream and usually draws the pair's
+    base.  A 1000-node run opens a new link on almost every send, so that
+    first-send cost is what the model costs there.
 
     :class:`PairwiseLatency` consumes one shared stream in global send
     order, which couples every node's arrivals to the total order of
@@ -219,15 +221,15 @@ class PerPairLatency(LatencyModel):
         self.jitter = jitter
         self.floor = floor
         self._mu = math.log(median_base)
-        self._bases: Dict[Tuple[int, int], float] = {}
+        #: Pair id ``(min << 32) + max`` -> memoised base delay.
+        self._bases: Dict[int, float] = {}
         self._base_key = derive_seed(seed, "base")
         self._jitter_key = derive_seed(seed, "jitter")
-        #: Directed-link jitter stream states, created on first send.
-        self._jitter_states: Dict[Tuple[int, int], int] = {}
+        #: Directed link id -> jitter stream state, created on first send.
+        self._jitter_states: Dict[int, int] = {}
 
-    def _draw_base(self, pair: Tuple[int, int]) -> float:
-        state, u1 = splitmix64(link_stream(self._base_key, *pair))
-        _, u2 = splitmix64(state)
+    def _draw_base(self, pair: int) -> float:
+        u1, u2 = stream_head(self._base_key, pair)
         # Box-Muller; 1 - u1 is in (0, 1], so the log is finite.
         normal = (math.sqrt(-2.0 * math.log(1.0 - u1))
                   * math.cos(2.0 * math.pi * u2))
@@ -237,26 +239,23 @@ class PerPairLatency(LatencyModel):
 
     def base(self, src: int, dst: int) -> float:
         """The stable base latency for the unordered pair {src, dst}."""
-        pair = (src, dst) if src <= dst else (dst, src)
+        pair = (src << 32) + dst if src <= dst else (dst << 32) + src
         value = self._bases.get(pair)
         return self._draw_base(pair) if value is None else value
 
     def sample(self, src: int, dst: int) -> float:
         # Runs once per datagram, mostly on a link's first use at 1k
-        # nodes: base() is inlined and the link tuple doubles as the pair
-        # key, so an src <= dst link retains one tuple, not two.
-        link = (src, dst)
-        pair = link if src <= dst else (dst, src)
+        # nodes: base() is inlined, and an src <= dst link is its own
+        # pair id.
+        link = (src << 32) + dst
+        pair = link if src <= dst else (dst << 32) + src
         base = self._bases.get(pair)
         if base is None:
             base = self._draw_base(pair)
         if self.jitter <= 0:
             return base
-        state = self._jitter_states.get(link)
-        if state is None:
-            state = link_stream(self._jitter_key, src, dst)
-        self._jitter_states[link], u = splitmix64(state)
-        return base + self.jitter * u
+        return base + self.jitter * link_draw(self._jitter_states,
+                                              self._jitter_key, link)
 
     def mean(self) -> float:
         return math.exp(self._mu + self.sigma ** 2 / 2) + self.jitter / 2

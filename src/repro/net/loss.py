@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.sim.rng import derive_seed, link_stream, splitmix64
+from repro.sim.rng import derive_seed, link_draw
 
 
 class LossModel(ABC):
@@ -66,11 +66,12 @@ class PerPairLoss(LossModel):
     Statistically identical to :class:`BernoulliLoss` — every datagram is
     dropped independently with probability ``rate`` — but the k-th
     datagram on the *directed* link ``src -> dst`` decides its trial by
-    the k-th draw of that link's own counter-based stream
-    (:func:`repro.sim.rng.link_stream` under ``(seed, "loss")``), never
-    from a stream shared across links.  A link costs one 64-bit ``int``
-    of state and a draw is one SplitMix64 step — about a microsecond,
-    a link's first datagram (which seeds the stream) included.
+    the k-th draw of that link's own counter-based stream under the
+    ``(seed, "loss")`` key, never from a stream shared across links.  A
+    link costs one 64-bit ``int`` of state, keyed by its integer link id
+    ``(src << 32) + dst``, and a trial is one
+    :func:`repro.sim.rng.link_draw` call — about a microsecond, a link's
+    first datagram (which seeds the stream) included.
 
     :class:`BernoulliLoss` consumes one shared stream in global send
     order, which couples every link's drop decisions to the total order
@@ -89,16 +90,12 @@ class PerPairLoss(LossModel):
             raise ValueError(f"loss rate must be in [0, 1], got {rate!r}")
         self.rate = rate
         self._key = derive_seed(seed, "loss")
-        #: Directed-link trial stream states, created on first send.
-        self._states: Dict[Tuple[int, int], int] = {}
+        #: Directed link id -> trial stream state, created on first send.
+        self._states: Dict[int, int] = {}
 
     def is_lost(self, src: int, dst: int) -> bool:
-        key = (src, dst)
-        state = self._states.get(key)
-        if state is None:
-            state = link_stream(self._key, src, dst)
-        self._states[key], u = splitmix64(state)
-        return u < self.rate
+        link = (src << 32) + dst
+        return link_draw(self._states, self._key, link) < self.rate
 
 
 class GilbertElliottLoss(LossModel):

@@ -11,7 +11,9 @@ measured scenario — so the heap carries no per-timestamp grouping.
 Two scheduling APIs share the queue:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
-  cancellable :class:`EventHandle` (the classic API);
+  cancellable :class:`EventHandle` (the classic API), and
+  :meth:`Simulator.rearm` queues a handle whose event has fired again —
+  a periodic timer keeps one handle for its whole life;
 * :meth:`Simulator.post_at` is the fire-and-forget fast path: it enqueues
   a bare callable with no handle allocation.  The network's datagram
   delivery path uses it — deliveries are never cancelled, so paying for a
@@ -61,6 +63,9 @@ class EventHandle:
         if self.callback is not None:
             self.callback = None
             self._sim._cancels += 1
+        # A cancelled handle may still sit in the heap: dropping its
+        # simulator makes Simulator.rearm refuse it.
+        self._sim = None
         self._cancelled = True
 
     @property
@@ -174,6 +179,27 @@ class Simulator:
         handle.callback = callback
         _heappush(self._heap, (self._now + delay, seq, handle))
         return handle
+
+    def rearm(self, handle: EventHandle, delay: float,
+              callback: Callable[[], Any]) -> None:
+        """Queue a fired ``handle`` again: ``callback`` runs ``delay``
+        seconds from now, and ``handle`` cancels it as if
+        :meth:`schedule` had just returned it.
+
+        What a periodic timer does on every tick instead of allocating a
+        new handle.  Raises :class:`SimulationError` if ``handle`` is
+        still pending, was cancelled, or belongs to another simulator:
+        the handle of a queued event, re-queued, would fire twice.
+        """
+        if handle.callback is not None or handle._sim is not self:
+            raise SimulationError(
+                "only a fired event of this simulator can be re-armed")
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        seq = self._seq + 1
+        self._seq = seq
+        handle.callback = callback
+        _heappush(self._heap, (self._now + delay, seq, handle))
 
     def call_soon(self, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` at the current time (after pending same-time events)."""

@@ -12,10 +12,20 @@ Two kinds of stream live here:
 * **named streams** (:class:`RngRegistry`): a handful per experiment, each
   a :class:`random.Random` (2.5 KB of Mersenne Twister state) seeded
   through :func:`derive_seed`;
-* **link streams** (:func:`link_stream` / :func:`splitmix64`): one per
-  network link, potentially millions, so a stream's whole state is one
-  64-bit integer the caller keeps in a dict.  The per-pair latency and
-  loss models draw from these.
+* **link streams**: one per network link, potentially millions, so a
+  stream's whole state is one 64-bit integer the caller keeps in a dict
+  keyed by the integer link id ``(src << 32) + dst``.
+  :func:`link_stream` and :func:`splitmix64` define them;
+  :func:`link_draw` (one draw, stream state kept in the caller's dict)
+  and :func:`stream_head` (a stream's first two draws, no state kept)
+  are what the per-pair latency and loss models call, once per draw.
+
+SplitMix64's arithmetic lives in this module only.  The two draw
+functions write it out inline rather than calling :func:`_mix64`: they
+run once per datagram, and a link's first draw through
+``link_stream`` + ``splitmix64`` is four Python calls where
+:func:`link_draw` is one (1.32 vs 1.02 µs a draw, dict work included,
+on a 2-vCPU x86 guest under CPython 3.11).
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ from typing import Dict, Tuple
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 #: SplitMix64's state increment: 2**64 / golden ratio, rounded to odd.
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+#: The two multipliers of SplitMix64's output function (Stafford's
+#: variant 13).
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -43,8 +57,8 @@ def _mix64(z: int) -> int:
     """SplitMix64's output function (Stafford's variant 13): a bijection
     on 64-bit integers in which every input bit flips every output bit
     with probability ~1/2."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
     return z ^ (z >> 31)
 
 
@@ -74,6 +88,47 @@ def splitmix64(state: int) -> Tuple[int, float]:
     """
     state = state + GOLDEN_GAMMA & _MASK64
     return state, (_mix64(state) >> 11) * 2.0 ** -53
+
+
+def link_draw(states: Dict[int, int], key: int, link: int) -> float:
+    """The next uniform in [0, 1) of link ``link``'s stream under ``key``.
+
+    ``link`` is the integer link id ``(src << 32) + dst``.  ``states``
+    maps link ids to stream states; a link absent from it starts at
+    ``link_stream(key, src, dst)``, and the advanced state is stored
+    back.  Equal to one :func:`splitmix64` step from that state, in one
+    call.
+    """
+    state = states.get(link)
+    if state is None:
+        z = key + link * GOLDEN_GAMMA & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+        z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+        state = z ^ (z >> 31)
+    state = state + GOLDEN_GAMMA & _MASK64
+    states[link] = state
+    z = (state ^ (state >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+
+
+def stream_head(key: int, link: int) -> Tuple[float, float]:
+    """The first two uniforms of link ``link``'s stream under ``key``.
+
+    For values drawn once per link (a pair's base latency): nothing is
+    stored.  ``link`` is the integer link id ``(src << 32) + dst``.
+    """
+    z = key + link * GOLDEN_GAMMA & _MASK64
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+    state = (z ^ (z >> 31)) + GOLDEN_GAMMA & _MASK64
+    z = (state ^ (state >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+    first = ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+    state = state + GOLDEN_GAMMA & _MASK64
+    z = (state ^ (state >> 30)) * _MIX1 & _MASK64
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+    return first, ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
 
 class RngRegistry:

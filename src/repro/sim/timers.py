@@ -56,9 +56,16 @@ class PeriodicTimer:
     to one full period).  Gossip nodes start with a random phase in
     ``[0, period)`` so that rounds are not system-synchronized — pass that
     phase explicitly to keep determinism in the caller's RNG stream.
+
+    From :meth:`start` to :meth:`stop` the timer holds one
+    :class:`~repro.sim.engine.EventHandle`: each tick re-arms the handle
+    that just fired (:meth:`Simulator.rearm
+    <repro.sim.engine.Simulator.rearm>`) with the tick method, bound
+    once, so a tick allocates neither.
     """
 
-    __slots__ = ("_sim", "_callback", "_period", "_handle", "ticks")
+    __slots__ = ("_sim", "_callback", "_period", "_handle", "_on_tick",
+                 "ticks")
 
     def __init__(self, sim: Simulator, period: float, callback: Callable[[], Any]):
         if period <= 0:
@@ -67,6 +74,7 @@ class PeriodicTimer:
         self._period = period
         self._callback = callback
         self._handle: Optional[EventHandle] = None
+        self._on_tick = self._tick
         self.ticks = 0
 
     @property
@@ -81,7 +89,7 @@ class PeriodicTimer:
         if self._handle is not None:
             raise SimulationError("timer already running")
         delay = self._period if phase is None else phase
-        self._handle = self._sim.schedule(delay, self._tick)
+        self._handle = self._sim.schedule(delay, self._on_tick)
 
     def stop(self) -> None:
         if self._handle is not None:
@@ -89,8 +97,8 @@ class PeriodicTimer:
             self._handle = None
 
     def _tick(self) -> None:
-        # Reschedule before invoking the callback so the callback may call
+        # Re-arm before invoking the callback so the callback may call
         # stop() to terminate the cycle.
-        self._handle = self._sim.schedule(self._period, self._tick)
+        self._sim.rearm(self._handle, self._period, self._on_tick)
         self.ticks += 1
         self._callback()

@@ -86,27 +86,24 @@ def test_reference_is_median_of_baseline_and_history(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_wire_batching_keys_skipped_when_reference_predates_them(tmp_path):
-    """A fresh report carrying the ``sharding.wire_batching`` subsection
-    must pass cleanly against a committed baseline (and history) from
-    before wire batching existed — and start gating once history has
-    recorded the new nested keys."""
-    fresh = _report()
-    fresh["sharding"] = {"serial_events_per_sec": 30_000,
-                         "wire_batching": {"batched_events_per_sec": 16_000,
-                                           "bytes_reduction": 3.0}}
+def _sharding(serial, batched, reduction):
+    return {"serial_events_per_sec": serial,
+            "wire_batching": {"batched_events_per_sec": batched,
+                              "bytes_reduction": reduction}}
+
+
+def test_shard_speed_keys_are_not_gated(tmp_path):
+    """Sharding is a parity-tested capability, not a speed path: the
+    smoke bench's ``sharding`` section may collapse against a baseline
+    that carried it, and the history does not record it."""
+    baseline = dict(_report(), sharding=_sharding(30_000, 16_000, 3.0))
+    fresh = dict(_report(), sharding=_sharding(1_000, 1_000, 1.0))
     history = tmp_path / "history.jsonl"
-    result = _run(tmp_path, _report(), fresh, "--history", str(history))
+    result = _run(tmp_path, baseline, fresh, "--history", str(history))
     assert result.returncode == 0, result.stderr
-    # The passing run recorded the nested metrics ...
+    assert "sharding" not in result.stdout
     record = json.loads(history.read_text().splitlines()[-1])
-    assert record["metrics"]["sharding.wire_batching.bytes_reduction"] == 3.0
-    # ... so a later collapse of the reduction factor now fails the gate.
-    regressed = json.loads(json.dumps(fresh))
-    regressed["sharding"]["wire_batching"]["bytes_reduction"] = 1.0
-    result = _run(tmp_path, _report(), regressed, "--history", str(history))
-    assert result.returncode == 1
-    assert "bytes reduction" in result.stderr
+    assert not any(key.startswith("sharding.") for key in record["metrics"])
 
 
 def test_metric_missing_from_baseline_gated_via_history(tmp_path):

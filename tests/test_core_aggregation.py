@@ -109,6 +109,25 @@ def test_merge_keeps_freshest_sample():
     assert agg.average_estimate() == 700.0
 
 
+def test_relayed_samples_are_the_tuples_their_origin_made():
+    """A -> B -> C: every hop stores and forwards the sample object A's
+    own refresh created; nothing along the way copies it."""
+    sim = Simulator()
+    net = Network(sim)
+    a, b, c = (CapabilityAggregator(sim, net, node, capability=lambda: 100.0,
+                                    view=None, rng=random.Random(node))
+               for node in range(3))
+    sim.run(until=0.5)
+    a._refresh_own_sample()
+    own = a.freshest(1)[0]
+    assert own == (0, 100.0, 0.5)
+    assert a.freshest(1)[0] is own  # a table entry, not a new tuple
+    b.on_message(0, AggregationMessage(a.freshest(10)))
+    c.on_message(1, AggregationMessage(b.freshest(10)))
+    relayed = [sample for sample in c.freshest(10) if sample[0] == 0]
+    assert relayed == [own] and relayed[0] is own
+
+
 def test_own_sample_never_overwritten_by_gossip():
     sim = Simulator()
     net = Network(sim)
@@ -176,7 +195,7 @@ def test_estimate_tracks_capability_change():
 
 
 # ----------------------------------------------------------------------
-# The columnar table: same behaviour as one (capability, timestamp) tuple
+# The sample table: same behaviour as one (capability, timestamp) tuple
 # per node
 # ----------------------------------------------------------------------
 class _RefAggregator:

@@ -23,6 +23,8 @@ from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import RunRecord, run_grid
 from repro.experiments.runner import run_scenario
 from repro.experiments.scales import cached_run, clear_cache
+from repro.faults import (ShardSupervision, default_shard_supervision,
+                          using_shard_supervision)
 from repro.metrics.lag import spec_lag_delivery, spec_mean_lag_by_class
 from repro.workloads.churn import CatastrophicFailure
 from repro.workloads.distributions import REF_691
@@ -42,6 +44,16 @@ def metric_events(result) -> float:
 
 
 METRICS = {"delivery": metric_offline_delivery, "deliveries": metric_events}
+
+
+def metric_shard_restarts(result) -> float:
+    """Module-level metric: the shard restart budget the cell ran under."""
+    return float(default_shard_supervision().restarts)
+
+
+def metric_barrier_timeout(result) -> float:
+    """Module-level metric: the barrier deadline the cell ran under."""
+    return float(default_shard_supervision().barrier_timeout or 0.0)
 
 
 class TestGridShape:
@@ -95,6 +107,21 @@ class TestDeterminism:
         spawned = run_grid(tiny_config(), seeds=[1, 2], metrics=METRICS,
                            jobs=2, start_method="spawn")
         assert serial.determinism_keys() == spawned.determinism_keys()
+
+    def test_spawn_cells_run_under_the_callers_shard_supervision(self):
+        # A spawn worker starts from the module default, not a copy of
+        # the caller: the supervision has to travel with the cell, or a
+        # nested shard coordinator never sees --barrier-timeout /
+        # --shard-restarts.
+        metrics = {"restarts": metric_shard_restarts,
+                   "barrier_timeout": metric_barrier_timeout}
+        with using_shard_supervision(ShardSupervision(restarts=3,
+                                                      barrier_timeout=42.0)):
+            grid = run_grid(tiny_config(), seeds=[1, 2], metrics=metrics,
+                            jobs=2, start_method="spawn")
+        assert [record.metrics for record in grid.records] == [
+            {"restarts": 3.0, "barrier_timeout": 42.0}] * 2
+        assert default_shard_supervision() == ShardSupervision()
 
     def test_seed_changes_results(self):
         grid = run_grid(tiny_config(), seeds=[1, 2], metrics=METRICS)
@@ -275,7 +302,8 @@ class TestCellsDoNotAccumulate:
     def payload(seed, n_nodes=300):
         config = ScenarioConfig(n_nodes=n_nodes, duration=0.2, drain=0.3,
                                 distribution=REF_691, seed=seed)
-        return (0, 0, config.name, 0, config, tuple(METRICS.items()), ())
+        return (0, 0, config.name, 0, config, tuple(METRICS.items()), (),
+                default_shard_supervision())
 
     def test_the_graph_is_gone_when_the_cell_returns(self):
         gc.collect()

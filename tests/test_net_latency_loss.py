@@ -8,6 +8,8 @@ import statistics
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.latency import (
     ConstantLatency,
@@ -17,7 +19,8 @@ from repro.net.latency import (
     UniformLatency,
 )
 from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss, PerPairLoss
-from repro.sim.rng import GOLDEN_GAMMA, link_stream, splitmix64
+from repro.sim.rng import (GOLDEN_GAMMA, derive_seed, link_draw, link_stream,
+                           splitmix64, stream_head)
 
 
 class TestLatencyModels:
@@ -156,6 +159,66 @@ PINNED_LATENCY = [0.08623987537082323, 0.08936899553162055,
                   0.08442234709325179]
 PINNED_LOSS = "110110101011010110000010011111100001010011100110"
 
+#: Node ids for the link-id tests: a few small ones (so links repeat and
+#: run both ways) and the edges of the 32-bit id space.
+_NODE_IDS = st.one_of(st.integers(0, 4),
+                      st.sampled_from([255, 256, 2 ** 16, 2 ** 31,
+                                       2 ** 32 - 2, 2 ** 32 - 1]))
+
+
+class _RefPerPairLatency:
+    """``PerPairLatency`` as it was before links had integer ids: tuple
+    keys, and every draw through ``link_stream`` + ``splitmix64``.  The
+    reference the integer-keyed model must be bit-identical to."""
+
+    def __init__(self, seed, median_base=0.05, sigma=0.6, jitter=0.01,
+                 floor=0.002):
+        self.sigma = sigma
+        self.jitter = jitter
+        self.floor = floor
+        self._mu = math.log(median_base)
+        self._bases = {}
+        self._base_key = derive_seed(seed, "base")
+        self._jitter_key = derive_seed(seed, "jitter")
+        self._jitter_states = {}
+
+    def base(self, src, dst):
+        pair = (src, dst) if src <= dst else (dst, src)
+        if pair not in self._bases:
+            state, u1 = splitmix64(link_stream(self._base_key, *pair))
+            _, u2 = splitmix64(state)
+            normal = (math.sqrt(-2.0 * math.log(1.0 - u1))
+                      * math.cos(2.0 * math.pi * u2))
+            self._bases[pair] = max(
+                self.floor, math.exp(self._mu + self.sigma * normal))
+        return self._bases[pair]
+
+    def sample(self, src, dst):
+        base = self.base(src, dst)
+        if self.jitter <= 0:
+            return base
+        state = self._jitter_states.get((src, dst))
+        if state is None:
+            state = link_stream(self._jitter_key, src, dst)
+        self._jitter_states[(src, dst)], u = splitmix64(state)
+        return base + self.jitter * u
+
+
+class _RefPerPairLoss:
+    """``PerPairLoss`` as it was before links had integer ids."""
+
+    def __init__(self, seed, rate):
+        self.rate = rate
+        self._key = derive_seed(seed, "loss")
+        self._states = {}
+
+    def is_lost(self, src, dst):
+        state = self._states.get((src, dst))
+        if state is None:
+            state = link_stream(self._key, src, dst)
+        self._states[(src, dst)], u = splitmix64(state)
+        return u < self.rate
+
 
 class TestLinkStreams:
     """The counter-based generator under the per-pair models."""
@@ -182,6 +245,24 @@ class TestLinkStreams:
         assert len(states) == 3600
         assert link_stream(17, 1, 2) != link_stream(18, 1, 2)
         assert link_stream(17, 1, 2) != link_stream(17, 2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.integers(0, 2 ** 64 - 1), src=_NODE_IDS, dst=_NODE_IDS,
+           draws=st.integers(1, 6))
+    def test_draw_functions_are_link_stream_plus_splitmix64(self, key, src,
+                                                           dst, draws):
+        link = (src << 32) + dst
+        state = link_stream(key, src, dst)
+        head = []
+        states = {}
+        for _ in range(draws):
+            state, u = splitmix64(state)
+            head.append(u)
+            assert link_draw(states, key, link) == u
+            assert states == {link: state}
+        _, u = splitmix64(state)
+        head.append(u)
+        assert stream_head(key, link) == tuple(head[:2])
 
 
 class TestPerPairLatency:
@@ -425,6 +506,34 @@ class TestPerPairLoss:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             PerPairLoss(seed=1, rate=1.5)
+
+
+class TestIntegerLinkIds:
+    """Both per-pair models key links by ``(src << 32) + dst`` and draw
+    through ``link_draw`` / ``stream_head``: value for value, the
+    tuple-keyed reference's draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 63), jitter=st.sampled_from([0.0, 0.01]),
+           rate=st.sampled_from([0.03, 0.5]),
+           links=st.lists(st.tuples(_NODE_IDS, _NODE_IDS), min_size=1,
+                          max_size=30))
+    def test_models_match_the_tuple_keyed_reference(self, seed, jitter, rate,
+                                                   links):
+        latency = PerPairLatency(seed, jitter=jitter)
+        ref_latency = _RefPerPairLatency(seed, jitter=jitter)
+        loss = PerPairLoss(seed, rate)
+        ref_loss = _RefPerPairLoss(seed, rate)
+        # Every link, then each one the other way round, then again.
+        for src, dst in links + [(dst, src) for src, dst in links] + links:
+            assert (latency.sample(src, dst).hex()
+                    == ref_latency.sample(src, dst).hex())
+            assert (latency.base(dst, src).hex()
+                    == ref_latency.base(dst, src).hex())
+            assert loss.is_lost(src, dst) == ref_loss.is_lost(src, dst)
+        assert len(latency._bases) == len(ref_latency._bases)
+        assert len(latency._jitter_states) == len(ref_latency._jitter_states)
+        assert len(loss._states) == len(ref_loss._states)
 
 
 class TestSharedLossGoldenPin:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.timers import PeriodicTimer
 
 
 def test_time_starts_at_zero():
@@ -529,6 +530,61 @@ class ReferenceModel(ReferenceHeapScheduler):
         return self.now
 
 
+class ReferencePeriodic:
+    """A periodic timer on the reference model, with no handle reuse:
+    every tick queues a brand-new event for the next one before the
+    callback runs."""
+
+    def __init__(self, model, period, callback):
+        self.model = model
+        self.period = period
+        self.callback = callback
+        self.seq = None
+        self.ticks = 0
+
+    @property
+    def running(self):
+        return self.seq is not None
+
+    def start(self, phase):
+        self.seq = self.model.schedule_at(self.model.now + phase, self._tick)
+
+    def stop(self):
+        if self.seq is not None:
+            self.model.cancel(self.seq)
+            self.seq = None
+
+    def _tick(self):
+        self.seq = self.model.schedule_at(self.model.now + self.period,
+                                          self._tick)
+        self.ticks += 1
+        self.callback()
+
+
+def _start_timer(target, make, log, label, period, phase, stop_after):
+    """A periodic timer that logs each tick and stops itself, inside its
+    own callback, once it has ticked ``stop_after`` times in total (so
+    an unbounded run always ends)."""
+    timers = []
+
+    def tick():
+        timer = timers[0]
+        log.append((label, target.now))
+        if timer.ticks >= stop_after:
+            timer.stop()
+
+    timers.append(make(target, period, tick))
+    timers[0].start(phase)
+    return timers[0]
+
+
+def _stopper(target, log, label, timer):
+    def fire():
+        log.append((label, target.now))
+        timer.stop()
+    return fire
+
+
 def _model_event(target, log, label, nested, raises):
     def fire():
         log.append((label, target.now))
@@ -553,6 +609,11 @@ _OPS = st.lists(st.one_of(
     st.tuples(st.sampled_from(["schedule", "post"]), _DELAYS,
               st.booleans(), st.integers(0, 7)),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("timer"), st.sampled_from([0.5, 1.0, 1.5]), _DELAYS,
+              st.integers(1, 4)),
+    st.tuples(st.just("stop"), st.integers(0, 7)),
+    st.tuples(st.just("stop_event"), st.integers(0, 7), _DELAYS),
+    st.tuples(st.just("restart"), st.integers(0, 7), _DELAYS),
     st.tuples(st.just("until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
     st.tuples(st.just("max_events"), st.integers(1, 4)),
     st.tuples(st.just("run")),
@@ -562,12 +623,37 @@ _OPS = st.lists(st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(ops=_OPS)
 def test_engine_matches_reference_model_under_random_interleavings(ops):
+    """Events, cancels, bounded and unbounded runs, raising callbacks and
+    periodic timers — stopped inside their own callback, from another
+    event or between runs, and restarted after a stop — against the
+    reference heap, step by step."""
     sim, model = Simulator(), ReferenceModel()
     got, expected = [], []
     handles = []  # (engine handle, model seq) of every schedule() call
+    timers = []  # (engine PeriodicTimer, ReferencePeriodic)
     for i, op in enumerate(ops):
         kind = op[0]
-        if kind in ("schedule", "post"):
+        if kind == "timer":
+            _, period, phase, stop_after = op
+            timers.append((
+                _start_timer(sim, PeriodicTimer, got, f"t{i}", period,
+                             phase, stop_after),
+                _start_timer(model, ReferencePeriodic, expected, f"t{i}",
+                             period, phase, stop_after)))
+        elif kind in ("stop", "stop_event", "restart"):
+            if timers:
+                pair = timers[op[1] % len(timers)]
+                if kind == "stop":
+                    for timer in pair:
+                        timer.stop()
+                elif kind == "stop_event":
+                    sim.post(op[2], _stopper(sim, got, f"s{i}", pair[0]))
+                    model.schedule_at(model.now + op[2], _stopper(
+                        model, expected, f"s{i}", pair[1]))
+                elif not pair[1].running:
+                    for timer in pair:
+                        timer.start(op[2])
+        elif kind in ("schedule", "post"):
             _, delay, nested, roll = op
             raises = roll == 0  # one event in eight raises
             label = f"e{i}"
@@ -596,6 +682,31 @@ def test_engine_matches_reference_model_under_random_interleavings(ops):
         assert sim.now == model.now
         assert sim.events_executed == model.events_executed
         assert sim.pending_count == model.pending_count
+        for timer, reference in timers:
+            assert (timer.running, timer.ticks) == (reference.running,
+                                                    reference.ticks)
+
+
+def test_rearming_a_pending_or_cancelled_handle_raises():
+    sim = Simulator()
+    pending = sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.rearm(pending, 1.0, lambda: None)
+    cancelled = sim.schedule(1.0, lambda: None)
+    cancelled.cancel()
+    with pytest.raises(SimulationError):
+        sim.rearm(cancelled, 1.0, lambda: None)
+    sim.run()
+    assert sim.pending_count == 0 and sim.events_executed == 1
+    # A fired handle re-arms, and cancels like a fresh one.
+    sim.rearm(pending, 1.0, lambda: None)
+    assert pending.pending and sim.pending_count == 1
+    with pytest.raises(SimulationError):
+        Simulator().rearm(pending, 1.0, lambda: None)
+    pending.cancel()
+    assert sim.pending_count == 0
+    sim.run()
+    assert sim.events_executed == 1
 
 
 class TestCollectorPause:

@@ -113,6 +113,18 @@ class TestPeriodicTimer:
         with pytest.raises(SimulationError):
             PeriodicTimer(sim, 0.0, lambda: None)
 
+    def test_keeps_one_event_handle_across_ticks(self):
+        sim = Simulator()
+        handles = []
+        timer = PeriodicTimer(sim, 0.5, lambda: handles.append(timer._handle))
+        timer.start()
+        sim.run(until=3.0)
+        assert len(handles) == 6
+        assert all(handle is handles[0] for handle in handles)
+        assert handles[0].pending and sim.pending_count == 1
+        timer.stop()
+        assert sim.pending_count == 0
+
     def test_double_start_rejected(self):
         sim = Simulator()
         timer = PeriodicTimer(sim, 1.0, lambda: None)
