@@ -301,6 +301,10 @@ def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
     so the next cell's run would be over before a pass came due.  With
     the default runner nobody else holds the result, so its graph dies
     here and is collected here: one pass per cell, where its garbage is.
+    In a pool worker that pass walks only the cell's own objects: the
+    worker froze the heap it inherited or imported before its first
+    task (``repro.faults.supervise._child_main``).  In-process it walks
+    the caller's heap too, which this function never freezes.
     A caller-supplied ``run_fn`` (``cached_run``) keeps results on
     purpose; a full pass over its growing cache would free nothing.
 

@@ -80,6 +80,7 @@ class ExperimentResult:
         self.attackers = attackers or {}
         #: node_id -> attack-specific counters (``attack_stats()``).
         self.attacker_stats = attacker_stats or {}
+        self._analyzer: Optional[PlaybackAnalyzer] = None
 
     # ------------------------------------------------------------------
     # stream geometry
@@ -93,7 +94,16 @@ class ExperimentResult:
         return range(self.total_packets // self.config.stream.packets_per_window)
 
     def analyzer(self) -> PlaybackAnalyzer:
-        return PlaybackAnalyzer(self.config.stream, self.publish_times.__getitem__)
+        """The result's one :class:`PlaybackAnalyzer`, made on first use.
+
+        Every metric of a summary bundle asks through it, so they share
+        its per-window memo: each receiver window is read once however
+        many metrics need it.
+        """
+        if self._analyzer is None:
+            self._analyzer = PlaybackAnalyzer(self.config.stream,
+                                              self.publish_times.__getitem__)
+        return self._analyzer
 
     # ------------------------------------------------------------------
     # population accessors

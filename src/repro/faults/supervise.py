@@ -25,6 +25,7 @@ restart, a failed job) is decided by the client from
 share: recv task -> apply injected fault -> run -> reply.
 """
 
+import gc
 import multiprocessing
 import traceback
 from multiprocessing import connection as _mpconn
@@ -88,8 +89,20 @@ def _child_main(parent_end, child_end, target: Callable, args) -> None:
     A forked child inherits the supervisor's end of its own pipe; held
     open, it would hide the EOF that tells an orphan its supervisor is
     gone (``task_worker`` and the shard worker both exit on that EOF).
+
+    Before the target runs, the heap the child inherited (fork) or
+    imported (spawn) moves to the collector's permanent generation.  It
+    is the child's long-lived state — modules, the supervisor's objects —
+    and nothing the target does turns it into garbage, so no collection
+    should walk it: ``_run_cell``'s per-cell pass in a fork-started grid
+    worker re-walked ~51k inherited objects (7.3–8.1 ms of collector time
+    per 50-node cell on a 2-vCPU host, 2.4–2.8 ms frozen).
+    ``gc.freeze()`` splices whole generation lists at their ends, so it
+    takes constant time and touches almost no inherited page.  Only
+    children freeze: the library never freezes its caller's heap.
     """
     parent_end.close()
+    gc.freeze()
     target(child_end, *args)
 
 

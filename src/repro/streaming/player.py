@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.streaming.packets import StreamConfig
 from repro.streaming.receiver import ReceiverLog
@@ -60,36 +60,65 @@ class PlaybackAnalyzer:
 
     ``publish_time`` maps a packet id to the time the source published it
     (in experiments: ``publish_times.__getitem__`` over the recorded list).
+
+    Per-window answers are memoized: a window's required lag per
+    (log, window) and its on-time counts per (log, window, lag).  The
+    standard summary bundle asks for every window's required lag three
+    times and for its playback at 10 s twice; the memo reads each from
+    the log once.  A log's memo is stamped with ``len(log)``: a
+    :class:`~repro.streaming.receiver.ReceiverLog` only grows, so an
+    equal length means equal contents, and a log that has grown since is
+    recomputed, never answered from a stale entry.  The memo holds the
+    logs it was asked about for as long as the analyzer lives.
     """
 
     def __init__(self, config: StreamConfig, publish_time: Callable[[int], float]):
         config.validate()
         self.config = config
         self._publish_time = publish_time
+        self._per_window = config.packets_per_window
+        self._needed = config.source_packets_per_window
+        #: log -> (len(log) when filled, {window: required lag},
+        #: {lag: {window: (on-time source, on-time FEC)}}).
+        self._memo: Dict[ReceiverLog, tuple] = {}
+
+    def _memo_of(self, log: ReceiverLog) -> tuple:
+        memo = self._memo.get(log)
+        if memo is None or memo[0] != len(log):
+            memo = self._memo[log] = (len(log), {}, {})
+        return memo
+
+    def _on_time(self, log: ReceiverLog, window_id: int, lag: float) -> Tuple[int, int]:
+        """(source, FEC) packets of ``window_id`` delivered by ``lag``."""
+        by_window = self._memo_of(log)[2].setdefault(lag, {})
+        counts = by_window.get(window_id)
+        if counts is None:
+            publish_time = self._publish_time
+            # Systematic code: a window's source packets come first.
+            sources = self.config.source_packets_per_window
+            start = window_id * self._per_window
+            source = fec = 0
+            for index, delivered in enumerate(
+                    log.delivery_times(start, start + self._per_window)):
+                if delivered is not None and delivered <= publish_time(start + index) + lag:
+                    if index < sources:
+                        source += 1
+                    else:
+                        fec += 1
+            counts = by_window[window_id] = (source, fec)
+        return counts
 
     # ------------------------------------------------------------------
     # forward queries: behaviour at a given lag
     # ------------------------------------------------------------------
     def window_playback(self, log: ReceiverLog, window_id: int, lag: float) -> WindowPlayback:
-        config = self.config
-        on_time_source = 0
-        on_time_fec = 0
-        start = window_id * config.packets_per_window
-        for packet_id in range(start, start + config.packets_per_window):
-            delivered = log.delivery_time(packet_id)
-            if delivered is None:
-                continue
-            if delivered <= self._publish_time(packet_id) + lag:
-                if config.is_fec(packet_id):
-                    on_time_fec += 1
-                else:
-                    on_time_source += 1
+        on_time_source, on_time_fec = self._on_time(log, window_id, lag)
         return WindowPlayback(
             window_id=window_id,
             on_time_source=on_time_source,
             on_time_fec=on_time_fec,
-            needed=config.source_packets_per_window,
-            source_per_window=config.source_packets_per_window,
+            needed=self._needed,
+            source_per_window=self._needed,
         )
 
     def playback(self, log: ReceiverLog, windows: Sequence[int], lag: float) -> List[WindowPlayback]:
@@ -125,18 +154,23 @@ class PlaybackAnalyzer:
     # ------------------------------------------------------------------
     def window_required_lag(self, log: ReceiverLog, window_id: int) -> float:
         """Smallest lag at which ``window_id`` decodes; inf if it never does."""
-        config = self.config
-        start = window_id * config.packets_per_window
-        delays = []
-        for packet_id in range(start, start + config.packets_per_window):
-            delivered = log.delivery_time(packet_id)
-            if delivered is not None:
-                delays.append(delivered - self._publish_time(packet_id))
-        needed = config.source_packets_per_window
-        if len(delays) < needed:
-            return OFFLINE
-        delays.sort()
-        return max(0.0, delays[needed - 1])
+        required = self._memo_of(log)[1]
+        lag = required.get(window_id)
+        if lag is None:
+            publish_time = self._publish_time
+            needed = self._needed
+            start = window_id * self._per_window
+            delays = [delivered - publish_time(start + index)
+                      for index, delivered in enumerate(
+                          log.delivery_times(start, start + self._per_window))
+                      if delivered is not None]
+            if len(delays) < needed:
+                lag = OFFLINE
+            else:
+                delays.sort()
+                lag = max(0.0, delays[needed - 1])
+            required[window_id] = lag
+        return lag
 
     def min_lag_jitter_free(self, log: ReceiverLog, windows: Sequence[int]) -> float:
         """Smallest lag at which *every* window decodes (Figs. 8, 9 'no jitter')."""
@@ -147,15 +181,17 @@ class PlaybackAnalyzer:
     def min_lag_max_jitter(self, log: ReceiverLog, windows: Sequence[int],
                            max_jitter: float) -> float:
         """Smallest lag at which the jittered fraction is <= ``max_jitter``
-        (Fig. 9 'max 1% jitter' uses max_jitter=0.01)."""
+        (Fig. 9 'max 1% jitter' uses max_jitter=0.01).  0.0 when every
+        window may jitter (``max_jitter=1.0``)."""
         if not windows:
             return 0.0
         if not 0.0 <= max_jitter <= 1.0:
             raise ValueError(f"max_jitter must be in [0, 1], got {max_jitter!r}")
         required = sorted(self.window_required_lag(log, w) for w in windows)
         allowed_jittered = math.floor(max_jitter * len(required))
-        index = len(required) - 1 - allowed_jittered
-        return required[index]
+        if allowed_jittered >= len(required):
+            return 0.0
+        return required[len(required) - 1 - allowed_jittered]
 
     def min_lag_delivery_ratio(self, log: ReceiverLog, total_packets: int,
                                ratio: float) -> float:

@@ -8,7 +8,7 @@ source's publish times, mirroring how the paper instruments its testbed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class ReceiverLog:
@@ -36,6 +36,11 @@ class ReceiverLog:
 
     def delivery_time(self, packet_id: int) -> Optional[float]:
         return self._deliveries.get(packet_id)
+
+    def delivery_times(self, start: int, stop: int) -> List[Optional[float]]:
+        """Delivery time of each packet in ``[start, stop)``, ``None``
+        where it never arrived: one window, read in one call."""
+        return list(map(self._deliveries.get, range(start, stop)))
 
     def has(self, packet_id: int) -> bool:
         return packet_id in self._deliveries

@@ -9,6 +9,7 @@ restarts from its JSONL records without recomputing finished cells.
 """
 
 import gc
+import multiprocessing
 import os
 import pickle
 import tracemalloc
@@ -54,6 +55,12 @@ def metric_shard_restarts(result) -> float:
 def metric_barrier_timeout(result) -> float:
     """Module-level metric: the barrier deadline the cell ran under."""
     return float(default_shard_supervision().barrier_timeout or 0.0)
+
+
+def metric_freeze_count(result) -> float:
+    """Module-level metric: objects in the collector's permanent
+    generation of the process the cell ran in."""
+    return float(gc.get_freeze_count())
 
 
 class TestGridShape:
@@ -346,6 +353,29 @@ class TestCellsDoNotAccumulate:
             gc.enable()
             gc.callbacks.remove(on_gc)
             clear_cache()
+
+
+class TestWorkersFreezeTheirInheritedHeap:
+    """A pool worker moves the heap it started with to the permanent
+    generation once, so the per-cell collection walks only the cell;
+    the library never freezes its caller."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_pool_cells_run_over_a_frozen_heap(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} start method unavailable")
+        grid = run_grid(tiny_config(), seeds=[1, 2],
+                        metrics={"frozen": metric_freeze_count},
+                        jobs=2, start_method=method)
+        assert len(grid.records) == 2
+        assert all(record.metrics["frozen"] > 0 for record in grid.records)
+
+    def test_an_in_process_cell_freezes_nothing(self):
+        assert gc.get_freeze_count() == 0
+        _, record = parallel._run_cell(
+            TestCellsDoNotAccumulate.payload(1, n_nodes=30))
+        assert record.events_executed > 0
+        assert gc.get_freeze_count() == 0
 
 
 def _counting_run_scenario(monkeypatch):
