@@ -20,15 +20,6 @@ import sys
 import time
 
 
-#: Serialized bytes per envelope the deleted per-envelope wire format
-#: (one pickled tuple per datagram) cost on the 2-shard bench scenario of
-#: ``bench_sharded_scenario.py``: 21,120,051 bytes over 100,961
-#: envelopes in the committed ``BENCH_throughput.json`` of a9ff8a0
-#: (Python 3.11).  A rate, so ``bytes_reduction`` keeps its reference
-#: when the scenario's traffic moves.
-PER_ENVELOPE_WIRE_BYTES = 209.2
-
-
 def _best_of(fn, repeats: int = 5) -> float:
     best = float("inf")
     for _ in range(repeats):
@@ -98,23 +89,18 @@ def bench_scenario():
 
 
 def bench_sharding():
-    """Single-scenario throughput at 1/2/4 shards (1k-node scenario).
+    """Sharding's parity record on a 1k-node scenario at 1/2/4 shards.
 
-    Also *verifies* the sharded engine's contract while measuring: every
-    shard count must produce byte-identical metric summaries.  Speedup
-    is bounded by the host — on a 1-CPU runner the window barriers and
-    worker processes can only cost, and the section records that
-    honestly.  The trend gate tracks none of it: sharding is a
-    byte-parity-tested capability, not a speed path.
+    *Verifies* the sharded engine's contract: every shard count must
+    produce byte-identical metric summaries.  Events/s and speedup are
+    reported for the record — bounded by the host, and on a 1-CPU
+    runner the window barriers and worker processes can only cost.  The
+    trend gate tracks none of it: sharding is a byte-parity-tested
+    capability, not a speed path.
 
-    The ``wire_batching`` subsection measures the cross-shard data plane
-    at 2 shards: the packed-buffer exchange (one buffer per window per
-    peer shard, multicast payloads interned), in serialized bytes per
-    window and events/s.  The byte numbers come from the ``NetworkStats``
-    wire counters, so they are deterministic — unlike the wall-clock
-    numbers around them — and ``bytes_reduction`` compares their bytes
-    per envelope against the frozen rate of the deleted per-envelope
-    wire format.
+    The ``wire_batching`` subsection records what crossed the shard
+    boundary at 2 shards — one pickled buffer per (window, peer shard)
+    — from the ``NetworkStats`` wire counters, which are deterministic.
     """
     from bench_sharded_scenario import (n_windows, run_serial,
                                         run_with_shards, summary_blob)
@@ -142,15 +128,7 @@ def bench_sharding():
         identical = identical and summary_blob(result) == serial_summaries
         if shards == 2:
             batched_stats = result.net.stats
-    # Re-time 2 shards once the shards loop above has left the process
-    # maximally warm (the number the trend gate tracks).
-    started = time.perf_counter()
-    rebatched = run_with_shards(2)
-    batched_wall = time.perf_counter() - started
-    identical = identical and summary_blob(rebatched) == serial_summaries
     windows = n_windows()
-    batched_per_envelope = (batched_stats.wire_bytes
-                            / batched_stats.wire_envelopes)
     section["wire_batching"] = {
         "shards": 2,
         "windows": windows,
@@ -159,14 +137,6 @@ def bench_sharding():
         "batched_wire_bytes": batched_stats.wire_bytes,
         "batched_bytes_per_window": round(batched_stats.wire_bytes
                                           / windows),
-        "batched_events_per_sec": round(events / batched_wall),
-        "payload_bytes_before_interning":
-            batched_stats.wire_payload_bytes_before,
-        "payload_bytes_after_interning": batched_stats.wire_payload_bytes,
-        "batched_bytes_per_envelope": round(batched_per_envelope, 1),
-        "per_envelope_format_bytes_per_envelope": PER_ENVELOPE_WIRE_BYTES,
-        "bytes_reduction": round(PER_ENVELOPE_WIRE_BYTES
-                                 / batched_per_envelope, 2),
     }
     section["summaries_byte_identical"] = identical
     return section

@@ -79,6 +79,7 @@ from repro.faults.pool import SupervisedPool
 from repro.faults.supervise import default_start_method
 from repro.metrics.export import append_jsonl, read_jsonl
 from repro.metrics.summary import MetricSpec, summarize
+from repro.net.stats import WIRE_SUMMARY_KEYS
 from repro.workloads.scenario import ScenarioConfig, scenario_key
 
 #: A metric maps a finished run to one scalar.
@@ -162,7 +163,12 @@ class RunRecord:
                    sim_end_time=obj["sim_end_time"],
                    wall_time=obj["wall_time"],
                    summaries=dict(obj.get("summaries", {})),
-                   wire=dict(obj.get("wire", {})))
+                   # Only counters that still exist: a record from an
+                   # older checkpoint may carry retired ones, which a
+                   # resumed job would sum over its restored cells alone.
+                   wire={key: value
+                         for key, value in obj.get("wire", {}).items()
+                         if key in WIRE_SUMMARY_KEYS})
 
 
 @dataclass(frozen=True)

@@ -449,11 +449,11 @@ def build_scenario(config: ScenarioConfig, *,
         # Churn is *replicated* under sharding: every shard draws the
         # same victims from its copy of the churn/detection streams and
         # crashes them locally, so membership state stays serial-exact on
-        # every shard.  A membership-aware router (the shard router) is
+        # every shard.  A crash-aware router (the shard router) is
         # additionally notified so the victim's owner can announce the
-        # event as a control row that peer shards verify against their
+        # crash as a control row that peer shards verify against their
         # replica (see repro.net.shard).
-        on_membership = getattr(net.router, "on_membership_event", None)
+        on_crash = getattr(net.router, "on_crash", None)
 
         def crash_node(victim: int) -> None:
             crash_times[victim] = sim.now
@@ -465,10 +465,8 @@ def build_scenario(config: ScenarioConfig, *,
                 detectors[victim].stop()
             if victim in probers:
                 probers[victim].stop()
-            if on_membership is not None:
-                from repro.net.shard import EVENT_CRASH
-
-                on_membership(EVENT_CRASH, victim, sim.now)
+            if on_crash is not None:
+                on_crash(victim, sim.now)
 
         config.churn.schedule(sim, directory, registry.stream("churn"),
                               crash_node, protect=[SOURCE_ID])

@@ -16,8 +16,8 @@ A plan is parsed from a compact text form (CLI ``--faults``, SweepSpec
     ``W`` (trips the barrier deadline).
 ``drop-wire=S@W``
     Shard ``S`` replaces its window-``W`` wire buffer to one peer with
-    a corrupt packed buffer (torn transport), which the receiver
-    detects as a codec error.
+    bytes that are not a pickle (torn transport), which the receiver
+    fails to unpickle.
 ``torn-checkpoint=N``
     After the ``N``-th fresh record is appended to the grid checkpoint,
     tear the file mid-line and abort (simulated writer kill).

@@ -261,7 +261,7 @@ class PayloadMutationRule:
     id = "S203"
     name = "no-mutation-after-send"
     rationale = ("the fabric retains sent payloads (multicast shares one "
-                 "object; the wire batcher interns it until the window "
+                 "object; a shard router holds it until the window "
                  "barrier) — mutating after send corrupts datagrams "
                  "still in flight")
 

@@ -118,10 +118,9 @@ class Payload(Protocol):
 
     Payloads must be treated as immutable once sent: the fabric may hold
     a reference past the ``send`` call (a multicast shares one payload
-    object across destinations, and the sharded wire batcher interns the
-    object until the next window barrier before serializing it once per
-    peer shard) — mutating a sent payload would corrupt datagrams still
-    in flight.  Every in-tree payload freezes its fields at construction.
+    object across destinations, and a shard router holds it until the
+    next window barrier pickles it once per peer shard) — mutating a
+    sent payload would corrupt datagrams still in flight.  Every in-tree payload freezes its fields at construction.
     """
 
     kind: str

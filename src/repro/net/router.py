@@ -17,9 +17,9 @@ Two implementations ship:
   process.
 * :class:`~repro.net.shard.ShardRouter` partitions the node population
   across shards: envelopes for locally-owned destinations take exactly
-  the in-process path, envelopes for remote destinations are serialized
-  into kind-id-tagged wire tuples and exchanged at conservative
-  time-window boundaries (see :mod:`repro.net.shard`).
+  the in-process path, envelopes for remote destinations become
+  kind-id-tagged row tuples, pickled once per peer shard and exchanged
+  at conservative time-window boundaries (see :mod:`repro.net.shard`).
 
 The split point matters: senders (``Network.send``/``send_many``) decide
 *whether and when* a datagram arrives — uplink serialization, loss,

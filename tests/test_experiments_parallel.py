@@ -416,6 +416,23 @@ class TestCheckpoint:
         assert resumed.determinism_keys() == full.determinism_keys()
         assert resumed.summary_keys() == full.summary_keys()
 
+    def test_restored_record_drops_retired_wire_counters(self):
+        """A record from a checkpoint written while the wire summary
+        still carried payload-byte counters keeps only today's keys: a
+        resumed job sums ``wire`` over fresh and restored cells alike,
+        so a counter only the restored cells carry would be partial."""
+        old = {"scenario_index": 0, "scenario_name": "heap",
+               "seed_index": 0, "seed": 1, "metrics": {"delivery": 0.5},
+               "events_executed": 10, "sim_end_time": 2.0,
+               "wall_time": 0.1, "summaries": {},
+               "wire": {"buffers": 4, "envelopes": 30, "bytes": 900,
+                        "payload_bytes_before_interning": 1500,
+                        "payload_bytes_after_interning": 600,
+                        "control_rows": 2}}
+        record = RunRecord.from_jsonable(old)
+        assert record.wire == {"buffers": 4, "envelopes": 30, "bytes": 900,
+                               "control_rows": 2}
+
     def test_resume_tolerates_a_truncated_last_line(self, tmp_path,
                                                     monkeypatch):
         path = str(tmp_path / "grid.jsonl")

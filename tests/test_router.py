@@ -11,6 +11,7 @@ is one queue entry, delivered (or dropped dead) by one ``deliver``
 call, in the engine's (arrival time, enqueue order) — ties included.
 """
 
+import pickle
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from repro.net.latency import ConstantLatency, PerPairLatency
 from repro.net.message import UDP_IP_HEADER_BYTES, Envelope, intern_kind
 from repro.net.network import Network
 from repro.net.router import InprocRouter, Router
-from repro.net.shard import WIRE_BATCH_TAG, ShardRouter, _decode_batch
+from repro.net.shard import ShardRouter
 from repro.net.stats import NetworkStats
 from repro.sim.engine import Simulator
 
@@ -375,14 +376,15 @@ class TestShardRouterLocalParts:
         outboxes = router.take_outboxes()
         assert len(outboxes[1]) == 1 and outboxes[0] == []
         assert router.take_outboxes() == [[], []]  # drained
-        (envelope,) = _decode_batch(outboxes[1][0])
-        assert (envelope.src, envelope.dst) == (0, 1)
-        assert envelope.payload.kind_id == FakePayload("remote").kind_id
-        assert envelope.size_bytes == 50 + UDP_IP_HEADER_BYTES
+        ((kind_id, src, dst, size, payload, *_),) = pickle.loads(
+            outboxes[1][0])
+        assert (src, dst) == (0, 1)
+        assert kind_id == payload.kind_id == FakePayload("remote").kind_id
+        assert size == 50 + UDP_IP_HEADER_BYTES
 
     def test_remote_destination_lands_in_packed_buffer(self):
-        # The window's outbox to a peer shard is one packed buffer
-        # (tagged tuple), however many envelopes it carries.
+        # The window's outbox to a peer shard is one pickled buffer,
+        # however many envelopes it carries.
         sim = Simulator()
         router = ShardRouter(owned={0, 2}, shards=2)
         net = Network(sim, latency=ConstantLatency(0.01), router=router)
@@ -394,13 +396,12 @@ class TestShardRouterLocalParts:
         outboxes = router.take_outboxes()
         assert outboxes[0] == []
         assert len(outboxes[1]) == 1  # ONE buffer for two envelopes
-        tag, n_rows, header, blob = outboxes[1][0]
-        assert tag == WIRE_BATCH_TAG and n_rows == 2
-        assert isinstance(header, bytes) and isinstance(blob, bytes)
+        (blob,) = outboxes[1]
+        assert isinstance(blob, bytes) and len(pickle.loads(blob)) == 2
         assert router.take_outboxes() == [[], []]  # drained
         assert net.stats.wire_buffers == 1
         assert net.stats.wire_envelopes == 2
-        assert net.stats.wire_bytes == len(header) + len(blob)
+        assert net.stats.wire_bytes == len(blob)
 
     def _wire(self, envelope):
         """``envelope`` as shard 0 ships it to shard 1."""
@@ -413,7 +414,14 @@ class TestShardRouterLocalParts:
         payload = FakePayload(kind="wire", size=64)
         envelope = Envelope(0, 1, payload, 92, 1.0, 1.25)
         envelope._exit_time = 1.1
-        (decoded,) = _decode_batch(self._wire(envelope)[0])
+        sim = Simulator()
+        router = ShardRouter(owned={1}, shards=2)
+        net = Network(sim, latency=ConstantLatency(0.01), router=router)
+        sink = Sink()
+        net.attach(1, sink, 1e9)
+        router.inject(self._wire(envelope))
+        sim.run()
+        (decoded,) = sink.received
         assert (decoded.src, decoded.dst) == (0, 1)
         assert decoded.size_bytes == 92
         assert decoded.send_time == 1.0
