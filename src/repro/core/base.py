@@ -31,7 +31,7 @@ batched stats accumulation for the whole round.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Mapping, Optional, Set, Union
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.config import GossipConfig
 from repro.core.messages import Propose, Request, Serve
@@ -191,15 +191,18 @@ class GossipNode:
         if not wanted:
             return
         self._requested.update(wanted)
-        self._send_request(src, wanted)
+        sent = self._send_request(src, wanted)
         if self._retransmission is not None:
-            self._retransmission.track(src, wanted)
+            self._retransmission.track(src, sent)
 
-    def _send_request(self, peer: int, ids: List[int]) -> None:
-        self._net.send(self.node_id, peer, Request(ids))
+    def _send_request(self, peer: int, ids: List[int]) -> Tuple[int, ...]:
+        """Send a [Request] for ``ids``; returns its immutable ids tuple."""
+        request = Request(ids)
+        self._net.send(self.node_id, peer, request)
         self.requests_sent += 1
         if self.on_request_sent is not None:
             self.on_request_sent(peer, len(ids))
+        return request.ids
 
     # ------------------------------------------------------------------
     # phase 3: serve

@@ -11,16 +11,17 @@ stream, which is why the paper pairs UDP with retransmission.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Lane, Simulator
 
 
 class RetransmissionManager:
     """Tracks outstanding requests for one node."""
 
-    __slots__ = ("_sim", "period", "max_retries", "_is_delivered", "_resend",
-                 "_release", "retransmissions", "abandoned", "_outstanding")
+    __slots__ = ("_sim", "_lane", "period", "max_retries", "_is_delivered",
+                 "_resend", "_release", "retransmissions", "abandoned",
+                 "_outstanding")
 
     def __init__(self, sim: Simulator, period: float, max_retries: int,
                  is_delivered: Callable[[int], bool],
@@ -31,6 +32,12 @@ class RetransmissionManager:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
         self._sim = sim
+        # Every expiry is armed ``period`` after the event that armed it,
+        # so expiries come due in the order they are armed: one lane
+        # holds them all, and only the next one sits in the event heap.
+        # Made on the first track(): a lane's queue is a 760-byte deque,
+        # and many nodes of a short or sharded run never request.
+        self._lane: Optional[Lane] = None
         self.period = period
         self.max_retries = max_retries
         self._is_delivered = is_delivered
@@ -46,19 +53,19 @@ class RetransmissionManager:
         if not ids:
             return
         self._outstanding += 1
-        # Retransmission timers are never cancelled, so they ride the
-        # simulator's handle-free fast path.  Copy the ids eagerly: the
-        # caller may go on mutating its list.
-        ids = list(ids)
-        self._sim.post(
-            self.period, lambda: self._expire(peer, ids, retries_left=self.max_retries))
+        lane = self._lane
+        if lane is None:
+            lane = self._lane = self._sim.lane(self._expire)
+        # A tuple holds the ids whatever the caller does to its sequence
+        # afterwards; the sent Request's own ids tuple is kept as is.
+        lane.post(self.period, peer, tuple(ids), self.max_retries)
 
     def outstanding(self) -> int:
         """Number of armed timers (diagnostic)."""
         return self._outstanding
 
     # ------------------------------------------------------------------
-    def _expire(self, proposer: int, ids: List[int], retries_left: int) -> None:
+    def _expire(self, proposer: int, ids: Sequence[int], retries_left: int) -> None:
         self._outstanding -= 1
         missing = [packet_id for packet_id in ids if not self._is_delivered(packet_id)]
         if not missing:
@@ -67,9 +74,7 @@ class RetransmissionManager:
             self.retransmissions += 1
             self._resend(proposer, missing)
             self._outstanding += 1
-            self._sim.post(
-                self.period,
-                lambda: self._expire(proposer, missing, retries_left - 1))
+            self._lane.post(self.period, proposer, missing, retries_left - 1)
         else:
             # Give up on this proposer: free the ids so future proposals
             # from other nodes can re-trigger a request.

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from functools import partial
+from operator import itemgetter, methodcaller
 from typing import Dict, Iterable, List, Set
 
 from repro.membership.view import LocalView, Roster
@@ -97,15 +97,26 @@ class MembershipDirectory:
         if node_id not in self._alive:
             return
         self._alive.remove(node_id)
-        for other_id, view in self._views.items():
-            if other_id == node_id or other_id not in self._alive:
-                continue
-            if self.mean_detection_delay == 0:
+        survivors = [view for other_id, view in self._views.items()
+                     if other_id != node_id and other_id in self._alive]
+        if self.mean_detection_delay == 0:
+            for view in survivors:
                 view.remove(node_id)
-            else:
-                # Never cancelled, so no handle: the fire-and-forget path.
-                delay = self._rng.uniform(0.0, 2.0 * self.mean_detection_delay)
-                self._sim.post(delay, partial(view.remove, node_id))
+            return
+        # Draw in view order (the order the seeded stream is consumed in
+        # is part of every trace), then queue the removals in due order
+        # on one lane, so the heap holds one entry for this crash instead
+        # of one per survivor.  The posts take one consecutive block of
+        # seqs, so against every other event they order exactly as
+        # per-survivor posts in view order would, and the stable sort
+        # keeps view order among equal delays.
+        uniform = self._rng.uniform
+        high = 2.0 * self.mean_detection_delay
+        draws = sorted([(uniform(0.0, high), view) for view in survivors],
+                       key=itemgetter(0))
+        lane = self._sim.lane(methodcaller("remove", node_id))
+        for delay, view in draws:
+            lane.post(delay, view)
 
     def crash_many(self, node_ids: Iterable[int]) -> None:
         for node_id in list(node_ids):

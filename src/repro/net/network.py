@@ -37,11 +37,11 @@ when the engine fires it, the envelope hands itself to the router's
 ``deliver``, which applies the crash checks, receive-side stats and
 dispatch — one event, one ``deliver`` per datagram.  The
 sharded execution engine (:mod:`repro.net.shard`) swaps in a router that
-forwards remote-shard destinations across process boundaries — and
-because ``send_many`` hands the *same* payload object to every
-per-destination envelope, that router can intern multicast payloads by
-identity and ship one blob per peer shard per window instead of one per
-remote destination.
+forwards remote-shard destinations across process boundaries as one
+pickle of row tuples per (window, peer shard).  ``send_many`` hands the
+*same* payload object to every per-destination envelope, so pickle's
+memo writes a multicast payload once per blob, however many of that
+shard's nodes it reaches.
 
 Every datagram gets a fresh :class:`~repro.net.message.Envelope`;
 endpoints and observers may keep the envelopes they are handed.

@@ -8,7 +8,7 @@ HEAP nodes gossip on independently phased timers over continuous-latency
 links, and 0 of 624,665 enqueues shared a timestamp across every
 measured scenario — so the heap carries no per-timestamp grouping.
 
-Two scheduling APIs share the queue:
+Three scheduling APIs share the queue:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   cancellable :class:`EventHandle` (the classic API), and
@@ -17,7 +17,15 @@ Two scheduling APIs share the queue:
 * :meth:`Simulator.post_at` is the fire-and-forget fast path: it enqueues
   a bare callable with no handle allocation.  The network's datagram
   delivery path uses it — deliveries are never cancelled, so paying for a
-  handle per datagram was pure overhead.
+  handle per datagram was pure overhead;
+* a :class:`Lane` (:meth:`Simulator.lane`) holds fire-and-forget events
+  posted in nondecreasing time order, of which only the first sits in the
+  heap.  Waits that are mostly far in the future — retransmission
+  expiries, crash detections — ride lanes, so the heap every event pops
+  and pushes stays the size of the live, near-term work.  A lane's entries
+  take their ``seq`` at post time and rise in ``(time, seq)``, and the
+  heap always holds each lane's smallest, so events pop in exactly the
+  order one heap holding every entry would give.
 
 Cancellation is lazy (the handle is marked dead and skipped when it
 reaches the top of the heap).  A counter of cancelled entries still in
@@ -28,6 +36,7 @@ scan.
 from __future__ import annotations
 
 import gc
+from collections import deque
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 from math import inf
@@ -100,6 +109,59 @@ class EventHandle:
 _new_handle = object.__new__
 
 
+class Lane:
+    """Fire-and-forget events posted in nondecreasing time order.
+
+    Each :meth:`post` stores ``(time, seq, *args)``, taking ``seq`` from
+    the simulator's enqueue counter, so a lane entry ties with any other
+    event exactly as a :meth:`Simulator.post_at` made at the same moment
+    would.  Only the lane's first entry is in the heap, under that
+    entry's own ``(time, seq)``, with the lane itself as the callable:
+    when it fires, it first queues its next entry, then calls
+    ``handler(*args)``.  Entries cannot be cancelled.
+    """
+
+    __slots__ = ("_sim", "_handler", "_queue")
+
+    def __init__(self, sim: "Simulator", handler: Callable[..., Any]):
+        self._sim = sim
+        self._handler = handler
+        self._queue: deque = deque()
+
+    def post(self, delay: float, *args: Any) -> None:
+        """Queue ``handler(*args)`` to run ``delay`` seconds from now.
+
+        Raises :class:`SimulationError` for a negative or NaN delay, and
+        for a time earlier than the lane's last queued entry.
+        """
+        if not delay >= 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        sim = self._sim
+        time = sim._now + delay
+        queue = self._queue
+        if queue and time < queue[-1][0]:
+            raise SimulationError(
+                f"lane post at t={time:.6f} precedes its last entry at "
+                f"t={queue[-1][0]:.6f}")
+        seq = sim._seq + 1
+        sim._seq = seq
+        if queue:
+            sim._backlog += 1
+        else:
+            _heappush(sim._heap, (time, seq, self))
+        queue.append((time, seq) + args)
+
+    def __call__(self) -> None:
+        queue = self._queue
+        entry = queue.popleft()
+        if queue:
+            head = queue[0]
+            sim = self._sim
+            sim._backlog -= 1
+            _heappush(sim._heap, (head[0], head[1], self))
+        self._handler(*entry[2:])
+
+
 class Simulator:
     """A single-threaded discrete-event loop.
 
@@ -108,8 +170,8 @@ class Simulator:
     called), which gives run-to-completion semantics per event.
 
     Ordering guarantee: events execute in (time, scheduling order),
-    whether they were enqueued via :meth:`schedule_at` or
-    :meth:`post_at`.
+    whether they were enqueued via :meth:`schedule_at`, :meth:`post_at`
+    or a :class:`Lane`.
 
     Counter granularity: :attr:`events_executed` is updated when
     :meth:`run` returns, not after every callback, so reads *from inside
@@ -117,8 +179,8 @@ class Simulator:
     current ``run()`` call.  :attr:`pending_count` is exact at any time.
     """
 
-    __slots__ = ("_now", "_seq", "_cancels", "_heap", "_events_executed",
-                 "_running")
+    __slots__ = ("_now", "_seq", "_cancels", "_backlog", "_heap",
+                 "_events_executed", "_running")
 
     def __init__(self) -> None:
         self._now = 0.0
@@ -127,8 +189,10 @@ class Simulator:
         self._seq = 0
         #: Cancelled handles still in the heap (see pending_count).
         self._cancels = 0
-        #: ``(time, seq, entry)`` tuples.  An entry is either an
-        #: EventHandle or a bare callable (post_at fast path).
+        #: Lane entries queued behind their lane's head (see pending_count).
+        self._backlog = 0
+        #: ``(time, seq, entry)`` tuples.  An entry is an EventHandle, a
+        #: bare callable (post_at fast path) or a Lane holding its head.
         self._heap: List[tuple] = []
         self._events_executed = 0
         self._running = False
@@ -148,15 +212,19 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Number of live (non-cancelled, non-fired) events.  O(1)."""
-        return len(self._heap) - self._cancels
+        """Number of live (non-cancelled, non-fired) events, lane
+        entries included.  O(1)."""
+        return len(self._heap) - self._cancels + self._backlog
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run at absolute simulated ``time``."""
-        if time < self._now:
+        # Written as ``not >=`` so a NaN time is refused too: once queued
+        # it would stop run() at the heap's head.  Every guard below
+        # does the same.
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, already at t={self._now:.6f}"
             )
@@ -170,7 +238,7 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
         seq = self._seq + 1
         self._seq = seq
@@ -194,12 +262,16 @@ class Simulator:
         if handle.callback is not None or handle._sim is not self:
             raise SimulationError(
                 "only a fired event of this simulator can be re-armed")
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
         seq = self._seq + 1
         self._seq = seq
         handle.callback = callback
         _heappush(self._heap, (self._now + delay, seq, handle))
+
+    def lane(self, handler: Callable[..., Any]) -> Lane:
+        """A new :class:`Lane` whose entries run ``handler(*args)``."""
+        return Lane(self, handler)
 
     def call_soon(self, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
@@ -212,7 +284,7 @@ class Simulator:
         deliveries).  Ordering relative to handle-based events is exactly
         the scheduling order within a timestamp.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, already at t={self._now:.6f}"
             )
@@ -222,7 +294,7 @@ class Simulator:
 
     def post(self, delay: float, callback: Callable[[], Any]) -> None:
         """Relative-delay variant of :meth:`post_at`."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
         self.post_at(self._now + delay, callback)
 
@@ -309,13 +381,13 @@ class Simulator:
         """Run until no events remain; guards against runaway loops.
 
         Returns the number of events executed.  Raises
-        :class:`SimulationError` if ``limit`` events execute without the
-        queue draining, which almost always indicates an unintended
-        self-rescheduling loop in a test.
+        :class:`SimulationError` if events are still pending once
+        ``limit`` have executed, which almost always indicates an
+        unintended self-rescheduling loop in a test.
         """
         before = self._events_executed
         self.run(max_events=limit)
         executed = self._events_executed - before
-        if executed >= limit:
+        if executed >= limit and self.pending_count:
             raise SimulationError(f"drain() exceeded {limit} events")
         return executed

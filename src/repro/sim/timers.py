@@ -7,10 +7,11 @@ These mirror the timers used in the paper's pseudo-code:
 
 Timers are ordinary entries in the engine's event heap, so they fire in
 exactly (deadline, arming order), ties included.  Fire-and-forget
-deadlines that are never cancelled — retransmission expiries, datagram
-deliveries — should use ``Simulator.post``/``post_at`` directly and skip
-the handle allocation; the classes here keep handles because they
-support ``cancel``/``stop``.
+deadlines that are never cancelled skip the handle allocation: datagram
+deliveries use ``Simulator.post_at`` directly, and waits armed in due
+order — retransmission expiries, crash detections — ride a
+``Simulator.lane``.  The classes here keep handles because they support
+``cancel``/``stop``.
 """
 
 from __future__ import annotations

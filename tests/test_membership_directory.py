@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.membership.directory import MembershipDirectory
+from repro.sim import engine
 from repro.sim.engine import EventHandle, Simulator
 from repro.workloads.churn import CatastrophicFailure
 
@@ -391,12 +392,20 @@ def test_zero_detection_delay_diverges_survivors_at_once():
     assert is_shared(twin.new.view_of(4))  # the dead are never notified
 
 
-def test_crash_notifications_allocate_no_event_handle():
+def test_crash_notifications_allocate_no_event_handle(monkeypatch):
     sim, directory = make_directory(n=30)
+    allocated = []
+    monkeypatch.setattr(engine, "_new_handle",
+                        lambda cls: allocated.append(cls) or object.__new__(cls))
     directory.crash(3)
-    entries = [entry for _, _, entry in sim._heap]
-    assert len(entries) == 29
-    assert not any(isinstance(entry, EventHandle) for entry in entries)
+    # 29 notifications are queued, behind one heap entry for the crash.
+    assert sim.pending_count == 29
+    assert len(sim._heap) == 1
+    assert not isinstance(sim._heap[0][2], EventHandle)
+    assert allocated == []
+    sim.run()
+    assert sim.events_executed == 29 and sim.pending_count == 0
+    assert allocated == []
 
 
 def test_views_of_one_directory_share_one_roster():

@@ -172,6 +172,40 @@ def test_drain_guards_against_runaway():
         sim.drain(limit=100)
 
 
+def test_drain_of_exactly_limit_events_does_not_raise():
+    sim = Simulator()
+    for delay in (1.0, 2.0, 3.0):
+        sim.post(delay, lambda: None)
+    assert sim.drain(limit=3) == 3
+    assert sim.pending_count == 0
+
+
+def test_nan_times_and_delays_are_refused():
+    # A queued NaN stopped run() at the heap's head: with events at 0.5,
+    # 1, 2 and NaN it returned 1.0 and the event at 2.0 never ran.
+    nan = float("nan")
+    sim = Simulator()
+    rearmable = sim.schedule(0.0, lambda: None)
+    sim.run()
+    fired = []
+    for time in (0.5, 1.0, 2.0):
+        sim.post_at(time, lambda time=time: fired.append(time))
+    refused = [
+        lambda: sim.schedule_at(nan, lambda: fired.append(nan)),
+        lambda: sim.schedule(nan, lambda: fired.append(nan)),
+        lambda: sim.post_at(nan, lambda: fired.append(nan)),
+        lambda: sim.post(nan, lambda: fired.append(nan)),
+        lambda: sim.rearm(rearmable, nan, lambda: fired.append(nan)),
+        lambda: sim.lane(fired.append).post(nan, nan),
+    ]
+    for call in refused:
+        with pytest.raises(SimulationError):
+            call()
+    assert sim.pending_count == 3
+    assert sim.run() == 2.0
+    assert fired == [0.5, 1.0, 2.0]
+
+
 def test_run_is_not_reentrant():
     sim = Simulator()
     errors = []
@@ -351,6 +385,91 @@ class TestPostAt:
         sim.post(1.0, lambda: None)
         sim.post(1.0, lambda: None)
         sim.run()
+        assert sim.events_executed == 2
+
+
+# ----------------------------------------------------------------------
+# lanes
+# ----------------------------------------------------------------------
+class TestLane:
+    def test_entries_run_in_order_with_their_args(self):
+        sim = Simulator()
+        got = []
+        lane = sim.lane(lambda *args: got.append((sim.now,) + args))
+        lane.post(1.0, "a", 1)
+        lane.post(1.0, "b", 2)
+        lane.post(2.5, "c", 3)
+        sim.post_at(2.0, lambda: got.append((sim.now, "p")))
+        assert sim.pending_count == 4
+        assert len(sim._heap) == 2  # the lane's head and the post
+        sim.run()
+        assert got == [(1.0, "a", 1), (1.0, "b", 2), (2.0, "p"),
+                       (2.5, "c", 3)]
+        assert sim.events_executed == 4 and sim.pending_count == 0
+
+    def test_an_entry_earlier_than_the_last_is_refused(self):
+        sim = Simulator()
+        lane = sim.lane(lambda: None)
+        lane.post(2.0)
+        lane.post(2.0)
+        with pytest.raises(SimulationError):
+            lane.post(1.0)
+        with pytest.raises(SimulationError):
+            lane.post(-1.0)
+        assert sim.pending_count == 2
+        sim.run()
+        assert sim.events_executed == 2 and sim.now == 2.0
+        # Once the lane is empty, any time from now on is accepted.
+        lane.post(0.0)
+        assert sim.pending_count == 1
+
+    def test_an_entry_posted_before_an_equal_time_post_at_runs_first(self):
+        # The lane's second entry takes its seq when it is posted, not
+        # when its predecessor fires and queues it in the heap: at t=2
+        # it must run before the post_at made after it, although the
+        # lane entry at t=1 fires (and re-queues the lane) in between.
+        sim = Simulator()
+        order = []
+        lane = sim.lane(order.append)
+        lane.post(1.0, "lane@1")
+        lane.post(2.0, "lane@2")
+        sim.post_at(2.0, lambda: order.append("post@2"))
+        sim.run()
+        assert order == ["lane@1", "lane@2", "post@2"]
+
+    def test_a_handler_reposting_on_its_own_lane(self):
+        sim = Simulator()
+        fired = []
+
+        def expire(retries):
+            fired.append((sim.now, retries))
+            if retries:
+                lane.post(1.0, retries - 1)
+
+        lane = sim.lane(expire)
+        lane.post(1.0, 2)
+        lane.post(1.5, 0)
+        sim.run()
+        assert fired == [(1.0, 2), (1.5, 0), (2.0, 1), (3.0, 0)]
+
+    def test_pending_count_is_exact_inside_a_handler_and_after_a_raise(self):
+        sim = Simulator()
+        seen = []
+
+        def handler(raises):
+            seen.append(sim.pending_count)
+            if raises:
+                raise _Boom()
+
+        lane = sim.lane(handler)
+        for raises in (False, True, False):
+            lane.post(1.0, raises)
+        with pytest.raises(_Boom):
+            sim.run()
+        assert seen == [2, 1]
+        assert sim.pending_count == 1 and len(sim._heap) == 1
+        sim.run()
+        assert seen == [2, 1, 0] and sim.pending_count == 0
         assert sim.events_executed == 2
 
 
@@ -561,6 +680,54 @@ class ReferencePeriodic:
         self.callback()
 
 
+class ReferenceLane:
+    """A lane on the reference model: every entry is an ordinary queued
+    event, and a post earlier than the lane's last unfired entry is
+    refused."""
+
+    def __init__(self, model):
+        self.model = model
+        self.entries = []  # (time, seq) of every accepted post
+
+    def post(self, delay, fire):
+        if not delay >= 0:
+            raise SimulationError("negative delay")
+        time = self.model.now + delay
+        if any(seq in self.model.live and queued > time
+               for queued, seq in self.entries):
+            raise SimulationError("out of order")
+        self.entries.append((time, self.model.schedule_at(time, fire)))
+
+
+def _invoke(fire):
+    fire()
+
+
+#: Delay of a lane entry's re-post onto its own lane (see _lane_event).
+_REPOST_DELAY = 1.5
+
+
+def _lane_post(lane, log, label, delay, fire):
+    """Post ``fire`` on ``lane``; log a refusal instead of raising."""
+    try:
+        lane.post(delay, fire)
+    except SimulationError:
+        log.append((label + "!", None))
+
+
+def _lane_event(target, lane, log, label, repost, raises):
+    """A lane entry that logs, optionally re-posts onto its own lane —
+    the retransmission expiry's pattern — and optionally raises."""
+    def fire():
+        log.append((label, target.now))
+        if repost:
+            _lane_post(lane, log, label + "~", _REPOST_DELAY,
+                       lambda: log.append((label + "~", target.now)))
+        if raises:
+            raise _Boom(label)
+    return fire
+
+
 def _start_timer(target, make, log, label, period, phase, stop_after):
     """A periodic timer that logs each tick and stops itself, inside its
     own callback, once it has ticked ``stop_after`` times in total (so
@@ -609,6 +776,8 @@ _OPS = st.lists(st.one_of(
     st.tuples(st.sampled_from(["schedule", "post"]), _DELAYS,
               st.booleans(), st.integers(0, 7)),
     st.tuples(st.just("cancel"), st.integers(0, 63)),
+    st.tuples(st.just("lane"), st.integers(0, 1), _DELAYS, st.booleans(),
+              st.integers(0, 7)),
     st.tuples(st.just("timer"), st.sampled_from([0.5, 1.0, 1.5]), _DELAYS,
               st.integers(1, 4)),
     st.tuples(st.just("stop"), st.integers(0, 7)),
@@ -625,10 +794,12 @@ _OPS = st.lists(st.one_of(
 def test_engine_matches_reference_model_under_random_interleavings(ops):
     """Events, cancels, bounded and unbounded runs, raising callbacks and
     periodic timers — stopped inside their own callback, from another
-    event or between runs, and restarted after a stop — against the
-    reference heap, step by step."""
+    event or between runs, and restarted after a stop — and lane posts,
+    accepted or refused, from outside or from a lane's own handler,
+    against the reference heap, step by step."""
     sim, model = Simulator(), ReferenceModel()
     got, expected = [], []
+    lanes = [(sim.lane(_invoke), ReferenceLane(model)) for _ in range(2)]
     handles = []  # (engine handle, model seq) of every schedule() call
     timers = []  # (engine PeriodicTimer, ReferencePeriodic)
     for i, op in enumerate(ops):
@@ -664,6 +835,16 @@ def test_engine_matches_reference_model_under_random_interleavings(ops):
                 handles.append((sim.schedule(delay, fire), seq))
             else:
                 sim.post(delay, fire)
+        elif kind == "lane":
+            _, index, delay, repost, roll = op
+            raises = roll == 0
+            label = f"l{i}"
+            lane, ref_lane = lanes[index]
+            _lane_post(lane, got, label, delay,
+                       _lane_event(sim, lane, got, label, repost, raises))
+            _lane_post(ref_lane, expected, label, delay,
+                       _lane_event(model, ref_lane, expected, label, repost,
+                                   raises))
         elif kind == "cancel":
             if handles:
                 handle, seq = handles[op[1] % len(handles)]
