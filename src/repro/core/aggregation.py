@@ -160,8 +160,11 @@ class CapabilityAggregator:
     # gossip exchange
     # ------------------------------------------------------------------
     def _gossip(self) -> None:
-        self._refresh_own_sample()
-        self._evict_stale()
+        now = self._sim._now
+        own = self.node_id
+        self._table[own] = (own, self._capability(), now)
+        if self._oldest_ts < now - self.sample_ttl:
+            self._evict_stale()
         partners = self._view.sample(self.fanout, self._rng)
         if not partners:
             return
@@ -182,4 +185,5 @@ class CapabilityAggregator:
                 if timestamp < oldest:
                     oldest = timestamp
         self._oldest_ts = oldest
-        self._evict_stale()
+        if oldest < self._sim._now - self.sample_ttl:
+            self._evict_stale()

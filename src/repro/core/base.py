@@ -224,13 +224,14 @@ class GossipNode:
                 self._deliver(packet)
 
     def _deliver(self, packet: StreamPacket) -> None:
+        now = self._sim._now
         self._store[packet.packet_id] = packet
-        self.log.record(packet.packet_id, self._sim.now)
+        self.log.record(packet.packet_id, now)
         self._to_propose.append(packet.packet_id)
         # A delivered id must never be requested again.
         self._requested.add(packet.packet_id)
         if self.on_deliver is not None:
-            self.on_deliver(packet, self._sim.now)
+            self.on_deliver(packet, now)
 
     # ------------------------------------------------------------------
     # network plumbing

@@ -9,6 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import aggregation, messages
+
+#: Wire-format fields and the module constants the messages actually size
+#: themselves from.  The fields stay (they are part of ``scenario_key``
+#: through ``repr``), but a value the messages would ignore is refused.
+_WIRE_CONSTANTS = (
+    ("header_bytes", "repro.core.messages.HEADER_BYTES", messages.HEADER_BYTES),
+    ("header_bytes", "repro.core.aggregation._HEADER_BYTES",
+     aggregation._HEADER_BYTES),
+    ("id_bytes", "repro.core.messages.ID_BYTES", messages.ID_BYTES),
+    ("sample_bytes", "repro.core.aggregation._SAMPLE_BYTES",
+     aggregation._SAMPLE_BYTES),
+)
+
 
 @dataclass(frozen=True, slots=True)
 class GossipConfig:
@@ -56,7 +70,7 @@ class GossipConfig:
     #: aggregation ablation bench explores larger values.
     aggregation_fanout: int = 1
 
-    # -- wire format ------------------------------------------------------
+    # -- wire format (``validate`` holds these to ``_WIRE_CONSTANTS``) -----
     #: Fixed bytes of protocol header inside each datagram payload.
     header_bytes: int = 8
     #: Bytes per event id in propose/request messages.
@@ -89,3 +103,8 @@ class GossipConfig:
             raise ValueError("aggregation_sample_ttl must be positive")
         if self.aggregation_fanout < 1:
             raise ValueError("aggregation_fanout must be >= 1")
+        for field, constant, value in _WIRE_CONSTANTS:
+            if getattr(self, field) != value:
+                raise ValueError(
+                    f"{field} must be {value}: messages size themselves "
+                    f"from {constant}, not from the config")

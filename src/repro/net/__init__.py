@@ -11,7 +11,8 @@ depends on:
   for UDP drops on the real Internet;
 * a :class:`~repro.net.network.Network` fabric that wires endpoints
   together, applies the three models in order (queue -> loss -> latency)
-  and records traffic statistics per node and per message kind;
+  and records traffic statistics per message kind (per-node upload is
+  each uplink queue's own count);
 * pluggable **delivery routers** (:mod:`repro.net.router`): the default
   in-process router (each envelope is its own arrival event), and the
   sharded router (:mod:`repro.net.shard`) that partitions one large
@@ -31,7 +32,7 @@ from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
 from repro.net.message import Envelope, Payload
 from repro.net.network import Endpoint, Network
 from repro.net.router import InprocRouter, Router
-from repro.net.stats import NetworkStats, NodeTrafficStats
+from repro.net.stats import NetworkStats
 
 __all__ = [
     "BernoulliLoss",
@@ -46,7 +47,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "NoLoss",
-    "NodeTrafficStats",
     "PairwiseLatency",
     "PerPairLatency",
     "Payload",

@@ -20,7 +20,10 @@ fabric exposes :meth:`Network.send_many` next to the unicast
 the destinations in caller order (per-destination loss and latency draws
 consume the RNG streams exactly as an equivalent ``send`` loop would, so
 seeded traces are bit-identical), and folds the sender-side stats into
-single accumulations instead of k dict updates.
+single accumulations instead of k list updates.  Both build their
+envelopes without running ``Envelope.__init__`` (``object.__new__`` plus
+one store per slot, the idiom of the simulator's event handles); every
+other caller uses ``Envelope(...)``.
 
 Delivery routes through a **per-endpoint dispatch table** captured at
 :meth:`attach` time: an endpoint that exposes ``dispatch_table()`` (a
@@ -59,6 +62,9 @@ from repro.net.router import InprocRouter, Router
 from repro.net.stats import NetworkStats
 from repro.sim.engine import Simulator
 
+#: The send paths build envelopes without an ``__init__`` frame.
+_new_envelope = object.__new__
+
 
 class Endpoint(Protocol):
     """Anything attachable to the network: must handle delivered envelopes.
@@ -91,9 +97,8 @@ class Network:
         self._endpoints: Dict[int, Endpoint] = {}
         self._uplinks: Dict[int, UplinkQueue] = {}
         self._crash_time: Dict[int, float] = {}
-        #: node_id -> (endpoint, per-node stats, dispatch table or None,
-        #: uplink): everything the send/delivery paths need behind one
-        #: dict lookup.
+        #: node_id -> (endpoint, dispatch table or None, uplink):
+        #: everything the send/delivery paths need behind one dict lookup.
         self._delivery: Dict[int, tuple] = {}
         #: Optional observer invoked for every delivered envelope.
         self.on_deliver: Optional[Callable[[Envelope], None]] = None
@@ -121,12 +126,9 @@ class Network:
         self._endpoints[node_id] = endpoint
         uplink = UplinkQueue(upload_capacity_bps, max_delay=max_queue_delay)
         self._uplinks[node_id] = uplink
-        # Pre-create the per-node counters so send/deliver can index
-        # stats.per_node without an existence check per datagram.
-        node_stats = self.stats.node(node_id)
         table_fn = getattr(endpoint, "dispatch_table", None)
         table = table_fn() if table_fn is not None else None
-        self._delivery[node_id] = (endpoint, node_stats, table, uplink)
+        self._delivery[node_id] = (endpoint, table, uplink)
         return uplink
 
     def detach(self, node_id: int) -> None:
@@ -154,36 +156,38 @@ class Network:
     # datagram pipeline
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, payload: Payload) -> Optional[Envelope]:
-        """Send one datagram.  Returns the envelope, or None if it was
-        dropped before reaching the wire (dead sender / queue cap)."""
+        """Send one datagram.  Returns the envelope, or None if it was not
+        routed: a dead or unattached sender (nothing counted), a queue
+        cap (counted in ``dropped_queue``), or loss (already charged to
+        the sender's uplink and to ``sent``, then counted in ``lost``)."""
         entry = self._delivery.get(src)
         if entry is None or (self._crash_time and src in self._crash_time):
             return None
-        sim = self._sim
-        now = sim._now
+        now = self._sim._now
         size = payload.wire_size() + UDP_IP_HEADER_BYTES
-        node_stats = entry[1]
-        exit_time = entry[3].enqueue(now, size)
+        exit_time = entry[2].enqueue(now, size)
         stats = self.stats
         if exit_time is None:
             stats.dropped_queue += 1
             return None
         kind_id = payload.kind_id
-        stats.sent += 1
-        stats.bytes_sent += size
-        by_kind = stats._bytes_by_kind
-        if kind_id >= len(by_kind):
-            stats.kind_slot(kind_id)
-        by_kind[kind_id] += size
+        try:
+            stats._bytes_by_kind[kind_id] += size
+        except IndexError:
+            stats._bytes_by_kind[stats.kind_slot(kind_id)] += size
         stats._count_by_kind[kind_id] += 1
-        node_stats.bytes_up += size
-        node_stats.datagrams_up += 1
         loss = self.loss
         if loss.active and loss.is_lost(src, dst):
             stats.lost += 1
             return None
-        arrival = exit_time + self.latency.sample(src, dst)
-        envelope = Envelope(src, dst, payload, size, now, arrival)
+        envelope = _new_envelope(Envelope)
+        envelope.src = src
+        envelope.dst = dst
+        envelope.payload = payload
+        envelope.size_bytes = size
+        envelope.send_time = now
+        envelope.arrival_time = exit_time + self.latency.sample(src, dst)
+        envelope._net = None
         envelope._exit_time = exit_time
         self._route(envelope)
         return envelope
@@ -197,15 +201,14 @@ class Network:
         destination — per-destination queue/loss/latency behaviour and
         RNG draws match that loop bit-for-bit — but the wire size is
         computed once and the sender-side stats land as single batched
-        accumulations instead of per-destination dict updates.
+        accumulations instead of per-destination list updates.
         """
         entry = self._delivery.get(src)
         if entry is None or (self._crash_time and src in self._crash_time):
             return 0
-        sim = self._sim
-        now = sim._now
+        now = self._sim._now
         size = payload.wire_size() + UDP_IP_HEADER_BYTES
-        enqueue = entry[3].enqueue
+        enqueue = entry[2].enqueue
         loss = self.loss
         loss_active = loss.active
         is_lost = loss.is_lost
@@ -225,26 +228,26 @@ class Network:
             if loss_active and is_lost(src, dst):
                 lost += 1
                 continue
-            arrival = exit_time + latency_sample(src, dst)
-            envelope = Envelope(src, dst, payload, size, now, arrival)
+            envelope = _new_envelope(Envelope)
+            envelope.src = src
+            envelope.dst = dst
+            envelope.payload = payload
+            envelope.size_bytes = size
+            envelope.send_time = now
+            envelope.arrival_time = exit_time + latency_sample(src, dst)
+            envelope._net = None
             envelope._exit_time = exit_time
             route(envelope)
         stats = self.stats
         if dropped:
             stats.dropped_queue += dropped
         if wired:
-            total = size * wired
-            stats.sent += wired
-            stats.bytes_sent += total
             kind_id = payload.kind_id
-            by_kind = stats._bytes_by_kind
-            if kind_id >= len(by_kind):
-                stats.kind_slot(kind_id)
-            by_kind[kind_id] += total
+            try:
+                stats._bytes_by_kind[kind_id] += size * wired
+            except IndexError:
+                stats._bytes_by_kind[stats.kind_slot(kind_id)] += size * wired
             stats._count_by_kind[kind_id] += wired
-            node_stats = entry[1]
-            node_stats.bytes_up += total
-            node_stats.datagrams_up += wired
         if lost:
             stats.lost += lost
         return wired

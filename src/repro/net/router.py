@@ -8,8 +8,8 @@ left the wire pipeline" and "an endpoint handler ran":
   arrival time, and the engine's (time, enqueue order) guarantee is the
   delivery order, ties included;
 * **delivery semantics** — one ``deliver`` call per datagram: crash
-  checks, per-node and per-kind receive counters, the ``on_deliver``
-  observer, and kind-id dispatch-table lookup.
+  checks, per-kind receive counters, the ``on_deliver`` observer, and
+  kind-id dispatch-table lookup.
 
 Two implementations ship:
 
@@ -105,18 +105,13 @@ class InprocRouter:
         if entry is None:
             stats.dropped_dead += 1
             return
-        endpoint, node_stats, table, _ = entry
-        size = envelope.size_bytes
-        node_stats.bytes_down += size
-        node_stats.datagrams_down += 1
+        endpoint, table, _ = entry
         kind_id = envelope.payload.kind_id
-        stats.delivered += 1
-        stats.bytes_received += size
-        by_kind = stats._recv_bytes_by_kind
-        if kind_id >= len(by_kind):
-            stats.kind_slot(kind_id)
-        by_kind[kind_id] += size
-        stats._recv_count_by_kind[kind_id] += 1
+        try:
+            stats._recv_count_by_kind[kind_id] += 1
+        except IndexError:
+            stats._recv_count_by_kind[stats.kind_slot(kind_id)] += 1
+        stats._recv_bytes_by_kind[kind_id] += envelope.size_bytes
         on_deliver = net.on_deliver
         if on_deliver is not None:
             on_deliver(envelope)

@@ -1,9 +1,12 @@
 """Traffic accounting for the network fabric.
 
-Counts datagrams and bytes globally, per message kind, and per node.
-The per-node upload byte counts feed the bandwidth-usage breakdowns of
-Figure 4; the per-kind counters verify the paper's claim that control
-traffic (propose/request/aggregation) is marginal next to serve payloads.
+Counts datagrams and bytes per message kind, in both directions; the
+global totals are sums of those per-kind lists.  The per-kind counters
+verify the paper's claim that control traffic (propose/request/
+aggregation) is marginal next to serve payloads.  Per-node upload is not
+counted here: each sender's :class:`~repro.net.bandwidth.UplinkQueue`
+counts its own ``bytes_sent``, which is what the bandwidth-usage
+breakdowns of Figure 4 read.
 
 Per-kind counters are accumulated in flat lists indexed by the interned
 ``kind_id`` (see :func:`repro.net.message.register_kind`) — the send hot
@@ -15,9 +18,9 @@ names.
 Both directions are counted by the code that moves the datagram, inline
 on its hot path: ``Network.send`` per datagram, ``Network.send_many`` as
 one accumulation per fan-out, and the router's ``deliver`` per delivered
-datagram (``delivered``, ``bytes_received``, the ``_recv_*_by_kind``
-lists, the receiver's per-node counters).  Sharded runs merge per-worker
-instances with :meth:`NetworkStats.merge_from`.
+datagram (the ``_recv_*_by_kind`` lists), growing the lists through
+:meth:`NetworkStats.kind_slot` only on an ``IndexError``.  Sharded runs
+merge per-worker instances with :meth:`NetworkStats.merge_from`.
 
 **Cross-shard wire counters.**  Sharded execution additionally accounts
 what actually crosses a process boundary, so the cost of the window
@@ -46,35 +49,18 @@ from repro.net.message import kind_count, kind_name
 WIRE_SUMMARY_KEYS = ("buffers", "envelopes", "bytes", "control_rows")
 
 
-class NodeTrafficStats:
-    """Upload/download counters for a single node."""
-
-    __slots__ = ("bytes_up", "bytes_down", "datagrams_up", "datagrams_down")
-
-    def __init__(self) -> None:
-        self.bytes_up = 0
-        self.bytes_down = 0
-        self.datagrams_up = 0
-        self.datagrams_down = 0
-
-
 class NetworkStats:
     """Fabric-wide traffic counters."""
 
-    __slots__ = ("sent", "delivered", "lost", "dropped_queue", "dropped_dead",
-                 "bytes_sent", "bytes_received", "_bytes_by_kind",
+    __slots__ = ("lost", "dropped_queue", "dropped_dead", "_bytes_by_kind",
                  "_count_by_kind", "_recv_bytes_by_kind",
-                 "_recv_count_by_kind", "per_node", "wire_buffers",
-                 "wire_envelopes", "wire_bytes", "wire_control_rows")
+                 "_recv_count_by_kind", "wire_buffers", "wire_envelopes",
+                 "wire_bytes", "wire_control_rows")
 
     def __init__(self) -> None:
-        self.sent = 0
-        self.delivered = 0
         self.lost = 0
         self.dropped_queue = 0
         self.dropped_dead = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
         # Cross-shard wire accounting (zero outside sharded runs).
         self.wire_buffers = 0
         self.wire_envelopes = 0
@@ -87,7 +73,6 @@ class NetworkStats:
         self._count_by_kind: List[int] = [0] * kind_count()
         self._recv_bytes_by_kind: List[int] = [0] * kind_count()
         self._recv_count_by_kind: List[int] = [0] * kind_count()
-        self.per_node: Dict[int, NodeTrafficStats] = {}
 
     # ------------------------------------------------------------------
     # per-kind accounting
@@ -96,9 +81,9 @@ class NetworkStats:
         """Ensure the per-kind lists cover ``kind_id``; returns it.
 
         The send and delivery fast paths index the lists directly and
-        only call this when the index is out of range (a kind registered
-        after this stats object was built — possible in tests, never in
-        a scenario run where all protocol modules import first).
+        only call this on an ``IndexError`` (a kind registered after this
+        stats object was built — possible in tests, never in a scenario
+        run where all protocol modules import first).
         """
         grow = kind_id + 1 - len(self._bytes_by_kind)
         if grow > 0:
@@ -109,6 +94,27 @@ class NetworkStats:
             self._recv_bytes_by_kind.extend([0] * grow)
             self._recv_count_by_kind.extend([0] * grow)
         return kind_id
+
+    # ------------------------------------------------------------------
+    # totals: sums of the per-kind lists
+    # ------------------------------------------------------------------
+    @property
+    def sent(self) -> int:
+        """Datagrams that reached the wire (lost ones included)."""
+        return sum(self._count_by_kind)
+
+    @property
+    def bytes_sent(self) -> int:
+        return sum(self._bytes_by_kind)
+
+    @property
+    def delivered(self) -> int:
+        """Datagrams handed to a live destination."""
+        return sum(self._recv_count_by_kind)
+
+    @property
+    def bytes_received(self) -> int:
+        return sum(self._recv_bytes_by_kind)
 
     @property
     def bytes_by_kind(self) -> Dict[str, int]:
@@ -159,13 +165,9 @@ class NetworkStats:
         per-worker instances.  All counters are sums, so merging is
         order-independent.
         """
-        self.sent += other.sent
-        self.delivered += other.delivered
         self.lost += other.lost
         self.dropped_queue += other.dropped_queue
         self.dropped_dead += other.dropped_dead
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
         self.wire_buffers += other.wire_buffers
         self.wire_envelopes += other.wire_envelopes
         self.wire_bytes += other.wire_bytes
@@ -181,12 +183,6 @@ class NetworkStats:
             self._recv_bytes_by_kind[kind_id] += value
         for kind_id, value in enumerate(other._recv_count_by_kind):
             self._recv_count_by_kind[kind_id] += value
-        for node_id, node in other.per_node.items():
-            mine = self.node(node_id)
-            mine.bytes_up += node.bytes_up
-            mine.bytes_down += node.bytes_down
-            mine.datagrams_up += node.datagrams_up
-            mine.datagrams_down += node.datagrams_down
 
     def wire_summary(self) -> Dict[str, int]:
         """The cross-shard wire counters as one report-ready mapping,
@@ -203,13 +199,6 @@ class NetworkStats:
         return self.wire_bytes
 
     wire_payload_bytes_before = wire_payload_bytes
-
-    def node(self, node_id: int) -> NodeTrafficStats:
-        stats = self.per_node.get(node_id)
-        if stats is None:
-            stats = NodeTrafficStats()
-            self.per_node[node_id] = stats
-        return stats
 
     def delivery_ratio(self) -> float:
         """Fraction of sent datagrams that were delivered."""

@@ -154,6 +154,21 @@ def test_stale_samples_evicted():
     assert agg.sample_count() == 1
 
 
+def test_a_round_evicts_stale_samples_without_incoming_messages():
+    """Once its peers fall silent, a node's own rounds must still age
+    their samples out: the estimate returns to its own capability."""
+    capabilities = [700.0] + [100.0] * 9
+    sim, net, directory, aggregators = build_system(capabilities, sample_ttl=1.0)
+    sim.run(until=3.0)
+    agg = aggregators[0]
+    assert agg.sample_count() > 1
+    for other in aggregators[1:]:
+        other.stop()
+    sim.run(until=4.5)
+    assert agg.sample_count() == 1
+    assert agg.average_estimate() == 700.0
+
+
 def test_aggregation_traffic_is_marginal():
     """The paper: ~1 KB/s per node at defaults, 'completely marginal'."""
     capabilities = [700_000.0] * 30

@@ -46,3 +46,26 @@ def test_invalid_configs_rejected(overrides):
 def test_max_fanout_zero_means_uncapped():
     config = dataclasses.replace(GossipConfig(), min_fanout=2.0, max_fanout=0.0)
     config.validate()  # must not raise
+
+
+@pytest.mark.parametrize("field, value, constant", [
+    ("header_bytes", 16, "repro.core.messages.HEADER_BYTES"),
+    ("id_bytes", 4, "repro.core.messages.ID_BYTES"),
+    ("sample_bytes", 20, "repro.core.aggregation._SAMPLE_BYTES"),
+])
+def test_wire_format_fields_the_messages_ignore_are_refused(
+        field, value, constant):
+    """The messages size themselves from module constants, so any other
+    wire-format value would be silently ignored; it is refused instead,
+    naming the constant, on every path that validates a scenario."""
+    from repro.experiments.runner import run_scenario
+    from repro.workloads import ScenarioConfig
+
+    gossip = dataclasses.replace(GossipConfig(), **{field: value})
+    with pytest.raises(ValueError, match=constant):
+        gossip.validate()
+    scenario = ScenarioConfig(n_nodes=5, duration=1.0, gossip=gossip)
+    (violation,) = scenario.violations()
+    assert field in violation and constant in violation
+    with pytest.raises(ValueError, match=field):
+        run_scenario(scenario)

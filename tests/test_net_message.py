@@ -72,7 +72,7 @@ class TestKindRegistry:
 
 class TestSlottedProtocolObjects:
     """The tentpole's memory contract: no per-instance __dict__ on node
-    classes, payload messages, or per-node stats records."""
+    classes, payload messages, or the fabric's stats record."""
 
     def _assert_slotted(self, obj):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
@@ -88,9 +88,8 @@ class TestSlottedProtocolObjects:
             self._assert_slotted(payload)
 
     def test_stats_records_are_slotted(self):
-        from repro.net.stats import NetworkStats, NodeTrafficStats
+        from repro.net.stats import NetworkStats
 
-        self._assert_slotted(NodeTrafficStats())
         self._assert_slotted(NetworkStats())
 
     def test_gossip_nodes_are_slotted(self):

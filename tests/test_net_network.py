@@ -160,7 +160,8 @@ def test_stats_accounting():
     assert stats.delivered == 2
     assert stats.count_by_kind == {"propose": 1, "serve": 1}
     assert stats.bytes_by_kind["propose"] == 72 + UDP_IP_HEADER_BYTES
-    assert stats.node(1).bytes_up == stats.node(2).bytes_down
+    assert (net.uplink(1).bytes_sent == stats.bytes_sent
+            == sum(env.size_bytes for env in sink.received))
     assert stats.delivery_ratio() == 1.0
 
 
@@ -211,10 +212,11 @@ class TestSendMany:
     def _stats_key(self, net):
         stats = net.stats
         return (stats.sent, stats.delivered, stats.lost, stats.dropped_queue,
-                stats.bytes_sent, dict(stats.bytes_by_kind),
-                dict(stats.count_by_kind),
-                {n: (s.bytes_up, s.bytes_down, s.datagrams_up,
-                     s.datagrams_down) for n, s in stats.per_node.items()})
+                stats.bytes_sent, stats.bytes_received,
+                dict(stats.bytes_by_kind), dict(stats.count_by_kind),
+                dict(stats.received_bytes_by_kind),
+                {n: (net.uplink(n).bytes_sent, net.uplink(n).datagrams_sent,
+                     net.uplink(n).datagrams_dropped) for n in net.node_ids})
 
     def _build(self, n, seed):
         """A fabric with per-destination RNG consumption in both the loss
@@ -264,7 +266,8 @@ class TestSendMany:
         assert net.stats.bytes_sent == 3 * size
         assert net.stats.bytes_by_kind["multi"] == 3 * size
         assert net.stats.count_by_kind["multi"] == 3
-        assert net.stats.node(1).datagrams_up == 3
+        uplink = net.uplink(1)
+        assert (uplink.datagrams_sent, uplink.bytes_sent) == (3, 3 * size)
         assert all(len(sink.received) == 1 for sink in sinks)
 
     def test_dead_or_unattached_sender_sends_nothing(self):
