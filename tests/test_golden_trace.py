@@ -5,7 +5,11 @@ These pin the *exact* summary metrics of two small fig2-style scenarios
 distribution).  The pinned values were generated at the time of the
 parallel-engine / hot-path overhaul and verified to be bit-identical to
 the original seed implementation's output, so they encode the protocol's
-behavior independently of how the engine is implemented.
+behavior independently of how the engine is implemented.  Two more
+pin the partial-view path (Cyclon membership with per-pair loss and
+latency, a catastrophic failure, the audit and an attack): their event
+and datagram counts, total shuffles and the sha256 of the standard
+summary bundle.
 
 If a refactor of the event queue, the network fast path, or the RNG
 plumbing changes *any* of these numbers, it changed protocol behavior —
@@ -18,13 +22,19 @@ tolerance (they are deterministic on one platform, but libm differences
 across platforms can wiggle the last bits of lognormal draws).
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro.adversary import AttackMix
 from repro.analysis.stats import mean
 from repro.experiments.runner import run_scenario
 from repro.metrics.bandwidth import utilization_by_class
 from repro.metrics.jitter import jitter_free_fraction_by_class
 from repro.metrics.lag import per_node_lag_jitter_free
+from repro.metrics.summary import standard_bundle, summarize
+from repro.workloads.churn import CatastrophicFailure
 from repro.workloads.distributions import MS_691
 from repro.workloads.scenario import ScenarioConfig
 
@@ -109,3 +119,65 @@ class TestHeapGolden:
                         for n in r.receiver_ids())
         assert delivery == pytest.approx(0.9998445998446, **APPROX)
         assert sum(r.log_of(n).duplicates for n in r.receiver_ids()) == 0
+
+
+# ----------------------------------------------------------------------
+# The partial-view path: Cyclon membership under loss, churn and attack.
+# ----------------------------------------------------------------------
+
+def _cyclon_run(view_size: int, adversary):
+    return run_scenario(ScenarioConfig(
+        protocol="heap", n_nodes=40, duration=4.0, drain=4.0, seed=11,
+        distribution=MS_691, membership="cyclon", cyclon_view_size=view_size,
+        loss_rate=0.03, loss_rng="per-pair", latency_rng="per-pair",
+        audit=True, churn=CatastrophicFailure(0.2, at_time=3.0),
+        mean_detection_delay=2.0, adversary=adversary))
+
+
+def _cyclon_pin(result) -> dict:
+    stats = result.net.stats
+    summary = json.dumps(summarize(result, standard_bundle()), sort_keys=True)
+    return {
+        "events": result.sim.events_executed,
+        "sent": stats.sent,
+        "bytes_sent": stats.bytes_sent,
+        "delivered": stats.delivered,
+        "dropped_dead": stats.dropped_dead,
+        "dropped_queue": stats.dropped_queue,
+        "lost": stats.lost,
+        "wire": stats.wire_summary(),
+        "shuffles": sum(s.shuffles_started for s in result.samplers.values()),
+        "summary": hashlib.sha256(summary.encode("utf-8")).hexdigest(),
+    }
+
+
+class TestCyclonGolden:
+    """HEAP on Cyclon partial views, ms-691, 40 nodes, seed 11: per-pair
+    loss and latency, a 20 % catastrophic failure at t=3 s detected after
+    2 s on average, and the freerider audit.  Pinned before the views'
+    ages became stamps, so the rewrite is held to the same trace."""
+
+    NO_WIRE = {"buffers": 0, "envelopes": 0, "bytes": 0, "control_rows": 0}
+
+    def test_spam(self):
+        result = _cyclon_run(16, AttackMix.single("spam", 0.1, 1.0))
+        assert _cyclon_pin(result) == {
+            "events": 25592, "sent": 17912, "bytes_sent": 11125644,
+            "delivered": 15528, "dropped_dead": 1788, "dropped_queue": 0,
+            "lost": 518, "wire": self.NO_WIRE, "shuffles": 344,
+            "summary": "391bf0c12222fa593b2e5a8bc02afe226ae6b7c9"
+                       "dcbfd3cdb9ac47abf1f1ae1f",
+        }
+
+    def test_poisoned_view(self):
+        result = _cyclon_run(12, AttackMix.single("poisoned-view", 0.15))
+        assert _cyclon_pin(result) == {
+            "events": 22742, "sent": 15402, "bytes_sent": 10700816,
+            "delivered": 13453, "dropped_dead": 1474, "dropped_queue": 0,
+            "lost": 446, "wire": self.NO_WIRE, "shuffles": 344,
+            "summary": "028edde849d14607a1d3f039f6f4128f267655425d"
+                       "8af636d02056961992ab51",
+        }
+        poisoned = sum(stats["entries_poisoned"]
+                       for stats in result.attacker_stats.values())
+        assert poisoned == 222
