@@ -319,6 +319,8 @@ def build_scenario(config: ScenarioConfig, *,
     samplers: Dict[int, PeerSamplingService] = {}
     if config.membership == "cyclon" and config.protocol != "tree":
         boot_rng = registry.stream("cyclon-bootstrap")
+        n_others = config.n_nodes - 1
+        boot_size = min(config.cyclon_view_size, n_others)
         for node_id in range(config.n_nodes):
             rng = registry.fork(f"cyclon-{node_id}").stream("shuffle")
             view_size = config.cyclon_view_size
@@ -335,9 +337,12 @@ def build_scenario(config: ScenarioConfig, *,
                 sampler = PeerSamplingService(
                     sim, net, node_id, rng, view_size=view_size,
                     shuffle_length=shuffle_length)
-            others = [n for n in range(config.n_nodes) if n != node_id]
-            sampler.bootstrap(boot_rng.sample(
-                others, min(config.cyclon_view_size, len(others))))
+            # Sampling positions of the other ids (see "Sampling
+            # identity" in repro.membership.view): the draws and ids of
+            # a sample over the list of all ids but this node's.
+            sampler.bootstrap([
+                j if j < node_id else j + 1
+                for j in boot_rng.sample(range(n_others), boot_size)])
             samplers[node_id] = sampler
         views = {node_id: samplers[node_id].view
                  for node_id in range(config.n_nodes)}

@@ -18,7 +18,7 @@ package provides:
 """
 
 from repro.membership.directory import MembershipDirectory
-from repro.membership.peer_sampling import PeerSamplingService, ViewEntry
+from repro.membership.peer_sampling import PeerSamplingService
 from repro.membership.selector import CapabilityBiasedSelector, UniformSelector
 from repro.membership.view import LocalView
 
@@ -28,5 +28,4 @@ __all__ = [
     "MembershipDirectory",
     "PeerSamplingService",
     "UniformSelector",
-    "ViewEntry",
 ]

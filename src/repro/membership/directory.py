@@ -109,14 +109,13 @@ class MembershipDirectory:
         # of one per survivor.  The posts take one consecutive block of
         # seqs, so against every other event they order exactly as
         # per-survivor posts in view order would, and the stable sort
-        # keeps view order among equal delays.
-        uniform = self._rng.uniform
+        # keeps view order among equal delays.  ``high * draw()`` is
+        # ``uniform(0.0, high)`` bit for bit, one call frame cheaper.
+        draw = self._rng.random
         high = 2.0 * self.mean_detection_delay
-        draws = sorted([(uniform(0.0, high), view) for view in survivors],
+        draws = sorted([(high * draw(), view) for view in survivors],
                        key=itemgetter(0))
-        lane = self._sim.lane(methodcaller("remove", node_id))
-        for delay, view in draws:
-            lane.post(delay, view)
+        self._sim.lane(methodcaller("remove", node_id)).post_many(draws)
 
     def crash_many(self, node_ids: Iterable[int]) -> None:
         for node_id in list(node_ids):

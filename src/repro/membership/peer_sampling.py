@@ -10,6 +10,16 @@ dead entries quickly (Voulgaris, Gavidia, van Steen, JNSM 2005).
 It is wired into experiments through the same :class:`LocalView`
 interface as the directory, so the dissemination protocols do not care
 which membership substrate is underneath.
+
+**Ages are stamps.**  Cyclon ages every entry by one per shuffle.  A
+view here is one dict ``peer -> stamp`` and an ``_epoch`` counter, with
+``age == _epoch - stamp``, so a shuffle ages the whole view with one
+increment, and a merge stores a payload's ``(peer, age)`` as one int
+instead of building an entry object.  The oldest peer has the smallest
+stamp, and "keeps the fresher age" keeps the larger stamp.  ``min`` over
+the ascending ids picks the first smallest stamp, the lowest id among
+the oldest, so the sort that orders the shuffle sample is the only one
+an exchange makes.  Ages on the wire are the same ints as before.
 """
 
 from __future__ import annotations
@@ -27,22 +37,6 @@ from repro.sim.timers import PeriodicTimer
 _ENTRY_BYTES = 12
 #: Fixed protocol header bytes inside the datagram payload.
 _HEADER_BYTES = 8
-
-
-class ViewEntry:
-    """One (peer, age) slot in a partial view."""
-
-    __slots__ = ("node_id", "age")
-
-    def __init__(self, node_id: int, age: int = 0):
-        self.node_id = node_id
-        self.age = age
-
-    def copy(self) -> "ViewEntry":
-        return ViewEntry(self.node_id, self.age)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ViewEntry({self.node_id}, age={self.age})"
 
 
 class ShuffleRequest:
@@ -78,8 +72,8 @@ class PeerSamplingService:
     """
 
     __slots__ = ("_sim", "_net", "node_id", "_rng", "view_size",
-                 "shuffle_length", "_entries", "_pending_sent", "view",
-                 "shuffles_started", "_timer", "_dispatch")
+                 "shuffle_length", "_stamps", "_epoch", "_pending_sent",
+                 "view", "shuffles_started", "_timer", "_dispatch")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  rng: random.Random, view_size: int = 20, shuffle_length: int = 8,
@@ -92,7 +86,9 @@ class PeerSamplingService:
         self._rng = rng
         self.view_size = view_size
         self.shuffle_length = shuffle_length
-        self._entries: Dict[int, ViewEntry] = {}
+        #: peer -> ``_epoch`` minus the peer's age (see module docstring).
+        self._stamps: Dict[int, int] = {}
+        self._epoch = 0
         self._pending_sent: Dict[int, List[int]] = {}
         self.view = LocalView(node_id)
         self.shuffles_started = 0
@@ -106,10 +102,17 @@ class PeerSamplingService:
     # lifecycle
     # ------------------------------------------------------------------
     def bootstrap(self, seeds: List[int]) -> None:
-        """Fill the initial view from a list of known peers."""
+        """Fill the initial view from a list of known peers (age 0)."""
+        stamps = self._stamps
+        epoch = self._epoch
         for seed in seeds:
-            if seed != self.node_id and len(self._entries) < self.view_size:
-                self._add_entry(ViewEntry(seed, 0))
+            if seed != self.node_id and len(stamps) < self.view_size:
+                known = stamps.get(seed)
+                if known is None:
+                    stamps[seed] = epoch
+                    self.view.add(seed)
+                elif known < epoch:
+                    stamps[seed] = epoch
 
     def start(self, phase: Optional[float] = None) -> None:
         self._timer.start(phase if phase is not None else self._rng.uniform(0, self._timer.period))
@@ -120,62 +123,47 @@ class PeerSamplingService:
     # ------------------------------------------------------------------
     # view maintenance
     # ------------------------------------------------------------------
-    def _add_entry(self, entry: ViewEntry) -> None:
-        if entry.node_id == self.node_id:
-            return
-        existing = self._entries.get(entry.node_id)
-        if existing is not None:
-            if entry.age < existing.age:
-                existing.age = entry.age
-            return
-        self._entries[entry.node_id] = entry
-        self.view.add(entry.node_id)
-
-    def _remove_peer(self, node_id: int) -> None:
-        if node_id in self._entries:
-            del self._entries[node_id]
-            self.view.remove(node_id)
-
-    def _oldest_peer(self) -> Optional[int]:
-        if not self._entries:
-            return None
-        return max(sorted(self._entries), key=lambda n: self._entries[n].age)
-
     def neighbors(self) -> List[int]:
-        return sorted(self._entries)
+        return sorted(self._stamps)
 
     # ------------------------------------------------------------------
     # shuffling
     # ------------------------------------------------------------------
     def _shuffle(self) -> None:
-        for entry in self._entries.values():
-            entry.age += 1
-        target = self._oldest_peer()
-        if target is None:
+        self._epoch = epoch = self._epoch + 1
+        stamps = self._stamps
+        if not stamps:
             return
+        # The oldest peer, lowest id among equals, is the target; the
+        # others stay in ascending order for the sample.
+        others = sorted(stamps)
+        target = min(others, key=stamps.__getitem__)
+        others.remove(target)
         self.shuffles_started += 1
         # Select shuffle_length - 1 random other entries plus a fresh
         # entry for ourselves.
-        others = [n for n in sorted(self._entries) if n != target]
         count = min(self.shuffle_length - 1, len(others))
         sample = self._rng.sample(others, count) if count > 0 else []
         payload_entries = [(self.node_id, 0)]
-        payload_entries += [(n, self._entries[n].age) for n in sample]
+        payload_entries += [(n, epoch - stamps[n]) for n in sample]
         # The target entry is consumed by the shuffle: remove it now; it
         # may come back through future shuffles if still alive.
-        self._remove_peer(target)
+        del stamps[target]
+        self.view.remove(target)
         self._pending_sent[target] = sample
         self._net.send(self.node_id, target,
                        ShuffleRequest(self._outgoing(payload_entries)))
 
     def on_shuffle_request(self, src: int, request: ShuffleRequest) -> None:
-        others = sorted(self._entries)
+        stamps = self._stamps
+        others = sorted(stamps)
         count = min(self.shuffle_length, len(others))
         sample = self._rng.sample(others, count) if count > 0 else []
-        reply_entries = [(n, self._entries[n].age) for n in sample]
+        epoch = self._epoch
+        reply_entries = [(n, epoch - stamps[n]) for n in sample]
         self._net.send(self.node_id, src,
                        ShuffleReply(self._outgoing(reply_entries)))
-        self._merge([ViewEntry(n, a) for n, a in request.entries], sent=sample)
+        self._merge(request.entries, sent=sample)
 
     def _outgoing(self, entries: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
         """The (peer, age) entries this node actually advertises.
@@ -188,24 +176,33 @@ class PeerSamplingService:
 
     def on_shuffle_reply(self, src: int, reply: ShuffleReply) -> None:
         sent = self._pending_sent.pop(src, [])
-        self._merge([ViewEntry(n, a) for n, a in reply.entries], sent=sent)
+        self._merge(reply.entries, sent=sent)
 
-    def _merge(self, incoming: List[ViewEntry], sent: List[int]) -> None:
+    def _merge(self, incoming: List[Tuple[int, int]], sent: List[int]) -> None:
         """Cyclon merge: fill empty slots first, then overwrite the slots of
-        entries we sent out, never duplicating and never pointing at self."""
-        replaceable = [n for n in sent if n in self._entries]
-        for entry in incoming:
-            if entry.node_id == self.node_id or entry.node_id in self._entries:
-                if entry.node_id in self._entries:
-                    self._add_entry(entry)  # keeps the fresher age
+        entries we sent out, never duplicating and never pointing at self.
+        A peer already in the view keeps the fresher age."""
+        stamps = self._stamps
+        epoch = self._epoch
+        view = self.view
+        replaceable = [n for n in sent if n in stamps]
+        for node, age in incoming:
+            if node == self.node_id:
                 continue
-            if len(self._entries) < self.view_size:
-                self._add_entry(entry)
-            elif replaceable:
-                self._remove_peer(replaceable.pop())
-                self._add_entry(entry)
-            # else: view full and nothing replaceable -> drop the entry.
-
+            stamp = epoch - age
+            known = stamps.get(node)
+            if known is not None:
+                if stamp > known:
+                    stamps[node] = stamp
+                continue
+            if len(stamps) >= self.view_size:
+                if not replaceable:
+                    continue  # view full and nothing replaceable: drop it
+                dropped = replaceable.pop()
+                del stamps[dropped]
+                view.remove(dropped)
+            stamps[node] = stamp
+            view.add(node)
     # ------------------------------------------------------------------
     # network plumbing
     # ------------------------------------------------------------------

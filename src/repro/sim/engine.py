@@ -41,7 +41,7 @@ from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 from math import inf
 from sys import maxsize
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -150,6 +150,41 @@ class Lane:
         else:
             _heappush(sim._heap, (time, seq, self))
         queue.append((time, seq) + args)
+
+    def post_many(self, entries: Iterable[Tuple[float, Any]]) -> None:
+        """``post(delay, arg)`` for each ``(delay, arg)`` pair, in order.
+
+        Leaves the same entries, seqs, backlog and heap head as that loop,
+        refusals included: entries before a refused one stay queued.
+        """
+        sim = self._sim
+        now = sim._now
+        queue = self._queue
+        append = queue.append
+        idle = not queue
+        last = now if idle else queue[-1][0]
+        seq = sim._seq
+        try:
+            for delay, arg in entries:
+                if not delay >= 0:
+                    raise SimulationError(f"negative delay {delay!r}")
+                time = now + delay
+                if time < last:
+                    raise SimulationError(
+                        f"lane post at t={time:.6f} precedes its last "
+                        f"entry at t={last:.6f}")
+                seq += 1
+                append((time, seq, arg))
+                last = time
+        finally:
+            added = seq - sim._seq
+            if added:
+                sim._seq = seq
+                sim._backlog += added
+                if idle:
+                    head = queue[0]
+                    sim._backlog -= 1
+                    _heappush(sim._heap, (head[0], head[1], self))
 
     def __call__(self) -> None:
         queue = self._queue

@@ -72,6 +72,7 @@ class IntervalChurn:
                  crash_node: Callable[[int], None],
                  protect: Sequence[int] = ()) -> None:
         protected = set(protect)
+        self.victims = []
 
         def fire():
             if self.stop is not None and sim.now > self.stop:

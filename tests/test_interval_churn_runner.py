@@ -30,3 +30,15 @@ def test_interval_churn_end_to_end():
     survivor_share = 100.0 * (39 - len(churn.victims)) / 39
     tail = [frac for _, publish_time, frac in series if publish_time > 16.0]
     assert tail and min(tail) >= survivor_share - 8.0
+
+
+def test_victims_are_per_run():
+    # One config run twice reports each run's own victims, not both runs'.
+    churn = IntervalChurn(0.5, start=1.0)
+    config = ScenarioConfig(n_nodes=20, churn=churn, seed=3)
+    first = run_scenario(config)
+    victims = list(churn.victims)
+    second = run_scenario(config)
+    assert churn.victims == victims
+    assert len(churn.victims) == len(second.crash_times)
+    assert set(churn.victims) == set(first.crash_times)

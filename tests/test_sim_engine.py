@@ -473,6 +473,75 @@ class TestLane:
         assert sim.events_executed == 2
 
 
+
+def _lane_state(sim, lane):
+    """Everything a lane post can change, the heap's callables named."""
+    heap = sorted((t, seq, "lane" if entry is lane else "other")
+                  for t, seq, entry in sim._heap)
+    return (heap, list(lane._queue), sim._seq, sim._backlog,
+            sim.pending_count)
+
+
+def _posted_one_by_one(lane, entries):
+    """A loop of ``post``; the text of the refusal that stops it."""
+    try:
+        for delay, arg in entries:
+            lane.post(delay, arg)
+    except SimulationError as exc:
+        return str(exc)
+    return None
+
+
+_POST_DELAYS = st.one_of(st.floats(-1.0, 4.0), st.just(float("nan")),
+                         st.just(float("inf")), st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.sampled_from([0.0, 0.5, 2.0]),
+       queued=st.lists(st.floats(0.0, 3.0), max_size=3),
+       entries=st.lists(_POST_DELAYS, max_size=6),
+       others=st.lists(st.floats(0.0, 3.0), max_size=3))
+def test_lane_post_many_equals_a_loop_of_post(start, queued, entries,
+                                              others):
+    """Same heap, queue, seqs, backlog and refusal as posting one by one,
+    on an idle lane or one with queued entries, between other events."""
+    runs = []
+    for many in (True, False):
+        sim = Simulator()
+        fired = []
+        sim.post_at(start, lambda: None)
+        sim.run()
+        lane = sim.lane(fired.append)
+        for i, delay in enumerate(sorted(queued)):
+            lane.post(delay, f"q{i}")
+        for delay in others:
+            sim.post(delay, lambda d=delay: fired.append(f"o{d}"))
+        pairs = [(delay, i) for i, delay in enumerate(entries)]
+        if many:
+            try:
+                lane.post_many(iter(pairs))
+                refusal = None
+            except SimulationError as exc:
+                refusal = str(exc)
+        else:
+            refusal = _posted_one_by_one(lane, pairs)
+        state = _lane_state(sim, lane)
+        sim.run()
+        runs.append((refusal, state, fired, sim.events_executed))
+    assert runs[0] == runs[1]
+
+
+def test_lane_post_many_of_nothing_takes_no_seq():
+    sim = Simulator()
+    lane = sim.lane(lambda _: None)
+    lane.post_many([])
+    lane.post_many(iter(()))
+    assert sim._seq == 0 and sim.pending_count == 0 and not sim._heap
+    lane.post(1.0, "a")
+    lane.post_many([])
+    assert sim._seq == 1 and sim.pending_count == 1
+
+
 # ----------------------------------------------------------------------
 # engine vs reference-heap ordering equivalence
 # ----------------------------------------------------------------------
