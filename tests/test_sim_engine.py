@@ -482,16 +482,6 @@ def _lane_state(sim, lane):
             sim.pending_count)
 
 
-def _posted_one_by_one(lane, entries):
-    """A loop of ``post``; the text of the refusal that stops it."""
-    try:
-        for delay, arg in entries:
-            lane.post(delay, arg)
-    except SimulationError as exc:
-        return str(exc)
-    return None
-
-
 _POST_DELAYS = st.one_of(st.floats(-1.0, 4.0), st.just(float("nan")),
                          st.just(float("inf")), st.sampled_from([0.0, 1.0]))
 
@@ -517,14 +507,15 @@ def test_lane_post_many_equals_a_loop_of_post(start, queued, entries,
         for delay in others:
             sim.post(delay, lambda d=delay: fired.append(f"o{d}"))
         pairs = [(delay, i) for i, delay in enumerate(entries)]
-        if many:
-            try:
+        refusal = None
+        try:
+            if many:
                 lane.post_many(iter(pairs))
-                refusal = None
-            except SimulationError as exc:
-                refusal = str(exc)
-        else:
-            refusal = _posted_one_by_one(lane, pairs)
+            else:
+                for delay, arg in pairs:
+                    lane.post(delay, arg)
+        except SimulationError as exc:
+            refusal = str(exc)
         state = _lane_state(sim, lane)
         sim.run()
         runs.append((refusal, state, fired, sim.events_executed))
