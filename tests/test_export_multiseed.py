@@ -9,7 +9,7 @@ from repro import ScenarioConfig
 from repro.analysis.cdf import Cdf
 from repro.experiments.multi_seed import (
     AggregatedMetric,
-    metric_jitter_free_fraction,
+    metric_jitter_free_10s,
     metric_mean_jitter_free_lag,
     metric_offline_delivery,
 )
@@ -82,7 +82,7 @@ class TestRunSeeds:
         return run_grid(config, (1, 2, 3), {
             "lag": metric_mean_jitter_free_lag,
             "delivery": metric_offline_delivery,
-            "quality": metric_jitter_free_fraction(10.0),
+            "quality": metric_jitter_free_10s,
         }).aggregated_for(0)
 
     def test_all_metrics_aggregated(self, aggregated):

@@ -10,12 +10,10 @@ from repro.metrics import (
     ascii_table,
     cdf_row,
     format_percent,
-    jitter_cdf,
     jitter_free_fraction_by_class,
     jitter_free_node_percentage_by_class,
     lag_cdf_delivery_ratio,
     lag_cdf_jitter_free,
-    lag_cdf_max_jitter,
     mean_jittered_delivery_by_class,
     mean_lag_by_class,
     per_node_lag_jitter_free,
@@ -24,6 +22,8 @@ from repro.metrics import (
     window_delivery_over_time,
 )
 from repro.metrics.bandwidth import absolute_upload_by_class
+from repro.metrics.jitter import jitter_values
+from repro.metrics.lag import lag_values_max_jitter
 from repro.metrics.report import format_seconds
 from repro.workloads import REF_691
 
@@ -49,7 +49,7 @@ class TestLagMetrics:
 
     def test_lag_cdfs_are_consistent(self, result):
         strict = lag_cdf_jitter_free(result)
-        relaxed = lag_cdf_max_jitter(result, 0.2)
+        relaxed = Cdf(lag_values_max_jitter(result, 0.2))
         for x in (0.5, 1.0, 5.0, 20.0):
             assert relaxed.fraction_at(x) >= strict.fraction_at(x)
 
@@ -79,7 +79,7 @@ class TestJitterMetrics:
             assert large[label] >= small[label] - 1e-9
 
     def test_jitter_cdf_offline_near_zero_jitter(self, result):
-        cdf = jitter_cdf(result)  # offline
+        cdf = Cdf(jitter_values(result))  # offline
         assert cdf.fraction_at(0.0) == pytest.approx(1.0)
 
     def test_jittered_delivery_percent_range(self, result):

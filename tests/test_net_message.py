@@ -5,7 +5,6 @@ import pytest
 from repro.net.message import (
     intern_kind,
     kind_count,
-    kind_id_of,
     kind_name,
     register_kind,
     registered_kinds,
@@ -18,7 +17,7 @@ class TestKindRegistry:
         b = register_kind("test-kind-dense-b")
         assert b == a + 1
         assert kind_name(a) == "test-kind-dense-a"
-        assert kind_id_of("test-kind-dense-b") == b
+        assert intern_kind("test-kind-dense-b") == b
 
     def test_duplicate_registration_raises(self):
         register_kind("test-kind-dup")
@@ -49,7 +48,7 @@ class TestKindRegistry:
         kinds = registered_kinds()
         assert len(kinds) == kind_count()
         for kind_id, name in enumerate(kinds):
-            assert kind_id_of(name) == kind_id
+            assert intern_kind(name) == kind_id
 
     def test_protocol_kinds_are_registered_with_distinct_ids(self):
         from repro.baselines.tree import TreePush
@@ -67,7 +66,7 @@ class TestKindRegistry:
         assert len(set(ids)) == len(ids)
         for cls in classes:
             assert kind_name(cls.kind_id) == cls.kind
-            assert kind_id_of(cls.kind) == cls.kind_id
+            assert intern_kind(cls.kind) == cls.kind_id
 
 
 class TestSlottedProtocolObjects:

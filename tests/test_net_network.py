@@ -6,8 +6,7 @@ import pytest
 
 from repro.net.latency import ConstantLatency
 from repro.net.loss import BernoulliLoss
-from repro.net.message import (UDP_IP_HEADER_BYTES, datagram_size,
-                               intern_kind)
+from repro.net.message import UDP_IP_HEADER_BYTES, intern_kind
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 
@@ -37,7 +36,11 @@ def make_net(latency=0.05, loss=None):
 
 
 def test_datagram_size_includes_header():
-    assert datagram_size(FakePayload(size=100)) == 100 + UDP_IP_HEADER_BYTES
+    sim, net = make_net()
+    net.attach(1, Sink(), 1e9)
+    net.attach(2, Sink(), 1e9)
+    net.send(1, 2, FakePayload(size=100))
+    assert net.stats.bytes_sent == 100 + UDP_IP_HEADER_BYTES
 
 
 def test_message_delivered_with_latency_and_serialization():
@@ -284,8 +287,8 @@ class TestSendMany:
         next destination's draws line up with the equivalent send loop."""
         def run(use_many):
             sim = Simulator()
-            from repro.net.latency import UniformLatency
-            net = Network(sim, latency=UniformLatency(random.Random(5)))
+            from repro.net.latency import PairwiseLatency
+            net = Network(sim, latency=PairwiseLatency(random.Random(5)))
             net.attach(1, Sink(), upload_capacity_bps=8000.0,
                        max_queue_delay=0.5)
             sink = Sink()
