@@ -35,18 +35,7 @@ def measure(benchmark, fn, *args, **kwargs):
                               rounds=1, iterations=1)
 
 
-def jobs_from_env(default: int = 1) -> int:
-    """Worker-process count for multi-seed benches (``REPRO_JOBS=N``).
-
-    Mirrors the CLI's ``--jobs`` flag for the benchmark harness; results
-    are identical for any value, only the wall time changes.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", default)))
-    except ValueError:
-        return default
-
-# No grid configuration needed here: the figure/table pipeline
-# (repro.experiments.gridrun) already defaults its worker count to
-# REPRO_JOBS, so ``REPRO_JOBS=8 pytest benchmarks/`` parallelizes every
-# figure/table bench as-is.
+# No grid configuration needed here: the figure/table pipeline and the
+# multi-seed bench take their worker count from REPRO_JOBS
+# (repro.experiments.gridrun.default_jobs), so ``REPRO_JOBS=8 pytest
+# benchmarks/`` parallelizes every figure/table bench as-is.

@@ -5,8 +5,7 @@ regressions in the hot path (heap operations, uplink accounting, message
 dispatch) are caught by comparing benchmark runs.
 """
 
-from _harness import jobs_from_env
-
+from repro.experiments.gridrun import default_jobs
 from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import run_grid
 from repro.experiments.scales import QUICK, scenario_at
@@ -79,7 +78,7 @@ def bench_multi_seed_sweep(benchmark):
                              n_nodes=30, duration=5.0, drain=10.0)
         return run_grid(config, seeds=range(1, 9),
                         metrics={"delivery": metric_offline_delivery},
-                        jobs=jobs_from_env())
+                        jobs=default_jobs())
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(grid.records) == 8

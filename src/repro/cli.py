@@ -244,13 +244,14 @@ def _checkpoint_path(args, command: str, name: str) -> Optional[str]:
 
 
 def _cmd_render(kind: str, args) -> int:
-    grid = {}
-    if kind != "extension":  # extensions carry no grid flags
-        grid = dict(_execution(args, kind, args.id), shards=args.shards,
-                    latency_floor=args.latency_floor)
     try:
-        # ValueError: unknown id or scale, a checkpoint of another grid,
-        # an invalid scenario override reaching validation
+        # ValueError: unknown id or scale (flag or REPRO_SCALE), a bad
+        # REPRO_JOBS, a checkpoint of another grid, an invalid scenario
+        # override reaching validation
+        grid = {}
+        if kind != "extension":  # extensions carry no grid flags
+            grid = dict(_execution(args, kind, args.id), shards=args.shards,
+                        latency_floor=args.latency_floor)
         result = render(kind, args.id,
                         current_scale() if args.scale is None
                         else _SCALES[args.scale], **grid)

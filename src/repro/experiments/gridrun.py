@@ -41,11 +41,19 @@ Cell = Tuple[ScenarioConfig, Sequence[MetricSpec]]
 
 
 def default_jobs() -> int:
-    """Worker-process count from the environment (``REPRO_JOBS=N``)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", 1)))
-    except ValueError:
+    """Worker-process count from the environment (``REPRO_JOBS=N``, 1 if
+    unset); any value but a positive integer raises :class:`ValueError`."""
+    value = os.environ.get("REPRO_JOBS")
+    if value is None:
         return 1
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"invalid REPRO_JOBS {value!r}; expected a "
+                         f"positive integer")
+    return jobs
 
 
 #: (scenario key, spec name) -> computed summary value.

@@ -70,6 +70,35 @@ class TestCommands:
         assert main(["figure", "fig99"]) == 2
         assert "unknown figure id 'fig99'" in capsys.readouterr().err
 
+    def test_bad_environment_scale_is_refused_like_the_flag(
+            self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setenv("REPRO_SCALE", "quik")
+        assert main(["figure", "fig5"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown REPRO_SCALE 'quik'; ")
+
+    @pytest.mark.parametrize("value", ["8x", "-3", "0", ""])
+    def test_bad_environment_jobs_is_refused(self, value, capsys,
+                                             monkeypatch):
+        """Not a silent serial run: a one-line error naming the variable."""
+        from repro.experiments.gridrun import default_jobs
+
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=f"invalid REPRO_JOBS {value!r}"):
+            default_jobs()
+        assert main(["figure", "fig5", "--scale", "quick", "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid REPRO_JOBS {value!r}; ")
+
+    def test_environment_jobs_default(self, monkeypatch):
+        from repro.experiments.gridrun import default_jobs
+
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        assert default_jobs() == 1
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert default_jobs() == 3
+
     def test_run_small_scenario(self, capsys):
         code = main(["run", "--nodes", "25", "--seconds", "5",
                      "--drain", "12", "--seed", "3"])
