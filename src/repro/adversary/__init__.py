@@ -21,8 +21,7 @@ including fork/spawn shard workers.
 """
 
 from repro.adversary import attacks as _attacks  # noqa: F401  (registers catalog)
-from repro.adversary.metrics import (ATTACK_GRID_METRICS, attack_impact,
-                                     spec_attack_impact)
+from repro.adversary.metrics import ATTACK_GRID_METRICS, attack_impact
 from repro.adversary.mix import AttackMix, Placement, place_attackers
 from repro.adversary.placement import PLACEMENT_POLICIES, place_ids
 from repro.adversary.registry import (ROLES, Attack, attack, attack_catalog,
@@ -61,5 +60,4 @@ __all__ = [
     "is_registered",
     "place_attackers",
     "place_ids",
-    "spec_attack_impact",
 ]

@@ -102,13 +102,6 @@ def attack_impact(result) -> Dict[str, object]:
     }
 
 
-def spec_attack_impact():
-    """The in-worker summary form of :func:`attack_impact` (a MetricSpec)."""
-    from repro.metrics.summary import MetricSpec
-
-    return MetricSpec("attack_impact", attack_impact)
-
-
 # ----------------------------------------------------------------------
 # scalar grid metrics: one CSV column each (``sweep --attacks``)
 # ----------------------------------------------------------------------

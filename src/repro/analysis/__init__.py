@@ -1,7 +1,6 @@
-"""Analysis helpers: empirical CDFs, summary statistics, class grouping."""
+"""Analysis helpers: empirical CDFs and summary statistics."""
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.stats import mean, median, percentile, stdev
-from repro.analysis.grouping import group_by
 
-__all__ = ["Cdf", "group_by", "mean", "median", "percentile", "stdev"]
+__all__ = ["Cdf", "mean", "median", "percentile", "stdev"]

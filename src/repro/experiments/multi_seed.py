@@ -12,14 +12,10 @@ for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 from repro.analysis.stats import mean, stdev
 from repro.experiments.runner import ExperimentResult
-
-#: A metric maps a finished run to one scalar.
-Metric = Callable[[ExperimentResult], float]
-
 
 @dataclass
 class AggregatedMetric:
@@ -63,13 +59,6 @@ def metric_offline_delivery(result: ExperimentResult) -> float:
     total = result.total_packets
     return mean(result.log_of(node_id).delivery_ratio(total)
                 for node_id in result.receiver_ids())
-
-
-def metric_jitter_free_fraction(lag: float) -> Metric:
-    def metric(result: ExperimentResult) -> float:
-        from repro.metrics.jitter import jitter_free_fraction_by_class
-        return mean(jitter_free_fraction_by_class(result, lag).values())
-    return metric
 
 
 def metric_jitter_free_10s(result: ExperimentResult) -> float:

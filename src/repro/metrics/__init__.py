@@ -18,7 +18,6 @@ Each module computes one family of the paper's measurements:
 
 from repro.metrics.bandwidth import utilization_by_class
 from repro.metrics.jitter import (
-    jitter_cdf,
     jitter_free_fraction_by_class,
     mean_jittered_delivery_by_class,
 )
@@ -26,7 +25,6 @@ from repro.metrics.lag import (
     jitter_free_node_percentage_by_class,
     lag_cdf_delivery_ratio,
     lag_cdf_jitter_free,
-    lag_cdf_max_jitter,
     mean_lag_by_class,
     per_node_lag_delivery_ratio,
     per_node_lag_jitter_free,
@@ -42,12 +40,10 @@ __all__ = [
     "ascii_table",
     "cdf_row",
     "format_percent",
-    "jitter_cdf",
     "jitter_free_fraction_by_class",
     "jitter_free_node_percentage_by_class",
     "lag_cdf_delivery_ratio",
     "lag_cdf_jitter_free",
-    "lag_cdf_max_jitter",
     "mean_jittered_delivery_by_class",
     "mean_lag_by_class",
     "per_node_lag_delivery_ratio",

@@ -51,7 +51,3 @@ def absolute_upload_by_class(result: ExperimentResult) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 def spec_utilization_by_class() -> MetricSpec:
     return MetricSpec("utilization_by_class", utilization_by_class)
-
-
-def spec_absolute_upload_by_class() -> MetricSpec:
-    return MetricSpec("absolute_upload_by_class", absolute_upload_by_class)

@@ -12,7 +12,6 @@ import math
 from functools import partial
 from typing import Dict, List
 
-from repro.analysis.cdf import Cdf
 from repro.analysis.stats import mean
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.summary import MetricSpec
@@ -45,12 +44,6 @@ def jitter_values(result: ExperimentResult,
     windows = result.windows()
     return [100.0 * analyzer.jitter_fraction(result.log_of(node_id), windows, lag)
             for node_id in result.receiver_ids()]
-
-
-def jitter_cdf(result: ExperimentResult, lag: float = OFFLINE) -> Cdf:
-    """CDF over nodes of the experienced jitter percentage at ``lag``
-    (Figure 7; ``lag=OFFLINE`` is the paper's 'offline viewing')."""
-    return Cdf(jitter_values(result, lag))
 
 
 def mean_jittered_delivery_by_class(result: ExperimentResult,

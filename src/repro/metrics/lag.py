@@ -68,10 +68,6 @@ def lag_cdf_jitter_free(result: ExperimentResult) -> Cdf:
     return Cdf(lag_values_jitter_free(result))
 
 
-def lag_cdf_max_jitter(result: ExperimentResult, max_jitter: float) -> Cdf:
-    return Cdf(lag_values_max_jitter(result, max_jitter))
-
-
 def lag_cdf_delivery_ratio(result: ExperimentResult, ratio: float = 0.99) -> Cdf:
     return Cdf(lag_values_delivery_ratio(result, ratio))
 

@@ -6,9 +6,9 @@ depends on:
 * per-node **uplink serialization queues** — the application-level rate
   limiter of the paper ("packets which are about to cross the bandwidth
   limit are queued"), the mechanism behind congestion at poor nodes;
-* end-to-end **latency models** (constant, uniform, lognormal, per-pair);
-* **loss models** (none, Bernoulli, Gilbert-Elliott bursts) standing in
-  for UDP drops on the real Internet;
+* end-to-end **latency models** (constant, per-pair);
+* **loss models** (none, Bernoulli) standing in for UDP drops on the
+  real Internet;
 * a :class:`~repro.net.network.Network` fabric that wires endpoints
   together, applies the three models in order (queue -> loss -> latency)
   and records traffic statistics per message kind (per-node upload is
@@ -23,12 +23,10 @@ from repro.net.bandwidth import UplinkQueue
 from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
-    LogNormalLatency,
     PairwiseLatency,
     PerPairLatency,
-    UniformLatency,
 )
-from repro.net.loss import BernoulliLoss, GilbertElliottLoss, LossModel, NoLoss
+from repro.net.loss import BernoulliLoss, LossModel, NoLoss
 from repro.net.message import Envelope, Payload
 from repro.net.network import Endpoint, Network
 from repro.net.router import InprocRouter, Router
@@ -39,10 +37,8 @@ __all__ = [
     "ConstantLatency",
     "Endpoint",
     "Envelope",
-    "GilbertElliottLoss",
     "InprocRouter",
     "LatencyModel",
-    "LogNormalLatency",
     "LossModel",
     "Network",
     "NetworkStats",
@@ -51,6 +47,5 @@ __all__ = [
     "PerPairLatency",
     "Payload",
     "Router",
-    "UniformLatency",
     "UplinkQueue",
 ]

@@ -28,21 +28,6 @@ class LatencyModel(ABC):
     def sample(self, src: int, dst: int) -> float:
         """Return the one-way delay for one message from src to dst."""
 
-    def mean(self) -> float:
-        """Approximate mean one-way delay (used in docs/diagnostics)."""
-        raise NotImplementedError
-
-    def lower_bound(self) -> float:
-        """A hard lower bound on any sampled delay, in seconds.
-
-        Sharded execution uses this as its conservative lookahead: a
-        datagram sent at time *t* can never arrive before ``t +
-        lower_bound()``, so shards may safely advance in windows of that
-        width between cross-shard message exchanges.  Models that cannot
-        guarantee a positive bound return 0.0 (which disables sharding).
-        """
-        return 0.0
-
 
 class ConstantLatency(LatencyModel):
     """Every message takes exactly ``delay`` seconds.  Useful in tests."""
@@ -56,63 +41,6 @@ class ConstantLatency(LatencyModel):
 
     def sample(self, src: int, dst: int) -> float:
         return self.delay
-
-    def mean(self) -> float:
-        return self.delay
-
-    def lower_bound(self) -> float:
-        return self.delay
-
-
-class UniformLatency(LatencyModel):
-    """Delay drawn uniformly from [low, high) independently per message."""
-
-    __slots__ = ("_rng", "low", "high")
-
-    def __init__(self, rng: random.Random, low: float = 0.01, high: float = 0.1):
-        if not 0 <= low <= high:
-            raise ValueError(f"invalid range [{low}, {high})")
-        self._rng = rng
-        self.low = low
-        self.high = high
-
-    def sample(self, src: int, dst: int) -> float:
-        return self._rng.uniform(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
-    def lower_bound(self) -> float:
-        return self.low
-
-
-class LogNormalLatency(LatencyModel):
-    """Heavy-ish tailed delay: ``exp(N(mu, sigma))`` clamped to ``floor``.
-
-    Parameterized by the desired *median* latency for readability; the
-    underlying mu is ``ln(median)``.
-    """
-
-    __slots__ = ("_rng", "median", "sigma", "floor", "_mu")
-
-    def __init__(self, rng: random.Random, median: float = 0.05,
-                 sigma: float = 0.5, floor: float = 0.002):
-        if median <= 0:
-            raise ValueError(f"median must be positive, got {median!r}")
-        self._rng = rng
-        self.median = median
-        self.sigma = sigma
-        self.floor = floor
-        self._mu = math.log(median)
-
-    def sample(self, src: int, dst: int) -> float:
-        return max(self.floor, self._rng.lognormvariate(self._mu, self.sigma))
-
-    def mean(self) -> float:
-        return math.exp(self._mu + self.sigma ** 2 / 2)
-
-    def lower_bound(self) -> float:
-        return self.floor
 
 
 def _check_pairwise(median_base: float, jitter: float) -> None:
@@ -166,12 +94,6 @@ class PairwiseLatency(LatencyModel):
             base = max(self.floor, self._rng.lognormvariate(self._mu, self.sigma))
             self._bases[key] = base
         return base + jitter
-
-    def mean(self) -> float:
-        return math.exp(self._mu + self.sigma ** 2 / 2) + self.jitter / 2
-
-    def lower_bound(self) -> float:
-        return self.floor
 
 
 class PerPairLatency(LatencyModel):
@@ -256,9 +178,3 @@ class PerPairLatency(LatencyModel):
             return base
         return base + self.jitter * link_draw(self._jitter_states,
                                               self._jitter_key, link)
-
-    def mean(self) -> float:
-        return math.exp(self._mu + self.sigma ** 2 / 2) + self.jitter / 2
-
-    def lower_bound(self) -> float:
-        return self.floor

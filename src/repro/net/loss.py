@@ -3,8 +3,7 @@
 The paper copes with loss through retransmission timers (Algorithm 2) and
 observes that "when running simulations without message loss, 100% of the
 nodes received the full stream" — our :class:`NoLoss` default reproduces
-that; the loss benches use :class:`BernoulliLoss` and the bursty
-:class:`GilbertElliottLoss`.  :class:`PerPairLoss` is the
+that; lossy scenarios use :class:`BernoulliLoss`.  :class:`PerPairLoss` is the
 order-independent Bernoulli variant sharded execution requires
 (``ScenarioConfig.loss_rng="per-pair"``), mirroring
 :class:`~repro.net.latency.PerPairLatency`.
@@ -96,52 +95,3 @@ class PerPairLoss(LossModel):
     def is_lost(self, src: int, dst: int) -> bool:
         link = (src << 32) + dst
         return link_draw(self._states, self._key, link) < self.rate
-
-
-class GilbertElliottLoss(LossModel):
-    """Two-state (good/bad) bursty loss, tracked per directed link.
-
-    In the good state datagrams are dropped with ``good_loss`` probability,
-    in the bad state with ``bad_loss``.  Transitions happen per datagram
-    with probabilities ``p_good_to_bad`` and ``p_bad_to_good``, giving
-    geometrically distributed burst lengths, the classic Gilbert-Elliott
-    channel.
-    """
-
-    __slots__ = ("_rng", "p_good_to_bad", "p_bad_to_good", "good_loss",
-                 "bad_loss", "_bad_state")
-
-    def __init__(self, rng: random.Random, p_good_to_bad: float = 0.01,
-                 p_bad_to_good: float = 0.3, good_loss: float = 0.0,
-                 bad_loss: float = 0.5):
-        for name, p in (("p_good_to_bad", p_good_to_bad), ("p_bad_to_good", p_bad_to_good),
-                        ("good_loss", good_loss), ("bad_loss", bad_loss)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
-        self._rng = rng
-        self.p_good_to_bad = p_good_to_bad
-        self.p_bad_to_good = p_bad_to_good
-        self.good_loss = good_loss
-        self.bad_loss = bad_loss
-        self._bad_state: Dict[tuple, bool] = {}
-
-    def is_lost(self, src: int, dst: int) -> bool:
-        key = (src, dst)
-        bad = self._bad_state.get(key, False)
-        # Transition first, then sample loss in the new state.
-        if bad:
-            if self._rng.random() < self.p_bad_to_good:
-                bad = False
-        else:
-            if self._rng.random() < self.p_good_to_bad:
-                bad = True
-        self._bad_state[key] = bad
-        rate = self.bad_loss if bad else self.good_loss
-        return rate > 0 and self._rng.random() < rate
-
-    def steady_state_bad_fraction(self) -> float:
-        """Long-run fraction of time a link spends in the bad state."""
-        denom = self.p_good_to_bad + self.p_bad_to_good
-        if denom == 0:
-            return 0.0
-        return self.p_good_to_bad / denom

@@ -10,9 +10,8 @@ congestion behaviour realistic.
 the human-readable display name (it survives in
 :class:`~repro.net.stats.NetworkStats` breakdowns and reprs), and
 ``kind_id``, a small dense integer interned through :func:`register_kind`.
-All routing — the network's per-endpoint dispatch tables, the
-:class:`~repro.net.demux.Demux`, a node's co-hosted protocol handlers —
-happens on the integer, so the per-datagram cost of demultiplexing is one
+All routing — the network's per-endpoint dispatch tables, a node's
+co-hosted protocol handlers — happens on the integer, so the per-datagram cost of demultiplexing is one
 list/dict index instead of a chain of string compares.  Protocol modules
 register their kinds at import time::
 
@@ -91,11 +90,6 @@ def intern_kind(name: str, *, register: bool = False) -> int:
                 f"{', '.join(_KIND_NAMES) or 'none'})")
         kind_id = register_kind(name)
     return kind_id
-
-
-def kind_id_of(name: str) -> int:
-    """The id of an already-registered kind; raises KeyError if unknown."""
-    return _KIND_IDS[name]
 
 
 def kind_name(kind_id: int) -> str:
@@ -180,8 +174,3 @@ class Envelope:
             f"Envelope({self.payload.kind} {self.src}->{self.dst}, "
             f"{self.size_bytes}B, t={self.send_time:.3f}->{self.arrival_time:.3f})"
         )
-
-
-def datagram_size(payload: Payload) -> int:
-    """Wire size of ``payload`` including the UDP/IP header."""
-    return payload.wire_size() + UDP_IP_HEADER_BYTES

@@ -205,15 +205,3 @@ class NetworkStats:
         if self.sent == 0:
             return 1.0
         return self.delivered / self.sent
-
-    def control_overhead_fraction(self) -> float:
-        """Bytes in non-serve traffic over total bytes.
-
-        The paper reports the aggregation gossip costs ~1 KB/s, "completely
-        marginal compared to the stream rate"; this helper quantifies the
-        analogous statement for a simulation run.
-        """
-        if self.bytes_sent == 0:
-            return 0.0
-        serve_bytes = self.bytes_by_kind.get("serve", 0)
-        return (self.bytes_sent - serve_bytes) / self.bytes_sent

@@ -2,8 +2,8 @@
 
 This package provides the deterministic discrete-event engine every other
 subsystem runs on: a schedulable event loop (:class:`~repro.sim.engine.Simulator`),
-cancellable one-shot and periodic timers, named seeded random-number
-streams, and a light generator-based process abstraction.
+cancellable one-shot and periodic timers, and named seeded random-number
+streams.
 
 The engine is deliberately dependency-free and favours a small, explicit
 API over magic: callbacks are plain callables, time is a float number of
@@ -12,7 +12,6 @@ named streams (see :class:`~repro.sim.rng.RngRegistry`).
 """
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.process import Process, sleep
 from repro.sim.rng import RngRegistry
 from repro.sim.timers import OneShotTimer, PeriodicTimer
 
@@ -20,8 +19,6 @@ __all__ = [
     "EventHandle",
     "OneShotTimer",
     "PeriodicTimer",
-    "Process",
     "RngRegistry",
     "Simulator",
-    "sleep",
 ]

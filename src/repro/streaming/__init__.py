@@ -6,7 +6,7 @@ Models the paper's streaming application layer:
   (551 kbps of source data + systematic FEC overhead);
 * FEC windows of 101 source packets plus 9 repair packets — a window is
   decodable iff at least 101 of its 110 packets arrive
-  (:mod:`repro.streaming.fec`);
+  (:class:`~repro.streaming.player.WindowPlayback`);
 * a :class:`~repro.streaming.source.StreamSource` that publishes packets
   into the dissemination protocol on a timer;
 * per-node :class:`~repro.streaming.receiver.ReceiverLog` recording
@@ -15,19 +15,16 @@ Models the paper's streaming application layer:
   behind every quality/lag figure in the paper.
 """
 
-from repro.streaming.fec import FecCodec, WindowState
 from repro.streaming.packets import StreamConfig, StreamPacket
 from repro.streaming.player import PlaybackAnalyzer, WindowPlayback
 from repro.streaming.receiver import ReceiverLog
 from repro.streaming.source import StreamSource
 
 __all__ = [
-    "FecCodec",
     "PlaybackAnalyzer",
     "ReceiverLog",
     "StreamConfig",
     "StreamPacket",
     "StreamSource",
     "WindowPlayback",
-    "WindowState",
 ]

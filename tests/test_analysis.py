@@ -1,4 +1,4 @@
-"""Tests for CDF, statistics and grouping helpers."""
+"""Tests for CDF and statistics helpers."""
 
 import math
 
@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import Cdf
-from repro.analysis.grouping import group_by
 from repro.analysis.stats import mean, median, percentile, stdev
 
 
@@ -105,13 +104,3 @@ class TestStats:
         assert stdev([1.0, 3.0]) == 1.0
         assert stdev([5.0]) == 0.0
 
-
-class TestGrouping:
-    def test_group_by_key(self):
-        groups = group_by(range(6), key=lambda x: x % 2)
-        assert groups == {0: [0, 2, 4], 1: [1, 3, 5]}
-
-    def test_group_by_preserves_order(self):
-        groups = group_by(["bb", "a", "cc", "d"], key=len)
-        assert list(groups) == [2, 1]
-        assert groups[2] == ["bb", "cc"]

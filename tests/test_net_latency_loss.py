@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from repro.net.latency import (
     ConstantLatency,
-    LogNormalLatency,
     PairwiseLatency,
     PerPairLatency,
-    UniformLatency,
 )
-from repro.net.loss import BernoulliLoss, GilbertElliottLoss, NoLoss, PerPairLoss
+from repro.net.loss import BernoulliLoss, NoLoss, PerPairLoss
 from repro.sim.rng import (GOLDEN_GAMMA, derive_seed, link_draw, link_stream,
                            splitmix64, stream_head)
 
@@ -27,36 +25,26 @@ class TestLatencyModels:
     def test_constant(self):
         model = ConstantLatency(0.08)
         assert model.sample(1, 2) == 0.08
-        assert model.mean() == 0.08
 
     def test_constant_rejects_negative(self):
         with pytest.raises(ValueError):
             ConstantLatency(-0.1)
 
-    def test_uniform_within_bounds(self):
-        model = UniformLatency(random.Random(1), low=0.02, high=0.09)
-        samples = [model.sample(0, 1) for _ in range(200)]
-        assert all(0.02 <= s < 0.09 for s in samples)
-        assert model.mean() == pytest.approx(0.055)
-
-    def test_uniform_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            UniformLatency(random.Random(1), low=0.5, high=0.1)
-
+    # PairwiseLatency (the default model) draws each pair's stable base
+    # from a lognormal around ``median_base``, clamped to ``floor``.
     def test_lognormal_positive_and_floored(self):
-        model = LogNormalLatency(random.Random(2), median=0.05, sigma=1.5, floor=0.01)
-        samples = [model.sample(0, 1) for _ in range(500)]
+        model = PairwiseLatency(random.Random(2), sigma=1.5, jitter=0.0,
+                                floor=0.01)
+        samples = [model.sample(0, b) for b in range(1, 501)]
+        assert min(samples) == 0.01
         assert all(s >= 0.01 for s in samples)
 
     def test_lognormal_median_roughly_respected(self):
-        model = LogNormalLatency(random.Random(3), median=0.05, sigma=0.5, floor=0.0001)
-        samples = sorted(model.sample(0, 1) for _ in range(2000))
+        model = PairwiseLatency(random.Random(3), median_base=0.05, sigma=0.5,
+                                jitter=0.0, floor=0.0001)
+        samples = sorted(model.base(0, b) for b in range(1, 2001))
         median = samples[len(samples) // 2]
         assert 0.04 < median < 0.06
-
-    def test_lognormal_rejects_nonpositive_median(self):
-        with pytest.raises(ValueError):
-            LogNormalLatency(random.Random(1), median=0.0)
 
     def test_pairwise_base_stable_and_symmetric(self):
         model = PairwiseLatency(random.Random(4), jitter=0.0)
@@ -338,7 +326,6 @@ class TestPerPairLatency:
         bases = [model.sample(0, b) for b in range(1, 400)]
         assert min(bases) == 0.04
         assert 0.2 < sum(b == 0.04 for b in bases) / len(bases) < 0.5
-        assert model.lower_bound() == 0.04
 
     def test_adjacent_links_are_uncorrelated(self):
         model = PerPairLatency(27, jitter=1.0, floor=0.0)
@@ -391,30 +378,6 @@ class TestLossModels:
     def test_bernoulli_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             BernoulliLoss(random.Random(1), 1.5)
-
-    def test_gilbert_elliott_loses_more_than_good_state_alone(self):
-        model = GilbertElliottLoss(random.Random(9), p_good_to_bad=0.05,
-                                   p_bad_to_good=0.2, good_loss=0.0, bad_loss=0.8)
-        losses = sum(model.is_lost(0, 1) for _ in range(5000))
-        expected_fraction = model.steady_state_bad_fraction() * 0.8
-        assert losses > 0
-        assert abs(losses / 5000 - expected_fraction) < 0.05
-
-    def test_gilbert_elliott_state_is_per_link(self):
-        model = GilbertElliottLoss(random.Random(10), p_good_to_bad=1.0,
-                                   p_bad_to_good=0.0, good_loss=0.0, bad_loss=1.0)
-        # Link (0,1) transitions to bad on first datagram and stays there.
-        assert model.is_lost(0, 1)
-        # A different link starts in its own good state but also flips.
-        assert model.is_lost(2, 3)
-
-    def test_gilbert_elliott_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            GilbertElliottLoss(random.Random(1), p_good_to_bad=2.0)
-
-    def test_steady_state_bad_fraction_degenerate(self):
-        model = GilbertElliottLoss(random.Random(1), p_good_to_bad=0.0, p_bad_to_good=0.0)
-        assert model.steady_state_bad_fraction() == 0.0
 
 
 class TestPerPairLoss:

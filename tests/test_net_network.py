@@ -168,16 +168,6 @@ def test_stats_accounting():
     assert stats.delivery_ratio() == 1.0
 
 
-def test_control_overhead_fraction():
-    sim, net = make_net()
-    net.attach(1, Sink(), 1e9)
-    net.attach(2, Sink(), 1e9)
-    net.send(1, 2, FakePayload(kind="serve", size=1000 - UDP_IP_HEADER_BYTES))
-    net.send(1, 2, FakePayload(kind="propose", size=1000 - UDP_IP_HEADER_BYTES))
-    sim.run()
-    assert net.stats.control_overhead_fraction() == pytest.approx(0.5)
-
-
 def test_on_deliver_observer():
     sim, net = make_net()
     seen = []

@@ -450,7 +450,6 @@ class TestShardRouterLocalParts:
         first_b = b.sample(2, 3)
         seq_b = [b.sample(0, 1), b.sample(0, 1), first_b]
         assert seq_a == seq_b
-        assert a.lower_bound() == a.floor > 0
 
     def test_per_pair_models_make_arrivals_order_independent(self):
         """Through a real Network: every link's arrival times and drops
