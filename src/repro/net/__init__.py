@@ -6,7 +6,7 @@ depends on:
 * per-node **uplink serialization queues** — the application-level rate
   limiter of the paper ("packets which are about to cross the bandwidth
   limit are queued"), the mechanism behind congestion at poor nodes;
-* end-to-end **latency models** (constant, per-pair);
+* end-to-end **latency models** (constant, pairwise);
 * **loss models** (none, Bernoulli) standing in for UDP drops on the
   real Internet;
 * a :class:`~repro.net.network.Network` fabric that wires endpoints

@@ -3,8 +3,8 @@
 The paper copes with loss through retransmission timers (Algorithm 2) and
 observes that "when running simulations without message loss, 100% of the
 nodes received the full stream" — our :class:`NoLoss` default reproduces
-that; lossy scenarios use :class:`BernoulliLoss`.  :class:`PerPairLoss` is the
-order-independent Bernoulli variant sharded execution requires
+that; lossy scenarios use :class:`BernoulliLoss`.  :class:`PerPairLoss`
+is the order-independent Bernoulli variant sharded execution requires
 (``ScenarioConfig.loss_rng="per-pair"``), mirroring
 :class:`~repro.net.latency.PerPairLatency`.
 """

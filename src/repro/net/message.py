@@ -11,9 +11,10 @@ the human-readable display name (it survives in
 :class:`~repro.net.stats.NetworkStats` breakdowns and reprs), and
 ``kind_id``, a small dense integer interned through :func:`register_kind`.
 All routing — the network's per-endpoint dispatch tables, a node's
-co-hosted protocol handlers — happens on the integer, so the per-datagram cost of demultiplexing is one
-list/dict index instead of a chain of string compares.  Protocol modules
-register their kinds at import time::
+co-hosted protocol handlers — happens on the integer, so the
+per-datagram cost of demultiplexing is one list/dict index instead of a
+chain of string compares.  Protocol modules register their kinds at
+import time::
 
     class Propose:
         kind = "propose"
