@@ -9,7 +9,9 @@ behavior independently of how the engine is implemented.  Two more
 pin the partial-view path (Cyclon membership with per-pair loss and
 latency, a catastrophic failure, the audit and an attack): their event
 and datagram counts, total shuffles and the sha256 of the standard
-summary bundle.
+summary bundle.  One pins the same counters on fig 10's path: a
+catastrophic failure under the full-membership directory, whose
+survivors learn of each crash after a sampled detection delay.
 
 If a refactor of the event queue, the network fast path, or the RNG
 plumbing changes *any* of these numbers, it changed protocol behavior —
@@ -134,7 +136,7 @@ def _cyclon_run(view_size: int, adversary):
         mean_detection_delay=2.0, adversary=adversary))
 
 
-def _cyclon_pin(result) -> dict:
+def _churn_pin(result) -> dict:
     stats = result.net.stats
     summary = json.dumps(summarize(result, standard_bundle()), sort_keys=True)
     return {
@@ -161,7 +163,7 @@ class TestCyclonGolden:
 
     def test_spam(self):
         result = _cyclon_run(16, AttackMix.single("spam", 0.1, 1.0))
-        assert _cyclon_pin(result) == {
+        assert _churn_pin(result) == {
             "events": 25592, "sent": 17912, "bytes_sent": 11125644,
             "delivered": 15528, "dropped_dead": 1788, "dropped_queue": 0,
             "lost": 518, "wire": self.NO_WIRE, "shuffles": 344,
@@ -171,7 +173,7 @@ class TestCyclonGolden:
 
     def test_poisoned_view(self):
         result = _cyclon_run(12, AttackMix.single("poisoned-view", 0.15))
-        assert _cyclon_pin(result) == {
+        assert _churn_pin(result) == {
             "events": 22742, "sent": 15402, "bytes_sent": 10700816,
             "delivered": 13453, "dropped_dead": 1474, "dropped_queue": 0,
             "lost": 446, "wire": self.NO_WIRE, "shuffles": 344,
@@ -181,3 +183,24 @@ class TestCyclonGolden:
         poisoned = sum(stats["entries_poisoned"]
                        for stats in result.attacker_stats.values())
         assert poisoned == 222
+
+
+class TestDirectoryChurnGolden:
+    """HEAP on the full-membership directory, ms-691, 40 nodes, seed 11,
+    per-pair latency: a 20 % catastrophic failure at t=3 s that every
+    survivor's view learns of after 2 s on average."""
+
+    def test_catastrophic_failure(self):
+        result = run_scenario(ScenarioConfig(
+            protocol="heap", n_nodes=40, duration=4.0, drain=4.0, seed=11,
+            distribution=MS_691, latency_rng="per-pair",
+            churn=CatastrophicFailure(0.2, at_time=3.0),
+            mean_detection_delay=2.0))
+        assert len(result.crash_times) == 8
+        assert _churn_pin(result) == {
+            "events": 24679, "sent": 16465, "bytes_sent": 10504948,
+            "delivered": 15599, "dropped_dead": 860, "dropped_queue": 0,
+            "lost": 0, "wire": TestCyclonGolden.NO_WIRE, "shuffles": 0,
+            "summary": "464df725d4e6f364fd2cb25a06161f690d9bf2c7"
+                       "1f5a1814e9c14883fd0d37ee",
+        }
