@@ -1,7 +1,7 @@
 """Scenario execution: build the system, run it, collect results.
 
 The runner wires together every substrate — simulator, network fabric,
-membership directory, stream source, protocol nodes — from one
+membership, stream source, protocol nodes — from one
 :class:`~repro.workloads.scenario.ScenarioConfig`, runs to the scenario's
 horizon and returns an :class:`ExperimentResult` holding the receiver
 logs and enough context to compute any of the paper's metrics offline.
@@ -32,9 +32,10 @@ from repro.core.discovery import CapabilityProber
 from repro.core.heap import HeapGossipNode
 from repro.core.standard import StandardGossipNode
 from repro.freeriders.detection import FreeriderDetector
-from repro.membership.directory import MembershipDirectory
+from repro.membership.directory import Membership, MembershipDirectory
 from repro.membership.peer_sampling import PeerSamplingService
 from repro.membership.selector import CapabilityBiasedSelector
+from repro.membership.view import LocalView
 from repro.net.latency import PairwiseLatency, PerPairLatency
 from repro.net.loss import BernoulliLoss, PerPairLoss
 from repro.net.network import Network
@@ -54,7 +55,7 @@ class ExperimentResult:
     """Everything a metric needs about one finished run."""
 
     def __init__(self, config: ScenarioConfig, sim: Simulator, net: Network,
-                 directory: MembershipDirectory, nodes: List,
+                 directory: Optional[Membership], nodes: List,
                  publish_times: List[float], capacities: List[float],
                  labels: List[str], crash_times: Dict[int, float],
                  freerider_ids: Optional[List[int]] = None,
@@ -226,7 +227,7 @@ class ScenarioBuild:
     """
 
     def __init__(self, config: ScenarioConfig, sim: Simulator, net: Network,
-                 directory: MembershipDirectory, nodes: List,
+                 directory: Membership, nodes: List,
                  publish_times: List[float], capacities: List[float],
                  labels: List[str], crash_times: Dict[int, float],
                  freerider_ids: List[int], detectors: Dict, samplers: Dict,
@@ -297,8 +298,19 @@ def build_scenario(config: ScenarioConfig, *,
         loss = BernoulliLoss(registry.stream("loss"), config.loss_rate)
     net = Network(sim, latency=latency, loss=loss, router=router)
 
-    directory = MembershipDirectory(sim, registry.stream("detection"),
-                                    mean_detection_delay=config.mean_detection_delay)
+    # Membership: the ground truth (roster, alive set, crash victims) in
+    # every run; the full-membership views and their delayed crash
+    # notifications only when gossip nodes read them.  Cyclon nodes read
+    # their samplers' partial views and tree nodes read no view, so
+    # neither draws detection delays nor queues notifications.
+    directory_views = (config.membership == "directory"
+                       and config.protocol != "tree")
+    if directory_views:
+        directory: Membership = MembershipDirectory(
+            sim, registry.stream("detection"),
+            mean_detection_delay=config.mean_detection_delay)
+    else:
+        directory = Membership()
     directory.register_all(range(config.n_nodes))
 
     # Capacity assignment: node 0 (source) fixed, receivers from the
@@ -314,10 +326,14 @@ def build_scenario(config: ScenarioConfig, *,
     attackers = _place_scenario_attackers(config, capacities)
     freerider_ids = sorted(attackers)
 
-    # Membership views: the directory's (full membership) or the
-    # peer-sampling service's partial views.
+    # Membership views: the directory's (full membership), the
+    # peer-sampling service's partial views, or none (the tree).
     samplers: Dict[int, PeerSamplingService] = {}
-    if config.membership == "cyclon" and config.protocol != "tree":
+    views: Dict[int, LocalView] = {}
+    if directory_views:
+        views = {node_id: directory.view_of(node_id)
+                 for node_id in range(config.n_nodes)}
+    elif config.protocol != "tree":
         boot_rng = registry.stream("cyclon-bootstrap")
         n_others = config.n_nodes - 1
         boot_size = min(config.cyclon_view_size, n_others)
@@ -345,9 +361,6 @@ def build_scenario(config: ScenarioConfig, *,
                 for j in boot_rng.sample(range(n_others), boot_size)])
             samplers[node_id] = sampler
         views = {node_id: samplers[node_id].view
-                 for node_id in range(config.n_nodes)}
-    else:
-        views = {node_id: directory.view_of(node_id)
                  for node_id in range(config.n_nodes)}
 
     if config.protocol == "tree":

@@ -30,10 +30,11 @@ that sharding gives up:
 * receiver-side stats are commutative counters, merged per shard.
 
 **Membership churn** is *replicated*: every shard builds the whole
-scenario, so every shard holds an identical copy of the churn and
-detection streams and draws the same victims, the same detection delays,
-at the same simulated times — crash state (``Network._crash_time``, the
-directory's alive set, survivors' views) stays serial-exact on every
+scenario, so every shard holds an identical copy of the churn stream
+(and, where gossip reads directory views, the detection stream) and
+draws the same victims, the same detection delays, at the same simulated
+times — crash state (``Network._crash_time``, the alive set, survivors'
+views) stays serial-exact on every
 shard without any crash needing to cross the partition for correctness.
 What *does* cross is verification: the victim's owner shard announces
 each crash as a **control row** in its window outboxes — a tuple whose

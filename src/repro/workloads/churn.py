@@ -2,19 +2,24 @@
 
 :class:`CatastrophicFailure` reproduces Section 3.6: a fraction of the
 nodes (victims drawn uniformly, so the capability supply ratio is
-unchanged) crash simultaneously at a given time; survivors learn about
-each failure after the directory's mean detection delay (10 s in the
-paper).
+unchanged) crash simultaneously at a given time; when gossip nodes take
+full-membership views, survivors learn about each failure after the
+directory's mean detection delay (10 s in the paper).
 
 :class:`IntervalChurn` is an extension beyond the paper's headline
 experiments: continuous random crashes at a configurable rate, useful
 for stress benches.
+
+Both draw victims from, and record crashes in, the ground-truth
+:class:`~repro.membership.directory.Membership`.
 """
 
 from __future__ import annotations
 
 import random
 from typing import Callable, List, Optional, Sequence
+
+from repro.membership.directory import Membership
 
 
 class CatastrophicFailure:
@@ -30,11 +35,12 @@ class CatastrophicFailure:
         #: Filled when the failure fires (for post-run analysis).
         self.victims: List[int] = []
 
-    def schedule(self, sim, directory, rng: random.Random,
+    def schedule(self, sim, directory: Membership, rng: random.Random,
                  crash_node: Callable[[int], None],
                  protect: Sequence[int] = ()) -> None:
         """Arm the failure.  ``crash_node`` must kill one node id (network
-        crash + protocol stop); view updates flow through the directory."""
+        crash + protocol stop); view updates, where a run keeps full-membership
+        views, flow through the directory."""
 
         def fire():
             self.victims = directory.pick_crash_victims(
@@ -68,7 +74,7 @@ class IntervalChurn:
         self.stop = stop
         self.victims: List[int] = []
 
-    def schedule(self, sim, directory, rng: random.Random,
+    def schedule(self, sim, directory: Membership, rng: random.Random,
                  crash_node: Callable[[int], None],
                  protect: Sequence[int] = ()) -> None:
         protected = set(protect)

@@ -19,6 +19,8 @@ from repro.metrics import (
     window_delivery_over_time,
 )
 from repro.metrics.lag import per_node_lag_jitter_free
+from repro.sim.engine import Lane
+from repro.sim.rng import RngRegistry
 from repro.workloads import MS_691, REF_691, UNCONSTRAINED, CatastrophicFailure
 
 FAST = dict(n_nodes=40, duration=8.0, drain=15.0, seed=7)
@@ -159,6 +161,42 @@ class TestChurn:
         victims = set(churn_result.config.churn.victims)
         assert not victims & set(churn_result.receiver_ids())
         assert victims <= set(churn_result.receiver_ids(include_crashed=True))
+
+    @pytest.mark.parametrize("overrides, notified", [
+        (dict(), True),
+        (dict(membership="cyclon"), False),
+        (dict(protocol="tree"), False),
+    ], ids=["directory", "cyclon", "tree"])
+    def test_crash_notifications_only_where_views_read_them(
+            self, monkeypatch, overrides, notified):
+        """Only gossip on full-membership views draws detection delays
+        and queues one notification per survivor; Cyclon nodes and the
+        tree read no directory view, so a crash changes the truth alone."""
+        streams, queued = [], []
+        stream, post_many = RngRegistry.stream, Lane.post_many
+
+        def record_stream(registry, name):
+            streams.append(name)
+            return stream(registry, name)
+
+        def record_posts(lane, entries):
+            entries = list(entries)
+            queued.extend(entries)
+            post_many(lane, entries)
+
+        monkeypatch.setattr(RngRegistry, "stream", record_stream)
+        monkeypatch.setattr(Lane, "post_many", record_posts)
+        n_nodes = 20
+        result = run_scenario(ScenarioConfig(
+            distribution=REF_691, n_nodes=n_nodes, duration=3.0, drain=3.0,
+            seed=5, churn=CatastrophicFailure(fraction=0.2, at_time=1.0),
+            mean_detection_delay=1.0, **overrides))
+        victims = len(result.crash_times)
+        assert victims == 4
+        assert ("detection" in streams) == notified
+        # The k-th victim's crash reaches the n - k nodes still alive.
+        expected = sum(n_nodes - k for k in range(1, victims + 1))
+        assert len(queued) == (expected if notified else 0)
 
 
 class TestTreeBaseline:
