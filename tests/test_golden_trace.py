@@ -164,7 +164,7 @@ class TestCyclonGolden:
     def test_spam(self):
         result = _cyclon_run(16, AttackMix.single("spam", 0.1, 1.0))
         assert _churn_pin(result) == {
-            "events": 25592, "sent": 17912, "bytes_sent": 11125644,
+            "events": 25308, "sent": 17912, "bytes_sent": 11125644,
             "delivered": 15528, "dropped_dead": 1788, "dropped_queue": 0,
             "lost": 518, "wire": self.NO_WIRE, "shuffles": 344,
             "summary": "391bf0c12222fa593b2e5a8bc02afe226ae6b7c9"
@@ -174,7 +174,7 @@ class TestCyclonGolden:
     def test_poisoned_view(self):
         result = _cyclon_run(12, AttackMix.single("poisoned-view", 0.15))
         assert _churn_pin(result) == {
-            "events": 22742, "sent": 15402, "bytes_sent": 10700816,
+            "events": 22458, "sent": 15402, "bytes_sent": 10700816,
             "delivered": 13453, "dropped_dead": 1474, "dropped_queue": 0,
             "lost": 446, "wire": self.NO_WIRE, "shuffles": 344,
             "summary": "028edde849d14607a1d3f039f6f4128f267655425d"
