@@ -156,7 +156,8 @@ def _submit(manager: JobManager, body: Optional[bytes]) -> ApiResponse:
         raise ApiError(400, "missing request body")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the decoder's stack allows.
         raise ApiError(400, f"request body is not JSON: {exc}") from None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ApiError(400, 'request body must be {"kind": ..., "params": {...}}')

@@ -290,6 +290,26 @@ class TestErrorPaths:
             conn.close()
         assert service.manager.jobs() == []
 
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_deeply_nested_body_is_a_400(self, service, client, depth):
+        """A small body nested past the decoder's recursion limit used to
+        raise out of the handler and drop the connection unanswered."""
+        import http.client
+
+        body = b"[" * depth + b"]" * depth
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=10.0)
+        try:
+            conn.request("POST", "/v1/jobs", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            error = json.loads(response.read())["error"]
+            assert error.startswith("request body is not JSON")
+        finally:
+            conn.close()
+        assert service.manager.jobs() == []
+        assert client.health()["status"] == "ok"
+
     def test_health_endpoint(self, client):
         health = client.health()
         assert health["status"] == "ok"
