@@ -11,7 +11,8 @@ latency, a catastrophic failure, the audit and an attack): their event
 and datagram counts, total shuffles and the sha256 of the standard
 summary bundle.  One pins the same counters on fig 10's path: a
 catastrophic failure under the full-membership directory, whose
-survivors learn of each crash after a sampled detection delay.
+survivors learn of each crash after a sampled detection delay.  The last
+pins them on the tree baseline through the same failure.
 
 If a refactor of the event queue, the network fast path, or the RNG
 plumbing changes *any* of these numbers, it changed protocol behavior —
@@ -203,4 +204,24 @@ class TestDirectoryChurnGolden:
             "lost": 0, "wire": TestCyclonGolden.NO_WIRE, "shuffles": 0,
             "summary": "464df725d4e6f364fd2cb25a06161f690d9bf2c7"
                        "1f5a1814e9c14883fd0d37ee",
+        }
+
+
+class TestTreeChurnGolden:
+    """The tree baseline, ms-691, 40 nodes, seed 11, per-pair latency,
+    through a 20 % catastrophic failure at t=3 s: the crashed subtrees
+    stop forwarding and nothing repairs them."""
+
+    def test_catastrophic_failure(self):
+        result = run_scenario(ScenarioConfig(
+            protocol="tree", n_nodes=40, duration=4.0, drain=4.0, seed=11,
+            distribution=MS_691, latency_rng="per-pair",
+            churn=CatastrophicFailure(0.2, at_time=3.0)))
+        assert len(result.crash_times) == 8
+        assert _churn_pin(result) == {
+            "events": 4805, "sent": 6256, "bytes_sent": 8533184,
+            "delivered": 3298, "dropped_dead": 1286, "dropped_queue": 0,
+            "lost": 0, "wire": TestCyclonGolden.NO_WIRE, "shuffles": 0,
+            "summary": "7d8d38d69515281cdd9da1ead24f859c2a2ebbb4"
+                       "ae7dc48fab730adca6ee667c",
         }
