@@ -16,6 +16,15 @@ new tuple, and ``freshest`` hands the stored tuples on unchanged.  So a
 merge is one store, and a round sorts and slices the table without
 building a sample — one tuple can sit in many nodes' tables and many
 messages at once, which is safe because tuples are immutable.
+
+A round runs every 0.2 s at every node, so it carries no call it can do
+without: it sorts inline (what :meth:`CapabilityAggregator.freshest`
+returns), builds its message by slot stores as ``Network.send*`` build
+envelopes, and hands a one-partner round — the paper's
+``aggregation_fanout = 1`` — to ``Network.send``, which ``send_many``
+equals for one destination.  The host registers
+:meth:`CapabilityAggregator.on_envelope` for the aggregation kind, so a
+delivery reaches the merge straight from the dispatch table.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.membership.view import LocalView
-from repro.net.message import register_kind
+from repro.net.message import Envelope, register_kind
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
@@ -39,6 +48,8 @@ _SAMPLE_BYTES = 12
 Sample = Tuple[int, float, float]
 _capability_of = itemgetter(1)
 _timestamp_of = itemgetter(2)
+#: A round builds its message without an ``__init__`` frame.
+_new_message = object.__new__
 
 
 class AggregationMessage:
@@ -131,7 +142,8 @@ class CapabilityAggregator:
         which their nodes first entered the table (``sorted`` is stable,
         ``reverse=True`` included, and a dict iterates in insertion
         order) — the tie order the golden traces pin.  The entries are
-        the table's own tuples, not copies.
+        the table's own tuples, not copies.  A round makes the same sort
+        inline.
         """
         return sorted(self._table.values(), key=_timestamp_of,
                       reverse=True)[:count]
@@ -162,16 +174,26 @@ class CapabilityAggregator:
     def _gossip(self) -> None:
         now = self._sim._now
         own = self.node_id
-        self._table[own] = (own, self._capability(), now)
+        table = self._table
+        table[own] = (own, self._capability(), now)
         if self._oldest_ts < now - self.sample_ttl:
             self._evict_stale()
         partners = self._view.sample(self.fanout, self._rng)
         if not partners:
             return
-        fresh = self.freshest(self.fresh_count)
-        self._net.send_many(self.node_id, partners, AggregationMessage(fresh))
+        # freshest(fresh_count) and AggregationMessage(fresh), inline.
+        fresh = sorted(table.values(), key=_timestamp_of,
+                       reverse=True)[:self.fresh_count]
+        message = _new_message(AggregationMessage)
+        message.samples = fresh
+        message._wire_size = _HEADER_BYTES + _SAMPLE_BYTES * len(fresh)
+        if len(partners) == 1:
+            self._net.send(own, partners[0], message)
+        else:
+            self._net.send_many(own, partners, message)
 
     def on_message(self, src: int, message: AggregationMessage) -> None:
+        """Merge ``message``'s samples, keeping the freshest per node."""
         table = self._table
         own = self.node_id
         oldest = self._oldest_ts
@@ -179,11 +201,20 @@ class CapabilityAggregator:
             node, _, timestamp = sample
             if node == own:
                 continue  # nobody knows our capability better than we do
-            existing = table.get(node)
-            if existing is None or timestamp > existing[2]:
+            # One dict operation for a node new to the table.  A sample
+            # already stored (a relayed tuple seen again) falls through
+            # harmlessly: ``oldest`` already bounds its timestamp.
+            existing = table.setdefault(node, sample)
+            if existing is not sample:
+                if timestamp <= existing[2]:
+                    continue
                 table[node] = sample
-                if timestamp < oldest:
-                    oldest = timestamp
+            if timestamp < oldest:
+                oldest = timestamp
         self._oldest_ts = oldest
         if oldest < self._sim._now - self.sample_ttl:
             self._evict_stale()
+
+    def on_envelope(self, envelope: Envelope) -> None:
+        """The aggregation kind's entry in the host's dispatch table."""
+        self.on_message(envelope.src, envelope.payload)

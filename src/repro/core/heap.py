@@ -3,7 +3,11 @@
 Differences from standard gossip, exactly as in the paper:
 
 * a :class:`~repro.core.aggregation.CapabilityAggregator` continuously
-  estimates the system-average upload capability b;
+  estimates the system-average upload capability b — it and the fanout
+  policy read the node's capability through one shared
+  ``partial(getattr, node, "capability_bps")``, and aggregation
+  deliveries go from this endpoint's dispatch table straight to the
+  aggregator;
 * ``getFanout()`` returns ``f * b_p / b`` (Equation 1), bounded below by
   ``min_fanout`` and optionally capped, quantized per round;
 * retransmission timers (shared machinery, also enabled in the baseline).
@@ -17,6 +21,7 @@ traditional gossip".
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Optional
 
 from repro.core.aggregation import AggregationMessage, CapabilityAggregator
@@ -24,7 +29,6 @@ from repro.core.base import GossipNode
 from repro.core.config import GossipConfig
 from repro.core.fanout import AdaptiveFanout
 from repro.membership.view import LocalView
-from repro.net.message import Envelope
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 
@@ -38,9 +42,11 @@ class HeapGossipNode(GossipNode):
                  view: LocalView, config: GossipConfig, rng: random.Random,
                  capability_bps: float):
         super().__init__(sim, net, node_id, view, config, rng, capability_bps)
+        # Read per round by both consumers; a C-level callable, no frame.
+        capability = partial(getattr, self, "capability_bps")
         self.aggregator = CapabilityAggregator(
             sim, net, node_id,
-            capability=lambda: self.capability_bps,
+            capability=capability,
             view=view,
             rng=rng,
             period=config.aggregation_period,
@@ -50,16 +56,17 @@ class HeapGossipNode(GossipNode):
         )
         self._policy = AdaptiveFanout(
             base_fanout=config.fanout,
-            capability=lambda: self.capability_bps,
+            capability=capability,
             average_estimate=self.aggregator.average_estimate,
             min_fanout=config.min_fanout,
             max_fanout=config.max_fanout,
             mode=config.fanout_rounding,
             rng=rng,
         )
-        # The aggregation protocol rides this endpoint's dispatch table.
+        # The aggregation protocol rides this endpoint's dispatch table,
+        # its deliveries handed straight to the aggregator.
         self.register_handler(AggregationMessage.kind_id,
-                              self._handle_aggregation)
+                              self.aggregator.on_envelope)
 
     # ------------------------------------------------------------------
     def start(self, phase: Optional[float] = None) -> None:
@@ -80,7 +87,3 @@ class HeapGossipNode(GossipNode):
     def average_capability_estimate(self) -> float:
         """The aggregation protocol's current estimate of b (diagnostics)."""
         return self.aggregator.average_estimate()
-
-    # ------------------------------------------------------------------
-    def _handle_aggregation(self, envelope: Envelope) -> None:
-        self.aggregator.on_message(envelope.src, envelope.payload)

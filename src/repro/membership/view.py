@@ -31,11 +31,16 @@ is ``roster[j]`` below the owner's position and ``roster[j + 1]`` from it
 on.  ``k == 1`` — every aggregation round, ``aggregation_fanout = 1``
 being the paper's value — skips ``random.sample`` altogether: on either
 side of its pool/set switch a sample of one is ``population[j]`` for a
-single ``j = _randbelow(n)``, which is what ``rng.randrange(n)`` draws,
-so the element and the RNG state afterwards are the same without the
-``Sequence`` check, the result list and the selection set.
-``tests/test_membership_view.py`` pins both identities on both sides of
-the switch.
+single ``j = rng._randbelow(n)``, so calling that directly gives the
+same element and leaves the same RNG state without the ``Sequence``
+check, the result list and the selection set.  It is also exactly the
+call ``rng.randrange(n)`` makes for ``n > 0`` (CPython 3.11 and 3.12),
+minus the argument handling.  The owner's position in the roster is
+cached per view and recomputed only when the roster's length changes:
+the roster only grows and stays sorted, so a registration below the
+owner — the one thing that moves it — also changes the length.
+``tests/test_membership_view.py`` pins these identities on both sides
+of the switch.
 """
 
 from __future__ import annotations
@@ -74,7 +79,8 @@ class LocalView:
     ("return f uniformly random nodes").
     """
 
-    __slots__ = ("owner", "_roster", "_members", "_members_list", "_dirty")
+    __slots__ = ("owner", "_roster", "_members", "_members_list", "_dirty",
+                 "_at", "_at_size")
 
     def __init__(self, owner: int, members: Optional[Iterable[int]] = None,
                  *, roster: Optional[Roster] = None):
@@ -86,6 +92,10 @@ class LocalView:
         self._members: Optional[Set[int]] = None
         self._members_list: List[int] = []
         self._dirty = True
+        # Shared views: the owner's roster index, valid while the roster
+        # holds _at_size ids (it only grows, so its length names it).
+        self._at = 0
+        self._at_size = -1
         if roster is None:
             self._members = set(members) if members is not None else set()
             self._members.discard(owner)
@@ -160,13 +170,17 @@ class LocalView:
         if self._members is None:
             ids = self._roster.ids
             if not exclude:
-                at = _find(ids, self.owner)
-                n = len(ids) - (at < len(ids))
+                size = len(ids)
+                if self._at_size != size:
+                    self._at = _find(ids, self.owner)
+                    self._at_size = size
+                at = self._at
+                n = size - (at < size)
                 if k >= n:
                     return ids[:at] + ids[at + 1:]
                 # See "Sampling identity" in the module docstring.
                 if k == 1:
-                    j = rng.randrange(n)
+                    j = rng._randbelow(n)
                     return [ids[j] if j < at else ids[j + 1]]
                 return [ids[j] if j < at else ids[j + 1]
                         for j in rng.sample(range(n), k)]
@@ -179,5 +193,5 @@ class LocalView:
         if k >= len(candidates):
             return list(candidates)
         if k == 1:
-            return [candidates[rng.randrange(len(candidates))]]
+            return [candidates[rng._randbelow(len(candidates))]]
         return rng.sample(candidates, k)

@@ -12,8 +12,9 @@ Three scheduling APIs share the queue:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   cancellable :class:`EventHandle` (the classic API), and
-  :meth:`Simulator.rearm` queues a handle whose event has fired again —
-  a periodic timer keeps one handle for its whole life;
+  :meth:`Simulator.rearm` queues a handle whose event has fired again
+  (a periodic timer does the same inline for its own handle, which it
+  keeps for its whole life);
 * :meth:`Simulator.post_at` is the fire-and-forget fast path: it enqueues
   a bare callable with no handle allocation.  The network's datagram
   delivery path uses it — deliveries are never cancelled, so paying for a
@@ -290,7 +291,7 @@ class Simulator:
         :meth:`schedule` had just returned it.
 
         What a periodic timer does on every tick instead of allocating a
-        new handle.  Raises :class:`SimulationError` if ``handle`` is
+        new handle (inline, for its own just-fired handle).  Raises :class:`SimulationError` if ``handle`` is
         still pending, was cancelled, or belongs to another simulator:
         the handle of a queued event, re-queued, would fire twice.
         """

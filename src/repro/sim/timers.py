@@ -16,6 +16,7 @@ order — retransmission expiries, crash detections — ride a
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import EventHandle, SimulationError, Simulator
@@ -60,9 +61,11 @@ class PeriodicTimer:
 
     From :meth:`start` to :meth:`stop` the timer holds one
     :class:`~repro.sim.engine.EventHandle`: each tick re-arms the handle
-    that just fired (:meth:`Simulator.rearm
-    <repro.sim.engine.Simulator.rearm>`) with the tick method, bound
-    once, so a tick allocates neither.
+    that just fired with the tick method, bound once, so a tick allocates
+    neither.  The tick queues the handle itself — the three steps of
+    :meth:`Simulator.rearm <repro.sim.engine.Simulator.rearm>`, without
+    its call or its checks, which the timer's own just-fired handle
+    cannot fail.
     """
 
     __slots__ = ("_sim", "_callback", "_period", "_handle", "_on_tick",
@@ -100,6 +103,11 @@ class PeriodicTimer:
     def _tick(self) -> None:
         # Re-arm before invoking the callback so the callback may call
         # stop() to terminate the cycle.
-        self._sim.rearm(self._handle, self._period, self._on_tick)
+        sim = self._sim
+        seq = sim._seq + 1
+        sim._seq = seq
+        handle = self._handle
+        handle.callback = self._on_tick
+        _heappush(sim._heap, (sim._now + self._period, seq, handle))
         self.ticks += 1
         self._callback()

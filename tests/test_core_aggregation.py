@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core.aggregation import AggregationMessage, CapabilityAggregator
 from repro.membership.directory import MembershipDirectory
-from repro.net.latency import ConstantLatency
+from repro.membership.view import LocalView
+from repro.net.latency import ConstantLatency, PerPairLatency
+from repro.net.loss import PerPairLoss
 from repro.net.network import Network
 from repro.sim.engine import Simulator
 
@@ -324,3 +326,55 @@ def test_columnar_table_matches_the_tuple_table_reference(sample_ttl, steps):
                 agg._refresh_own_sample()
                 agg._evict_stale()
         check()
+
+
+class _SendManyOnly(Network):
+    """A fabric whose unicast ``send`` goes through ``send_many``."""
+
+    __slots__ = ()
+
+    def send(self, src, dst, payload):
+        self.send_many(src, [dst], payload)
+
+
+class _Sink:
+    def __init__(self):
+        self.arrivals = []
+
+    def on_message(self, envelope):
+        self.arrivals.append((envelope.arrival_time, envelope.size_bytes))
+
+
+def _one_partner_rounds(fabric, loss_rate, capacity):
+    sim = Simulator()
+    loss = PerPairLoss(3, loss_rate) if loss_rate else None
+    net = fabric(sim, latency=PerPairLatency(3), loss=loss)
+    agg = CapabilityAggregator(sim, net, 0, capability=lambda: 512.0,
+                               view=LocalView(0, [1]), rng=random.Random(4),
+                               fanout=1)
+    net.attach(0, AggEndpoint(agg), upload_capacity_bps=capacity,
+               max_queue_delay=1.0)
+    sink = _Sink()
+    net.attach(1, sink, upload_capacity_bps=10e6)
+    agg.start()
+    sim.run(until=6.0)
+    stats = net.stats
+    return sink.arrivals, (stats.lost, stats.dropped_queue, stats.dropped_dead,
+                           stats.bytes_by_kind, stats.count_by_kind,
+                           stats.received_bytes_by_kind,
+                           stats.received_count_by_kind)
+
+
+@pytest.mark.parametrize("loss_rate,capacity,counter", [
+    (0.0, 10e6, None), (0.3, 10e6, 0), (0.0, 1_000.0, 1)])
+def test_a_one_partner_round_counts_like_a_one_destination_send_many(
+        loss_rate, capacity, counter):
+    """A one-partner round calls ``Network.send``: every datagram, loss
+    draw, queue drop and counter matches ``send_many`` to that one
+    destination."""
+    arrivals, stats = _one_partner_rounds(Network, loss_rate, capacity)
+    assert arrivals and stats[4]["aggregation"] > 0
+    if counter is not None:
+        assert stats[counter] > 0  # the lossy / capped path is exercised
+    assert (arrivals, stats) == _one_partner_rounds(_SendManyOnly, loss_rate,
+                                                    capacity)

@@ -1,6 +1,7 @@
 """Unit tests for LocalView and selectors."""
 
 import random
+from bisect import insort
 
 import pytest
 
@@ -102,6 +103,19 @@ def test_one_draw_picks_what_a_sample_of_one_picks(n):
         assert by_draw.getstate() == by_sample.getstate()
 
 
+@pytest.mark.parametrize("n", [2 ** e + d for e in (1, 3, 8, 16, 32)
+                               for d in (-1, 0, 1)] + [999, 2 ** 31])
+def test_randbelow_is_the_draw_randrange_makes(n):
+    """A one-peer draw calls ``rng._randbelow(n)`` for ``randrange(n)``:
+    the same value and the same state afterwards, rejection loop
+    included (powers of two +-1 sit at its edges)."""
+    for seed in range(10):
+        direct, via = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert direct._randbelow(n) == via.randrange(n)
+        assert direct.getstate() == via.getstate()
+
+
 @pytest.mark.parametrize("n", [2, 21, 22, 1000])
 @pytest.mark.parametrize("exclude", [None, {1003}, {1000, 1006}])
 def test_sample_of_one_is_random_sample_of_one(n, exclude):
@@ -171,6 +185,19 @@ class TestSharedView:
         assert roster.diverged == [removed, added]
         roster.ids.append(11)  # a diverged view no longer reads the roster
         assert 11 not in removed and 11 in LocalView(5, roster=roster)
+
+    def test_a_registration_below_the_owner_moves_its_cached_index(self):
+        """The owner's roster index is cached per view; a later
+        registration below the owner shifts it and must be seen."""
+        roster = self.roster(range(10, 30))
+        shared = LocalView(20, roster=roster)
+        shared.sample(1, random.Random(0))  # caches the owner's index
+        insort(roster.ids, 3)
+        private = LocalView(20, roster.ids)
+        r1, r2 = random.Random(1), random.Random(1)
+        for _ in range(200):
+            assert shared.sample(1, r1) == private.sample(1, r2)
+        assert r1.getstate() == r2.getstate()
 
     @pytest.mark.parametrize("owner", [300, 317, 399])
     @pytest.mark.parametrize("k", [1, 5, 7, 40, 98, 99, 150])
