@@ -43,7 +43,8 @@ from typing import (Dict, List, Mapping, Optional, Tuple, Union, get_args,
 
 from repro.experiments.scales import _SCALES
 from repro.workloads import CatastrophicFailure, distribution_by_name
-from repro.workloads.scenario import PROTOCOLS, ScenarioConfig
+from repro.workloads.scenario import (PROTOCOLS, ScenarioConfig,
+                                      nonfinite_fields)
 
 
 def _option(default, help: str, **flag):
@@ -71,7 +72,8 @@ class _ParamSpec:
         field's declared type (list-valued fields accept JSON lists or
         the CLI's comma-separated strings), so a malformed value is a
         :class:`ValueError` naming the field, never a stray
-        ``TypeError`` from deep inside the run.
+        ``TypeError`` from deep inside the run.  NaN and infinities are
+        refused the same way, for every float field at once.
         """
         hints = _hints(cls)
         unknown = sorted(set(params) - set(hints))
@@ -81,6 +83,10 @@ class _ParamSpec:
                              f"{', '.join(sorted(hints))}")
         spec = cls(**{name: _coerce(name, hints[name], value)
                       for name, value in params.items()})
+        nonfinite = nonfinite_fields(spec)
+        if nonfinite:
+            raise ValueError(f"{what} parameter(s) must be finite: "
+                             f"{', '.join(nonfinite)}")
         spec.check()
         return spec
 

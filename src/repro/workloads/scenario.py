@@ -8,7 +8,8 @@ experiment identity: same scenario, same result, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from math import isfinite
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.core.config import GossipConfig
@@ -22,6 +23,24 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Protocols the runner knows how to build.
 PROTOCOLS = ("standard", "heap", "tree")
+
+def nonfinite_fields(value, prefix: str = "") -> List[str]:
+    """The names of ``value``'s float fields that hold NaN or an
+    infinity, nested dataclass fields included (dotted).
+
+    One check for every float a config or spec declares: NaN passes
+    every ``<=`` / ``<`` range test, so a per-field comparison cannot
+    refuse it, and an infinite time never ends a run.
+    """
+    bad = []
+    for f in fields(value):
+        item = getattr(value, f.name)
+        if isinstance(item, float) and not isfinite(item):
+            bad.append(prefix + f.name)
+        elif is_dataclass(item) and not isinstance(item, type):
+            bad.extend(nonfinite_fields(item, f"{prefix}{f.name}."))
+    return bad
+
 
 #: Version of the per-link stream derivation behind ``latency_rng`` /
 #: ``loss_rng`` ``"per-pair"`` (the SplitMix64 link streams of
@@ -148,6 +167,9 @@ class ScenarioConfig:
         failing one field at a time.
         """
         errors = []
+        nonfinite = nonfinite_fields(self)
+        if nonfinite:
+            errors.append(f"must be finite: {', '.join(nonfinite)}")
         if self.protocol not in PROTOCOLS:
             errors.append(
                 f"unknown protocol {self.protocol!r}; known: {PROTOCOLS}")

@@ -115,6 +115,18 @@ class TestCommands:
         assert "freeriders:" in out
         assert "precision" in out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--drain", "nan"),           # used to run 0 events, "100 %" delivery
+        ("--drain", "inf"),           # used to never return
+        ("--seconds", "nan"),         # used to end in a traceback
+        ("--churn-fraction", "nan"),  # used to be ignored
+    ])
+    def test_run_refuses_a_non_finite_timing(self, capsys, flag, value):
+        code = main(["run", "--nodes", "20", "--seconds", "2", flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+
     def test_run_with_churn(self, capsys):
         code = main(["run", "--nodes", "25", "--seconds", "8", "--drain", "15",
                      "--churn-fraction", "0.2", "--churn-time", "4"])

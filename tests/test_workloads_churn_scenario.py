@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.config import GossipConfig
 from repro.membership.directory import MembershipDirectory
 from repro.sim.engine import Simulator
 from repro.workloads.churn import CatastrophicFailure, IntervalChurn
@@ -108,6 +109,22 @@ class TestScenarioConfig:
     def test_invalid_configs(self, overrides):
         with pytest.raises(ValueError):
             ScenarioConfig(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides, named", [
+        ({"drain": float("nan")}, "drain"),
+        ({"drain": float("inf")}, "drain"),
+        ({"duration": float("nan")}, "duration"),
+        ({"stream_start": float("-inf")}, "stream_start"),
+        ({"latency_jitter": float("nan"), "loss_rate": float("nan")},
+         "loss_rate, latency_jitter"),
+        ({"gossip": GossipConfig(aggregation_period=float("inf"))},
+         "gossip.aggregation_period"),
+    ])
+    def test_non_finite_fields_are_violations(self, overrides, named):
+        """NaN passes every ``<=`` range test: one check refuses it, and
+        infinities, in any float field."""
+        violations = ScenarioConfig(**overrides).violations()
+        assert f"must be finite: {named}" in violations
 
     def test_distribution_field(self):
         config = ScenarioConfig(distribution=MS_691)
