@@ -151,19 +151,47 @@ def _job(manager: JobManager, job_id: str) -> Job:
         raise ApiError(404, f"unknown job {job_id!r}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook``: a JSON object whose keys are all distinct
+    (the decoder would otherwise keep the last of a repeated key)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ApiError(400, f"duplicate key {key!r} in request body")
+        obj[key] = value
+    return obj
+
+
+def _no_constant(name: str):
+    """``parse_constant``: ``NaN`` / ``Infinity`` are not JSON numbers."""
+    raise ApiError(400, f"{name} is not a JSON number")
+
+
+_SUBMIT_KEYS = ("kind", "params")
+_SUBMIT_SHAPE = 'request body must be {"kind": ..., "params": {...}}'
+
+
 def _submit(manager: JobManager, body: Optional[bytes]) -> ApiResponse:
     if not body:
         raise ApiError(400, "missing request body")
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = json.loads(body.decode("utf-8"),
+                             object_pairs_hook=_unique_keys,
+                             parse_constant=_no_constant)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nested deeper than the decoder's stack allows.
         raise ApiError(400, f"request body is not JSON: {exc}") from None
     if not isinstance(payload, dict) or "kind" not in payload:
-        raise ApiError(400, 'request body must be {"kind": ..., "params": {...}}')
-    params = payload.get("params") or {}
+        raise ApiError(400, _SUBMIT_SHAPE)
+    unknown = sorted(set(payload) - set(_SUBMIT_KEYS))
+    if unknown:
+        # A typo such as "parms" must not run the default experiment.
+        raise ApiError(400, f"unknown request key(s) {', '.join(unknown)}; "
+                            + _SUBMIT_SHAPE)
+    params = payload.get("params", {})
     if not isinstance(params, dict):
-        raise ApiError(400, '"params" must be an object')
+        raise ApiError(400, '"params" must be an object, not '
+                            f"{type(params).__name__}")
     try:
         job, created = manager.submit(str(payload["kind"]), params)
     except SpecQuarantined as exc:

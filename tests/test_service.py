@@ -310,6 +310,39 @@ class TestErrorPaths:
         assert service.manager.jobs() == []
         assert client.health()["status"] == "ok"
 
+    @pytest.mark.parametrize("body, error", [
+        # JSON 1e999 decodes to inf: a drain that never ends.
+        (b'{"kind": "run", "params": {"nodes": 20, "seconds": 2, '
+         b'"drain": 1e999}}', "must be finite: drain"),
+        # A typoed key used to start the default 16-cell grid.
+        (b'{"kind": "sweep", "parms": {"nodes": 20}}',
+         "unknown request key(s) parms"),
+        (b'{"kind": "sweep", "params": []}', '"params" must be an object'),
+        (b'{"kind": "sweep", "params": 0}', '"params" must be an object'),
+        (b'{"kind": "sweep", "params": false}', '"params" must be an object'),
+        (b'{"kind": "run", "params": {"nodes": 20, "nodes": 30}}',
+         "duplicate key 'nodes'"),
+        (b'{"kind": "run", "params": {"drain": NaN}}',
+         "NaN is not a JSON number"),
+        (b'{"kind": "run", "params": {"drain": -Infinity}}',
+         "-Infinity is not a JSON number"),
+    ])
+    def test_bodies_that_would_run_the_wrong_job_are_400(
+            self, service, client, body, error):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", service.port,
+                                          timeout=10.0)
+        try:
+            conn.request("POST", "/v1/jobs", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert error in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert service.manager.jobs() == []
+        assert client.health()["status"] == "ok"
+
     def test_health_endpoint(self, client):
         health = client.health()
         assert health["status"] == "ok"
@@ -319,6 +352,14 @@ class TestErrorPaths:
 
 class TestJobSpec:
     """Unit coverage of the spec/fingerprint layer (no HTTP)."""
+
+    @pytest.mark.parametrize("field", ["seconds", "drain", "loss",
+                                       "churn_fraction", "churn_time",
+                                       "latency_floor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"must be finite: {field}"):
+            JobSpec("run", {field: value}).normalized()
 
     def test_run_and_equivalent_sweep_share_a_fingerprint(self):
         run = JobSpec("run", {"protocols": ["heap"], "nodes": 10,
