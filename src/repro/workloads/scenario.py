@@ -37,7 +37,7 @@ def nonfinite_fields(value, prefix: str = "") -> List[str]:
         item = getattr(value, f.name)
         if isinstance(item, float) and not isfinite(item):
             bad.append(prefix + f.name)
-        elif is_dataclass(item) and not isinstance(item, type):
+        elif is_dataclass(item):
             bad.extend(nonfinite_fields(item, f"{prefix}{f.name}."))
     return bad
 
