@@ -12,7 +12,10 @@ The server speaks HTTP/1.0 with connection-close framing on purpose:
 every response (including the unbounded SSE body) is delimited by the
 connection, so no chunked encoding and no keep-alive bookkeeping.  Each
 connection gets its own daemon thread, so a slow SSE consumer never
-blocks submissions.
+blocks submissions, and every socket read or write of a connection gives
+up after :data:`REQUEST_TIMEOUT_S` seconds, so a client that stalls
+mid-request (or stops reading an SSE stream) cannot hold its thread
+forever: a body that does not arrive in time is answered 408.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ from repro.service.jobs import Job, JobManager, TERMINAL_STATES
 #: hundred bytes; anything near this is not one).
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds one socket read or write may wait before the server gives up
+#: on the connection (a request line, a header, a body, an SSE frame).
+REQUEST_TIMEOUT_S = 10.0
+
 #: Comment frame sent while a followed job is idle, so dead client
 #: connections surface as write errors instead of leaking threads.
 _KEEPALIVE = b": keepalive\n\n"
@@ -41,6 +48,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.0"
     server_version = "repro-service/1"
+    #: ``StreamRequestHandler`` applies this to the connection's socket.
+    timeout = REQUEST_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not getattr(self.server, "quiet", True):
@@ -59,18 +68,20 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._stream_events(outcome.job)
             else:
                 self._send(outcome)
-        except (BrokenPipeError, ConnectionResetError):
-            # Client went away mid-response.  For an SSE stream that is
-            # the *normal* way a subscription ends (the consumer simply
-            # closes), so count it for /v1/health and move on — never
-            # let it surface as a thread-killing traceback.
+        except (BrokenPipeError, ConnectionResetError, TimeoutError):
+            # Client went away (or stopped reading) mid-response.  For an
+            # SSE stream that is the *normal* way a subscription ends
+            # (the consumer simply closes), so count it for /v1/health
+            # and move on — never let it surface as a thread-killing
+            # traceback.
             if isinstance(outcome, SseStream):
                 self.server.manager.note_sse_disconnect()
 
     def _read_and_dispatch(self, method: str):
         """Read the body ``Content-Length`` announces and dispatch the
         request; a length that is no count of bytes, or too many, is
-        answered without reading anything."""
+        answered without reading anything, and a body that stalls for
+        the handler's ``timeout`` is answered 408."""
         declared = self.headers.get("Content-Length") or "0"
         try:
             length = int(declared)
@@ -84,7 +95,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return error_response(
                 413, f"request body of {length} bytes exceeds the "
                      f"{MAX_BODY_BYTES}-byte limit")
-        body: Optional[bytes] = self.rfile.read(length) if length else None
+        try:
+            body: Optional[bytes] = self.rfile.read(length) if length else None
+        except TimeoutError:
+            return error_response(
+                408, f"request body of {length} bytes did not arrive "
+                     f"within {self.timeout} s")
         return handle_request(self.server.manager, method, self.path, body)
 
     def _send(self, response: ApiResponse) -> None:
@@ -160,7 +176,8 @@ class ExperimentService(ThreadingHTTPServer):
         already counted by the handler); drop them.  Everything else
         keeps the default report."""
         exc = sys.exc_info()[1]
-        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+        if isinstance(exc, (BrokenPipeError, ConnectionResetError,
+                            TimeoutError)):
             return
         super().handle_error(request, client_address)
 

@@ -290,6 +290,41 @@ class TestErrorPaths:
             conn.close()
         assert service.manager.jobs() == []
 
+    def test_a_stalled_body_is_a_408_and_frees_its_thread(
+            self, service, client, monkeypatch):
+        """A client that announces a body and stops sending used to hold
+        a server thread forever; it now gets a JSON 408 once the socket
+        timeout passes, and the server keeps serving."""
+        import socket
+        import threading
+        import time
+
+        from repro.service.http import ServiceHandler
+
+        monkeypatch.setattr(ServiceHandler, "timeout", 0.5)
+        before = threading.active_count()
+        stalled = []
+        for _ in range(3):
+            sock = socket.create_connection(("127.0.0.1", service.port),
+                                            timeout=10.0)
+            sock.sendall(b"POST /v1/jobs HTTP/1.0\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b'{"kind": "')
+            stalled.append(sock)
+        for sock in stalled:
+            with sock, sock.makefile("rb") as reply:
+                status = reply.readline()
+                assert status.split()[1] == b"408", status
+                head, _, body = reply.read().partition(b"\r\n\r\n")
+                assert b"application/json" in head
+                assert "did not arrive" in json.loads(body)["error"]
+        deadline = time.monotonic() + 5.0
+        while (threading.active_count() > before
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert threading.active_count() <= before
+        assert client.health()["status"] == "ok"
+        assert service.manager.jobs() == []
+
     @pytest.mark.parametrize("depth", [1000, 5000])
     def test_deeply_nested_body_is_a_400(self, service, client, depth):
         """A small body nested past the decoder's recursion limit used to
