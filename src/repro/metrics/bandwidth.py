@@ -30,22 +30,6 @@ def utilization_by_class(result: ExperimentResult) -> Dict[str, float]:
     return usage
 
 
-def absolute_upload_by_class(result: ExperimentResult) -> Dict[str, float]:
-    """class label -> mean upload rate in bps over the stream duration
-    (the bar heights of Figure 4, before normalizing by capacity)."""
-    duration = result.config.duration
-    rates: Dict[str, float] = {}
-    for label in result.class_labels():
-        members = result.receivers_in_class(label)
-        if not members:
-            rates[label] = math.nan
-            continue
-        rates[label] = mean(
-            result.net.uplink(node_id).bytes_sent * 8.0 / duration
-            for node_id in members)
-    return rates
-
-
 # ----------------------------------------------------------------------
 # in-worker summary specs (picklable, JSON-able; see repro.metrics.summary)
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.metrics import (
     utilization_by_class,
     window_delivery_over_time,
 )
-from repro.metrics.bandwidth import absolute_upload_by_class
 from repro.metrics.jitter import jitter_values
 from repro.metrics.lag import lag_values_max_jitter
 from repro.metrics.report import format_seconds
@@ -93,18 +92,6 @@ class TestBandwidthMetrics:
         util = utilization_by_class(result)
         for value in util.values():
             assert 0.0 <= value <= 100.0
-
-    def test_absolute_upload_positive(self, result):
-        rates = absolute_upload_by_class(result)
-        assert all(rate > 0 for rate in rates.values())
-
-    def test_absolute_upload_bounded_by_capacity(self, result):
-        rates = absolute_upload_by_class(result)
-        caps = {"256kbps": 256 * 1024, "768kbps": 768 * 1024, "2Mbps": 2048 * 1024}
-        for label, rate in rates.items():
-            # Drain-phase sends may exceed the in-window average slightly;
-            # capacity is still a hard per-second bound.
-            assert rate <= caps[label] * (1 + result.config.drain / result.config.duration)
 
 
 class TestWindowsMetric:
