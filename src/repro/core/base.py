@@ -25,16 +25,22 @@ join the same endpoint through :meth:`register_handler` /
 :meth:`register_handlers` instead of the old string-keyed
 ``extra_handlers`` dict.  Proposal rounds fan one [Propose] payload out
 through :meth:`Network.send_many` — one wire-size computation and one
-batched stats accumulation for the whole round.
+batched stats accumulation for the whole round.  [Request] and [Serve]
+payloads are built by slot stores, as ``Network.send`` builds envelopes:
+the same ``ids`` / ``packets`` and wire size as their constructors,
+without an ``__init__`` frame (or, for [Serve], a generator) per message.
 """
 
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.core.config import GossipConfig
-from repro.core.messages import Propose, Request, Serve
+from repro.core.messages import (HEADER_BYTES, ID_BYTES,
+                                 SERVE_PACKET_OVERHEAD, Propose, Request,
+                                 Serve)
 from repro.core.retransmission import RetransmissionManager
 from repro.membership.selector import UniformSelector
 from repro.membership.view import LocalView
@@ -44,6 +50,9 @@ from repro.sim.engine import Simulator
 from repro.sim.timers import PeriodicTimer
 from repro.streaming.packets import StreamPacket
 from repro.streaming.receiver import ReceiverLog
+
+_new_message = object.__new__
+_size_bytes = attrgetter("size_bytes")
 
 
 class GossipNode:
@@ -186,41 +195,53 @@ class GossipNode:
     # phase 2: request
     # ------------------------------------------------------------------
     def _on_propose(self, src: int, proposal: Propose) -> None:
+        requested = self._requested
         wanted = [packet_id for packet_id in proposal.ids
-                  if packet_id not in self._requested]
+                  if packet_id not in requested]
         if not wanted:
             return
-        self._requested.update(wanted)
+        requested.update(wanted)
         sent = self._send_request(src, wanted)
         if self._retransmission is not None:
             self._retransmission.track(src, sent)
 
     def _send_request(self, peer: int, ids: List[int]) -> Tuple[int, ...]:
         """Send a [Request] for ``ids``; returns its immutable ids tuple."""
-        request = Request(ids)
+        request = _new_message(Request)
+        request.ids = ids = tuple(ids)
+        request._wire_size = HEADER_BYTES + ID_BYTES * len(ids)
         self._net.send(self.node_id, peer, request)
         self.requests_sent += 1
         if self.on_request_sent is not None:
             self.on_request_sent(peer, len(ids))
-        return request.ids
+        return ids
 
     # ------------------------------------------------------------------
     # phase 3: serve
     # ------------------------------------------------------------------
     def _on_request(self, src: int, request: Request) -> None:
-        packets = [self._store[packet_id] for packet_id in request.ids
-                   if packet_id in self._store]
+        store = self._store
+        packets = [store[packet_id] for packet_id in request.ids
+                   if packet_id in store]
         if not packets:
             return
-        self._net.send(self.node_id, src, Serve(packets))
+        count = len(packets)
+        serve = _new_message(Serve)
+        serve.packets = packets
+        # Integer sizes, so this equals the constructor's per-packet sum.
+        serve._wire_size = (HEADER_BYTES + sum(map(_size_bytes, packets))
+                            + SERVE_PACKET_OVERHEAD * count)
+        self._net.send(self.node_id, src, serve)
         self.serves_sent += 1
-        self.packets_served += len(packets)
+        self.packets_served += count
 
     def _on_serve(self, src: int, serve: Serve) -> None:
+        packets = serve.packets
         if self.on_serve_received is not None:
-            self.on_serve_received(src, len(serve.packets))
-        for packet in serve.packets:
-            if packet.packet_id not in self._store:
+            self.on_serve_received(src, len(packets))
+        store = self._store
+        for packet in packets:
+            if packet.packet_id not in store:
                 self._deliver(packet)
 
     def _deliver(self, packet: StreamPacket) -> None:

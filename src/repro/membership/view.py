@@ -23,30 +23,31 @@ back.
 **Sampling identity.**  Both representations draw from the same candidate
 order (ascending ids, owner excluded) with the same RNG consumption, so
 which one a view is in is unobservable — golden traces and digests cannot
-tell.  The shared path relies on ``rng.sample(range(n), k)`` consuming
-``rng`` exactly as ``rng.sample(candidates, k)`` does for ``len(candidates)
-== n`` and returning the *indices* of the elements the latter returns
-(``random.sample`` only ever looks at ``len`` and positions); index ``j``
-is ``roster[j]`` below the owner's position and ``roster[j + 1]`` from it
+tell.  Neither calls ``random.sample``: :func:`sample_indices` returns
+the indices ``rng.sample(range(n), k)`` would, making the same
+``rng.getrandbits`` calls (the same pool/set switch, the same rejection
+loops) without ``sample``'s frame and one ``_randbelow`` frame per
+partner.  ``random.sample`` only ever looks at a population's ``len``
+and positions, so the element it would return is the candidate at that
+index: the private path takes ``candidates[j]``, and the shared path
+``roster[j]`` below the owner's position and ``roster[j + 1]`` from it
 on.  ``k == 1`` — every aggregation round, ``aggregation_fanout = 1``
-being the paper's value — skips ``random.sample`` altogether: on either
-side of its pool/set switch a sample of one is ``population[j]`` for a
-single ``j = rng._randbelow(n)``, so calling that directly gives the
-same element and leaves the same RNG state without the ``Sequence``
-check, the result list and the selection set.  It is also exactly the
-call ``rng.randrange(n)`` makes for ``n > 0`` (CPython 3.11 and 3.12),
-minus the argument handling.  The owner's position in the roster is
-cached per view and recomputed only when the roster's length changes:
-the roster only grows and stays sorted, so a registration below the
-owner — the one thing that moves it — also changes the length.
-``tests/test_membership_view.py`` pins these identities on both sides
-of the switch.
+being the paper's value — is one ``rng._randbelow(n)``: on either side
+of the switch a sample of one is ``population[j]`` for that single
+``j``.  It is also exactly the call ``rng.randrange(n)`` makes for
+``n > 0`` (CPython 3.11 and 3.12), minus the argument handling.  The
+owner's position in the roster is cached per view and recomputed only
+when the roster's length changes: the roster only grows and stays
+sorted, so a registration below the owner — the one thing that moves it
+— also changes the length.  ``tests/test_membership_view.py`` pins these
+identities on both sides of the switch.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from math import ceil, log
 from typing import Iterable, List, Optional, Set
 
 
@@ -54,6 +55,39 @@ def _find(ids: List[int], node_id: int) -> int:
     """Index of ``node_id`` in the ascending ``ids``; ``len(ids)`` if absent."""
     at = bisect_left(ids, node_id)
     return at if at < len(ids) and ids[at] == node_id else len(ids)
+
+
+def sample_indices(rng: random.Random, n: int, k: int) -> List[int]:
+    """``rng.sample(range(n), k)``, ``0 <= k <= n``: the same indices in
+    the same order, and the same ``rng.getrandbits`` calls."""
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        # ``sample``'s pool: a draw below ``n - i`` picks from the first
+        # ``n - i`` entries, and the last of them fills the hole.
+        pool = list(range(n))
+        for i in range(k):
+            size = n - i
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[size - 1]
+        return result
+    # ``sample``'s set: redraw a draw past ``n`` or already taken.
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(j)
+    return result
 
 
 class Roster:
@@ -183,15 +217,16 @@ class LocalView:
                     j = rng._randbelow(n)
                     return [ids[j] if j < at else ids[j + 1]]
                 return [ids[j] if j < at else ids[j + 1]
-                        for j in rng.sample(range(n), k)]
+                        for j in sample_indices(rng, n, k)]
             owner = self.owner
             candidates = [m for m in ids if m != owner and m not in exclude]
         else:
             candidates = self._as_list()
             if exclude:
                 candidates = [m for m in candidates if m not in exclude]
-        if k >= len(candidates):
+        n = len(candidates)
+        if k >= n:
             return list(candidates)
         if k == 1:
-            return [candidates[rng._randbelow(len(candidates))]]
-        return rng.sample(candidates, k)
+            return [candidates[rng._randbelow(n)]]
+        return [candidates[j] for j in sample_indices(rng, n, k)]

@@ -14,7 +14,7 @@ depends on:
   and records traffic statistics per message kind (per-node upload is
   each uplink queue's own count);
 * pluggable **delivery routers** (:mod:`repro.net.router`): the default
-  in-process router (each envelope is its own arrival event), and the
+  in-process router (one heap entry per arrival), and the
   sharded router (:mod:`repro.net.shard`) that partitions one large
   scenario across worker processes.
 """

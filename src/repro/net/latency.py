@@ -4,9 +4,17 @@ These stand in for Internet propagation delay between PlanetLab sites.
 The dissemination results depend on the *relative order* of propose
 arrivals (fast senders win requests), so any model with realistic spread
 reproduces the paper's qualitative behaviour; the default experiment
-setup uses :class:`PairwiseLatency`, which assigns every ordered pair a
-stable base latency plus per-message jitter — approximating a geographic
-topology without needing coordinates.
+setup uses :class:`PairwiseLatency`, which assigns every unordered pair
+a stable base latency plus per-message jitter — approximating a
+geographic topology without needing coordinates.
+
+Both pairwise models key their memoised bases by the integer pair id
+``(min << 32) + max``.  :class:`PairwiseLatency` draws a new pair's base
+from its shared stream with ``random.lognormvariate``'s
+Kinderman–Monahan loop written out inline (``random.NV_MAGICCONST``, the
+same two ``random()`` calls per try, ``exp(mu + z * sigma)``): the same
+value and the same stream state, without ``lognormvariate``'s and
+``normalvariate``'s Python frames on every new pair.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Tuple
+from random import NV_MAGICCONST
+from typing import Dict
 
 from repro.sim.rng import derive_seed, link_draw, stream_head
 
@@ -71,28 +80,46 @@ class PairwiseLatency(LatencyModel):
         self.jitter = jitter
         self.floor = floor
         self._mu = math.log(median_base)
-        self._bases: Dict[Tuple[int, int], float] = {}
+        #: Pair id ``(min << 32) + max`` -> memoised base delay.
+        self._bases: Dict[int, float] = {}
+
+    def _draw_base(self, pair: int) -> float:
+        random = self._rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        value = max(self.floor, math.exp(self._mu + z * self.sigma))
+        self._bases[pair] = value
+        return value
 
     def base(self, src: int, dst: int) -> float:
         """The stable base latency for the unordered pair {src, dst}."""
-        key = (src, dst) if src <= dst else (dst, src)
-        value = self._bases.get(key)
-        if value is None:
-            value = max(self.floor, self._rng.lognormvariate(self._mu, self.sigma))
-            self._bases[key] = value
-        return value
+        pair = (src << 32) + dst if src <= dst else (dst << 32) + src
+        value = self._bases.get(pair)
+        return self._draw_base(pair) if value is None else value
 
     def sample(self, src: int, dst: int) -> float:
-        # Inlined base() lookup and jitter draw: this runs once per
-        # datagram.  ``jitter * random()`` is bit-identical to
-        # ``uniform(0, jitter)`` and consumes the same single draw, so the
-        # RNG stream (and therefore every seeded result) is unchanged.
-        jitter = self.jitter * self._rng.random() if self.jitter > 0 else 0.0
-        key = (src, dst) if src <= dst else (dst, src)
-        base = self._bases.get(key)
+        # Inlined base() lookup, base draw and jitter draw: this runs once
+        # per datagram.  ``jitter * random()`` is bit-identical to
+        # ``uniform(0, jitter)`` and consumes the same single draw, and
+        # the loop is ``_draw_base``'s, so the RNG stream (and therefore
+        # every seeded result) is unchanged.
+        random = self._rng.random
+        jitter = self.jitter * random() if self.jitter > 0 else 0.0
+        pair = (src << 32) + dst if src <= dst else (dst << 32) + src
+        base = self._bases.get(pair)
         if base is None:
-            base = max(self.floor, self._rng.lognormvariate(self._mu, self.sigma))
-            self._bases[key] = base
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -math.log(u2):
+                    break
+            base = max(self.floor, math.exp(self._mu + z * self.sigma))
+            self._bases[pair] = base
         return base + jitter
 
 

@@ -27,12 +27,11 @@ the caller passes ``register=True`` (tests, ad-hoc tooling) — a lookup
 that silently registered could be reached on one side of a fork/spawn
 boundary only, skewing kind-id tables between shard workers.
 
-:class:`Envelope` is its own delivery event: the router posts the
-envelope on the simulator's fire-and-forget path at its arrival time
-(see :mod:`repro.net.router`) and ``__call__`` hands it back to its
-network fabric — no closure, no event-handle allocation, one event per
-datagram.  Envelopes are plain objects, never reused: a receiver may
-keep the one it is handed.
+:class:`Envelope` is plain data, not an event: the router queues
+``deliver(envelope)`` at its arrival time as one heap entry (see
+:mod:`repro.net.router`), so an envelope carries no reference back to
+its fabric.  Envelopes are never reused: a receiver may keep the one it
+is handed.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class Envelope:
     """One datagram in flight from ``src`` to ``dst``."""
 
     __slots__ = ("src", "dst", "payload", "size_bytes", "send_time",
-                 "arrival_time", "_net", "_exit_time")
+                 "arrival_time", "_exit_time")
 
     def __init__(self, src: int, dst: int, payload: Payload, size_bytes: int,
                  send_time: float, arrival_time: float):
@@ -140,10 +139,8 @@ class Envelope:
         self.size_bytes = size_bytes
         self.send_time = send_time
         self.arrival_time = arrival_time
-        # Delivery plumbing: the fabric is stamped by the router that
-        # schedules the envelope, the uplink exit time by whoever timed
-        # it (Network.send, or ``arrived`` on the wire-decode path).
-        self._net = None
+        # The uplink exit time is stamped by whoever timed the datagram
+        # (Network.send, or ``arrived`` on the wire-decode path).
         self._exit_time = 0.0
 
     @classmethod
@@ -160,10 +157,6 @@ class Envelope:
         envelope = cls(src, dst, payload, size_bytes, send_time, arrival_time)
         envelope._exit_time = exit_time
         return envelope
-
-    def __call__(self) -> None:
-        """Arrival event: hand the envelope back to its network fabric."""
-        self._net._deliver(self)
 
     @property
     def transit_time(self) -> float:

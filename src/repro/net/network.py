@@ -106,7 +106,7 @@ class Network:
         self.router: Router = router if router is not None else InprocRouter()
         self.router.bind(self)
         self._route = self.router.route
-        # What a fired envelope calls: ``deliver``, under the name the
+        # What an arrival entry calls: ``deliver``, under the name the
         # ledger's tracer wraps (see the alias in InprocRouter).
         self._deliver = self.router.deliver_bucket
 
@@ -187,7 +187,6 @@ class Network:
         envelope.size_bytes = size
         envelope.send_time = now
         envelope.arrival_time = exit_time + self.latency.sample(src, dst)
-        envelope._net = None
         envelope._exit_time = exit_time
         self._route(envelope)
         return envelope
@@ -235,7 +234,6 @@ class Network:
             envelope.size_bytes = size
             envelope.send_time = now
             envelope.arrival_time = exit_time + latency_sample(src, dst)
-            envelope._net = None
             envelope._exit_time = exit_time
             route(envelope)
         stats = self.stats

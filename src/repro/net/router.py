@@ -3,10 +3,11 @@
 A :class:`Router` owns everything that happens between "the datagram
 left the wire pipeline" and "an endpoint handler ran":
 
-* **arrival scheduling** — the envelope itself is the queue entry:
-  ``route`` posts it on the simulator's fire-and-forget path at its
-  arrival time, and the engine's (time, enqueue order) guarantee is the
-  delivery order, ties included;
+* **arrival scheduling** — ``route`` pushes ``(arrival time, seq,
+  deliver, envelope)`` onto the simulator's heap itself, so the engine
+  calls ``deliver(envelope)`` when the time comes: one call per arrival,
+  no closure, no handle.  The engine's (time, enqueue order) guarantee
+  is the delivery order, ties included;
 * **delivery semantics** — one ``deliver`` call per datagram: crash
   checks, per-kind receive counters, the ``on_deliver`` observer, and
   kind-id dispatch-table lookup.
@@ -31,9 +32,11 @@ execution deterministic.
 
 from __future__ import annotations
 
+from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.net.message import Envelope
+from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
@@ -78,13 +81,19 @@ class InprocRouter:
         self._sim = net._sim
 
     def route(self, envelope: Envelope) -> None:
-        """Post ``envelope`` on the event queue at its arrival time.
+        """Queue the fabric's ``deliver(envelope)`` at its arrival time.
 
-        Stamps the fabric on it first, so hand-built and wire-decoded
-        envelopes find their way back like ``Network.send``'s own.
+        What ``Simulator.post_at`` does, refusals of a past or NaN time
+        included, with the envelope as the entry's argument.
         """
-        envelope._net = self._net
-        self._sim.post_at(envelope.arrival_time, envelope)
+        sim = self._sim
+        time = envelope.arrival_time
+        if not time >= sim._now:
+            raise SimulationError(
+                f"cannot schedule at t={time:.6f}, already at t={sim._now:.6f}")
+        seq = sim._seq + 1
+        sim._seq = seq
+        _heappush(sim._heap, (time, seq, self._net._deliver, envelope))
 
     def deliver(self, envelope: Envelope) -> None:
         """Hand ``envelope`` to its destination, or drop it if either
@@ -125,8 +134,8 @@ class InprocRouter:
             endpoint.on_message(envelope)
 
     #: ``ledger/trace.py`` and ``ledger/test_ledger.py`` resolve the
-    #: delivery entry point under this name, so the fabric binds its
-    #: hot-path reference through it (a traced run then attributes
-    #: ``net.router.deliver_self_s``).  Goes once the ledger is
+    #: delivery entry point under this name, so the fabric binds the
+    #: ``deliver`` that ``route`` queues through it (a traced run then
+    #: attributes ``net.router.deliver_self_s``).  Goes once the ledger is
     #: retargeted to ``deliver`` (next ``[benchmark]`` PR).
     deliver_bucket = deliver

@@ -1,6 +1,6 @@
 """Deterministic discrete-event simulator core.
 
-The :class:`Simulator` keeps one binary heap of ``(time, seq, entry)``
+The :class:`Simulator` keeps one binary heap of ``(time, seq, fn, arg)``
 tuples.  ``seq`` is the simulator's enqueue counter, so events execute in
 (time, scheduling order): same-time events keep the order they were
 scheduled in, whichever API enqueued them.  Ties are rare in practice —
@@ -8,18 +8,20 @@ HEAP nodes gossip on independently phased timers over continuous-latency
 links, and 0 of 624,665 enqueues shared a timestamp across every
 measured scenario — so the heap carries no per-timestamp grouping.
 
-Three scheduling APIs share the queue:
+An entry whose ``arg`` is not ``None`` runs ``fn(arg)``: that is a
+datagram's arrival, which the router queues as ``(arrival time, seq,
+deliver, envelope)`` itself, so an arrival costs the loop one call and
+no intermediate object.  About 80 % of the events of the paper's
+deployment are arrivals, so the loop tests ``arg`` first.  Every other
+entry has ``arg is None`` and ``fn`` is one of:
 
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
-  cancellable :class:`EventHandle` (the classic API), and
-  :meth:`Simulator.rearm` queues a handle whose event has fired again
-  (a periodic timer does the same inline for its own handle, which it
-  keeps for its whole life);
-* :meth:`Simulator.post_at` is the fire-and-forget fast path: it enqueues
-  a bare callable with no handle allocation.  The network's datagram
-  delivery path uses it — deliveries are never cancelled, so paying for a
-  handle per datagram was pure overhead;
-* a :class:`Lane` (:meth:`Simulator.lane`) holds fire-and-forget events
+* an :class:`EventHandle` — :meth:`Simulator.schedule` /
+  :meth:`Simulator.schedule_at` return one, and it cancels its event (a
+  periodic timer keeps its handle for its whole life and queues it again
+  on every tick);
+* a bare callable — :meth:`Simulator.post_at`, the fire-and-forget path
+  with no handle allocation;
+* a :class:`Lane` (:meth:`Simulator.lane`) — fire-and-forget events
   posted in nondecreasing time order, of which only the first sits in the
   heap.  Waits that are mostly far in the future — retransmission
   expiries, crash detections — ride lanes, so the heap every event pops
@@ -73,9 +75,6 @@ class EventHandle:
         if self.callback is not None:
             self.callback = None
             self._sim._cancels += 1
-        # A cancelled handle may still sit in the heap: dropping its
-        # simulator makes Simulator.rearm refuse it.
-        self._sim = None
         self._cancelled = True
 
     @property
@@ -117,7 +116,7 @@ class Lane:
     the simulator's enqueue counter, so a lane entry ties with any other
     event exactly as a :meth:`Simulator.post_at` made at the same moment
     would.  Only the lane's first entry is in the heap, under that
-    entry's own ``(time, seq)``, with the lane itself as the callable:
+    entry's own ``(time, seq)``, with the lane itself as ``fn``:
     when it fires, it first queues its next entry, then calls
     ``handler(*args)``.  Entries cannot be cancelled.
     """
@@ -149,7 +148,7 @@ class Lane:
         if queue:
             sim._backlog += 1
         else:
-            _heappush(sim._heap, (time, seq, self))
+            _heappush(sim._heap, (time, seq, self, None))
         queue.append((time, seq) + args)
 
     def post_many(self, entries: Iterable[Tuple[float, Any]]) -> None:
@@ -185,7 +184,7 @@ class Lane:
                 if idle:
                     head = queue[0]
                     sim._backlog -= 1
-                    _heappush(sim._heap, (head[0], head[1], self))
+                    _heappush(sim._heap, (head[0], head[1], self, None))
 
     def __call__(self) -> None:
         queue = self._queue
@@ -194,7 +193,7 @@ class Lane:
             head = queue[0]
             sim = self._sim
             sim._backlog -= 1
-            _heappush(sim._heap, (head[0], head[1], self))
+            _heappush(sim._heap, (head[0], head[1], self, None))
         self._handler(*entry[2:])
 
 
@@ -227,8 +226,9 @@ class Simulator:
         self._cancels = 0
         #: Lane entries queued behind their lane's head (see pending_count).
         self._backlog = 0
-        #: ``(time, seq, entry)`` tuples.  An entry is an EventHandle, a
-        #: bare callable (post_at fast path) or a Lane holding its head.
+        #: ``(time, seq, fn, arg)`` tuples: ``fn(arg)`` for an arrival,
+        #: else ``arg is None`` and ``fn`` is an EventHandle, a bare
+        #: callable (post_at fast path) or a Lane holding its head.
         self._heap: List[tuple] = []
         self._events_executed = 0
         self._running = False
@@ -269,7 +269,7 @@ class Simulator:
         handle = _new_handle(EventHandle)
         handle._sim = self
         handle.callback = callback
-        _heappush(self._heap, (time, seq, handle))
+        _heappush(self._heap, (time, seq, handle, None))
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
@@ -281,29 +281,8 @@ class Simulator:
         handle = _new_handle(EventHandle)
         handle._sim = self
         handle.callback = callback
-        _heappush(self._heap, (self._now + delay, seq, handle))
+        _heappush(self._heap, (self._now + delay, seq, handle, None))
         return handle
-
-    def rearm(self, handle: EventHandle, delay: float,
-              callback: Callable[[], Any]) -> None:
-        """Queue a fired ``handle`` again: ``callback`` runs ``delay``
-        seconds from now, and ``handle`` cancels it as if
-        :meth:`schedule` had just returned it.
-
-        What a periodic timer does on every tick instead of allocating a
-        new handle (inline, for its own just-fired handle).  Raises :class:`SimulationError` if ``handle`` is
-        still pending, was cancelled, or belongs to another simulator:
-        the handle of a queued event, re-queued, would fire twice.
-        """
-        if handle.callback is not None or handle._sim is not self:
-            raise SimulationError(
-                "only a fired event of this simulator can be re-armed")
-        if not delay >= 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        seq = self._seq + 1
-        self._seq = seq
-        handle.callback = callback
-        _heappush(self._heap, (self._now + delay, seq, handle))
 
     def lane(self, handler: Callable[..., Any]) -> Lane:
         """A new :class:`Lane` whose entries run ``handler(*args)``."""
@@ -316,9 +295,9 @@ class Simulator:
     def post_at(self, time: float, callback: Callable[[], Any]) -> None:
         """Fire-and-forget scheduling: no handle, no cancellation.
 
-        This is the hot path for events that are never cancelled (datagram
-        deliveries).  Ordering relative to handle-based events is exactly
-        the scheduling order within a timestamp.
+        For events that are never cancelled.  Ordering relative to
+        handle-based events is exactly the scheduling order within a
+        timestamp.
         """
         if not time >= self._now:
             raise SimulationError(
@@ -326,7 +305,7 @@ class Simulator:
             )
         seq = self._seq + 1
         self._seq = seq
-        _heappush(self._heap, (time, seq, callback))
+        _heappush(self._heap, (time, seq, callback, None))
 
     def post(self, delay: float, callback: Callable[[], Any]) -> None:
         """Relative-delay variant of :meth:`post_at`."""
@@ -387,9 +366,11 @@ class Simulator:
         executed = 0
         try:
             while heap and heap[0][0] <= limit:
-                t, _, obj = heappop(heap)
+                t, _, obj, arg = heappop(heap)
                 self._now = t
-                if obj.__class__ is HANDLE:
+                if arg is not None:
+                    obj(arg)
+                elif obj.__class__ is HANDLE:
                     cb = obj.callback
                     if cb is None:
                         self._cancels -= 1

@@ -7,10 +7,10 @@ These mirror the timers used in the paper's pseudo-code:
 
 Timers are ordinary entries in the engine's event heap, so they fire in
 exactly (deadline, arming order), ties included.  Fire-and-forget
-deadlines that are never cancelled skip the handle allocation: datagram
-deliveries use ``Simulator.post_at`` directly, and waits armed in due
-order — retransmission expiries, crash detections — ride a
-``Simulator.lane``.  The classes here keep handles because they support
+deadlines that are never cancelled skip the handle allocation: the
+router queues each datagram's arrival as a ``(time, seq, deliver,
+envelope)`` entry itself, and waits armed in due order — retransmission
+expiries, crash detections — ride a ``Simulator.lane``.  The classes here keep handles because they support
 ``cancel``/``stop``.
 """
 
@@ -62,10 +62,8 @@ class PeriodicTimer:
     From :meth:`start` to :meth:`stop` the timer holds one
     :class:`~repro.sim.engine.EventHandle`: each tick re-arms the handle
     that just fired with the tick method, bound once, so a tick allocates
-    neither.  The tick queues the handle itself — the three steps of
-    :meth:`Simulator.rearm <repro.sim.engine.Simulator.rearm>`, without
-    its call or its checks, which the timer's own just-fired handle
-    cannot fail.
+    neither.  The tick queues the handle itself: it takes the next
+    ``seq``, restores the handle's callback and pushes the heap entry.
     """
 
     __slots__ = ("_sim", "_callback", "_period", "_handle", "_on_tick",
@@ -108,6 +106,6 @@ class PeriodicTimer:
         sim._seq = seq
         handle = self._handle
         handle.callback = self._on_tick
-        _heappush(sim._heap, (sim._now + self._period, seq, handle))
+        _heappush(sim._heap, (sim._now + self._period, seq, handle, None))
         self.ticks += 1
         self._callback()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.streaming.packets import StreamConfig
@@ -64,12 +65,22 @@ class PlaybackAnalyzer:
     Per-window answers are memoized: a window's required lag per
     (log, window) and its on-time counts per (log, window, lag).  The
     standard summary bundle asks for every window's required lag three
-    times and for its playback at 10 s twice; the memo reads each from
-    the log once.  A log's memo is stamped with ``len(log)``: a
-    :class:`~repro.streaming.receiver.ReceiverLog` only grows, so an
-    equal length means equal contents, and a log that has grown since is
-    recomputed, never answered from a stale entry.  The memo holds the
-    logs it was asked about for as long as the analyzer lives.
+    times and for its playback at 10 s twice; the memo reads the window
+    once per answer.  ``log.delivery_times`` reads it in one call, with
+    ``inf`` for a packet that never arrived, so ``OFFLINE`` counts the
+    packets that arrived at all (``delivered <= publish + inf`` holds
+    for each) and the required lag is the ``needed``-th smallest of
+    ``delivered - publish``, where a missing packet's ``inf`` sorts
+    last.  A finite lag keeps the per-packet ``delivered <= publish +
+    lag`` loop: under CPython 3.11 it beats ``map(operator.le, ...)``,
+    whose builtin call per packet costs more than the loop's
+    specialized float compare.  The times are not kept, so the memo
+    stays as small as its answers.  A log's memo is stamped with
+    ``len(log)``: a :class:`~repro.streaming.receiver.ReceiverLog` only
+    grows, so an equal length means equal contents, and a log that has
+    grown since is recomputed, never answered from a stale entry.  The
+    memo holds the logs it was asked about for as long as the analyzer
+    lives.
     """
 
     def __init__(self, config: StreamConfig, publish_time: Callable[[int], float]):
@@ -93,19 +104,28 @@ class PlaybackAnalyzer:
         by_window = self._memo_of(log)[2].setdefault(lag, {})
         counts = by_window.get(window_id)
         if counts is None:
-            publish_time = self._publish_time
-            # Systematic code: a window's source packets come first.
-            sources = self.config.source_packets_per_window
             start = window_id * self._per_window
-            source = fec = 0
-            for index, delivered in enumerate(
-                    log.delivery_times(start, start + self._per_window)):
-                if delivered is not None and delivered <= publish_time(start + index) + lag:
-                    if index < sources:
+            stop = start + self._per_window
+            arrived = log.delivery_times(start, stop)
+            # Systematic code: a window's source packets come first.
+            sources = self._needed
+            if lag == OFFLINE:
+                fec = self._per_window - sources
+                counts = (sources - arrived[:sources].count(math.inf),
+                          fec - arrived[sources:].count(math.inf))
+            else:
+                published = map(self._publish_time, range(start, stop))
+                source = fec = 0
+                # zip ends at the source slice's end before it takes from
+                # ``published``, so the FEC loop starts at its first packet.
+                for delivered, publish in zip(arrived[:sources], published):
+                    if delivered <= publish + lag:
                         source += 1
-                    else:
+                for delivered, publish in zip(arrived[sources:], published):
+                    if delivered <= publish + lag:
                         fec += 1
-            counts = by_window[window_id] = (source, fec)
+                counts = (source, fec)
+            by_window[window_id] = counts
         return counts
 
     # ------------------------------------------------------------------
@@ -157,19 +177,11 @@ class PlaybackAnalyzer:
         required = self._memo_of(log)[1]
         lag = required.get(window_id)
         if lag is None:
-            publish_time = self._publish_time
-            needed = self._needed
             start = window_id * self._per_window
-            delays = [delivered - publish_time(start + index)
-                      for index, delivered in enumerate(
-                          log.delivery_times(start, start + self._per_window))
-                      if delivered is not None]
-            if len(delays) < needed:
-                lag = OFFLINE
-            else:
-                delays.sort()
-                lag = max(0.0, delays[needed - 1])
-            required[window_id] = lag
+            stop = start + self._per_window
+            delays = sorted(map(sub, log.delivery_times(start, stop),
+                                map(self._publish_time, range(start, stop))))
+            lag = required[window_id] = max(0.0, delays[self._needed - 1])
         return lag
 
     def min_lag_jitter_free(self, log: ReceiverLog, windows: Sequence[int]) -> float:
@@ -200,8 +212,10 @@ class PlaybackAnalyzer:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {ratio!r}")
         needed = math.ceil(ratio * total_packets)
-        delays = sorted(delivered - self._publish_time(packet_id)
-                        for packet_id, delivered in log.items())
+        publish_time = self._publish_time
+        delays = [delivered - publish_time(packet_id)
+                  for packet_id, delivered in log.items()]
+        delays.sort()
         if len(delays) < needed:
             return OFFLINE
         return max(0.0, delays[needed - 1])

@@ -8,6 +8,8 @@ source's publish times, mirroring how the paper instruments its testbed.
 
 from __future__ import annotations
 
+from itertools import repeat
+from math import inf
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
@@ -37,10 +39,11 @@ class ReceiverLog:
     def delivery_time(self, packet_id: int) -> Optional[float]:
         return self._deliveries.get(packet_id)
 
-    def delivery_times(self, start: int, stop: int) -> List[Optional[float]]:
-        """Delivery time of each packet in ``[start, stop)``, ``None``
+    def delivery_times(self, start: int, stop: int) -> List[float]:
+        """Delivery time of each packet in ``[start, stop)``, ``inf``
         where it never arrived: one window, read in one call."""
-        return list(map(self._deliveries.get, range(start, stop)))
+        return list(map(self._deliveries.get, range(start, stop),
+                        repeat(inf)))
 
     def has(self, packet_id: int) -> bool:
         return packet_id in self._deliveries

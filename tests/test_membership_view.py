@@ -4,9 +4,11 @@ import random
 from bisect import insort
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.membership.selector import CapabilityBiasedSelector, UniformSelector
-from repro.membership.view import LocalView, Roster
+from repro.membership.view import LocalView, Roster, sample_indices
 
 
 class TestLocalView:
@@ -134,6 +136,53 @@ def test_sample_of_one_is_random_sample_of_one(n, exclude):
                 want = (list(candidates) if len(candidates) <= 1
                         else want_rng.sample(candidates, 1))
                 assert view.sample(1, got_rng, exclude) == want
+                assert got_rng.getstate() == want_rng.getstate()
+
+
+@st.composite
+def _population_and_k(draw):
+    # Sizes around random.sample's pool/set switch: n <= 21 keeps a pool
+    # for k <= 5, n <= 85 for k in 6..7, n <= 277 for k in 8..21 and
+    # n <= 1045 up to k = 85; the set path takes any larger n.
+    k = draw(st.integers(0, 90))
+    n = draw(st.one_of(st.integers(k, k + 30),
+                       st.sampled_from([21, 22, 85, 86, 277, 278, 1045,
+                                        1046]).filter(lambda n: n >= k),
+                       st.integers(max(k, 1), 5000)))
+    return n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population_and_k(), st.integers(0, 2 ** 32))
+def test_sample_indices_is_random_sample_of_a_range(n_k, seed):
+    """The helper both view paths draw through returns what
+    ``rng.sample(range(n), k)`` returns and leaves ``rng`` in the same
+    state, on both sides of ``sample``'s pool/set switch."""
+    n, k = n_k
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    assert sample_indices(got_rng, n, k) == want_rng.sample(range(n), k)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [6, 22, 86, 300])
+@pytest.mark.parametrize("k", [2, 7, 21])
+@pytest.mark.parametrize("exclude", [None, {1003}, {1000, 1006}])
+def test_sample_of_many_is_random_sample(n, k, exclude):
+    """``view.sample(k, rng)`` for ``k > 1`` — shared or private, filtered
+    or not — returns what ``rng.sample(candidates, k)`` returns and
+    leaves ``rng`` in the same state."""
+    ids = [1000 + 3 * i for i in range(n + 1)]
+    for owner in (ids[0], ids[n // 2], ids[-1]):
+        candidates = [m for m in ids
+                      if m != owner and not (exclude and m in exclude)]
+        roster = Roster()
+        roster.ids.extend(ids)
+        for view in (LocalView(owner, roster=roster), LocalView(owner, ids)):
+            for seed in range(5):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                want = (list(candidates) if k >= len(candidates)
+                        else want_rng.sample(candidates, k))
+                assert view.sample(k, got_rng, exclude) == want
                 assert got_rng.getstate() == want_rng.getstate()
 
 

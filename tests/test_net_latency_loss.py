@@ -76,6 +76,52 @@ class TestLatencyModels:
         assert build(jitter=0.0).sample(1, 2) == build(jitter=0.0).base(1, 2)
 
 
+class _RefPairwiseLatency:
+    """``PairwiseLatency`` as it drew through ``random.lognormvariate``."""
+
+    def __init__(self, rng, median_base, sigma, jitter, floor):
+        self._rng = rng
+        self.sigma = sigma
+        self.jitter = jitter
+        self.floor = floor
+        self._mu = math.log(median_base)
+        self._bases = {}
+
+    def base(self, src, dst):
+        key = (src, dst) if src <= dst else (dst, src)
+        if key not in self._bases:
+            self._bases[key] = max(
+                self.floor, self._rng.lognormvariate(self._mu, self.sigma))
+        return self._bases[key]
+
+    def sample(self, src, dst):
+        jitter = self.jitter * self._rng.random() if self.jitter > 0 else 0.0
+        return self.base(src, dst) + jitter
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       sigma=st.sampled_from([0.0, 0.6, 1.5, 4.0]),
+       jitter=st.sampled_from([0.0, 0.01]),
+       floor=st.sampled_from([0.0, 0.002, 0.05]),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 6),
+                              st.integers(0, 6)), max_size=40))
+def test_inline_base_draw_is_lognormvariate(seed, sigma, jitter, floor, ops):
+    """A new pair's base, drawn by ``sample`` or ``base``, is the value
+    ``rng.lognormvariate`` gives (floored), and leaves the shared stream
+    in the same state — rejected Kinderman–Monahan tries included."""
+    model = PairwiseLatency(random.Random(seed), median_base=0.05,
+                            sigma=sigma, jitter=jitter, floor=floor)
+    reference = _RefPairwiseLatency(random.Random(seed), 0.05, sigma,
+                                    jitter, floor)
+    for sampled, src, dst in ops:
+        if sampled:
+            assert model.sample(src, dst) == reference.sample(src, dst)
+        else:
+            assert model.base(src, dst) == reference.base(src, dst)
+        assert model._rng.getstate() == reference._rng.getstate()
+
+
 # ----------------------------------------------------------------------
 # helpers for the per-link stream tests
 # ----------------------------------------------------------------------

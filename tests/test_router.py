@@ -24,7 +24,7 @@ from repro.net.network import Network
 from repro.net.router import InprocRouter, Router
 from repro.net.shard import ShardRouter
 from repro.net.stats import NetworkStats
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
 class FakePayload:
@@ -325,6 +325,74 @@ class TestArrivalOrder:
         assert stats.bytes_received == sum(bytes_down.values())
         assert received == bytes_down
         assert sim.events_executed == len(entries)
+
+    #: (what, offset, flag): flag cancels a handle before the run.
+    _entries = st.lists(st.tuples(
+        st.sampled_from(("route", "handle", "post", "lane")),
+        st.sampled_from((0.0, 0.5, 1.0, 1.0, 2.0)), st.booleans()),
+        max_size=25)
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=_entries, second=_entries,
+           split=st.sampled_from((0.0, 0.5, 1.0, 3.0)))
+    def test_arrivals_order_with_handles_lanes_and_posts(
+            self, router_factory, first, second, split):
+        """A routed arrival is a heap entry carrying its envelope: it
+        fires in (time, enqueue order) among handles (cancelled ones
+        skipped), lane entries and bare posts exactly as the reference
+        heap orders them, also when queued between two runs."""
+        log = []
+        sim, net = tie_net(router_factory, {10: "route"}, log)
+        entries = []        # (time, enqueue index, what, live)
+
+        def queue(ops, lane):
+            last = sim.now
+            for what, offset, flag in ops:
+                time = sim.now + offset
+                label = len(entries)
+                if what == "route":
+                    payload = FakePayload(kind="ordered", size=100)
+                    payload.tag = label
+                    net.router.route(Envelope(0, 10, payload, 128, sim.now,
+                                              time))
+                elif what == "handle":
+                    handle = sim.schedule_at(
+                        time, lambda label=label: log.append(("handle",
+                                                              label)))
+                    if flag:
+                        handle.cancel()
+                elif what == "post":
+                    sim.post_at(time, lambda label=label: log.append(
+                        ("post", label)))
+                else:
+                    time = last = max(time, last)
+                    lane.post(time - sim.now, label)
+                entries.append((time, label, what,
+                                not (what == "handle" and flag)))
+
+        def ran(label):
+            log.append(("lane", label))
+
+        queue(first, sim.lane(ran))
+        sim.run(until=split)
+        queue(second, sim.lane(ran))
+        sim.run()
+        assert log == [(what, label) for _, label, what, live
+                       in sorted(entries) if live]
+        assert sim.events_executed == len(log)
+        assert sim.pending_count == 0
+
+    def test_a_past_or_nan_arrival_is_refused(self, router_factory):
+        sim, net = make_net(router_factory)
+        net.attach(10, Sink(), 8e6)
+        sim.run(until=1.0)
+        payload = FakePayload(kind="late", size=100)
+        for arrival in (0.5, float("nan")):
+            with pytest.raises(SimulationError):
+                net.router.route(Envelope(0, 10, payload, 128, 0.0, arrival))
+        assert sim._seq == 0 and sim.pending_count == 0
+        net.router.route(Envelope(0, 10, payload, 128, 1.0, 1.0))
+        assert sim.run() == 1.0 and net.stats.delivered == 1
 
 
 class TestReceiveStats:

@@ -185,8 +185,6 @@ def test_nan_times_and_delays_are_refused():
     # 1, 2 and NaN it returned 1.0 and the event at 2.0 never ran.
     nan = float("nan")
     sim = Simulator()
-    rearmable = sim.schedule(0.0, lambda: None)
-    sim.run()
     fired = []
     for time in (0.5, 1.0, 2.0):
         sim.post_at(time, lambda time=time: fired.append(time))
@@ -195,7 +193,6 @@ def test_nan_times_and_delays_are_refused():
         lambda: sim.schedule(nan, lambda: fired.append(nan)),
         lambda: sim.post_at(nan, lambda: fired.append(nan)),
         lambda: sim.post(nan, lambda: fired.append(nan)),
-        lambda: sim.rearm(rearmable, nan, lambda: fired.append(nan)),
         lambda: sim.lane(fired.append).post(nan, nan),
     ]
     for call in refused:
@@ -477,7 +474,7 @@ class TestLane:
 def _lane_state(sim, lane):
     """Everything a lane post can change, the heap's callables named."""
     heap = sorted((t, seq, "lane" if entry is lane else "other")
-                  for t, seq, entry in sim._heap)
+                  for t, seq, entry, _ in sim._heap)
     return (heap, list(lane._queue), sim._seq, sim._backlog,
             sim.pending_count)
 
@@ -926,28 +923,6 @@ def test_engine_matches_reference_model_under_random_interleavings(ops):
         for timer, reference in timers:
             assert (timer.running, timer.ticks) == (reference.running,
                                                     reference.ticks)
-
-
-def test_rearming_a_pending_or_cancelled_handle_raises():
-    sim = Simulator()
-    pending = sim.schedule(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.rearm(pending, 1.0, lambda: None)
-    cancelled = sim.schedule(1.0, lambda: None)
-    cancelled.cancel()
-    with pytest.raises(SimulationError):
-        sim.rearm(cancelled, 1.0, lambda: None)
-    sim.run()
-    assert sim.pending_count == 0 and sim.events_executed == 1
-    # A fired handle re-arms, and cancels like a fresh one.
-    sim.rearm(pending, 1.0, lambda: None)
-    assert pending.pending and sim.pending_count == 1
-    with pytest.raises(SimulationError):
-        Simulator().rearm(pending, 1.0, lambda: None)
-    pending.cancel()
-    assert sim.pending_count == 0
-    sim.run()
-    assert sim.events_executed == 1
 
 
 class TestCollectorPause:
