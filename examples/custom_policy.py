@@ -38,11 +38,14 @@ class ServeAwareNode(GossipNode):
         super().__init__(*args, **kwargs)
         self._served_last_round = 0
         self._serves_at_round_start = 0
+        self.peak_fanout = 0
 
     def get_fanout(self) -> int:
         base = self.config.fanout
         boost = min(2.0, 1.0 + self._served_last_round / 50.0)
-        return max(1, round(base * boost))
+        fanout = max(1, round(base * boost))
+        self.peak_fanout = max(self.peak_fanout, fanout)
+        return fanout
 
     def current_fanout(self) -> float:
         return float(self.get_fanout())
@@ -93,8 +96,7 @@ def main() -> None:
 
     analyzer = PlaybackAnalyzer(stream, publish_times.__getitem__)
     windows = range(len(publish_times) // stream.packets_per_window)
-    fanouts = [max(node.partners_per_round) if node.partners_per_round else 0
-               for node in nodes[1:]]
+    fanouts = [node.peak_fanout for node in nodes[1:]]
     lags = [analyzer.min_lag_jitter_free(node.log, windows)
             for node in nodes[1:]]
     finite = [lag for lag in lags if lag != float("inf")]

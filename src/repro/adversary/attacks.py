@@ -139,7 +139,6 @@ class SpammingNode(HeapGossipNode):
 
     def _gossip(self, ids: List[int]) -> None:
         fanout = self.get_fanout()
-        self.partners_per_round.append(fanout)
         flood = max(fanout, round(self.flood_fraction * len(self.view)))
         if flood <= 0:
             return
@@ -186,7 +185,6 @@ class WithholdingNode(HeapGossipNode):
         self.ids_withheld = 0
 
     def _on_gossip_tick(self) -> None:
-        self.rounds += 1
         if not self._to_propose:
             return
         ids = self._to_propose

@@ -63,7 +63,7 @@ class GossipNode:
                  "_requested", "_gossip_timer", "_retransmission", "_policy",
                  "on_deliver", "on_request_sent", "on_serve_received",
                  "_dispatch", "proposes_sent", "requests_sent", "serves_sent",
-                 "packets_served", "rounds", "partners_per_round")
+                 "packets_served")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  view: LocalView, config: GossipConfig, rng: random.Random,
@@ -119,8 +119,6 @@ class GossipNode:
         self.requests_sent = 0
         self.serves_sent = 0
         self.packets_served = 0
-        self.rounds = 0
-        self.partners_per_round: List[int] = []
 
     # ------------------------------------------------------------------
     # fanout policy hook — subclasses must provide partners_this_round()
@@ -173,7 +171,6 @@ class GossipNode:
     # phase 1: propose
     # ------------------------------------------------------------------
     def _on_gossip_tick(self) -> None:
-        self.rounds += 1
         if not self._to_propose:
             return
         ids = self._to_propose
@@ -182,7 +179,6 @@ class GossipNode:
 
     def _gossip(self, ids: List[int]) -> None:
         fanout = self.get_fanout()
-        self.partners_per_round.append(fanout)
         if fanout <= 0:
             return
         partners = self.selector.select(self.view, fanout)
@@ -311,8 +307,3 @@ class GossipNode:
     @property
     def retransmission_stats(self) -> Optional[RetransmissionManager]:
         return self._retransmission
-
-    def mean_partners_per_round(self) -> float:
-        if not self.partners_per_round:
-            return 0.0
-        return sum(self.partners_per_round) / len(self.partners_per_round)

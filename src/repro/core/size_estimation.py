@@ -72,7 +72,7 @@ class SizeEstimator:
 
     __slots__ = ("_sim", "_net", "node_id", "_view", "_rng", "is_leader",
                  "rounds_per_epoch", "epoch", "_round_in_epoch", "_value",
-                 "_settled_estimate", "exchanges", "_timer", "_dispatch")
+                 "_settled_estimate", "_timer", "_dispatch")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  view: LocalView, rng: random.Random, is_leader: bool = False,
@@ -91,7 +91,6 @@ class SizeEstimator:
         self._value = 1.0 if is_leader else 0.0
         #: Estimate carried over from the previously completed epoch.
         self._settled_estimate: Optional[float] = None
-        self.exchanges = 0
         self._timer = PeriodicTimer(sim, period, self._tick)
         self._dispatch = {
             SizeEstimateMessage.kind_id: self._handle_push,
@@ -176,4 +175,3 @@ class SizeEstimator:
 
     def _average_with(self, other_value: float) -> None:
         self._value = (self._value + other_value) / 2.0
-        self.exchanges += 1

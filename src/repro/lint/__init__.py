@@ -18,6 +18,8 @@ is a docstring promise.  This package checks the same contracts
   import-order-identical across fork/spawn workers.
 * **P-rules** — hot-path hygiene: ``__slots__`` on classes in the
   configured hot-module list (the PR 1-5 perf work's standing rule).
+* **R501** — the tree's declared invariants, one table of text
+  patterns with scopes and home files; it cannot be suppressed.
 
 Run it as ``python -m repro lint [paths]``; suppress a finding with a
 ``# repro-lint: disable=<RULE>`` comment on (or directly above) the

@@ -2,10 +2,11 @@
 
 Every rule receives a shared :class:`FileContext` (parsed tree, import
 aliases, config, module identity) and yields findings; the driver
-applies ``# repro-lint: disable=...`` suppressions and collects the
-survivors.  Files that fail to parse produce a single ``E999`` finding
-instead of crashing the run — a syntax error in the checked tree is a
-finding, not an analyzer bug.
+applies ``# repro-lint: disable=...`` suppressions (unless the rule
+sets ``suppressible = False``) and collects the survivors.  Files that
+fail to parse produce a single ``E999`` finding instead of crashing the
+run — a syntax error in the checked tree is a finding, not an analyzer
+bug.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def lint_file(path: str, config: Optional[LintConfig] = None,
     findings: List[Finding] = []
     for rule in rules:
         for finding in rule.check(ctx):
-            if not is_suppressed(suppressed, finding.line, finding.rule):
+            if not getattr(rule, "suppressible", True) or not is_suppressed(
+                    suppressed, finding.line, finding.rule):
                 findings.append(finding)
     return findings
 

@@ -19,6 +19,7 @@ _CATALOG_MODULES = (
     "repro.lint.rules.shard",
     "repro.lint.rules.kinds",
     "repro.lint.rules.hotpath",
+    "repro.lint.rules.invariants",
 )
 
 _RULES: Dict[str, object] = {}

@@ -9,4 +9,5 @@ package has no import-time side effects of its own.
 * :mod:`repro.lint.rules.shard` — S2xx
 * :mod:`repro.lint.rules.kinds` — K3xx
 * :mod:`repro.lint.rules.hotpath` — P4xx
+* :mod:`repro.lint.rules.invariants` — R501
 """

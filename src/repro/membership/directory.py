@@ -87,10 +87,6 @@ class Membership:
         self._alive.remove(node_id)
         return True
 
-    def crash_many(self, node_ids: Iterable[int]) -> None:
-        for node_id in list(node_ids):
-            self.crash(node_id)
-
     def pick_crash_victims(self, fraction: float, rng: random.Random,
                            protect: Iterable[int] = ()) -> List[int]:
         """Choose ``fraction`` of the alive nodes uniformly at random,

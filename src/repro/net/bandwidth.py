@@ -27,7 +27,7 @@ class UplinkQueue:
     """
 
     __slots__ = ("capacity_bps", "max_delay", "busy_until", "bytes_sent",
-                 "datagrams_sent", "datagrams_dropped", "_sum_queue_delay")
+                 "datagrams_sent", "datagrams_dropped")
 
     def __init__(self, capacity_bps: float, max_delay: Optional[float] = None):
         if capacity_bps <= 0:
@@ -40,15 +40,6 @@ class UplinkQueue:
         self.bytes_sent = 0
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
-        self._sum_queue_delay = 0.0
-
-    def serialization_time(self, size_bytes: int) -> float:
-        """Pure wire time for ``size_bytes`` at this link's capacity."""
-        return size_bytes * 8.0 / self.capacity_bps
-
-    def queue_delay(self, now: float) -> float:
-        """How long a datagram enqueued now would wait before transmission."""
-        return max(0.0, self.busy_until - now)
 
     def enqueue(self, now: float, size_bytes: int) -> Optional[float]:
         """Serialize a datagram; return its link-exit time, or None if dropped.
@@ -67,14 +58,7 @@ class UplinkQueue:
         self.busy_until = finish
         self.bytes_sent += size_bytes
         self.datagrams_sent += 1
-        self._sum_queue_delay += wait
         return finish
-
-    def mean_queue_delay(self) -> float:
-        """Average queueing delay over all sent datagrams."""
-        if self.datagrams_sent == 0:
-            return 0.0
-        return self._sum_queue_delay / self.datagrams_sent
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds the uplink spent transmitting.

@@ -158,11 +158,6 @@ class Envelope:
         envelope._exit_time = exit_time
         return envelope
 
-    @property
-    def transit_time(self) -> float:
-        """Total time from send call to delivery (queueing + latency)."""
-        return self.arrival_time - self.send_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Envelope({self.payload.kind} {self.src}->{self.dst}, "

@@ -131,12 +131,6 @@ class Network:
         self._delivery[node_id] = (endpoint, table, uplink)
         return uplink
 
-    def detach(self, node_id: int) -> None:
-        """Remove a node entirely (used when a node leaves gracefully)."""
-        self._endpoints.pop(node_id, None)
-        self._uplinks.pop(node_id, None)
-        self._delivery.pop(node_id, None)
-
     def crash(self, node_id: int) -> None:
         """Kill a node: it stops sending and receiving at the current time."""
         if node_id in self._endpoints and node_id not in self._crash_time:

@@ -232,8 +232,10 @@ class JobManager:
         #: child, whose cells run through ``cached_run`` so overlapping
         #: grids from later jobs reuse full results).
         self.grid_jobs = max(1, grid_jobs)
-        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue(
-            maxsize=max(1, queue_size))
+        #: Most jobs in state ``queued`` at once; ``submit`` counts them,
+        #: so a job cancelled while queued frees its slot at once.
+        self.queue_size = max(1, queue_size)
+        self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._lock = threading.RLock()
         #: Signalled on every job event append / state change.
         self.condition = threading.Condition(self._lock)
@@ -280,11 +282,16 @@ class JobManager:
             if self._stopping:
                 raise QueueFullError("manager is shutting down")
             self._check_quarantine(fingerprint)
+            queued = 0
             for job_id in reversed(self._order):
                 existing = self._jobs[job_id]
-                if (existing.fingerprint == fingerprint
-                        and existing.state in ("queued", "running")):
-                    return existing, False
+                if existing.state in ("queued", "running"):
+                    if existing.fingerprint == fingerprint:
+                        return existing, False
+                    queued += existing.state == "queued"
+            if queued >= self.queue_size:
+                raise QueueFullError(f"submission queue is full "
+                                     f"({self.queue_size} jobs)")
             job = Job(
                 job_id=f"j{self._next_id:04d}",
                 spec=spec,
@@ -294,12 +301,7 @@ class JobManager:
                 csv_path=os.path.join(self.artifact_dir,
                                       f"j{self._next_id:04d}.csv"),
             )
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
-                raise QueueFullError(
-                    f"submission queue is full "
-                    f"({self._queue.maxsize} jobs)") from None
+            self._queue.put_nowait(job)
             self._next_id += 1
             self._jobs[job.id] = job
             self._order.append(job.id)
@@ -374,10 +376,7 @@ class JobManager:
                 for job in list(self._jobs.values()):
                     self.cancel(job.id)
         for _ in self._threads:
-            try:
-                self._queue.put_nowait(None)
-            except queue.Full:  # executors will still see _stopping
-                break
+            self._queue.put_nowait(None)
         for thread in self._threads:
             thread.join(timeout=10.0)
         self._supervisor.close()

@@ -288,10 +288,6 @@ class Simulator:
         """A new :class:`Lane` whose entries run ``handler(*args)``."""
         return Lane(self, handler)
 
-    def call_soon(self, callback: Callable[[], Any]) -> EventHandle:
-        """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule_at(self._now, callback)
-
     def post_at(self, time: float, callback: Callable[[], Any]) -> None:
         """Fire-and-forget scheduling: no handle, no cancellation.
 

@@ -54,9 +54,6 @@ class ReceiverLog:
     def items(self) -> Iterator[Tuple[int, float]]:
         return iter(self._deliveries.items())
 
-    def received_count(self) -> int:
-        return len(self._deliveries)
-
     def delivery_ratio(self, total_published: int) -> float:
         """Fraction of all published packets this node ever received."""
         if total_published == 0:

@@ -4,7 +4,8 @@ Every rule has a fixture pair under ``tests/lint_fixtures``: a
 ``*_flagged.py`` file it must fire on and a ``*_clean.py`` twin it must
 stay quiet on.  The fixtures live outside the ``repro`` package, so the
 package-scoped rule families (D101/D102, P401) are forced onto them
-with the ``"*"`` wildcard module prefix.
+with the ``"*"`` wildcard module prefix, and R501's pair is linted as a
+copy placed under ``src/repro``.
 """
 
 import json
@@ -20,12 +21,13 @@ from repro.lint.cli import main
 from repro.lint.config import module_name_for
 from repro.lint.driver import lint_file
 from repro.lint.registry import all_rules, rules_matching
+from repro.lint.rules.invariants import INVARIANTS, tree_path
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_ROOT = Path(__file__).parent.parent
 
 RULE_IDS = ("D101", "D102", "D103", "D104",
-            "S201", "S202", "S203", "K301", "K302", "P401")
+            "S201", "S202", "S203", "K301", "K302", "P401", "R501")
 
 #: Forces deterministic-module and hot-module rule families onto fixture
 #: files, whose derived module names sit outside the repro package.
@@ -37,9 +39,16 @@ def wildcard_config(rule_id=None):
                       select=(rule_id,) if rule_id else ())
 
 
-def lint_fixture(name, rule_id):
-    findings, files_checked = lint_paths(
-        [str(FIXTURES / name)], wildcard_config(rule_id))
+def lint_fixture(name, rule_id, tmp_path):
+    path = FIXTURES / name
+    if rule_id == "R501":
+        # R501 scopes by tree path: its fixtures' rows do not cover
+        # tests/, so the pair is linted as a copy under src/repro.
+        path = tmp_path / "src" / "repro" / name
+        path.parent.mkdir(parents=True)
+        shutil.copyfile(FIXTURES / name, path)
+    findings, files_checked = lint_paths([str(path)],
+                                         wildcard_config(rule_id))
     assert files_checked == 1
     return findings
 
@@ -57,8 +66,9 @@ def test_every_rule_documents_itself():
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
-def test_rule_fires_on_flagged_fixture(rule_id):
-    findings = lint_fixture(f"{rule_id.lower()}_flagged.py", rule_id)
+def test_rule_fires_on_flagged_fixture(rule_id, tmp_path):
+    findings = lint_fixture(f"{rule_id.lower()}_flagged.py", rule_id,
+                            tmp_path)
     assert findings, f"{rule_id} stayed quiet on its flagged fixture"
     assert {f.rule for f in findings} == {rule_id}
     for finding in findings:
@@ -67,8 +77,9 @@ def test_rule_fires_on_flagged_fixture(rule_id):
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
-def test_rule_quiet_on_clean_fixture(rule_id):
-    findings = lint_fixture(f"{rule_id.lower()}_clean.py", rule_id)
+def test_rule_quiet_on_clean_fixture(rule_id, tmp_path):
+    findings = lint_fixture(f"{rule_id.lower()}_clean.py", rule_id,
+                            tmp_path)
     assert findings == [], f"{rule_id} fired on its clean fixture"
 
 
@@ -265,6 +276,51 @@ def test_supervisor_target_is_a_process_boundary_sink(tmp_path):
     assert _lint_source(tmp_path, clean, "S201") == []
 
 
+# ----------------------------------------------------------------------
+# R501: every row of the invariant table, in and out of its scope
+# ----------------------------------------------------------------------
+_TREE_ROOTS = ("src/repro", "benchmarks", "examples", "ledger", "tests")
+
+
+def _lint_at(tmp_path, tree, source):
+    path = tmp_path / tree
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source + "\n")
+    return lint_file(str(path), LintConfig(select=("R501",)))
+
+
+def _covered(scope, tree):
+    return any(tree == s or tree.startswith(s + "/") for s in scope)
+
+
+@pytest.mark.parametrize("row", INVARIANTS, ids=lambda row: row.pattern)
+def test_invariant_row_example_fires_in_scope_only(tmp_path, row):
+    for scope in row.scope:
+        tree = scope if scope.endswith(".py") else scope + "/probe.py"
+        assert [f.rule for f in _lint_at(tmp_path, tree, row.example)] \
+            == ["R501"], tree
+        # No escape hatch: suppression comments do not silence R501.
+        for source in (row.example + "  # repro-lint: disable=R501",
+                       "# repro-lint: disable=all\n" + row.example):
+            assert _lint_at(tmp_path, tree, source), (tree, source)
+    for home in row.homes:
+        assert _lint_at(tmp_path, home, row.example) == [], home
+    for root in _TREE_ROOTS:
+        tree = root + "/probe.py"
+        if not _covered(row.scope, tree):
+            assert _lint_at(tmp_path, tree, row.example) == [], tree
+
+
+def test_tree_path_starts_at_the_innermost_anchor():
+    assert tree_path("/a/tests/copy/src/repro/sim/rng.py") == \
+        "src/repro/sim/rng.py"
+    assert tree_path("benchmarks/smoke_throughput.py") == \
+        "benchmarks/smoke_throughput.py"
+    assert tree_path("tests/lint_fixtures/r501_flagged.py") == \
+        "tests/lint_fixtures/r501_flagged.py"
+    assert tree_path("/tmp/elsewhere/repro/sim/rng.py") is None
+
+
 def test_module_name_prefers_src_repro():
     assert module_name_for("src/repro/net/message.py") == \
         "repro.net.message"
@@ -277,6 +333,14 @@ def test_module_name_prefers_src_repro():
 # the gate itself: the shipped tree must be clean with no baseline
 # ----------------------------------------------------------------------
 def test_src_tree_is_lint_clean():
-    findings, files_checked = lint_paths([str(REPO_ROOT / "src" / "repro")])
+    """The CI gate's two calls: every rule over the shipped tree, and
+    R501 over tests/ (the SplitMix64 row covers it)."""
+    findings, files_checked = lint_paths(
+        [str(REPO_ROOT / root) for root in
+         ("src/repro", "benchmarks", "examples", "ledger")])
+    assert files_checked > 50
+    assert findings == [], "\n".join(f.render() for f in findings)
+    findings, files_checked = lint_paths([str(REPO_ROOT / "tests")],
+                                         LintConfig(select=("R501",)))
     assert files_checked > 50
     assert findings == [], "\n".join(f.render() for f in findings)

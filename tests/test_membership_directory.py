@@ -93,12 +93,6 @@ def test_crash_twice_is_noop():
     assert directory.alive_count() == 2
 
 
-def test_crash_many():
-    sim, directory = make_directory(n=10, mean_delay=0.0)
-    directory.crash_many([1, 2, 3])
-    assert directory.alive_count() == 7
-
-
 def test_pick_crash_victims_respects_fraction_and_protection():
     sim, directory = make_directory(n=100)
     victims = directory.pick_crash_victims(0.2, random.Random(7), protect=[0])

@@ -6,9 +6,10 @@ from repro.net.bandwidth import UplinkQueue
 
 
 def test_serialization_time_matches_capacity():
-    # 1000 bytes at 8000 bps -> 1 second.
-    link = UplinkQueue(8000.0)
-    assert link.serialization_time(1000) == pytest.approx(1.0)
+    # An idle link holds S bytes for S * 8 / capacity seconds:
+    # 1000 bytes at 8000 bps -> 1 second, 250 bytes at 1 Mbps -> 2 ms.
+    assert UplinkQueue(8000.0).enqueue(3.0, 1000) == pytest.approx(4.0)
+    assert UplinkQueue(1e6).enqueue(3.0, 250) == pytest.approx(3.002)
 
 
 def test_single_datagram_exits_after_serialization():
@@ -36,20 +37,21 @@ def test_idle_link_does_not_accumulate_credit():
 
 
 def test_queue_delay_reflects_backlog():
+    # A datagram enqueued behind a backlog waits out what remains of it.
     link = UplinkQueue(8000.0)
-    assert link.queue_delay(0.0) == 0.0
-    link.enqueue(0.0, 2000)
-    assert link.queue_delay(0.0) == pytest.approx(2.0)
-    assert link.queue_delay(1.5) == pytest.approx(0.5)
-    assert link.queue_delay(3.0) == 0.0
+    assert link.enqueue(0.0, 2000) == pytest.approx(2.0)  # no wait
+    assert link.enqueue(1.5, 1000) == pytest.approx(3.0)  # waits 0.5
+    assert link.enqueue(4.0, 1000) == pytest.approx(5.0)  # backlog gone
 
 
 def test_overload_grows_queue_without_bound():
     # Offered load 2x capacity: backlog after k packets grows linearly.
     link = UplinkQueue(8000.0)
     for i in range(10):
-        link.enqueue(i * 0.5, 1000)  # each takes 1s, arrive every 0.5s
-    assert link.queue_delay(5.0) == pytest.approx(5.0)
+        arrival = i * 0.5  # each takes 1s, arrive every 0.5s
+        exit_time = link.enqueue(arrival, 1000)
+        assert exit_time - 1.0 - arrival == pytest.approx(i * 0.5)
+    assert link.enqueue(5.0, 1000) == pytest.approx(11.0)  # waits 5s
 
 
 def test_max_delay_drops_excess():
@@ -67,17 +69,6 @@ def test_byte_and_datagram_accounting():
     link.enqueue(0.0, 700)
     assert link.bytes_sent == 1000
     assert link.datagrams_sent == 2
-
-
-def test_mean_queue_delay():
-    link = UplinkQueue(8000.0)
-    link.enqueue(0.0, 1000)  # wait 0
-    link.enqueue(0.0, 1000)  # wait 1
-    assert link.mean_queue_delay() == pytest.approx(0.5)
-
-
-def test_mean_queue_delay_empty_link():
-    assert UplinkQueue(1000.0).mean_queue_delay() == 0.0
 
 
 def test_utilization():

@@ -55,7 +55,6 @@ def test_message_delivered_with_latency_and_serialization():
     env = b.received[0]
     assert env.payload is payload
     assert env.arrival_time == pytest.approx(0.008 + 0.05)
-    assert env.transit_time == pytest.approx(0.058)
 
 
 def test_send_from_unattached_node_returns_none():
@@ -187,15 +186,6 @@ def test_queue_cap_drops_recorded_in_stats():
         net.send(1, 2, FakePayload(size=1000 - UDP_IP_HEADER_BYTES))
     sim.run()
     assert net.stats.dropped_queue == 2
-
-
-def test_detach_removes_node():
-    sim, net = make_net()
-    net.attach(1, Sink(), 1e9)
-    assert net.is_alive(1)
-    net.detach(1)
-    assert not net.is_alive(1)
-    assert 1 not in set(net.node_ids)
 
 
 # ----------------------------------------------------------------------

@@ -459,9 +459,14 @@ class TestQueueBounds:
                     break
                 manager.events_since(first, 1, timeout=0.1)
             assert first.state == "running"
-            manager.submit("sweep", SWEEP)  # fills the single slot
+            queued, _ = manager.submit("sweep", SWEEP)  # fills the slot
             with pytest.raises(QueueFullError):
                 manager.submit("sweep", dict(SWEEP, nodes=12))
+            # A job cancelled while queued gives its slot back at once,
+            # though it stays in the executor's queue until dequeued.
+            manager.cancel(queued.id)
+            _, created = manager.submit("sweep", dict(SWEEP, nodes=12))
+            assert created
         finally:
             manager.shutdown(cancel_running=True)
 

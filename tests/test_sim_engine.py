@@ -99,13 +99,13 @@ def test_events_scheduled_during_execution_run():
     assert sim.now == 2.0
 
 
-def test_call_soon_runs_at_current_time_after_peers():
+def test_schedule_at_now_runs_after_same_time_peers():
     sim = Simulator()
     order = []
 
     def event():
         order.append("event")
-        sim.call_soon(lambda: order.append("soon"))
+        sim.schedule_at(sim.now, lambda: order.append("soon"))
 
     sim.schedule(1.0, event)
     sim.schedule(1.0, lambda: order.append("peer"))
