@@ -65,7 +65,7 @@ def main() -> None:
     heap = results["heap"]
     for node_id in heap.receiver_ids():
         heap_fanouts.setdefault(heap.label_of(node_id), []).append(
-            heap.nodes[node_id].current_fanout())
+            heap.nodes[node_id].fanout)
     print("\nHEAP adapted fanouts (Equation 1: f_p = f * b_p / b_avg):")
     for label, values in sorted(heap_fanouts.items(),
                                 key=lambda kv: sum(kv[1]) / len(kv[1])):

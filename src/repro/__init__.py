@@ -22,20 +22,28 @@ See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
 """
 
-from repro.core import GossipConfig, HeapGossipNode, StandardGossipNode
-from repro.experiments import ExperimentResult, run_scenario
-from repro.streaming import StreamConfig
-from repro.workloads import ScenarioConfig
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ExperimentResult",
-    "GossipConfig",
-    "HeapGossipNode",
-    "ScenarioConfig",
-    "StandardGossipNode",
-    "StreamConfig",
-    "__version__",
-    "run_scenario",
-]
+#: Re-exported name -> the module that defines it.  Resolved on first
+#: access, so importing a submodule (``repro.lint`` above all) never
+#: imports the experiment stack with it.
+_EXPORTS = {
+    "ExperimentResult": "repro.experiments",
+    "GossipConfig": "repro.core",
+    "HeapGossipNode": "repro.core",
+    "ScenarioConfig": "repro.workloads",
+    "StandardGossipNode": "repro.core",
+    "StreamConfig": "repro.streaming",
+    "run_scenario": "repro.experiments",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -146,7 +146,6 @@ class SpammingNode(HeapGossipNode):
         if not partners:
             return
         self._net.send_many(self.node_id, partners, Propose(ids))
-        self.proposes_sent += len(partners)
         self.spam_proposes += max(0, len(partners) - fanout)
 
     def attack_stats(self) -> Dict[str, int]:

@@ -35,7 +35,7 @@ def _subpopulation(result, ids: Sequence[int],
         return {"n": 0, "delivery_pct": math.nan, "mean_lag": math.nan,
                 "unreached": 0, "mean_served": math.nan}
     total = result.total_packets
-    delivered = [result.nodes[node_id].delivered_count() for node_id in ids]
+    delivered = [len(result.log_of(node_id)) for node_id in ids]
     own_lags = [lags[node_id] for node_id in ids]
     return {
         "n": len(ids),
@@ -44,7 +44,7 @@ def _subpopulation(result, ids: Sequence[int],
         # mean() is finite-only; the unreached count carries the infs.
         "mean_lag": mean(own_lags),
         "unreached": sum(1 for lag in own_lags if math.isinf(lag)),
-        "mean_served": mean(getattr(result.nodes[node_id], "packets_served", 0)
+        "mean_served": mean(result.nodes[node_id].packets_served
                             for node_id in ids),
     }
 
@@ -63,7 +63,7 @@ def attack_impact(result) -> Dict[str, object]:
     from repro.freeriders.analysis import convictions
     from repro.metrics.lag import per_node_lag_jitter_free
 
-    attackers = dict(getattr(result, "attackers", None) or {})
+    attackers = result.attackers
     receivers = list(result.receiver_ids())
     attacked_ids = [n for n in receivers if n in attackers]
     honest_ids = [n for n in receivers if n not in attackers]
@@ -75,7 +75,7 @@ def attack_impact(result) -> Dict[str, object]:
     for name, _param in attackers.values():
         by_attack[name] = by_attack.get(name, 0) + 1
     counters: Dict[str, int] = {}
-    for stats in (getattr(result, "attacker_stats", None) or {}).values():
+    for stats in result.attacker_stats.values():
         for counter, value in stats.items():
             counters[counter] = counters.get(counter, 0) + value
 

@@ -62,8 +62,7 @@ class GossipNode:
                  "capability_bps", "selector", "log", "_store", "_to_propose",
                  "_requested", "_gossip_timer", "_retransmission", "_policy",
                  "on_deliver", "on_request_sent", "on_serve_received",
-                 "_dispatch", "proposes_sent", "requests_sent", "serves_sent",
-                 "packets_served")
+                 "_dispatch", "packets_served")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  view: LocalView, config: GossipConfig, rng: random.Random,
@@ -114,10 +113,7 @@ class GossipNode:
             Serve.kind_id: self._handle_serve,
         }
 
-        # Counters (diagnostics and tests).
-        self.proposes_sent = 0
-        self.requests_sent = 0
-        self.serves_sent = 0
+        #: Packets this node served (the contribution index's numerator).
         self.packets_served = 0
 
     # ------------------------------------------------------------------
@@ -164,9 +160,6 @@ class GossipNode:
     def has_packet(self, packet_id: int) -> bool:
         return packet_id in self._store
 
-    def delivered_count(self) -> int:
-        return len(self.log)
-
     # ------------------------------------------------------------------
     # phase 1: propose
     # ------------------------------------------------------------------
@@ -185,7 +178,6 @@ class GossipNode:
         if not partners:
             return
         self._net.send_many(self.node_id, partners, Propose(ids))
-        self.proposes_sent += len(partners)
 
     # ------------------------------------------------------------------
     # phase 2: request
@@ -207,7 +199,6 @@ class GossipNode:
         request.ids = ids = tuple(ids)
         request._wire_size = HEADER_BYTES + ID_BYTES * len(ids)
         self._net.send(self.node_id, peer, request)
-        self.requests_sent += 1
         if self.on_request_sent is not None:
             self.on_request_sent(peer, len(ids))
         return ids
@@ -228,7 +219,6 @@ class GossipNode:
         serve._wire_size = (HEADER_BYTES + sum(map(_size_bytes, packets))
                             + SERVE_PACKET_OVERHEAD * count)
         self._net.send(self.node_id, src, serve)
-        self.serves_sent += 1
         self.packets_served += count
 
     def _on_serve(self, src: int, serve: Serve) -> None:

@@ -48,10 +48,9 @@ def _offline_delivery(result) -> float:
 def aggregation_summary(result) -> dict:
     """Capability-estimate error, aggregation overhead and stream lag."""
     true_average = result.config.distribution.average_bps()
-    errors = [abs(node.average_capability_estimate() - true_average)
+    errors = [abs(result.nodes[node_id].capability_estimate - true_average)
               / true_average
-              for node in (result.nodes[node_id]
-                           for node_id in result.receiver_ids())]
+              for node_id in result.receiver_ids()]
     agg_bytes = result.net.stats.bytes_by_kind.get("aggregation", 0)
     per_node_rate = agg_bytes / result.config.n_nodes / (
         result.config.duration + result.config.drain)
@@ -68,7 +67,7 @@ def delivery_lag_summary(result) -> dict:
 
 def rich_fanout_summary(result) -> dict:
     """Mean adapted fanout of the rich (3 Mbps) class, plus stream lag."""
-    rich_fanouts = [result.nodes[node_id].current_fanout()
+    rich_fanouts = [result.nodes[node_id].fanout
                     for node_id in result.receivers_in_class("3Mbps")]
     return {"rich_fanout": mean(rich_fanouts) if rich_fanouts else None,
             "mean_lag": _mean_lag(result)}

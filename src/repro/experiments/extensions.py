@@ -110,8 +110,8 @@ def ext_capability_discovery(scale: Scale = None) -> TableResult:
         # How close did advertised capabilities get to the truth by the end?
         gaps = []
         for node_id in result.receiver_ids():
-            node = result.nodes[node_id]
-            gaps.append(node.capability_bps / result.capacity_of(node_id))
+            gaps.append(result.nodes[node_id].capability_bps
+                        / result.capacity_of(node_id))
         rows.append(["discovery" if discovery else "configured",
                      format_percent(mean(quality.values())),
                      format_seconds(_mean_lag(result)),

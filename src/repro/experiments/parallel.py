@@ -301,18 +301,18 @@ class GridResult:
 def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
     """Run one grid cell with a pluggable scenario runner.
 
-    A finished scenario is one big reference cycle (nodes <-> fabric <->
-    engine), so dropping the result frees nothing until the cyclic
-    collector gets to it — and ``Simulator.run`` pauses that collector,
-    so the next cell's run would be over before a pass came due.  With
-    the default runner nobody else holds the result, so its graph dies
-    here and is collected here: one pass per cell, where its garbage is.
-    In a pool worker that pass walks only the cell's own objects: the
-    worker froze the heap it inherited or imported before its first
-    task (``repro.faults.supervise._child_main``).  In-process it walks
-    the caller's heap too, which this function never freezes.
-    A caller-supplied ``run_fn`` (``cached_run``) keeps results on
-    purpose; a full pass over its growing cache would free nothing.
+    Whichever runner returned (``run_scenario`` or ``cached_run``), the
+    result is plain data and the scenario's build graph — one big
+    reference cycle of nodes, fabric and engine — is garbage, freed by
+    nothing but the cyclic collector.  ``Simulator.run`` pauses that
+    collector, so the next cell's run would be over before a pass came
+    due: every cell collects here, once, where its garbage is.  In a
+    supervised child (pool worker, service executor) that pass walks
+    only what the child made after freezing the heap it inherited or
+    imported (``repro.faults.supervise._child_main``): the cell's
+    objects and, under ``cached_run``, every result cached so far.
+    In-process it walks the caller's heap too, which this function
+    never freezes.
 
     The cell runs under the shard supervision ``run_grid``'s caller had
     (the payload's last field), so a sharded cell in a ``spawn`` worker
@@ -326,24 +326,19 @@ def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
         result = run_fn(config)
         values = {name: metric(result) for name, metric in metric_items}
         summaries = summarize(result, specs)
-    events_executed = result.sim.events_executed
-    sim_end_time = result.sim.now
-    wire = result.net.stats.wire_summary()
-    if run_fn is run_scenario:
-        del result
-        gc.collect()
+    gc.collect()
     record = RunRecord(
         scenario_index=scenario_index,
         scenario_name=scenario_name,
         seed_index=seed_index,
         seed=config.seed,
         metrics=values,
-        events_executed=events_executed,
-        sim_end_time=sim_end_time,
+        events_executed=result.sim.events_executed,
+        sim_end_time=result.sim.now,
         # The collection is part of what the cell costs.
         wall_time=time.perf_counter() - started,
         summaries=summaries,
-        wire=wire,
+        wire=result.net.stats.wire_summary(),
     )
     return index, record
 

@@ -3,8 +3,9 @@
 The runner wires together every substrate — simulator, network fabric,
 membership, stream source, protocol nodes — from one
 :class:`~repro.workloads.scenario.ScenarioConfig`, runs to the scenario's
-horizon and returns an :class:`ExperimentResult` holding the receiver
-logs and enough context to compute any of the paper's metrics offline.
+horizon and returns an :class:`ExperimentResult`: plain data (receiver
+logs, uplinks, traffic stats, per-node end state) enough to compute any
+of the paper's metrics offline.
 
 Node 0 is always the stream source; nodes 1..n-1 are receivers whose
 upload capacities come from the scenario's capability distribution.
@@ -17,8 +18,10 @@ execution engine (:mod:`repro.net.shard`): a shard worker builds the
 exactly the serial order, so the values assigned to its own nodes match
 the serial run — but passes ``owned`` so only its partition's nodes,
 samplers, probers and (for shard 0) the stream source actually start.
-With ``config.shards > 1``, :func:`run_scenario` transparently delegates
-to the sharded engine and returns a merged result.
+Every run ends the same way: :meth:`ScenarioBuild.harvest` takes the
+build's end state and :func:`merge_harvests` makes the result — from
+one harvest in-process, from one per shard when ``config.shards > 1``
+delegates :func:`run_scenario` to the sharded engine.
 """
 
 from __future__ import annotations
@@ -31,15 +34,17 @@ from repro.baselines.tree import StaticTreeNode, build_kary_tree
 from repro.core.discovery import CapabilityProber
 from repro.core.heap import HeapGossipNode
 from repro.core.standard import StandardGossipNode
-from repro.freeriders.detection import FreeriderDetector
+from repro.freeriders.detection import FreeriderDetector, FrozenDetector
 from repro.membership.directory import Membership, MembershipDirectory
 from repro.membership.peer_sampling import PeerSamplingService
 from repro.membership.selector import CapabilityBiasedSelector
 from repro.membership.view import LocalView
+from repro.net.bandwidth import UplinkQueue
 from repro.net.latency import PairwiseLatency, PerPairLatency
 from repro.net.loss import BernoulliLoss, PerPairLoss
 from repro.net.network import Network
 from repro.net.router import Router
+from repro.net.stats import NetworkStats
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.streaming.player import PlaybackAnalyzer
@@ -51,37 +56,84 @@ from repro.workloads.scenario import ScenarioConfig
 SOURCE_ID = 0
 
 
-class ExperimentResult:
-    """Everything a metric needs about one finished run."""
+class SimRecord:
+    """What a finished run's simulator leaves behind."""
 
-    def __init__(self, config: ScenarioConfig, sim: Simulator, net: Network,
-                 directory: Optional[Membership], nodes: List,
+    __slots__ = ("events_executed", "now")
+
+    def __init__(self, events_executed: int, now: float):
+        self.events_executed = events_executed
+        self.now = now
+
+
+class NetRecord:
+    """A finished run's traffic: fabric-wide stats and every uplink."""
+
+    __slots__ = ("stats", "_uplinks")
+
+    def __init__(self, stats: NetworkStats, uplinks: Dict[int, UplinkQueue]):
+        self.stats = stats
+        self._uplinks = uplinks
+
+    def uplink(self, node_id: int) -> UplinkQueue:
+        return self._uplinks[node_id]
+
+
+class NodeRecord:
+    """One node's end state: its receiver log, the packets it served,
+    and the adaptation state the ablations read — its fanout before
+    per-round quantization, its aggregation estimate of the average
+    capability and its advertised capability.  A value is ``None``
+    where the node has none (tree nodes have no fanout; only HEAP nodes
+    aggregate)."""
+
+    __slots__ = ("log", "packets_served", "fanout", "capability_estimate",
+                 "capability_bps")
+
+    def __init__(self, log: ReceiverLog, packets_served: int,
+                 fanout: Optional[float],
+                 capability_estimate: Optional[float],
+                 capability_bps: Optional[float]):
+        self.log = log
+        self.packets_served = packets_served
+        self.fanout = fanout
+        self.capability_estimate = capability_estimate
+        self.capability_bps = capability_bps
+
+
+class ExperimentResult:
+    """Everything a metric needs about one finished run, as plain data.
+
+    Made only by :func:`merge_harvests`, from one harvest (a serial run)
+    or one per shard; it holds no simulator, network or live node, so
+    it pickles and the build graph it came from is garbage.
+    """
+
+    def __init__(self, config: ScenarioConfig, sim: SimRecord,
+                 net: NetRecord, nodes: List[NodeRecord],
                  publish_times: List[float], capacities: List[float],
                  labels: List[str], crash_times: Dict[int, float],
-                 freerider_ids: Optional[List[int]] = None,
-                 detectors: Optional[Dict[int, FreeriderDetector]] = None,
-                 samplers: Optional[Dict[int, PeerSamplingService]] = None,
-                 attackers: Optional[Placement] = None,
-                 attacker_stats: Optional[Dict[int, Dict[str, int]]] = None):
+                 detectors: Dict[int, FrozenDetector], attackers: Placement,
+                 attacker_stats: Dict[int, Dict[str, int]]):
         self.config = config
         self.sim = sim
         self.net = net
-        self.directory = directory
         self.nodes = nodes
         self.publish_times = publish_times
         self.capacities = capacities
         self.labels = labels
         self.crash_times = crash_times
-        self.freerider_ids = freerider_ids or []
-        self.detectors = detectors or {}
-        self.samplers = samplers or {}
-        #: node_id -> (attack name, attack parameter) for every attacker
-        #: (``freerider_ids`` above stays as the flat id list the legacy
-        #: analysis consumes — always ``sorted(attackers)``).
-        self.attackers = attackers or {}
+        self.detectors = detectors
+        #: node_id -> (attack name, attack parameter) for every attacker.
+        self.attackers = attackers
         #: node_id -> attack-specific counters (``attack_stats()``).
-        self.attacker_stats = attacker_stats or {}
+        self.attacker_stats = attacker_stats
         self._analyzer: Optional[PlaybackAnalyzer] = None
+
+    @property
+    def freerider_ids(self) -> List[int]:
+        """The attackers' ids, sorted (what the freerider analysis reads)."""
+        return sorted(self.attackers)
 
     # ------------------------------------------------------------------
     # stream geometry
@@ -222,41 +274,130 @@ class ScenarioBuild:
     """A fully wired, started scenario that has not yet been run.
 
     Holds every substrate :func:`run_scenario` needs to drive the event
-    loop and assemble the :class:`ExperimentResult`; shard workers hold
-    one per shard and drive the loop in windows instead.
+    loop; shard workers hold one per shard and drive the loop in windows
+    instead.  Either way the run ends in :meth:`harvest`.
     """
 
     def __init__(self, config: ScenarioConfig, sim: Simulator, net: Network,
-                 directory: Membership, nodes: List,
-                 publish_times: List[float], capacities: List[float],
-                 labels: List[str], crash_times: Dict[int, float],
-                 freerider_ids: List[int], detectors: Dict, samplers: Dict,
-                 attackers: Optional[Placement] = None):
+                 nodes: List, publish_times: List[float],
+                 capacities: List[float], labels: List[str],
+                 crash_times: Dict[int, float], detectors: Dict,
+                 samplers: Dict, attackers: Placement):
         self.config = config
         self.sim = sim
         self.net = net
-        self.directory = directory
         self.nodes = nodes
         self.publish_times = publish_times
         self.capacities = capacities
         self.labels = labels
         self.crash_times = crash_times
-        self.freerider_ids = freerider_ids
         self.detectors = detectors
         self.samplers = samplers
-        self.attackers = attackers or {}
+        self.attackers = attackers
+
+    @property
+    def freerider_ids(self) -> List[int]:
+        return sorted(self.attackers)
+
+    def harvest(self, owned: Optional[Set[int]] = None) -> dict:
+        """The run's end state as picklable plain data.
+
+        Per-node values cover ``owned`` (a shard's partition; every node
+        when ``None``): an unstarted replica's state never ran, so it
+        must not reach the merge.  Replicated state (crash times,
+        attacker placement) is harvested whole, and the merge verifies
+        it agrees across shards.
+        """
+        nodes = self.nodes
+        ids = range(len(nodes)) if owned is None else sorted(owned)
+        return {
+            "logs": {i: nodes[i].log for i in ids},
+            "uplinks": {i: self.net.uplink(i) for i in ids},
+            "served": {i: getattr(nodes[i], "packets_served", 0)
+                       for i in ids},
+            "fanout": {i: nodes[i].current_fanout() for i in ids
+                       if hasattr(nodes[i], "current_fanout")},
+            "capability_estimate": {
+                i: nodes[i].average_capability_estimate() for i in ids
+                if hasattr(nodes[i], "average_capability_estimate")},
+            "capability_bps": {i: nodes[i].capability_bps for i in ids},
+            "detectors": {i: self.detectors[i].snapshot() for i in ids
+                          if i in self.detectors},
+            "attacker_stats": _collect_attacker_stats(
+                nodes, self.samplers, self.attackers, owned=owned),
+            "attackers": self.attackers,
+            "crash_times": dict(self.crash_times),
+            "stats": self.net.stats,
+            "publish_times": self.publish_times,
+            "labels": self.labels,
+            "capacities": self.capacities,
+            "events_executed": self.sim.events_executed,
+            "now": self.sim.now,
+        }
 
     def result(self) -> ExperimentResult:
-        return ExperimentResult(self.config, self.sim, self.net,
-                                self.directory, self.nodes,
-                                self.publish_times, self.capacities,
-                                self.labels, self.crash_times,
-                                freerider_ids=self.freerider_ids,
-                                detectors=self.detectors,
-                                samplers=self.samplers,
-                                attackers=self.attackers,
-                                attacker_stats=_collect_attacker_stats(
-                                    self.nodes, self.samplers, self.attackers))
+        return merge_harvests(self.config, [self.harvest()])
+
+
+def merge_harvests(config: ScenarioConfig,
+                   harvests: List[dict]) -> ExperimentResult:
+    """Assemble one :class:`ExperimentResult` from :meth:`ScenarioBuild.harvest`
+    dicts: one for a serial run, one per shard for a sharded one.
+
+    Per-node values and detector snapshots are disjoint by ownership
+    (``fanout``, ``capability_estimate``, ``capability_bps``, ``served``,
+    ``detectors`` and ``attacker_stats`` may be absent); traffic stats
+    are commutative sums; crash times and attacker placement are
+    replicated state, verified equal across shards here (a mismatch
+    means the replicated streams diverged — fail loudly rather than
+    pick one).  ``events_executed`` is the sum over shards.  Every
+    non-replicated event (a delivery, an owned node's timer) runs on
+    exactly one shard, so for a churn-free scenario the sum equals the
+    serial run's count; *replicated churn* (crashes and their detection
+    notifications, applied on every shard) adds its events once per
+    extra replica.
+    """
+    per_node = {key: {} for key in ("logs", "uplinks", "served", "fanout",
+                                    "capability_estimate", "capability_bps",
+                                    "detectors", "attacker_stats")}
+    stats = NetworkStats()
+    events = 0
+    now = 0.0
+    first = harvests[0]
+    crash_times = first["crash_times"]
+    attackers = first.get("attackers", {})
+    for index, harvest in enumerate(harvests):
+        for key, merged in per_node.items():
+            merged.update(harvest.get(key, {}))
+        stats.merge_from(harvest["stats"])
+        events += harvest["events_executed"]
+        now = max(now, harvest["now"])
+        if harvest["crash_times"] != crash_times:
+            raise RuntimeError(
+                f"membership divergence: shard {index} recorded crash "
+                f"times {harvest['crash_times']} but shard 0 recorded "
+                f"{crash_times}")
+        if harvest.get("attackers", {}) != attackers:
+            raise RuntimeError(
+                f"adversary divergence: shard {index} placed attackers "
+                f"{harvest.get('attackers', {})} but shard 0 placed "
+                f"{attackers}")
+    logs = per_node["logs"]
+    served = per_node["served"]
+    fanout = per_node["fanout"]
+    estimate = per_node["capability_estimate"]
+    capability = per_node["capability_bps"]
+    nodes = [NodeRecord(logs[i], served.get(i, 0), fanout.get(i),
+                        estimate.get(i), capability.get(i))
+             for i in range(config.n_nodes)]
+    source = next(h for h in harvests if SOURCE_ID in h["logs"])
+    return ExperimentResult(
+        config, SimRecord(events, now),
+        NetRecord(stats, per_node["uplinks"]), nodes,
+        publish_times=source["publish_times"],
+        capacities=first["capacities"], labels=first["labels"],
+        crash_times=dict(crash_times), detectors=per_node["detectors"],
+        attackers=attackers, attacker_stats=per_node["attacker_stats"])
 
 
 def build_scenario(config: ScenarioConfig, *,
@@ -489,9 +630,8 @@ def build_scenario(config: ScenarioConfig, *,
         config.churn.schedule(sim, directory, registry.stream("churn"),
                               crash_node, protect=[SOURCE_ID])
 
-    return ScenarioBuild(config, sim, net, directory, nodes, publish_times,
-                         capacities, labels, crash_times,
-                         freerider_ids=freerider_ids, detectors=detectors,
+    return ScenarioBuild(config, sim, net, nodes, publish_times, capacities,
+                         labels, crash_times, detectors=detectors,
                          samplers=samplers, attackers=attackers)
 
 

@@ -80,7 +80,7 @@ def contribution_index(result: ExperimentResult, node_id: int) -> float:
     tracking hard (see :mod:`repro.freeriders.detection`).
     """
     node = result.nodes[node_id]
-    consumed = node.delivered_count()
+    consumed = len(node.log)
     if consumed == 0:
         return 0.0
     return node.packets_served / consumed

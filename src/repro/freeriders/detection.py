@@ -198,26 +198,16 @@ class FreeriderDetector:
             score.update(reporter, asked, answered)
 
     # ------------------------------------------------------------------
-    # verdicts
+    # harvest
     # ------------------------------------------------------------------
-    def score_of(self, peer: int) -> Optional[PeerScore]:
-        return self._global.get(peer)
-
-    def suspects(self, ratio_threshold: float = 0.5,
-                 min_samples: int = 30,
-                 min_reporters: int = 3) -> Set[int]:
-        """Peers this node would convict of request-dropping."""
-        return _suspects(self._global, ratio_threshold, min_samples,
-                         min_reporters)
-
     def snapshot(self) -> "FrozenDetector":
-        """A picklable copy of this detector's evidence and verdicts.
+        """A picklable copy of this detector's evidence, which answers
+        the verdict queries.
 
-        The live detector holds simulator/network/timer references and
-        cannot cross a process boundary; sharded execution harvests
-        snapshots instead, so merged results answer the same verdict
-        queries (:meth:`suspects`, :meth:`score_of`) the serial result's
-        live detectors do.
+        The live detector holds simulator/network/timer references;
+        every run harvests snapshots instead (see
+        :meth:`repro.experiments.runner.ScenarioBuild.harvest`), so a
+        result crosses process boundaries and outlives its build.
         """
         return FrozenDetector(self.node_id, self.reports_sent,
                               self.reports_received,
@@ -231,8 +221,8 @@ class FrozenDetector:
 
     Carries the evidence tables (:class:`PeerScore` is plain slotted
     state) and the report counters, and answers the post-run analysis
-    surface — :meth:`suspects` / :meth:`score_of` with the same logic as
-    the live detector — without the simulation wiring.
+    surface — :meth:`suspects` / :meth:`score_of` — without the
+    simulation wiring.
     """
 
     __slots__ = ("node_id", "reports_sent", "reports_received", "_local",
@@ -253,17 +243,11 @@ class FrozenDetector:
     def suspects(self, ratio_threshold: float = 0.5,
                  min_samples: int = 30,
                  min_reporters: int = 3) -> Set[int]:
-        return _suspects(self._global, ratio_threshold, min_samples,
-                         min_reporters)
-
-
-def _suspects(scores: Dict[int, PeerScore], ratio_threshold: float,
-              min_samples: int, min_reporters: int) -> Set[int]:
-    """The conviction rule shared by live detectors and snapshots."""
-    flagged = set()
-    for peer, score in scores.items():
-        if (score.asked >= min_samples
-                and len(score.reporters) >= min_reporters
-                and score.ratio() < ratio_threshold):
-            flagged.add(peer)
-    return flagged
+        """Peers this node would convict of request-dropping."""
+        flagged = set()
+        for peer, score in self._global.items():
+            if (score.asked >= min_samples
+                    and len(score.reporters) >= min_reporters
+                    and score.ratio() < ratio_threshold):
+                flagged.add(peer)
+        return flagged

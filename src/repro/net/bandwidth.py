@@ -27,7 +27,7 @@ class UplinkQueue:
     """
 
     __slots__ = ("capacity_bps", "max_delay", "busy_until", "bytes_sent",
-                 "datagrams_sent", "datagrams_dropped")
+                 "datagrams_sent")
 
     def __init__(self, capacity_bps: float, max_delay: Optional[float] = None):
         if capacity_bps <= 0:
@@ -39,7 +39,6 @@ class UplinkQueue:
         self.busy_until = 0.0
         self.bytes_sent = 0
         self.datagrams_sent = 0
-        self.datagrams_dropped = 0
 
     def enqueue(self, now: float, size_bytes: int) -> Optional[float]:
         """Serialize a datagram; return its link-exit time, or None if dropped.
@@ -51,7 +50,6 @@ class UplinkQueue:
         if wait < 0.0:
             wait = 0.0
         if self.max_delay is not None and wait > self.max_delay:
-            self.datagrams_dropped += 1
             return None
         start = now + wait
         finish = start + size_bytes * 8.0 / self.capacity_bps

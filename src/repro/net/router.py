@@ -120,7 +120,6 @@ class InprocRouter:
             stats._recv_count_by_kind[kind_id] += 1
         except IndexError:
             stats._recv_count_by_kind[stats.kind_slot(kind_id)] += 1
-        stats._recv_bytes_by_kind[kind_id] += envelope.size_bytes
         on_deliver = net.on_deliver
         if on_deliver is not None:
             on_deliver(envelope)

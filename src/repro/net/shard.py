@@ -83,6 +83,8 @@ import sys
 import traceback
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.experiments.runner import (ExperimentResult, build_scenario,
+                                      merge_harvests)
 from repro.faults import clock
 from repro.faults.failures import ShardFailure
 from repro.faults.inject import SHARD_EXIT_CODE
@@ -90,7 +92,6 @@ from repro.faults.policy import ShardSupervision, default_shard_supervision
 from repro.faults.supervise import Supervisor, default_start_method
 from repro.net.message import Envelope, kind_name, registered_kinds
 from repro.net.router import InprocRouter
-from repro.net.stats import NetworkStats
 from repro.workloads.scenario import ScenarioConfig
 
 #: First field of a control row announcing a crash:
@@ -244,12 +245,9 @@ class ShardRouter(InprocRouter):
 class _ShardRun:
     """One shard's build plus its windowed-execution state."""
 
-    __slots__ = ("shard_index", "owned", "router", "build")
+    __slots__ = ("owned", "router", "build")
 
     def __init__(self, config: ScenarioConfig, shard_index: int):
-        from repro.experiments.runner import build_scenario
-
-        self.shard_index = shard_index
         self.owned = partition(config.n_nodes, config.shards, shard_index)
         self.router = ShardRouter(self.owned, config.shards)
         self.build = build_scenario(config, owned=self.owned,
@@ -258,39 +256,6 @@ class _ShardRun:
     def run_window(self, until: float) -> List[list]:
         self.build.sim.run(until=until)
         return self.router.take_outboxes()
-
-    def harvest(self) -> dict:
-        """Everything the coordinator needs from this shard, picklable."""
-        from repro.experiments.runner import _collect_attacker_stats
-
-        build = self.build
-        return {
-            "shard": self.shard_index,
-            "logs": {i: build.nodes[i].log for i in sorted(self.owned)},
-            "uplinks": {i: build.net.uplink(i) for i in sorted(self.owned)},
-            "served": {i: getattr(build.nodes[i], "packets_served", 0)
-                       for i in sorted(self.owned)},
-            "detectors": {i: build.detectors[i].snapshot()
-                          for i in sorted(self.owned)
-                          if i in build.detectors},
-            # Only the owner's counters: the unstarted replicas of an
-            # attacker on other shards never ran, so their zeros must not
-            # reach the merge.
-            "attacker_stats": _collect_attacker_stats(
-                build.nodes, build.samplers, build.attackers,
-                owned=self.owned),
-            "attackers": build.attackers,
-            # Replicated state: identical on every shard by construction;
-            # the merge verifies that instead of assuming it.
-            "crash_times": dict(build.crash_times),
-            "stats": build.net.stats,
-            "publish_times": build.publish_times,
-            "labels": build.labels,
-            "capacities": build.capacities,
-            "freerider_ids": build.freerider_ids,
-            "events_executed": build.sim.events_executed,
-            "now": build.sim.now,
-        }
 
 
 def _windows(end: float, lookahead: float) -> Iterable[float]:
@@ -337,7 +302,7 @@ def _run_serial_shards(config: ScenarioConfig, end: float) -> List[dict]:
         for target, run in enumerate(runs):
             for source in range(config.shards):
                 run.router.inject(outboxes[source][target])
-    return [run.harvest() for run in runs]
+    return [run.build.harvest(run.owned) for run in runs]
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +350,7 @@ def _shard_worker(conn, config: ScenarioConfig, shard_index: int,
             if tag != "deliver":  # pragma: no cover - protocol error
                 raise RuntimeError(f"unexpected coordinator message {tag!r}")
             run.router.inject(inbound)
-        conn.send(("done", run.harvest()))
+        conn.send(("done", run.build.harvest(run.owned)))
     except Exception:
         try:
             conn.send(("error", traceback.format_exc()))
@@ -501,121 +466,11 @@ def _run_process_shards(config: ScenarioConfig, end: float,
         supervisor.close()
 
 
-# ----------------------------------------------------------------------
-# merge: per-shard harvests -> one ExperimentResult
-# ----------------------------------------------------------------------
-class _MergedSim:
-    """Result-facade over the per-shard simulators' final counters."""
-
-    __slots__ = ("events_executed", "now")
-
-    def __init__(self, events_executed: int, now: float):
-        self.events_executed = events_executed
-        self.now = now
-
-
-class _MergedNet:
-    """Result-facade exposing merged stats and the owned-shard uplinks."""
-
-    __slots__ = ("stats", "_uplinks")
-
-    def __init__(self, stats: NetworkStats, uplinks: Dict[int, object]):
-        self.stats = stats
-        self._uplinks = uplinks
-
-    def uplink(self, node_id: int):
-        return self._uplinks[node_id]
-
-    @property
-    def node_ids(self):
-        return self._uplinks.keys()
-
-
-class _LogHolder:
-    """Stands in for a protocol node in a merged result: metrics reach
-    for ``node.log``; the freerider analysis additionally for
-    ``packets_served`` and ``delivered_count()``."""
-
-    __slots__ = ("log", "packets_served")
-
-    def __init__(self, log, packets_served: int = 0):
-        self.log = log
-        self.packets_served = packets_served
-
-    def delivered_count(self) -> int:
-        return len(self.log)
-
-
-def merge_harvests(config: ScenarioConfig, harvests: List[dict]):
-    """Assemble one :class:`~repro.experiments.runner.ExperimentResult`
-    from per-shard harvests.
-
-    Logs, uplinks, served counts and detector snapshots are disjoint by
-    ownership; traffic stats are commutative sums; crash times are
-    replicated state, verified equal across shards here (a mismatch
-    means the replicated churn streams diverged — fail loudly rather
-    than pick one).  ``events_executed`` is the sum over shards.  Every
-    non-replicated event (a delivery, an owned node's timer) runs on
-    exactly one shard, so for a churn-free scenario the sum equals the
-    serial run's count; *replicated churn* (crashes and their detection
-    notifications, applied on every shard) adds its events once per
-    extra replica.
-    """
-    from repro.experiments.runner import ExperimentResult
-
-    logs: Dict[int, object] = {}
-    uplinks: Dict[int, object] = {}
-    served: Dict[int, int] = {}
-    detectors: Dict[int, object] = {}
-    attacker_stats: Dict[int, Dict[str, int]] = {}
-    stats = NetworkStats()
-    events = 0
-    now = 0.0
-    crash_times = harvests[0]["crash_times"]
-    attackers = harvests[0].get("attackers", {})
-    for harvest in harvests:
-        logs.update(harvest["logs"])
-        uplinks.update(harvest["uplinks"])
-        served.update(harvest.get("served", {}))
-        detectors.update(harvest.get("detectors", {}))
-        attacker_stats.update(harvest.get("attacker_stats", {}))
-        stats.merge_from(harvest["stats"])
-        events += harvest["events_executed"]
-        now = max(now, harvest["now"])
-        if harvest["crash_times"] != crash_times:
-            raise RuntimeError(
-                f"membership divergence: shard {harvest['shard']} "
-                f"recorded crash times {harvest['crash_times']} but "
-                f"shard {harvests[0]['shard']} recorded {crash_times}")
-        if harvest.get("attackers", {}) != attackers:
-            raise RuntimeError(
-                f"adversary divergence: shard {harvest['shard']} placed "
-                f"attackers {harvest.get('attackers', {})} but shard "
-                f"{harvests[0]['shard']} placed {attackers}")
-    nodes = [_LogHolder(logs[node_id], served.get(node_id, 0))
-             for node_id in range(config.n_nodes)]
-    source_shard = harvests[shard_of(0, config.shards)]
-    return ExperimentResult(
-        config,
-        _MergedSim(events, now),
-        _MergedNet(stats, uplinks),
-        directory=None,
-        nodes=nodes,
-        publish_times=source_shard["publish_times"],
-        capacities=harvests[0]["capacities"],
-        labels=harvests[0]["labels"],
-        crash_times=dict(crash_times),
-        freerider_ids=harvests[0]["freerider_ids"],
-        detectors=detectors,
-        attackers=attackers,
-        attacker_stats=attacker_stats,
-    )
-
-
 def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
                 start_method: Optional[str] = None,
                 processes: Optional[bool] = None,
-                supervision: Optional[ShardSupervision] = None):
+                supervision: Optional[ShardSupervision] = None
+                ) -> ExperimentResult:
     """Run one scenario partitioned across ``config.shards`` shards.
 
     Returns a merged ``ExperimentResult`` whose metric summaries are

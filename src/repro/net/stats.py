@@ -1,7 +1,7 @@
 """Traffic accounting for the network fabric.
 
-Counts datagrams and bytes per message kind, in both directions; the
-global totals are sums of those per-kind lists.  The per-kind counters
+Counts datagrams and bytes sent, and datagrams delivered, per message
+kind; the global totals are sums of those per-kind lists.  The per-kind counters
 verify the paper's claim that control traffic (propose/request/
 aggregation) is marginal next to serve payloads.  Per-node upload is not
 counted here: each sender's :class:`~repro.net.bandwidth.UplinkQueue`
@@ -18,7 +18,7 @@ names.
 Both directions are counted by the code that moves the datagram, inline
 on its hot path: ``Network.send`` per datagram, ``Network.send_many`` as
 one accumulation per fan-out, and the router's ``deliver`` per delivered
-datagram (the ``_recv_*_by_kind`` lists), growing the lists through
+datagram (the ``_recv_count_by_kind`` list), growing the lists through
 :meth:`NetworkStats.kind_slot` only on an ``IndexError``.  Sharded runs
 merge per-worker instances with :meth:`NetworkStats.merge_from`.
 
@@ -53,9 +53,8 @@ class NetworkStats:
     """Fabric-wide traffic counters."""
 
     __slots__ = ("lost", "dropped_queue", "dropped_dead", "_bytes_by_kind",
-                 "_count_by_kind", "_recv_bytes_by_kind",
-                 "_recv_count_by_kind", "wire_buffers", "wire_envelopes",
-                 "wire_bytes", "wire_control_rows")
+                 "_count_by_kind", "_recv_count_by_kind", "wire_buffers",
+                 "wire_envelopes", "wire_bytes", "wire_control_rows")
 
     def __init__(self) -> None:
         self.lost = 0
@@ -71,7 +70,6 @@ class NetworkStats:
         #: is registered after this stats object was created.
         self._bytes_by_kind: List[int] = [0] * kind_count()
         self._count_by_kind: List[int] = [0] * kind_count()
-        self._recv_bytes_by_kind: List[int] = [0] * kind_count()
         self._recv_count_by_kind: List[int] = [0] * kind_count()
 
     # ------------------------------------------------------------------
@@ -89,9 +87,8 @@ class NetworkStats:
         if grow > 0:
             self._bytes_by_kind.extend([0] * grow)
             self._count_by_kind.extend([0] * grow)
-        grow = kind_id + 1 - len(self._recv_bytes_by_kind)
+        grow = kind_id + 1 - len(self._recv_count_by_kind)
         if grow > 0:
-            self._recv_bytes_by_kind.extend([0] * grow)
             self._recv_count_by_kind.extend([0] * grow)
         return kind_id
 
@@ -113,10 +110,6 @@ class NetworkStats:
         return sum(self._recv_count_by_kind)
 
     @property
-    def bytes_received(self) -> int:
-        return sum(self._recv_bytes_by_kind)
-
-    @property
     def bytes_by_kind(self) -> Dict[str, int]:
         """Bytes sent per kind display name (kinds seen on the wire only).
 
@@ -136,15 +129,6 @@ class NetworkStats:
         for kind_id, count in enumerate(self._count_by_kind):
             if count:
                 view[kind_name(kind_id)] = count
-        return view
-
-    @property
-    def received_bytes_by_kind(self) -> Dict[str, int]:
-        """Bytes *delivered* per kind display name (kinds actually received)."""
-        view: Dict[str, int] = defaultdict(int)
-        for kind_id, count in enumerate(self._recv_count_by_kind):
-            if count:
-                view[kind_name(kind_id)] = self._recv_bytes_by_kind[kind_id]
         return view
 
     @property
@@ -172,15 +156,13 @@ class NetworkStats:
         self.wire_envelopes += other.wire_envelopes
         self.wire_bytes += other.wire_bytes
         self.wire_control_rows += other.wire_control_rows
-        top = max(len(other._bytes_by_kind), len(other._recv_bytes_by_kind))
+        top = max(len(other._bytes_by_kind), len(other._recv_count_by_kind))
         if top:
             self.kind_slot(top - 1)
         for kind_id, value in enumerate(other._bytes_by_kind):
             self._bytes_by_kind[kind_id] += value
         for kind_id, value in enumerate(other._count_by_kind):
             self._count_by_kind[kind_id] += value
-        for kind_id, value in enumerate(other._recv_bytes_by_kind):
-            self._recv_bytes_by_kind[kind_id] += value
         for kind_id, value in enumerate(other._recv_count_by_kind):
             self._recv_count_by_kind[kind_id] += value
 

@@ -30,7 +30,9 @@ from repro.adversary import (AttackMix, attack, attack_catalog, attack_names,
                              attack_impact, get_attack, is_registered,
                              place_attackers, place_ids)
 from repro.adversary.mix import Placement  # noqa: F401  (public alias)
-from repro.experiments.runner import run_scenario
+from repro.core.messages import Propose
+from repro.experiments.runner import build_scenario, run_scenario
+from repro.net.network import Network
 from repro.sim.rng import derive_seed
 from repro.workloads.distributions import REF_691
 from repro.workloads.scenario import ScenarioConfig, scenario_key
@@ -300,15 +302,18 @@ class TestAttackBehaviour:
         return run_scenario(quick_config(adversary=mix, **overrides))
 
     def test_underclaim_advertises_a_fraction(self):
-        result = self.run_with(AttackMix.single("underclaim", 0.2, 0.25))
-        assert result.attackers
-        for node_id in result.attackers:
-            node = result.nodes[node_id]
+        config = quick_config(adversary=AttackMix.single("underclaim", 0.2,
+                                                         0.25))
+        build = build_scenario(config)
+        build.sim.run(until=config.end_time)
+        assert build.attackers
+        for node_id in build.attackers:
+            node = build.nodes[node_id]
             assert node.capability_bps == pytest.approx(
                 0.25 * node.true_capability_bps)
             # The physical uplink keeps the true capacity: only the
             # advertisement lies.
-            assert result.net.uplink(node_id).capacity_bps == pytest.approx(
+            assert build.net.uplink(node_id).capacity_bps == pytest.approx(
                 node.true_capability_bps)
 
     def test_nonserve_drops_requests(self):
@@ -317,16 +322,25 @@ class TestAttackBehaviour:
                       for s in result.attacker_stats.values())
         assert dropped > 0
 
-    def test_spam_exceeds_the_fanout_budget(self):
+    def test_spam_exceeds_the_fanout_budget(self, monkeypatch):
+        # Proposes per sender, counted where every propose is sent.
+        proposes = {}
+        send_many = Network.send_many
+
+        def counting_send_many(net, src, dsts, payload):
+            if isinstance(payload, Propose):
+                proposes[src] = proposes.get(src, 0) + len(dsts)
+            return send_many(net, src, dsts, payload)
+
+        monkeypatch.setattr(Network, "send_many", counting_send_many)
         result = self.run_with(AttackMix.single("spam", 0.15, 0.5))
         spam = sum(s["spam_proposes"] for s in result.attacker_stats.values())
         assert spam > 0
         honest_ids = [n for n in result.receiver_ids()
                       if n not in result.attackers]
-        mean_honest = (sum(result.nodes[n].proposes_sent for n in honest_ids)
+        mean_honest = (sum(proposes.get(n, 0) for n in honest_ids)
                        / len(honest_ids))
-        mean_spam = (sum(result.nodes[n].proposes_sent
-                         for n in result.attackers)
+        mean_spam = (sum(proposes.get(n, 0) for n in result.attackers)
                      / len(result.attackers))
         assert mean_spam > mean_honest
 

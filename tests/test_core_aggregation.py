@@ -361,7 +361,6 @@ def _one_partner_rounds(fabric, loss_rate, capacity):
     stats = net.stats
     return sink.arrivals, (stats.lost, stats.dropped_queue, stats.dropped_dead,
                            stats.bytes_by_kind, stats.count_by_kind,
-                           stats.received_bytes_by_kind,
                            stats.received_count_by_kind)
 
 

@@ -52,7 +52,8 @@ class TestThreePhaseFlow:
         sim, net, directory, nodes = build_cluster(5)
         nodes[0].publish(packet(0))
         assert nodes[0].has_packet(0)
-        assert nodes[0].proposes_sent == min(7, 4)  # view has only 4 peers
+        # The view has only 4 peers.
+        assert net.stats.count_by_kind["propose"] == min(7, 4)
 
     def test_packet_reaches_all_nodes(self):
         sim, net, directory, nodes = build_cluster(10)
@@ -142,7 +143,7 @@ class TestThreePhaseFlow:
         node = nodes[1]
         node._on_propose(2, Propose([5]))
         node._on_propose(3, Propose([5]))
-        assert node.requests_sent == 1
+        assert net.stats.count_by_kind["request"] == 1
 
     def test_serve_only_held_packets(self):
         sim, net, directory, nodes = build_cluster(4)
@@ -164,7 +165,7 @@ class TestThreePhaseFlow:
     def test_request_for_unknown_ids_not_served(self):
         sim, net, directory, nodes = build_cluster(4)
         nodes[0]._on_request(1, Request([42]))
-        assert nodes[0].serves_sent == 0
+        assert net.stats.count_by_kind["serve"] == 0
 
 
 class TestRetransmission:
@@ -196,7 +197,7 @@ class TestRetransmission:
         sim.run(until=1.0)  # retransmission gives up, releases id 7
         assert node.retransmission_stats.abandoned == 1
         node._on_propose(3, Propose([7]))
-        assert node.requests_sent == 2
+        assert net.stats.count_by_kind["request"] == 2
 
 
 class TestFanouts:

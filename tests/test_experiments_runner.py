@@ -13,6 +13,7 @@ import pytest
 from repro import ScenarioConfig, run_scenario
 from repro.adversary import AttackMix
 from repro.analysis.stats import mean
+from repro.experiments.runner import build_scenario
 from repro.metrics import (
     jitter_free_fraction_by_class,
     utilization_by_class,
@@ -111,7 +112,7 @@ class TestProtocolComparison:
         by_label = {}
         for node_id in heap_result.receiver_ids():
             by_label.setdefault(heap_result.label_of(node_id), []).append(
-                heap_result.nodes[node_id].current_fanout())
+                heap_result.nodes[node_id].fanout)
         assert mean(by_label["2Mbps"]) > mean(by_label["768kbps"]) > mean(by_label["256kbps"])
 
     def test_source_advertises_average_capability(self, heap_result):
@@ -237,15 +238,16 @@ class TestDegradedNodes:
 
 def _unreachable_after(config) -> int:
     """Objects only the cyclic collector could free once ``config`` has
-    been built and run with that collector off — the result still held."""
+    been built and run with that collector off — the build still held."""
     gc.collect()
     gc.disable()
     try:
-        result = run_scenario(config)
+        build = build_scenario(config)
+        build.sim.run(until=config.end_time)
         found = gc.collect()
     finally:
         gc.enable()
-    assert result.sim.events_executed > 0
+    assert build.sim.events_executed > 0
     return found
 
 

@@ -65,25 +65,25 @@ class TestDetectorUnit:
     def test_merge_ignores_self(self):
         detector = self.make_detector()
         detector._merge(1, [(0, 100, 0)])  # about us: ignored
-        assert detector.score_of(0) is None
+        assert detector.snapshot().score_of(0) is None
 
     def test_suspects_need_samples_and_reporters(self):
         detector = self.make_detector()
         for reporter in (1, 2, 3):
             detector._merge(reporter, [(9, 20, 2)])
-        suspects = detector.suspects(ratio_threshold=0.5, min_samples=30,
-                                     min_reporters=3)
+        suspects = detector.snapshot().suspects(
+            ratio_threshold=0.5, min_samples=30, min_reporters=3)
         assert suspects == {9}
         # Not enough reporters -> no conviction.
         detector2 = self.make_detector()
         detector2._merge(1, [(9, 100, 0)])
-        assert detector2.suspects(min_reporters=3) == set()
+        assert detector2.snapshot().suspects(min_reporters=3) == set()
 
     def test_honest_peer_not_suspected(self):
         detector = self.make_detector()
         for reporter in (1, 2, 3, 4):
             detector._merge(reporter, [(7, 50, 48)])
-        assert detector.suspects() == set()
+        assert detector.snapshot().suspects() == set()
 
     def test_validation(self):
         sim = Simulator()
@@ -125,7 +125,7 @@ class TestFreeriderNodes:
         packet = StreamPacket(packet_id=0, window_id=0, publish_time=0.0)
         node._deliver(packet)
         node._on_request(2, Request([0]))
-        assert node.serves_sent == 0
+        assert net.stats.count_by_kind["serve"] == 0
         assert node.requests_dropped == 1
 
     def test_nonserver_probability_one_is_honest(self):
@@ -133,7 +133,7 @@ class TestFreeriderNodes:
         packet = StreamPacket(packet_id=0, window_id=0, publish_time=0.0)
         node._deliver(packet)
         node._on_request(2, Request([0]))
-        assert node.serves_sent == 1
+        assert net.stats.count_by_kind["serve"] == 1
 
     def test_nonserver_validates_probability(self):
         with pytest.raises(ValueError):

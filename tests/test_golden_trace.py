@@ -32,7 +32,7 @@ import pytest
 
 from repro.adversary import AttackMix
 from repro.analysis.stats import mean
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import build_scenario, run_scenario
 from repro.metrics.bandwidth import utilization_by_class
 from repro.metrics.jitter import jitter_free_fraction_by_class
 from repro.metrics.lag import per_node_lag_jitter_free
@@ -128,8 +128,15 @@ class TestHeapGolden:
 # The partial-view path: Cyclon membership under loss, churn and attack.
 # ----------------------------------------------------------------------
 
+def _built(config: ScenarioConfig):
+    """The run's build, for the pins that read live samplers."""
+    build = build_scenario(config)
+    build.sim.run(until=config.end_time)
+    return build
+
+
 def _cyclon_run(view_size: int, adversary):
-    return run_scenario(ScenarioConfig(
+    return _built(ScenarioConfig(
         protocol="heap", n_nodes=40, duration=4.0, drain=4.0, seed=11,
         distribution=MS_691, membership="cyclon", cyclon_view_size=view_size,
         loss_rate=0.03, loss_rng="per-pair", latency_rng="per-pair",
@@ -137,7 +144,8 @@ def _cyclon_run(view_size: int, adversary):
         mean_detection_delay=2.0, adversary=adversary))
 
 
-def _churn_pin(result) -> dict:
+def _churn_pin(build) -> dict:
+    result = build.result()
     stats = result.net.stats
     summary = json.dumps(summarize(result, standard_bundle()), sort_keys=True)
     return {
@@ -149,7 +157,7 @@ def _churn_pin(result) -> dict:
         "dropped_queue": stats.dropped_queue,
         "lost": stats.lost,
         "wire": stats.wire_summary(),
-        "shuffles": sum(s.shuffles_started for s in result.samplers.values()),
+        "shuffles": sum(s.shuffles_started for s in build.samplers.values()),
         "summary": hashlib.sha256(summary.encode("utf-8")).hexdigest(),
     }
 
@@ -163,8 +171,8 @@ class TestCyclonGolden:
     NO_WIRE = {"buffers": 0, "envelopes": 0, "bytes": 0, "control_rows": 0}
 
     def test_spam(self):
-        result = _cyclon_run(16, AttackMix.single("spam", 0.1, 1.0))
-        assert _churn_pin(result) == {
+        build = _cyclon_run(16, AttackMix.single("spam", 0.1, 1.0))
+        assert _churn_pin(build) == {
             "events": 25308, "sent": 17912, "bytes_sent": 11125644,
             "delivered": 15528, "dropped_dead": 1788, "dropped_queue": 0,
             "lost": 518, "wire": self.NO_WIRE, "shuffles": 344,
@@ -173,8 +181,8 @@ class TestCyclonGolden:
         }
 
     def test_poisoned_view(self):
-        result = _cyclon_run(12, AttackMix.single("poisoned-view", 0.15))
-        assert _churn_pin(result) == {
+        build = _cyclon_run(12, AttackMix.single("poisoned-view", 0.15))
+        assert _churn_pin(build) == {
             "events": 22458, "sent": 15402, "bytes_sent": 10700816,
             "delivered": 13453, "dropped_dead": 1474, "dropped_queue": 0,
             "lost": 446, "wire": self.NO_WIRE, "shuffles": 344,
@@ -182,7 +190,7 @@ class TestCyclonGolden:
                        "8af636d02056961992ab51",
         }
         poisoned = sum(stats["entries_poisoned"]
-                       for stats in result.attacker_stats.values())
+                       for stats in build.result().attacker_stats.values())
         assert poisoned == 222
 
 
@@ -192,13 +200,13 @@ class TestDirectoryChurnGolden:
     survivor's view learns of after 2 s on average."""
 
     def test_catastrophic_failure(self):
-        result = run_scenario(ScenarioConfig(
+        build = _built(ScenarioConfig(
             protocol="heap", n_nodes=40, duration=4.0, drain=4.0, seed=11,
             distribution=MS_691, latency_rng="per-pair",
             churn=CatastrophicFailure(0.2, at_time=3.0),
             mean_detection_delay=2.0))
-        assert len(result.crash_times) == 8
-        assert _churn_pin(result) == {
+        assert len(build.crash_times) == 8
+        assert _churn_pin(build) == {
             "events": 24679, "sent": 16465, "bytes_sent": 10504948,
             "delivered": 15599, "dropped_dead": 860, "dropped_queue": 0,
             "lost": 0, "wire": TestCyclonGolden.NO_WIRE, "shuffles": 0,
@@ -213,12 +221,12 @@ class TestTreeChurnGolden:
     stop forwarding and nothing repairs them."""
 
     def test_catastrophic_failure(self):
-        result = run_scenario(ScenarioConfig(
+        build = _built(ScenarioConfig(
             protocol="tree", n_nodes=40, duration=4.0, drain=4.0, seed=11,
             distribution=MS_691, latency_rng="per-pair",
             churn=CatastrophicFailure(0.2, at_time=3.0)))
-        assert len(result.crash_times) == 8
-        assert _churn_pin(result) == {
+        assert len(build.crash_times) == 8
+        assert _churn_pin(build) == {
             "events": 4805, "sent": 6256, "bytes_sent": 8533184,
             "delivered": 3298, "dropped_dead": 1286, "dropped_queue": 0,
             "lost": 0, "wire": TestCyclonGolden.NO_WIRE, "shuffles": 0,

@@ -344,3 +344,26 @@ def test_src_tree_is_lint_clean():
                                          LintConfig(select=("R501",)))
     assert files_checked > 50
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_lint_reports_on_a_tree_whose_import_is_broken(tmp_path):
+    """``python -m repro lint`` never imports what it lints: a copy whose
+    experiment stack cannot import still gets its R501 finding, not a
+    traceback."""
+    import os
+    import subprocess
+    import sys
+
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(REPO_ROOT / "src" / "repro", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    runner = copy / "experiments" / "runner.py"
+    runner.write_text(runner.read_text() + "from repro.cli import main\n")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"))
+    done = subprocess.run([sys.executable, "-m", "repro", "lint", str(copy)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode == 1
+    assert "R501" in done.stdout
+    assert "runner.py" in done.stdout

@@ -2,8 +2,7 @@
 
 The fabric counts in bulk: ``send_many`` charges a fan-out with one
 accumulation per counter, the receive side counts per kind only, and
-``sent``/``bytes_sent``/``delivered``/``bytes_received`` are sums of the
-per-kind lists.  The reference here counts one datagram at a time, with
+``sent``/``bytes_sent``/``delivered`` are sums of the per-kind lists.  The reference here counts one datagram at a time, with
 its own uplink queues and loss stream (same seeds, so the same drops),
 and predicts every delivery from the crash rules.  Random mixes of
 ``send``/``send_many``, crashes and clock advances must agree with it
@@ -74,7 +73,6 @@ class Reference:
         self.sent = Counter()
         self.sent_bytes = Counter()
         self.received = Counter()
-        self.received_bytes = Counter()
         self.lost = self.dropped_queue = self.dropped_dead = 0
 
     def send(self, now, src, dst, payload):
@@ -110,7 +108,6 @@ class Reference:
                 self.dropped_dead += 1
                 continue
             self.received[kind] += 1
-            self.received_bytes[kind] += size
 
     def expected(self, times=1):
         def scaled(counter):
@@ -120,11 +117,9 @@ class Reference:
             "sent": times * sum(self.sent.values()),
             "bytes_sent": times * sum(self.sent_bytes.values()),
             "delivered": times * sum(self.received.values()),
-            "bytes_received": times * sum(self.received_bytes.values()),
             "count_by_kind": scaled(self.sent),
             "bytes_by_kind": scaled(self.sent_bytes),
             "received_count_by_kind": scaled(self.received),
-            "received_bytes_by_kind": scaled(self.received_bytes),
             "lost": times * self.lost,
             "dropped_queue": times * self.dropped_queue,
             "dropped_dead": times * self.dropped_dead,

@@ -59,7 +59,6 @@ def test_max_delay_drops_excess():
     assert link.enqueue(0.0, 1000) is not None  # wait 0
     assert link.enqueue(0.0, 1000) is not None  # wait 1.0
     assert link.enqueue(0.0, 1000) is None      # wait 2.0 > 1.5 -> dropped
-    assert link.datagrams_dropped == 1
     assert link.datagrams_sent == 2
 
 

@@ -195,11 +195,11 @@ class TestSendMany:
     def _stats_key(self, net):
         stats = net.stats
         return (stats.sent, stats.delivered, stats.lost, stats.dropped_queue,
-                stats.bytes_sent, stats.bytes_received,
-                dict(stats.bytes_by_kind), dict(stats.count_by_kind),
-                dict(stats.received_bytes_by_kind),
-                {n: (net.uplink(n).bytes_sent, net.uplink(n).datagrams_sent,
-                     net.uplink(n).datagrams_dropped) for n in net.node_ids})
+                stats.bytes_sent, dict(stats.bytes_by_kind),
+                dict(stats.count_by_kind),
+                dict(stats.received_count_by_kind),
+                {n: (net.uplink(n).bytes_sent, net.uplink(n).datagrams_sent)
+                 for n in net.node_ids})
 
     def _build(self, n, seed):
         """A fabric with per-destination RNG consumption in both the loss

@@ -7,25 +7,36 @@ import pytest
 
 from repro import ScenarioConfig, run_scenario
 from repro.analysis.stats import mean
+from repro.experiments.runner import build_scenario
 from repro.metrics.lag import per_node_lag_jitter_free
 from repro.workloads import REF_691
 
 FAST = dict(n_nodes=40, duration=8.0, drain=20.0, seed=11)
 
 
+def built(config: ScenarioConfig):
+    """The run's build, for the tests that read live nodes and samplers."""
+    build = build_scenario(config)
+    build.sim.run(until=config.end_time)
+    return build
+
+
 class TestCyclonMembership:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_scenario(ScenarioConfig(protocol="heap",
-                                           distribution=REF_691,
-                                           membership="cyclon", **FAST))
+    def build(self):
+        return built(ScenarioConfig(protocol="heap", distribution=REF_691,
+                                    membership="cyclon", **FAST))
 
-    def test_samplers_attached_to_all_nodes(self, result):
-        assert set(result.samplers) == set(range(40))
+    @pytest.fixture(scope="class")
+    def result(self, build):
+        return build.result()
 
-    def test_views_are_partial(self, result):
-        sizes = [len(result.nodes[n].view) for n in result.receiver_ids()]
-        assert all(size <= result.config.cyclon_view_size for size in sizes)
+    def test_samplers_attached_to_all_nodes(self, build):
+        assert set(build.samplers) == set(range(40))
+
+    def test_views_are_partial(self, build):
+        sizes = [len(build.nodes[n].view) for n in range(1, 40)]
+        assert all(size <= build.config.cyclon_view_size for size in sizes)
         assert mean(sizes) > 5
 
     def test_dissemination_still_works(self, result):
@@ -77,10 +88,10 @@ class TestMembershipValidation:
 
 class TestSourceBias:
     def test_biased_source_selector_installed(self):
-        result = run_scenario(ScenarioConfig(
+        build = built(ScenarioConfig(
             protocol="heap", distribution=REF_691, source_bias=2.0, **FAST))
         from repro.membership.selector import CapabilityBiasedSelector
-        assert isinstance(result.nodes[0].selector, CapabilityBiasedSelector)
+        assert isinstance(build.nodes[0].selector, CapabilityBiasedSelector)
         # Receivers keep uniform selection.
         from repro.membership.selector import UniformSelector
-        assert isinstance(result.nodes[1].selector, UniformSelector)
+        assert isinstance(build.nodes[1].selector, UniformSelector)
