@@ -530,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"regenerate a {name}")
         p.add_argument("id", help=f"one of: {', '.join(artifact_ids(name))}")
         if name == "extension":
-            # Extensions run bespoke study loops, not the grid pipeline:
-            # advertising grid flags they'd silently ignore would lie.
+            # Extensions take no grid keywords: advertising grid flags
+            # they'd silently ignore would lie.
             add_spec_arguments(p, RenderSpec,
                                exclude=("id", "shards", "latency_floor"))
             continue

@@ -6,8 +6,8 @@ all resolve artifacts here, so the engine never has to import its own
 front end.  Every entry is ``fn(scale, **grid)``: ``scale`` is a
 :class:`~repro.experiments.scales.Scale` (None = the environment's) and
 ``grid`` is the caller's execution keywords, declared once by
-:func:`repro.experiments.gridrun.grid_summaries`.  Extensions run
-bespoke study loops rather than the grid pipeline and take no ``grid``.
+:func:`repro.experiments.gridrun.grid_summaries`.  Extensions take no
+``grid``: their cells run through the grid pipeline's defaults.
 """
 
 from __future__ import annotations

@@ -14,26 +14,53 @@ These exercise the forward-looking pieces the paper sketches:
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
 from repro.analysis.stats import mean
-from repro.experiments.runner import run_scenario
-from repro.experiments.scales import Scale, cached_run, current_scale, scenario_at
+from repro.experiments.gridrun import grid_summaries
+from repro.experiments.scales import Scale, current_scale, scenario_at
 from repro.experiments.tables import TableResult
 from repro.freeriders.analysis import (
     convictions,
     detection_accuracy,
     honest_vs_freerider_contribution,
 )
-from repro.metrics.jitter import jitter_free_fraction_by_class
-from repro.metrics.lag import per_node_lag_jitter_free
+from repro.metrics.jitter import (jitter_free_fraction_by_class,
+                                  spec_jitter_free_fraction_by_class)
+from repro.metrics.lag import per_node_lag_jitter_free, spec_lag_jitter_free
 from repro.metrics.report import format_percent, format_seconds
+from repro.metrics.summary import MetricSpec
 from repro.workloads.distributions import MS_691, REF_691
 
 
-def _mean_lag(result) -> float:
-    return mean(per_node_lag_jitter_free(result).values())
+# ----------------------------------------------------------------------
+# in-worker summaries (module-level: they must pickle to pool workers)
+# ----------------------------------------------------------------------
+def freerider_summary(result) -> dict:
+    """Honest quality and stream lag; with planted freeriders, the
+    audit's accuracy and the freerider/honest contribution split."""
+    quality = jitter_free_fraction_by_class(result, 10.0)
+    summary = {"honest_quality": mean(quality.values()),
+               "mean_lag": mean(per_node_lag_jitter_free(result).values())}
+    if result.config.adversary is not None:
+        accuracy = detection_accuracy(result, convictions(result))
+        gap = honest_vs_freerider_contribution(result)
+        summary.update(precision=accuracy.precision, recall=accuracy.recall,
+                       freeriders=gap["freeriders"], honest=gap["honest"])
+    return summary
+
+
+def capability_gap(result) -> float:
+    """Mean advertised/true capability over the receivers at the end."""
+    return mean(result.nodes[node_id].capability_bps
+                / result.capacity_of(node_id)
+                for node_id in result.receiver_ids())
+
+
+SPEC_FREERIDERS = MetricSpec("ext_freeriders", freerider_summary)
+SPEC_CAPABILITY_GAP = MetricSpec("ext_capability_gap", capability_gap)
 
 
 def ext_freeriders(scale: Scale = None,
@@ -42,32 +69,31 @@ def ext_freeriders(scale: Scale = None,
     from repro.adversary import AttackMix
 
     scale = scale or current_scale()
+    params = {"nonserve": 0.2, "underclaim": 0.1}
+    # Underclaim at 0 is identical to the nonserve fraction-0 row.
+    points = [(mode, fraction) for mode in params for fraction in fractions
+              if fraction > 0.0 or mode == "nonserve"]
+    cells = [(scenario_at(scale, protocol="heap", distribution=REF_691,
+                          adversary=(AttackMix.single(mode, fraction,
+                                                      params[mode])
+                                     if fraction > 0 else None),
+                          audit=True), (SPEC_FREERIDERS,))
+             for mode, fraction in points]
     rows = []
-    for mode, param in (("nonserve", 0.2), ("underclaim", 0.1)):
-        for fraction in fractions:
-            if fraction == 0.0 and mode == "underclaim":
-                continue  # identical to the nonserve fraction-0 row
-            adversary = (AttackMix.single(mode, fraction, param)
-                         if fraction > 0 else None)
-            config = scenario_at(scale, protocol="heap", distribution=REF_691,
-                                 adversary=adversary, audit=True)
-            result = cached_run(config) if fraction == 0 else run_scenario(config)
-            quality = jitter_free_fraction_by_class(result, 10.0)
-            honest_quality = mean(quality.values())
-            if fraction > 0:
-                convicted = convictions(result)
-                accuracy = detection_accuracy(result, convicted)
-                gap = honest_vs_freerider_contribution(result)
-                detection = (f"P={accuracy.precision:.2f} "
-                             f"R={accuracy.recall:.2f}")
-                contribution = f"{gap['freeriders']:.2f}/{gap['honest']:.2f}"
-            else:
-                detection = "-"
-                contribution = "-"
-            rows.append([mode, f"{fraction:.0%}",
-                         format_percent(honest_quality),
-                         format_seconds(_mean_lag(result)),
-                         detection, contribution])
+    for (mode, fraction), summary in zip(points, grid_summaries(cells)):
+        values = summary[SPEC_FREERIDERS.name]
+        if fraction > 0:
+            detection = (f"P={values['precision']:.2f} "
+                         f"R={values['recall']:.2f}")
+            contribution = (f"{values['freeriders']:.2f}/"
+                            f"{values['honest']:.2f}")
+        else:
+            detection = "-"
+            contribution = "-"
+        rows.append([mode, f"{fraction:.0%}",
+                     format_percent(values["honest_quality"]),
+                     format_seconds(values["mean_lag"]),
+                     detection, contribution])
     return TableResult(
         "Extension: freeriders",
         "freeriding impact and gossip-audit accuracy (HEAP, ref-691; "
@@ -79,18 +105,19 @@ def ext_freeriders(scale: Scale = None,
 def ext_membership(scale: Scale = None) -> TableResult:
     """Full membership vs Cyclon partial views."""
     scale = scale or current_scale()
+    lag_spec = spec_lag_jitter_free()
+    points = [(membership, protocol)
+              for membership in ("directory", "cyclon")
+              for protocol in ("standard", "heap")]
+    cells = [(scenario_at(scale, protocol=protocol, distribution=REF_691,
+                          membership=membership), (lag_spec,))
+             for membership, protocol in points]
     rows = []
-    for membership in ("directory", "cyclon"):
-        for protocol in ("standard", "heap"):
-            result = cached_run(scenario_at(scale, protocol=protocol,
-                                            distribution=REF_691,
-                                            membership=membership))
-            lags = per_node_lag_jitter_free(result)
-            import math
-            reached = sum(1 for lag in lags.values() if math.isfinite(lag))
-            rows.append([membership, protocol,
-                         f"{reached}/{len(lags)}",
-                         format_seconds(_mean_lag(result))])
+    for (membership, protocol), summary in zip(points, grid_summaries(cells)):
+        lags = summary[lag_spec.name]
+        reached = sum(1 for lag in lags if math.isfinite(lag))
+        rows.append([membership, protocol, f"{reached}/{len(lags)}",
+                     format_seconds(mean(lags))])
     return TableResult(
         "Extension: membership",
         "full-membership directory vs Cyclon partial views (ref-691)",
@@ -101,21 +128,19 @@ def ext_membership(scale: Scale = None) -> TableResult:
 def ext_capability_discovery(scale: Scale = None) -> TableResult:
     """Configured capabilities vs join-time slow-start discovery."""
     scale = scale or current_scale()
+    quality_spec = spec_jitter_free_fraction_by_class(10.0)
+    lag_spec = spec_lag_jitter_free()
+    discoveries = (False, True)
+    cells = [(scenario_at(scale, protocol="heap", distribution=MS_691,
+                          capability_discovery=discovery),
+              (quality_spec, lag_spec, SPEC_CAPABILITY_GAP))
+             for discovery in discoveries]
     rows = []
-    for discovery in (False, True):
-        result = cached_run(scenario_at(scale, protocol="heap",
-                                        distribution=MS_691,
-                                        capability_discovery=discovery))
-        quality = jitter_free_fraction_by_class(result, 10.0)
-        # How close did advertised capabilities get to the truth by the end?
-        gaps = []
-        for node_id in result.receiver_ids():
-            gaps.append(result.nodes[node_id].capability_bps
-                        / result.capacity_of(node_id))
+    for discovery, summary in zip(discoveries, grid_summaries(cells)):
         rows.append(["discovery" if discovery else "configured",
-                     format_percent(mean(quality.values())),
-                     format_seconds(_mean_lag(result)),
-                     f"{mean(gaps):.2f}"])
+                     format_percent(mean(summary[quality_spec.name].values())),
+                     format_seconds(mean(summary[lag_spec.name])),
+                     f"{summary[SPEC_CAPABILITY_GAP.name]:.2f}"])
     return TableResult(
         "Extension: capability discovery",
         "slow-start capability discovery vs configured capabilities "

@@ -5,10 +5,10 @@ scenario cells through.  It adds three things on top of
 :func:`repro.experiments.parallel.run_grid`:
 
 * **a coherent summary cache** — each (scenario, summary-spec) pair is
-  computed at most once per process, whether it was produced by a worker
-  process, by the serial path, or derived from an already-cached full
-  ``ExperimentResult``.  A figure that re-requests a cell another figure
-  already paid for reuses the summary instead of recomputing it;
+  computed at most once per process, whether a worker process or the
+  serial path produced it; no full ``ExperimentResult`` outlives its
+  cell.  A figure that re-requests a cell another figure already paid
+  for reuses the summary instead of re-running the scenario;
 * **the figure layer's execution keywords** — :func:`grid_summaries`'
   keyword list is the one declaration of *how* a figure grid runs
   (workers, checkpointing, progress, the sharded model).  Every entry
@@ -32,7 +32,8 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import ProgressCallback, run_grid
-from repro.experiments.scales import cached_result, cached_run
+from repro.metrics.jitter import spec_mean_jittered_delivery_by_class
+from repro.metrics.lag import TABLE_LAGS, spec_jitter_free_pct_by_class
 from repro.metrics.summary import MetricSpec, standard_bundle
 from repro.workloads.scenario import ScenarioConfig, scenario_key
 
@@ -64,6 +65,16 @@ def clear_summary_cache() -> None:
     _SUMMARY_CACHE.clear()
 
 
+def table_specs(config: ScenarioConfig) -> Tuple[MetricSpec, ...]:
+    """Tables 2 and 3's reductions of ``config``'s run, at the table lag
+    of its distribution (none for a distribution the tables omit)."""
+    lag = TABLE_LAGS.get(config.distribution.name)
+    if lag is None:
+        return ()
+    return (spec_mean_jittered_delivery_by_class(lag),
+            spec_jitter_free_pct_by_class(lag))
+
+
 def grid_summaries(cells: Sequence[Cell], *,
                    jobs: Optional[int] = None,
                    start_method: Optional[str] = None,
@@ -78,10 +89,9 @@ def grid_summaries(cells: Sequence[Cell], *,
     in cell order.
 
     Distinct cells naming the same scenario are deduplicated into one
-    run that computes the union of their specs.  Per-process caches are
-    consulted first: a summary computed earlier (even by a different
-    figure) is reused, and a scenario whose full result is still in
-    ``cached_run``'s cache yields missing summaries without a re-run.
+    run that computes the union of their specs.  The per-process summary
+    cache is consulted first: a summary computed earlier (even by a
+    different figure) is reused.
 
     The keywords say how to run, never what: ``jobs`` (None resolves
     ``REPRO_JOBS``), ``start_method``, ``checkpoint``, ``resume``,
@@ -98,18 +108,18 @@ def grid_summaries(cells: Sequence[Cell], *,
     as the shard lookahead, so raising it cuts window barriers.
 
     Any cell that actually *runs* additionally computes the predeclared
-    standard spec bundle: the full summary set of the
-    protocol×distribution figure matrix.  Workers ship summaries, not
-    results, so without this a second figure at ``--jobs N`` would
-    re-run every shared scenario just to reduce it differently; with it,
-    the second figure is a pure cache hit.
+    standard spec bundle — the full summary set of the
+    protocol×distribution figure matrix — and :func:`table_specs`, the
+    Table 2 and 3 reductions.  A result never outlives its cell, so
+    without this a later figure or table would re-run every shared
+    scenario just to reduce it differently; with it, it is a pure cache
+    hit.
 
     With a checkpoint, cache-based skipping is disabled for the *grid
     membership* (every unique scenario is part of the checkpointed grid,
     so the file's fingerprint never depends on what some earlier process
-    happened to have cached) — the serial path still reuses cached full
-    results through ``cached_run``, and finished cells restore from the
-    checkpoint itself.
+    happened to have cached): every unique scenario runs, or restores
+    from the checkpoint itself.
     """
     if jobs is None:
         jobs = default_jobs()
@@ -144,18 +154,12 @@ def grid_summaries(cells: Sequence[Cell], *,
                       if (key, name) not in _SUMMARY_CACHE}
             if not wanted:
                 continue
-            result = cached_result(config)
-            if result is not None:
-                # The full result is already in-process: reducing it here
-                # is far cheaper than resubmitting the scenario.
-                for name, spec in wanted.items():
-                    _SUMMARY_CACHE[(key, name)] = spec.fn(result)
-                continue
-        # A cell that runs also computes the standard bundle: only its
-        # uncached entries on the cache path, all of it under a
-        # checkpoint — a checkpointed grid covers every unique scenario
-        # in full, so its fingerprint is a pure function of the cells.
-        extra = [spec for spec in bundle_specs
+        # A cell that runs also computes the standard bundle and the
+        # table specs: only their uncached entries on the cache path,
+        # all of them under a checkpoint — a checkpointed grid covers
+        # every unique scenario in full, so its fingerprint is a pure
+        # function of the cells.
+        extra = [spec for spec in bundle_specs + table_specs(config)
                  if spec.name not in wanted
                  and (checkpoint is not None
                       or (key, spec.name) not in _SUMMARY_CACHE)]
@@ -167,7 +171,7 @@ def grid_summaries(cells: Sequence[Cell], *,
                         progress=progress, start_method=start_method,
                         summaries=[specs for _, _, specs in to_run],
                         checkpoint=checkpoint, resume=resume,
-                        checkpoint_gc=checkpoint_gc, run_fn=cached_run)
+                        checkpoint_gc=checkpoint_gc)
         for (key, _, _), record in zip(to_run, grid.records):
             if record is None:  # quarantined by fault supervision
                 continue

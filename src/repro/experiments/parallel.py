@@ -298,21 +298,20 @@ class GridResult:
         return "\n".join(lines)
 
 
-def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
-    """Run one grid cell with a pluggable scenario runner.
+def _run_cell(payload) -> Tuple[int, RunRecord]:
+    """Run one grid cell: ``run_scenario``, its metrics and summaries.
 
-    Whichever runner returned (``run_scenario`` or ``cached_run``), the
-    result is plain data and the scenario's build graph — one big
-    reference cycle of nodes, fabric and engine — is garbage, freed by
-    nothing but the cyclic collector.  ``Simulator.run`` pauses that
-    collector, so the next cell's run would be over before a pass came
-    due: every cell collects here, once, where its garbage is.  In a
-    supervised child (pool worker, service executor) that pass walks
-    only what the child made after freezing the heap it inherited or
-    imported (``repro.faults.supervise._child_main``): the cell's
-    objects and, under ``cached_run``, every result cached so far.
-    In-process it walks the caller's heap too, which this function
-    never freezes.
+    The result is plain data and dies with this call; the scenario's
+    build graph — one big reference cycle of nodes, fabric and engine —
+    is garbage, freed by nothing but the cyclic collector.
+    ``Simulator.run`` pauses that collector, so the next cell's run
+    would be over before a pass came due: every cell collects here,
+    once, where its garbage is.  In a supervised child (pool worker,
+    service executor) that pass walks only what the child made after
+    freezing the heap it inherited or imported
+    (``repro.faults.supervise._child_main``): the cell's objects, and
+    nothing an earlier cell kept.  In-process it walks the caller's heap
+    too, which this function never freezes.
 
     The cell runs under the shard supervision ``run_grid``'s caller had
     (the payload's last field), so a sharded cell in a ``spawn`` worker
@@ -323,7 +322,7 @@ def _run_cell(payload, run_fn=run_scenario) -> Tuple[int, RunRecord]:
      metric_items, specs, shard_supervision) = payload
     started = time.perf_counter()
     with using_shard_supervision(shard_supervision):
-        result = run_fn(config)
+        result = run_scenario(config)
         values = {name: metric(result) for name, metric in metric_items}
         summaries = summarize(result, specs)
     gc.collect()
@@ -478,7 +477,6 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
              checkpoint: Optional[str] = None,
              resume: bool = False,
              checkpoint_gc: bool = False,
-             run_fn: Optional[Callable[[ScenarioConfig], ExperimentResult]] = None,
              faults=None,
              supervision: Optional[SupervisionPolicy] = None,
              ) -> GridResult:
@@ -505,10 +503,7 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     fingerprint mismatch or damage beyond trailing truncation — is
     garbage-collected and the grid starts fresh instead of erroring, and
     the checkpoint is deleted after the grid completes successfully (a
-    spent checkpoint can only ever shadow a future run).  ``run_fn``
-    replaces the
-    scenario runner on the serial path only (the figure pipeline passes
-    ``cached_run`` there to share results process-wide).  Results are
+    spent checkpoint can only ever shadow a future run).  Results are
     merged in grid order, so the outcome is bit-identical for any
     ``jobs`` value — only the wall time changes.
 
@@ -647,7 +642,7 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
                     # runs late, which is what per-attempt timeouts and
                     # the service watchdog are supervised against.
                     apply_cell_fault(faults.cell_fault(payload[0], 0))
-                index, record = _run_cell(payload, run_fn or run_scenario)
+                index, record = _run_cell(payload)
                 finish(index, record)
         else:
             import multiprocessing

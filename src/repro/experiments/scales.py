@@ -1,4 +1,4 @@
-"""Experiment scales and the scenario cache.
+"""Experiment scales.
 
 The paper runs ~270 PlanetLab nodes for minutes; pure-Python simulation
 of that takes minutes of wall clock per run, so the benches default to a
@@ -6,21 +6,14 @@ reduced scale that preserves every qualitative behaviour (the CSR, class
 fractions, fanout and timing parameters are unchanged — only population
 and stream length shrink).  Set ``REPRO_SCALE=full`` (or ``REPRO_FULL=1``)
 to reproduce at paper scale, or ``REPRO_SCALE=quick`` for smoke runs.
-
-``cached_run`` memoizes scenario results within the process so figures
-sharing a run (e.g. Figure 4's two distributions) pay for it once.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict
 
-from typing import Optional
-
-from repro.experiments.runner import ExperimentResult, run_scenario
-from repro.workloads.scenario import ScenarioConfig, scenario_key
+from repro.workloads.scenario import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -67,47 +60,3 @@ def scenario_at(scale: Scale, **overrides) -> ScenarioConfig:
                 drain=scale.drain, seed=42)
     base.update(overrides)
     return ScenarioConfig(**base)
-
-
-_CACHE: Dict[str, ExperimentResult] = {}
-
-#: The cache key is the shared scenario value-identity — the same key
-#: the grid engine's summary cache and checkpoint fingerprints use, so
-#: "already computed" means the same thing in-process and in-worker.
-_cache_key = scenario_key
-
-
-def cached_run(config: ScenarioConfig) -> ExperimentResult:
-    """Run (or reuse) the scenario.  Results are cached per process.
-
-    Churn objects carry per-run state (the victim list), so scenarios
-    with churn are never cached.
-    """
-    if config.churn is not None:
-        return run_scenario(config)
-    key = _cache_key(config)
-    result = _CACHE.get(key)
-    if result is None:
-        result = run_scenario(config)
-        _CACHE[key] = result
-    return result
-
-
-def cached_result(config: ScenarioConfig) -> Optional[ExperimentResult]:
-    """The already-computed result for ``config``, if this process has
-    one (never a fresh run).  The grid pipeline uses this to compute a
-    missing summary from an in-process result instead of resubmitting
-    the scenario to a worker."""
-    if config.churn is not None:
-        return None
-    return _CACHE.get(_cache_key(config))
-
-
-def clear_cache() -> None:
-    """Drop cached results *and* the grid pipeline's summary cache (the
-    two must stay coherent: a summary without its run is fine, but tests
-    that count runs need both gone)."""
-    _CACHE.clear()
-    from repro.experiments import gridrun
-
-    gridrun.clear_summary_cache()

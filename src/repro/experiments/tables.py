@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence
 from repro.experiments.gridrun import grid_summaries
 from repro.experiments.scales import Scale, current_scale, scenario_at
 from repro.metrics.jitter import spec_mean_jittered_delivery_by_class
-from repro.metrics.lag import spec_jitter_free_pct_by_class
+from repro.metrics.lag import TABLE_LAGS, spec_jitter_free_pct_by_class
 from repro.metrics.report import ascii_table, format_percent
 from repro.workloads.distributions import KBPS, MS_691, REF_691, REF_724
 
@@ -46,13 +46,10 @@ def table1_distributions(stream_rate_bps: float = 600 * KBPS) -> TableResult:
         rows, ["name", "CSR", "average", "class fractions"])
 
 
-#: Evaluation lag per distribution: the paper uses 10 s for the reference
-#: distributions and 20 s for the skewed ms-691 in Table 3.
-TABLE_LAGS = {"ref-691": 10.0, "ref-724": 10.0, "ms-691": 20.0}
-
 #: (distribution, protocol) matrix shared by Tables 2 and 3 — identical
-#: cells, different reductions, so one table's runs serve the other
-#: through the grid pipeline's caches.
+#: cells, different reductions.  Every grid cell that runs computes both
+#: tables' reductions (:func:`repro.experiments.gridrun.table_specs`), so
+#: the figures' runs serve both tables through the summary cache.
 _TABLE_MATRIX = [(dist, protocol)
                  for dist in (REF_691, REF_724, MS_691)
                  for protocol in ("standard", "heap")]

@@ -111,8 +111,7 @@ class FreeriderDetector:
     """
 
     __slots__ = ("_sim", "_net", "node_id", "_view", "_rng", "fanout",
-                 "report_size", "_local", "_global", "reports_sent",
-                 "reports_received", "_timer", "_dispatch")
+                 "report_size", "_local", "_global", "_timer", "_dispatch")
 
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  view: LocalView, rng: random.Random, period: float = 1.0,
@@ -130,8 +129,6 @@ class FreeriderDetector:
         self._local: Dict[int, List[int]] = {}
         #: Global table merged from everyone's gossiped reports.
         self._global: Dict[int, PeerScore] = {}
-        self.reports_sent = 0
-        self.reports_received = 0
         self._timer = PeriodicTimer(sim, period, self._gossip)
         self._dispatch = {AuditReport.kind_id: self.on_message}
 
@@ -172,7 +169,6 @@ class FreeriderDetector:
                    for peer, (asked, answered) in ranked[:self.report_size]]
         report = AuditReport(self.node_id, entries)
         self._net.send_many(self.node_id, partners, report)
-        self.reports_sent += len(partners)
         # Merge our own evidence as well (we are a reporter too).
         self._merge(self.node_id, entries)
 
@@ -184,7 +180,6 @@ class FreeriderDetector:
         payload = envelope.payload
         if payload.kind_id != AuditReport.kind_id:
             return
-        self.reports_received += 1
         self._merge(payload.reporter, payload.entries)
 
     def _merge(self, reporter: int, entries: List[Tuple[int, int, int]]) -> None:
@@ -201,40 +196,29 @@ class FreeriderDetector:
     # harvest
     # ------------------------------------------------------------------
     def snapshot(self) -> "FrozenDetector":
-        """A picklable copy of this detector's evidence, which answers
-        the verdict queries.
+        """A picklable copy of this detector's global score table, which
+        answers the verdict queries.
 
         The live detector holds simulator/network/timer references;
         every run harvests snapshots instead (see
         :meth:`repro.experiments.runner.ScenarioBuild.harvest`), so a
         result crosses process boundaries and outlives its build.
         """
-        return FrozenDetector(self.node_id, self.reports_sent,
-                              self.reports_received,
-                              {peer: list(entry)
-                               for peer, entry in self._local.items()},
-                              dict(self._global))
+        return FrozenDetector(self.node_id, dict(self._global))
 
 
 class FrozenDetector:
     """Verdict-capable, picklable snapshot of a :class:`FreeriderDetector`.
 
-    Carries the evidence tables (:class:`PeerScore` is plain slotted
-    state) and the report counters, and answers the post-run analysis
-    surface — :meth:`suspects` / :meth:`score_of` — without the
-    simulation wiring.
+    Carries the global score table (:class:`PeerScore` is plain slotted
+    state) and answers the post-run analysis surface — :meth:`suspects` /
+    :meth:`score_of` — without the simulation wiring.
     """
 
-    __slots__ = ("node_id", "reports_sent", "reports_received", "_local",
-                 "_global")
+    __slots__ = ("node_id", "_global")
 
-    def __init__(self, node_id: int, reports_sent: int,
-                 reports_received: int, local: Dict[int, List[int]],
-                 global_scores: Dict[int, PeerScore]):
+    def __init__(self, node_id: int, global_scores: Dict[int, PeerScore]):
         self.node_id = node_id
-        self.reports_sent = reports_sent
-        self.reports_received = reports_received
-        self._local = local
         self._global = global_scores
 
     def score_of(self, peer: int) -> Optional[PeerScore]:

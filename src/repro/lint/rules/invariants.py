@@ -100,6 +100,10 @@ INVARIANTS: Tuple[Invariant, ...] = (
               ("src/repro", "benchmarks", "examples"), (),
               "deleted models stay deleted ('Delete what no run reaches')",
               "from repro.net.demux import Demux"),
+    Invariant(r"cached_run|cached_result|\brun_fn\b",
+              ("src/repro", "benchmarks", "examples"), (),
+              "no process keeps a finished run ('No process keeps a "
+              "finished run')", "result = cached_run(config)"),
 )
 
 def tree_path(path: str) -> Optional[str]:

@@ -32,9 +32,9 @@ _SINK_CONSTRUCTOR_KEYWORDS = {
 }
 #: Sink keywords that, by the sink's documented contract, never leave
 #: the coordinator process: run_grid invokes ``progress`` after each
-#: finished cell and uses ``run_fn`` on the serial path only.
+#: finished cell.
 _SINK_KEYWORD_LOCAL = {
-    "run_grid": {"progress", "run_fn"},
+    "run_grid": {"progress"},
 }
 
 

@@ -19,6 +19,12 @@ from repro.analysis.stats import mean
 from repro.experiments.runner import ExperimentResult
 from repro.metrics.summary import MetricSpec
 
+#: Evaluation lag per distribution name: the paper uses 10 s for the
+#: reference distributions and 20 s for the skewed ms-691 in Table 3.
+#: Tables 2 and 3 read it, and so does every grid cell that runs
+#: (:func:`repro.experiments.gridrun.table_specs`).
+TABLE_LAGS = {"ref-691": 10.0, "ref-724": 10.0, "ms-691": 20.0}
+
 
 def per_node_lag_jitter_free(result: ExperimentResult) -> Dict[int, float]:
     """node -> minimal lag for a fully jitter-free stream (inf if never)."""

@@ -26,8 +26,7 @@ class UplinkQueue:
     datagrams that would wait longer — used by the queue-cap ablation.
     """
 
-    __slots__ = ("capacity_bps", "max_delay", "busy_until", "bytes_sent",
-                 "datagrams_sent")
+    __slots__ = ("capacity_bps", "max_delay", "busy_until", "bytes_sent")
 
     def __init__(self, capacity_bps: float, max_delay: Optional[float] = None):
         if capacity_bps <= 0:
@@ -38,7 +37,6 @@ class UplinkQueue:
         self.max_delay = max_delay
         self.busy_until = 0.0
         self.bytes_sent = 0
-        self.datagrams_sent = 0
 
     def enqueue(self, now: float, size_bytes: int) -> Optional[float]:
         """Serialize a datagram; return its link-exit time, or None if dropped.
@@ -55,7 +53,6 @@ class UplinkQueue:
         finish = start + size_bytes * 8.0 / self.capacity_bps
         self.busy_until = finish
         self.bytes_sent += size_bytes
-        self.datagrams_sent += 1
         return finish
 
     def utilization(self, elapsed: float) -> float:

@@ -4,12 +4,12 @@ A :class:`JobManager` owns a bounded submission queue, N executor
 slots and a managed checkpoint directory.  Each slot is a thread that
 drives one *persistent* supervised child process
 (:class:`~repro.faults.supervise.Supervisor`) — the job runs in the
-child, so the warm state jobs share (the scenario-result cache
-``cached_run``, the grid summary cache of
-:mod:`repro.experiments.gridrun`) lives there and survives from job to
-job, while a job that must stop *can be stopped*: the child is killed
-and replaced.  Jobs move ``queued -> running -> done | failed |
-cancelled``.
+child, so the warm state jobs share (the grid summary cache of
+:mod:`repro.experiments.gridrun`; no run result outlives its cell)
+lives there and survives from job to job, while a job that must stop
+*can be stopped*: the child is killed and replaced.  Jobs move
+``queued -> running -> done | failed | cancelled``.  A spec that is
+already queued, running or retained ``done`` is answered by that job.
 
 Durability comes from the checkpoint layer, not from any service-side
 database: every grid-backed job binds to a JSONL checkpoint keyed by
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.artifacts import artifact, render
 from repro.experiments.parallel import ProgressEvent
-from repro.experiments.scales import _SCALES, cached_run
+from repro.experiments.scales import _SCALES
 from repro.experiments.specs import RenderSpec, SweepSpec
 from repro.faults.policy import quarantine_backoff
 from repro.faults.supervise import (Child, Supervisor, default_start_method,
@@ -229,8 +229,9 @@ class JobManager:
         #: fingerprint -> [consecutive failures, monotonic last failure].
         self._failure_ledger: Dict[str, List[float]] = {}
         #: Grid worker processes per job (1 = serial inside the executor
-        #: child, whose cells run through ``cached_run`` so overlapping
-        #: grids from later jobs reuse full results).
+        #: child).  Either way a job's cells keep no result: later jobs
+        #: reuse only the summary cache, or the retained job of an
+        #: identical spec (:meth:`submit`).
         self.grid_jobs = max(1, grid_jobs)
         #: Most jobs in state ``queued`` at once; ``submit`` counts them,
         #: so a job cancelled while queued frees its slot at once.
@@ -272,9 +273,13 @@ class JobManager:
         Returns ``(job, created)``.  A spec identical to one already
         queued or running is *coalesced* onto the existing job
         (``created=False``) — two clients asking for the same grid share
-        one execution and both watch the same stream.  Raises
-        ``ValueError`` for an invalid spec and :class:`QueueFullError`
-        when the bounded queue is at capacity.
+        one execution and both watch the same stream.  So is a spec
+        identical to a retained ``done`` job, unless either carries
+        ``faults``: results are pure functions of the spec, so the
+        finished job *is* the answer, while a faulted submission asks
+        for the run itself.  Raises ``ValueError`` for an invalid spec
+        and :class:`QueueFullError` when the bounded queue is at
+        capacity.
         """
         spec = JobSpec(kind=kind, params=dict(params or {}))
         fingerprint = spec.fingerprint()  # validates; may raise ValueError
@@ -285,10 +290,13 @@ class JobManager:
             queued = 0
             for job_id in reversed(self._order):
                 existing = self._jobs[job_id]
-                if existing.state in ("queued", "running"):
-                    if existing.fingerprint == fingerprint:
-                        return existing, False
-                    queued += existing.state == "queued"
+                if existing.fingerprint == fingerprint and (
+                        existing.state in ("queued", "running")
+                        or (existing.state == "done"
+                            and not spec.params.get("faults")
+                            and not existing.spec.params.get("faults"))):
+                    return existing, False
+                queued += existing.state == "queued"
             if queued >= self.queue_size:
                 raise QueueFullError(f"submission queue is full "
                                      f"({self.queue_size} jobs)")
@@ -546,7 +554,7 @@ def _run_job(task, emit) -> Dict[str, object]:
     execution = dict(jobs=grid_jobs, progress=progress, checkpoint=checkpoint,
                      resume=True, checkpoint_gc=True)
     if kind in ("run", "sweep"):
-        grid = spec.sweep_spec().run(run_fn=cached_run, **execution)
+        grid = spec.sweep_spec().run(**execution)
         write_grid_csv(csv_path, grid)
         return grid_result_jsonable(kind, grid)
 

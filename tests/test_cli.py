@@ -201,7 +201,7 @@ class TestGridFlags:
         """Execution flags reach the grid as arguments of *that* call: a
         second render in the same process sees none of the first's."""
         from repro.experiments import gridrun
-        from repro.experiments.scales import clear_cache
+        from repro.experiments.gridrun import clear_summary_cache
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         seen = []
@@ -215,11 +215,11 @@ class TestGridFlags:
         monkeypatch.setattr(gridrun, "run_grid", recording)
         path = str(tmp_path / "fig5.jsonl")
         argv = ["figure", "fig5", "--scale", "quick", "--quiet"]
-        clear_cache()
+        clear_summary_cache()
         assert main(argv + ["--jobs", "2", "--checkpoint", path,
                             "--resume"]) == 0
         first = capsys.readouterr().out
-        clear_cache()
+        clear_summary_cache()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert seen == [(2, path, True), (1, None, False)]
@@ -376,17 +376,17 @@ class TestShardsCli:
         assert "per-pair" in capsys.readouterr().err
 
     def test_figure_shards_runs_churn(self, capsys):
-        from repro.experiments.scales import clear_cache
+        from repro.experiments.gridrun import clear_summary_cache
 
         # The churn figure used to be rejected under --shards; it now
         # runs sharded with output identical to --shards 1.  fig10
         # forces 45 s streams, so the lookahead override keeps the
         # window count sane at quick scale.
-        clear_cache()
+        clear_summary_cache()
         assert main(["figure", "fig10a", "--scale", "quick", "--quiet",
                      "--shards", "1", "--latency-floor", "0.1"]) == 0
         one = capsys.readouterr().out
-        clear_cache()
+        clear_summary_cache()
         assert main(["figure", "fig10a", "--scale", "quick", "--quiet",
                      "--shards", "2", "--latency-floor", "0.1"]) == 0
         two = capsys.readouterr().out
@@ -400,13 +400,13 @@ class TestShardsCli:
         assert "loss_rng" in capsys.readouterr().err
 
     def test_table_shards_output_stable_across_shard_counts(self, capsys):
-        from repro.experiments.scales import clear_cache
+        from repro.experiments.gridrun import clear_summary_cache
 
-        clear_cache()
+        clear_summary_cache()
         assert main(["table", "table3", "--scale", "quick", "--quiet",
                      "--shards", "1"]) == 0
         one = capsys.readouterr().out
-        clear_cache()
+        clear_summary_cache()
         assert main(["table", "table3", "--scale", "quick", "--quiet",
                      "--shards", "2"]) == 0
         two = capsys.readouterr().out

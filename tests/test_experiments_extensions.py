@@ -8,16 +8,17 @@ from repro.experiments.extensions import (
     ext_membership,
     ext_size_estimation,
 )
-from repro.experiments.scales import Scale, clear_cache
+from repro.experiments.gridrun import clear_summary_cache
+from repro.experiments.scales import Scale
 
 TINY = Scale("tiny-ext", 30, 6.0, 15.0)
 
 
 @pytest.fixture(autouse=True, scope="module")
 def fresh_cache():
-    clear_cache()
+    clear_summary_cache()
     yield
-    clear_cache()
+    clear_summary_cache()
 
 
 def test_ext_freeriders_rows_and_render():

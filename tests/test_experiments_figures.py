@@ -15,21 +15,21 @@ from repro.experiments.figures import (
     fig7_jitter_cdf,
     fig10_churn,
 )
-from repro.experiments.scales import QUICK, Scale, cached_run, clear_cache, scenario_at
+from repro.experiments.gridrun import clear_summary_cache
+from repro.experiments.scales import QUICK, Scale, scenario_at
 from repro.experiments.tables import (
     table1_distributions,
     table3_jitter_free_nodes,
 )
-from repro.workloads.distributions import REF_691
 
 TINY = Scale("tiny", 30, 6.0, 15.0)
 
 
 @pytest.fixture(autouse=True, scope="module")
 def fresh_cache():
-    clear_cache()
+    clear_summary_cache()
     yield
-    clear_cache()
+    clear_summary_cache()
 
 
 class TestScales:
@@ -49,17 +49,6 @@ class TestScales:
         assert config.n_nodes == 30
         assert config.seed == 9
         assert config.protocol == "standard"
-
-    def test_cached_run_reuses_result(self):
-        config = scenario_at(TINY, protocol="heap", distribution=REF_691)
-        first = cached_run(config)
-        second = cached_run(config)
-        assert first is second
-
-    def test_cache_distinguishes_configs(self):
-        a = cached_run(scenario_at(TINY, protocol="heap", distribution=REF_691))
-        b = cached_run(scenario_at(TINY, protocol="standard", distribution=REF_691))
-        assert a is not b
 
 
 class TestFigureDefinitions:

@@ -23,7 +23,6 @@ from repro.experiments import parallel
 from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import RunRecord, run_grid
 from repro.experiments.runner import run_scenario
-from repro.experiments.scales import cached_run, clear_cache
 from repro.faults import (ShardSupervision, default_shard_supervision,
                           using_shard_supervision)
 from repro.metrics.lag import spec_lag_delivery, spec_mean_lag_by_class
@@ -332,27 +331,25 @@ class TestCellsDoNotAccumulate:
         # warm) nothing may stay behind.
         assert max(held[1:]) - held[1] < 256 * 1024
 
-    def test_every_cell_collects_whichever_runner(self):
+    def test_every_cell_collects_once(self):
         passes = []
 
         def on_gc(phase, info):
             if phase == "start":
                 passes.append(info["generation"])
 
-        clear_cache()
         gc.collect()
         gc.callbacks.append(on_gc)
         # Collector off: every pass seen is one somebody asked for.
         gc.disable()
         try:
-            parallel._run_cell(self.payload(1, n_nodes=30), cached_run)
+            parallel._run_cell(self.payload(1, n_nodes=30))
             assert passes == [2]
             parallel._run_cell(self.payload(1, n_nodes=30))
             assert passes == [2, 2]
         finally:
             gc.enable()
             gc.callbacks.remove(on_gc)
-            clear_cache()
 
 
 class TestWorkersFreezeTheirInheritedHeap:

@@ -16,11 +16,11 @@ import json
 
 import pytest
 
-from repro.experiments import scales
+from repro.experiments import parallel
 from repro.experiments.ablations import ablation_source_bias
 from repro.experiments.figures import fig4_bandwidth_usage, fig5_quality_ref691, fig7_jitter_cdf
-from repro.experiments.gridrun import grid_summaries
-from repro.experiments.scales import Scale, clear_cache, scenario_at
+from repro.experiments.gridrun import clear_summary_cache, grid_summaries
+from repro.experiments.scales import Scale, scenario_at
 from repro.experiments.tables import table3_jitter_free_nodes
 from repro.metrics.export import write_result_csv
 from repro.metrics.jitter import spec_jitter_free_fraction_by_class
@@ -33,20 +33,20 @@ TINY = Scale("tiny", 20, 4.0, 10.0)
 @pytest.fixture(autouse=True)
 def fresh_state():
     """Every test starts with empty caches."""
-    clear_cache()
+    clear_summary_cache()
     yield
-    clear_cache()
+    clear_summary_cache()
 
 
 def _count_runs(monkeypatch):
     calls = []
-    real = scales.run_scenario
+    real = parallel.run_scenario
 
     def wrapper(config):
         calls.append(config.protocol)
         return real(config)
 
-    monkeypatch.setattr(scales, "run_scenario", wrapper)
+    monkeypatch.setattr(parallel, "run_scenario", wrapper)
     return calls
 
 
@@ -56,7 +56,7 @@ class TestSerialParallelParity:
         cells = [(scenario_at(TINY, protocol=p, distribution=REF_691), (spec,))
                  for p in ("heap", "standard")]
         serial = grid_summaries(cells, jobs=1)
-        clear_cache()
+        clear_summary_cache()
         pooled = grid_summaries(cells, jobs=4, start_method="fork")
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(pooled, sort_keys=True))
@@ -66,7 +66,7 @@ class TestSerialParallelParity:
         serial_csv = tmp_path / "serial.csv"
         write_result_csv(str(serial_csv), serial_fig)
 
-        clear_cache()
+        clear_summary_cache()
         parallel_fig = fig5_quality_ref691(TINY, jobs=4, start_method="fork")
         parallel_csv = tmp_path / "parallel.csv"
         write_result_csv(str(parallel_csv), parallel_fig)
@@ -76,14 +76,14 @@ class TestSerialParallelParity:
 
     def test_table_render_byte_identical(self):
         serial = table3_jitter_free_nodes(TINY).render()
-        clear_cache()
+        clear_summary_cache()
         parallel = table3_jitter_free_nodes(TINY, jobs=2,
                                             start_method="fork").render()
         assert serial == parallel
 
     def test_ablation_render_byte_identical(self):
         serial = ablation_source_bias(TINY, biases=(0.0, 1.0)).render()
-        clear_cache()
+        clear_summary_cache()
         parallel = ablation_source_bias(TINY, biases=(0.0, 1.0), jobs=2,
                                         start_method="fork").render()
         assert serial == parallel
@@ -95,8 +95,8 @@ class TestSummaryCoherence:
         fig5_quality_ref691(TINY)
         first = len(calls)
         assert first == 2  # standard + heap on ref-691
-        # Different reductions of the *same* runs: the cached full
-        # results answer them without a single new scenario execution.
+        # Different reductions of the *same* runs: the standard bundle
+        # the runs computed answers them without a new scenario run.
         fig7_jitter_cdf(TINY)
         assert len(calls) == first
         # Same reductions again: pure summary-cache hits.
@@ -120,9 +120,6 @@ class TestSummaryCoherence:
         grid_summaries([(c, (first_spec,)) for c in configs], jobs=2,
                        start_method="fork", progress=progress)
         assert len(executed) == 2
-        # The pool path must not have populated the in-process full-result
-        # cache — reuse can only come from the bundle's summaries.
-        assert all(scales.cached_result(c) is None for c in configs)
         other_spec = spec_utilization_by_class()
         summaries = grid_summaries([(c, (other_spec,)) for c in configs],
                                    jobs=2, start_method="fork",
@@ -135,10 +132,8 @@ class TestSummaryCoherence:
         cells = [(scenario_at(TINY, protocol="heap",
                               distribution=REF_691), (spec,))]
         grid_summaries(cells)
-        # Drop the heavyweight result cache but keep the summaries (the
-        # situation after a worker computed the cell: the parent never
-        # had the full result).
-        scales._CACHE.clear()
+        # No full result outlived the first call: the summaries alone
+        # answer the second.
         calls = _count_runs(monkeypatch)
         (summary,) = grid_summaries(cells)
         assert calls == []
@@ -156,7 +151,7 @@ class TestFigureCheckpointResume:
         # Kill after two finished cells, then resume in a "new process"
         # (cold caches).
         (tmp_path / "fig4.jsonl").write_text("\n".join(lines[:3]) + "\n")
-        clear_cache()
+        clear_summary_cache()
         calls = _count_runs(monkeypatch)
         resumed = fig4_bandwidth_usage(TINY, **grid)
         assert len(calls) == 2  # only the missing cells ran
@@ -168,6 +163,6 @@ class TestFigureCheckpointResume:
         # cells, not of what an earlier process had cached).
         grid = dict(checkpoint=str(tmp_path / "fig5.jsonl"), resume=True)
         first = fig5_quality_ref691(TINY, **grid)
-        clear_cache()
+        clear_summary_cache()
         again = fig5_quality_ref691(TINY, **grid)
         assert first.render() == again.render()

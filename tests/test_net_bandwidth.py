@@ -59,7 +59,8 @@ def test_max_delay_drops_excess():
     assert link.enqueue(0.0, 1000) is not None  # wait 0
     assert link.enqueue(0.0, 1000) is not None  # wait 1.0
     assert link.enqueue(0.0, 1000) is None      # wait 2.0 > 1.5 -> dropped
-    assert link.datagrams_sent == 2
+    assert link.bytes_sent == 2000
+    assert link.busy_until == pytest.approx(2.0)  # the drop holds no time
 
 
 def test_byte_and_datagram_accounting():
@@ -67,7 +68,8 @@ def test_byte_and_datagram_accounting():
     link.enqueue(0.0, 300)
     link.enqueue(0.0, 700)
     assert link.bytes_sent == 1000
-    assert link.datagrams_sent == 2
+    # Both datagrams are serialized back to back: 1000 B at 1 kB/s.
+    assert link.busy_until == pytest.approx(1.0)
 
 
 def test_utilization():

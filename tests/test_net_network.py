@@ -198,7 +198,7 @@ class TestSendMany:
                 stats.bytes_sent, dict(stats.bytes_by_kind),
                 dict(stats.count_by_kind),
                 dict(stats.received_count_by_kind),
-                {n: (net.uplink(n).bytes_sent, net.uplink(n).datagrams_sent)
+                {n: (net.uplink(n).bytes_sent, net.uplink(n).busy_until)
                  for n in net.node_ids})
 
     def _build(self, n, seed):
@@ -250,7 +250,7 @@ class TestSendMany:
         assert net.stats.bytes_by_kind["multi"] == 3 * size
         assert net.stats.count_by_kind["multi"] == 3
         uplink = net.uplink(1)
-        assert (uplink.datagrams_sent, uplink.bytes_sent) == (3, 3 * size)
+        assert (net.stats.sent, uplink.bytes_sent) == (3, 3 * size)
         assert all(len(sink.received) == 1 for sink in sinks)
 
     def test_dead_or_unattached_sender_sends_nothing(self):

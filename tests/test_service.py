@@ -21,10 +21,12 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.experiments.scales import clear_cache
+from repro.experiments.gridrun import clear_summary_cache
 from repro.service import ExperimentService, JobManager
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobSpec, QueueFullError, SpecQuarantined
+from repro.faults.supervise import Supervisor, task_worker
+from repro.service.jobs import (JobSpec, QueueFullError, SpecQuarantined,
+                                _run_job)
 
 #: The smoke grid: 1 protocol x 2 seeds of a tiny scenario.
 SWEEP = {"protocols": ["heap"], "nodes": 10, "seconds": 2.0, "drain": 4.0,
@@ -197,6 +199,34 @@ class TestCoalescing:
         client.cancel(first["job"]["id"])
         client.wait(first["job"]["id"], timeout=300)
         client.wait(other["job"]["id"], timeout=300)
+
+
+    def test_finished_spec_answers_with_its_job(self, service, client):
+        first = client.submit("sweep", SWEEP)["job"]["id"]
+        done = client.wait(first, timeout=300)
+        assert done["state"] == "done"
+        events = len(service.manager.get(first).events)
+        status, body = client._request(
+            "POST", "/v1/jobs", {"kind": "sweep", "params": SWEEP})
+        again = json.loads(body)
+        assert (status, again["created"]) == (200, False)
+        assert again["job"]["id"] == first
+        # The finished job is the answer: no new job, no cell run.
+        assert [job.id for job in service.manager.jobs()] == [first]
+        assert len(service.manager.get(first).events) == events
+        assert client.job(first)["cells"] == done["cells"]
+
+    def test_faults_on_either_side_force_a_run(self, client):
+        faulted = dict(SWEEP, faults="stall-cell=0:0.01")
+        runs = []
+        for params in (faulted, SWEEP, faulted):
+            submitted = client.submit("sweep", params)
+            job = client.wait(submitted["job"]["id"], timeout=300)
+            runs.append((submitted["created"], job["state"],
+                         job["cells"]["executed"]))
+        # The clean spec finds only a faulted done job; the second
+        # faulted submission asks for the run despite a clean one.
+        assert runs == [(True, "done", 2)] * 3
 
 
 class TestCatalogEndpoint:
@@ -582,7 +612,7 @@ class TestSupervision:
     def test_render_jobs_run_side_by_side(self, tmp_path):
         """Two executors make progress on two render jobs at the same
         time — no process-wide render lock serialises them."""
-        clear_cache()  # executor children fork from this process
+        clear_summary_cache()  # executor children fork from this process
         manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
                              executors=2)
         try:
@@ -682,6 +712,51 @@ class TestSupervision:
             self._wait_state(other, ("done",), timeout=60.0)
         finally:
             manager.shutdown(cancel_running=True)
+
+
+def _run_job_and_probe(task, emit):
+    """Executor-child runner: :func:`_run_job`, then which of the run
+    results it made are gone from this process."""
+    import weakref
+
+    from repro.experiments.runner import ScenarioBuild
+
+    refs = []
+    harvest_result = ScenarioBuild.result
+
+    def result(build):
+        made = harvest_result(build)
+        refs.append(weakref.ref(made))
+        return made
+
+    ScenarioBuild.result = result
+    try:
+        _run_job(task, emit)
+    finally:
+        ScenarioBuild.result = harvest_result
+    return [ref() is None for ref in refs]
+
+
+class TestExecutorKeepsNoResult:
+    def test_a_run_jobs_result_dies_in_its_executor(self, tmp_path):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        supervisor = Supervisor(multiprocessing.get_context("fork"),
+                                target=task_worker, name="probe-executor")
+        try:
+            child = supervisor.spawn(_run_job_and_probe)
+            task = ("run", dict(SWEEP, num_seeds=1),
+                    str(tmp_path / "job.jsonl"), str(tmp_path / "job.csv"), 1)
+            child.conn.send((task, None))
+            reply = None
+            while reply is None:
+                for _child, kind, frame in supervisor.wait([child], 60.0):
+                    assert kind == "message", (kind, frame)
+                    if frame[0] != "progress":
+                        reply = frame
+            assert reply == ("ok", [True]), reply
+        finally:
+            supervisor.close()
 
 
 class TestSseDisconnects:
