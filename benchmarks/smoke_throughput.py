@@ -246,14 +246,12 @@ def ten_cells_child() -> None:
     the grid engine's ``_run_cell``, one after the other, then this
     process's own high-water mark."""
     from repro.experiments.parallel import _run_cell
-    from repro.faults import default_shard_supervision
 
     started = time.perf_counter()
     events = 0
     for seed in range(1, 11):
         config = _swarm_config(seed)
-        _, record = _run_cell((0, 0, config.name, 0, config, (), (),
-                               default_shard_supervision()))
+        _, record = _run_cell((0, 0, config.name, 0, config, (), ()))
         events += record.events_executed
     wall = time.perf_counter() - started
     print(json.dumps({"events": events, "wall_seconds": wall,

@@ -33,8 +33,7 @@ Execution flags — how to run, never what — are declared here, once, for
 ``sweep`` and the figure/table/ablation grids alike, and reach the
 engine as keyword arguments of that one call (:func:`_execution`):
 ``--jobs`` (default for renders: the ``REPRO_JOBS`` environment
-variable; composes with ``--shards M`` into up to N x M shard
-processes), ``--quiet``, and checkpointing of each finished (scenario,
+variable), ``--quiet``, and checkpointing of each finished (scenario,
 seed) record to JSONL: ``--checkpoint PATH`` picks the file,
 ``--resume`` reloads finished cells after a kill (with a default path
 derived from the command when ``--checkpoint`` is omitted).  ``--checkpoint-dir DIR``
@@ -72,41 +71,16 @@ from repro.metrics import (
 from repro.metrics.lag import lag_cdf_jitter_free
 
 
-def _shard_supervision(args):
-    """Install ``--barrier-timeout`` / ``--shard-restarts`` as the
-    process-wide shard supervision for the duration of a command (the
-    CLI is normally one-shot, but tests call :func:`main` repeatedly in
-    one process, so the previous value is restored)."""
-    from repro.faults import ShardSupervision, using_shard_supervision
-
-    return using_shard_supervision(ShardSupervision(
-        restarts=args.shard_restarts,
-        barrier_timeout=args.barrier_timeout))
-
-
 def _cmd_run(args) -> int:
-    from repro.faults import ShardFailure
-
     try:
         spec = SweepSpec.from_params({
             **spec_params(args), "protocols": [args.protocol],
             "base_seed": args.seed, "num_seeds": 1})
         (config,) = spec.configs()
-        plan = spec.fault_plan()
-        if plan is not None and plan.without_shard_faults() is not None:
-            raise ValueError(
-                "crash-cell/stall-cell/torn-checkpoint faults target sweep "
-                "grid cells; `run` only takes shard faults "
-                "(shard-exit/shard-stall/drop-wire)")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        with _shard_supervision(args):
-            result = run_scenario(config.with_(seed=args.seed))
-    except ShardFailure as exc:
-        print(f"error: {exc} (restart budget exhausted)", file=sys.stderr)
-        return 1
+    result = run_scenario(config.with_(seed=args.seed))
     print(f"{args.protocol} | {spec.nodes} nodes | {spec.seconds:g}s stream | "
           f"{spec.distribution} | seed {args.seed}")
     print(f"events: {result.sim.events_executed:,}")
@@ -172,22 +146,18 @@ def _execution(args, command: str, name: str) -> Dict[str, object]:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.faults import ShardFailure, SupervisionPolicy
+    from repro.faults import SupervisionPolicy
 
     try:
-        # Spec, scenario, checkpoint and fault-plan problems are all
-        # ValueErrors, each collected into one message.
+        # Spec, scenario, checkpoint, fault-plan and supervision problems
+        # are all ValueErrors, each collected into one message.
         spec = SweepSpec.from_params(spec_params(args))
-        with _shard_supervision(args):
-            grid = spec.run(
-                supervision=SupervisionPolicy(cell_retries=args.cell_retries),
-                **_execution(args, "sweep", spec.distribution))
+        grid = spec.run(
+            supervision=SupervisionPolicy(cell_retries=args.cell_retries),
+            **_execution(args, "sweep", spec.distribution))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ShardFailure as exc:
-        print(f"error: {exc} (restart budget exhausted)", file=sys.stderr)
-        return 1
     if grid.cell_retries:
         # Pinned phrasing: the CI chaos-smoke job greps for it.
         print(f"supervision: recovered {grid.cell_retries} lost cell "
@@ -250,8 +220,7 @@ def _cmd_render(kind: str, args) -> int:
         # override reaching validation
         grid = {}
         if kind != "extension":  # extensions carry no grid flags
-            grid = dict(_execution(args, kind, args.id), shards=args.shards,
-                        latency_floor=args.latency_floor)
+            grid = _execution(args, kind, args.id)
         result = render(kind, args.id,
                         current_scale() if args.scale is None
                         else _SCALES[args.scale], **grid)
@@ -316,12 +285,16 @@ def _cmd_serve(args) -> int:
     """Run the experiment service control plane in the foreground."""
     from repro.service import ExperimentService, JobManager
 
-    manager = JobManager(checkpoint_dir=args.checkpoint_dir,
-                         executors=args.jobs,
-                         queue_size=args.queue_size,
-                         grid_jobs=args.grid_jobs,
-                         job_ttl=args.job_ttl,
-                         job_timeout=args.job_timeout)
+    try:
+        manager = JobManager(checkpoint_dir=args.checkpoint_dir,
+                             executors=args.jobs,
+                             queue_size=args.queue_size,
+                             grid_jobs=args.grid_jobs,
+                             job_ttl=args.job_ttl,
+                             job_timeout=args.job_timeout)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service = ExperimentService(manager, host=args.host, port=args.port,
                                 quiet=args.quiet)
     print(f"repro service on {service.url} "
@@ -450,27 +423,6 @@ def _cmd_watch(args) -> int:
         return 2
 
 
-def _add_supervision_args(parser, cell_retries: bool = False) -> None:
-    """How failures are handled — shared by ``run`` and ``sweep``."""
-    parser.add_argument("--barrier-timeout", type=float, default=None,
-                        metavar="SECS",
-                        help="shard window-barrier deadline: a shard "
-                             "that sends nothing for SECS fails the "
-                             "scenario with a structured ShardFailure "
-                             "instead of deadlocking (default: no "
-                             "deadline, crash detection only)")
-    parser.add_argument("--shard-restarts", type=int, default=1,
-                        help="times a scenario that lost a shard is "
-                             "restarted before the ShardFailure "
-                             "propagates (default 1)")
-    if cell_retries:
-        parser.add_argument("--cell-retries", type=int, default=2,
-                            help="times a grid cell lost to a worker "
-                                 "crash is retried on a fresh worker "
-                                 "before being quarantined as a "
-                                 "CellFailure (default 2)")
-
-
 def _add_execution_args(parser, jobs_default: Optional[int],
                         csv_help: str) -> None:
     """How a grid is executed — shared by ``sweep`` and the
@@ -513,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
                             default="heap")
     run_parser.add_argument("--seed", type=int, default=1)
     add_spec_arguments(run_parser, exclude=("protocols", "seeds",
-                                            "base_seed", "num_seeds"))
-    _add_supervision_args(run_parser)
+                                            "base_seed", "num_seeds",
+                                            "faults"))
 
     sweep_parser = command(
         "sweep", _cmd_sweep,
@@ -523,7 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_execution_args(sweep_parser, jobs_default=1,
                         csv_help="export every (scenario, seed) record as "
                                  "CSV for external plotting")
-    _add_supervision_args(sweep_parser, cell_retries=True)
+    sweep_parser.add_argument("--cell-retries", type=int, default=2,
+                              help="times a grid cell lost to a worker "
+                                   "crash is retried on a fresh worker "
+                                   "before being quarantined as a "
+                                   "CellFailure (default 2)")
 
     for name in KINDS:
         p = command(name, functools.partial(_cmd_render, name),
@@ -532,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "extension":
             # Extensions take no grid keywords: advertising grid flags
             # they'd silently ignore would lie.
-            add_spec_arguments(p, RenderSpec,
-                               exclude=("id", "shards", "latency_floor"))
+            add_spec_arguments(p, RenderSpec, exclude=("id",))
             continue
         add_spec_arguments(p, RenderSpec, exclude=("id",))
         _add_execution_args(p, jobs_default=None,
@@ -562,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="executor processes (concurrent jobs)")
     serve_parser.add_argument("--grid-jobs", type=int, default=1,
                               help="worker processes per grid job (1 = "
-                                   "serial, which keeps the executor's "
-                                   "result cache warm)")
+                                   "serial, inside the executor)")
     serve_parser.add_argument("--queue-size", type=int, default=16,
                               help="bounded submission queue (full = "
                                    "HTTP 503)")
@@ -575,15 +529,15 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SECS",
                               help="evict terminal jobs (and their SSE "
                                    "buffers and CSV artifacts — not "
-                                   "their checkpoints) SECS after they "
-                                   "finish; evicted ids answer 404 with "
-                                   "the eviction reason (default: keep "
-                                   "forever)")
+                                   "their checkpoints) SECS > 0 after "
+                                   "they finish; evicted ids answer 404 "
+                                   "with the eviction reason (default: "
+                                   "keep forever)")
     serve_parser.add_argument("--job-timeout", type=float, default=None,
                               metavar="SECS",
                               help="watchdog: a running job that makes "
-                                   "no progress for SECS is failed and "
-                                   "its executor process killed and "
+                                   "no progress for SECS > 0 is failed "
+                                   "and its executor process killed and "
                                    "replaced (default: no watchdog)")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-request access logs")
@@ -602,11 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="with --wait: save the job's CSV "
                                     "artifact here")
     submit_parser.add_argument("--quiet", action="store_true")
-    # Both spec tables with no defaults (--shards/--latency-floor exist
-    # in both; the sweep table's flags serve the render kinds too).
+    # Both spec tables with no defaults.
     add_spec_arguments(submit_parser, defaults=False)
-    add_spec_arguments(submit_parser, RenderSpec, defaults=False,
-                       exclude=("shards", "latency_floor"))
+    add_spec_arguments(submit_parser, RenderSpec, defaults=False)
 
     status_parser = command(
         "status", _cmd_status,

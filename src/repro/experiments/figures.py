@@ -8,11 +8,11 @@ table.  Benches call these; examples reuse the cheaper ones.
 Every figure is ``figN(scale, **grid)`` and submits its scenario cells
 through :func:`repro.experiments.gridrun.grid_summaries` in **one** grid
 call, forwarding ``grid`` — the caller's execution keywords (``jobs=``,
-``checkpoint=``, ``shards=``, ...; declared there, once) — untouched:
+``checkpoint=``, ``progress=``, ...; declared there, once) — untouched:
 workers reduce their receiver logs to exactly the values the figure
 needs (``MetricSpec`` summaries), the grid engine fans cells out over
 ``jobs=N`` processes (byte-identical to serial), already-computed
-cells come from the process-wide caches, and checkpointed runs resume
+cells come from the process-wide summary cache, and checkpointed runs resume
 after a kill.
 
 Lag CDFs follow the paper's two criteria:

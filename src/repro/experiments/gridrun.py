@@ -11,7 +11,7 @@ scenario cells through.  It adds three things on top of
   for reuses the summary instead of re-running the scenario;
 * **the figure layer's execution keywords** — :func:`grid_summaries`'
   keyword list is the one declaration of *how* a figure grid runs
-  (workers, checkpointing, progress, the sharded model).  Every entry
+  (workers, checkpointing, progress).  Every entry
   point is ``fn(scale, **grid)`` and forwards ``grid`` here untouched,
   so a caller's ``fig5(scale, jobs=4, checkpoint=path)`` reaches the
   engine as an argument, never as ambient state;
@@ -82,8 +82,6 @@ def grid_summaries(cells: Sequence[Cell], *,
                    resume: bool = False,
                    checkpoint_gc: bool = False,
                    progress: Optional[ProgressCallback] = None,
-                   shards: int = 0,
-                   latency_floor: Optional[float] = None,
                    ) -> List[Dict[str, object]]:
     """Compute every cell's summaries; one name->value dict per cell,
     in cell order.
@@ -96,16 +94,6 @@ def grid_summaries(cells: Sequence[Cell], *,
     The keywords say how to run, never what: ``jobs`` (None resolves
     ``REPRO_JOBS``), ``start_method``, ``checkpoint``, ``resume``,
     ``checkpoint_gc`` and ``progress`` are :func:`run_grid`'s.
-    ``shards=N`` runs every cell under the sharded execution model:
-    configs are switched to the order-independent
-    ``latency_rng="per-pair"`` / ``loss_rng="per-pair"`` modes and, for
-    N > 1, partitioned across N shard workers (0 leaves cells
-    untouched).  Summaries are identical for any N >= 1 of the same
-    artifact — N only picks the intra-scenario parallelism — but differ
-    from the default shared-stream mode, so sharded runs cache and
-    checkpoint under their own scenario keys.  ``latency_floor``
-    overrides each cell's floor when ``shards`` is on: the floor doubles
-    as the shard lookahead, so raising it cuts window barriers.
 
     Any cell that actually *runs* additionally computes the predeclared
     standard spec bundle — the full summary set of the
@@ -124,15 +112,6 @@ def grid_summaries(cells: Sequence[Cell], *,
     if jobs is None:
         jobs = default_jobs()
     bundle_specs = standard_bundle()
-    if shards:
-        # Applied before deduplication so cache keys, checkpoints and
-        # runs all agree on the scenario.
-        overrides = {"shards": shards, "latency_rng": "per-pair",
-                     "loss_rng": "per-pair"}
-        if latency_floor is not None:
-            overrides["latency_floor"] = latency_floor
-        cells = [(config.with_(**overrides), specs)
-                 for config, specs in cells]
 
     # Deduplicate cells into one (config, union-of-specs) per scenario.
     unique: Dict[str, Tuple[ScenarioConfig, Dict[str, MetricSpec]]] = {}

@@ -52,10 +52,7 @@ that dies or overruns its deadline costs its cell a retry on a fresh
 worker, never the sweep.  They are ordinary processes, so a cell whose
 scenario is itself sharded (``config.shards > 1``) starts its shard
 workers from inside its grid worker — ``jobs=N`` over ``shards=M``
-cells runs up to N x M shard processes, with the same bytes out — and
-supervises them with the caller's
-:func:`~repro.faults.policy.default_shard_supervision`, which travels
-with each cell, whatever the start method.
+cells runs up to N x M shard processes, with the same bytes out.
 """
 
 from __future__ import annotations
@@ -73,8 +70,7 @@ from repro.experiments.runner import ExperimentResult, run_scenario
 from repro.faults.failures import (CellFailure, TornCheckpointInjected,
                                    render_failures)
 from repro.faults.inject import apply_cell_fault
-from repro.faults.policy import (SupervisionPolicy, default_shard_supervision,
-                                 using_shard_supervision)
+from repro.faults.policy import SupervisionPolicy
 from repro.faults.pool import SupervisedPool
 from repro.faults.supervise import default_start_method
 from repro.metrics.export import append_jsonl, read_jsonl
@@ -312,19 +308,13 @@ def _run_cell(payload) -> Tuple[int, RunRecord]:
     (``repro.faults.supervise._child_main``): the cell's objects, and
     nothing an earlier cell kept.  In-process it walks the caller's heap
     too, which this function never freezes.
-
-    The cell runs under the shard supervision ``run_grid``'s caller had
-    (the payload's last field), so a sharded cell in a ``spawn`` worker
-    — which starts from the module default, not from a copy of the
-    caller — still gets ``--barrier-timeout`` / ``--shard-restarts``.
     """
     (index, scenario_index, scenario_name, seed_index, config,
-     metric_items, specs, shard_supervision) = payload
+     metric_items, specs) = payload
     started = time.perf_counter()
-    with using_shard_supervision(shard_supervision):
-        result = run_scenario(config)
-        values = {name: metric(result) for name, metric in metric_items}
-        summaries = summarize(result, specs)
+    result = run_scenario(config)
+    values = {name: metric(result) for name, metric in metric_items}
+    summaries = summarize(result, specs)
     gc.collect()
     record = RunRecord(
         scenario_index=scenario_index,
@@ -528,6 +518,10 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
         if faults.torn_checkpoint is not None and checkpoint is None:
             raise ValueError("torn-checkpoint fault injection needs "
                              "checkpoint= (there is no file to tear)")
+    if supervision is not None:
+        supervision_errors = supervision.violations()
+        if supervision_errors:
+            raise ValueError("; ".join(supervision_errors))
     if seeds is not None:
         seeds = list(seeds)
         if not seeds:
@@ -537,20 +531,18 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     metric_items = tuple(metrics.items())
     metric_names = [name for name, _ in metric_items]
     specs_by_scenario = _specs_per_scenario(summaries, len(configs))
-    shard_supervision = default_shard_supervision()
 
     payloads = []
     for scenario_index, config in enumerate(configs):
         specs = specs_by_scenario[scenario_index]
         if seeds is None:
             payloads.append((len(payloads), scenario_index, config.name, 0,
-                             config, metric_items, specs, shard_supervision))
+                             config, metric_items, specs))
         else:
             for seed_index, seed in enumerate(seeds):
                 payloads.append((
                     len(payloads), scenario_index, config.name, seed_index,
                     config.with_(seed=seed), metric_items, specs,
-                    shard_supervision,
                 ))
 
     total = len(payloads)

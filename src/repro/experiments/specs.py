@@ -26,17 +26,16 @@ run`` and the service's ``run`` kind are the one-cell case of the same
 spec.  :class:`RenderSpec` is the same mechanism for the
 figure/table/ablation parameters.
 
-The spec is also the *identity* of the workload: :meth:`fingerprint`
-hashes the normalized parameter mapping, which the service uses to key
-managed checkpoints — resubmitting the same spec after a cancel or a
-crash resumes the same checkpoint file.
+The normalized parameter mapping (:meth:`_ParamSpec.to_params`) is also
+the *identity* of the workload: the service hashes it, with the job
+kind, in :meth:`repro.service.jobs.JobSpec.fingerprint` to key managed
+checkpoints — resubmitting the same spec after a cancel or a crash
+resumes the same checkpoint file.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field, fields
 from typing import (Dict, List, Mapping, Optional, Tuple, Union, get_args,
                     get_origin, get_type_hints)
@@ -152,37 +151,26 @@ class SweepSpec(_ParamSpec):
     victim_policy: str = _option(
         "random", "where the attackers sit: random, high-degree, edge, "
                   "or clustered")
-    shards: int = _option(
-        0, "partition the node population across N worker shards (0/1 = "
-           "in-process; N > 1 implies --latency-rng/--loss-rng per-pair "
-           "and produces results identical to the *per-pair* serial run "
-           "— not to the default shared-stream mode)")
-    #: None defers to the shard rule: "per-pair" when shards > 1,
-    #: "shared" otherwise.
-    latency_rng: Optional[str] = _option(
-        None, "latency randomness mode: 'shared' (one stream in global "
-              "send order, the default) or 'per-pair' (independent "
-              "per-link streams, required for --shards > 1)",
-        choices=("shared", "per-pair"))
-    loss_rng: Optional[str] = _option(
-        None, "loss randomness mode: 'shared' (one stream in global send "
-              "order, the default) or 'per-pair' (independent per-link "
-              "Bernoulli trials, required for --shards > 1 with "
-              "--loss > 0)", choices=("shared", "per-pair"))
+    latency_rng: str = _option(
+        "shared", "latency randomness mode: 'shared' (one stream in "
+                  "global send order) or 'per-pair' (independent "
+                  "per-link streams)", choices=("shared", "per-pair"))
+    loss_rng: str = _option(
+        "shared", "loss randomness mode: 'shared' (one stream in global "
+                  "send order) or 'per-pair' (independent per-link "
+                  "Bernoulli trials)", choices=("shared", "per-pair"))
     latency_floor: float = _option(
-        0.002, "hard lower bound on pairwise latency, seconds; doubles "
-               "as the sharded lookahead")
+        0.002, "hard lower bound on pairwise latency, seconds")
     #: ``FaultPlan.parse`` input (chaos testing).  An *execution
     #: circumstance*, not an experiment parameter: recovered faulted
-    #: runs are byte-identical to clean ones, so the field is excluded
-    #: from :meth:`fingerprint` — a faulted resubmission finds the same
-    #: managed checkpoint as the clean spec.
+    #: runs are byte-identical to clean ones, so the service's
+    #: fingerprint leaves the field out — a faulted resubmission finds
+    #: the same managed checkpoint as the clean spec.
     faults: Optional[str] = _option(
-        None, "deterministic fault injection: comma-separated clauses "
-              "(crash-cell=K[xN], stall-cell=K:SECS, shard-exit=S@W, "
-              "shard-stall=S@W:SECS, drop-wire=S@W, torn-checkpoint=N); "
-              "recovered runs are byte-identical to clean ones",
-        metavar="CLAUSE,...")
+        None, "deterministic fault injection into the grid: "
+              "comma-separated clauses (crash-cell=K[xN], "
+              "stall-cell=K:SECS, torn-checkpoint=N); recovered runs are "
+              "byte-identical to clean ones", metavar="CLAUSE,...")
 
     def check(self) -> None:
         """Spec-level validation (scenario-level checks live in
@@ -197,24 +185,12 @@ class SweepSpec(_ParamSpec):
             raise ValueError("no seeds given (check --num-seeds)")
         distribution_by_name(self.distribution)  # raises on unknown names
         plan = self.fault_plan()  # raises on bad fault syntax
-        if plan is not None and plan.has_shard_faults and self.shards <= 1:
-            raise ValueError("shard fault injection (shard-exit/shard-stall/"
-                             "drop-wire) needs --shards > 1")
-
-    def fingerprint(self) -> str:
-        """Stable identity of the workload (hex digest).
-
-        Derived from every normalized parameter *except* ``faults``
-        (an execution circumstance — recovered faulted runs are
-        byte-identical to clean ones), so the service can key a managed
-        checkpoint file by it: the same spec resubmitted after a cancel
-        or crash — with or without injected faults — finds and resumes
-        its own checkpoint.
-        """
-        params = self.to_params()
-        params.pop("faults", None)
-        blob = json.dumps(params, sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        if plan is not None and plan.has_shard_faults:
+            raise ValueError("shard-exit/shard-stall/drop-wire faults target "
+                             "the workers of a sharded scenario, which a "
+                             "sweep does not run; its faults are the cell "
+                             "clauses crash-cell, stall-cell and "
+                             "torn-checkpoint")
 
     # ------------------------------------------------------------------
     # grid inputs
@@ -244,17 +220,9 @@ class SweepSpec(_ParamSpec):
 
     def configs(self) -> List[ScenarioConfig]:
         """One validated ScenarioConfig per protocol — the one builder
-        behind ``repro run``, ``repro sweep`` and the service's jobs."""
-        # Sharded execution needs order-independent draws: unless the
-        # user pinned a mode, shards > 1 selects the per-pair streams.
-        default_rng = "per-pair" if self.shards > 1 else "shared"
+        behind ``repro run``, ``repro sweep`` and the service's jobs.
+        Faults stay off the configs: ``run_grid`` applies them."""
         adversary = self.adversary()
-        plan = self.fault_plan()
-        # Pool-level faults (crash-cell/stall-cell/torn-checkpoint) are
-        # applied by run_grid itself; only shard-level faults travel on
-        # the config into the sharded scenario driver.
-        config_faults = (plan if plan is not None and plan.has_shard_faults
-                         else None)
         configs = [ScenarioConfig(
             name=protocol,
             protocol=protocol,
@@ -271,11 +239,9 @@ class SweepSpec(_ParamSpec):
                    if self.churn_fraction > 0 else None),
             adversary=adversary,
             audit=self.audit,
-            latency_rng=self.latency_rng or default_rng,
-            loss_rng=self.loss_rng or default_rng,
+            latency_rng=self.latency_rng,
+            loss_rng=self.loss_rng,
             latency_floor=self.latency_floor,
-            shards=self.shards,
-            faults=config_faults,
         ) for protocol in self.protocols]
         for config in configs:
             config.validate()
@@ -326,14 +292,6 @@ class RenderSpec(_ParamSpec):
     scale: Optional[str] = _option(
         None, "experiment scale (default: REPRO_SCALE)",
         choices=tuple(sorted(_SCALES)))
-    shards: int = _option(
-        0, "run each scenario under the sharded execution model: "
-           "per-pair latency and loss streams, partitioned across N "
-           "worker shards when N > 1 (output is identical for any "
-           "N >= 1)")
-    latency_floor: Optional[float] = _option(
-        None, "with --shards: override the scenarios' latency floor (= "
-              "the shard lookahead; larger means fewer window barriers)")
 
     def check(self) -> None:
         if self.scale is not None and self.scale not in _SCALES:

@@ -38,13 +38,7 @@ import the seam without tripping the D101 lint rule.
 
 from repro.faults.failures import CellFailure, ShardFailure, TornCheckpointInjected
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import (
-    ShardSupervision,
-    SupervisionPolicy,
-    default_shard_supervision,
-    set_default_shard_supervision,
-    using_shard_supervision,
-)
+from repro.faults.policy import ShardSupervision, SupervisionPolicy
 from repro.faults.pool import SupervisedPool, WorkerTaskError
 from repro.faults.supervise import Supervisor
 
@@ -58,7 +52,4 @@ __all__ = [
     "Supervisor",
     "TornCheckpointInjected",
     "WorkerTaskError",
-    "default_shard_supervision",
-    "set_default_shard_supervision",
-    "using_shard_supervision",
 ]

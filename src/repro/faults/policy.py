@@ -17,25 +17,17 @@ clients does about it, and every back-off that is ever computed.
   spec is refused (its other knobs, ``job_timeout`` and
   ``quarantine_after``, are ``JobManager`` parameters).
 
-``ShardSupervision`` also has a process-wide default (see
-:func:`default_shard_supervision`), because sharded execution is
-reached through many call paths (``run_scenario`` delegates to
-``run_sharded`` transparently) and threading a supervision parameter
-through every scenario entry point would churn the whole API for a
-knob that is almost always global anyway (set once by the CLI).
+``ShardSupervision`` is a parameter of ``run_sharded`` only; a sharded
+scenario reached through ``run_scenario`` runs under the defaults.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "ShardSupervision",
     "SupervisionPolicy",
-    "default_shard_supervision",
     "quarantine_backoff",
-    "set_default_shard_supervision",
-    "using_shard_supervision",
 ]
 
 
@@ -104,37 +96,3 @@ class ShardSupervision:
         if self.barrier_timeout is not None and self.barrier_timeout <= 0:
             errors.append("barrier_timeout must be positive")
         return tuple(errors)
-
-
-_DEFAULT_SHARD_SUPERVISION = ShardSupervision()
-
-
-def default_shard_supervision() -> ShardSupervision:
-    """The process-wide supervision used when none is passed explicitly."""
-
-    return _DEFAULT_SHARD_SUPERVISION
-
-
-def set_default_shard_supervision(supervision: ShardSupervision) -> ShardSupervision:
-    """Replace the process-wide default; returns the previous value."""
-
-    global _DEFAULT_SHARD_SUPERVISION
-    errors = supervision.violations()
-    if errors:
-        raise ValueError("; ".join(errors))
-    previous = _DEFAULT_SHARD_SUPERVISION
-    _DEFAULT_SHARD_SUPERVISION = supervision
-    return previous
-
-
-@contextmanager
-def using_shard_supervision(supervision: ShardSupervision) -> Iterator[None]:
-    """Make ``supervision`` the process-wide default for a block, then
-    restore the previous one.  A grid cell runs under the supervision
-    its caller had, whichever process it lands in."""
-
-    previous = set_default_shard_supervision(supervision)
-    try:
-        yield
-    finally:
-        set_default_shard_supervision(previous)

@@ -104,6 +104,11 @@ INVARIANTS: Tuple[Invariant, ...] = (
               ("src/repro", "benchmarks", "examples"), (),
               "no process keeps a finished run ('No process keeps a "
               "finished run')", "result = cached_run(config)"),
+    Invariant(r"(default|using)_shard_supervision",
+              ("src/repro", "benchmarks", "examples"), (),
+              "run_sharded takes its supervision as an argument, never "
+              "from process-wide state ('Retire the --shards surface')",
+              "supervision = default_shard_supervision()"),
 )
 
 def tree_path(path: str) -> Optional[str]:

@@ -88,7 +88,7 @@ from repro.experiments.runner import (ExperimentResult, build_scenario,
 from repro.faults import clock
 from repro.faults.failures import ShardFailure
 from repro.faults.inject import SHARD_EXIT_CODE
-from repro.faults.policy import ShardSupervision, default_shard_supervision
+from repro.faults.policy import ShardSupervision
 from repro.faults.supervise import Supervisor, default_start_method
 from repro.net.message import Envelope, kind_name, registered_kinds
 from repro.net.router import InprocRouter
@@ -395,7 +395,7 @@ def _run_process_shards(config: ScenarioConfig, end: float,
     import multiprocessing
 
     if supervision is None:
-        supervision = default_shard_supervision()
+        supervision = ShardSupervision()
     ctx = multiprocessing.get_context(start_method or default_start_method())
     shards = config.shards
     supervisor = Supervisor(ctx, target=_shard_worker, name="repro-shard")
@@ -480,15 +480,14 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     at 1k nodes run about as fast as serial and hold more memory.
 
     ``processes=None`` picks worker processes — also inside a grid
-    worker or a service executor, so ``--jobs N --shards M`` runs up to
+    worker, so ``run_grid(jobs=N)`` over ``shards=M`` cells runs up to
     N x M shard processes — except on single-CPU hosts, where extra
     processes can only add overhead and the in-process serial driver
     runs instead.  ``start_method`` pins the multiprocessing start
     method (tests use ``"spawn"`` to prove the workers' builds are
     import-clean).
 
-    ``supervision`` (default: the process-wide
-    :func:`~repro.faults.policy.default_shard_supervision`) bounds how
+    ``supervision`` (default: ``ShardSupervision()``) bounds how
     failure is handled: a dead or wedged shard raises a structured
     :class:`~repro.faults.failures.ShardFailure` instead of hanging the
     barrier, and the scenario is restarted from scratch up to
@@ -500,7 +499,10 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     if config.shards <= 1:
         raise ValueError("run_sharded needs config.shards > 1")
     if supervision is None:
-        supervision = default_shard_supervision()
+        supervision = ShardSupervision()
+    errors = supervision.violations()
+    if errors:
+        raise ValueError("; ".join(errors))
     faults = config.faults
     shard_faults = faults is not None and faults.has_shard_faults
     end = until if until is not None else config.end_time

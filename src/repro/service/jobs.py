@@ -124,10 +124,10 @@ class JobSpec:
         """Stable workload identity: keys the managed checkpoint, so a
         resubmitted spec resumes where its predecessor stopped.
 
-        ``faults`` is excluded (like :meth:`SweepSpec.fingerprint`):
-        injection is an execution circumstance, so a faulted job and its
-        clean twin share one checkpoint — and the quarantine ledger sees
-        a crash-looping spec as one spec however its faults vary."""
+        ``faults`` is excluded: injection is an execution circumstance,
+        so a faulted job and its clean twin share one checkpoint — and
+        the quarantine ledger sees a crash-looping spec as one spec
+        however its faults vary."""
         params = self.normalized()
         params.pop("faults", None)
         blob = json.dumps({"kind": "sweep" if self.kind == "run" else self.kind,
@@ -208,6 +208,11 @@ class JobManager:
                  watchdog_interval: float = 0.25,
                  quarantine_after: int = 3,
                  quarantine_base: float = 30.0):
+        for name, secs in (("job_ttl", job_ttl),
+                           ("job_timeout", job_timeout)):
+            if secs is not None and not secs > 0:
+                raise ValueError(f"{name} must be positive seconds, "
+                                 f"got {secs!r}")
         self.checkpoint_dir = checkpoint_dir
         self.artifact_dir = os.path.join(checkpoint_dir, "artifacts")
         os.makedirs(self.artifact_dir, exist_ok=True)
@@ -560,8 +565,7 @@ def _run_job(task, emit) -> Dict[str, object]:
 
     params = spec.normalized()
     scale = _SCALES[params["scale"]] if params["scale"] else None
-    rendered = render(kind, params["id"], scale, shards=params["shards"],
-                      latency_floor=params["latency_floor"], **execution)
+    rendered = render(kind, params["id"], scale, **execution)
     write_result_csv(csv_path, rendered)
     return {
         "kind": kind,

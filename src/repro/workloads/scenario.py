@@ -278,9 +278,9 @@ def scenario_key(config: ScenarioConfig) -> str:
     Derived from *every* field so newly added scenario options can never
     alias two different experiments; object-valued fields are reduced to
     stable identities (distributions by name, churn by its configuration,
-    never its per-run state).  The same key is used by the in-process
-    result cache, the grid summary cache and the JSONL checkpoint
-    fingerprint, so all three agree on what "the same run" means.
+    never its per-run state).  The same key is used by the grid summary
+    cache and the JSONL checkpoint fingerprint, so both agree on what
+    "the same run" means.
     """
     import dataclasses
 
@@ -290,8 +290,7 @@ def scenario_key(config: ScenarioConfig) -> str:
             # Sharding is an execution strategy, not an experiment
             # parameter: a sharded run is byte-identical to the serial
             # run of the same scenario (tests/test_sharded_scenario.py),
-            # so shard counts share one cache/checkpoint identity —
-            # `figure --shards 4` reuses cells `--shards 1` computed.
+            # so shard counts share one cache/checkpoint identity.
             continue
         if field_.name == "faults":
             # Fault injection is likewise execution circumstance, not

@@ -38,8 +38,8 @@ class TestParser:
         spec = SweepSpec.from_params({
             "protocols": "heap", "seeds": "3,5", "membership": "cyclon",
             "discovery": True, "churn_fraction": 0.2, "churn_time": 4,
-            "attacks": "poisoned-view=0.05", "shards": 2,
-            "latency_rng": "per-pair", "faults": "shard-exit=1@3"})
+            "attacks": "poisoned-view=0.05", "latency_rng": "per-pair",
+            "faults": "crash-cell=1"})
         assert SweepSpec.from_params(spec.to_params()) == spec
         assert set(spec.to_params()) == set(SPEC_FIELDS)
         assert SweepSpec.from_params(SweepSpec().to_params()) == SweepSpec()
@@ -341,73 +341,29 @@ class TestArtifactCsv:
             assert args.csv == "x.csv"
 
 
-class TestShardsCli:
-    """--shards plumbs the sharded execution model through every grid."""
+class TestRetiredShardOptions:
+    """The sharded engine is a library (``ScenarioConfig(shards=N)``,
+    ``run_sharded``); no command takes a shard option."""
 
-    def test_run_shards_matches_serial_run(self, capsys):
-        base = ["run", "--nodes", "30", "--seconds", "3", "--drain", "6",
-                "--latency-rng", "per-pair", "--latency-floor", "0.02"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        # Identical metrics; only the events counter (an activity
-        # measure summed over shards) may differ.
-        strip = lambda text: [line for line in text.splitlines()  # noqa: E731
-                              if not line.startswith("events:")]
-        assert strip(sharded) == strip(serial)
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--shards", "2"],
+        ["figure", "fig5", "--shards", "2"],
+        ["table", "table3", "--latency-floor", "0.1"],
+        ["run", "--barrier-timeout", "1"],
+        ["run", "--shard-restarts", "2"],
+    ])
+    def test_parser_refuses(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sweep_shards_matches_serial_sweep(self, capsys):
-        base = ["sweep", "--protocols", "heap", "--nodes", "20",
-                "--seconds", "2", "--drain", "4", "--num-seeds", "2",
-                "--quiet", "--latency-rng", "per-pair",
-                "--latency-floor", "0.02"]
-        assert main(base) == 0
-        serial = capsys.readouterr().out
-        assert main(base + ["--shards", "2"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == serial
 
-    def test_shards_require_per_pair_latency(self, capsys):
-        assert main(["sweep", "--protocols", "heap", "--nodes", "20",
-                     "--seconds", "2", "--drain", "4", "--num-seeds", "1",
-                     "--quiet", "--shards", "2",
-                     "--latency-rng", "shared"]) == 2
-        assert "per-pair" in capsys.readouterr().err
-
-    def test_figure_shards_runs_churn(self, capsys):
-        from repro.experiments.gridrun import clear_summary_cache
-
-        # The churn figure used to be rejected under --shards; it now
-        # runs sharded with output identical to --shards 1.  fig10
-        # forces 45 s streams, so the lookahead override keeps the
-        # window count sane at quick scale.
-        clear_summary_cache()
-        assert main(["figure", "fig10a", "--scale", "quick", "--quiet",
-                     "--shards", "1", "--latency-floor", "0.1"]) == 0
-        one = capsys.readouterr().out
-        clear_summary_cache()
-        assert main(["figure", "fig10a", "--scale", "quick", "--quiet",
-                     "--shards", "2", "--latency-floor", "0.1"]) == 0
-        two = capsys.readouterr().out
-        assert one == two
-
-    def test_sweep_shards_require_per_pair_loss(self, capsys):
-        assert main(["sweep", "--protocols", "heap", "--nodes", "20",
-                     "--seconds", "2", "--drain", "4", "--num-seeds", "1",
-                     "--quiet", "--shards", "2", "--loss", "0.05",
-                     "--loss-rng", "shared"]) == 2
-        assert "loss_rng" in capsys.readouterr().err
-
-    def test_table_shards_output_stable_across_shard_counts(self, capsys):
-        from repro.experiments.gridrun import clear_summary_cache
-
-        clear_summary_cache()
-        assert main(["table", "table3", "--scale", "quick", "--quiet",
-                     "--shards", "1"]) == 0
-        one = capsys.readouterr().out
-        clear_summary_cache()
-        assert main(["table", "table3", "--scale", "quick", "--quiet",
-                     "--shards", "2"]) == 0
-        two = capsys.readouterr().out
-        assert one == two
+class TestSupervisionFlags:
+    def test_negative_cell_retries_refused_without_a_pool(self, capsys):
+        # A one-cell sweep never starts the pool, which alone checked
+        # the policy: it used to run and exit 0.
+        assert main(["sweep", "--protocols", "heap", "--nodes", "10",
+                     "--seconds", "1", "--drain", "1", "--num-seeds", "1",
+                     "--quiet", "--cell-retries", "-1"]) == 2
+        assert "cell_retries must be >= 0" in capsys.readouterr().err

@@ -23,8 +23,7 @@ from repro.experiments import parallel
 from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import RunRecord, run_grid
 from repro.experiments.runner import run_scenario
-from repro.faults import (ShardSupervision, default_shard_supervision,
-                          using_shard_supervision)
+from repro.faults import SupervisionPolicy
 from repro.metrics.lag import spec_lag_delivery, spec_mean_lag_by_class
 from repro.workloads.churn import CatastrophicFailure
 from repro.workloads.distributions import REF_691
@@ -44,16 +43,6 @@ def metric_events(result) -> float:
 
 
 METRICS = {"delivery": metric_offline_delivery, "deliveries": metric_events}
-
-
-def metric_shard_restarts(result) -> float:
-    """Module-level metric: the shard restart budget the cell ran under."""
-    return float(default_shard_supervision().restarts)
-
-
-def metric_barrier_timeout(result) -> float:
-    """Module-level metric: the barrier deadline the cell ran under."""
-    return float(default_shard_supervision().barrier_timeout or 0.0)
 
 
 def metric_freeze_count(result) -> float:
@@ -79,6 +68,13 @@ class TestGridShape:
             run_grid([], seeds=[1], metrics=METRICS)
         with pytest.raises(ValueError):
             run_grid(tiny_config(), seeds=[], metrics=METRICS)
+
+    def test_bad_supervision_is_refused_without_a_pool(self):
+        # Only the pool used to read the policy, so a serial grid ran
+        # with it.
+        with pytest.raises(ValueError, match="cell_retries must be >= 0"):
+            run_grid(tiny_config(), seeds=[1], metrics=METRICS,
+                     supervision=SupervisionPolicy(cell_retries=-1))
 
     def test_progress_called_once_per_cell(self):
         calls = []
@@ -113,21 +109,6 @@ class TestDeterminism:
         spawned = run_grid(tiny_config(), seeds=[1, 2], metrics=METRICS,
                            jobs=2, start_method="spawn")
         assert serial.determinism_keys() == spawned.determinism_keys()
-
-    def test_spawn_cells_run_under_the_callers_shard_supervision(self):
-        # A spawn worker starts from the module default, not a copy of
-        # the caller: the supervision has to travel with the cell, or a
-        # nested shard coordinator never sees --barrier-timeout /
-        # --shard-restarts.
-        metrics = {"restarts": metric_shard_restarts,
-                   "barrier_timeout": metric_barrier_timeout}
-        with using_shard_supervision(ShardSupervision(restarts=3,
-                                                      barrier_timeout=42.0)):
-            grid = run_grid(tiny_config(), seeds=[1, 2], metrics=metrics,
-                            jobs=2, start_method="spawn")
-        assert [record.metrics for record in grid.records] == [
-            {"restarts": 3.0, "barrier_timeout": 42.0}] * 2
-        assert default_shard_supervision() == ShardSupervision()
 
     def test_seed_changes_results(self):
         grid = run_grid(tiny_config(), seeds=[1, 2], metrics=METRICS)
@@ -308,8 +289,7 @@ class TestCellsDoNotAccumulate:
     def payload(seed, n_nodes=300):
         config = ScenarioConfig(n_nodes=n_nodes, duration=0.2, drain=0.3,
                                 distribution=REF_691, seed=seed)
-        return (0, 0, config.name, 0, config, tuple(METRICS.items()), (),
-                default_shard_supervision())
+        return (0, 0, config.name, 0, config, tuple(METRICS.items()), ())
 
     def test_the_graph_is_gone_when_the_cell_returns(self):
         gc.collect()

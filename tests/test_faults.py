@@ -163,13 +163,6 @@ class TestFaultIdentity:
         faulted = config.with_(faults=FaultPlan.parse("shard-exit=0@1"))
         assert scenario_key(faulted) == scenario_key(config)
 
-    def test_sweep_fingerprint_ignores_faults(self):
-        clean = SweepSpec(protocols=("heap",), nodes=10, seconds=2.0,
-                          drain=4.0, num_seeds=2)
-        faulted = SweepSpec(protocols=("heap",), nodes=10, seconds=2.0,
-                            drain=4.0, num_seeds=2, faults="crash-cell=1")
-        assert faulted.fingerprint() == clean.fingerprint()
-
     def test_job_fingerprint_ignores_faults(self):
         params = {"protocols": ["heap"], "nodes": 10, "seconds": 2.0,
                   "drain": 4.0, "num_seeds": 2}
@@ -179,7 +172,10 @@ class TestFaultIdentity:
         assert faulted.fingerprint() == clean.fingerprint()
 
     def test_shard_faults_need_shards(self):
-        with pytest.raises(ValueError, match="--shards > 1"):
+        # A sweep runs no shard workers, so its spec takes only the
+        # cell clauses; shard clauses live on a ScenarioConfig.
+        with pytest.raises(ValueError, match="crash-cell, stall-cell and "
+                                             "torn-checkpoint"):
             SweepSpec(protocols=("heap",), nodes=10, seconds=2.0, drain=4.0,
                       num_seeds=2, faults="shard-exit=0@1").check()
 
@@ -529,6 +525,9 @@ class TestCliChaos:
     def test_run_rejects_cell_faults(self, capsys):
         from repro.cli import main
 
-        assert main(["run", "--nodes", "10", "--seconds", "2", "--drain", "4",
-                     "--faults", "crash-cell=1"]) == 2
-        assert "only takes shard faults" in capsys.readouterr().err
+        # `run` is one in-process cell: no pool to crash, so no --faults.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--nodes", "10", "--seconds", "2", "--drain", "4",
+                  "--faults", "crash-cell=1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --faults" in capsys.readouterr().err

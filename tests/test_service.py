@@ -275,6 +275,8 @@ class TestErrorPaths:
                 ("run", {"num_seeds": 3}),  # a run is a single cell
                 ("figure", {"id": "no-such-figure"}),
                 ("table", {"id": "table1", "scale": "no-such-scale"}),
+                ("figure", {"id": "fig5", "shards": 2}),
+                ("sweep", {"faults": "shard-exit=0@1"}),
         ):
             with pytest.raises(ServiceError) as exc:
                 client.submit(kind, params)
@@ -629,6 +631,30 @@ class TestSupervision:
                 time.sleep(0.01)
         finally:
             manager.shutdown(cancel_running=True)
+
+    @pytest.mark.parametrize("secs", [0, -3])
+    @pytest.mark.parametrize("knob", ["job_timeout", "job_ttl"])
+    def test_non_positive_time_limits_are_refused(self, tmp_path, knob,
+                                                  secs):
+        # A 0 s watchdog failed every job; a 0 s TTL evicted each job
+        # the moment it finished.
+        with pytest.raises(ValueError, match=f"{knob} must be positive"):
+            JobManager(checkpoint_dir=str(tmp_path / "svc"), **{knob: secs})
+        assert not (tmp_path / "svc").exists()
+
+    def test_serve_refuses_a_zero_job_timeout_before_binding(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.service
+        from repro.cli import main
+
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(repro.service, "ExperimentService", bind)
+        assert main(["serve", "--port", "0", "--job-timeout", "0",
+                     "--checkpoint-dir", str(tmp_path / "svc")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: job_timeout must be positive")
 
     def test_ttl_evicts_terminal_jobs(self, tmp_path):
         manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
