@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import re
 
+from repro.experiments.gridrun import run_plans
+
 RESULTS_DIR = os.environ.get(
     "REPRO_RESULTS_DIR",
     os.path.join(os.path.dirname(__file__), "results"))
@@ -35,7 +37,13 @@ def measure(benchmark, fn, *args, **kwargs):
                               rounds=1, iterations=1)
 
 
-# No grid configuration needed here: the figure/table pipeline and the
+def measure_plan(benchmark, plan, *args, **kwargs):
+    """Run the artifact plan ``plan(*args, **kwargs)`` (see
+    :mod:`repro.experiments.gridrun`) exactly once under timing."""
+    return measure(benchmark, lambda: run_plans([plan(*args, **kwargs)])[0])
+
+
+# No grid configuration needed here: the artifact plans and the
 # multi-seed bench take their worker count from REPRO_JOBS
 # (repro.experiments.gridrun.default_jobs), so ``REPRO_JOBS=8 pytest
 # benchmarks/`` parallelizes every figure/table bench as-is.

@@ -9,13 +9,13 @@ stream quality is insensitive across the grid — the knob buys little,
 which is why the paper can afford the marginal-cost configuration.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.ablations import ablation_aggregation
 
 
 def bench_ablation_aggregation(benchmark):
-    table = measure(benchmark, ablation_aggregation)
+    table = measure_plan(benchmark, ablation_aggregation)
     emit(table)
     errors = [float(row[2].rstrip("%")) for row in table.rows]
     # Every configuration estimates the average within 20%.

@@ -8,7 +8,7 @@ of HEAP's advantage — the rich tail can no longer absorb the load of
 the 85% poor majority.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.ablations import ablation_fanout_cap
 
@@ -20,7 +20,7 @@ def _seconds(cell: str) -> float:
 
 
 def bench_ablation_fanout_cap(benchmark):
-    table = measure(benchmark, ablation_fanout_cap)
+    table = measure_plan(benchmark, ablation_fanout_cap)
     emit(table)
     lags = {row[0]: _seconds(row[2]) for row in table.rows}
     # A generous cap is indistinguishable from uncapped.

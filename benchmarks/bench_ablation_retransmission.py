@@ -8,13 +8,13 @@ the ids in eRequested), while enabling it restores near-complete
 delivery at a modest lag cost.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.ablations import ablation_retransmission
 
 
 def bench_ablation_retransmission(benchmark):
-    table = measure(benchmark, ablation_retransmission)
+    table = measure_plan(benchmark, ablation_retransmission)
     emit(table)
     delivery = {(row[0], row[1]): float(row[2].rstrip("%"))
                 for row in table.rows}

@@ -10,7 +10,7 @@ packets into high-capacity fan-out immediately) but must not change the
 outcome dramatically either way — it is a small, second-order knob.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.ablations import ablation_source_bias
 
@@ -22,7 +22,7 @@ def _seconds(cell: str) -> float:
 
 
 def bench_ablation_source_bias(benchmark):
-    table = measure(benchmark, ablation_source_bias)
+    table = measure_plan(benchmark, ablation_source_bias)
     emit(table)
     by_bias = {row[0]: _seconds(row[3]) for row in table.rows}
     # Second-order effect: within +-60% (plus slack for tiny scales) of

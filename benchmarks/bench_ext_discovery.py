@@ -6,7 +6,7 @@ advertised values approach the truth, and the stream quality matches
 the configured-capability baseline — discovery costs only a short ramp.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.extensions import ext_capability_discovery
 
@@ -18,7 +18,7 @@ def _seconds(cell: str) -> float:
 
 
 def bench_ext_discovery(benchmark):
-    table = measure(benchmark, ext_capability_discovery)
+    table = measure_plan(benchmark, ext_capability_discovery)
     emit(table)
     rows = {row[0]: row for row in table.rows}
     configured_quality = float(rows["configured"][1].rstrip("%"))

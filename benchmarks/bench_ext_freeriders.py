@@ -9,13 +9,13 @@ self-consistent) while their contribution index betrays the shortfall;
 stream quality for honest nodes degrades as freeriding grows.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.extensions import ext_freeriders
 
 
 def bench_ext_freeriders(benchmark):
-    table = measure(benchmark, ext_freeriders)
+    table = measure_plan(benchmark, ext_freeriders)
     emit(table)
     by_key = {(row[0], row[1]): row for row in table.rows}
 

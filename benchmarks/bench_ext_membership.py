@@ -7,7 +7,7 @@ reliability only needs approximately-uniform sampling, so HEAP ports to
 a fully decentralized deployment.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.extensions import ext_membership
 
@@ -19,7 +19,7 @@ def _seconds(cell: str) -> float:
 
 
 def bench_ext_membership(benchmark):
-    table = measure(benchmark, ext_membership)
+    table = measure_plan(benchmark, ext_membership)
     emit(table)
     lag = {(row[0], row[1]): _seconds(row[3]) for row in table.rows}
     reach = {(row[0], row[1]): row[2] for row in table.rows}

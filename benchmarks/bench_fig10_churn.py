@@ -6,7 +6,7 @@ a transient drop around the failure; standard gossip at 20 s lag is far
 below, and only approaches HEAP's quality at 30 s lag.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import fig10_churn
 
@@ -29,12 +29,12 @@ def _assert_shape(fig, fraction):
 
 
 def bench_fig10a_churn_20(benchmark):
-    fig = measure(benchmark, fig10_churn, fraction=0.2)
+    fig = measure_plan(benchmark, fig10_churn, fraction=0.2)
     emit(fig)
     _assert_shape(fig, 0.2)
 
 
 def bench_fig10b_churn_50(benchmark):
-    fig = measure(benchmark, fig10_churn, fraction=0.5)
+    fig = measure_plan(benchmark, fig10_churn, fraction=0.5)
     emit(fig)
     _assert_shape(fig, 0.5)

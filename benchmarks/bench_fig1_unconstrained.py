@@ -7,13 +7,13 @@ lag CDF rises fast and high — gossip alone is a fine dissemination layer.
 
 import math
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import fig1_unconstrained
 
 
 def bench_fig1_unconstrained(benchmark):
-    fig = measure(benchmark, fig1_unconstrained)
+    fig = measure_plan(benchmark, fig1_unconstrained)
     emit(fig)
     cdf = fig.extra["cdf"]
     percentiles = fig.extra["percentiles"]

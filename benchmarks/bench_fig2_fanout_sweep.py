@@ -7,14 +7,14 @@ so no single static fanout works.  Shape targets below assert the
 U-shape on dist1 and the inversion on dist2.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.analysis.stats import mean
 from repro.experiments.figures import fig2_fanout_sweep
 
 
 def bench_fig2_fanout_sweep(benchmark):
-    fig = measure(benchmark, fig2_fanout_sweep)
+    fig = measure_plan(benchmark, fig2_fanout_sweep)
     emit(fig)
     cdfs = fig.extra["cdfs"]
 

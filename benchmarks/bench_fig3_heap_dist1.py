@@ -6,13 +6,13 @@ gossip, HEAP delivers 99% of the stream to 50% of nodes at 13.3 s,
 standard gossip's at every lag.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import LAG_GRID, fig3_heap_dist1
 
 
 def bench_fig3_heap_dist1(benchmark):
-    fig = measure(benchmark, fig3_heap_dist1)
+    fig = measure_plan(benchmark, fig3_heap_dist1)
     emit(fig)
     cdf = fig.extra["cdf"]
     # HEAP reaches ~all nodes within the lag budget the paper plots (60 s).

@@ -10,13 +10,13 @@ capability (poor saturated, rich idle); under HEAP the spread across
 classes shrinks.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import fig4_bandwidth_usage
 
 
 def bench_fig4_bandwidth_usage(benchmark):
-    fig = measure(benchmark, fig4_bandwidth_usage)
+    fig = measure_plan(benchmark, fig4_bandwidth_usage)
     emit(fig)
     usage = fig.extra["usage"]
 

@@ -5,13 +5,13 @@ windows jitter-free; HEAP lifts them above 90% — "HEAP allows high
 capability nodes to assist low capability ones".
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import fig5_quality_ref691
 
 
 def bench_fig5_quality_ref691(benchmark):
-    fig = measure(benchmark, fig5_quality_ref691)
+    fig = measure_plan(benchmark, fig5_quality_ref691)
     emit(fig)
     data = fig.extra["data"]
     # HEAP at least matches standard for every class, and strictly helps

@@ -6,13 +6,13 @@ jitter-free on the skewed distribution; HEAP lifts every class above
 from contribution-proportional serving (47% -> 93% for the poor class).
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import fig6_quality_classes
 
 
 def bench_fig6_quality_classes(benchmark):
-    fig = measure(benchmark, fig6_quality_classes)
+    fig = measure_plan(benchmark, fig6_quality_classes)
     emit(fig)
     for dist_name in ("ms-691", "ref-724"):
         data = fig.extra[dist_name]

@@ -6,13 +6,13 @@ less than 10% jitter"; viewed offline, standard gossip eventually
 delivers (its offline curve is far better than its 10 s curve).
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import fig7_jitter_cdf
 
 
 def bench_fig7_jitter_cdf(benchmark):
-    fig = measure(benchmark, fig7_jitter_cdf)
+    fig = measure_plan(benchmark, fig7_jitter_cdf)
     emit(fig)
     cdfs = fig.extra["cdfs"]
     at_lag = "10s lag"

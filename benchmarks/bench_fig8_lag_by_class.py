@@ -7,14 +7,14 @@ of the distribution (std reaches ~45 s on ms-691's poor class).
 
 import math
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.analysis.stats import mean
 from repro.experiments.figures import fig8_lag_by_class
 
 
 def bench_fig8_lag_by_class(benchmark):
-    fig = measure(benchmark, fig8_lag_by_class)
+    fig = measure_plan(benchmark, fig8_lag_by_class)
     emit(fig)
     data = fig.extra["data"]
     for panel in ("8a", "8b"):

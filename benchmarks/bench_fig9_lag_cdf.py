@@ -6,13 +6,13 @@ nodes at 12 s where standard gossip needs 26.6 s.  The 'max 1% jitter'
 curves sit slightly left of the strict no-jitter curves.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.figures import LAG_GRID, fig9_lag_cdf
 
 
 def bench_fig9_lag_cdf(benchmark):
-    fig = measure(benchmark, fig9_lag_cdf)
+    fig = measure_plan(benchmark, fig9_lag_cdf)
     emit(fig)
     cdfs = fig.extra["cdfs"]
     for panel in ("9a", "9b"):

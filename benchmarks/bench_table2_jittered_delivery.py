@@ -7,13 +7,13 @@ so few jittered windows that its averages can look arbitrary, as the
 paper itself notes for ref-724's high-bandwidth class.)
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.experiments.tables import table2_jittered_delivery
 
 
 def bench_table2_jittered_delivery(benchmark):
-    table = measure(benchmark, table2_jittered_delivery)
+    table = measure_plan(benchmark, table2_jittered_delivery)
     emit(table)
     data = table.extra["data"]
     for (dist, protocol), ratios in data.items():

@@ -6,14 +6,14 @@ to 0% of the poorest class on both reference distributions and to 0% of
 everywhere.
 """
 
-from _harness import emit, measure
+from _harness import emit, measure_plan
 
 from repro.analysis.stats import mean
 from repro.experiments.tables import table3_jitter_free_nodes
 
 
 def bench_table3_jitter_free_nodes(benchmark):
-    table = measure(benchmark, table3_jitter_free_nodes)
+    table = measure_plan(benchmark, table3_jitter_free_nodes)
     emit(table)
     data = table.extra["data"]
     for dist in ("ref-691", "ref-724", "ms-691"):

@@ -3,7 +3,8 @@
 
 Runs a compact version of the paper's quality and lag experiments and
 writes their data as CSV files — one per figure — ready for gnuplot,
-matplotlib, or a spreadsheet.
+matplotlib, or a spreadsheet.  The three figures are planned together,
+so the scenarios they share run once: one grid of 6 unique runs.
 
     python examples/export_figures.py --outdir ./figure-data
 """
@@ -17,6 +18,7 @@ from repro.experiments.figures import (
     fig9_lag_cdf,
     fig10_churn,
 )
+from repro.experiments.gridrun import run_plans
 from repro.experiments.scales import Scale
 from repro.metrics.export import (
     lag_grid_rows,
@@ -39,13 +41,14 @@ def main() -> None:
     def out(name):
         return os.path.join(args.outdir, name)
 
-    print("running Figure 5 (quality by class)...")
-    fig5 = fig5_quality_ref691(scale)
+    print("running Figures 5 (quality by class), 9 (lag CDFs) and "
+          "10 (20% churn)...")
+    fig5, fig9, fig10 = run_plans([fig5_quality_ref691(scale),
+                                   fig9_lag_cdf(scale),
+                                   fig10_churn(scale, fraction=0.2)])
     rows = write_result_csv(out("fig5_quality_by_class.csv"), fig5)
     print(f"  -> fig5_quality_by_class.csv ({rows} rows)")
 
-    print("running Figure 9 (lag CDFs)...")
-    fig9 = fig9_lag_cdf(scale)
     points = write_cdf_csv(out("fig9_lag_cdfs.csv"), fig9.extra["cdfs"])
     print(f"  -> fig9_lag_cdfs.csv ({points} points)")
     grid = write_rows_csv(out("fig9_lag_grid.csv"),
@@ -53,8 +56,6 @@ def main() -> None:
                           lag_grid_rows(fig9.extra["cdfs"], LAG_GRID))
     print(f"  -> fig9_lag_grid.csv ({grid} rows)")
 
-    print("running Figure 10 (20% churn)...")
-    fig10 = fig10_churn(scale, fraction=0.2)
     points = write_series_csv(out("fig10_churn_series.csv"),
                               fig10.extra["series"])
     print(f"  -> fig10_churn_series.csv ({points} points); "

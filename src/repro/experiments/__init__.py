@@ -4,10 +4,10 @@
 :class:`~repro.workloads.scenario.ScenarioConfig` into an
 :class:`~repro.experiments.runner.ExperimentResult`;
 :mod:`repro.experiments.figures` and :mod:`repro.experiments.tables`
-compute, for each figure and table of the paper's evaluation, the same
-rows/series the paper plots — submitting their scenario grids through
-:mod:`repro.experiments.parallel` (worker pools, in-worker summaries,
-resumable JSONL checkpoints) via :mod:`repro.experiments.gridrun`.
+plan, for each figure and table of the paper's evaluation, the same
+rows/series the paper plots; :mod:`repro.experiments.gridrun` runs the
+plans' scenario grids through :mod:`repro.experiments.parallel` (worker
+pools, in-worker summaries, resumable JSONL checkpoints).
 :mod:`repro.experiments.artifacts` is the registry that names them all.
 """
 

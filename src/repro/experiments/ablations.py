@@ -10,11 +10,10 @@ The paper's Section 5 names the levers this module explores:
 * capping the adapted fanout (the superpeer concern: "elevate certain
   wealthy nodes to the rank of temporary superpeers").
 
-Each ablation submits its whole parameter grid through
-:func:`repro.experiments.gridrun.grid_summaries` in one call (with the
-caller's ``**grid`` execution keywords); the
-module-level summary functions below run *inside* the workers (they are
-picklable and reduce a result to a few JSON-able scalars).
+Each ablation is a plan in the sense of :mod:`repro.experiments.gridrun`:
+it yields its whole parameter grid as cells, and the module-level
+summary functions below run *inside* the workers (they are picklable
+and reduce a result to a few JSON-able scalars).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import dataclasses
 from typing import Sequence
 
 from repro.analysis.stats import mean
-from repro.experiments.gridrun import grid_summaries
+from repro.experiments.gridrun import Plan
 from repro.experiments.scales import Scale, current_scale, scenario_at
 from repro.experiments.tables import TableResult
 from repro.metrics.lag import per_node_lag_jitter_free, spec_lag_jitter_free
@@ -80,8 +79,7 @@ SPEC_RICH_FANOUT = MetricSpec("ablation_rich_fanout", rich_fanout_summary)
 
 def ablation_aggregation(scale: Scale = None,
                          fanouts: Sequence[int] = (1, 3, 7),
-                         fresh_counts: Sequence[int] = (3, 10),
-                         **grid) -> TableResult:
+                         fresh_counts: Sequence[int] = (3, 10)) -> Plan:
     """Aggregation fanout / freshness vs estimate error and stream lag."""
     scale = scale or current_scale()
     points = [(fanout, fresh) for fanout in fanouts for fresh in fresh_counts]
@@ -92,9 +90,9 @@ def ablation_aggregation(scale: Scale = None,
             config.gossip, aggregation_fanout=fanout,
             aggregation_fresh_count=fresh))
         cells.append((config, (SPEC_AGGREGATION,)))
+    summaries = yield cells
     rows = []
-    for (fanout, fresh), summary in zip(points,
-                                        grid_summaries(cells, **grid)):
+    for (fanout, fresh), summary in zip(points, summaries):
         values = summary[SPEC_AGGREGATION.name]
         rows.append([f"fanout={fanout}", f"fresh={fresh}",
                      format_percent(100.0 * values["estimate_error"]),
@@ -109,8 +107,8 @@ def ablation_aggregation(scale: Scale = None,
 
 
 def ablation_retransmission(scale: Scale = None,
-                            loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
-                            **grid) -> TableResult:
+                            loss_rates: Sequence[float] = (0.0, 0.01, 0.03)
+                            ) -> Plan:
     """Retransmission on/off across datagram loss rates."""
     scale = scale or current_scale()
     points = [(loss, retransmission) for loss in loss_rates
@@ -122,9 +120,9 @@ def ablation_retransmission(scale: Scale = None,
         config = config.with_(gossip=dataclasses.replace(
             config.gossip, retransmission=retransmission))
         cells.append((config, (SPEC_DELIVERY_LAG,)))
+    summaries = yield cells
     rows = []
-    for (loss, retransmission), summary in zip(
-            points, grid_summaries(cells, **grid)):
+    for (loss, retransmission), summary in zip(points, summaries):
         values = summary[SPEC_DELIVERY_LAG.name]
         rows.append([f"loss={loss:.0%}",
                      "on" if retransmission else "off",
@@ -139,16 +137,16 @@ def ablation_retransmission(scale: Scale = None,
 
 
 def ablation_source_bias(scale: Scale = None,
-                         biases: Sequence[float] = (0.0, 1.0, 2.0),
-                         **grid) -> TableResult:
+                         biases: Sequence[float] = (0.0, 1.0, 2.0)) -> Plan:
     """Bias the source's first-hop selection towards rich nodes (§5)."""
     scale = scale or current_scale()
     spec = spec_lag_jitter_free()
     cells = [(scenario_at(scale, protocol="heap", distribution=MS_691,
                           source_bias=bias), (spec,))
              for bias in biases]
+    summaries = yield cells
     rows = []
-    for bias, summary in zip(biases, grid_summaries(cells, **grid)):
+    for bias, summary in zip(biases, summaries):
         values = summary[spec.name]
         lags = sorted(values)
         median = lags[len(lags) // 2]
@@ -162,8 +160,8 @@ def ablation_source_bias(scale: Scale = None,
 
 
 def ablation_fanout_cap(scale: Scale = None,
-                        caps: Sequence[float] = (0.0, 10.0, 14.0, 21.0),
-                        **grid) -> TableResult:
+                        caps: Sequence[float] = (0.0, 10.0, 14.0, 21.0)
+                        ) -> Plan:
     """Cap the adapted fanout (superpeer-risk knob; 0 = uncapped)."""
     scale = scale or current_scale()
     cells = []
@@ -172,8 +170,9 @@ def ablation_fanout_cap(scale: Scale = None,
         config = config.with_(gossip=dataclasses.replace(
             config.gossip, max_fanout=cap))
         cells.append((config, (SPEC_RICH_FANOUT,)))
+    summaries = yield cells
     rows = []
-    for cap, summary in zip(caps, grid_summaries(cells, **grid)):
+    for cap, summary in zip(caps, summaries):
         values = summary[SPEC_RICH_FANOUT.name]
         rich = values["rich_fanout"]
         rows.append(["uncapped" if cap == 0 else f"cap={cap:g}",

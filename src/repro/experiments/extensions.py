@@ -10,6 +10,9 @@ These exercise the forward-looking pieces the paper sketches:
   instead of configured ones;
 * **size estimation**: the ``ln(n)+c`` fanout rule fed by the push-pull
   size estimator instead of a known n.
+
+The first three are plans in the sense of :mod:`repro.experiments.gridrun`;
+size estimation drives its own small simulation and runs no grid.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import random
 from typing import Sequence
 
 from repro.analysis.stats import mean
-from repro.experiments.gridrun import grid_summaries
+from repro.experiments.gridrun import Plan
 from repro.experiments.scales import Scale, current_scale, scenario_at
 from repro.experiments.tables import TableResult
 from repro.freeriders.analysis import (
@@ -64,7 +67,7 @@ SPEC_CAPABILITY_GAP = MetricSpec("ext_capability_gap", capability_gap)
 
 
 def ext_freeriders(scale: Scale = None,
-                   fractions: Sequence[float] = (0.0, 0.1, 0.3)) -> TableResult:
+                   fractions: Sequence[float] = (0.0, 0.1, 0.3)) -> Plan:
     """Freerider impact and detection, by fraction and mode."""
     from repro.adversary import AttackMix
 
@@ -79,8 +82,9 @@ def ext_freeriders(scale: Scale = None,
                                      if fraction > 0 else None),
                           audit=True), (SPEC_FREERIDERS,))
              for mode, fraction in points]
+    summaries = yield cells
     rows = []
-    for (mode, fraction), summary in zip(points, grid_summaries(cells)):
+    for (mode, fraction), summary in zip(points, summaries):
         values = summary[SPEC_FREERIDERS.name]
         if fraction > 0:
             detection = (f"P={values['precision']:.2f} "
@@ -102,7 +106,7 @@ def ext_freeriders(scale: Scale = None,
                "detection", "contribution"])
 
 
-def ext_membership(scale: Scale = None) -> TableResult:
+def ext_membership(scale: Scale = None) -> Plan:
     """Full membership vs Cyclon partial views."""
     scale = scale or current_scale()
     lag_spec = spec_lag_jitter_free()
@@ -112,8 +116,9 @@ def ext_membership(scale: Scale = None) -> TableResult:
     cells = [(scenario_at(scale, protocol=protocol, distribution=REF_691,
                           membership=membership), (lag_spec,))
              for membership, protocol in points]
+    summaries = yield cells
     rows = []
-    for (membership, protocol), summary in zip(points, grid_summaries(cells)):
+    for (membership, protocol), summary in zip(points, summaries):
         lags = summary[lag_spec.name]
         reached = sum(1 for lag in lags if math.isfinite(lag))
         rows.append([membership, protocol, f"{reached}/{len(lags)}",
@@ -125,7 +130,7 @@ def ext_membership(scale: Scale = None) -> TableResult:
                "mean lag"])
 
 
-def ext_capability_discovery(scale: Scale = None) -> TableResult:
+def ext_capability_discovery(scale: Scale = None) -> Plan:
     """Configured capabilities vs join-time slow-start discovery."""
     scale = scale or current_scale()
     quality_spec = spec_jitter_free_fraction_by_class(10.0)
@@ -135,8 +140,9 @@ def ext_capability_discovery(scale: Scale = None) -> TableResult:
                           capability_discovery=discovery),
               (quality_spec, lag_spec, SPEC_CAPABILITY_GAP))
              for discovery in discoveries]
+    summaries = yield cells
     rows = []
-    for discovery, summary in zip(discoveries, grid_summaries(cells)):
+    for discovery, summary in zip(discoveries, summaries):
         rows.append(["discovery" if discovery else "configured",
                      format_percent(mean(summary[quality_spec.name].values())),
                      format_seconds(mean(summary[lag_spec.name])),

@@ -1,19 +1,13 @@
 """Per-figure experiment definitions.
 
-Each ``figN_*`` function runs the scenarios behind the corresponding
-figure of the paper's evaluation and returns a result object whose
+Each ``figN_*`` function plans the scenarios behind the corresponding
+figure of the paper's evaluation and builds a result object whose
 ``render()`` produces the same rows/series the figure plots, as an ASCII
-table.  Benches call these; examples reuse the cheaper ones.
-
-Every figure is ``figN(scale, **grid)`` and submits its scenario cells
-through :func:`repro.experiments.gridrun.grid_summaries` in **one** grid
-call, forwarding ``grid`` — the caller's execution keywords (``jobs=``,
-``checkpoint=``, ``progress=``, ...; declared there, once) — untouched:
-workers reduce their receiver logs to exactly the values the figure
-needs (``MetricSpec`` summaries), the grid engine fans cells out over
-``jobs=N`` processes (byte-identical to serial), already-computed
-cells come from the process-wide summary cache, and checkpointed runs resume
-after a kill.
+table.  Every one is a plan in the sense of
+:mod:`repro.experiments.gridrun`: it yields its cells, each naming the
+``MetricSpec`` reductions it reads, and
+:func:`~repro.experiments.gridrun.run_plans` (or
+:func:`repro.experiments.artifacts.render`) runs them.
 
 Lag CDFs follow the paper's two criteria:
 
@@ -27,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.cdf import Cdf
-from repro.experiments.gridrun import grid_summaries
+from repro.experiments.gridrun import Plan
 from repro.experiments.scales import Scale, current_scale, scenario_at
 from repro.metrics.bandwidth import spec_utilization_by_class
 from repro.metrics.jitter import spec_jitter_free_fraction_by_class, spec_jitter_values
@@ -77,11 +71,11 @@ def _lag_headers() -> List[str]:
 # ----------------------------------------------------------------------
 # Figure 1 — unconstrained uplinks, standard gossip, fanout 7
 # ----------------------------------------------------------------------
-def fig1_unconstrained(scale: Scale = None, **grid) -> FigureResult:
+def fig1_unconstrained(scale: Scale = None) -> Plan:
     scale = scale or current_scale()
     config = scenario_at(scale, protocol="standard", distribution=UNCONSTRAINED)
     spec = spec_lag_delivery(0.99)
-    (summary,) = grid_summaries([(config, (spec,))], **grid)
+    (summary,) = yield [(config, (spec,))]
     cdf = Cdf(summary[spec.name])
     rows = [cdf_row("standard f=7, unconstrained, 99% delivery", cdf, LAG_GRID)]
     percentiles = {q: cdf.percentile(q) for q in (0.5, 0.75, 0.9)}
@@ -96,8 +90,7 @@ def fig1_unconstrained(scale: Scale = None, **grid) -> FigureResult:
 # ----------------------------------------------------------------------
 def fig2_fanout_sweep(scale: Scale = None,
                       fanouts_dist1: Sequence[float] = (7, 15, 20, 25, 30),
-                      fanouts_dist2: Sequence[float] = (7, 15, 20),
-                      **grid) -> FigureResult:
+                      fanouts_dist2: Sequence[float] = (7, 15, 20)) -> Plan:
     # Eight runs: default to the reduced sweep population unless the
     # caller pins a scale explicitly.
     if scale is None:
@@ -112,9 +105,10 @@ def fig2_fanout_sweep(scale: Scale = None,
             config = config.with_(gossip=config.gossip.__class__(fanout=float(fanout)))
             cells.append((config, (spec,)))
             labels.append(f"f={int(fanout)} {'dist1' if dist is MS_691 else 'dist2'}")
+    summaries = yield cells
     rows = []
     cdfs: Dict[str, Cdf] = {}
-    for label, summary in zip(labels, grid_summaries(cells, **grid)):
+    for label, summary in zip(labels, summaries):
         cdf = Cdf(summary[spec.name])
         cdfs[label] = cdf
         rows.append(cdf_row(label, cdf, LAG_GRID))
@@ -127,13 +121,13 @@ def fig2_fanout_sweep(scale: Scale = None,
 # ----------------------------------------------------------------------
 # Figure 3 — HEAP on dist1
 # ----------------------------------------------------------------------
-def fig3_heap_dist1(scale: Scale = None, **grid) -> FigureResult:
+def fig3_heap_dist1(scale: Scale = None) -> Plan:
     scale = scale or current_scale()
     spec = spec_lag_delivery(0.99)
-    heap, std = grid_summaries([
+    heap, std = yield [
         (scenario_at(scale, protocol="heap", distribution=MS_691), (spec,)),
         (scenario_at(scale, protocol="standard", distribution=MS_691), (spec,)),
-    ], **grid)
+    ]
     cdf = Cdf(heap[spec.name])
     std_cdf = Cdf(std[spec.name])
     rows = [cdf_row("HEAP avg f=7, dist1, 99% delivery", cdf, LAG_GRID),
@@ -147,7 +141,7 @@ def fig3_heap_dist1(scale: Scale = None, **grid) -> FigureResult:
 # ----------------------------------------------------------------------
 # Figure 4 — bandwidth usage by class
 # ----------------------------------------------------------------------
-def fig4_bandwidth_usage(scale: Scale = None, **grid) -> FigureResult:
+def fig4_bandwidth_usage(scale: Scale = None) -> Plan:
     scale = scale or current_scale()
     spec = spec_utilization_by_class()
     panels = [(dist, sub, protocol)
@@ -155,10 +149,10 @@ def fig4_bandwidth_usage(scale: Scale = None, **grid) -> FigureResult:
               for protocol in ("standard", "heap")]
     cells = [(scenario_at(scale, protocol=protocol, distribution=dist), (spec,))
              for dist, sub, protocol in panels]
+    summaries = yield cells
     rows = []
     usage: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for (dist, sub, protocol), summary in zip(
-            panels, grid_summaries(cells, **grid)):
+    for (dist, sub, protocol), summary in zip(panels, summaries):
         util = summary[spec.name]
         usage[(sub, protocol)] = util
         for label, value in util.items():
@@ -192,11 +186,10 @@ def _quality_rows(dist, summaries, spec):
     return rows, data
 
 
-def fig5_quality_ref691(scale: Scale = None, lag: float = 10.0,
-                        **grid) -> FigureResult:
+def fig5_quality_ref691(scale: Scale = None, lag: float = 10.0) -> Plan:
     scale = scale or current_scale()
     cells, spec = _quality_cells(REF_691, scale, lag)
-    rows, data = _quality_rows(REF_691, grid_summaries(cells, **grid), spec)
+    rows, data = _quality_rows(REF_691, (yield cells), spec)
     return FigureResult(
         "Fig 5", f"jitter-free percentage of the stream by class (ref-691, "
         f"{lag:.0f}s lag)", rows,
@@ -204,12 +197,11 @@ def fig5_quality_ref691(scale: Scale = None, lag: float = 10.0,
         extra={"data": data})
 
 
-def fig6_quality_classes(scale: Scale = None, lag: float = 10.0,
-                         **grid) -> FigureResult:
+def fig6_quality_classes(scale: Scale = None, lag: float = 10.0) -> Plan:
     scale = scale or current_scale()
     cells_a, spec = _quality_cells(MS_691, scale, lag)
     cells_b, _ = _quality_cells(REF_724, scale, lag)
-    summaries = grid_summaries(cells_a + cells_b, **grid)
+    summaries = yield cells_a + cells_b
     rows_a, data_a = _quality_rows(MS_691, summaries[:2], spec)
     rows_b, data_b = _quality_rows(REF_724, summaries[2:], spec)
     return FigureResult(
@@ -222,18 +214,17 @@ def fig6_quality_classes(scale: Scale = None, lag: float = 10.0,
 # ----------------------------------------------------------------------
 # Figure 7 — CDF of experienced jitter (ref-691)
 # ----------------------------------------------------------------------
-def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0,
-                    **grid) -> FigureResult:
+def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0) -> Plan:
     scale = scale or current_scale()
     lag_spec = spec_jitter_values(lag)
     offline_spec = spec_jitter_values(OFFLINE)
     cells = [(scenario_at(scale, protocol=protocol, distribution=REF_691),
               (lag_spec, offline_spec))
              for protocol in ("standard", "heap")]
+    summaries = yield cells
     rows = []
     cdfs = {}
-    for protocol, summary in zip(("standard", "heap"),
-                                 grid_summaries(cells, **grid)):
+    for protocol, summary in zip(("standard", "heap"), summaries):
         for mode, spec in ((f"{lag:.0f}s lag", lag_spec),
                            ("offline", offline_spec)):
             cdf = Cdf(summary[spec.name])
@@ -249,7 +240,7 @@ def fig7_jitter_cdf(scale: Scale = None, lag: float = 10.0,
 # ----------------------------------------------------------------------
 # Figure 8 — average lag for a jitter-free stream by class
 # ----------------------------------------------------------------------
-def fig8_lag_by_class(scale: Scale = None, **grid) -> FigureResult:
+def fig8_lag_by_class(scale: Scale = None) -> Plan:
     scale = scale or current_scale()
     spec = spec_mean_lag_by_class()
     panels = [(dist, sub, protocol)
@@ -257,10 +248,10 @@ def fig8_lag_by_class(scale: Scale = None, **grid) -> FigureResult:
               for protocol in ("standard", "heap")]
     cells = [(scenario_at(scale, protocol=protocol, distribution=dist), (spec,))
              for dist, sub, protocol in panels]
+    summaries = yield cells
     rows = []
     data = {}
-    for (dist, sub, protocol), summary in zip(
-            panels, grid_summaries(cells, **grid)):
+    for (dist, sub, protocol), summary in zip(panels, summaries):
         means = summary[spec.name]
         data[(sub, protocol)] = means
         for label, value in means.items():
@@ -275,7 +266,7 @@ def fig8_lag_by_class(scale: Scale = None, **grid) -> FigureResult:
 # ----------------------------------------------------------------------
 # Figure 9 — lag CDFs, no-jitter and max-1%-jitter
 # ----------------------------------------------------------------------
-def fig9_lag_cdf(scale: Scale = None, **grid) -> FigureResult:
+def fig9_lag_cdf(scale: Scale = None) -> Plan:
     scale = scale or current_scale()
     free_spec = spec_lag_jitter_free()
     jitter_spec = spec_lag_max_jitter(0.01)
@@ -285,10 +276,10 @@ def fig9_lag_cdf(scale: Scale = None, **grid) -> FigureResult:
     cells = [(scenario_at(scale, protocol=protocol, distribution=dist),
               (free_spec, jitter_spec))
              for dist, sub, protocol in panels]
+    summaries = yield cells
     rows = []
     cdfs = {}
-    for (dist, sub, protocol), summary in zip(
-            panels, grid_summaries(cells, **grid)):
+    for (dist, sub, protocol), summary in zip(panels, summaries):
         for mode, spec in (("no jitter", free_spec),
                            ("max 1% jitter", jitter_spec)):
             cdf = Cdf(summary[spec.name])
@@ -304,7 +295,7 @@ def fig9_lag_cdf(scale: Scale = None, **grid) -> FigureResult:
 # Figure 10 — catastrophic failures
 # ----------------------------------------------------------------------
 def fig10_churn(scale: Scale = None, fraction: float = 0.2,
-                failure_time: float = None, **grid) -> FigureResult:
+                failure_time: float = None) -> Plan:
     """One churn panel (10a: fraction=0.2, 10b: fraction=0.5).
 
     The failure fires at 1/3 of the stream (t=60 s of 180 s in the paper),
@@ -332,7 +323,7 @@ def fig10_churn(scale: Scale = None, fraction: float = 0.2,
             scale, protocol=protocol, distribution=REF_691, duration=duration,
             churn=CatastrophicFailure(fraction=fraction, at_time=at_time))
         cells.append((config, tuple(specs)))
-    by_protocol = dict(zip(specs_by_protocol, grid_summaries(cells, **grid)))
+    by_protocol = dict(zip(specs_by_protocol, (yield cells)))
 
     rows = []
     series_by_label = {}

@@ -186,9 +186,9 @@ class ProgressEvent:
     #: The cell that just finished.
     record: RunRecord
     #: The cell's scenario value-identity — the same
-    #: :func:`~repro.workloads.scenario.scenario_key` string the summary
-    #: cache and checkpoint fingerprints use, so consumers can correlate
-    #: progress with cached state.
+    #: :func:`~repro.workloads.scenario.scenario_key` string the cell
+    #: dedupe and checkpoint fingerprints use, so consumers can correlate
+    #: progress with checkpointed state.
     cell_key: str
     #: True when the cell was reloaded from a checkpoint rather than
     #: executed (resume accounting: ``executed == total - restored``).

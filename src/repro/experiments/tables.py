@@ -1,10 +1,10 @@
 """Per-table experiment definitions (Tables 1-3 of the paper).
 
-Tables 2 and 3 submit their scenario cells through the parallel grid
-pipeline (:func:`repro.experiments.gridrun.grid_summaries`, which gets
-the caller's ``**grid`` execution keywords) — one grid call per table,
-in-worker per-class reductions, byte-identical for any ``jobs`` value,
-resumable from a JSONL checkpoint.
+Tables 2 and 3 are plans in the sense of
+:mod:`repro.experiments.gridrun`: each yields one cell per
+(distribution, protocol) pair with its per-class reduction, and
+:func:`~repro.experiments.gridrun.run_plans` runs them.  Table 1 is
+arithmetic on the distributions and runs nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.experiments.gridrun import grid_summaries
+from repro.experiments.gridrun import Plan
 from repro.experiments.scales import Scale, current_scale, scenario_at
 from repro.metrics.jitter import spec_mean_jittered_delivery_by_class
 from repro.metrics.lag import TABLE_LAGS, spec_jitter_free_pct_by_class
@@ -47,9 +47,7 @@ def table1_distributions(stream_rate_bps: float = 600 * KBPS) -> TableResult:
 
 
 #: (distribution, protocol) matrix shared by Tables 2 and 3 — identical
-#: cells, different reductions.  Every grid cell that runs computes both
-#: tables' reductions (:func:`repro.experiments.gridrun.table_specs`), so
-#: the figures' runs serve both tables through the summary cache.
+#: cells, different reductions: planned together, both tables share runs.
 _TABLE_MATRIX = [(dist, protocol)
                  for dist in (REF_691, REF_724, MS_691)
                  for protocol in ("standard", "heap")]
@@ -67,14 +65,15 @@ def _table_cells(scale: Scale, spec_for):
     return cells, specs
 
 
-def table2_jittered_delivery(scale: Scale = None, **grid) -> TableResult:
+def table2_jittered_delivery(scale: Scale = None) -> Plan:
     """Table 2: average delivery rate inside windows that cannot be decoded."""
     scale = scale or current_scale()
     cells, specs = _table_cells(scale, spec_mean_jittered_delivery_by_class)
+    summaries = yield cells
     rows = []
     data = {}
     for (dist, protocol), spec, summary in zip(_TABLE_MATRIX, specs,
-                                               grid_summaries(cells, **grid)):
+                                               summaries):
         ratios = summary[spec.name]
         data[(dist.name, protocol)] = ratios
         for label, value in ratios.items():
@@ -86,14 +85,15 @@ def table2_jittered_delivery(scale: Scale = None, **grid) -> TableResult:
         extra={"data": data})
 
 
-def table3_jitter_free_nodes(scale: Scale = None, **grid) -> TableResult:
+def table3_jitter_free_nodes(scale: Scale = None) -> Plan:
     """Table 3: % of nodes receiving a fully jitter-free stream, by class."""
     scale = scale or current_scale()
     cells, specs = _table_cells(scale, spec_jitter_free_pct_by_class)
+    summaries = yield cells
     rows = []
     data = {}
     for (dist, protocol), spec, summary in zip(_TABLE_MATRIX, specs,
-                                               grid_summaries(cells, **grid)):
+                                               summaries):
         lag = TABLE_LAGS[dist.name]
         percentages = summary[spec.name]
         data[(dist.name, protocol)] = percentages

@@ -162,10 +162,6 @@ class FaultPlan:
         return bool(self.crash_cells)
 
     @property
-    def has_cell_faults(self) -> bool:
-        return bool(self.crash_cells or self.stall_cells)
-
-    @property
     def has_shard_faults(self) -> bool:
         return (
             self.shard_exit is not None
@@ -189,18 +185,6 @@ class FaultPlan:
                 if cell == index:
                     return ("stall", seconds)
         return None
-
-    def without_shard_faults(self) -> Optional["FaultPlan"]:
-        """A copy with shard faults cleared (None if nothing remains)."""
-
-        if not (self.has_cell_faults or self.torn_checkpoint is not None):
-            return None
-        return FaultPlan(
-            crash_cells=self.crash_cells,
-            stall_cells=self.stall_cells,
-            torn_checkpoint=self.torn_checkpoint,
-            text=self.text,
-        )
 
     def to_text(self) -> str:
         """The canonical text form (what was parsed, if available)."""

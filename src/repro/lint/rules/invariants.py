@@ -109,6 +109,11 @@ INVARIANTS: Tuple[Invariant, ...] = (
               "run_sharded takes its supervision as an argument, never "
               "from process-wide state ('Retire the --shards surface')",
               "supervision = default_shard_supervision()"),
+    Invariant(r"_SUMMARY_CACHE|clear_summary_cache|table_specs",
+              ("src/repro", "benchmarks", "examples", "tests"), (),
+              "artifacts plan and one call runs them, so no cache or "
+              "precomputed spec outlives that call ('Artifacts plan, one "
+              "driver runs')", "clear_summary_cache()"),
 )
 
 def tree_path(path: str) -> Optional[str]:

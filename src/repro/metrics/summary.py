@@ -16,7 +16,7 @@ Contracts every spec must honour:
   inf/nan, strings, lists/tuples, string-keyed dicts) so grid runs can
   checkpoint records to JSONL and resume after a kill;
 * the value must be a pure function of the run, so serial and parallel
-  executions are byte-identical and cached summaries are coherent.
+  executions are byte-identical and checkpointed summaries are coherent.
 
 Spec constructors for the paper's metric families live next to the
 metrics themselves (:mod:`repro.metrics.lag`, :mod:`repro.metrics.jitter`,
@@ -39,7 +39,7 @@ SummaryFn = Callable[["ExperimentResult"], object]
 class MetricSpec:
     """One named in-worker reduction of an ``ExperimentResult``.
 
-    The ``name`` doubles as the cache/checkpoint identity of the
+    The ``name`` doubles as the dedupe/checkpoint identity of the
     reduction, so it must encode every parameter that changes the value
     (e.g. ``lag_delivery_0.99``, ``jitter_values_10``) — two specs with
     the same name are assumed interchangeable.
@@ -61,18 +61,10 @@ def summarize(result: "ExperimentResult",
 def standard_bundle() -> Tuple[MetricSpec, ...]:
     """The predeclared spec bundle for the protocol×distribution matrix.
 
-    Every reduction any headline figure/table derives from a plain
+    Every reduction any headline figure derives from a plain
     (protocol, distribution) run: the three lag families, per-class
-    means/utilization/quality, and the two jitter CDF sample sets.  The
-    grid pipeline computes this bundle alongside whatever a figure
-    explicitly requested whenever a cell actually *runs*, so at
-    ``--jobs N`` — where workers ship summaries, not full results — a
-    second figure touching the same scenario finds its reductions
-    already cached instead of re-running the cell.
-
-    Computing a summary costs milliseconds against the seconds of the
-    run it summarizes, so over-computing by this fixed set is the cheap
-    side of the trade in every realistic grid.
+    means/utilization/quality, and the two jitter CDF sample sets — one
+    summary of a run that parity and golden checks compare whole.
 
     Constructors are imported lazily: the metric modules import
     :class:`MetricSpec` from here at module load.

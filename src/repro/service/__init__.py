@@ -6,11 +6,10 @@ grid-middleware mold: clients *submit* jobs over HTTP/JSON, a resident
 persistent supervised child process driving the same ``run_grid``
 pipeline the CLI uses — and results/artifacts are served back, with
 live progress streamed as Server-Sent Events.  The point of residency
-is warmth: an executor's jobs share its grid summary cache, and all
-share one managed checkpoint directory, so overlapping grids from
-different clients are summary-cache hits, and a
-cancelled or crashed job resubmitted with the same spec resumes from
-its checkpoint instead of starting over.
+is that jobs share one managed checkpoint directory and the retained
+jobs: a spec identical to a queued, running or finished job is answered
+by that job, and a cancelled or crashed job resubmitted with the same
+spec resumes from its checkpoint instead of starting over.
 
 Layering (engine and serving kept separate, FReD-style):
 

@@ -4,12 +4,12 @@ A :class:`JobManager` owns a bounded submission queue, N executor
 slots and a managed checkpoint directory.  Each slot is a thread that
 drives one *persistent* supervised child process
 (:class:`~repro.faults.supervise.Supervisor`) — the job runs in the
-child, so the warm state jobs share (the grid summary cache of
-:mod:`repro.experiments.gridrun`; no run result outlives its cell)
-lives there and survives from job to job, while a job that must stop
-*can be stopped*: the child is killed and replaced.  Jobs move
+child, which keeps nothing from one job to the next (no run result
+outlives its cell), so a job that must stop *can be stopped*: the
+child is killed and replaced.  Jobs move
 ``queued -> running -> done | failed | cancelled``.  A spec that is
-already queued, running or retained ``done`` is answered by that job.
+already queued, running or retained ``done`` is answered by that job;
+nothing else is shared between jobs but the checkpoint directory.
 
 Durability comes from the checkpoint layer, not from any service-side
 database: every grid-backed job binds to a JSONL checkpoint keyed by
@@ -234,9 +234,9 @@ class JobManager:
         #: fingerprint -> [consecutive failures, monotonic last failure].
         self._failure_ledger: Dict[str, List[float]] = {}
         #: Grid worker processes per job (1 = serial inside the executor
-        #: child).  Either way a job's cells keep no result: later jobs
-        #: reuse only the summary cache, or the retained job of an
-        #: identical spec (:meth:`submit`).
+        #: child).  Either way a job's cells keep no result: a later job
+        #: reuses only the retained job of an identical spec
+        #: (:meth:`submit`) or its own managed checkpoint.
         self.grid_jobs = max(1, grid_jobs)
         #: Most jobs in state ``queued`` at once; ``submit`` counts them,
         #: so a job cancelled while queued frees its slot at once.
@@ -282,12 +282,23 @@ class JobManager:
         identical to a retained ``done`` job, unless either carries
         ``faults``: results are pure functions of the spec, so the
         finished job *is* the answer, while a faulted submission asks
-        for the run itself.  Raises ``ValueError`` for an invalid spec
-        and :class:`QueueFullError` when the bounded queue is at
-        capacity.
+        for the run itself.  Raises ``ValueError`` for an invalid spec or
+        for ``crash-cell`` faults this manager's grids cannot inject (no
+        worker pool, or a single cell), and :class:`QueueFullError` when
+        the bounded queue is at capacity.
         """
         spec = JobSpec(kind=kind, params=dict(params or {}))
         fingerprint = spec.fingerprint()  # validates; may raise ValueError
+        if kind in ("run", "sweep"):
+            sweep = spec.sweep_spec()
+            plan = sweep.fault_plan()
+            if plan is not None and plan.has_pool_faults and (
+                    self.grid_jobs <= 1 or sweep.cell_count() < 2):
+                raise ValueError(
+                    f"crash-cell faults kill a grid worker, so they need a "
+                    f"worker pool over 2+ cells; this service runs "
+                    f"{self.grid_jobs} grid worker(s) per job (--grid-jobs) "
+                    f"and the spec has {sweep.cell_count()} cell(s)")
         with self._lock:
             if self._stopping:
                 raise QueueFullError("manager is shutting down")

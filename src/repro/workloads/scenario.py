@@ -278,8 +278,8 @@ def scenario_key(config: ScenarioConfig) -> str:
     Derived from *every* field so newly added scenario options can never
     alias two different experiments; object-valued fields are reduced to
     stable identities (distributions by name, churn by its configuration,
-    never its per-run state).  The same key is used by the grid summary
-    cache and the JSONL checkpoint fingerprint, so both agree on what
+    never its per-run state).  The same key is used by the grid's cell
+    dedupe and the JSONL checkpoint fingerprint, so both agree on what
     "the same run" means.
     """
     import dataclasses

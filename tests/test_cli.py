@@ -201,7 +201,6 @@ class TestGridFlags:
         """Execution flags reach the grid as arguments of *that* call: a
         second render in the same process sees none of the first's."""
         from repro.experiments import gridrun
-        from repro.experiments.gridrun import clear_summary_cache
 
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         seen = []
@@ -215,11 +214,9 @@ class TestGridFlags:
         monkeypatch.setattr(gridrun, "run_grid", recording)
         path = str(tmp_path / "fig5.jsonl")
         argv = ["figure", "fig5", "--scale", "quick", "--quiet"]
-        clear_summary_cache()
         assert main(argv + ["--jobs", "2", "--checkpoint", path,
                             "--resume"]) == 0
         first = capsys.readouterr().out
-        clear_summary_cache()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         assert seen == [(2, path, True), (1, None, False)]

@@ -1,28 +1,19 @@
 """Structure tests for the extension experiment definitions (tiny scale)."""
 
-import pytest
-
 from repro.experiments.extensions import (
     ext_capability_discovery,
     ext_freeriders,
     ext_membership,
     ext_size_estimation,
 )
-from repro.experiments.gridrun import clear_summary_cache
+from repro.experiments.gridrun import run_plans
 from repro.experiments.scales import Scale
 
 TINY = Scale("tiny-ext", 30, 6.0, 15.0)
 
 
-@pytest.fixture(autouse=True, scope="module")
-def fresh_cache():
-    clear_summary_cache()
-    yield
-    clear_summary_cache()
-
-
 def test_ext_freeriders_rows_and_render():
-    table = ext_freeriders(TINY, fractions=(0.0, 0.2))
+    (table,) = run_plans([ext_freeriders(TINY, fractions=(0.0, 0.2))])
     text = table.render()
     assert "freeriders" in text.lower()
     modes = {row[0] for row in table.rows}
@@ -37,7 +28,7 @@ def test_ext_freeriders_rows_and_render():
 
 
 def test_ext_membership_covers_grid():
-    table = ext_membership(TINY)
+    (table,) = run_plans([ext_membership(TINY)])
     keys = {(row[0], row[1]) for row in table.rows}
     assert keys == {("directory", "standard"), ("directory", "heap"),
                     ("cyclon", "standard"), ("cyclon", "heap")}
@@ -47,7 +38,7 @@ def test_ext_membership_covers_grid():
 
 
 def test_ext_capability_discovery_rows():
-    table = ext_capability_discovery(TINY)
+    (table,) = run_plans([ext_capability_discovery(TINY)])
     kinds = [row[0] for row in table.rows]
     assert kinds == ["configured", "discovery"]
     for row in table.rows:

@@ -15,7 +15,7 @@ from repro.experiments.figures import (
     fig7_jitter_cdf,
     fig10_churn,
 )
-from repro.experiments.gridrun import clear_summary_cache
+from repro.experiments.gridrun import run_plans
 from repro.experiments.scales import QUICK, Scale, scenario_at
 from repro.experiments.tables import (
     table1_distributions,
@@ -23,13 +23,6 @@ from repro.experiments.tables import (
 )
 
 TINY = Scale("tiny", 30, 6.0, 15.0)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def fresh_cache():
-    clear_summary_cache()
-    yield
-    clear_summary_cache()
 
 
 class TestScales:
@@ -59,30 +52,30 @@ class TestFigureDefinitions:
         assert len(table.rows) == 3
 
     def test_fig1_structure(self):
-        fig = fig1_unconstrained(TINY)
+        (fig,) = run_plans([fig1_unconstrained(TINY)])
         assert "Fig 1" in fig.render()
         assert 0.5 in fig.extra["percentiles"]
         assert len(fig.extra["cdf"]) == TINY.n_nodes - 1
 
     def test_fig4_covers_both_panels_and_protocols(self):
-        fig = fig4_bandwidth_usage(TINY)
+        (fig,) = run_plans([fig4_bandwidth_usage(TINY)])
         assert set(fig.extra["usage"]) == {
             ("4a", "standard"), ("4a", "heap"),
             ("4b", "standard"), ("4b", "heap")}
 
     def test_fig5_data_by_protocol_and_class(self):
-        fig = fig5_quality_ref691(TINY)
+        (fig,) = run_plans([fig5_quality_ref691(TINY)])
         data = fig.extra["data"]
         assert set(data) == {"standard", "heap"}
         assert set(data["heap"]) == {"256kbps", "768kbps", "2Mbps"}
 
     def test_fig7_has_four_series(self):
-        fig = fig7_jitter_cdf(TINY)
+        (fig,) = run_plans([fig7_jitter_cdf(TINY)])
         assert len(fig.extra["cdfs"]) == 4
         assert len(fig.rows) == 4
 
     def test_fig10_churn_series(self):
-        fig = fig10_churn(TINY, fraction=0.2)
+        (fig,) = run_plans([fig10_churn(TINY, fraction=0.2)])
         series = fig.extra["series"]
         assert set(series) == {"heap - 12s lag", "standard - 20s lag",
                                "standard - 30s lag"}
@@ -90,7 +83,7 @@ class TestFigureDefinitions:
             assert all(0.0 <= frac <= 100.0 for _, _, frac in points)
 
     def test_table3_lags_follow_paper(self):
-        table = table3_jitter_free_nodes(TINY)
+        (table,) = run_plans([table3_jitter_free_nodes(TINY)])
         text = table.render()
         assert "ms-691 (20s lag)" in text
         assert "ref-691 (10s lag)" in text

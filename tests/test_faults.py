@@ -96,7 +96,7 @@ class TestFaultPlan:
         assert plan.shard_stall == (0, 2, 1.5)
         assert plan.drop_wire == (1, 4)
         assert plan.torn_checkpoint == 2
-        assert plan.has_pool_faults and plan.has_cell_faults
+        assert plan.has_pool_faults
         assert plan.has_shard_faults
 
     def test_round_trips_through_text(self):
@@ -145,13 +145,6 @@ class TestFaultPlan:
         assert plan.cell_fault(2, 0) == ("stall", 0.5)
         assert plan.cell_fault(2, 1) is None
         assert plan.cell_fault(0, 0) is None
-
-    def test_without_shard_faults(self):
-        plan = FaultPlan.parse("crash-cell=1,shard-exit=0@2")
-        stripped = plan.without_shard_faults()
-        assert stripped.crash_cells == ((1, 1),)
-        assert not stripped.has_shard_faults
-        assert FaultPlan.parse("shard-exit=0@2").without_shard_faults() is None
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ import urllib.request
 import pytest
 
 from repro.cli import main
-from repro.experiments.gridrun import clear_summary_cache
 from repro.service import ExperimentService, JobManager
 from repro.service.client import ServiceClient, ServiceError
 from repro.faults.supervise import Supervisor, task_worker
@@ -299,6 +298,34 @@ class TestErrorPaths:
         assert response.status == 400
         assert field in json.loads(response.body)["error"]
         assert service.manager.jobs() == []
+
+    def test_crash_cell_without_a_pool_is_400_at_submit(self, service):
+        """crash-cell kills a pool worker: a serial grid (the default
+        --grid-jobs 1) cannot inject it, so submit refuses it before a
+        job exists or a failure counts toward quarantine."""
+        from repro.service.api import handle_request
+
+        for kind, params in (
+                ("sweep", dict(SWEEP, faults="crash-cell=0")),
+                ("run", dict(SWEEP, num_seeds=1, faults="crash-cell=0"))):
+            body = json.dumps({"kind": kind, "params": params}).encode("utf-8")
+            response = handle_request(service.manager, "POST", "/v1/jobs",
+                                      body)
+            assert response.status == 400, (kind, response.body)
+            assert "crash-cell" in json.loads(response.body)["error"]
+        assert service.manager.jobs() == []
+        assert service.manager.quarantined_count() == 0
+
+    def test_crash_cell_on_one_cell_is_refused_with_a_pool(self, tmp_path):
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=1, grid_jobs=2)
+        try:
+            with pytest.raises(ValueError, match="1 cell"):
+                manager.submit("sweep", dict(SWEEP, num_seeds=1,
+                                             faults="crash-cell=0"))
+            assert manager.jobs() == []
+        finally:
+            manager.shutdown()
 
     @pytest.mark.parametrize("declared, status", [
         ("abc", 400),       # used to raise out of the handler
@@ -614,7 +641,6 @@ class TestSupervision:
     def test_render_jobs_run_side_by_side(self, tmp_path):
         """Two executors make progress on two render jobs at the same
         time — no process-wide render lock serialises them."""
-        clear_summary_cache()  # executor children fork from this process
         manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
                              executors=2)
         try:
@@ -690,9 +716,9 @@ class TestSupervision:
         svc = ExperimentService(manager, port=0)
         svc.serve_background()
         client = ServiceClient(svc.url, timeout=60.0)
-        # crash-cell faults need a worker pool; the service grid is
-        # serial, so the job fails deterministically at submit-to-run.
-        poison = dict(SWEEP, faults="crash-cell=0")
+        # torn-checkpoint aborts the grid after its first checkpointed
+        # cell, so every run of this spec fails deterministically.
+        poison = dict(SWEEP, faults="torn-checkpoint=1")
         try:
             job_id = client.submit("sweep", poison)["job"]["id"]
             assert client.wait(job_id, timeout=300)["state"] == "failed"
@@ -729,7 +755,7 @@ class TestSupervision:
             # an execution circumstance), so the quarantine would block
             # the clean resubmission too — until a success clears it.
             poison, _ = manager.submit(
-                "sweep", dict(SWEEP, faults="crash-cell=0"))
+                "sweep", dict(SWEEP, faults="torn-checkpoint=1"))
             self._wait_state(poison, ("failed",))
             with pytest.raises(SpecQuarantined):
                 manager.submit("sweep", SWEEP)
