@@ -289,7 +289,6 @@ def _cmd_serve(args) -> int:
         manager = JobManager(checkpoint_dir=args.checkpoint_dir,
                              executors=args.jobs,
                              queue_size=args.queue_size,
-                             grid_jobs=args.grid_jobs,
                              job_ttl=args.job_ttl,
                              job_timeout=args.job_timeout)
     except ValueError as exc:
@@ -514,10 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="listen port (0 = ephemeral; default "
                                    "8642)")
     serve_parser.add_argument("--jobs", type=int, default=1,
-                              help="executor processes (concurrent jobs)")
-    serve_parser.add_argument("--grid-jobs", type=int, default=1,
-                              help="worker processes per grid job (1 = "
-                                   "serial, inside the executor)")
+                              help="worker processes every job's cells "
+                                   "share, and most jobs run at once")
     serve_parser.add_argument("--queue-size", type=int, default=16,
                               help="bounded submission queue (full = "
                                    "HTTP 503)")
@@ -537,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="SECS",
                               help="watchdog: a running job that makes "
                                    "no progress for SECS > 0 is failed "
-                                   "and its executor process killed and "
-                                   "replaced (default: no watchdog)")
+                                   "and its busy worker processes killed "
+                                   "and replaced (default: no watchdog)")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress per-request access logs")
 

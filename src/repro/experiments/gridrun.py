@@ -65,6 +65,7 @@ def grid_summaries(cells: Sequence[Cell], *,
                    resume: bool = False,
                    checkpoint_gc: bool = False,
                    progress: Optional[ProgressCallback] = None,
+                   pool=None,
                    ) -> List[Dict[str, object]]:
     """Compute every cell's summaries; one name->value dict per cell,
     in cell order.
@@ -74,8 +75,8 @@ def grid_summaries(cells: Sequence[Cell], *,
 
     The keywords say how to run, never what: ``jobs`` (None resolves
     ``REPRO_JOBS``), ``start_method``, ``checkpoint``, ``resume``,
-    ``checkpoint_gc`` and ``progress`` are :func:`run_grid`'s.  A cell
-    that fault supervision quarantined raises :class:`ValueError`.
+    ``checkpoint_gc``, ``progress`` and ``pool`` are :func:`run_grid`'s.
+    A cell that fault supervision quarantined raises :class:`ValueError`.
     """
     unique: Dict[str, Tuple[ScenarioConfig, Dict[str, MetricSpec]]] = {}
     keys: List[str] = []
@@ -95,7 +96,7 @@ def grid_summaries(cells: Sequence[Cell], *,
                     progress=progress, start_method=start_method,
                     summaries=[tuple(wanted.values()) for _, wanted in runs],
                     checkpoint=checkpoint, resume=resume,
-                    checkpoint_gc=checkpoint_gc)
+                    checkpoint_gc=checkpoint_gc, pool=pool)
     if grid.failures:
         failure = grid.failures[0]
         config = runs[failure.scenario_index][0]

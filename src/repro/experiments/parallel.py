@@ -57,8 +57,10 @@ cells runs up to N x M shard processes, with the same bytes out.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import hashlib
+import multiprocessing
 import os
 import pickle
 import time
@@ -71,7 +73,7 @@ from repro.faults.failures import (CellFailure, TornCheckpointInjected,
                                    render_failures)
 from repro.faults.inject import apply_cell_fault
 from repro.faults.policy import SupervisionPolicy
-from repro.faults.pool import SupervisedPool
+from repro.faults.pool import SupervisedPool, Tenant
 from repro.faults.supervise import default_start_method
 from repro.metrics.export import append_jsonl, read_jsonl
 from repro.metrics.summary import MetricSpec, summarize
@@ -302,9 +304,8 @@ def _run_cell(payload) -> Tuple[int, RunRecord]:
     is garbage, freed by nothing but the cyclic collector.
     ``Simulator.run`` pauses that collector, so the next cell's run
     would be over before a pass came due: every cell collects here,
-    once, where its garbage is.  In a supervised child (pool worker,
-    service executor) that pass walks only what the child made after
-    freezing the heap it inherited or imported
+    once, where its garbage is.  In a pool worker that pass walks only
+    what the child made after freezing the heap it inherited or imported
     (``repro.faults.supervise._child_main``): the cell's objects, and
     nothing an earlier cell kept.  In-process it walks the caller's heap
     too, which this function never freezes.
@@ -330,12 +331,6 @@ def _run_cell(payload) -> Tuple[int, RunRecord]:
         wire=result.net.stats.wire_summary(),
     )
     return index, record
-
-
-def _execute(payload, _emit) -> Tuple[int, RunRecord]:
-    """Pool entry point (a ``task_worker`` runner that emits no progress
-    frames).  Module-level so it pickles to worker processes."""
-    return _run_cell(payload)
 
 
 def _available_cpus() -> int:
@@ -469,6 +464,7 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
              checkpoint_gc: bool = False,
              faults=None,
              supervision: Optional[SupervisionPolicy] = None,
+             pool=None,
              ) -> GridResult:
     """Run every ``config`` under every seed and collect compact records.
 
@@ -497,9 +493,12 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     merged in grid order, so the outcome is bit-identical for any
     ``jobs`` value — only the wall time changes.
 
+    ``pool`` (a :class:`~repro.faults.pool.Tenant` of a long-lived
+    ``SupervisedPool`` over :func:`_run_cell`, whose ``stop`` raises
+    ``RunStopped`` here) runs every cell, whatever ``jobs`` says.
     ``faults`` takes a :class:`~repro.faults.plan.FaultPlan` whose cell
     and checkpoint clauses are injected deterministically (shard clauses
-    travel on the configs instead); ``supervision`` tunes the pool's
+    travel on the configs instead); ``supervision`` tunes the run's
     :class:`~repro.faults.policy.SupervisionPolicy` (retry budget,
     backoff, per-attempt timeout).  A crashed or wedged worker costs a
     retry, never the sweep: a cell that out-dies its budget becomes a
@@ -611,11 +610,12 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
 
     # A pool on a 1-CPU host is pure overhead; run in-process unless the
     # caller pinned a start method (the parity tests do, to force the
-    # pool path regardless of host).
+    # pool path regardless of host) or brought a pool of its own.
     crash_faults = faults is not None and faults.has_pool_faults
-    serial = (jobs <= 1 or len(pending) <= 1
-              or (start_method is None and not crash_faults
-                  and _available_cpus() <= 1))
+    serial = pool is None and (
+        jobs <= 1 or len(pending) <= 1
+        or (start_method is None and not crash_faults
+            and _available_cpus() <= 1))
     if crash_faults and serial:
         raise ValueError(
             "worker-crash fault injection needs a worker pool: pass "
@@ -634,34 +634,34 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
                     # runs late, which is what per-attempt timeouts and
                     # the service watchdog are supervised against.
                     apply_cell_fault(faults.cell_fault(payload[0], 0))
-                index, record = _run_cell(payload)
-                finish(index, record)
+                finish(*_run_cell(payload))
         else:
-            import multiprocessing
-
-            method = start_method or default_start_method()
-            if method == "spawn":
-                _check_spawn_importable(metric_items, specs_by_scenario)
-            ctx = multiprocessing.get_context(method)
-            workers = min(jobs, len(pending))
-            payload_by_index = {p[0]: p for p in pending}
-            fault_for = faults.cell_fault if faults is not None else None
-            with SupervisedPool(ctx, workers, _execute,
-                                policy=supervision) as pool:
-                for outcome in pool.run([(p[0], p) for p in pending],
-                                        fault_for=fault_for):
+            with contextlib.ExitStack() as stack:
+                if pool is None:
+                    method = start_method or default_start_method()
+                    if method == "spawn":
+                        _check_spawn_importable(metric_items,
+                                                specs_by_scenario)
+                    pool = Tenant(stack.enter_context(contextlib.closing(
+                        SupervisedPool(multiprocessing.get_context(method),
+                                       min(jobs, len(pending)), _run_cell))))
+                outcomes = stack.enter_context(contextlib.closing(pool.run(
+                    [(p[0], p) for p in pending], policy=supervision,
+                    fault_for=(faults.cell_fault if faults is not None
+                               else None))))
+                for outcome in outcomes:
                     if outcome[0] == "ok":
-                        index, record = outcome[2]
-                        finish(index, record)
+                        finish(*outcome[2])
+                    elif outcome[0] == "retry":
+                        cell_retries += 1
                     else:
                         _tag, key, kind, attempts, message = outcome
-                        payload = payload_by_index[key]
+                        payload = payloads[key]
                         failures.append(CellFailure(
                             index=key, scenario_index=payload[1],
                             scenario_name=payload[2], seed_index=payload[3],
                             seed=payload[4].seed, kind=kind,
                             attempts=attempts, message=message))
-                cell_retries = pool.retries
     finally:
         if checkpoint_fh is not None:
             checkpoint_fh.close()

@@ -55,8 +55,11 @@ def current_scale() -> Scale:
 
 
 def scenario_at(scale: Scale, **overrides) -> ScenarioConfig:
-    """A ScenarioConfig at the given scale, with overrides applied."""
+    """A ScenarioConfig at the given scale, with overrides applied; named
+    ``"<protocol> <distribution>"`` (both in its key) unless overridden."""
     base = dict(n_nodes=scale.n_nodes, duration=scale.duration,
                 drain=scale.drain, seed=42)
     base.update(overrides)
-    return ScenarioConfig(**base)
+    config = ScenarioConfig(**base)
+    return config if "name" in overrides else config.with_(
+        name=f"{config.protocol} {config.distribution.name}")

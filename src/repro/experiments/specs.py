@@ -269,9 +269,6 @@ class SweepSpec(_ParamSpec):
             metrics.update(ATTACK_GRID_METRICS)
         return metrics
 
-    def cell_count(self) -> int:
-        return len(self.protocols) * len(self.seed_list())
-
     def run(self, **execution):
         """Run the grid this spec describes — the one executor behind
         ``repro sweep`` and the service's ``run``/``sweep`` jobs.

@@ -7,17 +7,14 @@ barrier, slow-worker stalls, torn checkpoint writes, corrupted shard
 wire buffers), and supervision turns every one of those failures into
 a bounded, observable, retried-or-degraded outcome.
 
-Supervision is one mechanism with three clients.  The mechanism is
-:class:`~repro.faults.supervise.Supervisor`: child processes over
-duplex pipes and one ``wait`` that says whether a child sent a frame,
-exited (with its exit code) or overran its deadline — nothing else in
-the tree touches a process sentinel.  The clients are the grid pool
-(:mod:`repro.faults.pool`: a lost cell costs a retry), the shard
-coordinator (``repro.net.shard``: a lost shard costs a scenario
-restart) and the service's job executors (``repro.service.jobs``: a
-wedged or cancelled job costs its executor child, which is killed and
-replaced); the budgets and back-offs they apply live in
-:mod:`repro.faults.policy`.
+Supervision is one mechanism with two clients.  The mechanism is
+:class:`~repro.faults.supervise.Supervisor`, the only code that touches
+a process sentinel: its one ``wait`` says whether a child sent a frame,
+exited (with its exit code) or overran its deadline.  The clients are
+the worker pool (:mod:`repro.faults.pool`: a lost cell costs a retry; a
+stopped run, such as a cancelled service job, costs its busy workers)
+and the shard coordinator (``repro.net.shard``: a lost shard costs a
+scenario restart); their budgets live in :mod:`repro.faults.policy`.
 
 Two invariants anchor the design:
 

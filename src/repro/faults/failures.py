@@ -91,15 +91,6 @@ class ShardFailure(RuntimeError):
             message = f"{message}: {detail}"
         super().__init__(message)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "shard": self.shard,
-            "window_index": self.window_index,
-            "last_barrier": self.last_barrier,
-            "reason": self.reason,
-            "detail": self.detail,
-        }
-
 
 class TornCheckpointInjected(RuntimeError):
     """Raised after the torn-checkpoint-write fault tears the file."""

@@ -2,23 +2,21 @@
 
 :mod:`repro.faults.supervise` is the one *mechanism* — it waits on
 child processes and says whether one spoke, died or fell silent.  This
-module is the only place the *policy* lives: what each of the three
-clients does about it, and every back-off that is ever computed.
+module is the only place the *policy* lives: what its two clients do
+about it, and every back-off that is ever computed.
 
-* :class:`SupervisionPolicy` — the grid worker pool: how many times a
-  lost cell is retried, how the backoff between attempts grows, and
-  (optionally) how long a single attempt may run before the worker is
-  presumed wedged and killed.
+* :class:`SupervisionPolicy` — one run on the worker pool (a grid, or a
+  service job): how many times a lost cell is retried, how the backoff
+  grows, and (optionally) how long one attempt may run before its
+  worker is presumed wedged and killed.
 * :class:`ShardSupervision` — the sharded scenario driver: how many
   times ``run_sharded`` restarts a failed scenario from scratch, and
   how long the coordinator waits at a window barrier before declaring
-  a silent shard wedged.
-* :func:`quarantine_backoff` — the service: how long a crash-looping
-  spec is refused (its other knobs, ``job_timeout`` and
-  ``quarantine_after``, are ``JobManager`` parameters).
-
-``ShardSupervision`` is a parameter of ``run_sharded`` only; a sharded
-scenario reached through ``run_scenario`` runs under the defaults.
+  a silent shard wedged.  A sharded scenario reached through
+  ``run_scenario`` runs under the defaults.
+* :func:`quarantine_backoff` — how long the service refuses a
+  crash-looping spec (``job_timeout`` and ``quarantine_after`` are
+  ``JobManager`` parameters).
 """
 
 from dataclasses import dataclass

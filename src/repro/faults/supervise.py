@@ -1,13 +1,13 @@
 """Supervisor: the one loop that waits on child processes.
 
-Every execution layer that hands work to another process — the grid
-pool (:mod:`repro.faults.pool`), the shard coordinator
-(:mod:`repro.net.shard`) and the service's job executors
-(:mod:`repro.service.jobs`) — needs the same three answers about a
-child it is waiting for: *did it say something, did it die, or has it
-been silent too long?*  This module is the only place that question is
-asked.  A :class:`Supervisor` owns *child process + duplex pipe* pairs
-and classifies every wake-up of its single :meth:`Supervisor.wait` as
+Every execution layer that hands work to another process — the worker
+pool (:mod:`repro.faults.pool`, which the grid engine and the service
+both run cells on) and the shard coordinator (:mod:`repro.net.shard`) —
+needs the same three answers about a child it is waiting for: *did it
+say something, did it die, or has it been silent too long?*  This module
+is the only place that question is asked.  A :class:`Supervisor` owns
+*child process + duplex pipe* pairs and classifies every wake-up of its
+single :meth:`Supervisor.wait` as
 
 * ``"message"`` — a frame arrived on the child's pipe (payload: the
   frame);
@@ -17,12 +17,9 @@ and classifies every wake-up of its single :meth:`Supervisor.wait` as
 * ``"deadline"`` — the child's armed deadline passed with neither.
 
 Mechanism only: what a silent or dead child *costs* (a retry, a
-restart, a failed job) is decided by the client from
-:mod:`repro.faults.policy`.  All wall-clock reads go through
-:mod:`repro.faults.clock`.
-
-:func:`task_worker` is the child-side loop the pool and the service
-share: recv task -> apply injected fault -> run -> reply.
+restart) is decided by the client from :mod:`repro.faults.policy`.  All
+wall-clock reads go through :mod:`repro.faults.clock`.  Several threads
+may wait at once, each on its own children.
 """
 
 import gc
@@ -52,19 +49,10 @@ def default_start_method() -> str:
 
 
 def task_worker(conn, runner: Callable) -> None:
-    """Child loop: recv task -> apply injected fault -> run -> reply.
-
-    A task is ``(payload, fault)``; the reply is ``("ok", result)`` or
-    ``("err", traceback_text)``.  ``runner(payload, emit)`` may call
-    ``emit(frame)`` to ship ``("progress", frame)`` ahead of its reply
-    (service jobs do, once per finished cell; grid cells never).
-    Module-level so fork and spawn can both target it; the loop ends
-    when the supervisor's end of the pipe closes.
-    """
-
-    def emit(frame) -> None:
-        conn.send(("progress", frame))
-
+    """A pool worker's loop: recv ``(payload, fault)`` -> apply the fault
+    -> reply ``("ok", runner(payload))`` or ``("err", traceback_text)``.
+    Module-level so fork and spawn can both target it; it ends when the
+    supervisor's end of the pipe closes."""
     while True:
         try:
             payload, fault = conn.recv()
@@ -74,7 +62,7 @@ def task_worker(conn, runner: Callable) -> None:
             return
         apply_cell_fault(fault)
         try:
-            reply = ("ok", runner(payload, emit))
+            reply = ("ok", runner(payload))
         except BaseException:
             reply = ("err", traceback.format_exc())
         try:
@@ -91,13 +79,9 @@ def _child_main(parent_end, child_end, target: Callable, args) -> None:
     gone (``task_worker`` and the shard worker both exit on that EOF).
 
     Before the target runs, the heap the child inherited (fork) or
-    imported (spawn) moves to the collector's permanent generation.  It
-    is the child's long-lived state — modules, the supervisor's objects —
-    and nothing the target does turns it into garbage, so no collection
-    should walk it: ``_run_cell``'s per-cell pass in a fork-started grid
-    worker re-walked ~51k inherited objects (7.3–8.1 ms of collector time
-    per 50-node cell on a 2-vCPU host, 2.4–2.8 ms frozen).
-    ``gc.freeze()`` splices whole generation lists at their ends, so it
+    imported (spawn) moves to the collector's permanent generation: it
+    is long-lived state that no per-cell pass should walk again (the
+    README's "Memory management" has the measurement).  ``gc.freeze()``
     takes constant time and touches almost no inherited page.  Only
     children freeze: the library never freezes its caller's heap.
     """
@@ -151,8 +135,7 @@ class Supervisor:
 
     Children are ordinary (never daemonic) processes, so a child may
     supervise children of its own — a grid worker running a sharded
-    cell, a service executor running a grid — and reaping them is this
-    class's job, not the interpreter's.
+    cell — and reaping them is this class's job, not the interpreter's.
     """
 
     def __init__(self, ctx, target: Callable, name: str) -> None:

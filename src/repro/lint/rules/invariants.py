@@ -39,7 +39,8 @@ _SRC_BENCH = ("src/repro", "benchmarks")
 INVARIANTS: Tuple[Invariant, ...] = (
     Invariant(r"\.sentinel|connection\.wait|mpconn\.wait|\.Process\(",
               _SRC, ("src/repro/faults/supervise.py",),
-              "one process supervisor ('One Supervisor, three clients')",
+              "one process supervisor, two clients: the pool and the shard "
+              "driver ('The service runs cells on one supervised pool')",
               "ready = connection.wait(children, timeout)"),
     Invariant(r"repro\.cli|from repro import cli",
               _SRC, ("src/repro/__main__.py",),
@@ -114,6 +115,10 @@ INVARIANTS: Tuple[Invariant, ...] = (
               "artifacts plan and one call runs them, so no cache or "
               "precomputed spec outlives that call ('Artifacts plan, one "
               "driver runs')", "clear_summary_cache()"),
+    Invariant(r"grid_jobs|grid-jobs",
+              ("src/repro", "benchmarks", "examples", "tests"), (),
+              "no job sizes a pool of its own ('The service runs cells "
+              "on one supervised pool')", "JobManager(grid_jobs=2)"),
 )
 
 def tree_path(path: str) -> Optional[str]:

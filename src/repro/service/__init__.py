@@ -2,19 +2,17 @@
 
 A long-running, stdlib-only broker around the experiment engine, in the
 grid-middleware mold: clients *submit* jobs over HTTP/JSON, a resident
-:class:`JobManager` schedules them onto executor slots — each a
-persistent supervised child process driving the same ``run_grid``
-pipeline the CLI uses — and results/artifacts are served back, with
-live progress streamed as Server-Sent Events.  The point of residency
-is that jobs share one managed checkpoint directory and the retained
-jobs: a spec identical to a queued, running or finished job is answered
-by that job, and a cancelled or crashed job resubmitted with the same
-spec resumes from its checkpoint instead of starting over.
+:class:`JobManager` coordinates each with the CLI's ``run_grid``
+pipeline and runs every cell on one shared pool of supervised worker
+processes, and results/artifacts come back, with live progress streamed
+as Server-Sent Events.  Residency lets a spec identical to a queued,
+running or finished job be answered by that job, and a cancelled or
+crashed job resubmitted with the same spec resume from its checkpoint.
 
 Layering (engine and serving kept separate, FReD-style):
 
-* :mod:`~repro.service.jobs` — job specs, states and the executor
-  slots (no HTTP anywhere);
+* :mod:`~repro.service.jobs` — job specs, states, the executor
+  threads and the worker pool (no HTTP anywhere);
 * :mod:`~repro.service.api` — pure request -> response dispatch (no
   sockets, unit-testable);
 * :mod:`~repro.service.http` — the ``ThreadingHTTPServer`` shell and

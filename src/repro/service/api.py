@@ -119,7 +119,7 @@ def _dispatch(manager: JobManager, method: str, path: str,
             return json_response({"job": job.to_jsonable()})
         if tail == ("cancel",):
             _require(method, "POST")
-            return json_response({"job": manager.cancel(job.id).to_jsonable()})
+            return json_response({"job": manager.cancel(job).to_jsonable()})
         if tail == ("events",):
             _require(method, "GET")
             return SseStream(job)

@@ -1,32 +1,30 @@
 """Async job manager: the engine half of the service control plane.
 
-A :class:`JobManager` owns a bounded submission queue, N executor
-slots and a managed checkpoint directory.  Each slot is a thread that
-drives one *persistent* supervised child process
-(:class:`~repro.faults.supervise.Supervisor`) — the job runs in the
-child, which keeps nothing from one job to the next (no run result
-outlives its cell), so a job that must stop *can be stopped*: the
-child is killed and replaced.  Jobs move
-``queued -> running -> done | failed | cancelled``.  A spec that is
-already queued, running or retained ``done`` is answered by that job;
-nothing else is shared between jobs but the checkpoint directory.
+A :class:`JobManager` owns a bounded submission queue, a managed
+checkpoint directory and **one** long-lived
+:class:`~repro.faults.pool.SupervisedPool` of ``executors`` workers,
+forked in its constructor before any thread starts: every cell of every
+job runs there.  ``executors`` threads take jobs off the queue; a job's
+coordinator is plain ``run_grid`` (or ``render``) on its thread, which
+reaches the pool through a per-job :class:`~repro.faults.pool.Tenant`
+passed as ``pool=``.  Jobs move ``queued -> running -> done | failed |
+cancelled``; a spec already queued, running or retained ``done`` is
+answered by that job.
 
-Durability comes from the checkpoint layer, not from any service-side
-database: every grid-backed job binds to a JSONL checkpoint keyed by
-its spec's fingerprint under the manager's checkpoint directory.  While
-the job runs, each finished cell is appended (flush+fsync); on success
-the spent checkpoint is garbage-collected; on cancel/crash it stays —
-so resubmitting the *same spec* resumes from the finished cells (the
-fingerprinted checkpoint *is* the durable job record).
-
-Cancellation and the ``job_timeout`` watchdog both *kill*: the job's
-child dies at once, wherever it is, and the slot gets a fresh one.
-Every cell finished before that is already checkpointed (a tail torn by
-the kill is repaired on the next read), so the same spec resumes.
+Durability is the checkpoint layer's: a grid-backed job appends each
+finished cell to a JSONL checkpoint keyed by its spec's fingerprint,
+collected on success and kept on cancel/crash, so resubmitting the same
+spec resumes from the finished cells — once the stopped job's thread
+has closed that file.  Cancel and the ``job_timeout`` watchdog (run by
+the housekeeping thread, which also evicts expired jobs) share one stop
+path: set the job's state, then stop its tenant, which kills the job's
+busy workers wherever they are; the pool replaces them, and other jobs'
+cells are not touched.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -34,16 +32,17 @@ import os
 import queue
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.artifacts import artifact, render
-from repro.experiments.parallel import ProgressEvent
+from repro.experiments.parallel import _run_cell
 from repro.experiments.scales import _SCALES
 from repro.experiments.specs import RenderSpec, SweepSpec
 from repro.faults.policy import quarantine_backoff
-from repro.faults.supervise import (Child, Supervisor, default_start_method,
-                                    task_worker)
+from repro.faults.pool import SupervisedPool, Tenant
+from repro.faults.supervise import default_start_method
 from repro.metrics.export import write_grid_csv, write_result_csv
 
 #: Everything a job can be asked to do.  ``run`` is a one-cell sweep;
@@ -113,7 +112,8 @@ class JobSpec:
         if self.kind == "run":
             params.setdefault("num_seeds", 1)
         spec = SweepSpec.from_params(params)
-        if self.kind == "run" and spec.cell_count() != 1:
+        if self.kind == "run" and (len(spec.protocols)
+                                   * len(spec.seed_list()) != 1):
             raise ValueError(f"a 'run' job is a single cell; this spec has "
                              f"{len(spec.protocols)} protocol(s) x "
                              f"{len(spec.seed_list())} seed(s) — submit it "
@@ -133,9 +133,6 @@ class JobSpec:
         blob = json.dumps({"kind": "sweep" if self.kind == "run" else self.kind,
                            "params": params}, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    def to_jsonable(self) -> Dict[str, object]:
-        return {"kind": self.kind, "params": self.normalized()}
 
 
 class Job:
@@ -159,8 +156,6 @@ class Job:
         self.checkpoint = checkpoint
         #: CSV artifact path, written on completion.
         self.csv_path = csv_path
-        #: The executor child running this job (what a cancel kills).
-        self.child: Optional[Child] = None
         #: Monotonic structured event log: progress ticks + state changes
         #: (what the SSE endpoint replays and follows).
         self.events: List[Dict[str, object]] = []
@@ -198,11 +193,10 @@ class Job:
 
 
 class JobManager:
-    """Bounded job queue + executor slots over the shared engine."""
+    """Bounded job queue + executor threads over one shared worker pool."""
 
     def __init__(self, checkpoint_dir: str = ".repro-service",
                  executors: int = 1, queue_size: int = 16,
-                 grid_jobs: int = 1,
                  job_ttl: Optional[float] = None,
                  job_timeout: Optional[float] = None,
                  watchdog_interval: float = 0.25,
@@ -220,8 +214,8 @@ class JobManager:
         #: never their checkpoints) this many seconds after they finish
         #: (swept every ``watchdog_interval`` seconds).
         self.job_ttl = job_ttl
-        #: Fail a running job — and kill its executor child — after this
-        #: long without a progress frame.
+        #: Fail a running job — and kill its busy pool workers — after
+        #: this long without a finished cell.
         self.job_timeout = job_timeout
         self.quarantine_after = max(1, quarantine_after)
         self.quarantine_base = quarantine_base
@@ -233,11 +227,8 @@ class JobManager:
         self._evicted: Dict[str, str] = {}
         #: fingerprint -> [consecutive failures, monotonic last failure].
         self._failure_ledger: Dict[str, List[float]] = {}
-        #: Grid worker processes per job (1 = serial inside the executor
-        #: child).  Either way a job's cells keep no result: a later job
-        #: reuses only the retained job of an identical spec
-        #: (:meth:`submit`) or its own managed checkpoint.
-        self.grid_jobs = max(1, grid_jobs)
+        #: Pool workers, and jobs running at once.
+        self.executors = max(1, executors)
         #: Most jobs in state ``queued`` at once; ``submit`` counts them,
         #: so a job cancelled while queued frees its slot at once.
         self.queue_size = max(1, queue_size)
@@ -249,23 +240,22 @@ class JobManager:
         self._order: List[str] = []
         self._next_id = 1
         self._stopping = False
-        # A job may start its own grid or shard workers.  The executor
-        # children are forked here, before this manager starts its
-        # first thread.
-        self._supervisor = Supervisor(
+        #: Job still on its thread -> its tenant (what a stop stops) and
+        #: monotonic time of its last progress (what the watchdog reads).
+        self._running: Dict[Job, Tuple[Tenant, float]] = {}
+        # Forked before this manager starts its first thread.
+        self._pool = SupervisedPool(
             multiprocessing.get_context(default_start_method()),
-            target=task_worker, name="repro-job-executor")
-        self._threads = [
-            threading.Thread(target=self._worker, daemon=True,
-                             name=f"repro-job-executor-{i}",
-                             args=(self._supervisor.spawn(_run_job),))
-            for i in range(max(1, executors))
-        ]
-        for thread in self._threads:
-            thread.start()
-        if job_ttl is not None:
-            threading.Thread(target=self._evict_loop, daemon=True,
-                             name="repro-job-evictor",
+            self.executors, _run_cell)
+        self._pool.start()
+        self._threads = []
+        for i in range(self.executors):
+            self._threads.append(threading.Thread(
+                target=self._worker, daemon=True, name=f"repro-job-executor-{i}"))
+            self._threads[-1].start()
+        if job_ttl is not None or job_timeout is not None:
+            threading.Thread(target=self._housekeep, daemon=True,
+                             name="repro-job-housekeeper",
                              args=(max(0.05, watchdog_interval),)).start()
 
     # ------------------------------------------------------------------
@@ -282,23 +272,12 @@ class JobManager:
         identical to a retained ``done`` job, unless either carries
         ``faults``: results are pure functions of the spec, so the
         finished job *is* the answer, while a faulted submission asks
-        for the run itself.  Raises ``ValueError`` for an invalid spec or
-        for ``crash-cell`` faults this manager's grids cannot inject (no
-        worker pool, or a single cell), and :class:`QueueFullError` when
-        the bounded queue is at capacity.
+        for the run itself.  Raises ``ValueError`` for an invalid spec
+        and :class:`QueueFullError` when the bounded queue is at
+        capacity.
         """
         spec = JobSpec(kind=kind, params=dict(params or {}))
         fingerprint = spec.fingerprint()  # validates; may raise ValueError
-        if kind in ("run", "sweep"):
-            sweep = spec.sweep_spec()
-            plan = sweep.fault_plan()
-            if plan is not None and plan.has_pool_faults and (
-                    self.grid_jobs <= 1 or sweep.cell_count() < 2):
-                raise ValueError(
-                    f"crash-cell faults kill a grid worker, so they need a "
-                    f"worker pool over 2+ cells; this service runs "
-                    f"{self.grid_jobs} grid worker(s) per job (--grid-jobs) "
-                    f"and the spec has {sweep.cell_count()} cell(s)")
         with self._lock:
             if self._stopping:
                 raise QueueFullError("manager is shutting down")
@@ -350,18 +329,13 @@ class JobManager:
                 counts[job.state] += 1
             return counts
 
-    def cancel(self, job_id: str) -> Job:
-        """Cancel now.  A queued job never starts; a running job's
-        executor child is killed wherever it is (its checkpoint stays on
-        disk, so the same spec resumes later) and the slot respawns."""
+    def cancel(self, job: Job) -> Job:
+        """Cancel ``job`` now: a queued one never starts, a running one
+        loses its busy workers mid-cell (its checkpoint stays, so the
+        spec resumes later); a finished or evicted one is left as is."""
         with self._lock:
-            job = self.get(job_id)
             if job.state in ("queued", "running"):
-                child = job.child
-                self._finish(job, "cancelled")
-                if child is not None:
-                    # Its executor thread wakes on the exit and replaces it.
-                    self._supervisor.kill(child)
+                self._stop(job, "cancelled")
             return job
 
     def eviction_reason(self, job_id: str) -> Optional[str]:
@@ -398,23 +372,29 @@ class JobManager:
             self._stopping = True
             if cancel_running:
                 for job in list(self._jobs.values()):
-                    self.cancel(job.id)
+                    self.cancel(job)
         for _ in self._threads:
             self._queue.put_nowait(None)
         for thread in self._threads:
             thread.join(timeout=10.0)
-        self._supervisor.close()
+        self._pool.close()
 
     # ------------------------------------------------------------------
     # executor side
     # ------------------------------------------------------------------
-    def _worker(self, child: Child) -> None:
-        """One executor slot: take a job, drive it in ``child``, repeat."""
+    def _worker(self) -> None:
+        """One executor thread: take a job, coordinate it, repeat."""
         while True:
             job = self._queue.get()
             if job is None:
                 return
+            tenant = Tenant(self._pool)
             with self._lock:
+                # A cancelled predecessor of the same spec may still be
+                # unwinding: its checkpoint is closed when it leaves.
+                while any(other.checkpoint == job.checkpoint
+                          for other in self._running):
+                    self.condition.wait()
                 if job.state != "queued":  # cancelled while queued
                     continue
                 if self._stopping:
@@ -422,80 +402,63 @@ class JobManager:
                     continue
                 job.state = "running"
                 job.started_at = time.time()
-                job.child = child
+                self._running[job] = (tenant, time.monotonic())
                 self._append_event(job, {"type": "state", "state": "running"})
-            if self._drive(job, child):
-                continue
-            # The child is dead, wedged or killed: staff the slot anew.
-            self._supervisor.discard(child, kill=True)
+            result = error = None
+            try:
+                result = _run_job(
+                    job.spec.kind, job.spec.params, job.csv_path,
+                    jobs=self.executors, pool=tenant,
+                    progress=functools.partial(self._progress, job),
+                    checkpoint=job.checkpoint, resume=True,
+                    checkpoint_gc=True)
+            except Exception:
+                error = traceback.format_exc().strip().splitlines()[-1]
             with self._lock:
-                if self._stopping:
-                    return
-            child = self._supervisor.spawn(_run_job)
+                del self._running[job]
+                self.condition.notify_all()
+                if job.state == "running":  # else stopped: already terminal
+                    job.result, job.error = result, error
+                    self._finish(job, "failed" if error else "done")
 
-    def _drive(self, job: Job, child: Child) -> bool:
-        """Run ``job`` in ``child`` to a terminal state; False when the
-        child must be replaced (it died, overran ``job_timeout``, or was
-        killed by :meth:`cancel`)."""
-        task = (job.spec.kind, job.spec.params, job.checkpoint, job.csv_path,
-                self.grid_jobs)
-        try:
-            child.conn.send((task, None))
-        except (OSError, ValueError):
-            pass  # died while idle: the wait below reports the exit
-        child.arm(self.job_timeout)
-        while True:
-            events = self._supervisor.wait([child])
-            with self._lock:
-                if job.state != "running":  # cancelled (and child killed)
-                    return False
-                for _child, event, value in events:
-                    if event == "message" and value[0] == "progress":
-                        self._progress(job, value[1])
-                        child.arm(self.job_timeout)
-                        continue
-                    if event == "message" and value[0] == "ok":
-                        job.result = value[1]
-                        self._finish(job, "done")
-                        return True
-                    if event == "message":  # ("err", traceback text)
-                        job.error = value[1].strip().splitlines()[-1]
-                    elif event == "deadline":
-                        self.watchdog_timeouts += 1
-                        job.error = (f"watchdog: no progress for "
-                                     f"{self.job_timeout:g}s")
-                    else:
-                        job.error = f"executor exited with code {value}"
-                    self._finish(job, "failed")
-                    # A job that *raised* leaves its child fit for the
-                    # next one; a dead or wedged child is replaced.
-                    return event == "message"
-
-    def _progress(self, job: Job, frame: Dict[str, object]) -> None:
-        """Fold one finished cell (``ProgressEvent.to_jsonable()``, sent
-        by the executor child) into ``job`` (lock held)."""
-        job.cells_done = frame["done"]
-        job.cells_total = frame["total"]
-        if frame["restored"]:
-            job.cells_restored += 1
-        else:
-            job.cells_executed += 1
-            job.events_per_sec = frame["events_per_sec"]
-        for name, value in frame["wire"].items():
-            job.wire[name] = job.wire.get(name, 0) + value
-        self._append_event(job, {"type": "progress", **frame})
+    def _progress(self, job: Job, event) -> None:
+        """Fold one finished cell's ``ProgressEvent`` into ``job``."""
+        frame = event.to_jsonable()
+        with self._lock:
+            if job.state != "running":  # stopped: its run is unwinding
+                return
+            self._running[job] = (self._running[job][0], time.monotonic())
+            job.cells_done = frame["done"]
+            job.cells_total = frame["total"]
+            if frame["restored"]:
+                job.cells_restored += 1
+            else:
+                job.cells_executed += 1
+                job.events_per_sec = frame["events_per_sec"]
+            for name, value in frame["wire"].items():
+                job.wire[name] = job.wire.get(name, 0) + value
+            self._append_event(job, {"type": "progress", **frame})
 
     # ------------------------------------------------------------------
-    # supervision: TTL eviction, spec quarantine
+    # supervision: watchdog, TTL eviction, spec quarantine
     # ------------------------------------------------------------------
-    def _evict_loop(self, interval: float) -> None:
-        """Background sweep: evict expired terminal jobs."""
+    def _housekeep(self, interval: float) -> None:
+        """Background tick: fail running jobs that finished no cell for
+        ``job_timeout`` seconds, evict terminal ones past ``job_ttl``."""
         while True:
             time.sleep(interval)
             with self._lock:
                 if self._stopping:
                     return
-                self._sweep_expired()
+                now = time.monotonic()
+                for job, (_tenant, progressed) in list(self._running.items()):
+                    if (self.job_timeout is not None and job.state == "running"
+                            and now - progressed > self.job_timeout):
+                        self.watchdog_timeouts += 1
+                        self._stop(job, "failed", f"watchdog: no progress "
+                                                  f"for {self.job_timeout:g}s")
+                if self.job_ttl is not None:
+                    self._sweep_expired()
 
     def _sweep_expired(self) -> None:
         """Evict terminal jobs past their TTL (lock held).  Event
@@ -541,10 +504,17 @@ class JobManager:
         job.events.append(event)
         self.condition.notify_all()
 
+    def _stop(self, job: Job, state: str,
+              error: Optional[str] = None) -> None:
+        """End ``job`` as ``state``, then stop its cells (lock held)."""
+        job.error = error
+        self._finish(job, state)
+        if job in self._running:
+            self._running[job][0].stop()
+
     def _finish(self, job: Job, state: str) -> None:
         job.state = state
         job.finished_at = time.time()
-        job.child = None
         if state == "failed":
             entry = self._failure_ledger.setdefault(job.fingerprint,
                                                     [0, 0.0])
@@ -556,19 +526,13 @@ class JobManager:
                                  "error": job.error})
 
 
-def _run_job(task, emit) -> Dict[str, object]:
-    """Executor-child entry point (a ``task_worker`` runner): one job,
-    start to result JSON, one progress frame per finished cell."""
-    kind, params, checkpoint, csv_path, grid_jobs = task
+def _run_job(kind: str, params: Dict[str, object], csv_path: str,
+             **execution) -> Dict[str, object]:
+    """One job, start to result JSON, writing its CSV artifact.
+    ``execution`` is :func:`~repro.experiments.parallel.run_grid`'s
+    how-to-run keywords (``pool``, ``progress``, ``checkpoint``, ...),
+    which ``SweepSpec.run`` and ``render`` forward alike."""
     spec = JobSpec(kind, params)
-
-    def progress(event: ProgressEvent) -> None:
-        emit(event.to_jsonable())
-
-    # How every job runs: the manager's worker count over the job's
-    # managed checkpoint (the keywords run_grid and grid_summaries share).
-    execution = dict(jobs=grid_jobs, progress=progress, checkpoint=checkpoint,
-                     resume=True, checkpoint_gc=True)
     if kind in ("run", "sweep"):
         grid = spec.sweep_spec().run(**execution)
         write_grid_csv(csv_path, grid)

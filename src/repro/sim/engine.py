@@ -347,7 +347,7 @@ class Simulator:
         ``experiments/parallel.py::_run_cell`` collects it there.  The
         collector's switch is process-global, which is safe because a
         process runs one simulation at a time, on one thread (the
-        service's executors are child processes).
+        service runs every cell in a pool worker).
         """
         if self._running:
             raise SimulationError("run() is not reentrant")

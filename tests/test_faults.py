@@ -19,6 +19,7 @@ checkpoint) are rejected loudly instead of silently not firing.
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.faults import (
     TornCheckpointInjected,
     clock,
 )
+from repro.faults.pool import RunStopped, SupervisedPool, Tenant
 from repro.faults.supervise import Supervisor
 from repro.metrics.export import read_jsonl
 from repro.metrics.lag import spec_lag_delivery
@@ -233,6 +235,89 @@ class TestSupervisor:
         children = [supervisor.spawn("sleep"), supervisor.spawn("talk")]
         supervisor.close()
         assert not any(child.process.is_alive() for child in children)
+
+
+def nap(seconds):
+    """Pool runner: sleep, then answer with the pid that slept."""
+    clock.sleep(seconds)
+    return os.getpid()
+
+
+class TestSharedPool:
+    def test_stopping_one_run_leaves_the_other_alone(self):
+        """Two threads run on one pool of 2: stopping one run kills its
+        worker only; the other gets every outcome, and the pool ends
+        with 2 live idle workers."""
+        pool = SupervisedPool(multiprocessing.get_context("fork"), 2, nap)
+        stalled, steady = Tenant(pool), Tenant(pool)
+        stopped, outcomes = [], []
+
+        def run_stalled():
+            try:
+                list(stalled.run([(0, 30.0)]))
+            except RunStopped:
+                stopped.append(True)
+
+        def run_steady():
+            outcomes.extend(steady.run([(key, 0.05) for key in range(6)]))
+
+        threads = [threading.Thread(target=run_stalled),
+                   threading.Thread(target=run_steady)]
+        try:
+            threads[0].start()
+            deadline = clock.monotonic() + 10.0
+            while stalled not in pool._holder.values():
+                assert clock.monotonic() < deadline
+                clock.sleep(0.01)
+            (victim,) = [worker.process.pid for worker, tenant
+                         in pool._holder.items() if tenant is stalled]
+            threads[1].start()
+            while not outcomes:
+                assert clock.monotonic() < deadline
+                clock.sleep(0.01)
+            stalled.stop()
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            assert stopped == [True]
+            assert sorted(key for _ok, key, _pid in outcomes) == list(range(6))
+            assert {outcome[0] for outcome in outcomes} == {"ok"}
+            assert victim not in {pid for _ok, _key, pid in outcomes}
+            assert pool._holder == {}
+            assert len(pool._idle) == 2
+            assert all(worker.process.is_alive() for worker in pool._idle)
+            assert victim not in {worker.process.pid for worker in pool._idle}
+        finally:
+            pool.close()
+
+
+    def test_more_runs_than_workers_each_get_every_outcome(self):
+        """Six threads share two workers, switching threads often: no
+        run loses a cell or a wakeup, and no worker leaks."""
+        import sys
+
+        pool = SupervisedPool(multiprocessing.get_context("fork"), 2, nap)
+        results = {}
+
+        def run(name):
+            outcomes = Tenant(pool).run([(key, 0.0) for key in range(5)])
+            results[name] = sorted(key for _ok, key, _pid in outcomes)
+
+        threads = [threading.Thread(target=run, args=(name,))
+                   for name in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert results == {name: list(range(5)) for name in range(6)}
+        assert pool._holder == {}
 
 
 # ----------------------------------------------------------------------

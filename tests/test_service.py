@@ -4,7 +4,7 @@ The contract under test: a job submitted over HTTP is the *same
 experiment* as the equivalent CLI invocation — identical result render,
 identical CSV artifact (the measured ``wall_time_s`` column excepted) —
 and the service adds job semantics on top: monotonic SSE progress,
-cancel (which kills the job's executor process), and
+cancel (which kills the job's busy pool workers), and
 resume-from-checkpoint when the same spec is resubmitted.  Every test binds an ephemeral port (``port=0``) so the
 suite is hermetic.
 """
@@ -23,9 +23,8 @@ import pytest
 from repro.cli import main
 from repro.service import ExperimentService, JobManager
 from repro.service.client import ServiceClient, ServiceError
-from repro.faults.supervise import Supervisor, task_worker
 from repro.service.jobs import (JobSpec, QueueFullError, SpecQuarantined,
-                                _run_job)
+                                _run_job, grid_result_jsonable)
 
 #: The smoke grid: 1 protocol x 2 seeds of a tiny scenario.
 SWEEP = {"protocols": ["heap"], "nodes": 10, "seconds": 2.0, "drain": 4.0,
@@ -57,6 +56,13 @@ def service(tmp_path):
 @pytest.fixture()
 def client(service):
     return ServiceClient(service.url, timeout=60.0)
+
+
+def wait_state(job, states, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while job.state not in states:
+        assert time.monotonic() < deadline, (job.state, states)
+        time.sleep(0.05)
 
 
 def strip_wall_time(csv_text: str):
@@ -299,34 +305,6 @@ class TestErrorPaths:
         assert field in json.loads(response.body)["error"]
         assert service.manager.jobs() == []
 
-    def test_crash_cell_without_a_pool_is_400_at_submit(self, service):
-        """crash-cell kills a pool worker: a serial grid (the default
-        --grid-jobs 1) cannot inject it, so submit refuses it before a
-        job exists or a failure counts toward quarantine."""
-        from repro.service.api import handle_request
-
-        for kind, params in (
-                ("sweep", dict(SWEEP, faults="crash-cell=0")),
-                ("run", dict(SWEEP, num_seeds=1, faults="crash-cell=0"))):
-            body = json.dumps({"kind": kind, "params": params}).encode("utf-8")
-            response = handle_request(service.manager, "POST", "/v1/jobs",
-                                      body)
-            assert response.status == 400, (kind, response.body)
-            assert "crash-cell" in json.loads(response.body)["error"]
-        assert service.manager.jobs() == []
-        assert service.manager.quarantined_count() == 0
-
-    def test_crash_cell_on_one_cell_is_refused_with_a_pool(self, tmp_path):
-        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
-                             executors=1, grid_jobs=2)
-        try:
-            with pytest.raises(ValueError, match="1 cell"):
-                manager.submit("sweep", dict(SWEEP, num_seeds=1,
-                                             faults="crash-cell=0"))
-            assert manager.jobs() == []
-        finally:
-            manager.shutdown()
-
     @pytest.mark.parametrize("declared, status", [
         ("abc", 400),       # used to raise out of the handler
         ("-5", 400),        # used to block in rfile.read(-5)
@@ -490,15 +468,21 @@ class TestLayering:
 
         import repro
 
-        task = ("figure", {"id": "fig5", "scale": "quick"},
-                str(tmp_path / "job.jsonl"), str(tmp_path / "job.csv"), 1)
-        code = ("import sys\n"
+        params = {"id": "fig5", "scale": "quick"}
+        code = ("import multiprocessing, sys\n"
                 "import repro.service\n"
+                "from repro.experiments.parallel import _run_cell\n"
+                "from repro.faults.pool import SupervisedPool, Tenant\n"
+                "from repro.faults.supervise import default_start_method\n"
                 "from repro.service.jobs import JobSpec, _run_job\n"
-                f"task = {task!r}\n"
-                "JobSpec(*task[:2]).fingerprint()\n"
-                "assert 'Fig 5' in _run_job(task, lambda frame: None)"
-                "['render']\n"
+                f"JobSpec('figure', {params!r}).fingerprint()\n"
+                "ctx = multiprocessing.get_context(default_start_method())\n"
+                "pool = SupervisedPool(ctx, 1, _run_cell)\n"
+                f"result = _run_job('figure', {params!r}, "
+                f"{str(tmp_path / 'job.csv')!r}, pool=Tenant(pool), "
+                f"checkpoint={str(tmp_path / 'job.jsonl')!r})\n"
+                "pool.close()\n"
+                "assert 'Fig 5' in result['render']\n"
                 "assert 'repro.cli' not in sys.modules\n")
         src = os.path.dirname(os.path.dirname(repro.__file__))
         subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
@@ -523,7 +507,7 @@ class TestQueueBounds:
                 manager.submit("sweep", dict(SWEEP, nodes=12))
             # A job cancelled while queued gives its slot back at once,
             # though it stays in the executor's queue until dequeued.
-            manager.cancel(queued.id)
+            manager.cancel(queued)
             _, created = manager.submit("sweep", dict(SWEEP, nodes=12))
             assert created
         finally:
@@ -560,12 +544,6 @@ class TestArtifactIndex:
 class TestSupervision:
     """Self-healing job plane: watchdog, TTL eviction, quarantine."""
 
-    def _wait_state(self, job, states, timeout=30.0):
-        deadline = time.monotonic() + timeout
-        while job.state not in states:
-            assert time.monotonic() < deadline, (job.state, states)
-            time.sleep(0.05)
-
     def test_watchdog_fails_wedged_job_and_staffs_replacement(self, tmp_path):
         manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
                              executors=1, job_timeout=0.6,
@@ -573,14 +551,14 @@ class TestSupervision:
         try:
             wedged, _ = manager.submit(
                 "sweep", dict(SWEEP, faults="stall-cell=0:30"))
-            self._wait_state(wedged, ("failed",))
+            wait_state(wedged, ("failed",))
             assert "watchdog" in wedged.error
             assert manager.watchdog_timeouts == 1
             # The wedged executor was written off; a replacement keeps
             # the manager serving new jobs.
             healthy, created = manager.submit("sweep", SWEEP)
             assert created
-            self._wait_state(healthy, ("done",), timeout=60.0)
+            wait_state(healthy, ("done",), timeout=60.0)
         finally:
             manager.shutdown(cancel_running=True)
 
@@ -607,10 +585,10 @@ class TestSupervision:
         try:
             wedged, _ = manager.submit(
                 "sweep", dict(SWEEP, faults="stall-cell=0:30"))
-            self._wait_state(wedged, ("running", "failed"))
+            wait_state(wedged, ("running", "failed"))
             children = {child.pid
                         for child in multiprocessing.active_children()}
-            self._wait_state(wedged, ("failed",))
+            wait_state(wedged, ("failed",))
             # Failed means stopped: not still sleeping out its 30 s stall
             # (and appending to the checkpoint a resubmission reopens).
             deadline = time.monotonic() + 2.0
@@ -628,13 +606,13 @@ class TestSupervision:
         try:
             stalled, _ = manager.submit(
                 "sweep", dict(SWEEP, num_seeds=1, faults="stall-cell=0:30"))
-            self._wait_state(stalled, ("running",))
-            manager.cancel(stalled.id)
+            wait_state(stalled, ("running",))
+            manager.cancel(stalled)
             # Not "at the next finished cell" — that is 30 s away.
-            self._wait_state(stalled, ("cancelled",), timeout=2.0)
+            wait_state(stalled, ("cancelled",), timeout=2.0)
             # The slot is staffed again: the next job runs at once.
             healthy, _ = manager.submit("sweep", SWEEP)
-            self._wait_state(healthy, ("done",), timeout=20.0)
+            wait_state(healthy, ("done",), timeout=20.0)
         finally:
             manager.shutdown(cancel_running=True)
 
@@ -756,59 +734,14 @@ class TestSupervision:
             # the clean resubmission too — until a success clears it.
             poison, _ = manager.submit(
                 "sweep", dict(SWEEP, faults="torn-checkpoint=1"))
-            self._wait_state(poison, ("failed",))
+            wait_state(poison, ("failed",))
             with pytest.raises(SpecQuarantined):
                 manager.submit("sweep", SWEEP)
             # A *different* spec is unaffected.
             other, _ = manager.submit("sweep", dict(SWEEP, nodes=12))
-            self._wait_state(other, ("done",), timeout=60.0)
+            wait_state(other, ("done",), timeout=60.0)
         finally:
             manager.shutdown(cancel_running=True)
-
-
-def _run_job_and_probe(task, emit):
-    """Executor-child runner: :func:`_run_job`, then which of the run
-    results it made are gone from this process."""
-    import weakref
-
-    from repro.experiments.runner import ScenarioBuild
-
-    refs = []
-    harvest_result = ScenarioBuild.result
-
-    def result(build):
-        made = harvest_result(build)
-        refs.append(weakref.ref(made))
-        return made
-
-    ScenarioBuild.result = result
-    try:
-        _run_job(task, emit)
-    finally:
-        ScenarioBuild.result = harvest_result
-    return [ref() is None for ref in refs]
-
-
-class TestExecutorKeepsNoResult:
-    def test_a_run_jobs_result_dies_in_its_executor(self, tmp_path):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        supervisor = Supervisor(multiprocessing.get_context("fork"),
-                                target=task_worker, name="probe-executor")
-        try:
-            child = supervisor.spawn(_run_job_and_probe)
-            task = ("run", dict(SWEEP, num_seeds=1),
-                    str(tmp_path / "job.jsonl"), str(tmp_path / "job.csv"), 1)
-            child.conn.send((task, None))
-            reply = None
-            while reply is None:
-                for _child, kind, frame in supervisor.wait([child], 60.0):
-                    assert kind == "message", (kind, frame)
-                    if frame[0] != "progress":
-                        reply = frame
-            assert reply == ("ok", [True]), reply
-        finally:
-            supervisor.close()
 
 
 class TestSseDisconnects:
@@ -829,3 +762,103 @@ class TestSseDisconnects:
             client.wait(job_id, timeout=300)
         # The stream thread died quietly; the service still answers.
         assert client.health()["status"] == "ok"
+
+
+def deterministic(result):
+    """A sweep job's result JSON without its measured parts: ``timing``,
+    each record's ``wall_time`` and the ``cell_retries`` recovery count."""
+    records = [{k: v for k, v in record.items() if k != "wall_time"}
+               for record in result["records"]]
+    return {**{k: v for k, v in result.items()
+               if k not in ("timing", "cell_retries")},
+            "records": records}
+
+
+@pytest.fixture(scope="module")
+def inprocess_sweep():
+    """The in-process ``run_grid`` of ``SWEEP``: what every job of the
+    same spec must equal."""
+    grid = JobSpec("sweep", SWEEP).sweep_spec().run()
+    return deterministic(grid_result_jsonable("sweep", grid))
+
+
+class TestFaultParity:
+    """Every service cell runs in a pool worker, so a worker killed
+    mid-cell costs a retry on any server, and the job's result is the
+    clean in-process grid's."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("faults, retries", [
+        (None, 0), ("crash-cell=0", 1), ("crash-cell=1x2", 2)])
+    def test_job_equals_inprocess_grid(self, tmp_path, inprocess_sweep,
+                                       jobs, faults, retries):
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=jobs)
+        try:
+            params = dict(SWEEP, faults=faults) if faults else SWEEP
+            job, _ = manager.submit("sweep", params)
+            wait_state(job, ("done", "failed"), 120.0)
+            assert job.state == "done", job.error
+            assert job.result["cell_retries"] == retries
+            assert deterministic(job.result) == inprocess_sweep
+        finally:
+            manager.shutdown()
+
+    @pytest.mark.parametrize("stop", ["cancel", "watchdog"])
+    def test_stopping_a_job_leaves_a_concurrent_jobs_cells_alone(
+            self, tmp_path, inprocess_sweep, stop):
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=2,
+                             job_timeout=2.0 if stop == "watchdog" else None,
+                             watchdog_interval=0.1)
+        try:
+            stalled, _ = manager.submit(
+                "sweep", dict(SWEEP, num_seeds=1, faults="stall-cell=0:30"))
+            wait_state(stalled, ("running",))
+            time.sleep(0.3)  # its one cell is sleeping in a worker
+            healthy, _ = manager.submit("sweep", SWEEP)
+            wait_state(healthy, ("running", "done"))
+            if stop == "cancel":
+                manager.cancel(stalled)
+            wait_state(stalled,
+                                        ("cancelled", "failed"), 10.0)
+            wait_state(healthy, ("done",), 60.0)
+            assert healthy.result["cell_retries"] == 0
+            assert deterministic(healthy.result) == inprocess_sweep
+        finally:
+            started = time.monotonic()
+            manager.shutdown(cancel_running=True)
+            assert time.monotonic() - started < 5.0
+
+
+class TestCancelRace:
+    def test_cancel_of_a_job_evicted_mid_request_answers_its_state(
+            self, tmp_path):
+        """The dispatcher's lookup and the cancel act on one ``Job``: a
+        TTL eviction landing between them cannot raise out of
+        ``handle_request``."""
+        from repro.service.api import handle_request
+
+        manager = JobManager(checkpoint_dir=str(tmp_path / "svc"),
+                             executors=1)
+        try:
+            job, _ = manager.submit("sweep", SWEEP)
+            path = f"/v1/jobs/{job.id}/cancel"
+            assert handle_request(manager, "POST", path).status == 200
+            manager.job_ttl = 1.0
+            job.finished_at -= 60.0  # past its TTL
+            lookup = manager.get
+
+            def get_then_sweep(job_id):
+                found = lookup(job_id)
+                with manager.condition:
+                    manager._sweep_expired()
+                return found
+
+            manager.get = get_then_sweep
+            response = handle_request(manager, "POST", path)
+            assert response.status == 200, response.body
+            assert json.loads(response.body)["job"]["state"] == "cancelled"
+            assert manager.eviction_reason(job.id) is not None
+        finally:
+            manager.shutdown()
