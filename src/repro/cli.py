@@ -84,17 +84,24 @@ def _cmd_run(args) -> int:
     print(f"{args.protocol} | {spec.nodes} nodes | {spec.seconds:g}s stream | "
           f"{spec.distribution} | seed {args.seed}")
     print(f"events: {result.sim.events_executed:,}")
-    print("\njitter-free windows at 10s lag, by class:")
-    for label, value in jitter_free_fraction_by_class(result, 10.0).items():
-        print(f"  {label:>10}: {value:6.1f}%")
-    print("\nmean jitter-free lag, by class:")
-    for label, value in mean_lag_by_class(result).items():
-        print(f"  {label:>10}: {value:6.2f}s")
+    # Window metrics over no window would read as a perfect stream.
+    windowed = len(result.windows()) > 0
+    if windowed:
+        print("\njitter-free windows at 10s lag, by class:")
+        for label, value in jitter_free_fraction_by_class(result, 10.0).items():
+            print(f"  {label:>10}: {value:6.1f}%")
+        print("\nmean jitter-free lag, by class:")
+        for label, value in mean_lag_by_class(result).items():
+            print(f"  {label:>10}: {value:6.2f}s")
+    else:
+        print(f"\nno complete window: {result.total_packets} of the "
+              f"{config.stream.packets_per_window} packets a window needs "
+              f"were published")
     print("\nuplink utilization, by class:")
     for label, value in utilization_by_class(result).items():
         print(f"  {label:>10}: {value:6.1f}%")
     cdf = lag_cdf_jitter_free(result)
-    if cdf.finite_fraction() > 0.5:
+    if windowed and cdf.finite_fraction() > 0.5:
         print("\nlag percentiles (jitter-free): "
               + ", ".join(f"p{int(q * 100)}={cdf.percentile(q):.2f}s"
                           for q in (0.5, 0.75, 0.9)))
@@ -116,9 +123,10 @@ def _cmd_run(args) -> int:
         print(f"  delivery: honest {impact['honest']['delivery_pct']:6.1f}% | "
               f"attacked {impact['attacked']['delivery_pct']:6.1f}% | "
               f"delta {impact['delta']['delivery_pct']:+.1f}pp")
-        print(f"  mean lag: honest {impact['honest']['mean_lag']:6.2f}s | "
-              f"attacked {impact['attacked']['mean_lag']:6.2f}s | "
-              f"delta {impact['delta']['mean_lag']:+.2f}s")
+        if windowed:
+            print(f"  mean lag: honest {impact['honest']['mean_lag']:6.2f}s | "
+                  f"attacked {impact['attacked']['mean_lag']:6.2f}s | "
+                  f"delta {impact['delta']['mean_lag']:+.2f}s")
         print(f"  attacker cost: {cost['mean_served']:.1f} pkts served "
               f"(honest mean {cost['honest_mean_served']:.1f}); "
               f"counters {cost['counters'] or '{}'}")

@@ -29,13 +29,26 @@ batched stats accumulation for the whole round.  [Request] and [Serve]
 payloads are built by slot stores, as ``Network.send`` builds envelopes:
 the same ``ids`` / ``packets`` and wire size as their constructors,
 without an ``__init__`` frame (or, for [Serve], a generator) per message.
+
+Per-packet state: packet ids are dense (the source numbers them from 0,
+and :class:`StreamPacket` refuses a negative id), so the node keeps its
+store as a list indexed by packet id (the packet, or ``None``) and its
+``eRequested`` marks as a ``bytearray``; its :class:`ReceiverLog` is an
+``array('d')`` of delivery times.  That is about 17 bytes per (node,
+packet) where a dict, a set and a dict of boxed floats cost about 100.
+The arrays start empty.  A write past the end — a proposal of a newer
+id, a delivery — grows them to exactly that id, never past an id the
+source published; list, bytearray and array over-allocate, so growth is
+amortized, and a node that saw few ids holds few slots.  A read past
+the end reads "not held".
 """
 
 from __future__ import annotations
 
 import random
 from operator import attrgetter
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
 from repro.core.config import GossipConfig
 from repro.core.messages import (HEADER_BYTES, ID_BYTES,
@@ -56,7 +69,11 @@ _size_bytes = attrgetter("size_bytes")
 
 
 class GossipNode:
-    """One participant of the gossip dissemination."""
+    """One participant of the gossip dissemination.
+
+    Its per-packet state — store, request marks, delivery log — is three
+    flat arrays indexed by packet id (see the module docstring).
+    """
 
     __slots__ = ("_sim", "_net", "node_id", "view", "config", "_rng",
                  "capability_bps", "selector", "log", "_store", "_to_propose",
@@ -83,9 +100,11 @@ class GossipNode:
         self.selector = UniformSelector(rng)
 
         self.log = ReceiverLog(node_id)
-        self._store: Dict[int, StreamPacket] = {}
+        #: Per-packet state, indexed by packet id: the packet or None,
+        #: and a request mark (see "Per-packet state" above).
+        self._store: List[Optional[StreamPacket]] = []
+        self._requested = bytearray()
         self._to_propose: List[int] = []
-        self._requested: Set[int] = set()
 
         self._gossip_timer = PeriodicTimer(sim, config.gossip_period, self._on_gossip_tick)
         self._retransmission: Optional[RetransmissionManager] = None
@@ -94,9 +113,9 @@ class GossipNode:
                 sim,
                 period=config.retransmission_period,
                 max_retries=config.retransmission_retries,
-                is_delivered=self._store.__contains__,
+                is_delivered=self.has_packet,
                 resend=self._send_request,
-                release=self._requested.difference_update,
+                release=self._release,
             )
 
         #: Observer called as on_deliver(packet, time) for every delivery.
@@ -158,7 +177,18 @@ class GossipNode:
         self._gossip([packet.packet_id])
 
     def has_packet(self, packet_id: int) -> bool:
-        return packet_id in self._store
+        store = self._store
+        return 0 <= packet_id < len(store) and store[packet_id] is not None
+
+    def _grow(self, packet_id: int) -> None:
+        """Extend the store, the request marks and the log to hold
+        ``packet_id``.  Growing the log here too means it grows once per
+        proposal of newer ids rather than at most deliveries."""
+        extra = packet_id + 1 - len(self._store)
+        if extra > 0:
+            self._store.extend([None] * extra)
+            self._requested.extend(bytes(extra))
+            self.log.reserve(packet_id + 1)
 
     # ------------------------------------------------------------------
     # phase 1: propose
@@ -184,11 +214,17 @@ class GossipNode:
     # ------------------------------------------------------------------
     def _on_propose(self, src: int, proposal: Propose) -> None:
         requested = self._requested
+        marked = len(requested)
+        # An id past the marks was never requested.
         wanted = [packet_id for packet_id in proposal.ids
-                  if packet_id not in requested]
+                  if packet_id >= marked or not requested[packet_id]]
         if not wanted:
             return
-        requested.update(wanted)
+        top = max(wanted)
+        if top >= marked:
+            self._grow(top)
+        for packet_id in wanted:
+            requested[packet_id] = 1
         sent = self._send_request(src, wanted)
         if self._retransmission is not None:
             self._retransmission.track(src, sent)
@@ -203,13 +239,24 @@ class GossipNode:
             self.on_request_sent(peer, len(ids))
         return ids
 
+    def _release(self, ids: Iterable[int]) -> None:
+        """Clear the request marks of ``ids``: another proposer's next
+        [Propose] may trigger a request for them again."""
+        requested = self._requested
+        for packet_id in ids:
+            requested[packet_id] = 0
+
     # ------------------------------------------------------------------
     # phase 3: serve
     # ------------------------------------------------------------------
     def _on_request(self, src: int, request: Request) -> None:
         store = self._store
-        packets = [store[packet_id] for packet_id in request.ids
-                   if packet_id in store]
+        try:
+            packets = [store[packet_id] for packet_id in request.ids
+                       if store[packet_id] is not None]
+        except IndexError:  # asked for ids past the store: none is held
+            packets = [store[packet_id] for packet_id in request.ids
+                       if self.has_packet(packet_id)]
         if not packets:
             return
         count = len(packets)
@@ -227,16 +274,25 @@ class GossipNode:
             self.on_serve_received(src, len(packets))
         store = self._store
         for packet in packets:
-            if packet.packet_id not in store:
+            try:
+                held = store[packet.packet_id]
+            except IndexError:
+                held = None
+            if held is None:
                 self._deliver(packet)
 
     def _deliver(self, packet: StreamPacket) -> None:
         now = self._sim._now
-        self._store[packet.packet_id] = packet
-        self.log.record(packet.packet_id, now)
-        self._to_propose.append(packet.packet_id)
+        packet_id = packet.packet_id
+        try:
+            self._store[packet_id] = packet
+        except IndexError:
+            self._grow(packet_id)
+            self._store[packet_id] = packet
+        self.log.record(packet_id, now)
+        self._to_propose.append(packet_id)
         # A delivered id must never be requested again.
-        self._requested.add(packet.packet_id)
+        self._requested[packet_id] = 1
         if self.on_deliver is not None:
             self.on_deliver(packet, now)
 

@@ -13,6 +13,12 @@ Models the paper's streaming application layer:
   delivery times, and a :class:`~repro.streaming.player.PlaybackAnalyzer`
   that answers "what does the stream look like at lag L?" — the question
   behind every quality/lag figure in the paper.
+
+Packet ids are dense (0 to ``total_packets - 1``, never negative), so
+per-packet state lives in flat arrays indexed by packet id: a receiver
+log is one ``array('d')`` of delivery times with ``inf`` for a missing
+packet, and a gossip node's store and request marks are a list and a
+``bytearray`` (:mod:`repro.core.base`).
 """
 
 from repro.streaming.packets import StreamConfig, StreamPacket

@@ -80,13 +80,17 @@ class PlaybackAnalyzer:
     grows, so an equal length means equal contents, and a log that has
     grown since is recomputed, never answered from a stale entry.  The
     memo holds the logs it was asked about for as long as the analyzer
-    lives.
+    lives.  :meth:`min_lag_delivery_ratio` reads a log's delays with
+    :meth:`ReceiverLog.delays` against a list of publish times that the
+    analyzer reads through ``publish_time`` once and keeps.
     """
 
     def __init__(self, config: StreamConfig, publish_time: Callable[[int], float]):
         config.validate()
         self.config = config
         self._publish_time = publish_time
+        #: publish_time of ids 0, 1, ..., as far as a query has read.
+        self._publish_times: List[float] = []
         self._per_window = config.packets_per_window
         self._needed = config.source_packets_per_window
         #: log -> (len(log) when filled, {window: required lag},
@@ -212,10 +216,19 @@ class PlaybackAnalyzer:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {ratio!r}")
         needed = math.ceil(ratio * total_packets)
-        publish_time = self._publish_time
-        delays = [delivered - publish_time(packet_id)
-                  for packet_id, delivered in log.items()]
-        delays.sort()
-        if len(delays) < needed:
+        if len(log) < needed:
             return OFFLINE
+        # One pass over the log's dense times and the publish times: a
+        # missing packet's ``inf`` delay sorts after every real one.
+        delays = log.delays(self._published(total_packets))
+        delays.sort()
         return max(0.0, delays[needed - 1])
+
+    def _published(self, count: int) -> List[float]:
+        """Publish times of ids ``[0, count)``, each read through
+        ``publish_time`` once per analyzer."""
+        published = self._publish_times
+        if len(published) < count:
+            published.extend(map(self._publish_time,
+                                 range(len(published), count)))
+        return published if len(published) == count else published[:count]

@@ -107,6 +107,18 @@ class TestCommands:
         assert "jitter-free windows" in out
         assert "utilization" in out
 
+    def test_run_without_a_complete_window_says_so(self, capsys):
+        # One second of stream and no drain publishes 57 of the 110
+        # packets of the one window: no window metric has a window.
+        code = main(["run", "--nodes", "5", "--seconds", "1",
+                     "--drain", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ("no complete window: 57 of the 110 packets a window "
+                "needs were published") in out
+        assert "jitter-free" not in out
+        assert "utilization" in out
+
     def test_run_with_freeriders_reports_detection(self, capsys):
         code = main(["run", "--nodes", "30", "--seconds", "5", "--drain", "12",
                      "--attacks", "nonserve=0.2", "--audit"])

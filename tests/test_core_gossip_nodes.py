@@ -200,6 +200,43 @@ class TestRetransmission:
         assert net.stats.count_by_kind["request"] == 2
 
 
+class TestDenseState:
+    """Store and request marks are arrays indexed by packet id."""
+
+    def test_has_packet_on_unseen_ids(self):
+        sim, net, directory, nodes = build_cluster(4)
+        node = nodes[1]
+        assert not any(node.has_packet(i) for i in (-1, 0, 5, 10**9))
+        node._on_serve(2, Serve([packet(5)]))
+        assert node.has_packet(5)
+        # -1 must not wrap around to the last slot (which holds 5).
+        assert not any(node.has_packet(i) for i in (-1, 0, 4, 6, 10**9))
+        node._on_propose(3, Propose([99]))  # marks grow the store too
+        assert node.has_packet(5)
+        assert not any(node.has_packet(i) for i in (6, 99, 100))
+
+    def test_released_request_can_be_re_requested(self):
+        config = dataclasses.replace(BASE_CONFIG, retransmission_period=0.2,
+                                     retransmission_retries=0)
+        sim, net, directory, nodes = build_cluster(4, config=config)
+        for node in nodes:
+            node.stop()  # quiesce: no proposal rounds interfere
+        node = nodes[1]
+        asked = []
+        net.on_deliver = lambda env: (
+            asked.append(list(env.payload.ids))
+            if env.payload.kind == "request" else None)
+        # Node 2 holds nothing, so 7 and 300 are never served; 8 arrives.
+        node._on_propose(2, Propose([7, 8, 300]))
+        node._on_serve(3, Serve([packet(8)]))
+        sim.run(until=1.0)  # the retransmission gives up: 7, 300 released
+        assert node.retransmission_stats.abandoned == 1
+        node._on_propose(3, Propose([300, 8, 7]))
+        node._on_propose(0, Propose([7, 300]))  # marked again: no request
+        sim.run(until=1.1)
+        assert asked == [[7, 8, 300], [300, 7]]
+
+
 class TestFanouts:
     def test_standard_fanout_constant(self):
         sim, net, directory, nodes = build_cluster(30, StandardGossipNode)
@@ -301,11 +338,17 @@ class TestSlotBuiltMessages:
            asked=st.lists(st.integers(0, 40), max_size=12))
     def test_serve_equals_the_constructor(self, held, asked):
         node, net = self.node()
+        delivered = {}
         for packet_id, size in held.items():
-            node._deliver(StreamPacket(packet_id=packet_id, window_id=0,
-                                       publish_time=0.0, size_bytes=size))
+            delivered[packet_id] = StreamPacket(
+                packet_id=packet_id, window_id=0, publish_time=0.0,
+                size_bytes=size)
+            node._deliver(delivered[packet_id])
+        # The ids held are exactly the ids logged (probed past them).
+        assert ([i for i in range(42) if node.has_packet(i)]
+                == [i for i, _ in node.log.items()] == sorted(held))
         node._on_request(7, Request(asked))
-        packets = [node._store[i] for i in asked if i in held]
+        packets = [delivered[i] for i in asked if i in held]
         if not packets:
             assert net.sent == []
             return
@@ -320,7 +363,10 @@ class TestSlotBuiltMessages:
            proposed=st.lists(st.integers(0, 40), max_size=12))
     def test_request_equals_the_constructor(self, requested, proposed):
         node, net = self.node()
-        node._requested.update(requested)
+        # Mark ``requested`` the way a node does: answer another
+        # proposer's [Propose] for them.
+        node._on_propose(1, Propose(sorted(requested)))
+        net.sent.clear()
         node._on_propose(2, Propose(proposed))
         wanted = [i for i in proposed if i not in requested]
         if not wanted:

@@ -1,5 +1,8 @@
 """Tests for the stream source and receiver log."""
 
+import math
+import pickle
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -109,3 +112,63 @@ class TestReceiverLog:
         log.record(3, 1.0)
         log.record(5, 2.0)
         assert dict(log.items()) == {3: 1.0, 5: 2.0}
+
+
+class TestDenseReceiverLog:
+    """The log is an array indexed by packet id; these pin its edges."""
+
+    def test_negative_id_is_refused(self):
+        log = ReceiverLog(7)
+        log.record(3, 1.0)
+        with pytest.raises(ValueError):
+            log.record(-1, 2.0)
+        assert len(log) == 1
+        assert not log.has(-1)
+        assert log.delivery_time(-1) is None
+
+    def test_ids_past_the_stored_range_read_as_missing(self):
+        log = ReceiverLog(7)
+        log.record(2, 1.0)
+        assert log.delivery_time(3) is None
+        assert log.delivery_time(10**9) is None
+        assert not log.has(3) and not log.has(10**9)
+        inf = math.inf
+        assert log.delivery_times(0, 5) == [inf, inf, 1.0, inf, inf]
+        assert log.delivery_times(10, 12) == [inf, inf]
+        assert log.delivery_times(4, 4) == []
+
+    def test_duplicates_are_counted(self):
+        log = ReceiverLog(7)
+        assert log.record(9, 1.0)
+        assert not log.record(9, 2.0)
+        assert not log.record(9, 3.0)
+        assert log.record(4, 4.0)  # a slot below the largest id: not a dup
+        assert log.duplicates == 2
+        assert len(log) == 2
+        assert log.delivery_time(9) == 1.0
+
+    def test_items_yield_ids_ascending(self):
+        log = ReceiverLog(7)
+        for packet_id, time in ((9, 1.0), (3, 2.0), (5, 3.0), (0, 4.0)):
+            log.record(packet_id, time)
+        assert list(log.items()) == [(0, 4.0), (3, 2.0), (5, 3.0), (9, 1.0)]
+
+    def test_delays_cover_the_shorter_of_log_and_publish_times(self):
+        log = ReceiverLog(7)
+        log.record(0, 1.5)
+        log.record(2, 3.0)
+        assert log.delays([1.0, 1.0, 1.0, 1.0]) == [0.5, math.inf, 2.0]
+        assert log.delays([1.0, 1.0]) == [0.5, math.inf]
+
+    def test_pickle_round_trip(self):
+        # Shard workers send their logs to the parent pickled.
+        log = ReceiverLog(7)
+        for packet_id in (1, 4, 11):
+            log.record(packet_id, packet_id / 10)
+        log.record(4, 9.0)
+        copy = pickle.loads(pickle.dumps(log))
+        assert copy.node_id == 7
+        assert list(copy.items()) == list(log.items())
+        assert (len(copy), copy.duplicates) == (3, 1)
+        assert copy.delivery_times(0, 25) == log.delivery_times(0, 25)
+        assert copy.record(30, 1.0) and not copy.record(11, 1.0)
