@@ -611,7 +611,7 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     # A pool on a 1-CPU host is pure overhead; run in-process unless the
     # caller pinned a start method (the parity tests do, to force the
     # pool path regardless of host) or brought a pool of its own.
-    crash_faults = faults is not None and faults.has_pool_faults
+    crash_faults = bool(faults and faults.crash_cells)
     serial = pool is None and (
         jobs <= 1 or len(pending) <= 1
         or (start_method is None and not crash_faults

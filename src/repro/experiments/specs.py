@@ -184,13 +184,7 @@ class SweepSpec(_ParamSpec):
         if not self.seed_list():
             raise ValueError("no seeds given (check --num-seeds)")
         distribution_by_name(self.distribution)  # raises on unknown names
-        plan = self.fault_plan()  # raises on bad fault syntax
-        if plan is not None and plan.has_shard_faults:
-            raise ValueError("shard-exit/shard-stall/drop-wire faults target "
-                             "the workers of a sharded scenario, which a "
-                             "sweep does not run; its faults are the cell "
-                             "clauses crash-cell, stall-cell and "
-                             "torn-checkpoint")
+        self.fault_plan()  # raises on bad fault syntax
 
     # ------------------------------------------------------------------
     # grid inputs

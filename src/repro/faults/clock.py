@@ -4,7 +4,7 @@ Deterministic packages (``repro.net``, ``repro.sim``, ...) may not call
 ``time.time``/``time.monotonic`` directly — the D101 lint rule rejects
 it, because wall-clock reads are how nondeterminism sneaks into
 simulation results.  Supervision, however, is *about* wall-clock time:
-barrier deadlines, watchdog deadlines, retry backoff.
+cell timeouts, watchdog deadlines, retry backoff.
 
 This module is the sanctioned seam between the two worlds.  Supervision
 code calls :func:`monotonic`/:func:`sleep` here; the values never feed

@@ -7,12 +7,11 @@ Three shapes, one per supervised layer:
   completes its remaining cells and the failure rides along in the
   :class:`~repro.experiments.parallel.GridResult` as a degraded-result
   record.
-* :class:`ShardFailure` — a sharded scenario lost a worker (exit, wedged
-  barrier, corrupt wire buffer).  It *is* an exception, because a
-  sharded scenario is all-or-nothing: every shard owns part of the
-  population, so a dead shard invalidates the whole run.  It subclasses
-  ``RuntimeError`` so existing callers that guard the sharded driver
-  keep working.
+* :class:`ShardFailure` — a shard worker exited or reported an error.
+  It *is* an exception, raised once, because a sharded scenario is
+  all-or-nothing: every shard owns part of the population, so a dead
+  shard invalidates the whole run.  It subclasses ``RuntimeError`` so
+  callers that guard the sharded driver keep working.
 * :class:`TornCheckpointInjected` — the torn-checkpoint-write fault
   fired: the checkpoint file has been deliberately truncated mid-line
   (simulating a writer killed mid-``write``) and the run aborted so a
@@ -58,13 +57,12 @@ class CellFailure:
 
 
 class ShardFailure(RuntimeError):
-    """A shard worker died or missed a window barrier deadline.
+    """A shard worker exited or failed before a window barrier.
 
-    Carries enough structure for supervision to decide (and tests to
-    assert) exactly what happened: which shard, which window it was
-    being waited on for, the last barrier it actually reached, and why
-    the coordinator gave up ("exited", "barrier timeout", "error",
-    "corrupt wire").
+    Says which shard, which window it was waited on for, the last
+    barrier it reached, and why the coordinator gave up: ``"exited"``
+    (``detail``: the exit code) or ``"failed"`` (``detail``: the
+    worker's traceback, e.g. of a wire buffer that does not unpickle).
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """Worker-side fault application.
 
-These run *inside* pool/shard worker processes, at the exact injection
+These run *inside* pool worker processes, at the exact injection
 points the :class:`~repro.faults.plan.FaultPlan` names.  Crashes use
 ``os._exit`` — no atexit handlers, no multiprocessing cleanup — so the
 parent sees exactly what a SIGKILL'd / OOM-killed worker looks like:
@@ -11,14 +11,11 @@ import os
 
 from repro.faults import clock
 
-__all__ = ["CRASH_EXIT_CODE", "SHARD_EXIT_CODE", "apply_cell_fault"]
+__all__ = ["CRASH_EXIT_CODE", "apply_cell_fault"]
 
 #: Exit code used by injected pool-worker crashes (diagnosable in the
 #: CellFailure message, distinct from real signals/exit codes).
 CRASH_EXIT_CODE = 23
-
-#: Exit code used by injected shard-worker exits.
-SHARD_EXIT_CODE = 63
 
 
 def apply_cell_fault(fault) -> None:

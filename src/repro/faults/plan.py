@@ -9,24 +9,17 @@ A plan is parsed from a compact text form (CLI ``--faults``, SweepSpec
 ``stall-cell=K:SECS``
     The first attempt of cell ``K`` sleeps ``SECS`` seconds before
     running (trips per-attempt timeouts / the service watchdog).
-``shard-exit=S@W``
-    Shard worker ``S`` exits hard just before sending window ``W``.
-``shard-stall=S@W:SECS``
-    Shard worker ``S`` sleeps ``SECS`` seconds before sending window
-    ``W`` (trips the barrier deadline).
-``drop-wire=S@W``
-    Shard ``S`` replaces its window-``W`` wire buffer to one peer with
-    bytes that are not a pickle (torn transport), which the receiver
-    fails to unpickle.
 ``torn-checkpoint=N``
     After the ``N``-th fresh record is appended to the grid checkpoint,
     tear the file mid-line and abort (simulated writer kill).
 
+A second ``crash-cell`` or ``stall-cell`` for one cell, or a second
+``torn-checkpoint``, is refused rather than merged or overridden.
+
 Plans are frozen, picklable, and carry no randomness: a faulted run is
 exactly reproducible.  Cell faults fire attempt-aware (``crash-cell``
 stops firing once its budget is spent, so the supervised retry
-succeeds); shard faults fire only on the first scenario attempt — the
-restart strips the plan.
+succeeds).
 """
 
 from dataclasses import dataclass, field, fields
@@ -55,11 +48,10 @@ def _seconds(text: str, clause: str) -> float:
     return value
 
 
-def _shard_at_window(text: str, clause: str) -> Tuple[int, int]:
-    shard_text, sep, window_text = text.partition("@")
-    if not sep:
-        raise ValueError(f"fault clause {clause!r}: expected SHARD@WINDOW")
-    return _int(shard_text, clause), _int(window_text, clause)
+def _once(faults: dict, cell: int, value, clause: str, name: str) -> None:
+    if cell in faults:
+        raise ValueError(f"fault clause {clause!r}: a second {name} for cell {cell}")
+    faults[cell] = value
 
 
 @dataclass(frozen=True)
@@ -70,12 +62,6 @@ class FaultPlan:
     crash_cells: Tuple[Tuple[int, int], ...] = ()
     #: (cell index, stall seconds) pairs — first attempt only.
     stall_cells: Tuple[Tuple[int, float], ...] = ()
-    #: (shard, window): exit hard before sending that window.
-    shard_exit: Optional[Tuple[int, int]] = None
-    #: (shard, window, seconds): sleep before sending that window.
-    shard_stall: Optional[Tuple[int, int, float]] = None
-    #: (shard, window): corrupt that window's outbound wire buffer.
-    drop_wire: Optional[Tuple[int, int]] = None
     #: Tear the checkpoint after this many fresh records were appended.
     torn_checkpoint: Optional[int] = None
     #: Original text form (round-trips through SweepSpec params).
@@ -87,11 +73,8 @@ class FaultPlan:
 
         if text is None or not text.strip():
             return None
-        crash_cells = []
-        stall_cells = []
-        shard_exit = None
-        shard_stall = None
-        drop_wire = None
+        crash_cells = {}
+        stall_cells = {}
         torn_checkpoint = None
         for raw in text.split(","):
             clause = raw.strip()
@@ -107,35 +90,25 @@ class FaultPlan:
                 times = _int(times_text, clause) if sep else 1
                 if times < 1:
                     raise ValueError(f"fault clause {clause!r}: crash count must be >= 1")
-                crash_cells.append((_int(cell_text, clause), times))
+                _once(crash_cells, _int(cell_text, clause), times, clause, name)
             elif name == "stall-cell":
                 cell_text, sep, secs_text = value.partition(":")
                 if not sep:
                     raise ValueError(f"fault clause {clause!r}: expected CELL:SECONDS")
-                stall_cells.append((_int(cell_text, clause), _seconds(secs_text, clause)))
-            elif name == "shard-exit":
-                shard_exit = _shard_at_window(value, clause)
-            elif name == "shard-stall":
-                target, sep, secs_text = value.partition(":")
-                if not sep:
-                    raise ValueError(f"fault clause {clause!r}: expected SHARD@WINDOW:SECONDS")
-                shard, window = _shard_at_window(target, clause)
-                shard_stall = (shard, window, _seconds(secs_text, clause))
-            elif name == "drop-wire":
-                drop_wire = _shard_at_window(value, clause)
+                seconds = _seconds(secs_text, clause)
+                _once(stall_cells, _int(cell_text, clause), seconds, clause, name)
             elif name == "torn-checkpoint":
+                if torn_checkpoint is not None:
+                    raise ValueError(f"fault clause {clause!r}: a second torn-checkpoint")
                 torn_checkpoint = _int(value, clause)
             else:
                 raise ValueError(
                     f"unknown fault clause {name!r} (expected one of: crash-cell, "
-                    f"stall-cell, shard-exit, shard-stall, drop-wire, torn-checkpoint)"
+                    f"stall-cell, torn-checkpoint)"
                 )
         return cls(
-            crash_cells=tuple(crash_cells),
-            stall_cells=tuple(stall_cells),
-            shard_exit=shard_exit,
-            shard_stall=shard_stall,
-            drop_wire=drop_wire,
+            crash_cells=tuple(crash_cells.items()),
+            stall_cells=tuple(stall_cells.items()),
             torn_checkpoint=torn_checkpoint,
             text=text,
         )
@@ -154,20 +127,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
     # Queries used by the supervision layers.
-
-    @property
-    def has_pool_faults(self) -> bool:
-        """Faults that require (or target) the grid worker pool."""
-
-        return bool(self.crash_cells)
-
-    @property
-    def has_shard_faults(self) -> bool:
-        return (
-            self.shard_exit is not None
-            or self.shard_stall is not None
-            or self.drop_wire is not None
-        )
 
     def cell_fault(self, index: int, attempt: int):
         """The fault (if any) for attempt ``attempt`` of cell ``index``.
@@ -196,13 +155,6 @@ class FaultPlan:
             clauses.append(f"crash-cell={cell}" if times == 1 else f"crash-cell={cell}x{times}")
         for cell, seconds in self.stall_cells:
             clauses.append(f"stall-cell={cell}:{seconds:g}")
-        if self.shard_exit is not None:
-            clauses.append(f"shard-exit={self.shard_exit[0]}@{self.shard_exit[1]}")
-        if self.shard_stall is not None:
-            shard, window, seconds = self.shard_stall
-            clauses.append(f"shard-stall={shard}@{window}:{seconds:g}")
-        if self.drop_wire is not None:
-            clauses.append(f"drop-wire={self.drop_wire[0]}@{self.drop_wire[1]}")
         if self.torn_checkpoint is not None:
             clauses.append(f"torn-checkpoint={self.torn_checkpoint}")
         return ",".join(clauses)

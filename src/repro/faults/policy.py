@@ -2,18 +2,13 @@
 
 :mod:`repro.faults.supervise` is the one *mechanism* — it waits on
 child processes and says whether one spoke, died or fell silent.  This
-module is the only place the *policy* lives: what its two clients do
+module is the only place the *policy* lives: what the worker pool does
 about it, and every back-off that is ever computed.
 
 * :class:`SupervisionPolicy` — one run on the worker pool (a grid, or a
   service job): how many times a lost cell is retried, how the backoff
   grows, and (optionally) how long one attempt may run before its
   worker is presumed wedged and killed.
-* :class:`ShardSupervision` — the sharded scenario driver: how many
-  times ``run_sharded`` restarts a failed scenario from scratch, and
-  how long the coordinator waits at a window barrier before declaring
-  a silent shard wedged.  A sharded scenario reached through
-  ``run_scenario`` runs under the defaults.
 * :func:`quarantine_backoff` — how long the service refuses a
   crash-looping spec (``job_timeout`` and ``quarantine_after`` are
   ``JobManager`` parameters).
@@ -22,11 +17,7 @@ about it, and every back-off that is ever computed.
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = [
-    "ShardSupervision",
-    "SupervisionPolicy",
-    "quarantine_backoff",
-]
+__all__ = ["SupervisionPolicy", "quarantine_backoff"]
 
 
 @dataclass(frozen=True)
@@ -70,27 +61,3 @@ def quarantine_backoff(base: float, excess_failures: int) -> float:
     quarantine threshold, doubling with every failure past it."""
 
     return base * 2.0 ** excess_failures
-
-
-@dataclass(frozen=True)
-class ShardSupervision:
-    """Restart budget and barrier deadline for sharded scenarios."""
-
-    #: Whole-scenario restarts allowed after a ShardFailure.  Restarts
-    #: strip injected faults (the failure already happened); results
-    #: stay byte-identical because scenarios are deterministic.
-    restarts: int = 1
-    #: Seconds, armed afresh at each window barrier, the coordinator
-    #: waits for a shard's frame before raising ShardFailure("missed
-    #: the barrier deadline").  ``None`` disables the deadline: process
-    #: sentinels still catch dead shards instantly, so only a
-    #: *wedged-but-alive* shard needs the timeout.
-    barrier_timeout: Optional[float] = None
-
-    def violations(self) -> tuple:
-        errors = []
-        if self.restarts < 0:
-            errors.append("restarts must be >= 0")
-        if self.barrier_timeout is not None and self.barrier_timeout <= 0:
-            errors.append("barrier_timeout must be positive")
-        return tuple(errors)

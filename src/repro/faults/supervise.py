@@ -3,9 +3,9 @@
 Every execution layer that hands work to another process — the worker
 pool (:mod:`repro.faults.pool`, which the grid engine and the service
 both run cells on) and the shard coordinator (:mod:`repro.net.shard`) —
-needs the same three answers about a child it is waiting for: *did it
-say something, did it die, or has it been silent too long?*  This module
-is the only place that question is asked.  A :class:`Supervisor` owns
+needs the same answers about a child it is waiting for: *did it say
+something, did it die, or (for the pool) has it been silent too long?*
+This module is the only place that question is asked.  A :class:`Supervisor` owns
 *child process + duplex pipe* pairs and classifies every wake-up of its
 single :meth:`Supervisor.wait` as
 
@@ -16,10 +16,11 @@ single :meth:`Supervisor.wait` as
   always an int — negative for a signal);
 * ``"deadline"`` — the child's armed deadline passed with neither.
 
-Mechanism only: what a silent or dead child *costs* (a retry, a
-restart) is decided by the client from :mod:`repro.faults.policy`.  All
-wall-clock reads go through :mod:`repro.faults.clock`.  Several threads
-may wait at once, each on its own children.
+Mechanism only: what a silent or dead child *costs* is decided by the
+client — a retry under :mod:`repro.faults.policy` for the pool, one
+raised ``ShardFailure`` for the shard coordinator.  All wall-clock
+reads go through :mod:`repro.faults.clock`.  Several threads may wait
+at once, each on its own children.
 """
 
 import gc

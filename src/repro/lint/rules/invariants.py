@@ -106,10 +106,18 @@ INVARIANTS: Tuple[Invariant, ...] = (
               "no process keeps a finished run ('No process keeps a "
               "finished run')", "result = cached_run(config)"),
     Invariant(r"(default|using)_shard_supervision",
-              ("src/repro", "benchmarks", "examples"), (),
-              "run_sharded takes its supervision as an argument, never "
-              "from process-wide state ('Retire the --shards surface')",
+              ("src/repro", "benchmarks", "examples", "tests"), (),
+              "run_sharded takes no supervision at all, let alone from "
+              "process-wide state ('Retire the --shards surface'; "
+              "'Sharded runs fail once and say so')",
               "supervision = default_shard_supervision()"),
+    Invariant(r"ShardSupervision|has_shard_faults|shard_exit|shard_stall"
+              r"|drop_wire|barrier_timeout|SHARD_EXIT_CODE",
+              ("src/repro", "benchmarks", "examples", "tests"), (),
+              "a sharded run has no restart budget, barrier deadline or "
+              "fault hook: a lost shard raises one ShardFailure ('Sharded "
+              "runs fail once and say so')",
+              "supervision = ShardSupervision(restarts=1)"),
     Invariant(r"_SUMMARY_CACHE|clear_summary_cache|table_specs",
               ("src/repro", "benchmarks", "examples", "tests"), (),
               "artifacts plan and one call runs them, so no cache or "

@@ -77,18 +77,13 @@ measurable number instead of a wall-clock mystery.
 
 from __future__ import annotations
 
-import os
 import pickle
-import sys
 import traceback
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.runner import (ExperimentResult, build_scenario,
                                       merge_harvests)
-from repro.faults import clock
 from repro.faults.failures import ShardFailure
-from repro.faults.inject import SHARD_EXIT_CODE
-from repro.faults.policy import ShardSupervision
 from repro.faults.supervise import Supervisor, default_start_method
 from repro.net.message import Envelope, kind_name, registered_kinds
 from repro.net.router import InprocRouter
@@ -308,44 +303,15 @@ def _run_serial_shards(config: ScenarioConfig, end: float) -> List[dict]:
 # ----------------------------------------------------------------------
 # process driver: one worker process per shard, coordinator as message hub
 # ----------------------------------------------------------------------
-def _apply_shard_fault(faults, shard_index: int, window_index: int,
-                       outboxes: List[list], shards: int) -> None:
-    """Apply any injected shard fault due at this (shard, window).
-
-    Runs inside the worker, just before the window message is sent —
-    the exact point where a real failure is most damaging, because the
-    peers are already committed to waiting at the barrier.
-    """
-    if faults.shard_exit is not None \
-            and faults.shard_exit == (shard_index, window_index):
-        os._exit(SHARD_EXIT_CODE)
-    if faults.shard_stall is not None \
-            and faults.shard_stall[:2] == (shard_index, window_index):
-        clock.sleep(faults.shard_stall[2])
-    if faults.drop_wire is not None \
-            and faults.drop_wire == (shard_index, window_index):
-        # Corrupt the outbox to one peer: a buffer that is not a pickle
-        # (torn transport).  The receiving shard's ``pickle.loads``
-        # raises — transport faults surface as structured failures,
-        # never as silently lost messages.
-        peer = (shard_index + 1) % shards
-        outboxes[peer] = [b"torn"]
-
-
 def _shard_worker(conn, config: ScenarioConfig, shard_index: int,
                   end: float) -> None:
     """Worker entry point (module-level: importable under spawn)."""
-    faults = config.faults
     try:
         run = _ShardRun(config, shard_index)
         conn.send(("hello", registered_kinds()))
         lookahead = _lookahead(config)
-        for window_index, t in enumerate(_windows(end, lookahead)):
-            outboxes = run.run_window(t)
-            if faults is not None:
-                _apply_shard_fault(faults, shard_index, window_index,
-                                   outboxes, config.shards)
-            conn.send(("window", t, outboxes))
+        for t in _windows(end, lookahead):
+            conn.send(("window", t, run.run_window(t)))
             tag, inbound = conn.recv()
             if tag != "deliver":  # pragma: no cover - protocol error
                 raise RuntimeError(f"unexpected coordinator message {tag!r}")
@@ -379,23 +345,18 @@ def _check_kind_registries(hellos: Sequence[Tuple[str, ...]]) -> None:
 
 
 def _run_process_shards(config: ScenarioConfig, end: float,
-                        start_method: Optional[str],
-                        supervision: Optional[ShardSupervision] = None,
-                        ) -> List[dict]:
+                        start_method: Optional[str]) -> List[dict]:
     """Spawn one worker per shard and relay their window exchanges.
 
-    The gather at each barrier is *supervised*
-    (:class:`~repro.faults.supervise.Supervisor`): a worker that dies
-    mid-window surfaces at once as a structured
+    The gather at each barrier waits through the
+    :class:`~repro.faults.supervise.Supervisor`: a worker that exits, or
+    reports an error (such as a wire buffer that does not unpickle),
+    surfaces at once as a structured
     :class:`~repro.faults.failures.ShardFailure` (which shard, which
-    window, last barrier reached) instead of deadlocking the barrier
-    forever, and with ``supervision.barrier_timeout`` set, a shard that
-    is alive but wedged trips the deadline armed at each barrier.
+    window, last barrier reached) instead of deadlocking the barrier.
     """
     import multiprocessing
 
-    if supervision is None:
-        supervision = ShardSupervision()
     ctx = multiprocessing.get_context(start_method or default_start_method())
     shards = config.shards
     supervisor = Supervisor(ctx, target=_shard_worker, name="repro-shard")
@@ -404,8 +365,6 @@ def _run_process_shards(config: ScenarioConfig, end: float,
     def _gather(window_index: int) -> List[tuple]:
         """Wait until every shard has sent its frame for this barrier."""
         frames = {}  # worker -> its frame
-        for worker in workers:
-            worker.arm(supervision.barrier_timeout)
         while len(frames) < shards:
             silent = [worker for worker in workers if worker not in frames]
             for worker, event, value in supervisor.wait(silent):
@@ -414,12 +373,8 @@ def _run_process_shards(config: ScenarioConfig, end: float,
                     continue
                 if event == "message":
                     reason, detail = "failed", value[1]
-                elif event == "exited":
-                    reason, detail = "exited", f"worker exit code {value}"
                 else:
-                    reason = "missed the barrier deadline"
-                    detail = (f"no message within "
-                              f"{supervision.barrier_timeout:g}s")
+                    reason, detail = "exited", f"worker exit code {value}"
                 raise ShardFailure(workers.index(worker), window_index,
                                    last_barrier, reason, detail)
         return [frames[worker] for worker in workers]
@@ -460,17 +415,14 @@ def _run_process_shards(config: ScenarioConfig, end: float,
                         f"code {code})") from None
             window_index += 1
     finally:
-        # Reap before returning or raising: a stalled survivor would
-        # otherwise outlive the failure, and an injected-crash run
-        # would leak live processes.
+        # Reap before returning or raising: the surviving shards would
+        # otherwise outlive the failure.
         supervisor.close()
 
 
 def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
                 start_method: Optional[str] = None,
-                processes: Optional[bool] = None,
-                supervision: Optional[ShardSupervision] = None
-                ) -> ExperimentResult:
+                processes: Optional[bool] = None) -> ExperimentResult:
     """Run one scenario partitioned across ``config.shards`` shards.
 
     Returns a merged ``ExperimentResult`` whose metric summaries are
@@ -487,52 +439,21 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     method (tests use ``"spawn"`` to prove the workers' builds are
     import-clean).
 
-    ``supervision`` (default: ``ShardSupervision()``) bounds how
-    failure is handled: a dead or wedged shard raises a structured
-    :class:`~repro.faults.failures.ShardFailure` instead of hanging the
-    barrier, and the scenario is restarted from scratch up to
-    ``supervision.restarts`` times — restarts strip injected faults
-    (``config.faults``), and because scenarios are deterministic the
-    restarted result is byte-identical to a never-faulted run.
+    A shard worker that exits or fails raises a structured
+    :class:`~repro.faults.failures.ShardFailure` once, instead of
+    hanging the barrier; the run is not retried, since a deterministic
+    scenario would fail the same way again.
     """
     config.validate()
     if config.shards <= 1:
         raise ValueError("run_sharded needs config.shards > 1")
-    if supervision is None:
-        supervision = ShardSupervision()
-    errors = supervision.violations()
-    if errors:
-        raise ValueError("; ".join(errors))
-    faults = config.faults
-    shard_faults = faults is not None and faults.has_shard_faults
     end = until if until is not None else config.end_time
     if processes is None:
         from repro.experiments.parallel import _available_cpus
 
-        processes = (_available_cpus() > 1 or start_method is not None
-                     or shard_faults)
-    if not processes:
-        if shard_faults:
-            raise ValueError(
-                "shard fault injection needs the worker-process driver; "
-                "the in-process serial driver has no workers to kill")
+        processes = _available_cpus() > 1 or start_method is not None
+    if processes:
+        harvests = _run_process_shards(config, end, start_method)
+    else:
         harvests = _run_serial_shards(config, end)
-        return merge_harvests(config, harvests)
-    attempt = 0
-    run_config = config
-    while True:
-        try:
-            harvests = _run_process_shards(run_config, end, start_method,
-                                           supervision=supervision)
-            break
-        except ShardFailure as failure:
-            if attempt >= supervision.restarts:
-                raise
-            attempt += 1
-            # The restart strips injected faults (their failure already
-            # happened); determinism makes the re-run byte-identical.
-            run_config = run_config.with_(faults=None)
-            print(f"shard supervision: {failure}; restarting scenario "
-                  f"(attempt {attempt}/{supervision.restarts})",
-                  file=sys.stderr)
-    return merge_harvests(run_config, harvests)
+    return merge_harvests(config, harvests)

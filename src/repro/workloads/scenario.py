@@ -19,7 +19,6 @@ from repro.workloads.distributions import KBPS, REF_691, CapabilityDistribution
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.adversary.mix import AttackMix
-    from repro.faults.plan import FaultPlan
 
 #: Protocols the runner knows how to build.
 PROTOCOLS = ("standard", "heap", "tree")
@@ -150,14 +149,6 @@ class ScenarioConfig:
     #: depend on global event order).
     shards: int = 0
 
-    #: Deterministic fault injection (chaos testing, see
-    #: :mod:`repro.faults`): shard-fault clauses fire inside this
-    #: scenario's shard workers.  Like ``shards``, faults are an
-    #: execution circumstance, not an experiment parameter — a faulted
-    #: run that supervision recovers is byte-identical to a clean one —
-    #: so the field is excluded from :func:`scenario_key`.
-    faults: Optional["FaultPlan"] = None
-
     # ------------------------------------------------------------------
     def violations(self) -> List[str]:
         """Every way this scenario is invalid, as human-readable strings.
@@ -227,11 +218,6 @@ class ScenarioConfig:
             if self.latency_floor <= 0:
                 errors.append("sharded execution needs a positive "
                               "latency_floor (it is the lookahead)")
-        if self.faults is not None:
-            errors.extend(f"faults: {v}" for v in self.faults.violations())
-            if self.faults.has_shard_faults and self.shards <= 1:
-                errors.append("shard fault injection (shard-exit/"
-                              "shard-stall/drop-wire) needs shards > 1")
         for sub in (self.stream, self.gossip):
             try:
                 sub.validate()
@@ -291,12 +277,6 @@ def scenario_key(config: ScenarioConfig) -> str:
             # parameter: a sharded run is byte-identical to the serial
             # run of the same scenario (tests/test_sharded_scenario.py),
             # so shard counts share one cache/checkpoint identity.
-            continue
-        if field_.name == "faults":
-            # Fault injection is likewise execution circumstance, not
-            # identity: a supervised-and-recovered faulted run is
-            # byte-identical to a clean one, and sharing the key is what
-            # lets its resume/restart reuse the clean run's checkpoints.
             continue
         value = getattr(config, field_.name)
         if field_.name == "adversary":

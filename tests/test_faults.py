@@ -2,18 +2,17 @@
 
 The contract under test is the strongest one supervision makes: every
 *recovered* injected fault is invisible in the results.  A grid whose
-worker was killed mid-cell, a sharded scenario whose shard exited at a
-window barrier, a checkpoint torn mid-write and resumed — all must
-produce byte-identical records, summaries and renders to the clean run
-of the same spec, because results are pure functions of (config, seed)
-and supervision only ever replays deterministic work.
+worker was killed mid-cell, a checkpoint torn mid-write and resumed —
+both must produce byte-identical records, summaries and renders to the
+clean run of the same spec, because results are pure functions of
+(config, seed) and supervision only ever replays deterministic work.
 
 Non-recoverable paths are pinned too: a poison cell quarantines into a
 structured ``CellFailure`` while the rest of the sweep completes, a
-shard that out-crashes its restart budget raises a structured
-``ShardFailure`` (never a deadlock), and fault clauses that target an
-execution engine that is not running (no pool, no shard workers, no
-checkpoint) are rejected loudly instead of silently not firing.
+shard worker that dies or fails raises one structured ``ShardFailure``
+(never a deadlock), and fault clauses that target an execution engine
+that is not running (no pool, no checkpoint) are rejected loudly
+instead of silently not firing.
 """
 
 import json
@@ -25,12 +24,10 @@ import pytest
 
 from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import run_grid
-from repro.experiments.runner import run_scenario
 from repro.experiments.specs import SweepSpec
 from repro.faults import (
     FaultPlan,
     ShardFailure,
-    ShardSupervision,
     SupervisionPolicy,
     TornCheckpointInjected,
     clock,
@@ -39,8 +36,7 @@ from repro.faults.pool import RunStopped, SupervisedPool, Tenant
 from repro.faults.supervise import Supervisor
 from repro.metrics.export import read_jsonl
 from repro.metrics.lag import spec_lag_delivery
-from repro.metrics.summary import standard_bundle, summarize
-from repro.net.shard import run_sharded
+from repro.net.shard import _ShardRun, run_sharded
 from repro.service.jobs import JobSpec
 from repro.workloads.distributions import REF_691
 from repro.workloads.scenario import ScenarioConfig, scenario_key
@@ -70,11 +66,6 @@ GRID_SEEDS = [1, 2]
 FAST = SupervisionPolicy(backoff_base=0.01, backoff_cap=0.05)
 
 
-def summary_blob(result) -> str:
-    """Canonical JSON of the standard spec bundle: the byte-parity key."""
-    return json.dumps(summarize(result, standard_bundle()), sort_keys=True)
-
-
 def sharded_config(**overrides) -> ScenarioConfig:
     base = dict(protocol="heap", n_nodes=80, duration=3.0, drain=6.0,
                 seed=5, distribution=REF_691,
@@ -88,27 +79,20 @@ def sharded_config(**overrides) -> ScenarioConfig:
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_parse_full_syntax(self):
-        plan = FaultPlan.parse("crash-cell=1,crash-cell=3x2,"
-                               "stall-cell=0:0.5,shard-exit=1@3,"
-                               "shard-stall=0@2:1.5,drop-wire=1@4,"
-                               "torn-checkpoint=2")
+        plan = FaultPlan.parse("crash-cell=1,crash-cell=3x2,stall-cell=0:0.5,"
+                               "stall-cell=1:2,torn-checkpoint=2")
         assert plan.crash_cells == ((1, 1), (3, 2))
-        assert plan.stall_cells == ((0, 0.5),)
-        assert plan.shard_exit == (1, 3)
-        assert plan.shard_stall == (0, 2, 1.5)
-        assert plan.drop_wire == (1, 4)
+        assert plan.stall_cells == ((0, 0.5), (1, 2.0))
         assert plan.torn_checkpoint == 2
-        assert plan.has_pool_faults
-        assert plan.has_shard_faults
 
     def test_round_trips_through_text(self):
-        text = "crash-cell=3x2,stall-cell=0:0.5,shard-exit=1@3"
+        text = "crash-cell=3x2,stall-cell=0:0.5,torn-checkpoint=4"
         plan = FaultPlan.parse(text)
         assert plan.to_text() == text
         assert FaultPlan.parse(plan.to_text()) == plan
 
     def test_synthesized_text_parses_back(self):
-        plan = FaultPlan(crash_cells=((1, 2),), drop_wire=(0, 4),
+        plan = FaultPlan(crash_cells=((1, 2),), stall_cells=((0, 1.5),),
                          torn_checkpoint=1)
         assert FaultPlan.parse(plan.to_text()) == plan
 
@@ -130,12 +114,26 @@ class TestFaultPlan:
         "crash-cell=1x0",         # kill budget < 1
         "stall-cell=0",           # missing duration
         "stall-cell=0:-1",        # non-positive duration
-        "shard-exit=1",           # missing @WINDOW
-        "shard-stall=1@2",        # missing :SECONDS
+        "shard-exit=1",           # shard clauses are unknown
+        "shard-stall=1@2",
     ])
     def test_bad_clause_rejected(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
+
+    @pytest.mark.parametrize("text, second", [
+        ("torn-checkpoint=1,torn-checkpoint=5", "torn-checkpoint=5"),
+        ("stall-cell=0:1,stall-cell=0:9", "stall-cell=0:9"),
+        ("crash-cell=0,crash-cell=0x3", "crash-cell=0x3"),
+    ])
+    def test_repeated_clause_rejected(self, text, second):
+        """A second clause for the same target is refused, naming it —
+        not kept, dropped or merged with the first."""
+        with pytest.raises(ValueError, match=f"'{second}': a second"):
+            FaultPlan.parse(text)
+        with pytest.raises(ValueError, match=f"'{second}'"):
+            SweepSpec(protocols=("heap",), nodes=10, seconds=2.0, drain=4.0,
+                      num_seeds=2, faults=text).check()
 
     def test_cell_fault_attempt_semantics(self):
         plan = FaultPlan.parse("crash-cell=1x2,stall-cell=2:0.5")
@@ -153,10 +151,9 @@ class TestFaultPlan:
 # Identity: faults are an execution circumstance, not a parameter
 # ----------------------------------------------------------------------
 class TestFaultIdentity:
-    def test_scenario_key_ignores_faults(self):
-        config = tiny_config(seed=7)
-        faulted = config.with_(faults=FaultPlan.parse("shard-exit=0@1"))
-        assert scenario_key(faulted) == scenario_key(config)
+    def test_scenario_key_ignores_shards(self):
+        config = sharded_config(seed=7)
+        assert scenario_key(config.with_(shards=2)) == scenario_key(config)
 
     def test_job_fingerprint_ignores_faults(self):
         params = {"protocols": ["heap"], "nodes": 10, "seconds": 2.0,
@@ -166,11 +163,13 @@ class TestFaultIdentity:
                           params=dict(params, faults="crash-cell=1"))
         assert faulted.fingerprint() == clean.fingerprint()
 
-    def test_shard_faults_need_shards(self):
-        # A sweep runs no shard workers, so its spec takes only the
-        # cell clauses; shard clauses live on a ScenarioConfig.
-        with pytest.raises(ValueError, match="crash-cell, stall-cell and "
-                                             "torn-checkpoint"):
+    def test_shard_clauses_are_unknown(self):
+        unknown = ("unknown fault clause 'shard-exit' "
+                   r"\(expected one of: crash-cell, stall-cell, "
+                   r"torn-checkpoint\)")
+        with pytest.raises(ValueError, match=unknown):
+            FaultPlan.parse("shard-exit=0@1")
+        with pytest.raises(ValueError, match=unknown):
             SweepSpec(protocols=("heap",), nodes=10, seconds=2.0, drain=4.0,
                       num_seeds=2, faults="shard-exit=0@1").check()
 
@@ -513,73 +512,56 @@ class TestTornCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# Sharded scenarios: exits, stalls, corrupt wire buffers
+# Sharded scenarios: a dead or failing shard worker raises once
 # ----------------------------------------------------------------------
-class TestShardSupervision:
-    @pytest.fixture(scope="class")
-    def serial_blob(self):
-        return summary_blob(run_scenario(sharded_config()))
+class TestShardFailure:
+    """The sharded driver has no fault hook; these tests patch
+    ``_ShardRun.run_window`` in the parent, and the forked shard
+    workers inherit the patch."""
 
-    def test_shard_exit_restart_parity_two_shards(self, serial_blob, capfd):
-        config = sharded_config(shards=2,
-                                faults=FaultPlan.parse("shard-exit=1@3"))
-        merged = run_sharded(config, supervision=ShardSupervision(restarts=1))
-        assert summary_blob(merged) == serial_blob
-        err = capfd.readouterr().err
-        assert "shard supervision:" in err
-        assert "restarting scenario (attempt 1/1)" in err
+    @staticmethod
+    def _patch_window(monkeypatch, act):
+        """Call ``act(run, window_index, outboxes)`` after every window."""
+        run_window = _ShardRun.run_window
+        windows = {}
 
-    def test_shard_exit_restart_parity_four_shards(self, serial_blob):
-        config = sharded_config(shards=4,
-                                faults=FaultPlan.parse("shard-exit=3@5"))
-        merged = run_sharded(config, supervision=ShardSupervision(restarts=1))
-        assert summary_blob(merged) == serial_blob
+        def patched(run, until):
+            outboxes = run_window(run, until)
+            index = windows[id(run)] = windows.get(id(run), -1) + 1
+            act(run, index, outboxes)
+            return outboxes
 
-    def test_shard_exit_restart_parity_spawn(self, serial_blob):
-        config = sharded_config(shards=2,
-                                faults=FaultPlan.parse("shard-exit=0@2"))
-        merged = run_sharded(config, start_method="spawn",
-                             supervision=ShardSupervision(restarts=1))
-        assert summary_blob(merged) == serial_blob
+        monkeypatch.setattr(_ShardRun, "run_window", patched)
 
-    def test_exhausted_restart_budget_raises_structured_failure(self):
-        config = sharded_config(shards=2,
-                                faults=FaultPlan.parse("shard-exit=1@3"))
+    def test_dead_worker_raises_exited(self, monkeypatch):
+        def exit_shard_1(run, index, _outboxes):
+            if run.router.shard_index == 1 and index == 3:
+                os._exit(63)
+
+        self._patch_window(monkeypatch, exit_shard_1)
         with pytest.raises(ShardFailure, match="shard 1 exited") as exc_info:
-            run_sharded(config, supervision=ShardSupervision(restarts=0))
+            run_sharded(sharded_config(shards=2), start_method="fork",
+                        processes=True)
         failure = exc_info.value
-        assert failure.shard == 1
-        assert failure.reason == "exited"
+        assert (failure.shard, failure.reason, failure.window_index,
+                failure.last_barrier) == (1, "exited", 3, 2)
+        assert failure.detail == "worker exit code 63"
+        assert multiprocessing.active_children() == []
+
+    def test_unreadable_wire_raises_failed(self, monkeypatch):
+        def tear_shard_0(run, index, outboxes):
+            if run.router.shard_index == 0 and index == 2:
+                outboxes[1] = [b"torn"]
+
+        self._patch_window(monkeypatch, tear_shard_0)
+        with pytest.raises(ShardFailure, match="shard 1 failed") as exc_info:
+            run_sharded(sharded_config(shards=2), start_method="fork",
+                        processes=True)
+        failure = exc_info.value
+        assert failure.reason == "failed"
         assert failure.window_index == 3
-        assert failure.last_barrier == 2
-
-    def test_barrier_deadline_converts_wedge_to_failure(self):
-        """A wedged-but-alive shard must fail the deadline, not hang the
-        barrier forever — the deadlock this plane exists to kill."""
-        config = sharded_config(shards=2,
-                                faults=FaultPlan.parse("shard-stall=1@2:60"))
-        started = clock.monotonic()
-        with pytest.raises(ShardFailure,
-                           match="missed the barrier deadline") as exc_info:
-            run_sharded(config,
-                        supervision=ShardSupervision(restarts=0,
-                                                     barrier_timeout=1.0))
-        assert clock.monotonic() - started < 30.0
-        assert exc_info.value.shard == 1
-        assert exc_info.value.window_index == 2
-
-    def test_drop_wire_restart_parity(self, serial_blob, capfd):
-        config = sharded_config(shards=2,
-                                faults=FaultPlan.parse("drop-wire=0@2"))
-        merged = run_sharded(config, supervision=ShardSupervision(restarts=1))
-        assert summary_blob(merged) == serial_blob
-        assert "restarting scenario" in capfd.readouterr().err
-
-    def test_shard_faults_need_process_driver(self):
-        config = sharded_config(shards=2,
-                                faults=FaultPlan.parse("shard-exit=1@3"))
-        with pytest.raises(ValueError, match="worker-process driver"):
-            run_sharded(config, processes=False)
+        assert "UnpicklingError" in failure.detail
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -609,3 +591,11 @@ class TestCliChaos:
                   "--faults", "crash-cell=1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --faults" in capsys.readouterr().err
+
+    def test_sweep_refuses_a_repeated_clause(self, capsys):
+        from repro.cli import main
+
+        assert main(self.ARGS + ["--faults",
+                                 "torn-checkpoint=1,torn-checkpoint=5"]) == 2
+        assert "'torn-checkpoint=5': a second torn-checkpoint" in \
+            capsys.readouterr().err
