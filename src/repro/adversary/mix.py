@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.adversary.placement import PLACEMENT_POLICIES, place_ids
 from repro.adversary.registry import get_attack, is_registered
@@ -56,65 +56,8 @@ class AttackMix:
     #: keeps the legacy freerider selection bit-compatible.
     salt: str = field(default="", compare=True)
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def single(cls, name: str, fraction: float,
-               param: Optional[float] = None,
-               victim_policy: str = "random") -> "AttackMix":
-        """A one-attack mix (the §5 freerider study's shape)."""
-        params = () if param is None else ((name, param),)
-        return cls(attacks=((name, fraction),), params=params,
-                   victim_policy=victim_policy)
-
-    @classmethod
-    def parse(cls, attacks_text: str, params_text: str = "",
-              victim_policy: str = "random") -> "AttackMix":
-        """Build a mix from CLI syntax: ``"spam=0.1,withhold=0.05"``.
-
-        ``params_text`` uses the same ``name=value`` syntax for parameter
-        overrides.  Raises :class:`ValueError` on malformed input; name
-        and range validation is left to :meth:`violations` so the CLI
-        can report every problem at once.
-        """
-        return cls(attacks=_parse_pairs(attacks_text, "--attacks"),
-                   params=_parse_pairs(params_text, "--attack-params"),
-                   victim_policy=victim_policy)
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def total_fraction(self) -> float:
-        """The expected fraction of receivers attacked (sum of weights)."""
-        return sum(fraction for _, fraction in self.attacks)
-
-    def attack_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.attacks)
-
-    def param_for(self, name: str) -> float:
-        """The parameter ``name`` runs with: override or catalog default."""
-        for param_name, value in self.params:
-            if param_name == name:
-                return value
-        return get_attack(name).default_param
-
-    def describe(self) -> str:
-        parts = ", ".join(f"{name}={fraction:g}"
-                          for name, fraction in self.attacks)
-        return f"{parts} @ {self.victim_policy}"
-
-    # ------------------------------------------------------------------
-    # identity and validation
-    # ------------------------------------------------------------------
-    def key(self) -> tuple:
-        """Stable value identity (feeds ``scenario_key``)."""
-        return ("attack-mix", self.attacks, self.params, self.victim_policy,
-                self.salt)
-
-    def violations(self) -> List[str]:
-        """Every way this mix is invalid, as human-readable strings.
+    def __post_init__(self) -> None:
+        """Refuse a bad mix, every problem in one :class:`ValueError`.
 
         Importing the in-tree attacks here (not at module import) keeps
         the mix type usable by ``ScenarioConfig`` without dragging the
@@ -151,7 +94,64 @@ class AttackMix:
         if self.victim_policy not in PLACEMENT_POLICIES:
             errors.append(f"unknown victim policy {self.victim_policy!r}; "
                           f"known: {', '.join(PLACEMENT_POLICIES)}")
-        return errors
+        if errors:
+            raise ValueError("; ".join(errors))
+
+    # ------------------------------------------------------------------
+    # construction helpers
+    # ------------------------------------------------------------------
+    @classmethod
+    def single(cls, name: str, fraction: float,
+               param: Optional[float] = None,
+               victim_policy: str = "random") -> "AttackMix":
+        """A one-attack mix (the §5 freerider study's shape)."""
+        params = () if param is None else ((name, param),)
+        return cls(attacks=((name, fraction),), params=params,
+                   victim_policy=victim_policy)
+
+    @classmethod
+    def parse(cls, attacks_text: str, params_text: str = "",
+              victim_policy: str = "random") -> "AttackMix":
+        """Build a mix from CLI syntax: ``"spam=0.1,withhold=0.05"``.
+
+        ``params_text`` uses the same ``name=value`` syntax for parameter
+        overrides.  Raises :class:`ValueError` on malformed input, and
+        the constructor raises one on every bad name or range at once.
+        """
+        return cls(attacks=_parse_pairs(attacks_text, "--attacks"),
+                   params=_parse_pairs(params_text, "--attack-params"),
+                   victim_policy=victim_policy)
+
+    # ------------------------------------------------------------------
+    # accessors
+    # ------------------------------------------------------------------
+    @property
+    def total_fraction(self) -> float:
+        """The expected fraction of receivers attacked (sum of weights)."""
+        return sum(fraction for _, fraction in self.attacks)
+
+    def attack_names(self) -> Tuple[str, ...]:
+        return tuple(name for name, _ in self.attacks)
+
+    def param_for(self, name: str) -> float:
+        """The parameter ``name`` runs with: override or catalog default."""
+        for param_name, value in self.params:
+            if param_name == name:
+                return value
+        return get_attack(name).default_param
+
+    def describe(self) -> str:
+        parts = ", ".join(f"{name}={fraction:g}"
+                          for name, fraction in self.attacks)
+        return f"{parts} @ {self.victim_policy}"
+
+    # ------------------------------------------------------------------
+    # identity
+    # ------------------------------------------------------------------
+    def key(self) -> tuple:
+        """Stable value identity (feeds ``scenario_key``)."""
+        return ("attack-mix", self.attacks, self.params, self.victim_policy,
+                self.salt)
 
     def required_membership(self) -> Optional[str]:
         """The membership substrate the mix needs, if any attack does."""

@@ -84,7 +84,6 @@ class GossipNode:
     def __init__(self, sim: Simulator, net: Network, node_id: int,
                  view: LocalView, config: GossipConfig, rng: random.Random,
                  capability_bps: float):
-        config.validate()
         self._sim = sim
         self._net = net
         self.node_id = node_id

@@ -56,28 +56,31 @@ class GossipConfig:
     #: aggregation ablation bench explores larger values.
     aggregation_fanout: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        errors = []
         if self.fanout < 1:
-            raise ValueError("fanout must be >= 1")
+            errors.append("fanout must be >= 1")
         if self.gossip_period <= 0:
-            raise ValueError("gossip period must be positive")
+            errors.append("gossip period must be positive")
         if self.retransmission_period <= 0:
-            raise ValueError("retransmission period must be positive")
+            errors.append("retransmission period must be positive")
         if self.retransmission_retries < 0:
-            raise ValueError("retries must be >= 0")
+            errors.append("retries must be >= 0")
         if self.min_fanout < 0:
-            raise ValueError("min_fanout must be >= 0")
+            errors.append("min_fanout must be >= 0")
         if self.max_fanout < 0:
-            raise ValueError("max_fanout must be >= 0 (0 disables)")
+            errors.append("max_fanout must be >= 0 (0 disables)")
         if self.max_fanout and self.max_fanout < self.min_fanout:
-            raise ValueError("max_fanout below min_fanout")
+            errors.append("max_fanout below min_fanout")
         if self.fanout_rounding not in ("stochastic", "round"):
-            raise ValueError(f"unknown rounding mode {self.fanout_rounding!r}")
+            errors.append(f"unknown rounding mode {self.fanout_rounding!r}")
         if self.aggregation_period <= 0:
-            raise ValueError("aggregation period must be positive")
+            errors.append("aggregation period must be positive")
         if self.aggregation_fresh_count < 1:
-            raise ValueError("aggregation_fresh_count must be >= 1")
+            errors.append("aggregation_fresh_count must be >= 1")
         if self.aggregation_sample_ttl <= 0:
-            raise ValueError("aggregation_sample_ttl must be positive")
+            errors.append("aggregation_sample_ttl must be positive")
         if self.aggregation_fanout < 1:
-            raise ValueError("aggregation_fanout must be >= 1")
+            errors.append("aggregation_fanout must be >= 1")
+        if errors:
+            raise ValueError("; ".join(errors))

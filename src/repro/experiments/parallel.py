@@ -497,10 +497,12 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     ``SupervisedPool`` over :func:`_run_cell`, whose ``stop`` raises
     ``RunStopped`` here) runs every cell, whatever ``jobs`` says.
     ``faults`` takes a :class:`~repro.faults.plan.FaultPlan` whose cell
-    and checkpoint clauses are injected deterministically (shard clauses
-    travel on the configs instead); ``supervision`` tunes the run's
-    :class:`~repro.faults.policy.SupervisionPolicy` (retry budget,
-    backoff, per-attempt timeout).  A crashed or wedged worker costs a
+    and checkpoint clauses are injected deterministically; ``supervision``
+    tunes the run's :class:`~repro.faults.policy.SupervisionPolicy`
+    (retry budget, backoff, per-attempt timeout).  Every one of these
+    values refused itself when it was built, so the one check left here
+    is the one no single value can make: a ``torn-checkpoint`` clause
+    needs ``checkpoint=``.  A crashed or wedged worker costs a
     retry, never the sweep: a cell that out-dies its budget becomes a
     structured :class:`~repro.faults.failures.CellFailure` on the result
     while every other cell completes.
@@ -510,23 +512,14 @@ def run_grid(configs, seeds: Optional[Sequence[int]],
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one scenario config")
-    if faults is not None:
-        fault_errors = faults.violations()
-        if fault_errors:
-            raise ValueError("; ".join(fault_errors))
-        if faults.torn_checkpoint is not None and checkpoint is None:
-            raise ValueError("torn-checkpoint fault injection needs "
-                             "checkpoint= (there is no file to tear)")
-    if supervision is not None:
-        supervision_errors = supervision.violations()
-        if supervision_errors:
-            raise ValueError("; ".join(supervision_errors))
+    if (faults is not None and faults.torn_checkpoint is not None
+            and checkpoint is None):
+        raise ValueError("torn-checkpoint fault injection needs "
+                         "checkpoint= (there is no file to tear)")
     if seeds is not None:
         seeds = list(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
-    for config in configs:
-        config.validate()
     metric_items = tuple(metrics.items())
     metric_names = [name for name, _ in metric_items]
     specs_by_scenario = _specs_per_scenario(summaries, len(configs))

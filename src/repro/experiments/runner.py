@@ -413,7 +413,6 @@ def build_scenario(config: ScenarioConfig, *,
     source and co-protocols start only for owned nodes.  ``router``
     replaces the network's default in-process delivery router.
     """
-    config.validate()
     sim = Simulator()
     registry = RngRegistry(config.seed)
 

@@ -14,6 +14,11 @@ reads the same table:
   request body — through each field's declared type and raises a
   :class:`ValueError` naming the offending field.
 
+A spec that cannot run is never built: the constructor refuses it, and
+with it every scenario and fault plan it would build.  So the CLI, the
+service and the Python API share one rule per value, and a spec that
+exists is one that runs.
+
 The CLI and the service control plane (:mod:`repro.service`) therefore
 build the *same* value and execute it through the same call —
 :meth:`SweepSpec.run`, i.e. ``run_grid`` over ``spec.configs()`` /
@@ -64,15 +69,15 @@ class _ParamSpec:
 
     @classmethod
     def from_params(cls, params: Mapping, what: str = "sweep"):
-        """Build and sanity-check a spec from a JSON-ish mapping.
+        """Build a spec from a JSON-ish mapping.
 
         Unknown keys raise — a typoed parameter must not silently run
         the default experiment — and every value is coerced through its
         field's declared type (list-valued fields accept JSON lists or
         the CLI's comma-separated strings), so a malformed value is a
         :class:`ValueError` naming the field, never a stray
-        ``TypeError`` from deep inside the run.  NaN and infinities are
-        refused the same way, for every float field at once.
+        ``TypeError`` from deep inside the run.  The constructor then
+        refuses the values themselves.
         """
         hints = _hints(cls)
         unknown = sorted(set(params) - set(hints))
@@ -80,14 +85,8 @@ class _ParamSpec:
             raise ValueError(f"unknown {what} parameter(s): "
                              f"{', '.join(unknown)}; known: "
                              f"{', '.join(sorted(hints))}")
-        spec = cls(**{name: _coerce(name, hints[name], value)
+        return cls(**{name: _coerce(name, hints[name], value)
                       for name, value in params.items()})
-        nonfinite = nonfinite_fields(spec)
-        if nonfinite:
-            raise ValueError(f"{what} parameter(s) must be finite: "
-                             f"{', '.join(nonfinite)}")
-        spec.check()
-        return spec
 
     def to_params(self) -> Dict[str, object]:
         """The normalized JSON mapping (tuples as lists), suitable for a
@@ -137,10 +136,9 @@ class SweepSpec(_ParamSpec):
         False, "run the gossip-based freerider audit on every node "
                "(enables conviction columns in attack sweeps)")
     #: ``AttackMix.parse`` inputs (kept as the CLI's text form so the
-    #: spec stays a plain JSON value).  Only syntax errors surface at
-    #: parse time; unknown names, out-of-range fractions and
-    #: policy/membership conflicts flow into ``ScenarioConfig.validate``,
-    #: which reports all of them in one error.
+    #: spec stays a plain JSON value).  The mix refuses its own unknown
+    #: names and out-of-range values in one error; its conflicts with
+    #: the protocol or membership are the scenario's, in another.
     attacks: Optional[str] = _option(
         None, "plant an attack mix: comma-separated name=fraction pairs "
               "(fractions of the receiver population; see `repro attacks "
@@ -172,9 +170,14 @@ class SweepSpec(_ParamSpec):
               "stall-cell=K:SECS, torn-checkpoint=N); recovered runs are "
               "byte-identical to clean ones", metavar="CLAUSE,...")
 
-    def check(self) -> None:
-        """Spec-level validation (scenario-level checks live in
-        :meth:`ScenarioConfig.validate`, via :meth:`configs`)."""
+    def __post_init__(self) -> None:
+        """Refuse a spec that cannot run: its own non-finite floats
+        first (named as spec fields), then its own rules, then every
+        value it builds — the fault plan and one scenario per protocol."""
+        nonfinite = nonfinite_fields(self)
+        if nonfinite:
+            raise ValueError(f"sweep parameter(s) must be finite: "
+                             f"{', '.join(nonfinite)}")
         if not self.protocols:
             raise ValueError("no protocols given")
         unknown = [p for p in self.protocols if p not in PROTOCOLS]
@@ -183,8 +186,8 @@ class SweepSpec(_ParamSpec):
                              f"known: {', '.join(PROTOCOLS)}")
         if not self.seed_list():
             raise ValueError("no seeds given (check --num-seeds)")
-        distribution_by_name(self.distribution)  # raises on unknown names
-        self.fault_plan()  # raises on bad fault syntax
+        self.fault_plan()
+        self.configs()
 
     # ------------------------------------------------------------------
     # grid inputs
@@ -213,17 +216,18 @@ class SweepSpec(_ParamSpec):
         return FaultPlan.parse(self.faults)
 
     def configs(self) -> List[ScenarioConfig]:
-        """One validated ScenarioConfig per protocol — the one builder
-        behind ``repro run``, ``repro sweep`` and the service's jobs.
-        Faults stay off the configs: ``run_grid`` applies them."""
+        """One ScenarioConfig per protocol — the one builder behind
+        ``repro run``, ``repro sweep`` and the service's jobs.  Faults
+        stay off the configs: ``run_grid`` applies them."""
+        distribution = distribution_by_name(self.distribution)
         adversary = self.adversary()
-        configs = [ScenarioConfig(
+        return [ScenarioConfig(
             name=protocol,
             protocol=protocol,
             n_nodes=self.nodes,
             duration=self.seconds,
             drain=self.drain,
-            distribution=distribution_by_name(self.distribution),
+            distribution=distribution,
             loss_rate=self.loss,
             membership=self.membership,
             capability_discovery=self.discovery,
@@ -237,9 +241,6 @@ class SweepSpec(_ParamSpec):
             loss_rng=self.loss_rng,
             latency_floor=self.latency_floor,
         ) for protocol in self.protocols]
-        for config in configs:
-            config.validate()
-        return configs
 
     def metrics(self) -> Dict[str, object]:
         """The sweep's metric columns, in CLI column order (module-level
@@ -284,7 +285,7 @@ class RenderSpec(_ParamSpec):
         None, "experiment scale (default: REPRO_SCALE)",
         choices=tuple(sorted(_SCALES)))
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.scale is not None and self.scale not in _SCALES:
             raise ValueError(f"unknown scale {self.scale!r}; known: "
                              f"{', '.join(sorted(_SCALES))}")

@@ -14,7 +14,10 @@ A plan is parsed from a compact text form (CLI ``--faults``, SweepSpec
     tear the file mid-line and abort (simulated writer kill).
 
 A second ``crash-cell`` or ``stall-cell`` for one cell, or a second
-``torn-checkpoint``, is refused rather than merged or overridden.
+``torn-checkpoint``, is refused rather than merged or overridden.  The
+constructor holds every rule but the last (one int field cannot hold two
+values), so a plan built in code is one whose :meth:`FaultPlan.to_text`
+parses back to it.
 
 Plans are frozen, picklable, and carry no randomness: a faulted run is
 exactly reproducible.  Cell faults fire attempt-aware (``crash-cell``
@@ -22,36 +25,47 @@ stops firing once its budget is spent, so the supervised retry
 succeeds).
 """
 
+import math
 from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = ["FaultPlan"]
 
 
 def _int(text: str, clause: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"fault clause {clause!r}: {text!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"fault clause {clause!r}: index must be >= 0")
-    return value
 
 
 def _seconds(text: str, clause: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"fault clause {clause!r}: {text!r} is not a duration") from None
-    if value <= 0:
-        raise ValueError(f"fault clause {clause!r}: duration must be positive")
-    return value
 
 
-def _once(faults: dict, cell: int, value, clause: str, name: str) -> None:
-    if cell in faults:
-        raise ValueError(f"fault clause {clause!r}: a second {name} for cell {cell}")
-    faults[cell] = value
+def _crash_clause(cell: int, times: int) -> str:
+    return f"crash-cell={cell}" if times == 1 else f"crash-cell={cell}x{times}"
+
+
+def _stall_clause(cell: int, seconds: float) -> str:
+    # repr round-trips every float; a trailing ".0" is dropped (30, not 30.0).
+    text = repr(float(seconds))
+    return f"stall-cell={cell}:{text[:-2] if text.endswith('.0') else text}"
+
+
+def _cell_errors(clause: str, cell: int, seen: set, problem: Optional[str]) -> List[str]:
+    """``clause``'s problems: ``problem`` (its value's, if any), a
+    negative index, or a cell already in ``seen`` (which gains it)."""
+    problems = [problem] if problem else []
+    if cell < 0:
+        problems.append("index must be >= 0")
+    if cell in seen:
+        problems.append(f"a second {clause.partition('=')[0]} for cell {cell}")
+    seen.add(cell)
+    return [f"fault clause {clause!r}: {text}" for text in problems]
 
 
 @dataclass(frozen=True)
@@ -67,14 +81,34 @@ class FaultPlan:
     #: Original text form (round-trips through SweepSpec params).
     text: str = field(default="", compare=False)
 
+    def __post_init__(self) -> None:
+        """Refuse a plan whose text form :meth:`parse` would refuse,
+        every problem in one :class:`ValueError`."""
+
+        errors = []
+        seen = set()
+        for cell, times in self.crash_cells:
+            errors += _cell_errors(_crash_clause(cell, times), cell, seen,
+                                   None if times >= 1 else "crash count must be >= 1")
+        seen = set()
+        for cell, seconds in self.stall_cells:
+            errors += _cell_errors(
+                _stall_clause(cell, seconds), cell, seen,
+                None if 0 < seconds < math.inf else "duration must be positive and finite")
+        if self.torn_checkpoint is not None and self.torn_checkpoint < 1:
+            errors.append(f"fault clause 'torn-checkpoint={self.torn_checkpoint}': "
+                          f"record count must be >= 1")
+        if errors:
+            raise ValueError("; ".join(errors))
+
     @classmethod
     def parse(cls, text: Optional[str]) -> Optional["FaultPlan"]:
         """Parse the comma-separated clause syntax; None/blank → None."""
 
         if text is None or not text.strip():
             return None
-        crash_cells = {}
-        stall_cells = {}
+        crash_cells = []
+        stall_cells = []
         torn_checkpoint = None
         for raw in text.split(","):
             clause = raw.strip()
@@ -88,15 +122,12 @@ class FaultPlan:
             if name == "crash-cell":
                 cell_text, sep, times_text = value.partition("x")
                 times = _int(times_text, clause) if sep else 1
-                if times < 1:
-                    raise ValueError(f"fault clause {clause!r}: crash count must be >= 1")
-                _once(crash_cells, _int(cell_text, clause), times, clause, name)
+                crash_cells.append((_int(cell_text, clause), times))
             elif name == "stall-cell":
                 cell_text, sep, secs_text = value.partition(":")
                 if not sep:
                     raise ValueError(f"fault clause {clause!r}: expected CELL:SECONDS")
-                seconds = _seconds(secs_text, clause)
-                _once(stall_cells, _int(cell_text, clause), seconds, clause, name)
+                stall_cells.append((_int(cell_text, clause), _seconds(secs_text, clause)))
             elif name == "torn-checkpoint":
                 if torn_checkpoint is not None:
                     raise ValueError(f"fault clause {clause!r}: a second torn-checkpoint")
@@ -107,23 +138,11 @@ class FaultPlan:
                     f"stall-cell, torn-checkpoint)"
                 )
         return cls(
-            crash_cells=tuple(crash_cells.items()),
-            stall_cells=tuple(stall_cells.items()),
+            crash_cells=tuple(crash_cells),
+            stall_cells=tuple(stall_cells),
             torn_checkpoint=torn_checkpoint,
             text=text,
         )
-
-    def violations(self) -> Tuple[str, ...]:
-        errors = []
-        for cell, times in self.crash_cells:
-            if cell < 0 or times < 1:
-                errors.append(f"crash-cell {cell}x{times}: bad cell or count")
-        for cell, seconds in self.stall_cells:
-            if cell < 0 or seconds <= 0:
-                errors.append(f"stall-cell {cell}:{seconds}: bad cell or duration")
-        if self.torn_checkpoint is not None and self.torn_checkpoint < 1:
-            errors.append("torn-checkpoint must be >= 1")
-        return tuple(errors)
 
     # ------------------------------------------------------------------
     # Queries used by the supervision layers.
@@ -150,11 +169,8 @@ class FaultPlan:
 
         if self.text:
             return self.text
-        clauses = []
-        for cell, times in self.crash_cells:
-            clauses.append(f"crash-cell={cell}" if times == 1 else f"crash-cell={cell}x{times}")
-        for cell, seconds in self.stall_cells:
-            clauses.append(f"stall-cell={cell}:{seconds:g}")
+        clauses = [_crash_clause(cell, times) for cell, times in self.crash_cells]
+        clauses += [_stall_clause(cell, seconds) for cell, seconds in self.stall_cells]
         if self.torn_checkpoint is not None:
             clauses.append(f"torn-checkpoint={self.torn_checkpoint}")
         return ",".join(clauses)

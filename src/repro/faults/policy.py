@@ -36,7 +36,7 @@ class SupervisionPolicy:
     #: cell longer is killed and the cell retried (kind="timeout").
     cell_timeout: Optional[float] = None
 
-    def violations(self) -> tuple:
+    def __post_init__(self) -> None:
         errors = []
         if self.cell_retries < 0:
             errors.append("cell_retries must be >= 0")
@@ -46,7 +46,8 @@ class SupervisionPolicy:
             errors.append("backoff_cap must be >= backoff_base")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             errors.append("cell_timeout must be positive")
-        return tuple(errors)
+        if errors:
+            raise ValueError("; ".join(errors))
 
     def backoff(self, failed_attempts: int) -> float:
         """Delay before retrying after ``failed_attempts`` failures."""

@@ -23,7 +23,7 @@ is a docstring promise.  This package checks the same contracts
 
 Run it as ``python -m repro lint [paths]``; suppress a finding with a
 ``# repro-lint: disable=<RULE>`` comment on (or directly above) the
-flagged line; grandfather existing findings with ``--baseline FILE``.
+flagged line.
 """
 
 from repro.lint.config import LintConfig

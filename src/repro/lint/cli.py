@@ -1,7 +1,7 @@
 """The ``python -m repro lint`` entry point.
 
 Exit codes: 0 = clean, 1 = findings reported, 2 = usage/configuration
-error (unknown rule selector, unreadable baseline, missing path).
+error (unknown rule selector, missing path).
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import (BaselineError, filter_baselined,
-                                 load_baseline, write_baseline)
 from repro.lint.config import (DETERMINISTIC_PREFIXES, HOT_PREFIXES,
                                LintConfig)
 from repro.lint.driver import lint_paths
@@ -26,13 +24,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: src/repro)")
     parser.add_argument("--format", choices=sorted(RENDERERS),
                         default="text", help="report format")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="JSON baseline of grandfathered findings "
-                             "to ignore (matched by rule+path+line "
-                             "text, not line numbers)")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write the current findings as a baseline "
-                             "and exit 0")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids or prefixes "
                              "(e.g. D101 or D,S2); default: all rules")
@@ -75,19 +66,6 @@ def run_lint(args) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        entries = write_baseline(args.write_baseline, findings)
-        print(f"wrote {entries} baseline entr"
-              f"{'y' if entries == 1 else 'ies'} "
-              f"({len(findings)} finding(s)) to {args.write_baseline}",
-              file=sys.stderr)
-        return 0
-    if args.baseline:
-        try:
-            findings = filter_baselined(findings, load_baseline(args.baseline))
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     RENDERERS[args.format](findings, files_checked, sys.stdout)
     return 1 if findings else 0
 

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 class Finding:
     """One rule violation at one source location.
 
-    ``text`` carries the stripped source line; the baseline matches on
-    ``(rule, path, text)`` rather than line numbers, so grandfathered
-    findings survive unrelated edits that shift lines.
+    ``text`` carries the stripped source line (the JSON report's
+    ``text`` key).
     """
 
     rule: str
@@ -24,10 +23,6 @@ class Finding:
     @property
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule)
-
-    @property
-    def baseline_key(self):
-        return (self.rule, self.path.replace("\\", "/"), self.text)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

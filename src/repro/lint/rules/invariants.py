@@ -127,6 +127,18 @@ INVARIANTS: Tuple[Invariant, ...] = (
               ("src/repro", "benchmarks", "examples", "tests"), (),
               "no job sizes a pool of its own ('The service runs cells "
               "on one supervised pool')", "JobManager(grid_jobs=2)"),
+    Invariant(r"\.(validate|violations)\(|def (validate|violations)\("
+              r"|(SweepSpec|RenderSpec|spec)\.check\b|def check\(self\)",
+              ("src/repro", "benchmarks", "examples"), (),
+              "a value refuses itself when it is built, so no caller "
+              "checks it again ('Valid by construction')",
+              "config.validate()"),
+    Invariant(r"baseline_key|(write|load)_baseline|filter_baselined"
+              r"|BaselineError|lint\.baseline|--(write-)?baseline\b",
+              ("src/repro", "benchmarks", "examples", "tests"), (),
+              "the tree is lint-clean with no grandfathered findings "
+              "('Valid by construction')",
+              "from repro.lint.baseline import load_baseline"),
 )
 
 def tree_path(path: str) -> Optional[str]:

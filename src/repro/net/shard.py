@@ -26,7 +26,7 @@ that sharding gives up:
 * network randomness must be order-independent, which is why sharded
   scenarios require ``latency_rng="per-pair"`` (per-link streams) and,
   when lossy, ``loss_rng="per-pair"`` (per-link Bernoulli trials —
-  ``ScenarioConfig.validate`` enforces both);
+  ``ScenarioConfig`` refuses a config without them);
 * receiver-side stats are commutative counters, merged per shard.
 
 **Membership churn** is *replicated*: every shard builds the whole
@@ -444,7 +444,6 @@ def run_sharded(config: ScenarioConfig, until: Optional[float] = None,
     hanging the barrier; the run is not retried, since a deterministic
     scenario would fail the same way again.
     """
-    config.validate()
     if config.shards <= 1:
         raise ValueError("run_sharded needs config.shards > 1")
     end = until if until is not None else config.end_time

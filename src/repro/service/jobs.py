@@ -94,9 +94,7 @@ class JobSpec:
         """The canonical parameter mapping; raises ValueError on an
         invalid spec (unknown kind/parameters, bad scenario)."""
         if self.kind in ("run", "sweep"):
-            spec = self.sweep_spec()
-            spec.configs()  # full scenario validation, collected errors
-            return spec.to_params()
+            return self.sweep_spec().to_params()
         if self.kind in ("figure", "table", "ablation"):
             params = RenderSpec.from_params(self.params, self.kind).to_params()
             artifact(self.kind, params["id"])  # ValueError on an unknown id

@@ -56,13 +56,16 @@ class StreamConfig:
         windows = max(1, round(seconds / self.window_duration))
         return windows * self.packets_per_window
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        errors = []
         if self.packet_size_bytes <= 0:
-            raise ValueError("packet size must be positive")
+            errors.append("packet size must be positive")
         if self.source_packets_per_window <= 0 or self.fec_packets_per_window < 0:
-            raise ValueError("invalid window composition")
+            errors.append("invalid window composition")
         if self.effective_rate_bps <= 0:
-            raise ValueError("stream rate must be positive")
+            errors.append("stream rate must be positive")
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)

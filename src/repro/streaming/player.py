@@ -86,7 +86,6 @@ class PlaybackAnalyzer:
     """
 
     def __init__(self, config: StreamConfig, publish_time: Callable[[int], float]):
-        config.validate()
         self.config = config
         self._publish_time = publish_time
         #: publish_time of ids 0, 1, ..., as far as a query has read.

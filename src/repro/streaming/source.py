@@ -23,7 +23,6 @@ class StreamSource:
     def __init__(self, sim: Simulator, config: StreamConfig,
                  publish: Callable[[StreamPacket], None],
                  total_packets: Optional[int] = None):
-        config.validate()
         self._sim = sim
         self.config = config
         self._publish = publish

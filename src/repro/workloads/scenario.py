@@ -48,9 +48,15 @@ def nonfinite_fields(value, prefix: str = "") -> List[str]:
 PER_PAIR_STREAMS = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to run one dissemination experiment."""
+    """Everything needed to run one dissemination experiment.
+
+    A config that would be invalid is never built: construction raises
+    one :class:`ValueError` listing every problem at once.  The stream,
+    gossip and adversary parts refuse their own bad values when they are
+    built; this class adds the checks that span its fields.
+    """
 
     name: str = "scenario"
     #: One of "standard" (Algorithm 1), "heap" (Algorithm 2) or "tree"
@@ -150,13 +156,7 @@ class ScenarioConfig:
     shards: int = 0
 
     # ------------------------------------------------------------------
-    def violations(self) -> List[str]:
-        """Every way this scenario is invalid, as human-readable strings.
-
-        :meth:`validate` joins them into a single :class:`ValueError`, so
-        a config with three problems reports all three at once instead of
-        failing one field at a time.
-        """
+    def __post_init__(self) -> None:
         errors = []
         nonfinite = nonfinite_fields(self)
         if nonfinite:
@@ -186,7 +186,7 @@ class ScenarioConfig:
             errors.append(f"unknown membership {self.membership!r}")
         if self.cyclon_view_size < 2:
             errors.append("cyclon view size must be >= 2")
-        errors.extend(self._adversary_violations())
+        errors.extend(self._adversary_conflicts())
         if self.discovery_initial_bps <= 0:
             errors.append("discovery initial capability must be positive")
         if self.latency_median <= 0:
@@ -218,17 +218,14 @@ class ScenarioConfig:
             if self.latency_floor <= 0:
                 errors.append("sharded execution needs a positive "
                               "latency_floor (it is the lookahead)")
-        for sub in (self.stream, self.gossip):
-            try:
-                sub.validate()
-            except ValueError as exc:
-                errors.append(str(exc))
-        return errors
+        if errors:
+            raise ValueError("; ".join(errors))
 
-    def _adversary_violations(self) -> List[str]:
+    def _adversary_conflicts(self) -> List[str]:
+        """The mix's conflicts with the rest of the scenario."""
         if self.adversary is None:
             return []
-        errors = list(self.adversary.violations())
+        errors = []
         if self.protocol != "heap":
             errors.append("attacks are modelled for the heap protocol")
         required = self.adversary.required_membership()
@@ -237,11 +234,6 @@ class ScenarioConfig:
                 f"attack mix needs membership={required!r} "
                 f"(got {self.membership!r})")
         return errors
-
-    def validate(self) -> None:
-        errors = self.violations()
-        if errors:
-            raise ValueError("; ".join(errors))
 
     def with_(self, **overrides) -> "ScenarioConfig":
         """A modified copy (convenience over dataclasses.replace)."""

@@ -98,7 +98,6 @@ class TestAttackMix:
         assert mix.param_for("withhold") == get_attack("withhold").default_param
         assert mix.victim_policy == "edge"
         assert mix.total_fraction == pytest.approx(0.15)
-        assert mix.violations() == []
 
     @pytest.mark.parametrize("text", ("spam", "spam=abc", "=0.1"))
     def test_parse_rejects_malformed_pairs(self, text):
@@ -106,10 +105,11 @@ class TestAttackMix:
             AttackMix.parse(text)
 
     def test_violations_reported_exhaustively(self):
-        mix = AttackMix(attacks=(("no-such", 0.2), ("spam", 1.5)),
-                        params=(("withhold", 2.0),),
-                        victim_policy="everywhere")
-        problems = "\n".join(mix.violations())
+        with pytest.raises(ValueError) as excinfo:
+            AttackMix(attacks=(("no-such", 0.2), ("spam", 1.5)),
+                      params=(("withhold", 2.0),),
+                      victim_policy="everywhere")
+        problems = str(excinfo.value)
         assert "unknown attack 'no-such'" in problems
         assert "attack fraction for 'spam'" in problems
         assert "total attacked fraction" in problems
@@ -255,43 +255,45 @@ class TestScenarioKey:
 # ----------------------------------------------------------------------
 class TestValidateAllViolations:
     def test_multiple_violations_reported_in_one_error(self):
-        config = quick_config(duration=-1.0, loss_rate=1.5,
-                              membership="gossipsub")
         with pytest.raises(ValueError) as excinfo:
-            config.validate()
+            quick_config(duration=-1.0, loss_rate=1.5,
+                         membership="gossipsub")
         message = str(excinfo.value)
         assert "duration must be positive" in message
         assert "loss rate must be in [0, 1)" in message
         assert "unknown membership 'gossipsub'" in message
 
-    def test_adversary_violations_flow_into_the_report(self):
-        config = quick_config(
-            duration=-1.0,
-            adversary=AttackMix.parse("no-such=0.1"))
+    def test_bad_mix_is_refused_before_the_scenario(self):
         with pytest.raises(ValueError) as excinfo:
-            config.validate()
+            AttackMix.parse("no-such=0.1,spam=1.5")
+        message = str(excinfo.value)
+        assert "unknown attack 'no-such'" in message
+        assert "attack fraction for 'spam'" in message
+
+    def test_adversary_violations_flow_into_the_report(self):
+        with pytest.raises(ValueError) as excinfo:
+            quick_config(duration=-1.0, protocol="standard",
+                         adversary=AttackMix.single("poisoned-view", 0.1))
         message = str(excinfo.value)
         assert "duration must be positive" in message
-        assert "unknown attack 'no-such'" in message
+        assert "heap protocol" in message
+        assert "membership='cyclon'" in message
 
     def test_sampler_attack_needs_cyclon(self):
-        config = quick_config(
-            adversary=AttackMix.single("poisoned-view", 0.1))
         with pytest.raises(ValueError, match="membership='cyclon'"):
-            config.validate()
+            quick_config(
+                adversary=AttackMix.single("poisoned-view", 0.1))
         quick_config(membership="cyclon",
-                     adversary=AttackMix.single("poisoned-view", 0.1)
-                     ).validate()
+                     adversary=AttackMix.single("poisoned-view", 0.1))
 
     def test_attacks_are_heap_only(self):
-        config = quick_config(protocol="standard",
-                              adversary=AttackMix.single("spam", 0.1))
         with pytest.raises(ValueError, match="heap protocol"):
-            config.validate()
+            quick_config(protocol="standard",
+                         adversary=AttackMix.single("spam", 0.1))
 
     def test_valid_config_still_validates(self):
         quick_config(adversary=AttackMix.parse(
-            "spam=0.1,withhold=0.05", victim_policy="clustered")).validate()
+            "spam=0.1,withhold=0.05", victim_policy="clustered"))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.core.config import GossipConfig
 
 def test_defaults_match_paper():
     config = GossipConfig()
-    config.validate()
     assert config.fanout == 7.0
     assert config.gossip_period == 0.2
     assert config.aggregation_period == 0.2
@@ -38,11 +37,9 @@ def test_config_is_frozen():
     {"aggregation_fanout": 0},
 ])
 def test_invalid_configs_rejected(overrides):
-    config = dataclasses.replace(GossipConfig(), **overrides)
     with pytest.raises(ValueError):
-        config.validate()
+        dataclasses.replace(GossipConfig(), **overrides)
 
 
 def test_max_fanout_zero_means_uncapped():
-    config = dataclasses.replace(GossipConfig(), min_fanout=2.0, max_fanout=0.0)
-    config.validate()  # must not raise
+    dataclasses.replace(GossipConfig(), min_fanout=2.0, max_fanout=0.0)  # must not raise

@@ -21,6 +21,8 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.multi_seed import metric_offline_delivery
 from repro.experiments.parallel import run_grid
@@ -133,7 +135,42 @@ class TestFaultPlan:
             FaultPlan.parse(text)
         with pytest.raises(ValueError, match=f"'{second}'"):
             SweepSpec(protocols=("heap",), nodes=10, seconds=2.0, drain=4.0,
-                      num_seeds=2, faults=text).check()
+                      num_seeds=2, faults=text)
+
+    def test_a_plan_built_in_code_obeys_the_parse_rules(self):
+        with pytest.raises(ValueError,
+                           match="'crash-cell=0x3': a second crash-cell"):
+            FaultPlan(crash_cells=((0, 1), (0, 3)))
+        with pytest.raises(ValueError) as excinfo:
+            FaultPlan(crash_cells=((-1, 0),), stall_cells=((0, 0.0),),
+                      torn_checkpoint=0)
+        assert str(excinfo.value).count("fault clause") == 4
+
+    def test_torn_checkpoint_zero_is_refused_by_the_spec(self):
+        with pytest.raises(ValueError, match="'torn-checkpoint=0'"):
+            SweepSpec(protocols=("heap",), nodes=10, seconds=2.0, drain=4.0,
+                      num_seeds=2, faults="torn-checkpoint=0")
+        with pytest.raises(ValueError, match="'torn-checkpoint=0'"):
+            JobSpec("sweep", {"faults": "torn-checkpoint=0"}).normalized()
+
+    @settings(max_examples=200, deadline=None)
+    @given(crash=st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 3)),
+                          max_size=3),
+           stall=st.lists(st.tuples(st.integers(-1, 3),
+                                    st.floats(-1.0, 1e6) | st.sampled_from(
+                                        (float("nan"), float("inf")))),
+                          max_size=3),
+           torn=st.none() | st.integers(-1, 3))
+    def test_every_plan_that_constructs_parses_back(self, crash, stall, torn):
+        try:
+            plan = FaultPlan(crash_cells=tuple(crash),
+                             stall_cells=tuple(stall), torn_checkpoint=torn)
+        except ValueError:
+            return
+        if plan == FaultPlan():
+            assert FaultPlan.parse(plan.to_text()) is None  # blank text
+        else:
+            assert FaultPlan.parse(plan.to_text()) == plan
 
     def test_cell_fault_attempt_semantics(self):
         plan = FaultPlan.parse("crash-cell=1x2,stall-cell=2:0.5")
@@ -171,7 +208,7 @@ class TestFaultIdentity:
             FaultPlan.parse("shard-exit=0@1")
         with pytest.raises(ValueError, match=unknown):
             SweepSpec(protocols=("heap",), nodes=10, seconds=2.0, drain=4.0,
-                      num_seeds=2, faults="shard-exit=0@1").check()
+                      num_seeds=2, faults="shard-exit=0@1")
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +360,14 @@ class TestSharedPool:
 # Grid cells: worker crashes, stalls, quarantine
 # ----------------------------------------------------------------------
 class TestCellCrashSupervision:
+    def test_a_bad_policy_is_refused_when_built(self):
+        with pytest.raises(ValueError, match="cell_retries must be >= 0"):
+            SupervisionPolicy(cell_retries=-1)
+        with pytest.raises(ValueError) as excinfo:
+            SupervisionPolicy(backoff_base=-1.0, backoff_cap=-2.0,
+                              cell_timeout=0.0)
+        assert str(excinfo.value).count("; ") == 2
+
     @pytest.fixture(scope="class")
     def clean(self):
         return run_grid(GRID_CONFIGS, seeds=GRID_SEEDS, metrics=METRICS,
@@ -598,4 +643,11 @@ class TestCliChaos:
         assert main(self.ARGS + ["--faults",
                                  "torn-checkpoint=1,torn-checkpoint=5"]) == 2
         assert "'torn-checkpoint=5': a second torn-checkpoint" in \
+            capsys.readouterr().err
+
+    def test_sweep_refuses_a_plan_that_can_only_fail(self, capsys):
+        from repro.cli import main
+
+        assert main(self.ARGS + ["--faults", "torn-checkpoint=0"]) == 2
+        assert "'torn-checkpoint=0': record count must be >= 1" in \
             capsys.readouterr().err

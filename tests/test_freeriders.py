@@ -189,7 +189,7 @@ class TestEndToEnd:
         with pytest.raises(ValueError):
             ScenarioConfig(
                 protocol="standard",
-                adversary=AttackMix.single("underclaim", 0.1)).validate()
+                adversary=AttackMix.single("underclaim", 0.1))
 
     def test_contribution_index_zero_for_empty_node(self):
         result = run_scenario(ScenarioConfig(protocol="heap", **FAST))

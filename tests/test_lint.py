@@ -15,8 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintConfig, lint_paths
-from repro.lint.baseline import (BaselineError, filter_baselined,
-                                 load_baseline, write_baseline)
 from repro.lint.cli import main
 from repro.lint.config import module_name_for
 from repro.lint.driver import lint_file
@@ -130,50 +128,7 @@ def test_suppression_for_other_rule_does_not_apply(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# baselines
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    findings, _ = lint_paths(
-        [str(FIXTURES / "d104_flagged.py")], wildcard_config("D104"))
-    assert findings
-    baseline_path = tmp_path / "baseline.json"
-    entries = write_baseline(str(baseline_path), findings)
-    assert entries >= 1
-    allowed = load_baseline(str(baseline_path))
-    assert filter_baselined(findings, allowed) == []
-
-
-def test_baseline_counts_cap_duplicates(tmp_path):
-    one = tmp_path / "one.py"
-    one.write_text("def f(a, b):\n    return id(a) < id(b)\n")
-    findings = lint_file(str(one), wildcard_config("D104"))
-    assert len(findings) == 1
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(str(baseline_path), findings)
-    # A second, textually identical violation exceeds the budget of 1.
-    one.write_text("def f(a, b):\n"
-                   "    return id(a) < id(b)\n"
-                   "\n\n"
-                   "def g(a, b):\n"
-                   "    return id(a) < id(b)\n")
-    doubled = lint_file(str(one), wildcard_config("D104"))
-    assert len(doubled) == 2
-    kept = filter_baselined(doubled, load_baseline(str(baseline_path)))
-    assert len(kept) == 1
-
-
-def test_malformed_baseline_raises(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    with pytest.raises(BaselineError):
-        load_baseline(str(bad))
-    bad.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(BaselineError, match="version"):
-        load_baseline(str(bad))
-
-
-# ----------------------------------------------------------------------
-# CLI surface (exit codes, formats, baseline flags)
+# CLI surface (exit codes, formats)
 # ----------------------------------------------------------------------
 def test_cli_exit_one_on_findings(capsys):
     rc = main([str(FIXTURES / "d104_flagged.py"), "--select", "D104",
@@ -193,10 +148,6 @@ def test_cli_exit_zero_on_clean(capsys):
 def test_cli_exit_two_on_usage_errors(tmp_path, capsys):
     assert main([str(FIXTURES), "--select", "Z999"]) == 2
     assert main([str(tmp_path / "missing-dir-or-file")]) == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("not json")
-    assert main([str(FIXTURES / "d104_clean.py"),
-                 "--baseline", str(bad)]) == 2
 
 
 def test_cli_json_report(capsys):
@@ -209,16 +160,6 @@ def test_cli_json_report(capsys):
     assert set(report["counts_by_rule"]) == {"D104"}
     first = report["findings"][0]
     assert {"rule", "path", "line", "col", "message", "text"} <= set(first)
-
-
-def test_cli_baseline_flags_round_trip(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    flagged = str(FIXTURES / "d104_flagged.py")
-    assert main([flagged, "--select", "D104", *WILDCARD,
-                 "--write-baseline", str(baseline)]) == 0
-    assert main([flagged, "--select", "D104", *WILDCARD,
-                 "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
 
 
 def test_cli_list_rules(capsys):

@@ -73,17 +73,17 @@ class TestCapabilityDiscovery:
 
     def test_discovery_validation(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(discovery_initial_bps=0.0).validate()
+            ScenarioConfig(discovery_initial_bps=0.0)
 
 
 class TestMembershipValidation:
     def test_unknown_membership_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(membership="carrier-pigeon").validate()
+            ScenarioConfig(membership="carrier-pigeon")
 
     def test_tiny_cyclon_view_rejected(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(membership="cyclon", cyclon_view_size=1).validate()
+            ScenarioConfig(membership="cyclon", cyclon_view_size=1)
 
 
 class TestSourceBias:

@@ -287,6 +287,15 @@ class TestErrorPaths:
                 client.submit(kind, params)
             assert exc.value.status == 400, (kind, params)
 
+    def test_a_fault_plan_that_can_only_fail_is_400_and_no_job(
+            self, client):
+        before = len(client.jobs())
+        with pytest.raises(ServiceError) as exc:
+            client.submit("sweep", {"faults": "torn-checkpoint=0"})
+        assert exc.value.status == 400
+        assert "torn-checkpoint=0" in str(exc.value)
+        assert len(client.jobs()) == before
+
     @pytest.mark.parametrize("kind, params, field", [
         ("sweep", {"nodes": "abc"}, "nodes"),
         ("sweep", {"loss": "x"}, "loss"),

@@ -337,9 +337,9 @@ class TestLossSharding:
 class TestShardValidation:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_families_validate_under_shards(self, family):
-        base_config(shards=2, **FAMILIES[family]).validate()
-        base_config(shards=4, **FAMILIES[family]).validate()
+        base_config(shards=2, **FAMILIES[family])
+        base_config(shards=4, **FAMILIES[family])
 
     def test_shared_loss_still_rejected(self):
         with pytest.raises(ValueError, match="loss_rng='per-pair'"):
-            base_config(shards=2, loss_rate=0.05).validate()
+            base_config(shards=2, loss_rate=0.05)

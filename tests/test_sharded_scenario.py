@@ -125,12 +125,12 @@ class TestShardingRules:
 
     def test_shared_latency_rng_rejected(self):
         with pytest.raises(ValueError, match="per-pair"):
-            ScenarioConfig(shards=2, latency_floor=0.02).validate()
+            ScenarioConfig(shards=2, latency_floor=0.02)
 
     def test_zero_floor_rejected(self):
         with pytest.raises(ValueError, match="latency_floor"):
             ScenarioConfig(shards=2, latency_rng="per-pair",
-                           latency_floor=0.0).validate()
+                           latency_floor=0.0)
 
     def test_churn_accepted(self):
         # Was rejected until churn became replicated, verified state
@@ -138,24 +138,24 @@ class TestShardingRules:
         sharded_config(
             shards=2,
             churn=CatastrophicFailure(fraction=0.2, at_time=5.0),
-        ).validate()
+        )
 
     def test_audit_accepted(self):
         sharded_config(
             shards=2, audit=True,
-            adversary=AttackMix.single("nonserve", 0.1, 0.1)).validate()
+            adversary=AttackMix.single("nonserve", 0.1, 0.1))
 
     def test_shared_loss_rejected_per_pair_accepted(self):
         # The shared loss model consumes one stream in global send order,
         # which sharding cannot reproduce; the per-pair model can.
         with pytest.raises(ValueError, match="loss_rng='per-pair'"):
-            sharded_config(shards=2, loss_rate=0.01).validate()
+            sharded_config(shards=2, loss_rate=0.01)
         sharded_config(shards=2, loss_rate=0.01,
-                       loss_rng="per-pair").validate()
+                       loss_rng="per-pair")
 
     def test_more_shards_than_nodes_rejected(self):
         with pytest.raises(ValueError, match="per shard"):
-            sharded_config(n_nodes=3, shards=4).validate()
+            sharded_config(n_nodes=3, shards=4)
 
     def test_run_sharded_requires_multiple_shards(self):
         with pytest.raises(ValueError, match="shards > 1"):

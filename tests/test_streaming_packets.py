@@ -61,13 +61,13 @@ def test_packets_for_duration_minimum_one_window():
 
 def test_validate_rejects_bad_configs():
     with pytest.raises(ValueError):
-        StreamConfig(packet_size_bytes=0).validate()
+        StreamConfig(packet_size_bytes=0)
     with pytest.raises(ValueError):
-        StreamConfig(source_packets_per_window=0).validate()
+        StreamConfig(source_packets_per_window=0)
     with pytest.raises(ValueError):
-        StreamConfig(effective_rate_bps=0).validate()
+        StreamConfig(effective_rate_bps=0)
     with pytest.raises(ValueError):
-        StreamConfig(fec_packets_per_window=-1).validate()
+        StreamConfig(fec_packets_per_window=-1)
 
 
 def test_stream_packet_fields():

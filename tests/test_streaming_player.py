@@ -218,7 +218,6 @@ class _RefAnalyzer:
     ``WindowPlayback`` is shared): every answer is read from the log."""
 
     def __init__(self, config: StreamConfig, publish_time: Callable[[int], float]):
-        config.validate()
         self.config = config
         self._publish_time = publish_time
 

@@ -77,7 +77,7 @@ class TestIntervalChurn:
 
 class TestScenarioConfig:
     def test_defaults_validate(self):
-        ScenarioConfig().validate()
+        ScenarioConfig()
 
     def test_with_creates_modified_copy(self):
         base = ScenarioConfig()
@@ -108,7 +108,7 @@ class TestScenarioConfig:
     ])
     def test_invalid_configs(self, overrides):
         with pytest.raises(ValueError):
-            ScenarioConfig(**overrides).validate()
+            ScenarioConfig(**overrides)
 
     @pytest.mark.parametrize("overrides, named", [
         ({"drain": float("nan")}, "drain"),
@@ -123,18 +123,19 @@ class TestScenarioConfig:
     def test_non_finite_fields_are_violations(self, overrides, named):
         """NaN passes every ``<=`` range test: one check refuses it, and
         infinities, in any float field."""
-        violations = ScenarioConfig(**overrides).violations()
-        assert f"must be finite: {named}" in violations
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioConfig(**overrides)
+        assert f"must be finite: {named}" in str(excinfo.value).split("; ")
 
     def test_distribution_field(self):
         config = ScenarioConfig(distribution=MS_691)
         assert config.distribution.name == "ms-691"
 
     def test_loss_rng_validation(self):
-        ScenarioConfig(loss_rng="shared").validate()
-        ScenarioConfig(loss_rng="per-pair").validate()
+        ScenarioConfig(loss_rng="shared")
+        ScenarioConfig(loss_rng="per-pair")
         with pytest.raises(ValueError, match="loss_rng"):
-            ScenarioConfig(loss_rng="per-message").validate()
+            ScenarioConfig(loss_rng="per-message")
 
     def test_scenario_key_separates_loss_rng_modes(self):
         """Regression: the two loss models draw different traffic, so
@@ -147,13 +148,11 @@ class TestScenarioConfig:
         assert "loss_rng" in scenario_key(shared)
 
     def test_latency_violations_are_reported_not_raised_from_the_build(self):
-        config = ScenarioConfig(latency_median=-1.0, latency_jitter=-1.0)
-        assert [v for v in config.violations() if "latency" in v] == [
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioConfig(latency_median=-1.0, latency_jitter=-1.0)
+        assert [v for v in str(excinfo.value).split("; ")
+                if "latency" in v] == [
             "latency median must be positive", "latency jitter must be >= 0"]
-        from repro.experiments.runner import build_scenario
-
-        with pytest.raises(ValueError, match="latency median"):
-            build_scenario(config)
 
     def test_scenario_key_versions_the_per_pair_streams_only(self, monkeypatch):
         """The per-link stream derivation is identity for per-pair
