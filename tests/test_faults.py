@@ -116,6 +116,8 @@ class TestFaultPlan:
         "crash-cell=1x0",         # kill budget < 1
         "stall-cell=0",           # missing duration
         "stall-cell=0:-1",        # non-positive duration
+        "stall-cell=0:inf",       # infinite duration
+        "stall-cell=0:nan",       # not a number
         "shard-exit=1",           # shard clauses are unknown
         "shard-stall=1@2",
     ])
